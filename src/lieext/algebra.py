@@ -17,6 +17,9 @@ from .errors import InvalidLatticeError, MalformedInputError
 
 DEFAULT_TOL_ALG = 1e-9
 DEFAULT_TOL_LAT = 1e-6
+# A coefficient whose distance to the nearest integer lies in
+# [tol_lat, LATTICE_BAND_FACTOR * tol_lat) is too close to call.
+LATTICE_BAND_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -237,9 +240,9 @@ def lattice_member(
 
     Least squares against the generators, then integer rounding.  The
     verdict is "member" when the rounded combination reproduces v within
-    tol_lat, "indeterminate" when some coefficient's distance to the
-    nearest integer falls in the ambiguity band [tol_lat, 0.5 - tol_lat),
-    and "not_member" otherwise.
+    tol_lat, "indeterminate" when the largest coefficient distance to the
+    nearest integer falls in the ambiguity band
+    [tol_lat, LATTICE_BAND_FACTOR * tol_lat), and "not_member" otherwise.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.ambient_dim,) and lat.rank > 0:
@@ -254,14 +257,13 @@ def lattice_member(
     coeffs, *_ = np.linalg.lstsq(lat.generators.T, v, rcond=None)
     span_residual = float(np.linalg.norm(lat.generators.T @ coeffs - v))
     rounded = np.round(coeffs)
-    frac = np.abs(coeffs - rounded)
-    max_frac = float(frac.max())
+    max_frac = float(np.abs(coeffs - rounded).max())
     residual = float(np.linalg.norm(lat.generators.T @ rounded - v))
     if span_residual >= tol_lat:
         verdict = "not_member"
-    elif residual < tol_lat and max_frac < tol_lat:
-        verdict = "member"
-    elif np.any((frac >= tol_lat) & (frac < 0.5 - tol_lat)):
+    elif max_frac < tol_lat:
+        verdict = "member" if residual < tol_lat else "not_member"
+    elif max_frac < LATTICE_BAND_FACTOR * tol_lat:
         verdict = "indeterminate"
     else:
         verdict = "not_member"

@@ -105,16 +105,50 @@ def _form(doc: ProblemDocument) -> EquivariantForm:
     return EquivariantForm(doc.cocycle, group)
 
 
+def _number(name: str, value, kind=float):
+    """value as kind (int or float); MalformedInputError when it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInputError(
+            f"option {name!r} must be a number, got {value!r}"
+        ) from None
+
+
+def _option(opts: dict, names: tuple, default, kind=float):
+    """The first of the named options that is set, as a number; else default."""
+    for name in names:
+        if name in opts:
+            return _number(name, opts[name], kind)
+    return default
+
+
+def _degrees(opts: dict) -> list:
+    """The cohomology degrees asked for: 'degrees', else ['degree'], else [2]."""
+    degrees = opts.get("degrees")
+    if degrees is None:
+        return [_option(opts, ("degree",), 2, int)]
+    if not isinstance(degrees, list):
+        raise MalformedInputError(
+            f"option 'degrees' must be a list of integers, got {degrees!r}"
+        )
+    return [_number("degrees", n, int) for n in degrees]
+
+
 def run(doc: ProblemDocument) -> tuple:
     """Dispatch a parsed document; return (report dict, exit code)."""
     opts = doc.options
-    quad_order = int(opts.get("quad_order", DEFAULT_QUAD_ORDER))
+    quad_order = _option(opts, ("quad_order",), DEFAULT_QUAD_ORDER, int)
+    if quad_order < 1:
+        raise MalformedInputError(
+            f"option 'quad_order' must be a positive integer, got {quad_order}"
+        )
     warnings = []
     results = {}
     code = EXIT_OK
 
     if doc.task == "validate":
-        tol = float(opts.get("tol_alg", opts.get("tol", DEFAULT_TOL_ALG)))
+        tol = _option(opts, ("tol_alg", "tol"), DEFAULT_TOL_ALG)
         issues = list(validate_algebra(doc.algebra, tol))
         if doc.module is not None:
             issues += validate_module(doc.algebra, doc.module, tol)
@@ -130,12 +164,9 @@ def run(doc: ProblemDocument) -> tuple:
         results = {"violations": _issues_dicts(issues), "valid": not issues}
 
     elif doc.task == "cohomology":
-        degrees = opts.get("degrees")
-        if degrees is None:
-            degrees = [int(opts.get("degree", 2))]
         table = []
-        for n in degrees:
-            sl = build_complex_slice(doc.algebra, doc.module, int(n))
+        for n in _degrees(opts):
+            sl = build_complex_slice(doc.algebra, doc.module, n)
             table.append(
                 {
                     "degree": sl.n,
@@ -148,7 +179,7 @@ def run(doc: ProblemDocument) -> tuple:
         results = {"slices": table}
 
     elif doc.task == "extend":
-        tol = float(opts.get("tol_alg", opts.get("tol", DEFAULT_TOL_ALG)))
+        tol = _option(opts, ("tol_alg", "tol"), DEFAULT_TOL_ALG)
         ext = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
         residual = max(
             (i.residual for i in validate_algebra(ext.total, tol)), default=0.0
@@ -156,7 +187,7 @@ def run(doc: ProblemDocument) -> tuple:
         results = {"extension": serialize_extension(ext), "jacobi_residual": residual}
 
     elif doc.task == "equivalence":
-        tol = float(opts.get("equiv_tol", opts.get("tol", DEFAULT_EQUIV_TOL)))
+        tol = _option(opts, ("equiv_tol", "tol"), DEFAULT_EQUIV_TOL)
         verdict, witness, residual = are_equivalent(
             doc.algebra, doc.module, doc.cocycle, doc.cocycle2, tol
         )
@@ -184,7 +215,7 @@ def run(doc: ProblemDocument) -> tuple:
             ]
 
     elif doc.task == "d2":
-        step = float(opts.get("fd_step", DEFAULT_D2_STEP))
+        step = _option(opts, ("fd_step",), DEFAULT_D2_STEP)
         chart = doc.group.chart
         exprs = doc.cochain_expr
 
@@ -216,7 +247,7 @@ def run(doc: ProblemDocument) -> tuple:
 
     elif doc.task == "check-integrability":
         form = _form(doc)
-        tol = float(opts.get("tol_lat", opts.get("tol", DEFAULT_TOL_LAT)))
+        tol = _option(opts, ("tol_lat", "tol"), DEFAULT_TOL_LAT)
         if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
             raise NotACocycleError("the cochain to integrate is not a cocycle")
         report = check_integrability(form, doc.cycles, doc.lattice, quad_order, tol)
@@ -235,7 +266,7 @@ def run(doc: ProblemDocument) -> tuple:
 
     elif doc.task == "pi1":
         form = _form(doc)
-        tol = float(opts.get("tol_lat", opts.get("tol", DEFAULT_TOL_LAT)))
+        tol = _option(opts, ("tol_lat", "tol"), DEFAULT_TOL_LAT)
         table = pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol)
         results = table.as_dict()
 

@@ -13,8 +13,9 @@ varying fastest (flat position = index_position * m + coefficient).
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -27,22 +28,6 @@ RANK_TOL_FACTOR = 1e-10
 def increasing_tuples(n_g: int, degree: int):
     """All strictly increasing multi-indices of the given degree, lex order."""
     return list(itertools.combinations(range(n_g), degree))
-
-
-def _sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[tuple], int]:
-    """Sort a multi-index, tracking the permutation sign; None if repeated."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None, 0
-    return tuple(idx), sign
 
 
 @dataclass(frozen=True)
@@ -70,13 +55,6 @@ class Cochain:
                 f"increasing degree-{self.degree} tuples in range({self.alg_dim})"
             )
         object.__setattr__(self, "components", comps)
-
-    def value_at_basis(self, indices: Sequence[int]) -> np.ndarray:
-        """Value on basis vectors e_{i1}, ..., e_{in}, in any order."""
-        key, sign = _sort_with_sign(indices)
-        if key is None:
-            return np.zeros(self.coeff_dim)
-        return sign * self.components[key]
 
     def __call__(self, *vectors: np.ndarray) -> np.ndarray:
         """Alternating multilinear evaluation on arbitrary vectors."""
@@ -176,52 +154,73 @@ def random_cochain(degree, alg_dim, coeff_dim, rng) -> Cochain:
     return Cochain.from_vector(degree, alg_dim, coeff_dim, rng.normal(size=size))
 
 
-def apply_d(alg: LieAlgebra, mod: ModuleAction, omega: Cochain) -> Cochain:
-    """Lie algebra coboundary of omega, one degree up.
+def _lex_rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Position of each sorted row of `tuples` in increasing_tuples(n_g, k).
+
+    Combinatorial number system for lex order:
+    rank(a_0 < .. < a_{k-1}) = C(n_g, k) - 1 - sum_i C(n_g - 1 - a_i, k - i),
+    with binom[x, j] = C(x, j) for x <= n_g, j <= k.
+    """
+    n_g, k = binom.shape[0] - 1, tuples.shape[1]
+    return binom[n_g, k] - 1 - binom[n_g - 1 - tuples, k - np.arange(k)].sum(axis=1)
+
+
+def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
+    """Matrix of d_n in the package component bases.
 
     (d omega)(X_1..X_{n+1}) =
         sum_i (-1)^{i+1} X_i . omega(.., X^_i, ..)
       + sum_{i<j} (-1)^{i+j} omega([X_i, X_j], .., X^_i, .., X^_j, ..)
-    evaluated on all strictly increasing basis multi-indices.
+
+    Filled from index combinatorics, one pass per slot (or pair of slots)
+    over all rows at once.  Row block I = (i_0 < .. < i_n) gets
+    (-1)^p rho[i_p] in the column block of I without i_p, and
+    (-1)^(p+q+r) c[i_p, i_q, k] times the identity in the column block of
+    the rest with k sorted in, where r counts the rest entries below k;
+    a k already in the rest contributes nothing (alternation).
     """
+    dim, m = alg.dim, mod.coeff_dim
+    rows = np.array(increasing_tuples(dim, n + 1), dtype=np.intp).reshape(-1, n + 1)
+    binom = np.array(
+        [[math.comb(x, j) for j in range(n + 1)] for x in range(dim + 1)],
+        dtype=np.intp,
+    )
+    n_cols = binom[dim, n]
+    mat = np.zeros((len(rows), m, n_cols, m))
+    for p in range(n + 1):
+        cols = _lex_rank(np.delete(rows, p, axis=1), binom)
+        np.add.at(
+            mat,
+            (np.arange(len(rows)), slice(None), cols, slice(None)),
+            (-1.0) ** p * mod.rho[rows[:, p]],
+        )
+    c = alg.structure_constants
+    diag = np.arange(m)
+    for p, q in itertools.combinations(range(n + 1), 2):
+        r, k = np.nonzero(c[rows[:, p], rows[:, q]])
+        rest = np.delete(rows, [p, q], axis=1)[r]
+        keep = ~np.any(rest == k[:, None], axis=1)
+        r, k, rest = r[keep], k[keep], rest[keep]
+        below = np.sum(rest < k[:, None], axis=1)
+        cols = _lex_rank(np.sort(np.column_stack([rest, k]), axis=1), binom)
+        vals = (-1.0) ** (p + q + below) * c[rows[r, p], rows[r, q], k]
+        np.add.at(mat, (r[:, None], diag, cols[:, None], diag), vals[:, None])
+    return mat.reshape(len(rows) * m, n_cols * m)
+
+
+def apply_d(alg: LieAlgebra, mod: ModuleAction, omega: Cochain) -> Cochain:
+    """Lie algebra coboundary of omega, one degree up: d_n times omega."""
     if omega.alg_dim != alg.dim or omega.coeff_dim != mod.coeff_dim:
         raise MalformedInputError(
             "cochain dimensions do not match the algebra/module"
         )
     n = omega.degree
-    c = alg.structure_constants
-    out = {}
-    for big in increasing_tuples(alg.dim, n + 1):
-        val = np.zeros(omega.coeff_dim)
-        for pos_i in range(n + 1):
-            rest = big[:pos_i] + big[pos_i + 1 :]
-            sign = 1.0 if pos_i % 2 == 0 else -1.0  # (-1)^{i+1}, i = pos_i + 1
-            val += sign * (mod.rho[big[pos_i]] @ omega.components[rest])
-        for pos_i in range(n + 1):
-            for pos_j in range(pos_i + 1, n + 1):
-                rest = tuple(
-                    big[p] for p in range(n + 1) if p != pos_i and p != pos_j
-                )
-                sign = 1.0 if (pos_i + pos_j) % 2 == 0 else -1.0  # (-1)^{i+j}, i+j = pos_i+pos_j+2
-                coeffs = c[big[pos_i], big[pos_j]]
-                for k in np.nonzero(coeffs)[0]:
-                    val += sign * coeffs[k] * omega.value_at_basis((int(k),) + rest)
-        out[big] = val
-    return Cochain(n + 1, alg.dim, omega.coeff_dim, out)
-
-
-def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
-    """Matrix of d_n in the package component bases."""
-    m = mod.coeff_dim
-    cols = len(increasing_tuples(alg.dim, n)) * m
-    rows = len(increasing_tuples(alg.dim, n + 1)) * m
-    mat = np.zeros((rows, cols))
-    for col in range(cols):
-        unit = np.zeros(cols)
-        unit[col] = 1.0
-        image = apply_d(alg, mod, Cochain.from_vector(n, alg.dim, m, unit))
-        mat[:, col] = image.to_vector()
-    return mat
+    return Cochain.from_vector(
+        n + 1,
+        alg.dim,
+        omega.coeff_dim,
+        coboundary_matrix(alg, mod, n) @ omega.to_vector(),
+    )
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,6 @@ class ComplexSlice:
     alg_dim: int
     coeff_dim: int
     d_matrix: np.ndarray
-    prev_matrix: np.ndarray
     z_basis: np.ndarray  # columns span ker d_n
     b_basis: np.ndarray  # columns span im d_{n-1}
 
@@ -285,17 +283,16 @@ def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> ComplexSl
         raise MalformedInputError(f"degree {n} outside 0..{alg.dim}")
     d_n = coboundary_matrix(alg, mod, n)
     if n == 0:
-        prev = np.zeros((d_n.shape[1], 0))
+        b_basis = np.zeros((d_n.shape[1], 0))
     else:
-        prev = coboundary_matrix(alg, mod, n - 1)
+        b_basis = _image_basis(coboundary_matrix(alg, mod, n - 1))
     return ComplexSlice(
         n=n,
         alg_dim=alg.dim,
         coeff_dim=mod.coeff_dim,
         d_matrix=d_n,
-        prev_matrix=prev,
         z_basis=_kernel_basis(d_n),
-        b_basis=_image_basis(prev),
+        b_basis=b_basis,
     )
 
 

@@ -89,11 +89,20 @@ def _as_float_array(obj, shape_desc, context):
     return arr
 
 
+def _count(section: dict, key: str, context: str) -> int:
+    """section[key], required to be a non-negative integer."""
+    _require(key in section, f"{context} needs a {key!r} field")
+    value = section[key]
+    _require(
+        isinstance(value, int) and value >= 0,
+        f"{context} {key} must be a non-negative integer, got {value!r}",
+    )
+    return value
+
+
 def _parse_algebra(section) -> LieAlgebra:
     _require(isinstance(section, dict), "algebra section must be an object")
-    _require("dim" in section, "algebra section needs a 'dim' field")
-    n = section["dim"]
-    _require(isinstance(n, int) and n >= 0, "algebra dim must be a non-negative integer")
+    n = _count(section, "dim", "algebra")
     labels = tuple(section.get("labels", ()))
     if "structure_constants_dense" in section:
         c = _as_float_array(
@@ -168,9 +177,7 @@ def _compile_exprs(strings, context):
 
 def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGroup]) -> ModuleAction:
     _require(isinstance(section, dict), "module section must be an object")
-    _require("coeff_dim" in section, "module section needs 'coeff_dim'")
-    m = section["coeff_dim"]
-    _require(isinstance(m, int) and m >= 0, "module coeff_dim must be a non-negative integer")
+    m = _count(section, "coeff_dim", "module")
     dim = alg.dim if alg is not None else (group.algebra.dim if group else None)
     _require(dim is not None, "module section needs an algebra or group to attach to")
     if "rho" in section:
@@ -223,11 +230,9 @@ def _parse_group(section) -> MatrixGroup:
     _require(isinstance(section, dict), "group section must be an object")
     kind = section.get("kind")
     if kind == "torus":
-        _require("dim" in section, "torus group needs 'dim'")
-        return torus_group(int(section["dim"]))
+        return torus_group(_count(section, "dim", "torus group"))
     if kind == "translation":
-        _require("dim" in section, "translation group needs 'dim'")
-        return translation_group(int(section["dim"]))
+        return translation_group(_count(section, "dim", "translation group"))
     if kind == "su2":
         return su2_group()
     if kind == "heisenberg":
@@ -364,7 +369,9 @@ def parse_document(text_or_dict) -> ProblemDocument:
     _require(isinstance(raw, dict), "document must be a JSON object")
     task = raw.get("task")
     _require(task in TASKS, f"task must be one of {', '.join(TASKS)}; got {task!r}")
-    doc = ProblemDocument(task=task, raw=raw, options=dict(raw.get("options", {})))
+    options = raw.get("options", {})
+    _require(isinstance(options, dict), "options must be an object")
+    doc = ProblemDocument(task=task, raw=raw, options=dict(options))
 
     if "group" in raw:
         doc.group = _parse_group(raw["group"])

@@ -154,7 +154,10 @@ class Expression:
     variables: frozenset
 
     def __call__(self, env: Dict[str, float]) -> float:
-        return _eval_node(self.node, env, self.source)
+        try:
+            return _eval_node(self.node, env, self.source)
+        except (ArithmeticError, ValueError) as exc:  # t/0, exp(1e3), sin(inf)
+            raise ExpressionError(f"cannot evaluate {self.source!r}: {exc}") from None
 
 
 def _eval_node(node, env, source):

@@ -156,6 +156,33 @@ class TestLattice:
             "indeterminate"
         )
 
+    @pytest.mark.parametrize("value", [0.25, 0.3, 0.7, 1.25])
+    def test_far_from_integer_is_not_member(self, value):
+        lat = lx.Lattice(generators=[[1.0]])
+        assert lx.lattice_member(lat, np.array([value])).verdict == "not_member"
+
+    def test_band_ends_at_band_factor(self):
+        lat = lx.Lattice(generators=[[1.0]])
+        edge = lx.algebra.LATTICE_BAND_FACTOR * 1e-6
+        assert lx.lattice_member(lat, np.array([2.0 + 0.5 * edge]), 1e-6).verdict == (
+            "indeterminate"
+        )
+        assert lx.lattice_member(lat, np.array([2.0 + 2.0 * edge]), 1e-6).verdict == (
+            "not_member"
+        )
+
+    def test_two_dimensional_band(self):
+        gens = np.array([[1.0, 0.0], [0.5, 2.0]])
+        lat = lx.Lattice(generators=gens)
+
+        def verdict(coeffs):
+            return lx.lattice_member(lat, gens.T @ np.asarray(coeffs), 1e-6).verdict
+
+        assert verdict([2.0, -1.0]) == "member"
+        assert verdict([2.0 + 5e-6, -1.0]) == "indeterminate"
+        assert verdict([2.0, -1.3]) == "not_member"
+        assert verdict([2.0 + 5e-6, -0.7]) == "not_member"  # one coefficient far off
+
     def test_generators_are_members(self, rng):
         gens = rng.normal(size=(3, 5))
         lat = lx.Lattice(generators=gens)

@@ -122,6 +122,56 @@ class TestParseDocument:
             parse_document(raw)
 
 
+def _edited(fixture, edit):
+    raw = json.loads(load_fixture(fixture))
+    edit(raw)
+    return raw
+
+
+def _set(*keys, value):
+    def edit(raw):
+        target = raw
+        for key in keys[:-1]:
+            target = target.setdefault(key, {}) if isinstance(key, str) else target[key]
+        target[keys[-1]] = value
+    return edit
+
+
+MALFORMED = {
+    "torus_dim_string": ("torus_integrable.json", _set("group", "dim", value="x")),
+    "torus_dim_negative": ("torus_integrable.json", _set("group", "dim", value=-1)),
+    "translation_dim_string": ("r2_d2.json", _set("group", "dim", value="x")),
+    "patch_divide_by_zero": (
+        "torus_integrable.json",
+        _set("cycles", 0, "patches", 0, "coords", 0, value="t/0"),
+    ),
+    "quad_order_string": ("torus_integrable.json", _set("options", "quad_order", value="x")),
+    "quad_order_zero": ("torus_integrable.json", _set("options", "quad_order", value=0)),
+    "quad_order_on_cohomology": ("sl2_cohomology.json", _set("options", "quad_order", value="x")),
+    "degrees_string": ("sl2_cohomology.json", _set("options", "degrees", value=["x"])),
+    "degrees_not_list": ("sl2_cohomology.json", _set("options", "degrees", value=2)),
+    "degree_string": ("sl2_cohomology.json", _set("options", value={"degree": "x"})),
+    "tol_string": ("heis3_validate.json", _set("options", "tol", value="x")),
+    "tol_alg_list": ("extend_heis3.json", _set("options", "tol_alg", value=[1e-9])),
+    "tol_lat_string": ("torus_integrable.json", _set("options", "tol_lat", value="x")),
+    "equiv_tol_null": ("equivalence_r2.json", _set("options", "equiv_tol", value=None)),
+    "fd_step_string": ("r2_d2.json", _set("options", "fd_step", value="x")),
+    "options_not_object": ("heis3_validate.json", _set("options", value="x")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_2(case, tmp_path, capsys):
+    fixture, edit = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited(fixture, edit)))
+    code = main([str(path)])  # an escaping exception fails the test
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error: ")
+    assert captured.out == ""
+
+
 class TestRoundTrip:
     def test_extension_serialization_reparses_identically(self):
         doc = parse_document(load_fixture("extend_heis3.json"))

@@ -1,3 +1,4 @@
+import math
 import operator
 
 import numpy as np
@@ -41,6 +42,16 @@ def oracle_d_matrix(alg, mod, n):
                         val += (-1.0) ** (i + j) * omega(br, *rest)
                 mat[row_pos * m : (row_pos + 1) * m, col_pos * m + col_a] = val
     return mat
+
+
+def heisenberg_algebra(k):
+    """h_{2k+1}: [e_i, e_{k+i}] = e_{2k} for i < k, every other bracket zero."""
+    n = 2 * k + 1
+    c = np.zeros((n, n, n))
+    for i in range(k):
+        c[i, k + i, n - 1] = 1.0
+        c[k + i, i, n - 1] = -1.0
+    return lx.LieAlgebra(c)
 
 
 def oracle_betti(alg, mod, n):
@@ -127,13 +138,28 @@ class TestApplyD:
             assert dd.max_norm() < 1e-8 * alg.dim**3
 
     def test_matches_oracle_matrix(self, sl2, rng):
-        mod = lx.adjoint_module(sl2)
-        for n in (0, 1, 2):
-            assert np.allclose(
-                lx.coboundary_matrix(sl2, mod, n),
-                oracle_d_matrix(sl2, mod, n),
-                atol=1e-12,
-            )
+        h5 = lx.change_of_basis(
+            heisenberg_algebra(2), rng.normal(size=(5, 5)) + 3 * np.eye(5)
+        )
+        sl2_r1 = lx.direct_sum(sl2, lx.abelian_algebra(1))
+        # commuting matrices: a representation of the abelian R^3
+        a = rng.normal(size=(2, 2))
+        x, y = rng.normal(size=(2, 3))
+        rho = np.stack([x[i] * a + y[i] * a @ a for i in range(3)])
+        cases = [
+            (sl2, lx.adjoint_module(sl2)),
+            (h5, lx.adjoint_module(h5)),
+            (sl2_r1, lx.adjoint_module(sl2_r1)),
+            (lx.abelian_algebra(3), lx.ModuleAction(rho=rho)),
+        ]
+        for alg, mod in cases:
+            for n in range(alg.dim + 1):
+                assert np.allclose(
+                    lx.coboundary_matrix(alg, mod, n),
+                    oracle_d_matrix(alg, mod, n),
+                    rtol=0.0,
+                    atol=1e-12,
+                ), (alg.dim, n)
 
 
 class TestComplexSlice:
@@ -191,6 +217,21 @@ class TestBetti:
         moved = lx.change_of_basis(heis3, p)
         for n in range(4):
             assert lx.betti(moved, mod, n) == lx.betti(heis3, mod, n)
+
+    def test_abelian_r10_binomial(self):
+        alg = lx.abelian_algebra(10)
+        mod = lx.trivial_module(10, 1)
+        assert [lx.betti(alg, mod, p) for p in range(11)] == [
+            math.comb(10, p) for p in range(11)
+        ]
+
+    def test_heisenberg_h9_santharoubane(self):
+        # dim H^p(h_{2k+1}) = C(2k, p) - C(2k, p - 2) for p <= k, and
+        # Poincare duality b_p = b_{2k+1-p} above
+        alg = heisenberg_algebra(4)
+        mod = lx.trivial_module(9, 1)
+        low = [math.comb(8, p) - (math.comb(8, p - 2) if p >= 2 else 0) for p in range(5)]
+        assert [lx.betti(alg, mod, p) for p in range(10)] == low + low[::-1]
 
     def test_zero_dimensional_algebra(self):
         alg = lx.abelian_algebra(0)
