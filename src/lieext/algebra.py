@@ -8,6 +8,7 @@ independent generators.  Everything is a plain immutable descriptor plus
 pure functions; scalars are float64 throughout.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -106,12 +107,34 @@ class ModuleAction:
         return np.asarray(self.group_action(g, np.asarray(v, dtype=float)), dtype=float)
 
 
+def _lll_reduce(basis: np.ndarray) -> np.ndarray:
+    """Lenstra-Lenstra-Lovasz reduction (delta = 3/4) of independent rows.
+
+    Gram-Schmidt data is the R factor of a QR decomposition: b_k has
+    coefficient R[j, k] along the j-th orthonormal direction.
+    """
+    b = basis.copy()
+    k = 1
+    while k < len(b):
+        r = np.linalg.qr(b[: k + 1].T, mode="r")
+        for j in range(k - 1, -1, -1):
+            q = np.round(r[j, k] / r[j, j])
+            b[k] -= q * b[j]
+            r[:, k] -= q * r[:, j]
+        if r[k, k] ** 2 + r[k - 1, k] ** 2 >= 0.75 * r[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            b[[k - 1, k]] = b[[k, k - 1]]
+            k = max(k - 1, 1)
+    return b
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """Discrete subgroup of R^m spanned over Z by independent generators."""
+    """Discrete subgroup of R^m spanned over Z by independent generators
+    (membership coefficients refer to them), plus an LLL-reduced basis."""
 
     generators: np.ndarray
-    tol: float = DEFAULT_TOL_LAT
 
     def __post_init__(self):
         gens = np.asarray(self.generators, dtype=float)
@@ -124,11 +147,12 @@ class Lattice:
         object.__setattr__(self, "generators", gens)
         if self.rank > 0:
             svals = np.linalg.svd(gens, compute_uv=False)
-            if svals.min() <= self.tol:
+            if svals.min() <= DEFAULT_TOL_LAT:
                 raise InvalidLatticeError(
                     f"generators are rank deficient (smallest singular value "
                     f"{svals.min():.3e})"
                 )
+        object.__setattr__(self, "_reduced", _lll_reduce(gens))
 
     @property
     def rank(self) -> int:
@@ -271,12 +295,21 @@ def lattice_member(
 
 
 def reduce_mod_lattice(lat: Optional[Lattice], v: np.ndarray) -> np.ndarray:
-    """Canonical representative of v modulo the lattice (nearest-point)."""
+    """Representative of v modulo the lattice nearest to the origin.
+
+    Rounds v's coefficients in the LLL-reduced basis and keeps the shortest
+    of the 3^r candidates that move each by at most one (plain rounding wins
+    ties): exact on rank 1 and 2, the best of those candidates above.
+    """
     v = np.asarray(v, dtype=float)
     if lat is None or lat.rank == 0:
         return v
-    coeffs, *_ = np.linalg.lstsq(lat.generators.T, v, rcond=None)
-    return v - lat.generators.T @ np.round(coeffs)
+    basis = lat._reduced
+    coeffs, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
+    rest = v - basis.T @ np.round(coeffs)
+    offsets = np.array(list(itertools.product((0.0, -1.0, 1.0), repeat=lat.rank)))
+    candidates = rest - offsets @ basis
+    return candidates[np.argmin(np.linalg.norm(candidates, axis=1))]
 
 
 # Small catalogue of standard algebras used by tests, fixtures and docs.

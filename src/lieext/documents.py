@@ -6,32 +6,60 @@ matrices and an optional group-action expression), lattice, group (a named
 built-in or an explicit matrix realization), cocycles, and parametric
 paths/loops/cycles written in the small expression grammar (variables t
 and s).  Indices are 0-based throughout.  parse_document builds and
-cross-checks the in-memory objects; dispatch lives in the cli module.
+cross-checks the in-memory objects; TASKS holds, for each task, the
+sections it needs, how it runs and how its results read as text.
 """
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import math
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from . import expressions
 from .algebra import (
+    DEFAULT_TOL_ALG,
+    DEFAULT_TOL_LAT,
     Lattice,
     LieAlgebra,
     ModuleAction,
+    reduce_mod_lattice,
     trivial_module,
+    validate_algebra,
+    validate_module,
 )
-from .cohomology import Cochain
+from .cohomology import (
+    Cochain,
+    GroupCochain,
+    build_complex_slice,
+    is_cocycle,
+    normalization_residual,
+)
 from .errors import (
+    EXIT_INDETERMINATE,
+    EXIT_OK,
     DocumentError,
     ExpressionError,
     LieExtError,
     MalformedInputError,
+    NotACocycleError,
     UnresolvedReferenceError,
 )
-from .extensions import AlgebraExtension
-from .geometry import Surface2Chain, SurfacePatch
+from .extensions import (
+    DEFAULT_EQUIV_TOL,
+    AlgebraExtension,
+    are_equivalent,
+    build_algebra_extension,
+)
+from .geometry import (
+    DEFAULT_D2_STEP,
+    EquivariantForm,
+    Surface2Chain,
+    SurfacePatch,
+    derived_cochain,
+    path_cocycle,
+)
 from .groups import (
     GroupPath,
     MatrixGroup,
@@ -39,21 +67,18 @@ from .groups import (
     su2_group,
     torus_group,
     translation_group,
+    validate_action_compatibility,
+    validate_group,
+    validate_path,
 )
-from .integrability import CycleSet, torus_winding_loop
+from .integrability import (
+    CycleSet,
+    check_integrability,
+    pi1_cocycle_table,
+    torus_winding_loop,
+)
 
 SCHEMA_VERSION = 1
-
-TASKS = (
-    "validate",
-    "cohomology",
-    "extend",
-    "equivalence",
-    "gamma",
-    "d2",
-    "check-integrability",
-    "pi1",
-)
 
 
 @dataclass
@@ -240,8 +265,7 @@ def _parse_group(section) -> MatrixGroup:
     if kind == "matrix":
         _require("basis" in section, "matrix group needs 'basis'")
         basis = _as_float_array(section["basis"], "an n x d x d array", "group.basis")
-        _require("structure_constants" in section or "algebra" in section,
-                 "matrix group needs structure constants (via 'algebra')")
+        _require("algebra" in section, "matrix group needs structure constants (via 'algebra')")
         alg = _parse_algebra(section["algebra"])
         try:
             return MatrixGroup(
@@ -289,16 +313,19 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
         raise DocumentError(f"{context}: {exc}") from None
 
 
-def _map_eval(entries, var_names, context):
+def _map_eval(entries, group: MatrixGroup, var_names, context):
     """Compile a coords vector or matrix of expressions into an evaluator."""
     if isinstance(entries, dict) and "coords" in entries:
         exprs = _compile_exprs(entries["coords"], f"{context}.coords")
-        def make(chart):
-            def ev(*args):
-                env = dict(zip(var_names, args))
-                return chart.from_coords(np.array([e(env) for e in exprs]))
-            return ev
-        return "coords", exprs, make
+        _require(
+            group.chart is not None,
+            f"{context}: coordinates need a group with a chart",
+        )
+        chart = group.chart
+        def ev(*args):
+            env = dict(zip(var_names, args))
+            return chart.from_coords(np.array([e(env) for e in exprs]))
+        return ev
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
         _require(
@@ -312,26 +339,17 @@ def _map_eval(entries, var_names, context):
             ]
             for row in rows
         ]
-        def make(chart):
-            def ev(*args):
-                env = dict(zip(var_names, args))
-                return np.array(
-                    [[c(env) if callable(c) else c for c in row] for row in compiled]
-                )
-            return ev
-        return "matrix", compiled, make
+        def ev(*args):
+            env = dict(zip(var_names, args))
+            return np.array(
+                [[c(env) if callable(c) else c for c in row] for row in compiled]
+            )
+        return ev
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
 def _parse_path(entries, group: MatrixGroup, context) -> GroupPath:
-    kind, _, make = _map_eval(entries, ("t",), context)
-    if kind == "coords":
-        _require(
-            group.chart is not None,
-            f"{context}: coordinate paths need a group with a chart",
-        )
-        return GroupPath(eval=make(group.chart))
-    return GroupPath(eval=make(None))
+    return GroupPath(eval=_map_eval(entries, group, ("t",), context))
 
 
 def _parse_patch(entry, group: MatrixGroup, context) -> SurfacePatch:
@@ -339,36 +357,33 @@ def _parse_patch(entry, group: MatrixGroup, context) -> SurfacePatch:
     domain = entry.get("domain", "square")
     coeff = entry.get("coefficient", 1)
     _require(isinstance(coeff, int), f"{context}: coefficient must be an integer")
-    kind, _, make = _map_eval(entry, ("t", "s"), context)
-    if kind == "coords":
-        _require(
-            group.chart is not None,
-            f"{context}: coordinate patches need a group with a chart",
-        )
-        ev = make(group.chart)
-    else:
-        ev = make(None)
+    ev = _map_eval(entry, group, ("t", "s"), context)
     try:
         return SurfacePatch(eval=ev, domain=domain, coefficient=coeff)
     except MalformedInputError as exc:
         raise DocumentError(f"{context}: {exc}") from None
 
 
+def load_json(text: str):
+    """The JSON value in text; DocumentError with the position when invalid."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            f"document is not valid JSON: {exc.msg} at line {exc.lineno} "
+            f"column {exc.colno}"
+        ) from None
+
+
 def parse_document(text_or_dict) -> ProblemDocument:
     """Parse, build, and cross-check a problem document."""
-    if isinstance(text_or_dict, str):
-        try:
-            raw = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(
-                f"document is not valid JSON: {exc.msg} at line {exc.lineno} "
-                f"column {exc.colno}"
-            ) from None
-    else:
-        raw = text_or_dict
+    raw = load_json(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
     _require(isinstance(raw, dict), "document must be a JSON object")
     task = raw.get("task")
-    _require(task in TASKS, f"task must be one of {', '.join(TASKS)}; got {task!r}")
+    _require(
+        isinstance(task, str) and task in TASKS,
+        f"task must be one of {', '.join(TASKS)}; got {task!r}",
+    )
     options = raw.get("options", {})
     _require(isinstance(options, dict), "options must be an object")
     doc = ProblemDocument(task=task, raw=raw, options=dict(options))
@@ -485,24 +500,294 @@ def parse_document(text_or_dict) -> ProblemDocument:
                 )
         doc.cochain_expr = compiled
 
-    _validate_task_requirements(doc)
+    for section in TASKS[task].needs:
+        value = getattr(doc, section)
+        if value is None or (isinstance(value, (list, dict)) and not value):
+            raise DocumentError(f"task {task!r} requires a {section!r} section")
     return doc
 
 
-_TASK_NEEDS = {
-    "validate": ("algebra",),
-    "cohomology": ("algebra",),
-    "extend": ("algebra", "cocycle"),
-    "equivalence": ("algebra", "cocycle", "cocycle2"),
-    "gamma": ("group", "cocycle", "pair"),
-    "d2": ("group", "cochain_expr"),
-    "check-integrability": ("group", "cocycle", "lattice", "cycles"),
-    "pi1": ("group", "cocycle", "loops"),
+# ---------------------------------------------------------------------------
+# Tasks: each runner maps (document, quadrature order) to (results, warnings,
+# exit code) and each renderer maps results to the lines of the text report.
+# Runners call library functions through this module's globals.
+
+
+def _number(name: str, value, kind=float):
+    """value as kind (int or float); MalformedInputError when it is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInputError(
+            f"option {name!r} must be a number, got {value!r}"
+        ) from None
+
+
+def _option(opts: dict, names: tuple, default, kind=float):
+    """The first of the named options that is set, as a finite positive
+    number; else default."""
+    for name in names:
+        if name in opts:
+            value = _number(name, opts[name], kind)
+            if not 0 < value < math.inf:
+                raise MalformedInputError(
+                    f"option {name!r} must be finite and positive, got {opts[name]!r}"
+                )
+            return value
+    return default
+
+
+def _degrees(opts: dict) -> list:
+    """The cohomology degrees asked for: 'degrees', else ['degree'], else [2]."""
+    degrees = opts.get("degrees")
+    if degrees is None:
+        return [_number("degree", opts.get("degree", 2), int)]
+    if not isinstance(degrees, list):
+        raise MalformedInputError(
+            f"option 'degrees' must be a list of integers, got {degrees!r}"
+        )
+    return [_number("degrees", n, int) for n in degrees]
+
+
+def _form(doc: ProblemDocument) -> EquivariantForm:
+    group = doc.group
+    if doc.module is not None and not doc.module.is_trivial:
+        group = replace(group, mod_action=doc.module)
+    return EquivariantForm(doc.cocycle, group)
+
+
+def _components(cochain: Cochain) -> list:
+    return [
+        {"indices": list(k), "value": [float(x) for x in v]}
+        for k, v in cochain.components.items()
+    ]
+
+
+def _run_validate(doc, quad_order):
+    tol = _option(doc.options, ("tol_alg", "tol"), DEFAULT_TOL_ALG)
+    issues = list(validate_algebra(doc.algebra, tol))
+    if doc.module is not None:
+        issues += validate_module(doc.algebra, doc.module, tol)
+    if doc.group is not None:
+        issues += validate_group(doc.group, tol)
+        if doc.module is not None and doc.module.group_action is not None:
+            issues += validate_action_compatibility(doc.group, doc.module)
+    for name, path in doc.paths.items():
+        issues += [
+            type(i)(f"path[{name}].{i.identity}", i.indices, i.residual)
+            for i in validate_path(doc.group, path)
+        ]
+    results = {"violations": [i.as_dict() for i in issues], "valid": not issues}
+    return results, [], EXIT_OK
+
+
+def _render_validate(results):
+    if results["valid"]:
+        return ["valid: all identities hold"]
+    return [f"violations ({len(results['violations'])}):"] + [
+        f"  {v['identity']} at {tuple(v['indices'])}: residual {v['residual']:.3e}"
+        for v in results["violations"]
+    ]
+
+
+def _run_cohomology(doc, quad_order):
+    table = []
+    for n in _degrees(doc.options):
+        sl = build_complex_slice(doc.algebra, doc.module, n)
+        table.append(
+            {
+                "degree": sl.n,
+                "cochain_dim": sl.cochain_dim,
+                "cocycle_dim": sl.cocycle_dim,
+                "coboundary_dim": sl.coboundary_dim,
+                "betti": sl.betti,
+            }
+        )
+    return {"slices": table}, [], EXIT_OK
+
+
+def _render_cohomology(results):
+    return [
+        f"degree {sl['degree']}: dim C = {sl['cochain_dim']}, "
+        f"dim Z = {sl['cocycle_dim']}, dim B = {sl['coboundary_dim']}, "
+        f"betti = {sl['betti']}"
+        for sl in results["slices"]
+    ]
+
+
+def _run_extend(doc, quad_order):
+    tol = _option(doc.options, ("tol_alg", "tol"), DEFAULT_TOL_ALG)
+    ext = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
+    residual = max((i.residual for i in validate_algebra(ext.total, tol)), default=0.0)
+    results = {"extension": serialize_extension(ext), "jacobi_residual": residual}
+    return results, [], EXIT_OK
+
+
+def _render_extend(results):
+    ext = results["extension"]
+    return [
+        f"extension built: total dim {ext['algebra']['dim']} "
+        f"(base {ext['base_dim']} + coefficients {ext['coeff_dim']})",
+        f"jacobi residual: {results['jacobi_residual']:.3e}",
+    ] + [
+        f"  c[{row[0]},{row[1]},{row[2]}] = {row[3]}"
+        for row in ext["algebra"]["structure_constants"]
+    ]
+
+
+def _run_equivalence(doc, quad_order):
+    tol = _option(doc.options, ("equiv_tol", "tol"), DEFAULT_EQUIV_TOL)
+    verdict, witness, residual = are_equivalent(
+        doc.algebra, doc.module, doc.cocycle, doc.cocycle2, tol
+    )
+    results = {"equivalent": verdict, "residual": residual}
+    if witness is not None:
+        results["witness"] = _components(witness)
+    return results, [], EXIT_OK
+
+
+def _render_equivalence(results):
+    return [
+        f"equivalent: {results['equivalent']}",
+        f"residual: {results['residual']:.3e}",
+    ] + [
+        f"  witness{tuple(comp['indices'])} = {comp['value']}"
+        for comp in results.get("witness", [])
+    ]
+
+
+def _run_gamma(doc, quad_order):
+    form = _form(doc)
+    g1, g2 = (doc.paths[name] for name in doc.pair)
+    warnings = []
+    for name in doc.pair:
+        issues = validate_path(doc.group, doc.paths[name])
+        if issues:
+            warnings.append(f"path {name!r}: " + "; ".join(i.identity for i in issues))
+    value = path_cocycle(form, g1, g2, quad_order)
+    results = {"value": [float(v) for v in value]}
+    if doc.lattice is not None:
+        results["value_mod_lattice"] = [
+            float(v) for v in reduce_mod_lattice(doc.lattice, value)
+        ]
+    return results, warnings, EXIT_OK
+
+
+def _render_gamma(results):
+    lines = [f"value: {results['value']}"]
+    if "value_mod_lattice" in results:
+        lines.append(f"value mod lattice: {results['value_mod_lattice']}")
+    return lines
+
+
+def _run_d2(doc, quad_order):
+    step = _option(doc.options, ("fd_step",), DEFAULT_D2_STEP)
+    chart = doc.group.chart
+    exprs = doc.cochain_expr
+
+    def f_eval(g, h):
+        gx, hy = chart.to_coords(g), chart.to_coords(h)
+        env = {f"x{i + 1}": gx[i] for i in range(chart.dim)}
+        env.update({f"y{i + 1}": hy[i] for i in range(chart.dim)})
+        return np.array([e(env) for e in exprs])
+
+    f = GroupCochain(degree=2, eval=f_eval, coeff_dim=len(exprs))
+    rng = np.random.default_rng(0)
+    samples = [chart.from_coords(0.5 * rng.normal(size=chart.dim)) for _ in range(8)]
+    warnings = []
+    norm_res = normalization_residual(f, doc.group.identity, samples)
+    if norm_res > 1e-9:
+        warnings.append(
+            f"cochain is not normalized: |f| reaches {norm_res:.2e} with an "
+            "identity argument"
+        )
+    derived = derived_cochain(doc.group, f, step)
+    return {"derived_cochain": _components(derived), "fd_step": step}, warnings, EXIT_OK
+
+
+def _render_d2(results):
+    return [
+        f"  D2f{tuple(comp['indices'])} = {comp['value']}"
+        for comp in results["derived_cochain"]
+    ]
+
+
+def _run_check_integrability(doc, quad_order):
+    form = _form(doc)
+    tol = _option(doc.options, ("tol_lat", "tol"), DEFAULT_TOL_LAT)
+    if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
+        raise NotACocycleError("the cochain to integrate is not a cocycle")
+    report = check_integrability(form, doc.cycles, doc.lattice, quad_order, tol)
+    warnings = []
+    code = EXIT_OK
+    if report.overall == "indeterminate":
+        code = EXIT_INDETERMINATE
+        warnings.append("some period sits in the ambiguity band of the lattice test")
+    for gen in report.generators:
+        if gen.error_estimate > tol:
+            warnings.append(
+                f"generator {gen.name!r}: quadrature error estimate "
+                f"{gen.error_estimate:.2e} inflated the tolerance"
+            )
+    return report.as_dict(), warnings, code
+
+
+def _render_check_integrability(results):
+    return (
+        [f"verdict: {results['overall']}"]
+        + [
+            f"  {gen['generator']}: period {gen['period']} -> {gen['verdict']} "
+            f"(coefficients {gen['coefficients']}, residual {gen['residual']:.2e}, "
+            f"error estimate {gen['error_estimate']:.2e})"
+            for gen in results["generators"]
+        ]
+        + [f"assumption: {results['assumption']}"]
+    )
+
+
+def _run_pi1(doc, quad_order):
+    form = _form(doc)
+    tol = _option(doc.options, ("tol_lat", "tol"), DEFAULT_TOL_LAT)
+    table = pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol)
+    return table.as_dict(), [], EXIT_OK
+
+
+def _render_pi1(results):
+    loops = results["loops"]
+    lines = [f"loops: {', '.join(loops)}", "commutators:"]
+    lines += [f"  {loops[i]}: {row}" for i, row in enumerate(results["commutators"])]
+    if "commutator_in_lattice" in results:
+        lines.append("commutator in lattice:")
+        lines += [
+            f"  {loops[i]}: {row}"
+            for i, row in enumerate(results["commutator_in_lattice"])
+        ]
+    return lines
+
+
+@dataclass(frozen=True)
+class Task:
+    """One CLI task: the document sections it needs, its runner and its
+    text renderer."""
+
+    needs: tuple
+    run: Callable
+    render: Callable
+
+
+TASKS: Dict[str, Task] = {
+    "validate": Task(("algebra",), _run_validate, _render_validate),
+    "cohomology": Task(("algebra",), _run_cohomology, _render_cohomology),
+    "extend": Task(("algebra", "cocycle"), _run_extend, _render_extend),
+    "equivalence": Task(
+        ("algebra", "cocycle", "cocycle2"), _run_equivalence, _render_equivalence
+    ),
+    "gamma": Task(("group", "cocycle", "pair"), _run_gamma, _render_gamma),
+    "d2": Task(("group", "cochain_expr"), _run_d2, _render_d2),
+    "check-integrability": Task(
+        ("group", "cocycle", "lattice", "cycles"),
+        _run_check_integrability,
+        _render_check_integrability,
+    ),
+    "pi1": Task(("group", "cocycle", "loops"), _run_pi1, _render_pi1),
 }
-
-
-def _validate_task_requirements(doc: ProblemDocument):
-    for attr in _TASK_NEEDS[doc.task]:
-        value = getattr(doc, attr)
-        if value is None or (isinstance(value, (list, dict)) and not value):
-            raise DocumentError(f"task {doc.task!r} requires a {attr!r} section")

@@ -1,16 +1,27 @@
-"""Exception classes shared across the package."""
+"""Exception classes shared across the package, with the CLI's exit codes."""
+
+EXIT_OK = 0
+EXIT_INPUT = 2
+EXIT_REJECTED = 3
+EXIT_INDETERMINATE = 4
 
 
 class LieExtError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; exit_code is the CLI's exit status."""
+
+    exit_code = EXIT_REJECTED
 
 
 class MalformedInputError(LieExtError):
     """Input arrays have inconsistent shapes or dimensions."""
 
+    exit_code = EXIT_INPUT
+
 
 class InvalidLatticeError(LieExtError):
     """Lattice generators are rank deficient."""
+
+    exit_code = EXIT_INPUT
 
 
 class NotACocycleError(LieExtError):
@@ -48,6 +59,8 @@ class UserFunctionError(LieExtError):
 class ExpressionError(LieExtError):
     """Syntax or evaluation error in a parametric expression."""
 
+    exit_code = EXIT_INPUT
+
     def __init__(self, message, position=None):
         super().__init__(message)
         self.position = position
@@ -55,6 +68,8 @@ class ExpressionError(LieExtError):
 
 class DocumentError(LieExtError):
     """Problem document is syntactically or structurally invalid."""
+
+    exit_code = EXIT_INPUT
 
 
 class UnresolvedReferenceError(DocumentError):

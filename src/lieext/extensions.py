@@ -51,9 +51,6 @@ class AlgebraExtension:
         """Section X -> (X, 0) of the projection onto g."""
         return np.concatenate([np.asarray(x, dtype=float), np.zeros(self.coeff_dim)])
 
-    def embed_coeff(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.zeros(self.base_dim), np.asarray(v, dtype=float)])
-
     def project_base(self, w: np.ndarray) -> np.ndarray:
         return np.asarray(w, dtype=float)[: self.base_dim]
 
@@ -105,7 +102,6 @@ def are_equivalent(
     omega1: Cochain,
     omega2: Cochain,
     equiv_tol: float = DEFAULT_EQUIV_TOL,
-    cocycle_tol: float = DEFAULT_TOL_ALG,
 ) -> Tuple[bool, Optional[Cochain], float]:
     """Coboundary test: do the two cocycles differ by d(lambda)?
 
@@ -114,7 +110,7 @@ def are_equivalent(
     """
     for omega in (omega1, omega2):
         res = apply_d(alg, mod, omega).max_norm()
-        if res >= cocycle_tol:
+        if res >= DEFAULT_TOL_ALG:
             raise NotACocycleError(
                 f"input is not a cocycle (residual {res:.3e})", residual=res
             )

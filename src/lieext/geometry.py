@@ -49,7 +49,6 @@ from .groups import (
 )
 
 DEFAULT_QUAD_ORDER = 16
-DEFAULT_QUAD_TOL = 1e-8
 DEFAULT_D2_STEP = 1e-3
 
 
@@ -212,10 +211,9 @@ def path_cocycle(
     g1: GroupPath,
     g2: GroupPath,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Integral of the form over the product triangle of the two paths."""
-    return surface_integral(form, product_triangle_chain(g1, g2), quad_order, step)
+    return surface_integral(form, product_triangle_chain(g1, g2), quad_order)
 
 
 def spanning_chain(
@@ -223,7 +221,6 @@ def spanning_chain(
     g1: GroupPath,
     g2: GroupPath,
     schedule: Callable = smooth_step,
-    continuity_samples: int = 64,
 ) -> Surface2Chain:
     """Surface bounded by exactly g1 - g2, for paths sharing an endpoint.
 
@@ -241,7 +238,7 @@ def spanning_chain(
             f"paths end {end_gap:.3e} apart; a spanning surface needs a "
             "common endpoint"
         )
-    ts = np.linspace(0.0, 1.0, continuity_samples)
+    ts = np.linspace(0.0, 1.0, 64)
     logs = [group.log(group.inverse(g1(t)) @ g2(t)) for t in ts]
     jumps = [
         float(np.max(np.abs(b - a))) for a, b in zip(logs, logs[1:])
@@ -311,15 +308,13 @@ def chain_boundary_edges(chain: Surface2Chain) -> List[BoundaryEdge]:
     return edges
 
 
-def cancel_boundary_edges(
-    chain: Surface2Chain, tol: float, samples: int = 33
-) -> List[BoundaryEdge]:
+def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[BoundaryEdge]:
     """Pairwise-cancel matching boundary edges; return the net leftovers.
 
     Edges cancel when their sampled points coincide (same or reversed
     parameterization) within tol; degenerate (constant) edges drop out.
     """
-    params = np.linspace(0.0, 1.0, samples)
+    params = np.linspace(0.0, 1.0, 33)
     edges = chain_boundary_edges(chain)
     sampled = [e.samples(params) for e in edges]
     classes: List[dict] = []
@@ -372,7 +367,6 @@ def holonomy(
     bounding: Surface2Chain,
     lattice: Optional[Lattice] = None,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    loop_samples: int = 24,
 ) -> np.ndarray:
     """Holonomy defect around a loop: the bounding-surface integral mod Gamma.
 
@@ -385,10 +379,8 @@ def holonomy(
     if float(np.max(np.abs(loop(1.0) - loop(0.0)))) > tol:
         raise NotALoopError("loop endpoints do not match")
     leftovers = cancel_boundary_edges(bounding, tol) if bounding.patches else []
-    loop_spread = max(
-        float(np.max(np.abs(loop(u) - loop(0.0))))
-        for u in np.linspace(0.0, 1.0, loop_samples)
-    )
+    params = np.linspace(0.0, 1.0, 24)
+    loop_spread = max(float(np.max(np.abs(loop(u) - loop(0.0)))) for u in params)
     if loop_spread <= tol:  # constant loop: the chain must carry no boundary
         if leftovers:
             raise BoundaryMismatchError(
@@ -399,7 +391,7 @@ def holonomy(
             raise BoundaryMismatchError(
                 "bounding chain has no net boundary but the loop is not constant"
             )
-        for u in np.linspace(0.0, 1.0, loop_samples):
+        for u in params:
             point = loop(u)
             best = min(
                 _min_distance_to_curve(point, e.curve) for e in leftovers
@@ -485,14 +477,13 @@ def representative_independence_residuals(
     return [first, second, third]
 
 
-def _mixed_partial(fn: Callable, step: float, richardson: bool = True) -> np.ndarray:
-    """Mixed second partial at (0, 0) by central differences."""
+def _mixed_partial(fn: Callable, step: float) -> np.ndarray:
+    """Mixed second partial at (0, 0) by central differences, with one
+    Richardson extrapolation step."""
     def grid(h):
         return (fn(h, h) - fn(h, -h) - fn(-h, h) + fn(-h, -h)) / (4.0 * h * h)
 
     coarse = grid(step)
-    if not richardson:
-        return coarse
     fine = grid(0.5 * step)
     return (4.0 * fine - coarse) / 3.0
 
@@ -503,7 +494,6 @@ def differentiate_group_cocycle(
     x: np.ndarray,
     y: np.ndarray,
     step: float = DEFAULT_D2_STEP,
-    richardson: bool = True,
 ) -> np.ndarray:
     """Algebra 2-cochain value obtained by differentiating a group 2-cochain.
 
@@ -520,7 +510,7 @@ def differentiate_group_cocycle(
         gy_t, gx_s = group.exp(t * ymat), group.exp(s * xmat)
         return f(gx_t, gy_s) - f(gy_t, gx_s)
 
-    return _mixed_partial(fn, step, richardson)
+    return _mixed_partial(fn, step)
 
 
 def derived_cochain(
@@ -559,7 +549,7 @@ def cocycle_recovery_residual(
         q = exp_path(group, y, scale=sigma)
         return path_cocycle(form, p, q, quad_order) - path_cocycle(form, q, p, quad_order)
 
-    derived = _mixed_partial(fn, step, richardson=True)
+    derived = _mixed_partial(fn, step)
     target = form.cochain(x, y)
     return float(np.max(np.abs(derived - target)))
 

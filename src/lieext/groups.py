@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     LieAlgebra,
@@ -69,6 +68,8 @@ class MatrixGroup:
                 f"{self.algebra.dim}"
             )
         object.__setattr__(self, "basis", basis)
+        if self.exp is None or self.log is None:
+            import scipy.linalg  # imported here: it is most of the package's import time
         if self.exp is None:
             object.__setattr__(self, "exp", scipy.linalg.expm)
         if self.log is None:
@@ -147,12 +148,7 @@ def validate_group(group: MatrixGroup, tol_alg: float = 1e-9):
     return issues
 
 
-def validate_action_compatibility(
-    group: MatrixGroup,
-    mod: ModuleAction,
-    tol: float = 1e-6,
-    step: float = 1e-5,
-):
+def validate_action_compatibility(group: MatrixGroup, mod: ModuleAction):
     """Check that the group action differentiates to rho at the identity.
 
     Central difference of t -> group_action(exp(t e_i), f_b) at t = 0 must
@@ -167,11 +163,11 @@ def validate_action_compatibility(
         for b in range(m):
             fb = np.zeros(m)
             fb[b] = 1.0
-            plus = mod.act(group.exp(step * xm), fb)
-            minus = mod.act(group.exp(-step * xm), fb)
-            derivative = (plus - minus) / (2.0 * step)
+            plus = mod.act(group.exp(DEFAULT_FD_STEP * xm), fb)
+            minus = mod.act(group.exp(-DEFAULT_FD_STEP * xm), fb)
+            derivative = (plus - minus) / (2.0 * DEFAULT_FD_STEP)
             res = float(np.max(np.abs(derivative - mod.rho[i][:, b])))
-            if res > tol:
+            if res > DEFAULT_DERIV_TOL:
                 issues.append(ValidationIssue("action_compatibility", (i, b), res))
     return issues
 
@@ -181,39 +177,31 @@ class GroupPath:
     """Evaluable based path [0, 1] -> G."""
 
     eval: Callable
-    samples_hint: int = 64
-    smoothness: str = "smooth"
 
     def __call__(self, t: float) -> np.ndarray:
         return np.asarray(self.eval(t), dtype=float)
 
 
-def path_derivative(path: GroupPath, t: float, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference derivative; paths are closed forms, so evaluating
+def log_derivative(group: MatrixGroup, path: GroupPath, t: float) -> np.ndarray:
+    """Left logarithmic derivative g^-1 g' expressed in the algebra basis.
+
+    g' is a central difference; paths are closed forms, so evaluating
     slightly outside [0, 1] is fine."""
-    return (path(t + step) - path(t - step)) / (2.0 * step)
+    h = DEFAULT_FD_STEP
+    tangent = (path(t + h) - path(t - h)) / (2.0 * h)
+    return group.decompose(group.inverse(path(t)) @ tangent)
 
 
-def log_derivative(group: MatrixGroup, path: GroupPath, t: float, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Left logarithmic derivative g^-1 g' expressed in the algebra basis."""
-    return group.decompose(group.inverse(path(t)) @ path_derivative(path, t, step))
-
-
-def validate_path(
-    group: MatrixGroup,
-    path: GroupPath,
-    deriv_tol: float = DEFAULT_DERIV_TOL,
-    step: float = DEFAULT_FD_STEP,
-):
+def validate_path(group: MatrixGroup, path: GroupPath):
     """Check basedness and periodicity of the left logarithmic derivative."""
     issues = []
     base_res = float(np.max(np.abs(path(0.0) - group.identity)))
     if base_res > group.membership_tol * 10:
         issues.append(ValidationIssue("based_at_identity", (0,), base_res))
-    d0 = log_derivative(group, path, 0.0, step)
-    d1 = log_derivative(group, path, 1.0, step)
+    d0 = log_derivative(group, path, 0.0)
+    d1 = log_derivative(group, path, 1.0)
     res = float(np.max(np.abs(d0 - d1))) if d0.size else 0.0
-    if res > deriv_tol:
+    if res > DEFAULT_DERIV_TOL:
         issues.append(ValidationIssue("periodic_log_derivative", (), res))
     return issues
 
@@ -239,10 +227,7 @@ def coordinate_path(group: MatrixGroup, fn: Callable) -> GroupPath:
 
 def pointwise_product(g1: GroupPath, g2: GroupPath) -> GroupPath:
     """t -> g1(t) g2(t); stays based, preserves log-derivative periodicity."""
-    return GroupPath(
-        eval=lambda t: g1(t) @ g2(t),
-        samples_hint=max(g1.samples_hint, g2.samples_hint),
-    )
+    return GroupPath(eval=lambda t: g1(t) @ g2(t))
 
 
 # ---------------------------------------------------------------------------

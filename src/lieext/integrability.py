@@ -3,8 +3,8 @@
 The extension built from a 2-cocycle exists at the group level exactly when
 every period of the equivariant form over the user-supplied generators of
 second homology lands in the lattice.  Periods are quadrature values, so
-the lattice test runs with its tolerance inflated by an order-halving error
-estimate, and a verdict too close to the decision boundary is reported as
+the lattice test runs with its tolerance inflated by an error estimate,
+and a verdict too close to the decision boundary is reported as
 indeterminate rather than forced.
 
 The fiber over a non-simply-connected group is described by the restriction
@@ -33,7 +33,7 @@ from .geometry import (
     path_cocycle,
     surface_integral,
 )
-from .groups import GroupPath, MatrixGroup, coordinate_path
+from .groups import DEFAULT_FD_STEP, GroupPath, MatrixGroup, coordinate_path
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,9 @@ def period(
     cycle: Surface2Chain,
     quad_order: int = DEFAULT_QUAD_ORDER,
     name: str = "cycle",
-    check_closure: bool = True,
 ) -> np.ndarray:
     """Integral of the form over a closed 2-chain (not reduced mod Gamma)."""
-    if check_closure:
-        assert_cycle_closed(form.group, cycle, name)
+    assert_cycle_closed(form.group, cycle, name)
     return surface_integral(form, cycle, quad_order)
 
 
@@ -101,18 +99,14 @@ class IntegrabilityReport:
         "the supplied generators are assumed to span H_2(G); completeness "
         "is not verified internally"
     )
-    pi1_table: Optional["Pi1CocycleTable"] = None
 
     def as_dict(self):
-        out = {
+        return {
             "overall": self.overall,
             "quad_order": self.quad_order,
             "assumption": self.assumption,
             "generators": [g.as_dict() for g in self.generators],
         }
-        if self.pi1_table is not None:
-            out["pi1"] = self.pi1_table.as_dict()
-        return out
 
 
 def _combine(verdicts: Sequence[str]) -> str:
@@ -133,15 +127,18 @@ def check_integrability(
     """Period-in-lattice test over every generator.
 
     The membership tolerance is inflated per generator by the difference
-    between the full-order and half-order quadrature values.  An empty
-    generator set (simply connected group with trivial H_2) is integrable
-    for every cocycle.
+    between the period and a comparison value taken with half the
+    quadrature order and twice the central-difference step, so the estimate
+    covers both the quadrature error and the finite-difference floor.  An
+    empty generator set (simply connected group with trivial H_2) is
+    integrable for every cocycle.
     """
     results = []
     for name, chain in cycles.generators:
-        assert_cycle_closed(form.group, chain, name)
-        value = surface_integral(form, chain, quad_order)
-        coarse = surface_integral(form, chain, max(1, quad_order // 2))
+        value = period(form, chain, quad_order, name)
+        coarse = surface_integral(
+            form, chain, max(1, quad_order // 2), 2 * DEFAULT_FD_STEP
+        )
         err = float(np.max(np.abs(value - coarse)))
         tol = tol_lat + err
         membership = lattice_member(lattice, value, tol)
@@ -173,9 +170,6 @@ class Pi1CocycleTable:
     commutators: np.ndarray  # (k, k, m): values[i,j] - values[j,i]
     commutators_mod: Optional[np.ndarray]  # reduced mod Gamma, or None
     commutator_memberships: Optional[list]  # verdicts per ordered pair
-
-    def value(self, i: int, j: int) -> np.ndarray:
-        return self.values[i, j]
 
     def commutator(self, i: int, j: int) -> np.ndarray:
         return self.commutators[i, j]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,18 @@ class TestLattice:
         assert verdict([2.0 + 5e-6, -1.0]) == "indeterminate"
         assert verdict([2.0, -1.3]) == "not_member"
         assert verdict([2.0 + 5e-6, -0.7]) == "not_member"  # one coefficient far off
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 1.1, 2.5])
+    def test_reduction_is_nearest_point(self, angle, rng):
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        gens = np.array([[1.0, 0.0], [0.95, 0.05]]) @ rotation.T
+        lat = lx.Lattice(generators=gens)
+        box = np.array(list(itertools.product(range(-80, 81), repeat=2)), dtype=float)
+        for v in rng.uniform(-2.0, 2.0, size=(40, 2)):
+            got = lx.reduce_mod_lattice(lat, v)
+            nearest = np.min(np.linalg.norm(v - box @ gens, axis=1))
+            assert np.linalg.norm(got) <= nearest + 1e-12
+            assert lx.lattice_member(lat, v - got).verdict == "member"
 
     def test_generators_are_members(self, rng):
         gens = rng.normal(size=(3, 5))

@@ -112,6 +112,14 @@ class TestParseDocument:
             for v in report["results"]["violations"]
         )
 
+    def test_matrix_group_needs_algebra_section(self):
+        raw = {
+            "task": "validate",
+            "group": {"kind": "matrix", "basis": [[[0.0]]], "structure_constants": []},
+        }
+        with pytest.raises(DocumentError):
+            parse_document(raw)
+
     def test_group_algebra_dim_cross_check(self):
         raw = {
             "task": "validate",
@@ -156,6 +164,13 @@ MALFORMED = {
     "tol_lat_string": ("torus_integrable.json", _set("options", "tol_lat", value="x")),
     "equiv_tol_null": ("equivalence_r2.json", _set("options", "equiv_tol", value=None)),
     "fd_step_string": ("r2_d2.json", _set("options", "fd_step", value="x")),
+    "fd_step_zero": ("r2_d2.json", _set("options", "fd_step", value=0)),
+    "tol_negative": ("torus_integrable.json", _set("options", "tol", value=-1)),
+    "tol_infinite": ("torus_not_integrable.json", _set("options", "tol", value=float("inf"))),
+    "tol_nan": ("torus_integrable.json", _set("options", "tol", value=float("nan"))),
+    "tol_alg_negative": ("extend_heis3.json", _set("options", "tol_alg", value=-1e-9)),
+    "tol_lat_zero": ("torus_integrable.json", _set("options", "tol_lat", value=0)),
+    "equiv_tol_infinite": ("equivalence_r2.json", _set("options", "equiv_tol", value=float("inf"))),
     "options_not_object": ("heis3_validate.json", _set("options", value="x")),
 }
 
@@ -231,6 +246,27 @@ class TestCliBehavior:
         coarse = json.loads(run_cli(args + ["--quad-order", "4"]).stdout)
         assert full["results"]["quad_order"] == 16
         assert coarse["results"]["quad_order"] == 4
+
+    def test_error_estimate_covers_difference_floor(self):
+        # the period is 1.3e-9 from 1, below the ~3e-9 central-difference floor
+        raw = _edited("torus_integrable.json", _set("options", "tol", value=1e-10))
+        report, code = run(parse_document(raw))
+        assert code == 0
+        assert report["results"]["overall"] == "integrable"
+
+    def test_task_override_on_non_object_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text("[1]")
+        assert main([str(path), "--task", "validate"]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, lieext.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
 
     def test_missing_file_is_input_error(self):
         proc = run_cli(["/nonexistent/problem.json"])
