@@ -14,7 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidLatticeError, MalformedInputError
+from .batch import per_point
+from .errors import InvalidLatticeError, LieExtError, MalformedInputError
 
 DEFAULT_TOL_ALG = 1e-9
 DEFAULT_TOL_LAT = 1e-6
@@ -73,8 +74,9 @@ class ModuleAction:
     """g-action on the coefficient space R^m, with optional group action.
 
     rho[i] is the matrix of the action of e_i.  group_action maps a group
-    element (whatever object the caller's group uses) and an m-vector to an
-    m-vector; None means the trivial action.
+    element (a d x d matrix) and an m-vector to an m-vector; None means the
+    trivial action.  act takes stacks of both; a group_action that is not
+    vectorized is called once per matrix.
     """
 
     rho: np.ndarray
@@ -87,6 +89,8 @@ class ModuleAction:
                 f"rho must be n x m x m, got shape {rho.shape}"
             )
         object.__setattr__(self, "rho", rho)
+        if self.group_action is not None:
+            object.__setattr__(self, "group_action", per_point(self.group_action, 2))
 
     @property
     def alg_dim(self) -> int:
@@ -132,7 +136,9 @@ def _lll_reduce(basis: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Lattice:
     """Discrete subgroup of R^m spanned over Z by independent generators
-    (membership coefficients refer to them), plus an LLL-reduced basis."""
+    (membership coefficients refer to them), plus an LLL-reduced basis.
+    Independence is relative to scale: the smallest singular value of the
+    generators must exceed DEFAULT_TOL_LAT times the largest."""
 
     generators: np.ndarray
 
@@ -145,12 +151,14 @@ class Lattice:
                 f"generators must be an r x m array, got shape {gens.shape}"
             )
         object.__setattr__(self, "generators", gens)
+        if not np.all(np.isfinite(gens)):
+            raise InvalidLatticeError("generators must be finite")
         if self.rank > 0:
             svals = np.linalg.svd(gens, compute_uv=False)
-            if svals.min() <= DEFAULT_TOL_LAT:
+            if self.rank > self.ambient_dim or svals.min() <= DEFAULT_TOL_LAT * svals.max():
                 raise InvalidLatticeError(
                     f"generators are rank deficient (smallest singular value "
-                    f"{svals.min():.3e})"
+                    f"{svals.min():.3e}, largest {svals.max():.3e})"
                 )
         object.__setattr__(self, "_reduced", _lll_reduce(gens))
 
@@ -278,7 +286,14 @@ def lattice_member(
         res = float(np.linalg.norm(v))
         verdict = "member" if res < tol_lat else "not_member"
         return LatticeMembership(verdict, np.zeros(0, dtype=int), res, 0.0)
+    if not np.all(np.isfinite(v)):
+        raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
     coeffs, *_ = np.linalg.lstsq(lat.generators.T, v, rcond=None)
+    if not np.all(np.abs(coeffs) < 2.0 ** 53):
+        raise LieExtError(
+            f"lattice coefficients {coeffs.tolist()} are beyond the integer "
+            "resolution of double precision"
+        )
     span_residual = float(np.linalg.norm(lat.generators.T @ coeffs - v))
     rounded = np.round(coeffs)
     max_frac = float(np.abs(coeffs - rounded).max())

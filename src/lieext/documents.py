@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import expressions
+from .batch import vectorized
 from .algebra import (
     DEFAULT_TOL_ALG,
     DEFAULT_TOL_LAT,
@@ -114,12 +115,39 @@ def _as_float_array(obj, shape_desc, context):
     return arr
 
 
+def _finite(arr: np.ndarray, context) -> np.ndarray:
+    _require(np.isfinite(arr).all(), f"{context}: expected finite numbers")
+    return arr
+
+
+def _real(value, context) -> float:
+    """value as a finite float; DocumentError for anything else, booleans too."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
+        pass
+    raise DocumentError(f"{context}: expected a finite number, got {value!r}")
+
+
+def _list(value, context) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"{context} must be a list, got {value!r}")
+    return value
+
+
+def _name(value, context) -> str:
+    if not isinstance(value, str):
+        raise DocumentError(f"{context} must be a string, got {value!r}")
+    return value
+
+
 def _count(section: dict, key: str, context: str) -> int:
     """section[key], required to be a non-negative integer."""
     _require(key in section, f"{context} needs a {key!r} field")
     value = section[key]
     _require(
-        isinstance(value, int) and value >= 0,
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
         f"{context} {key} must be a non-negative integer, got {value!r}",
     )
     return value
@@ -128,7 +156,8 @@ def _count(section: dict, key: str, context: str) -> int:
 def _parse_algebra(section) -> LieAlgebra:
     _require(isinstance(section, dict), "algebra section must be an object")
     n = _count(section, "dim", "algebra")
-    labels = tuple(section.get("labels", ()))
+    labels = _list(section.get("labels", []), "algebra.labels")
+    labels = tuple(_name(label, "algebra label") for label in labels)
     if "structure_constants_dense" in section:
         c = _as_float_array(
             section["structure_constants_dense"], "an n x n x n array", "algebra"
@@ -140,7 +169,8 @@ def _parse_algebra(section) -> LieAlgebra:
             )
     else:
         c = np.zeros((n, n, n))
-        for entry in section.get("structure_constants", []):
+        rows = _list(section.get("structure_constants", []), "algebra.structure_constants")
+        for entry in rows:
             _require(
                 isinstance(entry, (list, tuple)) and len(entry) == 4,
                 "algebra: sparse structure constants are [i, j, k, value] rows",
@@ -155,8 +185,13 @@ def _parse_algebra(section) -> LieAlgebra:
                 f"algebra: index out of range in {entry}",
             )
             _require(i < j, f"algebra: sparse rows need i < j, got {entry}")
-            c[i, j, k] = float(value)
-            c[j, i, k] = -float(value)  # antisymmetric partner filled by convention
+            try:
+                value = float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise DocumentError(f"algebra: value in {entry} is not a number") from None
+            c[i, j, k] = value
+            c[j, i, k] = -value  # antisymmetric partner filled by convention
+    _finite(c, "algebra")
     try:
         return LieAlgebra(structure_constants=c, basis_labels=labels)
     except MalformedInputError as exc:
@@ -206,7 +241,7 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
     dim = alg.dim if alg is not None else (group.algebra.dim if group else None)
     _require(dim is not None, "module section needs an algebra or group to attach to")
     if "rho" in section:
-        rho = _as_float_array(section["rho"], "an n x m x m array", "module")
+        rho = _finite(_as_float_array(section["rho"], "an n x m x m array", "module"), "module")
         if rho.shape != (dim, m, m):
             raise DocumentError(
                 f"module: rho has shape {rho.shape}, expected {(dim, m, m)}"
@@ -222,15 +257,17 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
         )
         _require(group is not None and group.chart is not None,
                  "module.group_action needs a group with a coordinate chart")
-        exprs = _compile_exprs(ga["exprs"], "module.group_action.exprs")
+        context = "module.group_action.exprs"
+        exprs = _compile_exprs(_list(ga["exprs"], context), context)
         _require(len(exprs) == m, f"module.group_action needs {m} expressions")
         chart = group.chart
 
+        @vectorized
         def action(g, v):
             coords = chart.to_coords(g)
-            env = {f"g{i + 1}": coords[i] for i in range(chart.dim)}
-            env.update({f"a{j + 1}": v[j] for j in range(m)})
-            return np.array([e(env) for e in exprs])
+            env = {f"g{i + 1}": coords[..., i] for i in range(chart.dim)}
+            env.update({f"a{j + 1}": v[..., j] for j in range(m)})
+            return _fill(coords.shape[:-1], [exprs], env)[..., 0, :]
 
     return ModuleAction(rho=rho, group_action=action)
 
@@ -248,16 +285,19 @@ def _parse_lattice(section, coeff_dim: Optional[int]) -> Lattice:
             f"lattice: generators live in R^{gens.shape[1]} but the coefficient "
             f"space is R^{coeff_dim}"
         )
-    return Lattice(generators=gens)
+    try:
+        return Lattice(generators=gens)
+    except LieExtError as exc:
+        raise DocumentError(f"lattice: {exc}") from None
 
 
 def _parse_group(section) -> MatrixGroup:
     _require(isinstance(section, dict), "group section must be an object")
     kind = section.get("kind")
-    if kind == "torus":
-        return torus_group(_count(section, "dim", "torus group"))
-    if kind == "translation":
-        return translation_group(_count(section, "dim", "translation group"))
+    if kind in ("torus", "translation"):
+        k = _count(section, "dim", f"{kind} group")
+        _require(k > 0, f"{kind} group dim must be positive")
+        return (torus_group if kind == "torus" else translation_group)(k)
     if kind == "su2":
         return su2_group()
     if kind == "heisenberg":
@@ -265,6 +305,7 @@ def _parse_group(section) -> MatrixGroup:
     if kind == "matrix":
         _require("basis" in section, "matrix group needs 'basis'")
         basis = _as_float_array(section["basis"], "an n x d x d array", "group.basis")
+        basis = _finite(basis, "group.basis")
         _require("algebra" in section, "matrix group needs structure constants (via 'algebra')")
         alg = _parse_algebra(section["algebra"])
         try:
@@ -285,13 +326,17 @@ def _parse_group(section) -> MatrixGroup:
 def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> Cochain:
     _require(isinstance(section, dict), f"{context} section must be an object")
     degree = section.get("degree", 2)
+    _require(
+        isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
+        f"{context}: degree must be a non-negative integer, got {degree!r}",
+    )
     comps = {}
-    for entry in section.get("components", []):
+    for entry in _list(section.get("components", []), f"{context}.components"):
         _require(
             isinstance(entry, dict) and "indices" in entry and "value" in entry,
             f"{context}: components are objects with 'indices' and 'value'",
         )
-        idx = tuple(entry["indices"])
+        idx = tuple(_list(entry["indices"], f"{context}: indices"))
         _require(
             len(idx) == degree and all(isinstance(i, int) for i in idx),
             f"{context}: indices {idx} must be {degree} integers",
@@ -308,42 +353,66 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
             )
         comps[idx] = value
     try:
-        return Cochain(degree, alg_dim, coeff_dim, comps)
+        cochain = Cochain(degree, alg_dim, coeff_dim, comps)
     except MalformedInputError as exc:
         raise DocumentError(f"{context}: {exc}") from None
+    _finite(cochain.to_vector(), context)
+    return cochain
+
+
+def _fill(shape, rows, env) -> np.ndarray:
+    """Array of shape shape + (rows, columns) whose entries are the
+    constants and compiled expressions of rows, broadcast over shape."""
+    out = np.empty(tuple(shape) + (len(rows), len(rows[0]) if rows else 0))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry(env) if callable(entry) else entry
+    return out
 
 
 def _map_eval(entries, group: MatrixGroup, var_names, context):
-    """Compile a coords vector or matrix of expressions into an evaluator."""
+    """Compile a coords vector or matrix of expressions into an evaluator
+    that takes scalars or arrays of parameters."""
     if isinstance(entries, dict) and "coords" in entries:
-        exprs = _compile_exprs(entries["coords"], f"{context}.coords")
         _require(
             group.chart is not None,
             f"{context}: coordinates need a group with a chart",
         )
         chart = group.chart
+        coords = entries["coords"]
+        _require(
+            isinstance(coords, list) and len(coords) == chart.dim,
+            f"{context}.coords must be a list of {chart.dim} expressions",
+        )
+        exprs = _compile_exprs(coords, f"{context}.coords")
+
+        @vectorized
         def ev(*args):
-            env = dict(zip(var_names, args))
-            return chart.from_coords(np.array([e(env) for e in exprs]))
+            shape = np.broadcast_shapes(*map(np.shape, args))
+            coords = _fill(shape, [exprs], dict(zip(var_names, args)))[..., 0, :]
+            return chart.from_coords(coords)
         return ev
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
+        d = group.embed_dim
         _require(
-            isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows),
-            f"{context}.matrix must be a list of rows",
+            isinstance(rows, list) and len(rows) == d
+            and all(isinstance(r, list) and len(r) == d for r in rows),
+            f"{context}.matrix must be a list of {d} rows of {d} entries",
         )
         compiled = [
             [
-                float(e) if isinstance(e, (int, float)) else _compile_exprs([e], context)[0]
+                _real(e, context) if isinstance(e, (int, float))
+                else _compile_exprs([e], context)[0]
                 for e in row
             ]
             for row in rows
         ]
+
+        @vectorized
         def ev(*args):
-            env = dict(zip(var_names, args))
-            return np.array(
-                [[c(env) if callable(c) else c for c in row] for row in compiled]
-            )
+            shape = np.broadcast_shapes(*map(np.shape, args))
+            return _fill(shape, compiled, dict(zip(var_names, args)))
         return ev
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
@@ -407,10 +476,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
     coeff_dim = doc.module.coeff_dim if doc.module is not None else None
     if "lattice" in raw:
-        try:
-            doc.lattice = _parse_lattice(raw["lattice"], coeff_dim)
-        except LieExtError as exc:
-            raise DocumentError(f"lattice: {exc}") from None
+        doc.lattice = _parse_lattice(raw["lattice"], coeff_dim)
 
     if "cocycle" in raw:
         _require(doc.algebra is not None, "cocycle needs an algebra or group section")
@@ -429,9 +495,9 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
     if "loops" in raw:
         _require(doc.group is not None, "loops need a group section")
-        for pos, entry in enumerate(raw["loops"]):
+        for pos, entry in enumerate(_list(raw["loops"], "loops")):
             _require(isinstance(entry, dict), "loops entries must be objects")
-            name = entry.get("name", f"loop{pos}")
+            name = _name(entry.get("name", f"loop{pos}"), "loop name")
             if "winding" in entry:
                 winding = entry["winding"]
                 _require(
@@ -450,9 +516,9 @@ def parse_document(text_or_dict) -> ProblemDocument:
     if "cycles" in raw:
         _require(doc.group is not None, "cycles need a group section")
         gens = []
-        for pos, entry in enumerate(raw["cycles"]):
+        for pos, entry in enumerate(_list(raw["cycles"], "cycles")):
             _require(isinstance(entry, dict), "cycles entries must be objects")
-            name = entry.get("name", f"cycle{pos}")
+            name = _name(entry.get("name", f"cycle{pos}"), "cycle name")
             patches = entry.get("patches")
             _require(
                 isinstance(patches, list) and patches,
@@ -472,7 +538,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
             "pair must be a list of two path names",
         )
         for name in pair:
-            if name not in doc.paths:
+            if _name(name, "pair entry") not in doc.paths:
                 raise UnresolvedReferenceError(
                     f"pair references unknown path {name!r}"
                 )
@@ -514,13 +580,17 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
 
 def _number(name: str, value, kind=float):
-    """value as kind (int or float); MalformedInputError when it is not a number."""
+    """value as kind (int or float); MalformedInputError when it is not a
+    number (booleans are not), or for int when it is not a whole number."""
     try:
-        return kind(value)
+        number = None if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise MalformedInputError(
-            f"option {name!r} must be a number, got {value!r}"
-        ) from None
+        number = None
+    if number is None:
+        raise MalformedInputError(f"option {name!r} must be a number, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise MalformedInputError(f"option {name!r} must be an integer, got {value!r}")
+    return kind(number)
 
 
 def _option(opts: dict, names: tuple, default, kind=float):

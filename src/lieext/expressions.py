@@ -1,25 +1,39 @@
 """Tiny expression grammar for parametric maps in problem documents.
 
 Deliberately small so inputs stay auditable: numeric literals, the constant
-pi, named variables, + - * /, unary minus, parentheses, and the scalar
-functions sin, cos, exp.  No user-defined functions, no powers, no
-attribute access; parsing is a plain recursive descent with positions in
-error messages.
+pi, named variables, + - * /, unary minus, parentheses, and the functions
+sin, cos, exp.  No user-defined functions, no powers, no attribute access;
+parsing is a plain recursive descent with positions in error messages.
+
+Each expression is compiled once, at parse time, into a closure of numpy
+operations, so variables may be scalars or arrays of parameters.  It runs
+with numpy's divide, overflow and invalid floating-point errors raised,
+and any of them (t/0, exp(1000), sin(inf)) is an ExpressionError.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from .errors import ExpressionError
 
 FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
 }
 
 CONSTANTS = {"pi": math.pi}
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
 
 _TOKEN_OPS = set("+-*/()")
 
@@ -52,6 +66,8 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
                 value = float(text[i:j])
             except ValueError:
                 raise ExpressionError(f"bad number {text[i:j]!r}", position=i)
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {text[i:j]!r} is out of range", position=i)
             tokens.append(("num", value, i))
             i = j
             continue
@@ -147,44 +163,50 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed scalar expression, evaluable against a variable environment."""
+    """Parsed expression, evaluable against a variable environment whose
+    values are scalars or arrays (the result broadcasts over them)."""
 
     source: str
     node: tuple
     variables: frozenset
 
-    def __call__(self, env: Dict[str, float]) -> float:
+    def __post_init__(self):
+        object.__setattr__(self, "_fn", _compile(self.node, self.source))
+
+    def __call__(self, env: Dict[str, object]):
         try:
-            return _eval_node(self.node, env, self.source)
-        except (ArithmeticError, ValueError) as exc:  # t/0, exp(1e3), sin(inf)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return self._fn(env)
+        except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:  # t/0, exp(1e3)
             raise ExpressionError(f"cannot evaluate {self.source!r}: {exc}") from None
 
 
-def _eval_node(node, env, source):
+def _compile(node, source) -> Callable:
+    """The node as a closure env -> value built from numpy operations."""
     op = node[0]
     if op == "num":
-        return node[1]
+        value = np.float64(node[1])
+        return lambda env: value
     if op == "var":
-        try:
-            return float(env[node[1]])
-        except KeyError:
-            raise ExpressionError(
-                f"unknown variable {node[1]!r} in {source!r}"
-            ) from None
+        name = node[1]
+
+        def variable(env):
+            try:
+                return np.asarray(env[name], dtype=float)
+            except KeyError:
+                raise ExpressionError(
+                    f"unknown variable {name!r} in {source!r}"
+                ) from None
+        return variable
     if op == "neg":
-        return -_eval_node(node[1], env, source)
+        arg = _compile(node[1], source)
+        return lambda env: -arg(env)
     if op == "call":
-        return FUNCTIONS[node[1]](_eval_node(node[2], env, source))
-    a = _eval_node(node[1], env, source)
-    b = _eval_node(node[2], env, source)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
+        fn, arg = FUNCTIONS[node[1]], _compile(node[2], source)
+        return lambda env: fn(arg(env))
+    if op in _BINARY:
+        fn, lhs, rhs = _BINARY[op], _compile(node[1], source), _compile(node[2], source)
+        return lambda env: fn(lhs(env), rhs(env))
     raise ExpressionError(f"corrupt expression node {op!r}")
 
 
@@ -203,7 +225,10 @@ def _collect_vars(node, out):
 def parse_expression(text: str) -> Expression:
     if not isinstance(text, str):
         raise ExpressionError(f"expression must be a string, got {type(text).__name__}")
-    node = _Parser(text).parse()
-    variables = set()
-    _collect_vars(node, variables)
-    return Expression(source=text, node=node, variables=frozenset(variables))
+    try:
+        node = _Parser(text).parse()
+        variables = set()
+        _collect_vars(node, variables)
+        return Expression(source=text, node=node, variables=frozenset(variables))
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None

@@ -8,7 +8,7 @@ left translation twisted with the coefficient action:
 with tangents decomposed in the realized algebra basis.  Everything else
 here is built on integrating that form over parameterized 2-chains with a
 tensor Gauss-Legendre rule (Duffy-mapped on triangles) and patch partials
-by central differences:
+by central differences, in one array pass over all nodes of a patch:
 
 * the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
   path-pair cocycle;
@@ -33,6 +33,7 @@ from .algebra import (
     reduce_mod_lattice,
     trivial_module,
 )
+from .batch import per_point, vectorized
 from .cohomology import Cochain, GroupCochain
 from .errors import (
     BoundaryMismatchError,
@@ -52,7 +53,8 @@ DEFAULT_QUAD_ORDER = 16
 DEFAULT_D2_STEP = 1e-3
 
 
-def smooth_step(u: float) -> float:
+@vectorized
+def smooth_step(u):
     """Monotone [0,1] -> [0,1] map with flat first derivative at both ends."""
     return u - np.sin(2.0 * np.pi * u) / (2.0 * np.pi)
 
@@ -76,6 +78,10 @@ class EquivariantForm:
             raise MalformedInputError(
                 "cochain coefficient dimension does not match the group action"
             )
+        pairs = np.triu_indices(self.cochain.alg_dim, 1)  # the lex order of the components
+        values = self.cochain.to_vector().reshape(len(pairs[0]), self.cochain.coeff_dim)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_values", values)
 
     def module(self):
         """The coefficient module, resized when the group's is a placeholder."""
@@ -91,17 +97,24 @@ class EquivariantForm:
 def eval_equivariant(
     form: EquivariantForm, g: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Value of the form at g on tangent matrices u, v at g."""
+    """Value of the form at g on tangent matrices u, v at g; on stacks of
+    matrices (..., d, d) a stack of values (..., m).
+
+    The cochain is the minors x_i y_j - x_j y_i (i < j) of the two
+    coefficient vectors contracted with its components."""
     group = form.group
     x = group.tangent_coefficients(g, u)
     y = group.tangent_coefficients(g, v)
-    return group.mod_action.act(g, form.cochain(x, y))
+    i, j = form._pairs
+    minors = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+    return group.mod_action.act(g, minors @ form._values)
 
 
 @dataclass(frozen=True)
 class SurfacePatch:
     """One parameterized 2-patch: map from the unit square or the triangle
-    {0 <= s <= t <= 1} into the group, with an integer multiplicity."""
+    {0 <= s <= t <= 1} into the group, with an integer multiplicity.
+    Called on arrays of parameters it returns the stack of matrices."""
 
     eval: Callable
     domain: str = "square"  # "square" | "simplex"
@@ -110,8 +123,9 @@ class SurfacePatch:
     def __post_init__(self):
         if self.domain not in ("square", "simplex"):
             raise MalformedInputError(f"unknown patch domain {self.domain!r}")
+        object.__setattr__(self, "eval", per_point(self.eval))
 
-    def __call__(self, t: float, s: float) -> np.ndarray:
+    def __call__(self, t, s) -> np.ndarray:
         return np.asarray(self.eval(t, s), dtype=float)
 
 
@@ -134,7 +148,7 @@ def left_translate_chain(g: np.ndarray, chain: Surface2Chain) -> Surface2Chain:
     return Surface2Chain(
         patches=tuple(
             SurfacePatch(
-                eval=(lambda p: (lambda t, s: g @ p(t, s)))(p),
+                eval=(lambda p: vectorized(lambda t, s: g @ p(t, s)))(p),
                 domain=p.domain,
                 coefficient=p.coefficient,
             )
@@ -143,10 +157,30 @@ def left_translate_chain(g: np.ndarray, chain: Surface2Chain) -> Surface2Chain:
     )
 
 
+# Nodes per array pass; larger grids are integrated in slices of this many
+# nodes so the stacked patch values stay a few megabytes.
+_PASS_NODES = 4096
+
+
 @lru_cache(maxsize=32)
-def _gauss_nodes_01(order: int):
+def _stencil(order: int, domain: str, step: float):
+    """Parameters and weights of the tensor Gauss-Legendre grid on a domain.
+
+    Node (i, j) sits at (u_i, u_j) on the square and at the Duffy image
+    (u_i, u_i u_j), with Jacobian u_i, on the triangle.  Returns ts and ss
+    of shape (5, N), the nodes followed by their central-difference
+    neighbours t + h, t - h, s + h, s - h, and the N node weights.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    u, v = np.repeat(nodes, order), np.tile(nodes, order)
+    t, s, jac = (u, u * v, u) if domain == "simplex" else (u, v, 1.0)
+    ts = np.stack([t, t + step, t - step, t, t])
+    ss = np.stack([s, s, s, s + step, s - step])
+    weight = np.repeat(weights, order) * np.tile(weights, order) * jac
+    for arr in (ts, ss, weight):
+        arr.flags.writeable = False
+    return ts, ss, weight
 
 
 def surface_integral(
@@ -160,32 +194,27 @@ def surface_integral(
     Tensor Gauss-Legendre of the given order per axis; the triangle domain
     is reached through the Duffy map (t, s) = (u, u v) with Jacobian u,
     which keeps the rule robust at the collapsed vertex.  Patch partial
-    derivatives are central differences with the given step.  Node
-    contributions are accumulated in a fixed order.
+    derivatives are central differences with the given step.  Each patch
+    is one array pass: the patch is evaluated once on all nodes and their
+    four neighbours, and membership, the tangent decomposition, the
+    cochain, the action and the weights are applied to the whole stack
+    (orders above 64 pass over slices of _PASS_NODES nodes).
     """
-    m = form.cochain.coeff_dim
-    nodes, weights = _gauss_nodes_01(quad_order)
     group = form.group
-    total = np.zeros(m)
+    total = np.zeros(form.cochain.coeff_dim)
     for patch in chain.patches:
         if patch.coefficient == 0:
             continue
-        vals = np.empty((quad_order * quad_order, m))
-        pos = 0
-        for i, u in enumerate(nodes):
-            for j, v in enumerate(nodes):
-                if patch.domain == "simplex":
-                    t, s, jac = u, u * v, u
-                else:
-                    t, s, jac = u, v, 1.0
-                g = patch(t, s)
-                group.check_membership(g, scale=float(np.max(np.abs(g))) if g.size else 1.0)
-                du = (patch(t + step, s) - patch(t - step, s)) / (2.0 * step)
-                dv = (patch(t, s + step) - patch(t, s - step)) / (2.0 * step)
-                w = eval_equivariant(form, g, du, dv)
-                vals[pos] = (weights[i] * weights[j] * jac) * w
-                pos += 1
-        total = total + patch.coefficient * np.sum(vals, axis=0)
+        ts, ss, weight = _stencil(quad_order, patch.domain, step)
+        for lo in range(0, weight.size, _PASS_NODES):
+            part = slice(lo, lo + _PASS_NODES)
+            mats = patch(ts[:, part].ravel(), ss[:, part].ravel())
+            g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
+            group.check_membership(g, scale=np.max(np.abs(g), axis=(-2, -1), initial=0.0))
+            du = (t_plus - t_minus) / (2.0 * step)
+            dv = (s_plus - s_minus) / (2.0 * step)
+            vals = weight[part, None] * eval_equivariant(form, g, du, dv)
+            total = total + patch.coefficient * np.sum(vals, axis=0)
     return total
 
 
@@ -201,7 +230,7 @@ def product_triangle_chain(g1: GroupPath, g2: GroupPath) -> Surface2Chain:
     """
     return Surface2Chain(
         patches=(
-            SurfacePatch(eval=lambda t, s: g1(t) @ g2(s), domain="simplex"),
+            SurfacePatch(eval=vectorized(lambda t, s: g1(t) @ g2(s)), domain="simplex"),
         )
     )
 
@@ -239,32 +268,33 @@ def spanning_chain(
             "common endpoint"
         )
     ts = np.linspace(0.0, 1.0, 64)
-    logs = [group.log(group.inverse(g1(t)) @ g2(t)) for t in ts]
-    jumps = [
-        float(np.max(np.abs(b - a))) for a, b in zip(logs, logs[1:])
-    ]
-    if jumps and max(jumps) > 3.0:
+    logs = group.log(group.inverse(g1(ts)) @ g2(ts))
+    if np.max(np.abs(np.diff(logs, axis=0)), initial=0.0) > 3.0:
         raise NotALoopError(
             "fiberwise logarithm jumps between samples; the paths are too "
             "far apart for a single-branch spanning surface"
         )
+    schedule = per_point(schedule)
 
+    @vectorized
     def patch(t, s):
         gt = g1(t)
         ell = group.log(group.inverse(gt) @ g2(t))
-        return gt @ group.exp(schedule(s) * ell)
+        return gt @ group.exp(np.asarray(schedule(s))[..., None, None] * ell)
 
     return Surface2Chain(patches=(SurfacePatch(eval=patch, domain="square"),))
 
 
 def cube_boundary_chain(block: Callable) -> Surface2Chain:
     """Oriented boundary of a smooth 3-patch [0,1]^3 -> G, six square faces."""
+    block = per_point(block)
+
     def face(axis, value):
         if axis == 0:
-            return lambda t, s: block(value, t, s)
+            return vectorized(lambda t, s: block(value, t, s))
         if axis == 1:
-            return lambda t, s: block(t, value, s)
-        return lambda t, s: block(t, s, value)
+            return vectorized(lambda t, s: block(t, value, s))
+        return vectorized(lambda t, s: block(t, s, value))
 
     patches = []
     for axis in range(3):
@@ -280,13 +310,14 @@ def cube_boundary_chain(block: Callable) -> Surface2Chain:
 
 @dataclass(frozen=True)
 class BoundaryEdge:
-    """One oriented boundary edge of a patch, as a curve [0,1] -> G."""
+    """One oriented boundary edge of a patch, as a curve [0,1] -> G that
+    takes an array of parameters."""
 
     curve: Callable
     weight: int
 
     def samples(self, params: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(self.curve(u), dtype=float) for u in params])
+        return np.asarray(self.curve(params), dtype=float)
 
 
 def chain_boundary_edges(chain: Surface2Chain) -> List[BoundaryEdge]:
@@ -344,7 +375,7 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[BoundaryEdge
 def _min_distance_to_curve(point: np.ndarray, curve: Callable, coarse: int = 65) -> float:
     """Distance from a matrix to a sampled-then-refined point on a curve."""
     us = np.linspace(0.0, 1.0, coarse)
-    dists = [float(np.max(np.abs(np.asarray(curve(u)) - point))) for u in us]
+    dists = np.max(np.abs(np.asarray(curve(us)) - point), axis=(-2, -1))
     k = int(np.argmin(dists))
     lo = us[max(0, k - 1)]
     hi = us[min(coarse - 1, k + 1)]
@@ -380,7 +411,8 @@ def holonomy(
         raise NotALoopError("loop endpoints do not match")
     leftovers = cancel_boundary_edges(bounding, tol) if bounding.patches else []
     params = np.linspace(0.0, 1.0, 24)
-    loop_spread = max(float(np.max(np.abs(loop(u) - loop(0.0)))) for u in params)
+    points = loop(params)
+    loop_spread = float(np.max(np.abs(points - loop(0.0))))
     if loop_spread <= tol:  # constant loop: the chain must carry no boundary
         if leftovers:
             raise BoundaryMismatchError(
@@ -391,8 +423,7 @@ def holonomy(
             raise BoundaryMismatchError(
                 "bounding chain has no net boundary but the loop is not constant"
             )
-        for u in params:
-            point = loop(u)
+        for u, point in zip(params, points):
             best = min(
                 _min_distance_to_curve(point, e.curve) for e in leftovers
             )

@@ -5,6 +5,9 @@ exp/log maps (closed forms for the built-in groups, scipy fallbacks
 otherwise).  Tangent matrices are decomposed in the realized basis by least
 squares against a precomputed pseudoinverse; the residual of that solve is
 the "did we leave the group?" guard used throughout the quadrature code.
+Every map takes a stack of matrices (leading axes) as well as a single one;
+maps supplied by the caller, and the scipy fallbacks, are evaluated per
+matrix through `batch.per_point`.
 
 Built-ins: tori (block rotations, coordinates in winding units, so the
 basis matrix of each circle factor is 2*pi*J and exp(1 * e_i) = 1), additive
@@ -26,6 +29,7 @@ from .algebra import (
     validate_algebra,
     ValidationIssue,
 )
+from .batch import per_point, vectorized
 from .errors import MalformedInputError, MembershipError, TangentDecompositionError
 
 DEFAULT_MEMBERSHIP_TOL = 1e-9
@@ -41,6 +45,10 @@ class CoordinateChart:
     dim: int
     to_coords: Callable
     from_coords: Callable
+
+    def __post_init__(self):
+        object.__setattr__(self, "to_coords", per_point(self.to_coords, 2))
+        object.__setattr__(self, "from_coords", per_point(self.from_coords, 1))
 
 
 @dataclass(frozen=True)
@@ -75,7 +83,18 @@ class MatrixGroup:
         if self.log is None:
             object.__setattr__(self, "log", lambda g: np.real(scipy.linalg.logm(g)))
         if self.inverse is None:
-            object.__setattr__(self, "inverse", np.linalg.inv)
+
+            @vectorized
+            def inverse(g):
+                try:
+                    return np.linalg.inv(g)
+                except np.linalg.LinAlgError:
+                    raise MembershipError(f"a singular matrix is not in {self.name}") from None
+
+            object.__setattr__(self, "inverse", inverse)
+        for name in ("exp", "log", "inverse", "membership"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, per_point(getattr(self, name), 2))
         flat = basis.reshape(self.algebra.dim, -1).T if self.algebra.dim else np.zeros((basis.shape[1] ** 2, 0))
         object.__setattr__(self, "_flat_basis", flat)
         object.__setattr__(self, "_flat_pinv", np.linalg.pinv(flat) if flat.size else flat.T)
@@ -98,15 +117,19 @@ class MatrixGroup:
         return np.einsum("i,ijk->jk", x, self.basis)
 
     def decompose(self, mat: np.ndarray, tol: float = TANGENT_RESIDUAL_TOL) -> np.ndarray:
-        """d x d matrix -> coefficients in the realized basis (checked)."""
-        vec = np.asarray(mat, dtype=float).reshape(-1)
-        coeffs = self._flat_pinv @ vec
-        residual = np.linalg.norm(self._flat_basis @ coeffs - vec)
-        scale = max(1.0, np.linalg.norm(vec))
-        if residual > tol * scale:
+        """d x d matrices (any leading axes) -> coefficients in the realized
+        basis, each checked against its residual."""
+        mat = np.asarray(mat, dtype=float)
+        vec = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
+        coeffs = vec @ self._flat_pinv.T
+        residual = np.linalg.norm(coeffs @ self._flat_basis.T - vec, axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(vec, axis=-1))
+        bad = np.flatnonzero(~(residual <= tol * scale))  # NaN fails too
+        if bad.size:
+            at = bad[0]
             raise TangentDecompositionError(
-                f"matrix is {residual:.3e} away from the algebra span "
-                f"(tolerance {tol:.1e} x {scale:.3g})"
+                f"matrix is {residual.flat[at]:.3e} away from the algebra span "
+                f"(tolerance {tol:.1e} x {scale.flat[at]:.3g})"
             )
         return coeffs
 
@@ -114,13 +137,16 @@ class MatrixGroup:
         """Left-translate a tangent u at g back to the algebra: g^-1 u."""
         return self.decompose(self.inverse(g) @ u)
 
-    def check_membership(self, g: np.ndarray, scale: float = 1.0):
+    def check_membership(self, g: np.ndarray, scale=1.0):
+        """Raise MembershipError unless every matrix of the stack g is in the
+        group, each within membership_tol times max(1, its scale)."""
         if self.membership is None:
             return
-        res = float(self.membership(np.asarray(g, dtype=float)))
-        if res > self.membership_tol * max(1.0, scale):
+        res = np.asarray(self.membership(np.asarray(g, dtype=float)), dtype=float)
+        bad = np.flatnonzero(~(res <= self.membership_tol * np.maximum(1.0, scale)))
+        if bad.size:
             raise MembershipError(
-                f"matrix is not in {self.name} (residual {res:.3e})"
+                f"matrix is not in {self.name} (residual {res.flat[bad[0]]:.3e})"
             )
 
 
@@ -174,11 +200,15 @@ def validate_action_compatibility(group: MatrixGroup, mod: ModuleAction):
 
 @dataclass(frozen=True)
 class GroupPath:
-    """Evaluable based path [0, 1] -> G."""
+    """Evaluable based path [0, 1] -> G; called on an array of parameters it
+    returns the stack of matrices."""
 
     eval: Callable
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __post_init__(self):
+        object.__setattr__(self, "eval", per_point(self.eval))
+
+    def __call__(self, t) -> np.ndarray:
         return np.asarray(self.eval(t), dtype=float)
 
 
@@ -208,13 +238,13 @@ def validate_path(group: MatrixGroup, path: GroupPath):
 
 def identity_path(group: MatrixGroup) -> GroupPath:
     eye = group.identity
-    return GroupPath(eval=lambda t: eye)
+    return GroupPath(eval=vectorized(lambda t: np.zeros(np.shape(t) + eye.shape) + eye))
 
 
 def exp_path(group: MatrixGroup, x: np.ndarray, scale: float = 1.0) -> GroupPath:
     """t -> exp(t * scale * X) for an algebra coefficient vector X."""
     mat = group.realize(np.asarray(x, dtype=float))
-    return GroupPath(eval=lambda t: group.exp((t * scale) * mat))
+    return GroupPath(eval=vectorized(lambda t: group.exp(np.multiply.outer(t * scale, mat))))
 
 
 def coordinate_path(group: MatrixGroup, fn: Callable) -> GroupPath:
@@ -222,21 +252,23 @@ def coordinate_path(group: MatrixGroup, fn: Callable) -> GroupPath:
     if group.chart is None:
         raise MalformedInputError(f"{group.name} has no coordinate chart")
     chart = group.chart
-    return GroupPath(eval=lambda t: chart.from_coords(np.asarray(fn(t), dtype=float)))
+    coords = per_point(fn)
+    return GroupPath(eval=vectorized(
+        lambda t: chart.from_coords(coords(t).reshape(np.shape(t) + (chart.dim,)))
+    ))
 
 
 def pointwise_product(g1: GroupPath, g2: GroupPath) -> GroupPath:
     """t -> g1(t) g2(t); stays based, preserves log-derivative periodicity."""
-    return GroupPath(eval=lambda t: g1(t) @ g2(t))
+    return GroupPath(eval=vectorized(lambda t: g1(t) @ g2(t)))
 
 
 # ---------------------------------------------------------------------------
-# Built-in groups
+# Built-in groups: every map takes a stack (..., d, d) or coordinates (..., k)
 
 
-def _rotation_block(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _transpose(g):
+    return np.swapaxes(np.asarray(g, dtype=float), -1, -2)
 
 
 def torus_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGroup:
@@ -247,48 +279,52 @@ def torus_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGroup:
     j_block = np.array([[0.0, -1.0], [1.0, 0.0]])
     for i in range(k):
         basis[i, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 2.0 * np.pi * j_block
+    cos_at, sin_at = np.arange(0, d, 2), np.arange(1, d, 2)  # rows/columns of each block
+    pair = np.arange(2)
+    block_rows = cos_at[:, None, None] + pair[None, :, None]  # (k, 2, 2) indices of the blocks
+    block_cols = cos_at[:, None, None] + pair[None, None, :]
+    off_block = np.ones((d, d), dtype=bool)
+    off_block[block_rows, block_cols] = False
+
+    def rotations(theta):
+        """Block-diagonal rotations by the angles theta (..., k)."""
+        c, s = np.cos(theta), np.sin(theta)
+        g = np.zeros(theta.shape[:-1] + (d, d))
+        g[..., cos_at, cos_at], g[..., cos_at, sin_at] = c, -s
+        g[..., sin_at, cos_at], g[..., sin_at, sin_at] = s, c
+        return g
 
     def angles_of(g):
         g = np.asarray(g, dtype=float)
-        return np.array(
-            [np.arctan2(g[2 * i + 1, 2 * i], g[2 * i, 2 * i]) for i in range(k)]
-        )
+        return np.arctan2(g[..., sin_at, cos_at], g[..., cos_at, cos_at])
 
+    @vectorized
     def from_coords(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = np.zeros((d, d))
-        for i in range(k):
-            g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = _rotation_block(2.0 * np.pi * x[i])
-        return g
+        return rotations(2.0 * np.pi * np.atleast_1d(np.asarray(x, dtype=float)))
 
+    @vectorized
     def exp_map(mat):
-        thetas = [mat[2 * i + 1, 2 * i] for i in range(k)]
-        g = np.zeros((d, d))
-        for i, th in enumerate(thetas):
-            g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = _rotation_block(th)
-        return g
+        return rotations(np.asarray(mat, dtype=float)[..., sin_at, cos_at])
 
+    @vectorized
     def log_map(g):
-        out = np.zeros((d, d))
-        for i, th in enumerate(angles_of(g)):
-            out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = th * j_block
+        th = angles_of(g)
+        out = np.zeros(th.shape[:-1] + (d, d))
+        out[..., cos_at, sin_at], out[..., sin_at, cos_at] = -th, th
         return out
 
+    @vectorized
     def membership(g):
-        res = 0.0
         g = np.asarray(g, dtype=float)
-        mask = np.ones((d, d), dtype=bool)
-        for i in range(k):
-            block = g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-            res = max(res, float(np.max(np.abs(block.T @ block - np.eye(2)))))
-            res = max(res, abs(float(np.linalg.det(block)) - 1.0))
-            mask[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = False
-        res = max(res, float(np.max(np.abs(g[mask]))) if mask.any() else 0.0)
-        return res
+        blocks = g[..., block_rows, block_cols]
+        orthogonal = np.abs(_transpose(blocks) @ blocks - np.eye(2))
+        res = np.max(orthogonal, axis=(-3, -2, -1), initial=0.0)
+        res = np.maximum(res, np.max(np.abs(np.linalg.det(blocks) - 1.0), axis=-1, initial=0.0))
+        return np.maximum(res, np.max(np.abs(g[..., off_block]), axis=-1, initial=0.0))
 
     chart = CoordinateChart(
         dim=k,
-        to_coords=lambda g: angles_of(g) / (2.0 * np.pi),
+        to_coords=vectorized(lambda g: angles_of(g) / (2.0 * np.pi)),
         from_coords=from_coords,
     )
     return MatrixGroup(
@@ -297,7 +333,7 @@ def torus_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGroup:
         mod_action=module or trivial_module(k, 1),
         exp=exp_map,
         log=log_map,
-        inverse=lambda g: np.asarray(g).T,
+        inverse=vectorized(_transpose),
         membership=membership,
         chart=chart,
         name=f"T^{k}",
@@ -312,42 +348,45 @@ def translation_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGr
     for i in range(k):
         basis[i, i, k] = 1.0
 
+    @vectorized
     def from_coords(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = np.eye(d)
-        g[:k, k] = x
+        g = np.zeros(x.shape[:-1] + (d, d)) + np.eye(d)
+        g[..., :k, k] = x
         return g
 
+    @vectorized
+    def to_coords(g):
+        return np.asarray(g, dtype=float)[..., :k, k].copy()
+
+    @vectorized
     def membership(g):
         g = np.asarray(g, dtype=float)
-        ref = from_coords(g[:k, k])
-        return float(np.max(np.abs(g - ref)))
+        return np.max(np.abs(g - from_coords(g[..., :k, k])), axis=(-2, -1))
 
-    chart = CoordinateChart(dim=k, to_coords=lambda g: np.asarray(g)[:k, k].copy(), from_coords=from_coords)
+    chart = CoordinateChart(dim=k, to_coords=to_coords, from_coords=from_coords)
     return MatrixGroup(
         algebra=alg,
         basis=basis,
         mod_action=module or trivial_module(k, 1),
-        exp=lambda mat: np.eye(d) + mat,
-        log=lambda g: np.asarray(g, dtype=float) - np.eye(d),
-        inverse=lambda g: from_coords(-np.asarray(g)[:k, k]),
+        exp=vectorized(lambda mat: np.eye(d) + mat),
+        log=vectorized(lambda g: np.asarray(g, dtype=float) - np.eye(d)),
+        inverse=vectorized(lambda g: from_coords(-to_coords(g))),
         membership=membership,
         chart=chart,
         name=f"R^{k}",
     )
 
 
+# Left multiplication by q = (w, x, y, z): entry (r, c) is sign * q[index].
+_QUAT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_QUAT_SIGN = np.array([[1, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]], dtype=float)
+
+
 def _quaternion_left_matrix(q: np.ndarray) -> np.ndarray:
-    """Matrix of left multiplication by q on R^4 with basis (1, i, j, k)."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [w, -x, -y, -z],
-            [x, w, -z, y],
-            [y, z, w, -x],
-            [z, -y, x, w],
-        ]
-    )
+    """Matrix of left multiplication by q on R^4 with basis (1, i, j, k);
+    q has shape (..., 4)."""
+    return np.asarray(q, dtype=float)[..., _QUAT_INDEX] * _QUAT_SIGN
 
 
 def su2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
@@ -360,36 +399,33 @@ def su2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
         c[i, j, k] = 2.0
         c[j, i, k] = -2.0
     alg = LieAlgebra(structure_constants=c, basis_labels=("i", "j", "k"))
-    basis = np.stack(
-        [
-            _quaternion_left_matrix(np.array([0.0, 1.0, 0.0, 0.0])),
-            _quaternion_left_matrix(np.array([0.0, 0.0, 1.0, 0.0])),
-            _quaternion_left_matrix(np.array([0.0, 0.0, 0.0, 1.0])),
-        ]
-    )
+    basis = _quaternion_left_matrix(np.eye(4)[1:])
 
+    @vectorized
     def exp_map(mat):
-        vec = np.array([mat[1, 0], mat[2, 0], mat[3, 0]])
-        theta = np.linalg.norm(vec)
-        if theta < 1e-30:
-            return np.eye(4) + mat
-        return np.cos(theta) * np.eye(4) + (np.sin(theta) / theta) * mat
+        mat = np.asarray(mat, dtype=float)
+        theta = np.linalg.norm(mat[..., 1:, 0], axis=-1)
+        small = theta < 1e-30  # exp is 1 + mat to double precision
+        cos = np.where(small, 1.0, np.cos(theta))
+        sinc = np.where(small, 1.0, np.sin(theta) / np.where(small, 1.0, theta))
+        return cos[..., None, None] * np.eye(4) + sinc[..., None, None] * mat
 
+    @vectorized
     def log_map(g):
-        q = np.asarray(g, dtype=float)[:, 0]
-        vec = q[1:]
-        nv = np.linalg.norm(vec)
-        theta = np.arctan2(nv, q[0])
-        if nv < 1e-30:
-            return np.zeros((4, 4))
-        pure = np.concatenate([[0.0], (theta / nv) * vec])
+        q = np.asarray(g, dtype=float)[..., :, 0]
+        nv = np.linalg.norm(q[..., 1:], axis=-1)
+        small = nv < 1e-30
+        ratio = np.where(small, 0.0, np.arctan2(nv, q[..., 0]) / np.where(small, 1.0, nv))
+        pure = ratio[..., None] * q
+        pure[..., 0] = 0.0
         return _quaternion_left_matrix(pure)
 
+    @vectorized
     def membership(g):
-        q = np.asarray(g, dtype=float)[:, 0]
-        res = abs(float(q @ q) - 1.0)
-        res = max(res, float(np.max(np.abs(g - _quaternion_left_matrix(q)))))
-        return res
+        g = np.asarray(g, dtype=float)
+        q = g[..., :, 0]
+        res = np.abs(np.sum(q * q, axis=-1) - 1.0)
+        return np.maximum(res, np.max(np.abs(g - _quaternion_left_matrix(q)), axis=(-2, -1)))
 
     return MatrixGroup(
         algebra=alg,
@@ -397,16 +433,16 @@ def su2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
         mod_action=module or trivial_module(3, 1),
         exp=exp_map,
         log=log_map,
-        inverse=lambda g: np.asarray(g).T,
+        inverse=vectorized(_transpose),
         membership=membership,
         name="SU(2)",
     )
 
 
 def quaternion_element(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) -> SU(2) group element."""
+    """Unit quaternions (..., 4) (w, x, y, z) -> SU(2) group elements."""
     q = np.asarray(q, dtype=float)
-    return _quaternion_left_matrix(q / np.linalg.norm(q))
+    return _quaternion_left_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
 def sl2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
@@ -424,7 +460,7 @@ def sl2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
         algebra=sl2_algebra(),
         basis=basis,
         mod_action=module or trivial_module(3, 1),
-        membership=lambda g: abs(float(np.linalg.det(g)) - 1.0),
+        membership=vectorized(lambda g: np.abs(np.linalg.det(g) - 1.0)),
         name="SL(2,R)",
     )
 
@@ -436,30 +472,33 @@ def heisenberg_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
     basis[0, 0, 1] = 1.0  # x
     basis[1, 1, 2] = 1.0  # y
     basis[2, 0, 2] = 1.0  # z = [x, y]
+    rows, cols = (0, 1, 0), (1, 2, 2)  # entries of the coordinates (x, y, z)
 
+    @vectorized
     def exp_map(mat):
         return np.eye(3) + mat + 0.5 * (mat @ mat)
 
+    @vectorized
     def log_map(g):
         n = np.asarray(g, dtype=float) - np.eye(3)
         return n - 0.5 * (n @ n)
 
+    @vectorized
     def from_coords(v):
-        a, b, c_ = np.atleast_1d(np.asarray(v, dtype=float))
-        g = np.eye(3)
-        g[0, 1], g[1, 2], g[0, 2] = a, b, c_
+        v = np.asarray(v, dtype=float)
+        g = np.zeros(v.shape[:-1] + (3, 3)) + np.eye(3)
+        g[..., rows, cols] = v
         return g
 
+    @vectorized
+    def to_coords(g):
+        return np.asarray(g, dtype=float)[..., rows, cols]
+
+    @vectorized
     def membership(g):
         g = np.asarray(g, dtype=float)
-        ref = from_coords([g[0, 1], g[1, 2], g[0, 2]])
-        return float(np.max(np.abs(g - ref)))
+        return np.max(np.abs(g - from_coords(to_coords(g))), axis=(-2, -1))
 
-    chart = CoordinateChart(
-        dim=3,
-        to_coords=lambda g: np.array([g[0, 1], g[1, 2], g[0, 2]]),
-        from_coords=from_coords,
-    )
     return MatrixGroup(
         algebra=alg,
         basis=basis,
@@ -467,6 +506,6 @@ def heisenberg_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
         exp=exp_map,
         log=log_map,
         membership=membership,
-        chart=chart,
+        chart=CoordinateChart(dim=3, to_coords=to_coords, from_coords=from_coords),
         name="Heisenberg(3)",
     )

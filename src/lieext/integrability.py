@@ -24,6 +24,7 @@ from .algebra import (
     lattice_member,
     reduce_mod_lattice,
 )
+from .batch import vectorized
 from .errors import NotALoopError, OpenChainError
 from .geometry import (
     DEFAULT_QUAD_ORDER,
@@ -193,7 +194,7 @@ def torus_winding_loop(group: MatrixGroup, winding: Sequence[int]) -> GroupPath:
     w = np.asarray(winding, dtype=float)
     if np.max(np.abs(w - np.round(w))) > 0:
         raise NotALoopError(f"winding numbers must be integers, got {winding}")
-    return coordinate_path(group, lambda t: t * w)
+    return coordinate_path(group, vectorized(lambda t: np.multiply.outer(t, w)))
 
 
 def pi1_cocycle_table(

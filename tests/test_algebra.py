@@ -224,6 +224,23 @@ class TestLattice:
         with pytest.raises(InvalidLatticeError):
             lx.Lattice(generators=[[1.0, 0.0], [2.0, 0.0]])
 
+    def test_rank_check_is_relative_to_scale(self):
+        lat = lx.Lattice(generators=[[1e-7]])
+        assert lx.lattice_member(lat, np.array([3e-7])).verdict == "member"
+        with pytest.raises(InvalidLatticeError):
+            lx.Lattice(generators=[[1.0, 0.0], [1.0, 1e-9]])
+
+    def test_more_generators_than_dimensions_rejected(self):
+        with pytest.raises(InvalidLatticeError):
+            lx.Lattice(generators=[[1.0], [2.5]])
+
+    def test_coefficients_beyond_double_resolution_rejected(self):
+        lat = lx.Lattice(generators=[[1.0]])
+        with pytest.raises(lx.LieExtError):
+            lx.lattice_member(lat, np.array([1e300]))
+        with pytest.raises(lx.LieExtError):
+            lx.lattice_member(lat, np.array([np.nan]))
+
     def test_rank_zero_lattice(self):
         lat = lx.Lattice(generators=np.zeros((0, 2)))
         assert lx.lattice_member(lat, np.zeros(2)).verdict == "member"

@@ -148,6 +148,7 @@ def _set(*keys, value):
 MALFORMED = {
     "torus_dim_string": ("torus_integrable.json", _set("group", "dim", value="x")),
     "torus_dim_negative": ("torus_integrable.json", _set("group", "dim", value=-1)),
+    "torus_dim_zero": ("torus_integrable.json", _set("group", "dim", value=0)),
     "translation_dim_string": ("r2_d2.json", _set("group", "dim", value="x")),
     "patch_divide_by_zero": (
         "torus_integrable.json",
@@ -172,6 +173,34 @@ MALFORMED = {
     "tol_lat_zero": ("torus_integrable.json", _set("options", "tol_lat", value=0)),
     "equiv_tol_infinite": ("equivalence_r2.json", _set("options", "equiv_tol", value=float("inf"))),
     "options_not_object": ("heis3_validate.json", _set("options", value="x")),
+    "quad_order_fraction": ("torus_integrable.json", _set("options", "quad_order", value=2.7)),
+    "quad_order_bool": ("torus_integrable.json", _set("options", "quad_order", value=True)),
+    "degree_fraction": ("sl2_cohomology.json", _set("options", value={"degree": 2.5})),
+    "degrees_bool": ("sl2_cohomology.json", _set("options", "degrees", value=[True])),
+    "tol_bool": ("torus_integrable.json", _set("options", "tol", value=True)),
+    "patch_exp_overflow": (
+        "torus_integrable.json",
+        _set("cycles", 0, "patches", 0, "coords", 0, value="exp(1000)"),
+    ),
+    "patch_number_out_of_range": (
+        "torus_integrable.json",
+        _set("cycles", 0, "patches", 0, "coords", 1, value="s + 1e400"),
+    ),
+    "patch_coords_length": (
+        "torus_integrable.json",
+        _set("cycles", 0, "patches", 0, "coords", value=["t"]),
+    ),
+    "patch_matrix_shape": (
+        "su2_sphere_period.json",
+        _set("cycles", 0, "patches", 0, "matrix", value=[["1", "0"], ["0", "1"]]),
+    ),
+    "lattice_generators_nan": (
+        "torus_integrable.json",
+        _set("lattice", "generators", value=[[float("nan")]]),
+    ),
+    "cocycle_degree_string": ("torus_integrable.json", _set("cocycle", "degree", value="x")),
+    "cycles_not_list": ("torus_integrable.json", _set("cycles", value=3)),
+    "pair_entry_not_string": ("torus_gamma.json", _set("pair", 0, value=["p1"])),
 }
 
 
@@ -185,6 +214,24 @@ def test_malformed_document_exits_2(case, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("input error: ")
     assert captured.out == ""
+
+
+def test_lattice_error_has_one_prefix(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    raw = _edited("torus_integrable.json", _set("lattice", "generators", value=[1, 2]))
+    path.write_text(json.dumps(raw))
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: lattice: generators must be r x m, got shape (2,)\n"
+    )
+
+
+def test_small_scale_lattice_is_accepted():
+    raw = _edited("torus_integrable.json", _set("lattice", "generators", value=[[1e-7]]))
+    raw["cocycle"]["components"][0]["value"] = [1e-7]
+    report, code = run(parse_document(raw))
+    assert code == 0
+    assert report["results"]["overall"] == "integrable"
 
 
 class TestRoundTrip:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lieext.errors import ExpressionError
@@ -62,3 +63,38 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse_expression("1 2")
+
+
+class TestArrays:
+    @pytest.mark.parametrize(
+        "text", ["sin(pi*t)*cos(2*pi*s) - exp(t/3)", "-t*s + 1.5e-3", "(t - s)/(t + 2)", "cos(0)"]
+    )
+    def test_scalar_and_one_element_array_agree_bitwise(self, text):
+        e = parse_expression(text)
+        for t, s in ((0.1, 0.7), (0.987654321, -3.25), (1e-12, 2.0)):
+            scalar = np.float64(e({"t": t, "s": s}))
+            array = np.asarray(e({"t": np.array([t]), "s": np.array([s])}))
+            assert np.broadcast_to(array, (1,))[0].tobytes() == scalar.tobytes()
+
+    def test_array_evaluation_matches_pointwise(self):
+        e = parse_expression("sin(pi*t) + t*t/(1 + s)")
+        t = np.linspace(0.0, 1.0, 7)
+        got = e({"t": t, "s": 0.5})
+        assert got.shape == (7,)
+        assert np.allclose(got, [e({"t": x, "s": 0.5}) for x in t], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("text", ["t/0", "exp(1000)", "exp(t*800)", "1e300*1e300*t"])
+    def test_floating_point_errors_are_expression_errors(self, text):
+        e = parse_expression(text)
+        with pytest.raises(ExpressionError):
+            e({"t": np.array([0.5, 1.0])})
+        with pytest.raises(ExpressionError):
+            e({"t": 1.0})
+
+    def test_out_of_range_literal_rejected(self):
+        with pytest.raises(ExpressionError):
+            parse_expression("t + 1e400")
+
+    def test_deep_nesting_is_an_expression_error(self):
+        with pytest.raises(ExpressionError):
+            parse_expression("+".join(["t"] * 1200))

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import lieext as lx
+from lieext.documents import parse_document
 from lieext.errors import (
     BoundaryMismatchError,
     MembershipError,
@@ -177,6 +180,19 @@ class TestEquivariantForm:
         assert np.array_equal(
             lx.eval_equivariant(form, g, u, v), -lx.eval_equivariant(form, g, v, u)
         )
+
+
+    def test_value_is_the_cochain_on_decomposed_tangents(self, su2, rng):
+        om = lx.Cochain.from_vector(2, 3, 2, rng.normal(size=6))
+        form = lx.EquivariantForm(om, su2)
+        gs = np.stack([su2.exp(su2.realize(rng.normal(size=3))) for _ in range(4)])
+        us = gs @ su2.realize(rng.normal(size=3))
+        vs = gs @ su2.realize(rng.normal(size=3))
+        stacked = lx.eval_equivariant(form, gs, us, vs)
+        for g, u, v, value in zip(gs, us, vs, stacked):
+            x, y = su2.tangent_coefficients(g, u), su2.tangent_coefficients(g, v)
+            assert np.allclose(lx.eval_equivariant(form, g, u, v), om(x, y), rtol=0, atol=1e-13)
+            assert np.allclose(value, om(x, y), rtol=0, atol=1e-13)
 
 
 class TestProductTriangle:
@@ -543,3 +559,142 @@ class TestBoundaryBookkeeping:
                 )
         chain = lx.Surface2Chain(patches=tuple(patches))
         assert cancel_boundary_edges(chain, 1e-9) == []
+
+
+def per_node_integral(form, chain, order, step=lx.groups.DEFAULT_FD_STEP):
+    """Reference quadrature: one node at a time, scalar patch calls and the
+    public eval_equivariant, in the order the rule defines."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    total = np.zeros(form.cochain.coeff_dim)
+    for patch in chain.patches:
+        for i, u in enumerate(nodes):
+            for j, v in enumerate(nodes):
+                t, s, jac = (u, u * v, u) if patch.domain == "simplex" else (u, v, 1.0)
+                g = patch(t, s)
+                du = (patch(t + step, s) - patch(t - step, s)) / (2.0 * step)
+                dv = (patch(t, s + step) - patch(t, s - step)) / (2.0 * step)
+                value = lx.eval_equivariant(form, g, du, dv)
+                total = total + patch.coefficient * weights[i] * weights[j] * jac * value
+    return total
+
+
+def random_form(group, rng, coeff_dim=1):
+    n = group.algebra.dim
+    values = rng.normal(size=n * (n - 1) // 2 * coeff_dim)
+    return lx.EquivariantForm(lx.Cochain.from_vector(2, n, coeff_dim, values), group)
+
+
+def affine_document(patch_matrix):
+    """The ax + b group as a document 'matrix' group, with one matrix patch."""
+    return {
+        "task": "check-integrability",
+        "group": {
+            "kind": "matrix",
+            "basis": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]],
+            "algebra": {"dim": 2, "structure_constants": [[0, 1, 1, 1.0]]},
+        },
+        "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [0.7]}]},
+        "lattice": {"generators": [[1.0]]},
+        "cycles": [{"name": "patch", "patches": [{"domain": "square", "matrix": patch_matrix}]}],
+    }
+
+
+class TestBatchedQuadrature:
+    """The array pass against the per-node reference, and its error checks."""
+
+    @staticmethod
+    def assert_matches(form, chain, order=6):
+        ref = per_node_integral(form, chain, order)
+        got = lx.surface_integral(form, chain, order)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+
+    def test_opaque_scalar_patch_on_torus(self, torus2, rng):
+        chain = square_patch_chain(torus2, lambda t, s: np.array([t + 0.2 * s * s, s - 0.1 * t]))
+        self.assert_matches(random_form(torus2, rng), chain)
+
+    def test_product_triangle_on_translation_group(self, trans2, rng):
+        p = lx.coordinate_path(trans2, lambda t: np.array([t, np.sin(t)]))
+        q = lx.coordinate_path(trans2, lambda t: np.array([t * t, -t]))
+        self.assert_matches(random_form(trans2, rng), lx.product_triangle_chain(p, q))
+
+    @pytest.mark.parametrize("factory", [lx.su2_group, lx.sl2_group, lx.heisenberg_group])
+    def test_product_triangle_of_exp_paths(self, factory, rng):
+        group = factory()
+        p = lx.exp_path(group, 0.4 * rng.normal(size=3))
+        q = lx.exp_path(group, 0.4 * rng.normal(size=3))
+        self.assert_matches(random_form(group, rng, 2), lx.product_triangle_chain(p, q))
+
+    def test_spanning_chain(self, torus2, rng):
+        g1, _ = random_torus_path(torus2, rng, winding=[1, 0])
+        g2, _ = random_torus_path(torus2, rng, winding=[1, 0])
+        self.assert_matches(random_form(torus2, rng), lx.spanning_chain(torus2, g1, g2))
+
+    def test_left_translated_chain(self, rng):
+        group = lx.heisenberg_group()
+        p = lx.exp_path(group, rng.normal(size=3))
+        q = lx.exp_path(group, rng.normal(size=3))
+        shift = group.chart.from_coords(rng.normal(size=3))
+        chain = lx.left_translate_chain(shift, lx.product_triangle_chain(p, q))
+        self.assert_matches(random_form(group, rng), chain)
+
+    def test_document_matrix_group(self):
+        doc = parse_document(affine_document([["exp(t - s)", "s * t + 1"], ["0", "1"]]))
+        form, chain = lx.EquivariantForm(doc.cocycle, doc.group), doc.cycles.generators[0][1]
+        self.assert_matches(form, chain)
+
+    def test_document_group_action(self):
+        rate = 2.0 * np.pi
+        doc = parse_document({
+            "task": "gamma",
+            "group": {"kind": "translation", "dim": 2},
+            "module": {
+                "coeff_dim": 2,
+                "rho": [[[0.0, -rate], [rate, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                "group_action": {"exprs": ["cos(2*pi*g1)*a1 - sin(2*pi*g1)*a2",
+                                           "sin(2*pi*g1)*a1 + cos(2*pi*g1)*a2"]},
+            },
+            "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [1.0, 0.5]}]},
+            "paths": {"p": {"coords": ["0.3*t", "t"]}, "q": {"coords": ["t", "sin(t)"]}},
+            "pair": ["p", "q"],
+        })
+        group = replace(doc.group, mod_action=doc.module)
+        chain = lx.product_triangle_chain(doc.paths["p"], doc.paths["q"])
+        self.assert_matches(lx.EquivariantForm(doc.cocycle, group), chain)
+
+    def test_leaving_the_group_at_one_interior_node(self, torus2):
+        nodes = 0.5 * (np.polynomial.legendre.leggauss(6)[0] + 1.0)
+
+        def patch(t, s):
+            g = torus2.chart.from_coords([t, s])
+            return 1.001 * g if (t, s) == (nodes[2], nodes[3]) else g
+
+        chain = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch),))
+        with pytest.raises(MembershipError):
+            lx.surface_integral(torus_form(torus2), chain, 6)
+        lx.surface_integral(torus_form(torus2), chain, 5)  # no node there
+
+    def test_off_span_tangent_in_a_document_patch(self):
+        doc = parse_document(affine_document([["exp(t)", "s"], ["0", "1 + t * s"]]))
+        form, chain = lx.EquivariantForm(doc.cocycle, doc.group), doc.cycles.generators[0][1]
+        with pytest.raises(TangentDecompositionError):
+            lx.surface_integral(form, chain, 4)
+
+    def test_singular_matrix_in_a_document_patch(self):
+        # order 5 has a node at t = 1/2, where the patch is singular
+        doc = parse_document(affine_document([["t - 0.5", "s"], ["0", "1"]]))
+        form, chain = lx.EquivariantForm(doc.cocycle, doc.group), doc.cycles.generators[0][1]
+        with pytest.raises(MembershipError):
+            lx.surface_integral(form, chain, 5)
+
+    def test_user_callable_runs_once_per_distinct_point(self, torus2):
+        calls = []
+
+        def coords(t):
+            calls.append(t)
+            return np.array([t, 0.0])
+
+        path = lx.coordinate_path(torus2, coords)
+        values = path(np.array([0.25, 0.5, 0.25]))
+        assert len(calls) == 2
+        assert np.array_equal(values[0], path(0.25)) and np.array_equal(values[1], path(0.5))
