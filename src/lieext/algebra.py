@@ -176,13 +176,13 @@ class LatticeMembership:
     """Outcome of a lattice membership test.
 
     verdict is "member", "not_member", or "indeterminate"; coefficients are
-    the rounded integer combination, residual the distance to it.
+    the integer combination of the generators nearest to the value, residual
+    the distance to it.
     """
 
     verdict: str
     coefficients: np.ndarray
     residual: float
-    max_fractional_distance: float
 
     def __bool__(self):
         return self.verdict == "member"
@@ -270,11 +270,11 @@ def lattice_member(
 ) -> LatticeMembership:
     """Decide whether v lies in the lattice, within tol_lat.
 
-    Least squares against the generators, then integer rounding.  The
-    verdict is "member" when the rounded combination reproduces v within
-    tol_lat, "indeterminate" when the largest coefficient distance to the
-    nearest integer falls in the ambiguity band
-    [tol_lat, LATTICE_BAND_FACTOR * tol_lat), and "not_member" otherwise.
+    The verdict rests on the distance from v to the nearest lattice point
+    (reduce_mod_lattice), in the units of v: "member" below tol_lat,
+    "indeterminate" in the ambiguity band [tol_lat, LATTICE_BAND_FACTOR *
+    tol_lat), and "not_member" beyond it.  The coefficients are those of
+    the nearest point in the basis of the generators.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.ambient_dim,) and lat.rank > 0:
@@ -285,28 +285,24 @@ def lattice_member(
     if lat.rank == 0:
         res = float(np.linalg.norm(v))
         verdict = "member" if res < tol_lat else "not_member"
-        return LatticeMembership(verdict, np.zeros(0, dtype=int), res, 0.0)
+        return LatticeMembership(verdict, np.zeros(0, dtype=int), res)
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
-    coeffs, *_ = np.linalg.lstsq(lat.generators.T, v, rcond=None)
-    if not np.all(np.abs(coeffs) < 2.0 ** 53):
+    offset = reduce_mod_lattice(lat, v)
+    nearest, *_ = np.linalg.lstsq(lat.generators.T, v - offset, rcond=None)
+    if not np.all(np.abs(nearest) < 2.0 ** 53):
         raise LieExtError(
-            f"lattice coefficients {coeffs.tolist()} are beyond the integer "
+            f"lattice coefficients {nearest.tolist()} are beyond the integer "
             "resolution of double precision"
         )
-    span_residual = float(np.linalg.norm(lat.generators.T @ coeffs - v))
-    rounded = np.round(coeffs)
-    max_frac = float(np.abs(coeffs - rounded).max())
-    residual = float(np.linalg.norm(lat.generators.T @ rounded - v))
-    if span_residual >= tol_lat:
-        verdict = "not_member"
-    elif max_frac < tol_lat:
-        verdict = "member" if residual < tol_lat else "not_member"
-    elif max_frac < LATTICE_BAND_FACTOR * tol_lat:
+    residual = float(np.linalg.norm(offset))
+    if residual < tol_lat:
+        verdict = "member"
+    elif residual < LATTICE_BAND_FACTOR * tol_lat:
         verdict = "indeterminate"
     else:
         verdict = "not_member"
-    return LatticeMembership(verdict, rounded.astype(int), residual, max_frac)
+    return LatticeMembership(verdict, np.round(nearest).astype(int), residual)
 
 
 def reduce_mod_lattice(lat: Optional[Lattice], v: np.ndarray) -> np.ndarray:

@@ -42,14 +42,15 @@ def per_point(fn: Callable, point_ndim: int = 0) -> Callable:
         shapes = [a.shape[len(lead):] for a in arrays]
         sizes = [math.prod(shape) for shape in shapes]
         rows = np.concatenate([a.reshape(-1, n) for a, n in zip(arrays, sizes)], axis=1)
-        points, where = np.unique(rows, axis=0, return_inverse=True)
-
-        def call(row):
-            parts = np.split(row, np.cumsum(sizes)[:-1])
-            point = (part.reshape(shape)[()] for part, shape in zip(parts, shapes))
-            return np.asarray(fn(*point), dtype=float)
-
-        values = np.stack([call(row) for row in points])
+        if rows.shape[1] == 1:  # a 1-D unique is far cheaper than one over rows
+            points, where = np.unique(rows[:, 0], return_inverse=True)
+            points = points[:, None]
+        else:
+            points, where = np.unique(rows, axis=0, return_inverse=True)
+        # one array per argument, its first axis running over the distinct points
+        columns = np.split(points, np.cumsum(sizes)[:-1], axis=1)
+        parts = [c.reshape((-1,) + shape) for c, shape in zip(columns, shapes)]
+        values = np.array([fn(*point) for point in zip(*parts)], dtype=float)
         return values[where.reshape(-1)].reshape(lead + values.shape[1:])
 
     return stacked

@@ -115,14 +115,19 @@ def are_equivalent(
                 f"input is not a cocycle (residual {res:.3e})", residual=res
             )
     diff = (omega1 - omega2).to_vector()
+    # Solve for diff divided by a power of two near its largest entry, so
+    # that squares near the top of the double range do not overflow in the
+    # norm; dividing by a power of two is exact, so other values keep every bit.
+    scale = float(np.ldexp(1.0, np.frexp(np.max(np.abs(diff), initial=0.0))[1] - 1))
+    unit = diff / scale
     d1 = coboundary_matrix(alg, mod, 1)
     if d1.shape[1] == 0:
-        residual = float(np.linalg.norm(diff))
+        residual = scale * float(np.linalg.norm(unit))
         return residual < equiv_tol, None, residual
-    sol, *_ = np.linalg.lstsq(d1, diff, rcond=None)
-    residual = float(np.linalg.norm(d1 @ sol - diff))
+    sol, *_ = np.linalg.lstsq(d1, unit, rcond=None)
+    residual = scale * float(np.linalg.norm(d1 @ sol - unit))
     if residual < equiv_tol:
-        witness = Cochain.from_vector(1, alg.dim, mod.coeff_dim, sol)
+        witness = Cochain.from_vector(1, alg.dim, mod.coeff_dim, scale * sol)
         return True, witness, residual
     return False, None, residual
 

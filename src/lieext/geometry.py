@@ -37,6 +37,7 @@ from .batch import per_point, vectorized
 from .cohomology import Cochain, GroupCochain
 from .errors import (
     BoundaryMismatchError,
+    LieExtError,
     MalformedInputError,
     NotALoopError,
 )
@@ -480,43 +481,37 @@ def representative_independence_residuals(
     by the flux through the corresponding spanning surfaces.
     """
     group = form.group
-    end1 = g1(1.0)
     g1g2 = pointwise_product(g1, g2)
     span = lambda a, b: spanning_chain(group, a, b)
     integ = lambda chain: surface_integral(form, chain, quad_order)
     gamma = lambda a, b: path_cocycle(form, a, b, quad_order)
+    base = gamma(g1, g2)
+    flux1 = integ(span(g1, g1p))
+    flux2 = integ(left_translate_chain(g1(1.0), span(g2, g2p)))
 
-    first = (
-        integ(span(g1g2, pointwise_product(g1p, g2)))
-        - integ(span(g1, g1p))
-        - gamma(g1p, g2)
-        + gamma(g1, g2)
-    )
-    second = (
-        integ(span(g1g2, pointwise_product(g1, g2p)))
-        - integ(left_translate_chain(end1, span(g2, g2p)))
-        - gamma(g1, g2p)
-        + gamma(g1, g2)
-    )
-    third = (
-        integ(span(g1g2, pointwise_product(g1p, g2p)))
-        - integ(span(g1, g1p))
-        - integ(left_translate_chain(end1, span(g2, g2p)))
-        - gamma(g1p, g2p)
-        + gamma(g1, g2)
-    )
+    first = integ(span(g1g2, pointwise_product(g1p, g2))) - flux1 - gamma(g1p, g2) + base
+    second = integ(span(g1g2, pointwise_product(g1, g2p))) - flux2 - gamma(g1, g2p) + base
+    third = integ(span(g1g2, pointwise_product(g1p, g2p))) - flux1 - flux2 - gamma(g1p, g2p) + base
     return [first, second, third]
 
 
 def _mixed_partial(fn: Callable, step: float) -> np.ndarray:
     """Mixed second partial at (0, 0) by central differences, with one
-    Richardson extrapolation step."""
+    Richardson extrapolation step.  The finer grid divides by step squared,
+    so a step whose square underflows to a subnormal or zero is refused."""
+    if not step * step >= np.finfo(float).tiny:
+        raise MalformedInputError(
+            f"difference step {step!r} is too small: its square underflows"
+        )
+
     def grid(h):
         return (fn(h, h) - fn(h, -h) - fn(-h, h) + fn(-h, -h)) / (4.0 * h * h)
 
-    coarse = grid(step)
-    fine = grid(0.5 * step)
-    return (4.0 * fine - coarse) / 3.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (4.0 * grid(0.5 * step) - grid(step)) / 3.0
+    if not np.all(np.isfinite(value)):
+        raise LieExtError(f"the mixed difference quotient at step {step!r} is not finite")
+    return value
 
 
 def differentiate_group_cocycle(

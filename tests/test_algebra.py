@@ -185,6 +185,24 @@ class TestLattice:
         assert verdict([2.0, -1.3]) == "not_member"
         assert verdict([2.0 + 5e-6, -0.7]) == "not_member"  # one coefficient far off
 
+    @pytest.mark.parametrize(
+        "spacing, offset, expected",
+        [
+            (1e-3, 5e-7, "member"),
+            (1e-3, 5e-6, "indeterminate"),
+            (1e-3, 2e-4, "not_member"),
+            (1e3, 5e-7, "member"),
+            (1e3, 5e-6, "indeterminate"),
+            (1e3, 5e-5, "not_member"),
+        ],
+    )
+    def test_band_is_in_the_units_of_the_value(self, spacing, offset, expected):
+        lat = lx.Lattice(generators=[[spacing]])
+        res = lx.lattice_member(lat, np.array([7 * spacing + offset]), 1e-6)
+        assert res.verdict == expected
+        assert list(res.coefficients) == [7]
+        assert res.residual == pytest.approx(offset, rel=1e-6)
+
     @pytest.mark.parametrize("angle", [0.0, 0.3, 1.1, 2.5])
     def test_reduction_is_nearest_point(self, angle, rng):
         rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])

@@ -1,0 +1,119 @@
+import numpy as np
+import pytest
+
+import lieext as lx
+import lieext.geometry as geometry
+from lieext.batch import per_point, vectorized
+
+from conftest import area_cochain, random_torus_path
+
+
+def recording(fn):
+    """fn, recording the arguments of every call."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapped, calls
+
+
+class TestPerPoint:
+    def test_vectorized_maps_pass_through(self):
+        fn = vectorized(lambda t: t)
+        assert per_point(fn) is fn
+
+    def test_parameters_arrive_as_float64_scalars(self):
+        fn, calls = recording(lambda t, s: t * s)
+        per_point(fn)(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        assert calls and all(type(a) is np.float64 for args in calls for a in args)
+
+    @pytest.mark.parametrize("point_shape", [(1,), (3,), (2, 2)])
+    def test_points_arrive_as_arrays_of_their_shape(self, point_shape):
+        fn, calls = recording(lambda x: 2.0 * x)
+        stack = np.arange(4 * np.prod(point_shape), dtype=float).reshape((4,) + point_shape)
+        values = per_point(fn, len(point_shape))(stack)
+        assert len(calls) == 4
+        for (x,) in calls:
+            assert isinstance(x, np.ndarray) and x.shape == point_shape and x.dtype == float
+        assert np.array_equal(values, 2.0 * stack)
+
+    def test_call_without_leading_axes_passes_arguments_unchanged(self):
+        fn, calls = recording(lambda t: [t, 1.0])
+        assert np.array_equal(per_point(fn)(0.5), [0.5, 1.0])
+        assert calls == [(0.5,)] and type(calls[0][0]) is float
+
+    def test_one_call_per_distinct_parameter(self):
+        fn, calls = recording(lambda t: np.eye(2) * t)
+        ts = np.array([[0.25, 0.5, 0.25], [0.5, 0.75, 0.25]])
+        values = per_point(fn)(ts)
+        assert sorted(args[0] for args in calls) == [0.25, 0.5, 0.75]
+        assert values.shape == (2, 3, 2, 2)
+
+    def test_one_call_per_distinct_pair(self):
+        fn, calls = recording(lambda t, s: [t - s, t + s])
+        # (0.1, 0.2) repeats; (0.2, 0.1) shares both values with it but is another point
+        per_point(fn)(np.array([0.1, 0.2, 0.1, 0.1]), np.array([0.2, 0.1, 0.2, 0.3]))
+        assert sorted(calls) == [(0.1, 0.2), (0.1, 0.3), (0.2, 0.1)]
+
+    def test_one_call_per_distinct_matrix(self):
+        fn, calls = recording(lambda g: g @ g)
+        mats = np.array([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
+        per_point(fn, 2)(mats)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "fn, point_ndim, args",
+        [
+            (lambda t: np.array([np.sin(t), t * t]), 0, ((5, 7),)),
+            (lambda t, s: np.sin(t) * np.cos(s) + t / (1.0 + s), 0, ((6, 4), (6, 4))),
+            (lambda t, s: np.outer([t, s], [s, 1.0]), 0, ((9,), ())),
+            (lambda x: np.array([[x[0], -x[1]], [x[1], x[0]]]) / 3.0, 1, ((3, 5, 2),)),
+            (lambda g: g @ g.T - np.trace(g), 2, ((8, 3, 3),)),
+        ],
+    )
+    def test_matches_a_plain_loop_bit_for_bit(self, fn, point_ndim, args):
+        rng = np.random.default_rng(7)
+        # values from a small set, so that points repeat
+        arrays = [rng.choice([-0.5, 0.125, 0.3, 1.0], size=shape) for shape in args]
+        got = per_point(fn, point_ndim)(*arrays)
+        arrays = [np.asarray(a) for a in np.broadcast_arrays(*arrays)] if point_ndim == 0 else arrays
+        lead = arrays[0].shape[: arrays[0].ndim - point_ndim]
+        want = np.empty(got.shape)
+        for index in np.ndindex(lead):
+            want[index] = fn(*(a[index] for a in arrays))
+        assert np.array_equal(got, want)
+
+    def test_exception_in_fn_propagates_unchanged(self):
+        error = ValueError("bad point")
+
+        def fn(t):
+            if t > 0.5:
+                raise error
+            return t
+
+        with pytest.raises(ValueError) as info:
+            per_point(fn)(np.linspace(0.0, 1.0, 5))
+        assert info.value is error
+
+
+def test_representatives_integrate_each_distinct_surface_once(monkeypatch):
+    torus = lx.torus_group(2)
+    form = lx.EquivariantForm(area_cochain(1.0), torus)
+    rng = np.random.default_rng(3)
+    g1, g1p, g2, g2p = (random_torus_path(torus, rng, w)[0] for w in ([1, 0], [1, 0], [0, 1], [0, 1]))
+    calls = []
+    integrate = geometry.surface_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "surface_integral", counted)
+    values = lx.representative_independence_residuals(form, g1, g1p, g2, g2p, 8)
+    # four product triangles, three spanning surfaces of the products and
+    # the two fluxes of the replaced factors
+    assert len(calls) == 9
+    # the order-8 identities land near the lattice Z
+    assert all(np.max(np.abs(v - np.round(v))) < 1e-2 for v in values)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -166,6 +167,7 @@ MALFORMED = {
     "equiv_tol_null": ("equivalence_r2.json", _set("options", "equiv_tol", value=None)),
     "fd_step_string": ("r2_d2.json", _set("options", "fd_step", value="x")),
     "fd_step_zero": ("r2_d2.json", _set("options", "fd_step", value=0)),
+    "fd_step_underflow": ("r2_d2.json", _set("options", "fd_step", value=1e-300)),
     "tol_negative": ("torus_integrable.json", _set("options", "tol", value=-1)),
     "tol_infinite": ("torus_not_integrable.json", _set("options", "tol", value=float("inf"))),
     "tol_nan": ("torus_integrable.json", _set("options", "tol", value=float("nan"))),
@@ -232,6 +234,29 @@ def test_small_scale_lattice_is_accepted():
     report, code = run(parse_document(raw))
     assert code == 0
     assert report["results"]["overall"] == "integrable"
+
+
+def test_small_lattice_is_tested_in_period_units():
+    # the period 0.9999999987 is 1.3e-9 from the lattice point 10^7 * 1e-7
+    raw = _edited("torus_integrable.json", _set("lattice", "generators", value=[[1e-7]]))
+    report, code = run(parse_document(raw))
+    assert code == 0
+    (gen,) = report["results"]["generators"]
+    assert report["results"]["overall"] == "integrable"
+    assert gen["verdict"] == "member" and gen["coefficients"] == [10_000_000]
+    assert gen["residual"] < 1e-8
+
+
+@pytest.mark.parametrize("step, code", [(1e-300, 2), (1e154, 3)])
+def test_d2_step_out_of_range_exits_with_a_message(step, code, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("r2_d2.json", _set("options", "fd_step", value=step))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "step" in captured.err and "Traceback" not in captured.err
 
 
 class TestRoundTrip:

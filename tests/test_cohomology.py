@@ -208,8 +208,16 @@ class TestBetti:
 
     def test_whitehead_for_sl2_adjoint(self, sl2):
         adj = lx.adjoint_module(sl2)
-        assert lx.betti(sl2, adj, 1) == 0
-        assert lx.betti(sl2, adj, 2) == 0
+        assert [lx.betti(sl2, adj, p) for p in range(4)] == [0, 0, 0, 0]
+
+    def test_whitehead_for_sl2_standard(self, sl2):
+        # h, e, f acting on R^2: nontrivial and irreducible, so the Casimir
+        # acts invertibly on cochains and H^p vanishes in every degree
+        h, e, f = [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+        rho = np.array([h, e, f])
+        std = lx.ModuleAction(rho=rho)
+        assert lx.validate_module(sl2, std) == []
+        assert [lx.betti(sl2, std, p) for p in range(4)] == [0, 0, 0, 0]
 
     def test_basis_independence(self, heis3, rng):
         mod = lx.trivial_module(3, 1)

@@ -1,4 +1,5 @@
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,24 @@ class TestAreEquivalent:
         )
         assert not same and witness is None
         assert residual == pytest.approx(1.0)  # d1 = 0, so the gap is |omega|
+
+    @pytest.mark.parametrize("scale", [1e300, 1.5e-300])
+    def test_residual_at_the_ends_of_the_double_range(self, r2, scale):
+        mod = lx.trivial_module(2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, residual = lx.are_equivalent(
+                r2, mod, area_cochain(scale), lx.zero_cochain(2, 2, 1)
+            )
+        assert residual == pytest.approx(scale, rel=1e-15)
+
+    def test_witness_of_large_cocycles(self, sl2, rng):
+        mod = lx.trivial_module(3, 1)
+        om1, om2 = (1e200 * lx.random_cochain(2, 3, 1, rng) for _ in range(2))
+        same, witness, _ = lx.are_equivalent(sl2, mod, om1, om2, equiv_tol=1e190)
+        assert same
+        gap = lx.apply_d(sl2, mod, witness) - (om1 - om2)
+        assert gap.max_norm() < 1e-9 * (om1 - om2).max_norm()
 
     def test_sl2_trivial_coefficients_all_equivalent(self, sl2, rng):
         # H^2(sl2, R) = 0: any two cocycles differ by a coboundary
