@@ -7,7 +7,8 @@ Usage:
     lieext --fixtures
 
 Exit codes: 0 success, 2 malformed input, 3 computation rejected (e.g. a
-non-cocycle where a cocycle is required), 4 indeterminate verdict.
+non-cocycle where a cocycle is required, or a result that is not a finite
+double), 4 indeterminate verdict.
 Machine output is a single JSON report on stdout; reports are
 deterministic for a fixed document apart from the timing field.
 """
@@ -15,9 +16,12 @@ deterministic for a fixed document apart from the timing field.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from importlib import resources
+
+import numpy as np
 
 from .documents import (
     SCHEMA_VERSION,
@@ -36,10 +40,25 @@ def _digest(raw: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _non_finite(value, where="results"):
+    """Where the first NaN or infinity in a report value sits, else None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return where
+    items = value.items() if isinstance(value, dict) else ()
+    if isinstance(value, list):
+        items = enumerate(value)
+    return next(filter(None, (_non_finite(v, f"{where}[{k!r}]") for k, v in items)), None)
+
+
 def run(doc: ProblemDocument) -> tuple:
     """Run a parsed document's task; return (report dict, exit code)."""
     quad_order = _option(doc.options, ("quad_order",), DEFAULT_QUAD_ORDER, int)
-    results, warnings, code = TASKS[doc.task].run(doc, quad_order)
+    # overflow shows up as a non-finite result, rejected below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        results, warnings, code = TASKS[doc.task].run(doc, quad_order)
+    where = _non_finite(results)
+    if where is not None:
+        raise LieExtError(f"{where} is not finite")
     return (
         {
             "schema_version": SCHEMA_VERSION,
@@ -128,7 +147,7 @@ def main(argv=None) -> int:
 
     report["timing_seconds"] = time.perf_counter() - started
     if args.output == "machine":
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True, allow_nan=False))
     else:
         print(_render_text(report))
     return code

@@ -1,21 +1,24 @@
 """Cochain complexes of a Lie algebra and of a Lie group.
 
 The algebra side is concrete linear algebra: an alternating n-cochain with
-values in R^m is stored by its components on strictly increasing basis
-multi-indices, the coboundary d is assembled as a matrix in that basis, and
-kernels/images come from singular values.  The group side is an evaluator
-only: group cochains are user-supplied smooth maps and the coboundary delta
-is applied pointwise to tuples of group elements.
+values in R^m is one (C(dim, n), m) array whose rows follow the shared
+index table of strictly increasing basis multi-indices, the coboundary d is
+assembled as a matrix in that basis, and ranks and bases come from singular
+values.  The group side is an evaluator only: group cochains are
+user-supplied smooth maps and the coboundary delta is applied pointwise to
+tuples of group elements.
 
 Component order convention, fixed for every matrix in the package:
 strictly increasing multi-indices in lexicographic order, coefficient index
 varying fastest (flat position = index_position * m + coefficient).
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,31 +33,54 @@ def increasing_tuples(n_g: int, degree: int):
     return list(itertools.combinations(range(n_g), degree))
 
 
+@functools.lru_cache(maxsize=256)
+def index_table(n_g: int, degree: int) -> np.ndarray:
+    """increasing_tuples as a shared read-only (C(n_g, degree), degree) array."""
+    table = np.array(increasing_tuples(n_g, degree), dtype=np.intp).reshape(-1, degree)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class Cochain:
-    """Alternating multilinear map g^n -> R^m on a fixed algebra basis."""
+    """Alternating multilinear map g^n -> R^m on a fixed algebra basis.
+
+    values is a read-only (C(alg_dim, degree), coeff_dim) array: row p is
+    the value on the p-th row of index_table(alg_dim, degree).  It is given
+    as any array of that size (kept as a view when it already holds floats)
+    or as a {tuple: value} dict whose missing tuples are zero.
+    """
 
     degree: int
     alg_dim: int
     coeff_dim: int
-    components: Dict[tuple, np.ndarray] = field(default_factory=dict)
+    values: np.ndarray = field(default_factory=dict)
 
     def __post_init__(self):
-        expected = increasing_tuples(self.alg_dim, self.degree)
-        comps = {}
-        for key in expected:
-            val = self.components.get(key)
-            if val is None:
-                val = np.zeros(self.coeff_dim)
-            val = np.asarray(val, dtype=float).reshape(self.coeff_dim)
-            comps[key] = val
-        unknown = set(self.components) - set(expected)
-        if unknown:
-            raise MalformedInputError(
-                f"component indices {sorted(unknown)} are not strictly "
-                f"increasing degree-{self.degree} tuples in range({self.alg_dim})"
-            )
-        object.__setattr__(self, "components", comps)
+        values = self.values
+        if isinstance(values, Mapping):
+            index = {k: p for p, k in enumerate(increasing_tuples(self.alg_dim, self.degree))}
+            unknown = values.keys() - index.keys()
+            if unknown:
+                raise MalformedInputError(
+                    f"component indices {sorted(unknown)} are not strictly "
+                    f"increasing degree-{self.degree} tuples in range({self.alg_dim})"
+                )
+            rows = np.zeros((len(index), self.coeff_dim))
+            for key, val in values.items():
+                rows[index[key]] = np.asarray(val, dtype=float).reshape(self.coeff_dim)
+            values = rows
+        values = np.asarray(values, dtype=float).reshape(
+            math.comb(self.alg_dim, self.degree), self.coeff_dim
+        )
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def components(self) -> Mapping:
+        """Read-only {tuple: value} view of the rows, for serialisers."""
+        keys = increasing_tuples(self.alg_dim, self.degree)
+        return MappingProxyType(dict(zip(keys, self.values)))
 
     def __call__(self, *vectors: np.ndarray) -> np.ndarray:
         """Alternating multilinear evaluation on arbitrary vectors."""
@@ -63,94 +89,58 @@ class Cochain:
                 f"degree-{self.degree} cochain called with {len(vectors)} arguments"
             )
         if self.degree == 0:
-            return self.components[()].copy()
+            return self.values[0].copy()
         mat = np.asarray(vectors, dtype=float)
         if mat.shape != (self.degree, self.alg_dim):
-            raise MalformedInputError(
-                f"arguments must be vectors of length {self.alg_dim}"
-            )
-        for a in range(self.degree):
-            for b in range(a + 1, self.degree):
-                if np.array_equal(mat[a], mat[b]):
-                    return np.zeros(self.coeff_dim)  # alternation, exactly
-        out = np.zeros(self.coeff_dim)
-        for key, val in self.components.items():
-            minor = np.linalg.det(mat[:, key]) if self.degree > 1 else mat[0, key[0]]
-            out += minor * val
-        return out
+            raise MalformedInputError(f"arguments must be vectors of length {self.alg_dim}")
+        for a, b in itertools.combinations(range(self.degree), 2):
+            if np.array_equal(mat[a], mat[b]):
+                return np.zeros(self.coeff_dim)  # alternation, exactly
+        # minor p is det(mat[:, key_p]): one batched det over the index table
+        cols = mat[:, index_table(self.alg_dim, self.degree)]
+        return np.linalg.det(np.moveaxis(cols, 1, 0)) @ self.values
 
     def to_vector(self) -> np.ndarray:
-        """Flatten in the package component order."""
-        keys = increasing_tuples(self.alg_dim, self.degree)
-        if not keys:
-            return np.zeros(0)
-        return np.concatenate([self.components[k] for k in keys])
+        """Read-only flat view in the package component order."""
+        return self.values.reshape(-1)
 
     @staticmethod
     def from_vector(degree: int, alg_dim: int, coeff_dim: int, vec: np.ndarray) -> "Cochain":
-        keys = increasing_tuples(alg_dim, degree)
-        vec = np.asarray(vec, dtype=float).reshape(len(keys) * coeff_dim)
-        comps = {
-            k: vec[p * coeff_dim : (p + 1) * coeff_dim] for p, k in enumerate(keys)
-        }
-        return Cochain(degree, alg_dim, coeff_dim, comps)
+        return Cochain(degree, alg_dim, coeff_dim, vec)
 
     def max_norm(self) -> float:
-        vec = self.to_vector()
-        return float(np.max(np.abs(vec))) if vec.size else 0.0
+        return float(np.max(np.abs(self.values), initial=0.0))
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        return Cochain(
-            self.degree,
-            self.alg_dim,
-            self.coeff_dim,
-            {k: v + other.components[k] for k, v in self.components.items()},
-        )
+        return replace(self, values=self.values + self._values_of(other))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        self._check_compatible(other)
-        return Cochain(
-            self.degree,
-            self.alg_dim,
-            self.coeff_dim,
-            {k: v - other.components[k] for k, v in self.components.items()},
-        )
+        return replace(self, values=self.values - self._values_of(other))
 
     def __mul__(self, scalar: float) -> "Cochain":
-        return Cochain(
-            self.degree,
-            self.alg_dim,
-            self.coeff_dim,
-            {k: float(scalar) * v for k, v in self.components.items()},
-        )
+        return replace(self, values=float(scalar) * self.values)
 
     __rmul__ = __mul__
 
-    def _check_compatible(self, other: "Cochain"):
-        if (self.degree, self.alg_dim, self.coeff_dim) != (
-            other.degree,
-            other.alg_dim,
-            other.coeff_dim,
+    def _values_of(self, other: "Cochain") -> np.ndarray:
+        if (other.degree, other.alg_dim, other.coeff_dim) != (
+            self.degree, self.alg_dim, self.coeff_dim
         ):
             raise MalformedInputError("cochains have different degree or dimensions")
+        return other.values
 
 
 def zero_cochain(degree: int, alg_dim: int, coeff_dim: int) -> Cochain:
-    return Cochain(degree, alg_dim, coeff_dim, {})
+    return Cochain(degree, alg_dim, coeff_dim)
 
 
 def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
     """Cochain from {(i, j): value} style input; scalar values allowed for m=1."""
-    comps = {}
-    for key, val in pairs.items():
-        val = np.atleast_1d(np.asarray(val, dtype=float))
-        comps[tuple(key)] = val
-    return Cochain(degree, alg_dim, coeff_dim, comps)
+    return Cochain(degree, alg_dim, coeff_dim, {tuple(k): v for k, v in pairs.items()})
 
 
 def random_cochain(degree, alg_dim, coeff_dim, rng) -> Cochain:
-    size = len(increasing_tuples(alg_dim, degree)) * coeff_dim
+    size = math.comb(alg_dim, degree) * coeff_dim
     return Cochain.from_vector(degree, alg_dim, coeff_dim, rng.normal(size=size))
 
 
@@ -180,7 +170,7 @@ def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
     a k already in the rest contributes nothing (alternation).
     """
     dim, m = alg.dim, mod.coeff_dim
-    rows = np.array(increasing_tuples(dim, n + 1), dtype=np.intp).reshape(-1, n + 1)
+    rows = index_table(dim, n + 1)
     binom = np.array(
         [[math.comb(x, j) for j in range(n + 1)] for x in range(dim + 1)],
         dtype=np.intp,
@@ -211,16 +201,10 @@ def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
 def apply_d(alg: LieAlgebra, mod: ModuleAction, omega: Cochain) -> Cochain:
     """Lie algebra coboundary of omega, one degree up: d_n times omega."""
     if omega.alg_dim != alg.dim or omega.coeff_dim != mod.coeff_dim:
-        raise MalformedInputError(
-            "cochain dimensions do not match the algebra/module"
-        )
+        raise MalformedInputError("cochain dimensions do not match the algebra/module")
     n = omega.degree
-    return Cochain.from_vector(
-        n + 1,
-        alg.dim,
-        omega.coeff_dim,
-        coboundary_matrix(alg, mod, n) @ omega.to_vector(),
-    )
+    d_n = coboundary_matrix(alg, mod, n)
+    return Cochain(n + 1, alg.dim, mod.coeff_dim, d_n @ omega.to_vector())
 
 
 @dataclass(frozen=True)
@@ -251,54 +235,73 @@ class ComplexSlice:
         return self.cocycle_dim - self.coboundary_dim
 
 
-def _rank_cutoff(s: np.ndarray) -> float:
-    # relative cutoff per the fixed design, plus an absolute floor so a
-    # matrix that is entirely round-off noise counts as zero
-    return max(RANK_TOL_FACTOR * s[0], 64 * np.finfo(float).eps * max(1.0, s[0]))
+def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
+    """(rank, margin, u, vt) of mat, with u and vt only when compute_uv.
 
-
-def _kernel_basis(mat: np.ndarray) -> np.ndarray:
-    rows, cols = mat.shape
-    if cols == 0:
-        return np.zeros((0, 0))
-    if rows == 0 or not np.any(mat):
-        return np.eye(cols)
-    u, s, vt = np.linalg.svd(mat)
-    rank = int(np.sum(s > _rank_cutoff(s)))
-    return vt[rank:].T
-
-
-def _image_basis(mat: np.ndarray) -> np.ndarray:
+    The one rank cutoff of the package: relative to the largest singular
+    value, with an absolute floor so that a matrix of round-off noise counts
+    as zero.  margin = min(s_r / cut, cut / s_{r+1}) over the terms that
+    exist (a zero s_{r+1} bounds nothing) says how far the rank is from
+    changing.  An empty or all-zero matrix has rank 0, margin None and
+    identity factors.
+    """
     rows, cols = mat.shape
     if rows == 0 or cols == 0 or not np.any(mat):
-        return np.zeros((rows, 0))
-    u, s, vt = np.linalg.svd(mat)
-    rank = int(np.sum(s > _rank_cutoff(s)))
-    return u[:, :rank]
+        return 0, None, *((np.eye(rows), np.eye(cols)) if compute_uv else (None, None))
+    if compute_uv:
+        u, s, vt = np.linalg.svd(mat)
+    else:
+        u, s, vt = None, np.linalg.svd(mat, compute_uv=False), None
+    cut = max(RANK_TOL_FACTOR * s[0], 64 * np.finfo(float).eps * max(1.0, s[0]))
+    rank = int(np.sum(s > cut))
+    terms = [s[rank - 1] / cut] if rank else []
+    if rank < s.size and s[rank] > 0.0:
+        terms.append(cut / s[rank])
+    return rank, float(min(terms)), u, vt
+
+
+def _check_degree(alg: LieAlgebra, n: int):
+    if n < 0 or n > alg.dim:
+        raise MalformedInputError(f"degree {n} outside 0..{alg.dim}")
 
 
 def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> ComplexSlice:
     """Assemble d_n and d_{n-1} and extract cocycle/coboundary bases."""
-    if n < 0 or n > alg.dim:
-        raise MalformedInputError(f"degree {n} outside 0..{alg.dim}")
+    _check_degree(alg, n)
     d_n = coboundary_matrix(alg, mod, n)
-    if n == 0:
-        b_basis = np.zeros((d_n.shape[1], 0))
-    else:
-        b_basis = _image_basis(coboundary_matrix(alg, mod, n - 1))
-    return ComplexSlice(
-        n=n,
-        alg_dim=alg.dim,
-        coeff_dim=mod.coeff_dim,
-        d_matrix=d_n,
-        z_basis=_kernel_basis(d_n),
-        b_basis=b_basis,
-    )
+    d_prev = coboundary_matrix(alg, mod, n - 1) if n else np.zeros((d_n.shape[1], 0))
+    rank, _, _, vt = _svd_rank(d_n, compute_uv=True)
+    rank_prev, _, u, _ = _svd_rank(d_prev, compute_uv=True)
+    return ComplexSlice(n, alg.dim, mod.coeff_dim, d_n, vt[rank:].T, u[:, :rank_prev])
+
+
+def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]) -> list:
+    """One row per degree n: dim C^n, dim Z^n, dim B^n, betti and the rank
+    margin of d_n.
+
+    Only ranks are needed, b_n = dim C^n - rank d_n - rank d_{n-1}, so each
+    d_n the degrees need is assembled once and only its singular values
+    are taken.
+    """
+    for n in degrees:
+        _check_degree(alg, n)
+    needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
+    ranks = {k: _svd_rank(coboundary_matrix(alg, mod, k))[:2] for k in needed}
+    table = []
+    for n in degrees:
+        rank, margin = ranks[n]
+        rank_prev = ranks.get(n - 1, (0,))[0]
+        dim_c = math.comb(alg.dim, n) * mod.coeff_dim
+        table.append(dict(
+            degree=n, cochain_dim=dim_c, cocycle_dim=dim_c - rank, coboundary_dim=rank_prev,
+            betti=dim_c - rank - rank_prev, rank_margin=margin,
+        ))
+    return table
 
 
 def betti(alg: LieAlgebra, mod: ModuleAction, n: int) -> int:
     """dim H^n(g, a) = dim ker d_n - rank d_{n-1}."""
-    return build_complex_slice(alg, mod, n).betti
+    return cohomology_table(alg, mod, [n])[0]["betti"]
 
 
 def cohomology_representatives(slice_: ComplexSlice) -> list:
@@ -309,20 +312,10 @@ def cohomology_representatives(slice_: ComplexSlice) -> list:
     Cochain objects (betti of them).
     """
     z, b = slice_.z_basis, slice_.b_basis
-    if z.shape[1] == 0:
-        return []
-    if b.shape[1] == 0:
-        proj = z
-    else:
-        coeffs, *_ = np.linalg.lstsq(b, z, rcond=None)
-        proj = z - b @ coeffs
-    u, s, vt = np.linalg.svd(proj, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
-    rank = int(np.sum(s > RANK_TOL_FACTOR * s[0]))
-    reps = u[:, :rank]
+    coeffs, *_ = np.linalg.lstsq(b, z, rcond=None)
+    rank, _, u, _ = _svd_rank(z - b @ coeffs, compute_uv=True)
     return [
-        Cochain.from_vector(slice_.n, slice_.alg_dim, slice_.coeff_dim, reps[:, i])
+        Cochain.from_vector(slice_.n, slice_.alg_dim, slice_.coeff_dim, u[:, i])
         for i in range(rank)
     ]
 

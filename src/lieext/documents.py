@@ -33,7 +33,7 @@ from .algebra import (
 from .cohomology import (
     Cochain,
     GroupCochain,
-    build_complex_slice,
+    cohomology_table,
     is_cocycle,
     normalization_residual,
 )
@@ -661,18 +661,7 @@ def _render_validate(results):
 
 
 def _run_cohomology(doc, quad_order):
-    table = []
-    for n in _degrees(doc.options):
-        sl = build_complex_slice(doc.algebra, doc.module, n)
-        table.append(
-            {
-                "degree": sl.n,
-                "cochain_dim": sl.cochain_dim,
-                "cocycle_dim": sl.cocycle_dim,
-                "coboundary_dim": sl.coboundary_dim,
-                "betti": sl.betti,
-            }
-        )
+    table = cohomology_table(doc.algebra, doc.module, _degrees(doc.options))
     return {"slices": table}, [], EXIT_OK
 
 
@@ -680,7 +669,8 @@ def _render_cohomology(results):
     return [
         f"degree {sl['degree']}: dim C = {sl['cochain_dim']}, "
         f"dim Z = {sl['cocycle_dim']}, dim B = {sl['coboundary_dim']}, "
-        f"betti = {sl['betti']}"
+        f"betti = {sl['betti']}, rank margin = "
+        + ("n/a" if sl["rank_margin"] is None else f"{sl['rank_margin']:.2e}")
         for sl in results["slices"]
     ]
 

@@ -24,7 +24,7 @@ from .algebra import (
     ModuleAction,
     reduce_mod_lattice,
 )
-from .cohomology import Cochain, GroupCochain, apply_d, coboundary_matrix
+from .cohomology import Cochain, GroupCochain, apply_d, coboundary_matrix, index_table
 from .errors import MalformedInputError, NotACocycleError
 
 DEFAULT_EQUIV_TOL = 1e-8
@@ -85,14 +85,12 @@ def build_algebra_extension(
     n, m = alg.dim, mod.coeff_dim
     total = np.zeros((n + m, n + m, n + m))
     total[:n, :n, :n] = alg.structure_constants
-    for key, val in omega.components.items():
-        i, j = key
-        total[i, j, n:] = val
-        total[j, i, n:] = -val
-    # [(e_i, 0), (0, f_b)] = (0, rho_i f_b)
-    for i in range(n):
-        total[i, n:, n:] = mod.rho[i].T  # total[i, n+b, n+a] = rho[i][a, b]
-        total[n:, i, n:] = -mod.rho[i].T
+    i, j = index_table(n, 2).T
+    total[i, j, n:] = omega.values
+    total[j, i, n:] = -omega.values
+    # [(e_i, 0), (0, f_b)] = (0, rho_i f_b): total[i, n+b, n+a] = rho[i][a, b]
+    total[:n, n:, n:] = mod.rho.transpose(0, 2, 1)
+    total[n:, :n, n:] = -mod.rho.transpose(2, 0, 1)
     return AlgebraExtension(base=alg, coeff=mod, cocycle=omega, total=LieAlgebra(total))
 
 
@@ -107,23 +105,25 @@ def are_equivalent(
 
     Returns (verdict, witness 1-cochain or None, least-squares residual).
     The witness is the minimum-norm solution of d_1 lambda = omega1 - omega2.
+    A residual beyond the double range is returned as inf.
     """
+    d2 = coboundary_matrix(alg, mod, 2)
     for omega in (omega1, omega2):
-        res = apply_d(alg, mod, omega).max_norm()
+        if (omega.degree, omega.alg_dim, omega.coeff_dim) != (2, alg.dim, mod.coeff_dim):
+            raise MalformedInputError("cocycles must be 2-cochains on the algebra/module")
+        res = float(np.max(np.abs(d2 @ omega.to_vector()), initial=0.0))
         if res >= DEFAULT_TOL_ALG:
             raise NotACocycleError(
                 f"input is not a cocycle (residual {res:.3e})", residual=res
             )
-    diff = (omega1 - omega2).to_vector()
-    # Solve for diff divided by a power of two near its largest entry, so
-    # that squares near the top of the double range do not overflow in the
-    # norm; dividing by a power of two is exact, so other values keep every bit.
-    scale = float(np.ldexp(1.0, np.frexp(np.max(np.abs(diff), initial=0.0))[1] - 1))
-    unit = diff / scale
+    # Solve for omega1 - omega2 divided by a power of two near the largest
+    # input entry, so that neither the difference nor the squares in the
+    # norm overflow; dividing by a power of two is exact, so other values
+    # keep every bit.
+    big = max(omega1.max_norm(), omega2.max_norm())
+    scale = float(np.ldexp(1.0, np.frexp(big)[1] - 1))
+    unit = omega1.to_vector() / scale - omega2.to_vector() / scale
     d1 = coboundary_matrix(alg, mod, 1)
-    if d1.shape[1] == 0:
-        residual = scale * float(np.linalg.norm(unit))
-        return residual < equiv_tol, None, residual
     sol, *_ = np.linalg.lstsq(d1, unit, rcond=None)
     residual = scale * float(np.linalg.norm(d1 @ sol - unit))
     if residual < equiv_tol:

@@ -34,7 +34,7 @@ from .algebra import (
     trivial_module,
 )
 from .batch import per_point, vectorized
-from .cohomology import Cochain, GroupCochain
+from .cohomology import Cochain, GroupCochain, index_table
 from .errors import (
     BoundaryMismatchError,
     LieExtError,
@@ -79,10 +79,6 @@ class EquivariantForm:
             raise MalformedInputError(
                 "cochain coefficient dimension does not match the group action"
             )
-        pairs = np.triu_indices(self.cochain.alg_dim, 1)  # the lex order of the components
-        values = self.cochain.to_vector().reshape(len(pairs[0]), self.cochain.coeff_dim)
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_values", values)
 
     def module(self):
         """The coefficient module, resized when the group's is a placeholder."""
@@ -106,9 +102,9 @@ def eval_equivariant(
     group = form.group
     x = group.tangent_coefficients(g, u)
     y = group.tangent_coefficients(g, v)
-    i, j = form._pairs
+    i, j = index_table(form.cochain.alg_dim, 2).T
     minors = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-    return group.mod_action.act(g, minors @ form._values)
+    return group.mod_action.act(g, minors @ form.cochain.values)
 
 
 @dataclass(frozen=True)
@@ -544,13 +540,12 @@ def derived_cochain(
 ) -> Cochain:
     """Assemble the derived algebra 2-cochain on all basis pairs."""
     n = group.algebra.dim
-    comps = {}
     eye = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            comps[(i, j)] = differentiate_group_cocycle(group, f, eye[i], eye[j], step)
-    m = f.coeff_dim
-    return Cochain(2, n, m, comps)
+    values = [
+        differentiate_group_cocycle(group, f, eye[i], eye[j], step)
+        for i, j in index_table(n, 2)
+    ]
+    return Cochain(2, n, f.coeff_dim, values)
 
 
 def cocycle_recovery_residual(

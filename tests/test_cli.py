@@ -259,6 +259,65 @@ def test_d2_step_out_of_range_exits_with_a_message(step, code, tmp_path, capsys)
     assert "step" in captured.err and "Traceback" not in captured.err
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, as a strict parser does."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _equivalence_of(value1, value2):
+    raw = json.loads(load_fixture("equivalence_r2.json"))
+    raw["cocycle"]["components"][0]["value"] = [value1]
+    raw["cocycle2"]["components"] = [{"indices": [0, 1], "value": [value2]}]
+    return raw
+
+
+def _gamma_of_big_cocycle():
+    raw = json.loads(load_fixture("torus_gamma.json"))
+    raw["cocycle"]["components"][0]["value"] = [1.7e308]
+    raw["paths"] = {"p1": {"coords": ["3*t", "0"]}, "p2": {"coords": ["0", "3*t"]}}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        (_equivalence_of(1.7e308, -1.7e308), "results['residual']"),
+        (_gamma_of_big_cocycle(), "results['value'][0]"),
+    ],
+    ids=["equivalence_residual", "gamma_value"],
+)
+def test_non_finite_result_is_rejected(raw, field, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path), "--output", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"computation rejected: {field} is not finite\n"
+
+
+def test_equivalence_near_the_top_of_the_double_range(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_equivalence_of(1e308, -5e307)))
+    assert main([str(path), "--output", "machine"]) == 0
+    captured = capsys.readouterr()
+    results = _strict_json(captured.out)["results"]
+    assert results == {"equivalent": False, "residual": 1.5e308}
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "entry", json.loads((FIXTURES / "index.json").read_text()), ids=lambda e: e["file"]
+)
+def test_fixture_machine_report_is_strict_json(entry, capsys):
+    code = main([str(FIXTURES / entry["file"]), "--output", "machine"])
+    assert code == entry["expected_exit"]
+    out = capsys.readouterr().out
+    if out:
+        assert _strict_json(out)["task"] == entry["task"]
+
+
 class TestRoundTrip:
     def test_extension_serialization_reparses_identically(self):
         doc = parse_document(load_fixture("extend_heis3.json"))

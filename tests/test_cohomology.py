@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lieext as lx
+import lieext.cohomology
 from lieext.errors import MalformedInputError
 
 
@@ -95,6 +96,25 @@ class TestCochain:
     def test_bad_component_indices_rejected(self):
         with pytest.raises(MalformedInputError):
             lx.Cochain(2, 3, 1, {(1, 0): np.array([1.0])})
+
+    def test_dict_and_vector_input_agree(self, rng):
+        vec = rng.normal(size=10 * 2)
+        pairs = {key: vec[2 * p : 2 * p + 2] for p, key in enumerate(lx.increasing_tuples(5, 3))}
+        from_dict = lx.Cochain(3, 5, 2, pairs)
+        from_vec = lx.Cochain.from_vector(3, 5, 2, vec)
+        assert from_dict.values.shape == from_vec.values.shape == (10, 2)
+        assert np.array_equal(from_dict.values, from_vec.values)
+        assert np.array_equal(from_dict.to_vector(), vec)
+        assert all(np.array_equal(pairs[k], v) for k, v in from_vec.components.items())
+
+    def test_storage_is_one_read_only_array(self, rng):
+        vec = rng.normal(size=3)
+        om = lx.Cochain.from_vector(2, 3, 1, vec)
+        assert np.shares_memory(om.to_vector(), vec)
+        with pytest.raises(ValueError):
+            om.to_vector()[0] = 1.0
+        with pytest.raises(TypeError):
+            om.components[(0, 1)] = np.ones(1)
 
 
 class TestApplyD:
@@ -196,6 +216,64 @@ class TestComplexSlice:
     def test_top_degree_kernel_is_everything(self, heis3):
         sl = lx.build_complex_slice(heis3, lx.trivial_module(3, 1), 3)
         assert sl.cocycle_dim == sl.cochain_dim == 1
+
+
+class TestCohomologyTable:
+    def _cases(self, rng):
+        sl2_h3 = lx.direct_sum(lx.sl2_algebra(), lx.heisenberg3_algebra())
+        h5 = lx.change_of_basis(
+            heisenberg_algebra(2), rng.normal(size=(5, 5)) + 3 * np.eye(5)
+        )
+        return [
+            (sl2_h3, lx.trivial_module(6, 2)),
+            (h5, lx.adjoint_module(h5)),
+            (lx.abelian_algebra(0), lx.trivial_module(0, 1)),
+        ]
+
+    def test_each_d_n_assembled_once(self, monkeypatch, rng):
+        calls = []
+        original = lieext.cohomology.coboundary_matrix
+
+        def counting(alg, mod, n):
+            calls.append(n)
+            return original(alg, mod, n)
+
+        monkeypatch.setattr(lieext.cohomology, "coboundary_matrix", counting)
+        for alg, mod in self._cases(rng):
+            calls.clear()
+            lx.cohomology_table(alg, mod, range(alg.dim + 1))
+            assert sorted(calls) == list(range(alg.dim + 1))  # not 2 dim + 1
+
+    def test_degrees_checked_before_any_assembly(self, monkeypatch, sl2):
+        monkeypatch.setattr(lieext.cohomology, "coboundary_matrix", None)
+        with pytest.raises(MalformedInputError, match="degree 4 outside 0..3"):
+            lx.cohomology_table(sl2, lx.trivial_module(3, 1), [0, 1, 4])
+
+    def test_matches_complex_slices(self, rng):
+        for alg, mod in self._cases(rng):
+            table = lx.cohomology_table(alg, mod, range(alg.dim + 1))
+            for n, row in enumerate(table):
+                sl = lx.build_complex_slice(alg, mod, n)
+                assert (
+                    row["degree"],
+                    row["cochain_dim"],
+                    row["cocycle_dim"],
+                    row["coboundary_dim"],
+                    row["betti"],
+                ) == (n, sl.cochain_dim, sl.cocycle_dim, sl.coboundary_dim, sl.betti)
+
+    @pytest.mark.parametrize("eps, rank", [(1e-13, 1), (1e-15, 0)])
+    def test_rank_margin_near_the_cutoff(self, eps, rank):
+        mod = lx.ModuleAction(rho=np.array([[[eps]]]))
+        (row,) = lx.cohomology_table(lx.abelian_algebra(1), mod, [0])
+        assert row["cocycle_dim"] == 1 - rank
+        assert 1.0 < row["rank_margin"] < 100.0
+
+    def test_rank_margin_of_sl2_adjoint(self, sl2):
+        table = lx.cohomology_table(sl2, lx.adjoint_module(sl2), range(4))
+        assert [row["betti"] for row in table] == [0, 0, 0, 0]
+        assert all(row["rank_margin"] > 1e6 for row in table[:3])
+        assert table[3]["rank_margin"] is None  # d_3 maps into C^4 = 0
 
 
 class TestBetti:

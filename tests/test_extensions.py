@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lieext as lx
-from lieext.errors import NotACocycleError
+from lieext.errors import MalformedInputError, NotACocycleError
 
 from conftest import area_cochain
 
@@ -147,6 +147,19 @@ class TestAreEquivalent:
                 r2, mod, area_cochain(scale), lx.zero_cochain(2, 2, 1)
             )
         assert residual == pytest.approx(scale, rel=1e-15)
+
+    def test_residual_beyond_the_double_range_is_inf(self, r2):
+        # 1.7e308 - (-1.7e308) overflows; the difference is taken at a
+        # power-of-two scale, so only the reported residual is infinite
+        mod = lx.trivial_module(2, 1)
+        result = lx.are_equivalent(r2, mod, area_cochain(1.7e308), area_cochain(-1.7e308))
+        assert result == (False, None, np.inf)
+
+    def test_inputs_must_be_2_cochains(self, heis3):
+        mod = lx.trivial_module(3, 1)
+        three = lx.zero_cochain(3, 3, 1)
+        with pytest.raises(MalformedInputError):
+            lx.are_equivalent(heis3, mod, three, three)
 
     def test_witness_of_large_cocycles(self, sl2, rng):
         mod = lx.trivial_module(3, 1)
