@@ -277,15 +277,11 @@ def lattice_member(
     the nearest point in the basis of the generators.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (lat.ambient_dim,) and lat.rank > 0:
+    if v.shape != (lat.ambient_dim,):
         raise MalformedInputError(
             f"vector length {v.shape} does not match lattice ambient dimension "
             f"{lat.ambient_dim}"
         )
-    if lat.rank == 0:
-        res = float(np.linalg.norm(v))
-        verdict = "member" if res < tol_lat else "not_member"
-        return LatticeMembership(verdict, np.zeros(0, dtype=int), res)
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
     offset = reduce_mod_lattice(lat, v)

@@ -6,9 +6,17 @@ Usage:
     lieext - < PROBLEM.json
     lieext --fixtures
 
-Exit codes: 0 success, 2 malformed input, 3 computation rejected (e.g. a
-non-cocycle where a cocycle is required, or a result that is not a finite
-double), 4 indeterminate verdict.
+A document's "options" may set four names: quad_order (an integer from 1
+to MAX_QUAD_ORDER = 256, default 16), tol (a positive number; default 1e-9
+for validate and extend, 1e-8 for equivalence, 1e-6 for check-integrability
+and pi1), fd_step (a positive number, default 1e-3 for d2) and degrees (a
+list of integers, default [2] for cohomology).  Any other name exits 2.
+The flags --quad-order, --tol and --fd-step are written into the
+document's options before it is parsed and override the values there.
+
+Exit codes: 0 success, 2 malformed input (an unknown option included),
+3 computation rejected (e.g. a non-cocycle where a cocycle is required, or
+a result that is not a finite double), 4 indeterminate verdict.
 Machine output is a single JSON report on stdout; reports are
 deterministic for a fixed document apart from the timing field.
 """
@@ -27,12 +35,10 @@ from .documents import (
     SCHEMA_VERSION,
     TASKS,
     ProblemDocument,
-    _option,
     load_json,
     parse_document,
 )
 from .errors import EXIT_INPUT, EXIT_OK, DocumentError, LieExtError
-from .geometry import DEFAULT_QUAD_ORDER
 
 
 def _digest(raw: dict) -> str:
@@ -52,10 +58,9 @@ def _non_finite(value, where="results"):
 
 def run(doc: ProblemDocument) -> tuple:
     """Run a parsed document's task; return (report dict, exit code)."""
-    quad_order = _option(doc.options, ("quad_order",), DEFAULT_QUAD_ORDER, int)
     # overflow shows up as a non-finite result, rejected below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        results, warnings, code = TASKS[doc.task].run(doc, quad_order)
+        results, warnings, code = TASKS[doc.task].run(doc)
     where = _non_finite(results)
     if where is not None:
         raise LieExtError(f"{where} is not finite")
@@ -133,13 +138,19 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise DocumentError(f"cannot read {args.document}: {exc}") from None
         raw = load_json(text)
-        if args.task and isinstance(raw, dict):
-            raw["task"] = args.task
-        doc = parse_document(raw)
-        for option in ("quad_order", "tol", "fd_step"):
-            if getattr(args, option) is not None:
-                doc.options[option] = getattr(args, option)
-        report, code = run(doc)
+        flags = {
+            name: getattr(args, name)
+            for name in ("quad_order", "tol", "fd_step")
+            if getattr(args, name) is not None
+        }
+        if isinstance(raw, dict):
+            if args.task:
+                raw["task"] = args.task
+            # flags override the document and go through the same checks;
+            # a non-object options is left for parse_document to reject
+            if flags and isinstance(raw.setdefault("options", {}), dict):
+                raw["options"].update(flags)
+        report, code = run(parse_document(raw))
     except LieExtError as exc:
         kind = "input error" if exc.exit_code == EXIT_INPUT else "computation rejected"
         print(f"{kind}: {exc}", file=sys.stderr)

@@ -248,11 +248,17 @@ def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
     rows, cols = mat.shape
     if rows == 0 or cols == 0 or not np.any(mat):
         return 0, None, *((np.eye(rows), np.eye(cols)) if compute_uv else (None, None))
+    # Work on mat divided by the power of two at its largest entry, with the
+    # cutoff in the same units, so that the singular values of a matrix near
+    # the top of the double range stay finite; dividing by a power of two is
+    # exact.  Entries below 1 are left as they are: their cutoff is the floor.
+    scale = max(1.0, float(np.ldexp(1.0, np.frexp(np.max(np.abs(mat)))[1] - 1)))
+    mat = mat / scale
     if compute_uv:
         u, s, vt = np.linalg.svd(mat)
     else:
         u, s, vt = None, np.linalg.svd(mat, compute_uv=False), None
-    cut = max(RANK_TOL_FACTOR * s[0], 64 * np.finfo(float).eps * max(1.0, s[0]))
+    cut = max(RANK_TOL_FACTOR * s[0], 64 * np.finfo(float).eps * max(1.0 / scale, s[0]))
     rank = int(np.sum(s > cut))
     terms = [s[rank - 1] / cut] if rank else []
     if rank < s.size and s[rank] > 0.0:

@@ -6,12 +6,13 @@ matrices and an optional group-action expression), lattice, group (a named
 built-in or an explicit matrix realization), cocycles, and parametric
 paths/loops/cycles written in the small expression grammar (variables t
 and s).  Indices are 0-based throughout.  parse_document builds and
-cross-checks the in-memory objects; TASKS holds, for each task, the
-sections it needs, how it runs and how its results read as text.
+cross-checks the in-memory objects and reads the options against OPTIONS;
+TASKS holds, for each task, the sections it needs, how it runs and how its
+results read as text.  Numbers are read by two readers only: _integer and
+_reals.
 """
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
@@ -55,6 +56,7 @@ from .extensions import (
 )
 from .geometry import (
     DEFAULT_D2_STEP,
+    DEFAULT_QUAD_ORDER,
     EquivariantForm,
     Surface2Chain,
     SurfacePatch,
@@ -80,6 +82,9 @@ from .integrability import (
 )
 
 SCHEMA_VERSION = 1
+# Above 64 a patch is integrated over slices of its stencil; far above it,
+# Gauss-Legendre nodes alone would exhaust memory.
+MAX_QUAD_ORDER = 256
 
 
 @dataclass
@@ -99,7 +104,7 @@ class ProblemDocument:
     cycles: Optional[CycleSet] = None
     pair: Optional[tuple] = None
     cochain_expr: Optional[list] = None
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)  # name -> value, as OPTIONS reads it
 
 
 def _require(condition, message):
@@ -107,27 +112,41 @@ def _require(condition, message):
         raise DocumentError(message)
 
 
-def _as_float_array(obj, shape_desc, context):
+def _integer(value, context, low=None, high=None) -> int:
+    """value as a JSON integer (never a boolean) in [low, high] where given."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or value >= low) and (high is None or value <= high):
+            return value
+    bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    raise DocumentError(f"{context} must be an integer{bounds}, got {value!r}")
+
+
+def _reals(value, context, shape=None) -> np.ndarray:
+    """value, a number or nested lists of numbers, as a float array; the
+    numbers must be finite JSON numbers, never booleans or strings, and the
+    array of the given shape when one is given."""
+    arr = np.array(value, dtype=object)
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{context}: expected {shape_desc}: {exc}") from None
+        ok = set(map(type, arr.ravel().tolist())) <= {int, float}
+        arr = arr.astype(float) if ok else None
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    _require(
+        arr is not None and np.isfinite(arr).all(),
+        f"{context}: expected finite numbers, not booleans or strings",
+    )
+    _require(
+        shape is None or arr.shape == shape,
+        f"{context}: got shape {arr.shape}, expected {shape}",
+    )
     return arr
 
 
-def _finite(arr: np.ndarray, context) -> np.ndarray:
-    _require(np.isfinite(arr).all(), f"{context}: expected finite numbers")
-    return arr
-
-
-def _real(value, context) -> float:
-    """value as a finite float; DocumentError for anything else, booleans too."""
-    try:
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):  # not a number, or an integer beyond the float range
-        pass
-    raise DocumentError(f"{context}: expected a finite number, got {value!r}")
+def _positive(value, context) -> float:
+    """value as one finite JSON number above zero."""
+    number = float(_reals(value, context, ()))
+    _require(number > 0, f"{context} must be positive, got {value!r}")
+    return number
 
 
 def _list(value, context) -> list:
@@ -142,56 +161,49 @@ def _name(value, context) -> str:
     return value
 
 
-def _count(section: dict, key: str, context: str) -> int:
-    """section[key], required to be a non-negative integer."""
-    _require(key in section, f"{context} needs a {key!r} field")
-    value = section[key]
-    _require(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 0,
-        f"{context} {key} must be a non-negative integer, got {value!r}",
-    )
-    return value
+# The options a document may set, each with the reader of its value.  A task
+# reads the ones it uses and keeps its own default for one left out.
+OPTIONS = {
+    "quad_order": lambda value, context: _integer(value, context, 1, MAX_QUAD_ORDER),
+    "tol": _positive,
+    "fd_step": _positive,
+    "degrees": lambda value, context: [
+        _integer(n, context, low=0) for n in _list(value, context)
+    ],
+}
+
+
+def _parse_options(options) -> dict:
+    _require(isinstance(options, dict), "options must be an object")
+    read = {}
+    for name, value in options.items():
+        _require(name in OPTIONS, f"unknown option {name!r}; options are {', '.join(OPTIONS)}")
+        read[name] = OPTIONS[name](value, f"option {name!r}")
+    return read
 
 
 def _parse_algebra(section) -> LieAlgebra:
     _require(isinstance(section, dict), "algebra section must be an object")
-    n = _count(section, "dim", "algebra")
+    n = _integer(section.get("dim"), "algebra dim", low=0)
     labels = _list(section.get("labels", []), "algebra.labels")
     labels = tuple(_name(label, "algebra label") for label in labels)
     if "structure_constants_dense" in section:
-        c = _as_float_array(
-            section["structure_constants_dense"], "an n x n x n array", "algebra"
-        )
-        if c.shape != (n, n, n):
-            raise DocumentError(
-                f"algebra: dense structure constants have shape {c.shape}, "
-                f"expected {(n, n, n)}"
-            )
+        c = _reals(section["structure_constants_dense"], "algebra: dense structure constants",
+                   (n, n, n))
     else:
         c = np.zeros((n, n, n))
         rows = _list(section.get("structure_constants", []), "algebra.structure_constants")
-        for entry in rows:
-            _require(
-                isinstance(entry, (list, tuple)) and len(entry) == 4,
-                "algebra: sparse structure constants are [i, j, k, value] rows",
-            )
-            i, j, k, value = entry
-            _require(
-                all(isinstance(x, int) for x in (i, j, k)),
-                f"algebra: indices must be integers in {entry}",
-            )
-            _require(
-                0 <= i < n and 0 <= j < n and 0 <= k < n,
-                f"algebra: index out of range in {entry}",
-            )
-            _require(i < j, f"algebra: sparse rows need i < j, got {entry}")
-            try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):
-                raise DocumentError(f"algebra: value in {entry} is not a number") from None
+        _require(
+            all(isinstance(entry, list) and len(entry) == 4 for entry in rows),
+            "algebra: sparse structure constants are [i, j, k, value] rows",
+        )
+        values = _reals([entry[3] for entry in rows], "algebra: sparse values", (len(rows),))
+        for entry, value in zip(rows, values):
+            i, j, k = (_integer(x, "algebra: sparse index", low=0) for x in entry[:3])
+            if not (i < j < n and k < n):
+                raise DocumentError(f"algebra: sparse row {entry} needs i < j < dim and k < dim")
             c[i, j, k] = value
             c[j, i, k] = -value  # antisymmetric partner filled by convention
-    _finite(c, "algebra")
     try:
         return LieAlgebra(structure_constants=c, basis_labels=labels)
     except MalformedInputError as exc:
@@ -237,17 +249,12 @@ def _compile_exprs(strings, context):
 
 def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGroup]) -> ModuleAction:
     _require(isinstance(section, dict), "module section must be an object")
-    m = _count(section, "coeff_dim", "module")
+    m = _integer(section.get("coeff_dim"), "module coeff_dim", low=0)
     dim = alg.dim if alg is not None else (group.algebra.dim if group else None)
     _require(dim is not None, "module section needs an algebra or group to attach to")
+    rho = np.zeros((dim, m, m))
     if "rho" in section:
-        rho = _finite(_as_float_array(section["rho"], "an n x m x m array", "module"), "module")
-        if rho.shape != (dim, m, m):
-            raise DocumentError(
-                f"module: rho has shape {rho.shape}, expected {(dim, m, m)}"
-            )
-    else:
-        rho = np.zeros((dim, m, m))
+        rho = _reals(section["rho"], "module: rho", (dim, m, m))
     action = None
     ga = section.get("group_action")
     if ga is not None and ga != "trivial":
@@ -274,7 +281,7 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
 
 def _parse_lattice(section, coeff_dim: Optional[int]) -> Lattice:
     _require(isinstance(section, dict), "lattice section must be an object")
-    gens = _as_float_array(section.get("generators", []), "an r x m array", "lattice")
+    gens = _reals(section.get("generators", []), "lattice: generators")
     if gens.size == 0:
         m = coeff_dim if coeff_dim else 1
         gens = np.zeros((0, m))
@@ -295,8 +302,7 @@ def _parse_group(section) -> MatrixGroup:
     _require(isinstance(section, dict), "group section must be an object")
     kind = section.get("kind")
     if kind in ("torus", "translation"):
-        k = _count(section, "dim", f"{kind} group")
-        _require(k > 0, f"{kind} group dim must be positive")
+        k = _integer(section.get("dim"), f"{kind} group dim", low=1)
         return (torus_group if kind == "torus" else translation_group)(k)
     if kind == "su2":
         return su2_group()
@@ -304,8 +310,7 @@ def _parse_group(section) -> MatrixGroup:
         return heisenberg_group()
     if kind == "matrix":
         _require("basis" in section, "matrix group needs 'basis'")
-        basis = _as_float_array(section["basis"], "an n x d x d array", "group.basis")
-        basis = _finite(basis, "group.basis")
+        basis = _reals(section["basis"], "group.basis")
         _require("algebra" in section, "matrix group needs structure constants (via 'algebra')")
         alg = _parse_algebra(section["algebra"])
         try:
@@ -325,38 +330,28 @@ def _parse_group(section) -> MatrixGroup:
 
 def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> Cochain:
     _require(isinstance(section, dict), f"{context} section must be an object")
-    degree = section.get("degree", 2)
-    _require(
-        isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0,
-        f"{context}: degree must be a non-negative integer, got {degree!r}",
-    )
+    degree = _integer(section.get("degree", 2), f"{context}: degree", low=0)
     comps = {}
     for entry in _list(section.get("components", []), f"{context}.components"):
         _require(
             isinstance(entry, dict) and "indices" in entry and "value" in entry,
             f"{context}: components are objects with 'indices' and 'value'",
         )
-        idx = tuple(_list(entry["indices"], f"{context}: indices"))
-        _require(
-            len(idx) == degree and all(isinstance(i, int) for i in idx),
-            f"{context}: indices {idx} must be {degree} integers",
+        idx = tuple(
+            _integer(i, f"{context}: index", low=0)
+            for i in _list(entry["indices"], f"{context}: indices")
         )
+        _require(len(idx) == degree, f"{context}: indices {idx} must be {degree} integers")
         _require(
             tuple(sorted(idx)) == idx and len(set(idx)) == degree,
             f"{context}: indices {idx} must be strictly increasing",
         )
-        value = np.atleast_1d(_as_float_array(entry["value"], "a vector", context))
-        if value.shape != (coeff_dim,):
-            raise DocumentError(
-                f"{context}: value for {idx} has length {value.shape[0]}, "
-                f"expected {coeff_dim}"
-            )
-        comps[idx] = value
+        value = entry["value"] if isinstance(entry["value"], list) else [entry["value"]]
+        comps[idx] = _reals(value, f"{context}: value for {idx}", (coeff_dim,))
     try:
         cochain = Cochain(degree, alg_dim, coeff_dim, comps)
     except MalformedInputError as exc:
         raise DocumentError(f"{context}: {exc}") from None
-    _finite(cochain.to_vector(), context)
     return cochain
 
 
@@ -402,7 +397,7 @@ def _map_eval(entries, group: MatrixGroup, var_names, context):
         )
         compiled = [
             [
-                _real(e, context) if isinstance(e, (int, float))
+                float(_reals(e, context, ())) if isinstance(e, (int, float))
                 else _compile_exprs([e], context)[0]
                 for e in row
             ]
@@ -424,8 +419,7 @@ def _parse_path(entries, group: MatrixGroup, context) -> GroupPath:
 def _parse_patch(entry, group: MatrixGroup, context) -> SurfacePatch:
     _require(isinstance(entry, dict), f"{context} must be an object")
     domain = entry.get("domain", "square")
-    coeff = entry.get("coefficient", 1)
-    _require(isinstance(coeff, int), f"{context}: coefficient must be an integer")
+    coeff = _integer(entry.get("coefficient", 1), f"{context}: coefficient")
     ev = _map_eval(entry, group, ("t", "s"), context)
     try:
         return SurfacePatch(eval=ev, domain=domain, coefficient=coeff)
@@ -453,9 +447,8 @@ def parse_document(text_or_dict) -> ProblemDocument:
         isinstance(task, str) and task in TASKS,
         f"task must be one of {', '.join(TASKS)}; got {task!r}",
     )
-    options = raw.get("options", {})
-    _require(isinstance(options, dict), "options must be an object")
-    doc = ProblemDocument(task=task, raw=raw, options=dict(options))
+    options = _parse_options(raw.get("options", {}))
+    doc = ProblemDocument(task=task, raw=raw, options=options)
 
     if "group" in raw:
         doc.group = _parse_group(raw["group"])
@@ -499,11 +492,8 @@ def parse_document(text_or_dict) -> ProblemDocument:
             _require(isinstance(entry, dict), "loops entries must be objects")
             name = _name(entry.get("name", f"loop{pos}"), "loop name")
             if "winding" in entry:
-                winding = entry["winding"]
-                _require(
-                    isinstance(winding, list) and all(isinstance(w, int) for w in winding),
-                    f"loops[{name!r}]: winding must be a list of integers",
-                )
+                context = f"loops[{name!r}]: winding"
+                winding = [_integer(w, context) for w in _list(entry["winding"], context)]
                 _require(
                     doc.group.chart is not None and len(winding) == doc.group.chart.dim,
                     f"loops[{name!r}]: winding length must match the group's "
@@ -574,49 +564,9 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
 
 # ---------------------------------------------------------------------------
-# Tasks: each runner maps (document, quadrature order) to (results, warnings,
-# exit code) and each renderer maps results to the lines of the text report.
+# Tasks: each runner maps a document to (results, warnings, exit code) and
+# each renderer maps results to the lines of the text report.
 # Runners call library functions through this module's globals.
-
-
-def _number(name: str, value, kind=float):
-    """value as kind (int or float); MalformedInputError when it is not a
-    number (booleans are not), or for int when it is not a whole number."""
-    try:
-        number = None if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None:
-        raise MalformedInputError(f"option {name!r} must be a number, got {value!r}")
-    if kind is int and not number.is_integer():
-        raise MalformedInputError(f"option {name!r} must be an integer, got {value!r}")
-    return kind(number)
-
-
-def _option(opts: dict, names: tuple, default, kind=float):
-    """The first of the named options that is set, as a finite positive
-    number; else default."""
-    for name in names:
-        if name in opts:
-            value = _number(name, opts[name], kind)
-            if not 0 < value < math.inf:
-                raise MalformedInputError(
-                    f"option {name!r} must be finite and positive, got {opts[name]!r}"
-                )
-            return value
-    return default
-
-
-def _degrees(opts: dict) -> list:
-    """The cohomology degrees asked for: 'degrees', else ['degree'], else [2]."""
-    degrees = opts.get("degrees")
-    if degrees is None:
-        return [_number("degree", opts.get("degree", 2), int)]
-    if not isinstance(degrees, list):
-        raise MalformedInputError(
-            f"option 'degrees' must be a list of integers, got {degrees!r}"
-        )
-    return [_number("degrees", n, int) for n in degrees]
 
 
 def _form(doc: ProblemDocument) -> EquivariantForm:
@@ -633,8 +583,8 @@ def _components(cochain: Cochain) -> list:
     ]
 
 
-def _run_validate(doc, quad_order):
-    tol = _option(doc.options, ("tol_alg", "tol"), DEFAULT_TOL_ALG)
+def _run_validate(doc):
+    tol = doc.options.get("tol", DEFAULT_TOL_ALG)
     issues = list(validate_algebra(doc.algebra, tol))
     if doc.module is not None:
         issues += validate_module(doc.algebra, doc.module, tol)
@@ -660,8 +610,8 @@ def _render_validate(results):
     ]
 
 
-def _run_cohomology(doc, quad_order):
-    table = cohomology_table(doc.algebra, doc.module, _degrees(doc.options))
+def _run_cohomology(doc):
+    table = cohomology_table(doc.algebra, doc.module, doc.options.get("degrees", [2]))
     return {"slices": table}, [], EXIT_OK
 
 
@@ -675,8 +625,8 @@ def _render_cohomology(results):
     ]
 
 
-def _run_extend(doc, quad_order):
-    tol = _option(doc.options, ("tol_alg", "tol"), DEFAULT_TOL_ALG)
+def _run_extend(doc):
+    tol = doc.options.get("tol", DEFAULT_TOL_ALG)
     ext = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
     residual = max((i.residual for i in validate_algebra(ext.total, tol)), default=0.0)
     results = {"extension": serialize_extension(ext), "jacobi_residual": residual}
@@ -695,8 +645,8 @@ def _render_extend(results):
     ]
 
 
-def _run_equivalence(doc, quad_order):
-    tol = _option(doc.options, ("equiv_tol", "tol"), DEFAULT_EQUIV_TOL)
+def _run_equivalence(doc):
+    tol = doc.options.get("tol", DEFAULT_EQUIV_TOL)
     verdict, witness, residual = are_equivalent(
         doc.algebra, doc.module, doc.cocycle, doc.cocycle2, tol
     )
@@ -716,7 +666,7 @@ def _render_equivalence(results):
     ]
 
 
-def _run_gamma(doc, quad_order):
+def _run_gamma(doc):
     form = _form(doc)
     g1, g2 = (doc.paths[name] for name in doc.pair)
     warnings = []
@@ -724,7 +674,7 @@ def _run_gamma(doc, quad_order):
         issues = validate_path(doc.group, doc.paths[name])
         if issues:
             warnings.append(f"path {name!r}: " + "; ".join(i.identity for i in issues))
-    value = path_cocycle(form, g1, g2, quad_order)
+    value = path_cocycle(form, g1, g2, doc.options.get("quad_order", DEFAULT_QUAD_ORDER))
     results = {"value": [float(v) for v in value]}
     if doc.lattice is not None:
         results["value_mod_lattice"] = [
@@ -740,8 +690,8 @@ def _render_gamma(results):
     return lines
 
 
-def _run_d2(doc, quad_order):
-    step = _option(doc.options, ("fd_step",), DEFAULT_D2_STEP)
+def _run_d2(doc):
+    step = doc.options.get("fd_step", DEFAULT_D2_STEP)
     chart = doc.group.chart
     exprs = doc.cochain_expr
 
@@ -772,11 +722,12 @@ def _render_d2(results):
     ]
 
 
-def _run_check_integrability(doc, quad_order):
+def _run_check_integrability(doc):
     form = _form(doc)
-    tol = _option(doc.options, ("tol_lat", "tol"), DEFAULT_TOL_LAT)
+    tol = doc.options.get("tol", DEFAULT_TOL_LAT)
     if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
         raise NotACocycleError("the cochain to integrate is not a cocycle")
+    quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
     report = check_integrability(form, doc.cycles, doc.lattice, quad_order, tol)
     warnings = []
     code = EXIT_OK
@@ -805,9 +756,10 @@ def _render_check_integrability(results):
     )
 
 
-def _run_pi1(doc, quad_order):
+def _run_pi1(doc):
     form = _form(doc)
-    tol = _option(doc.options, ("tol_lat", "tol"), DEFAULT_TOL_LAT)
+    tol = doc.options.get("tol", DEFAULT_TOL_LAT)
+    quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
     table = pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol)
     return table.as_dict(), [], EXIT_OK
 

@@ -264,6 +264,19 @@ class TestLattice:
         assert lx.lattice_member(lat, np.zeros(2)).verdict == "member"
         assert lx.lattice_member(lat, np.array([0.1, 0.0])).verdict == "not_member"
 
+    @pytest.mark.parametrize(
+        "offset, expected", [(5e-7, "member"), (5e-6, "indeterminate"), (2e-4, "not_member")]
+    )
+    def test_band_at_rank_zero(self, offset, expected):
+        lat = lx.Lattice(generators=np.zeros((0, 1)))
+        res = lx.lattice_member(lat, np.array([offset]), 1e-6)
+        assert res.verdict == expected
+        assert res.coefficients.size == 0 and res.residual == offset
+
+    def test_rank_zero_rejects_non_finite_values(self):
+        with pytest.raises(lx.LieExtError):
+            lx.lattice_member(lx.Lattice(generators=np.zeros((0, 1))), np.array([np.nan]))
+
     def test_reduce_mod_lattice(self):
         lat = lx.Lattice(generators=[[1.0]])
         assert lx.reduce_mod_lattice(lat, np.array([2.25]))[0] == pytest.approx(0.25)

@@ -160,24 +160,24 @@ MALFORMED = {
     "quad_order_on_cohomology": ("sl2_cohomology.json", _set("options", "quad_order", value="x")),
     "degrees_string": ("sl2_cohomology.json", _set("options", "degrees", value=["x"])),
     "degrees_not_list": ("sl2_cohomology.json", _set("options", "degrees", value=2)),
-    "degree_string": ("sl2_cohomology.json", _set("options", value={"degree": "x"})),
+    "degree_string": ("sl2_cohomology.json", _set("options", value={"degrees": "x"})),
     "tol_string": ("heis3_validate.json", _set("options", "tol", value="x")),
-    "tol_alg_list": ("extend_heis3.json", _set("options", "tol_alg", value=[1e-9])),
-    "tol_lat_string": ("torus_integrable.json", _set("options", "tol_lat", value="x")),
-    "equiv_tol_null": ("equivalence_r2.json", _set("options", "equiv_tol", value=None)),
+    "tol_alg_list": ("extend_heis3.json", _set("options", "tol", value=[1e-9])),
+    "tol_lat_string": ("torus_integrable.json", _set("options", "tol", value="x")),
+    "equiv_tol_null": ("equivalence_r2.json", _set("options", "tol", value=None)),
     "fd_step_string": ("r2_d2.json", _set("options", "fd_step", value="x")),
     "fd_step_zero": ("r2_d2.json", _set("options", "fd_step", value=0)),
     "fd_step_underflow": ("r2_d2.json", _set("options", "fd_step", value=1e-300)),
     "tol_negative": ("torus_integrable.json", _set("options", "tol", value=-1)),
     "tol_infinite": ("torus_not_integrable.json", _set("options", "tol", value=float("inf"))),
     "tol_nan": ("torus_integrable.json", _set("options", "tol", value=float("nan"))),
-    "tol_alg_negative": ("extend_heis3.json", _set("options", "tol_alg", value=-1e-9)),
-    "tol_lat_zero": ("torus_integrable.json", _set("options", "tol_lat", value=0)),
-    "equiv_tol_infinite": ("equivalence_r2.json", _set("options", "equiv_tol", value=float("inf"))),
+    "tol_alg_negative": ("extend_heis3.json", _set("options", "tol", value=-1e-9)),
+    "tol_lat_zero": ("torus_integrable.json", _set("options", "tol", value=0)),
+    "equiv_tol_infinite": ("equivalence_r2.json", _set("options", "tol", value=float("inf"))),
     "options_not_object": ("heis3_validate.json", _set("options", value="x")),
     "quad_order_fraction": ("torus_integrable.json", _set("options", "quad_order", value=2.7)),
     "quad_order_bool": ("torus_integrable.json", _set("options", "quad_order", value=True)),
-    "degree_fraction": ("sl2_cohomology.json", _set("options", value={"degree": 2.5})),
+    "degree_fraction": ("sl2_cohomology.json", _set("options", value={"degrees": [2.5]})),
     "degrees_bool": ("sl2_cohomology.json", _set("options", "degrees", value=[True])),
     "tol_bool": ("torus_integrable.json", _set("options", "tol", value=True)),
     "patch_exp_overflow": (
@@ -203,6 +203,42 @@ MALFORMED = {
     "cocycle_degree_string": ("torus_integrable.json", _set("cocycle", "degree", value="x")),
     "cycles_not_list": ("torus_integrable.json", _set("cycles", value=3)),
     "pair_entry_not_string": ("torus_gamma.json", _set("pair", 0, value=["p1"])),
+    # the option aliases are gone: a task reads one tolerance, 'tol'
+    "tol_alg_alias": ("extend_heis3.json", _set("options", value={"tol_alg": 1e-9})),
+    "tol_lat_alias": ("torus_integrable.json", _set("options", value={"tol_lat": 1e-6})),
+    "equiv_tol_alias": ("equivalence_r2.json", _set("options", value={"equiv_tol": 1e-9})),
+    "degree_alias": ("sl2_cohomology.json", _set("options", value={"degree": 1})),
+    "degree_and_degrees": (
+        "sl2_cohomology.json", _set("options", value={"degree": 1, "degrees": [3]})
+    ),
+    "quad_order_misspelt": ("torus_integrable.json", _set("options", value={"quad_ordr": 4})),
+    "quad_order_numeric_string": (
+        "torus_integrable.json", _set("options", "quad_order", value="8")
+    ),
+    "quad_order_too_large": (
+        "torus_integrable.json", _set("options", "quad_order", value=10_000_000)
+    ),
+    "tol_numeric_string": ("torus_integrable.json", _set("options", "tol", value="1e-3")),
+    # a number is a JSON number: never a boolean or a string
+    "winding_bools": ("pi1_torus.json", _set("loops", 0, "winding", value=[True, False])),
+    "cocycle_indices_bools": (
+        "torus_integrable.json", _set("cocycle", "components", 0, "indices", value=[False, True])
+    ),
+    "patch_coefficient_bool": (
+        "torus_integrable.json", _set("cycles", 0, "patches", 0, "coefficient", value=True)
+    ),
+    "sparse_index_bool": (
+        "heis3_validate.json", _set("algebra", "structure_constants", value=[[False, 1, 2, 1.0]])
+    ),
+    "sparse_value_string": (
+        "heis3_validate.json", _set("algebra", "structure_constants", value=[[0, 1, 2, "1.0"]])
+    ),
+    "lattice_generators_string": (
+        "torus_integrable.json", _set("lattice", "generators", value=[["1"]])
+    ),
+    "rho_string": (
+        "sl2_cohomology.json", _set("module", "rho", value=[[["1"]], [[0.0]], [[0.0]]])
+    ),
 }
 
 
@@ -216,6 +252,33 @@ def test_malformed_document_exits_2(case, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("input error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "options, code, overall",
+    [({"tol": 1e-6}, 0, "integrable"), ({"tol_lat": 1e-6}, 2, None), ("x", 2, None)],
+    ids=["tol", "tol_lat", "options_not_object"],
+)
+def test_tol_flag_overrides_the_document(options, code, overall, tmp_path, capsys):
+    # the period 1.000005 is indeterminate at tol 1e-6 and a member at 1e-3
+    path = tmp_path / "doc.json"
+    raw = _edited("torus_indeterminate.json", _set("options", value=options))
+    path.write_text(json.dumps(raw))
+    assert main([str(path), "--tol", "1e-3", "--output", "machine"]) == code
+    captured = capsys.readouterr()
+    if overall is None:
+        assert captured.err.startswith("input error: ") and captured.out == ""
+    else:
+        assert json.loads(captured.out)["results"]["overall"] == overall
+
+
+def test_flags_are_part_of_the_inputs_digest(capsys):
+    fixture = str(FIXTURES / "torus_integrable.json")
+    digests = []
+    for flags in ([], ["--quad-order", "16"]):
+        assert main([fixture, "--output", "machine", *flags]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["inputs_digest"])
+    assert digests[0] != digests[1]
 
 
 def test_lattice_error_has_one_prefix(tmp_path, capsys):

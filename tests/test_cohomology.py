@@ -275,6 +275,27 @@ class TestCohomologyTable:
         assert all(row["rank_margin"] > 1e6 for row in table[:3])
         assert table[3]["rank_margin"] is None  # d_3 maps into C^4 = 0
 
+    def test_ranks_near_the_top_of_the_double_range(self):
+        # ||d_0|| = 1.7e308 * sqrt(2) is beyond the double range
+        r2 = lx.abelian_algebra(2)
+        big = lx.cohomology_table(r2, lx.ModuleAction(rho=np.full((2, 1, 1), 1.7e308)), range(3))
+        unit = lx.cohomology_table(r2, lx.ModuleAction(rho=np.ones((2, 1, 1))), range(3))
+        margins = [(b.pop("rank_margin"), u.pop("rank_margin")) for b, u in zip(big, unit)]
+        assert big == unit and big[0]["cocycle_dim"] == 0  # rank d_0 = 1, betti 0
+        assert all(b == pytest.approx(u) for b, u in margins[:2]) and margins[2] == (None, None)
+
+    @pytest.mark.parametrize("power", [600, 1000])
+    def test_table_is_unchanged_by_a_power_of_two(self, sl2, rng, power):
+        h5 = lx.change_of_basis(
+            heisenberg_algebra(2), rng.normal(size=(5, 5)) + 3 * np.eye(5)
+        )
+        for alg in (sl2, h5):
+            scaled = lx.LieAlgebra(structure_constants=alg.structure_constants * 2.0**power)
+            table = lx.cohomology_table(alg, lx.adjoint_module(alg), range(alg.dim + 1))
+            assert lx.cohomology_table(
+                scaled, lx.adjoint_module(scaled), range(alg.dim + 1)
+            ) == table
+
 
 class TestBetti:
     def test_desk_values_match_oracle(self, r2, sl2, heis3):

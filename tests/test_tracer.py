@@ -1,0 +1,42 @@
+"""The benchmark's tracer wraps library functions by name: a renamed function
+must fail here, and every original must be back after a traced run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import lieext.cli  # noqa: F401  (the tracer wraps cli.main)
+
+_spec = importlib.util.spec_from_file_location(
+    "tracer", Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+
+def _bindings():
+    """(module, name) -> value for every name bound in a lieext module, and
+    (class, attribute) -> value for the traced methods."""
+    bound = {(name, key): value for name, module in sys.modules.items()
+             if name == "lieext" or name.startswith("lieext.")
+             for key, value in vars(module).items()}
+    for module, cls, attr, _ in tracer.HOT:
+        if cls:
+            bound[cls, attr] = vars(getattr(sys.modules[module], cls))[attr]
+    return bound
+
+
+def test_install_wraps_every_traced_function_and_uninstall_restores_it():
+    before = _bindings()
+    run = tracer.Tracer()
+    run.install()
+    try:
+        during = _bindings()
+    finally:
+        run.uninstall()
+    traced = [(m, a) for m, a, _ in tracer.SPANS]
+    traced += [(cls or m, a) for m, cls, a, _ in tracer.HOT]
+    assert all(during[key] is not before[key] for key in traced)
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
