@@ -188,28 +188,29 @@ class LatticeMembership:
         return self.verdict == "member"
 
 
+def _issues_above(identity: str, residuals, tol: float, indices=None) -> list:
+    """One issue per residual above tol, in row-major order; an issue's
+    indices are its position, or the entries there of the index arrays."""
+    residuals = np.asarray(residuals)
+    indices = np.indices(residuals.shape) if indices is None else indices
+    return [
+        ValidationIssue(identity, tuple(int(i.flat[k]) for i in indices), float(residuals.flat[k]))
+        for k in np.flatnonzero(residuals > tol)
+    ]
+
+
 def validate_algebra(alg: LieAlgebra, tol_alg: float = DEFAULT_TOL_ALG):
     """Check antisymmetry and Jacobi; return the list of violations."""
     c = alg.structure_constants
     n = alg.dim
-    issues = []
-    anti = c + np.transpose(c, (1, 0, 2))
-    for i, j, k in zip(*np.nonzero(np.abs(anti) > tol_alg)):
-        if i <= j:
-            issues.append(
-                ValidationIssue("antisymmetry", (int(i), int(j), int(k)), float(abs(anti[i, j, k])))
-            )
+    i, j, k = np.ogrid[:n, :n, :n]
+    anti = np.abs(c + np.transpose(c, (1, 0, 2)))
     # jac[i,j,k,l] = sum_m c[i,j,m] c[m,k,l] + cyclic in (i,j,k)
     comp = np.einsum("ijm,mkl->ijkl", c, c)
-    jac = comp + np.transpose(comp, (1, 2, 0, 3)) + np.transpose(comp, (2, 0, 1, 3))
-    for i, j, k, l in zip(*np.nonzero(np.abs(jac) > tol_alg)):
-        if i < j < k:
-            issues.append(
-                ValidationIssue(
-                    "jacobi", (int(i), int(j), int(k), int(l)), float(abs(jac[i, j, k, l]))
-                )
-            )
-    return issues
+    jac = np.abs(comp + np.transpose(comp, (1, 2, 0, 3)) + np.transpose(comp, (2, 0, 1, 3)))
+    return _issues_above("antisymmetry", np.where(i <= j, anti, 0.0), tol_alg) + _issues_above(
+        "jacobi", np.where(((i < j) & (j < k))[..., None], jac, 0.0), tol_alg
+    )
 
 
 def validate_module(alg: LieAlgebra, mod: ModuleAction, tol_alg: float = DEFAULT_TOL_ALG):
@@ -219,17 +220,12 @@ def validate_module(alg: LieAlgebra, mod: ModuleAction, tol_alg: float = DEFAULT
             f"module has {mod.alg_dim} representation matrices for algebra "
             f"dimension {alg.dim}"
         )
-    c = alg.structure_constants
     rho = mod.rho
-    issues = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = np.einsum("k,kab->ab", c[i, j], rho)
-            rhs = rho[i] @ rho[j] - rho[j] @ rho[i]
-            res = float(np.max(np.abs(lhs - rhs))) if rho.shape[1] else 0.0
-            if res > tol_alg:
-                issues.append(ValidationIssue("homomorphism", (i, j), res))
-    return issues
+    i, j = np.triu_indices(alg.dim, 1)
+    lhs = np.einsum("pk,kab->pab", alg.structure_constants[i, j], rho)
+    rhs = rho[i] @ rho[j] - rho[j] @ rho[i]
+    res = np.max(np.abs(lhs - rhs), axis=(1, 2), initial=0.0)
+    return _issues_above("homomorphism", res, tol_alg, (i, j))
 
 
 def bracket(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -302,7 +298,8 @@ def lattice_member(
 
 
 def reduce_mod_lattice(lat: Optional[Lattice], v: np.ndarray) -> np.ndarray:
-    """Representative of v modulo the lattice nearest to the origin.
+    """Representative of v modulo the lattice nearest to the origin; on a
+    stack of vectors (..., m) the stack of representatives.
 
     Rounds v's coefficients in the LLL-reduced basis and keeps the shortest
     of the 3^r candidates that move each by at most one (plain rounding wins
@@ -311,12 +308,15 @@ def reduce_mod_lattice(lat: Optional[Lattice], v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if lat is None or lat.rank == 0:
         return v
+    if v.shape[-1:] != (lat.ambient_dim,):
+        raise MalformedInputError(f"vectors of shape {v.shape} are not in R^{lat.ambient_dim}")
     basis = lat._reduced
-    coeffs, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
-    rest = v - basis.T @ np.round(coeffs)
+    coeffs, *_ = np.linalg.lstsq(basis.T, v.reshape(-1, lat.ambient_dim).T, rcond=None)
+    rest = v - (basis.T @ np.round(coeffs)).T.reshape(v.shape)
     offsets = np.array(list(itertools.product((0.0, -1.0, 1.0), repeat=lat.rank)))
-    candidates = rest - offsets @ basis
-    return candidates[np.argmin(np.linalg.norm(candidates, axis=1))]
+    candidates = rest[..., None, :] - offsets @ basis
+    best = np.argmin(np.linalg.norm(candidates, axis=-1), axis=-1)
+    return np.take_along_axis(candidates, best[..., None, None], axis=-2)[..., 0, :]
 
 
 # Small catalogue of standard algebras used by tests, fixtures and docs.

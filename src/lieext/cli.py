@@ -10,7 +10,8 @@ A document's "options" may set four names: quad_order (an integer from 1
 to MAX_QUAD_ORDER = 256, default 16), tol (a positive number; default 1e-9
 for validate and extend, 1e-8 for equivalence, 1e-6 for check-integrability
 and pi1), fd_step (a positive number, default 1e-3 for d2) and degrees (a
-list of integers, default [2] for cohomology).  Any other name exits 2.
+list of integers, default [2] for cohomology).  Any other name exits 2;
+a known option that the task does not read gives a warning.
 The flags --quad-order, --tol and --fd-step are written into the
 document's options before it is parsed and override the values there.
 
@@ -59,8 +60,14 @@ def _non_finite(value, where="results"):
 def run(doc: ProblemDocument) -> tuple:
     """Run a parsed document's task; return (report dict, exit code)."""
     # overflow shows up as a non-finite result, rejected below, not as a warning
+    task = TASKS[doc.task]
+    warnings = [
+        f"option {name!r} has no effect on task {doc.task!r}"
+        for name in doc.options
+        if name not in task.options
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
-        results, warnings, code = TASKS[doc.task].run(doc)
+        results, task_warnings, code = task.run(doc)
     where = _non_finite(results)
     if where is not None:
         raise LieExtError(f"{where} is not finite")
@@ -70,7 +77,7 @@ def run(doc: ProblemDocument) -> tuple:
             "task": doc.task,
             "inputs_digest": _digest(doc.raw),
             "results": results,
-            "warnings": warnings,
+            "warnings": warnings + task_warnings,
         },
         code,
     )

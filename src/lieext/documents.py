@@ -213,17 +213,14 @@ def _parse_algebra(section) -> LieAlgebra:
 def serialize_algebra(alg: LieAlgebra) -> dict:
     """Algebra section in the sparse document format (round-trippable)."""
     c = alg.structure_constants
-    rows = []
-    n = alg.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if c[i, j, k] != 0.0:
-                    rows.append([i, j, k, float(c[i, j, k])])
     return {
-        "dim": n,
+        "dim": alg.dim,
         "labels": list(alg.basis_labels),
-        "structure_constants": rows,
+        "structure_constants": [
+            [int(i), int(j), int(k), float(c[i, j, k])]
+            for i, j, k in zip(*np.nonzero(c))
+            if i < j
+        ],
     }
 
 
@@ -570,9 +567,16 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
 
 def _form(doc: ProblemDocument) -> EquivariantForm:
-    group = doc.group
-    if doc.module is not None and not doc.module.is_trivial:
-        group = replace(group, mod_action=doc.module)
+    """The document's cocycle as a form on its group.  A non-zero rho alone
+    would be dropped here, since the form twists by the group action."""
+    group, mod = doc.group, doc.module
+    if mod is not None and mod.group_action is None and np.any(mod.rho):
+        raise DocumentError(
+            f"task {doc.task!r} needs module.group_action, the group action "
+            "that a non-zero module.rho differentiates"
+        )
+    if mod is not None and mod.group_action is not None:
+        group = replace(group, mod_action=mod)
     return EquivariantForm(doc.cocycle, group)
 
 
@@ -779,27 +783,29 @@ def _render_pi1(results):
 
 @dataclass(frozen=True)
 class Task:
-    """One CLI task: the document sections it needs, its runner and its
-    text renderer."""
+    """One CLI task: the document sections it needs, the options its runner
+    reads, its runner and its text renderer."""
 
     needs: tuple
+    options: tuple
     run: Callable
     render: Callable
 
 
 TASKS: Dict[str, Task] = {
-    "validate": Task(("algebra",), _run_validate, _render_validate),
-    "cohomology": Task(("algebra",), _run_cohomology, _render_cohomology),
-    "extend": Task(("algebra", "cocycle"), _run_extend, _render_extend),
+    "validate": Task(("algebra",), ("tol",), _run_validate, _render_validate),
+    "cohomology": Task(("algebra",), ("degrees",), _run_cohomology, _render_cohomology),
+    "extend": Task(("algebra", "cocycle"), ("tol",), _run_extend, _render_extend),
     "equivalence": Task(
-        ("algebra", "cocycle", "cocycle2"), _run_equivalence, _render_equivalence
+        ("algebra", "cocycle", "cocycle2"), ("tol",), _run_equivalence, _render_equivalence
     ),
-    "gamma": Task(("group", "cocycle", "pair"), _run_gamma, _render_gamma),
-    "d2": Task(("group", "cochain_expr"), _run_d2, _render_d2),
+    "gamma": Task(("group", "cocycle", "pair"), ("quad_order",), _run_gamma, _render_gamma),
+    "d2": Task(("group", "cochain_expr"), ("fd_step",), _run_d2, _render_d2),
     "check-integrability": Task(
         ("group", "cocycle", "lattice", "cycles"),
+        ("quad_order", "tol"),
         _run_check_integrability,
         _render_check_integrability,
     ),
-    "pi1": Task(("group", "cocycle", "loops"), _run_pi1, _render_pi1),
+    "pi1": Task(("group", "cocycle", "loops"), ("quad_order", "tol"), _run_pi1, _render_pi1),
 }

@@ -22,7 +22,7 @@ by central differences, in one array pass over all nodes of a patch:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -304,89 +304,70 @@ def cube_boundary_chain(block: Callable) -> Surface2Chain:
 # ---------------------------------------------------------------------------
 # Boundary edge bookkeeping
 
-
-@dataclass(frozen=True)
-class BoundaryEdge:
-    """One oriented boundary edge of a patch, as a curve [0,1] -> G that
-    takes an array of parameters."""
-
-    curve: Callable
-    weight: int
-
-    def samples(self, params: np.ndarray) -> np.ndarray:
-        return np.asarray(self.curve(params), dtype=float)
+# Each domain's boundary as straight parameter segments (start, end, sign).
+_EDGES = {
+    "square": (
+        ((0, 0), (1, 0), 1), ((1, 0), (1, 1), 1), ((0, 1), (1, 1), -1), ((0, 0), (0, 1), -1)
+    ),
+    "simplex": (((0, 0), (1, 0), 1), ((1, 0), (1, 1), 1), ((0, 0), (1, 1), -1)),
+}
 
 
-def chain_boundary_edges(chain: Surface2Chain) -> List[BoundaryEdge]:
-    """Signed boundary edges of every patch (square: 4, triangle: 3)."""
-    edges = []
-    for p in chain.patches:
-        c = p.coefficient
-        if c == 0:
-            continue
-        if p.domain == "square":
-            edges.append(BoundaryEdge(lambda u, p=p: p(u, 0.0), c))
-            edges.append(BoundaryEdge(lambda u, p=p: p(1.0, u), c))
-            edges.append(BoundaryEdge(lambda u, p=p: p(u, 1.0), -c))
-            edges.append(BoundaryEdge(lambda u, p=p: p(0.0, u), -c))
-        else:
-            edges.append(BoundaryEdge(lambda u, p=p: p(u, 0.0), c))
-            edges.append(BoundaryEdge(lambda u, p=p: p(1.0, u), c))
-            edges.append(BoundaryEdge(lambda u, p=p: p(u, u), -c))
-    return edges
+def _along(patch: SurfacePatch, start: np.ndarray, end: np.ndarray, u) -> np.ndarray:
+    """The patch at the points start + u (end - start) of parameter segments."""
+    at = start + np.asarray(u)[..., None] * (end - start)
+    return patch(at[..., 0], at[..., 1])
 
 
-def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[BoundaryEdge]:
-    """Pairwise-cancel matching boundary edges; return the net leftovers.
+def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
+    """Pairwise-cancel matching boundary edges; return the net leftovers as
+    (curve, weight) pairs, each curve a map [0,1] -> G on arrays.
 
-    Edges cancel when their sampled points coincide (same or reversed
-    parameterization) within tol; degenerate (constant) edges drop out.
+    Each patch is evaluated once, on all of its edges at the same 33
+    parameters.  An edge joins the first class whose samples it matches
+    within tol, forward before reversed, else opens a class; degenerate
+    (constant) edges drop out.
     """
-    params = np.linspace(0.0, 1.0, 33)
-    edges = chain_boundary_edges(chain)
-    sampled = [e.samples(params) for e in edges]
-    classes: List[dict] = []
-    for edge, arr in zip(edges, sampled):
-        spread = float(np.max(np.abs(arr - arr[0])))
-        if spread <= tol:
-            continue  # constant edge carries no boundary
-        placed = False
-        for cls in classes:
-            if np.max(np.abs(arr - cls["samples"])) <= tol:
-                cls["net"] += edge.weight
-                placed = True
-                break
-            if np.max(np.abs(arr[::-1] - cls["samples"])) <= tol:
-                cls["net"] -= edge.weight
-                placed = True
-                break
-        if not placed:
-            classes.append({"samples": arr, "net": edge.weight, "edge": edge})
-    return [
-        BoundaryEdge(curve=cls["edge"].curve, weight=cls["net"])
-        for cls in classes
-        if cls["net"] != 0
-    ]
+    u = np.linspace(0.0, 1.0, 33)
+    curves, weights, samples = [], [], []
+    for p in chain.patches:
+        if p.coefficient == 0:
+            continue
+        starts, ends, signs = (np.array(x) for x in zip(*_EDGES[p.domain]))
+        edges = _along(p, starts[:, None], ends[:, None], u)  # (edges, 33, d, d)
+        for start, end, sign, arr in zip(starts, ends, signs, edges):
+            if np.max(np.abs(arr - arr[0])) <= tol:
+                continue  # constant edge carries no boundary
+            weight = int(sign) * p.coefficient
+            if samples:
+                gaps = np.abs(np.stack([arr, arr[::-1]])[:, None] - np.array(samples))
+                hits = (np.max(gaps, axis=(2, 3, 4)) <= tol).T.ravel()  # class-major
+                if hits.any():
+                    k, reverse = divmod(int(np.argmax(hits)), 2)
+                    weights[k] += -weight if reverse else weight
+                    continue
+            curves.append(vectorized(partial(_along, p, start, end)))
+            weights.append(weight)
+            samples.append(arr)
+    return [(c, w) for c, w in zip(curves, weights) if w != 0]
 
 
-def _min_distance_to_curve(point: np.ndarray, curve: Callable, coarse: int = 65) -> float:
-    """Distance from a matrix to a sampled-then-refined point on a curve."""
+def _distances_to_curve(points: np.ndarray, curve: Callable, coarse: int = 65) -> np.ndarray:
+    """Distance from each matrix of a stack to a sampled-then-refined point
+    on a curve: a coarse grid brackets each nearest parameter, then 80
+    ternary steps refine all brackets at once."""
+    def dist(us):
+        return np.max(np.abs(curve(us) - points), axis=(-2, -1))
+
     us = np.linspace(0.0, 1.0, coarse)
-    dists = np.max(np.abs(np.asarray(curve(us)) - point), axis=(-2, -1))
-    k = int(np.argmin(dists))
-    lo = us[max(0, k - 1)]
-    hi = us[min(coarse - 1, k + 1)]
+    k = np.argmin(np.max(np.abs(curve(us)[:, None] - points), axis=(-2, -1)), axis=0)
+    lo, hi = us[np.maximum(0, k - 1)], us[np.minimum(coarse - 1, k + 1)]
     for _ in range(80):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        d1 = float(np.max(np.abs(np.asarray(curve(m1)) - point)))
-        d2 = float(np.max(np.abs(np.asarray(curve(m2)) - point)))
-        if d1 < d2:
-            hi = m2
-        else:
-            lo = m1
-    u = 0.5 * (lo + hi)
-    return float(np.max(np.abs(np.asarray(curve(u)) - point)))
+        d1, d2 = dist(np.stack([m1, m2]))
+        lo, hi = np.where(d1 < d2, lo, m1), np.where(d1 < d2, m2, hi)
+    return dist(0.5 * (lo + hi))
 
 
 def holonomy(
@@ -402,15 +383,14 @@ def holonomy(
     lie on the uncancelled boundary of the bounding chain.
     """
     group = form.group
-    scale = max(1.0, float(np.max(np.abs(loop(0.0)))))
+    params = np.linspace(0.0, 1.0, 24)
+    points = loop(params)  # points[0] and points[-1] are the loop's ends
+    scale = max(1.0, float(np.max(np.abs(points[0]))))
     tol = 100 * group.membership_tol * scale
-    if float(np.max(np.abs(loop(1.0) - loop(0.0)))) > tol:
+    if float(np.max(np.abs(points[-1] - points[0]))) > tol:
         raise NotALoopError("loop endpoints do not match")
     leftovers = cancel_boundary_edges(bounding, tol) if bounding.patches else []
-    params = np.linspace(0.0, 1.0, 24)
-    points = loop(params)
-    loop_spread = float(np.max(np.abs(points - loop(0.0))))
-    if loop_spread <= tol:  # constant loop: the chain must carry no boundary
+    if float(np.max(np.abs(points - points[0]))) <= tol:  # constant loop
         if leftovers:
             raise BoundaryMismatchError(
                 "bounding chain has net boundary but the loop is constant"
@@ -420,15 +400,13 @@ def holonomy(
             raise BoundaryMismatchError(
                 "bounding chain has no net boundary but the loop is not constant"
             )
-        for u, point in zip(params, points):
-            best = min(
-                _min_distance_to_curve(point, e.curve) for e in leftovers
+        best = np.min([_distances_to_curve(points, c) for c, _ in leftovers], axis=0)
+        far = np.flatnonzero(best > tol)
+        if far.size:
+            raise BoundaryMismatchError(
+                f"loop point at parameter {params[far[0]]:.3f} is {best[far[0]]:.3e} "
+                "away from the chain boundary"
             )
-            if best > tol:
-                raise BoundaryMismatchError(
-                    f"loop point at parameter {u:.3f} is {best:.3e} away from "
-                    "the chain boundary"
-                )
     value = surface_integral(form, bounding, quad_order)
     return reduce_mod_lattice(lattice, value)
 

@@ -28,6 +28,7 @@ from .algebra import (
     trivial_module,
     validate_algebra,
     ValidationIssue,
+    _issues_above,
 )
 from .batch import per_point, vectorized
 from .errors import MalformedInputError, MembershipError, TangentDecompositionError
@@ -154,48 +155,39 @@ def validate_group(group: MatrixGroup, tol_alg: float = 1e-9):
     """Basis commutators must reproduce the structure constants; exp/log must
     round-trip near the identity."""
     issues = list(validate_algebra(group.algebra, tol_alg))
-    c = group.algebra.structure_constants
-    n = group.algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = group.basis[i] @ group.basis[j] - group.basis[j] @ group.basis[i]
-            expected = np.einsum("k,kab->ab", c[i, j], group.basis)
-            res = float(np.max(np.abs(comm - expected)))
-            if res > tol_alg * max(1.0, float(np.max(np.abs(group.basis))) ** 2):
-                issues.append(ValidationIssue("basis_commutator", (i, j), res))
-    rng = np.random.default_rng(7)
-    for trial in range(3):
-        x = 0.05 * rng.normal(size=n) if n else np.zeros(0)
-        g = group.exp(group.realize(x))
-        back = group.exp(group.log(g))
-        res = float(np.max(np.abs(back - g)))
-        if res > 1e-8:
-            issues.append(ValidationIssue("exp_log_roundtrip", (trial,), res))
-    return issues
+    basis = group.basis
+    i, j = np.triu_indices(group.algebra.dim, 1)
+    comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+    expected = np.einsum("pk,kab->pab", group.algebra.structure_constants[i, j], basis)
+    res = np.max(np.abs(comm - expected), axis=(1, 2), initial=0.0)
+    bound = tol_alg * max(1.0, float(np.max(np.abs(basis), initial=0.0)) ** 2)
+    issues += _issues_above("basis_commutator", res, bound, (i, j))
+    x = 0.05 * np.random.default_rng(7).normal(size=(3, group.algebra.dim))
+    g = group.exp(np.einsum("ti,ijk->tjk", x, basis))
+    res = np.max(np.abs(group.exp(group.log(g)) - g), axis=(1, 2))
+    return issues + _issues_above("exp_log_roundtrip", res, 1e-8)
 
 
 def validate_action_compatibility(group: MatrixGroup, mod: ModuleAction):
     """Check that the group action differentiates to rho at the identity.
 
     Central difference of t -> group_action(exp(t e_i), f_b) at t = 0 must
-    match rho[i][:, b] for every basis pair.
+    match rho[i][:, b] for every basis pair (i, b); one exp and one action
+    call cover all of them.
     """
-    if mod.group_action is None:
+    n, m, d = group.algebra.dim, mod.coeff_dim, group.embed_dim
+    if mod.group_action is not None and mod.alg_dim != n:
+        raise MalformedInputError(f"module has {mod.alg_dim} rho matrices for algebra dim {n}")
+    if mod.group_action is None or not mod.rho.size:
         return []
-    issues = []
-    m = mod.coeff_dim
-    for i in range(group.algebra.dim):
-        xm = group.basis[i]
-        for b in range(m):
-            fb = np.zeros(m)
-            fb[b] = 1.0
-            plus = mod.act(group.exp(DEFAULT_FD_STEP * xm), fb)
-            minus = mod.act(group.exp(-DEFAULT_FD_STEP * xm), fb)
-            derivative = (plus - minus) / (2.0 * DEFAULT_FD_STEP)
-            res = float(np.max(np.abs(derivative - mod.rho[i][:, b])))
-            if res > DEFAULT_DERIV_TOL:
-                issues.append(ValidationIssue("action_compatibility", (i, b), res))
-    return issues
+    steps = np.array([DEFAULT_FD_STEP, -DEFAULT_FD_STEP])
+    g = group.exp(np.multiply.outer(steps, group.basis))  # (2, n, d, d)
+    moved = mod.act(
+        np.broadcast_to(g[:, :, None], (2, n, m, d, d)), np.broadcast_to(np.eye(m), (2, n, m, m))
+    )  # moved[., i, b] is the action on f_b
+    derivative = (moved[0] - moved[1]) / (2.0 * DEFAULT_FD_STEP)
+    res = np.max(np.abs(derivative - np.swapaxes(mod.rho, 1, 2)), axis=2)
+    return _issues_above("action_compatibility", res, DEFAULT_DERIV_TOL)
 
 
 @dataclass(frozen=True)
@@ -212,13 +204,14 @@ class GroupPath:
         return np.asarray(self.eval(t), dtype=float)
 
 
-def log_derivative(group: MatrixGroup, path: GroupPath, t: float) -> np.ndarray:
-    """Left logarithmic derivative g^-1 g' expressed in the algebra basis.
+def log_derivative(group: MatrixGroup, path: GroupPath, t) -> np.ndarray:
+    """Left logarithmic derivative g^-1 g' expressed in the algebra basis, at
+    one parameter or a stack of them.
 
     g' is a central difference; paths are closed forms, so evaluating
     slightly outside [0, 1] is fine."""
     h = DEFAULT_FD_STEP
-    tangent = (path(t + h) - path(t - h)) / (2.0 * h)
+    tangent = (path(np.add(t, h)) - path(np.subtract(t, h))) / (2.0 * h)
     return group.decompose(group.inverse(path(t)) @ tangent)
 
 
@@ -228,9 +221,8 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     base_res = float(np.max(np.abs(path(0.0) - group.identity)))
     if base_res > group.membership_tol * 10:
         issues.append(ValidationIssue("based_at_identity", (0,), base_res))
-    d0 = log_derivative(group, path, 0.0)
-    d1 = log_derivative(group, path, 1.0)
-    res = float(np.max(np.abs(d0 - d1))) if d0.size else 0.0
+    d0, d1 = log_derivative(group, path, np.array([0.0, 1.0]))
+    res = float(np.max(np.abs(d0 - d1), initial=0.0))
     if res > DEFAULT_DERIV_TOL:
         issues.append(ValidationIssue("periodic_log_derivative", (), res))
     return issues

@@ -211,30 +211,21 @@ def pi1_cocycle_table(
     because the form pulls back along the covering projection.
     """
     group = form.group
-    names = []
-    paths = []
-    for name, loop in loops:
-        gap = float(np.max(np.abs(loop(1.0) - loop(0.0))))
-        base = float(np.max(np.abs(loop(0.0) - group.identity)))
+    names = tuple(name for name, _ in loops)
+    paths = [loop for _, loop in loops]
+    for name, loop in zip(names, paths):
+        start, end = loop(np.array([0.0, 1.0]))
+        gap = float(np.max(np.abs(end - start)))
+        base = float(np.max(np.abs(start - group.identity)))
         if gap > 1e4 * group.membership_tol or base > 1e4 * group.membership_tol:
             raise NotALoopError(f"loop {name!r} does not close at the identity")
-        names.append(name)
-        paths.append(loop)
     k = len(paths)
-    m = form.cochain.coeff_dim
-    values = np.zeros((k, k, m))
-    for i in range(k):
-        for j in range(k):
-            values[i, j] = path_cocycle(form, paths[i], paths[j], quad_order)
-    commutators = values - np.transpose(values, (1, 0, 2))
+    values = np.array(
+        [path_cocycle(form, p, q, quad_order) for p in paths for q in paths]
+    ).reshape(k, k, form.cochain.coeff_dim)
+    commutators = values - np.swapaxes(values, 0, 1)
     if lattice is None:
-        return Pi1CocycleTable(tuple(names), values, commutators, None, None)
-    reduced = np.zeros_like(commutators)
-    memberships = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            reduced[i, j] = reduce_mod_lattice(lattice, commutators[i, j])
-            row.append(lattice_member(lattice, commutators[i, j], tol_lat))
-        memberships.append(row)
-    return Pi1CocycleTable(tuple(names), values, commutators, reduced, memberships)
+        return Pi1CocycleTable(names, values, commutators, None, None)
+    memberships = [[lattice_member(lattice, v, tol_lat) for v in row] for row in commutators]
+    reduced = reduce_mod_lattice(lattice, commutators)
+    return Pi1CocycleTable(names, values, commutators, reduced, memberships)

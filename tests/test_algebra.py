@@ -86,6 +86,24 @@ class TestValidateModule:
         with pytest.raises(MalformedInputError):
             lx.validate_module(heis3, lx.trivial_module(2, 1))
 
+    def test_two_bad_pairs_match_the_per_pair_reference(self, rng):
+        # on abelian R^3, rho_0 and rho_1 commute and neither commutes with rho_2
+        rho = np.stack([np.diag(rng.normal(size=2)), np.diag(rng.normal(size=2)),
+                        rng.normal(size=(2, 2))])
+        alg, tol = lx.abelian_algebra(3), lx.algebra.DEFAULT_TOL_ALG
+        reference = []
+        for i in range(3):
+            for j in range(i + 1, 3):
+                lhs = np.einsum("k,kab->ab", alg.structure_constants[i, j], rho)
+                res = float(np.max(np.abs(lhs - (rho[i] @ rho[j] - rho[j] @ rho[i]))))
+                if res > tol:
+                    reference.append(("homomorphism", (i, j), res))
+        issues = lx.validate_module(alg, lx.ModuleAction(rho=rho), tol)
+        assert [(i.identity, i.indices) for i in issues] == [r[:2] for r in reference]
+        assert [i.indices for i in issues] == [(0, 2), (1, 2)]
+        assert np.allclose([i.residual for i in issues], [r[2] for r in reference],
+                           rtol=0, atol=1e-15)
+
 
 class TestBracket:
     def test_heis3_generators(self, heis3):
@@ -281,6 +299,14 @@ class TestLattice:
         lat = lx.Lattice(generators=[[1.0]])
         assert lx.reduce_mod_lattice(lat, np.array([2.25]))[0] == pytest.approx(0.25)
         assert lx.reduce_mod_lattice(lat, np.array([-0.75]))[0] == pytest.approx(0.25)
+
+    def test_reduce_mod_lattice_on_a_stack(self, rng):
+        lat = lx.Lattice(generators=[[1.0, 0.3], [0.2, 2.0]])
+        stack = 5.0 * rng.normal(size=(3, 4, 2))
+        each = [[lx.reduce_mod_lattice(lat, v) for v in row] for row in stack]
+        assert np.array_equal(lx.reduce_mod_lattice(lat, stack), np.array(each))
+        with pytest.raises(MalformedInputError):
+            lx.reduce_mod_lattice(lat, np.zeros(3))
 
 
 class TestHelpers:

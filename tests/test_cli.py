@@ -239,6 +239,19 @@ MALFORMED = {
     "rho_string": (
         "sl2_cohomology.json", _set("module", "rho", value=[[["1"]], [[0.0]], [[0.0]]])
     ),
+    # the form twists by the group action; a rho without one would be dropped
+    "rho_without_group_action_gamma": (
+        "torus_gamma.json", _set("module", value={"coeff_dim": 1, "rho": [[[1.0]], [[0.0]]]})
+    ),
+    "rho_without_group_action_integrability": (
+        "torus_integrable.json",
+        _set("module", value={"coeff_dim": 1, "rho": [[[0.0]], [[1.0]]]}),
+    ),
+    "rho_with_trivial_group_action_pi1": (
+        "pi1_torus.json",
+        _set("module", value={"coeff_dim": 1, "rho": [[[1.0]], [[0.0]]],
+                              "group_action": "trivial"}),
+    ),
 }
 
 
@@ -270,6 +283,50 @@ def test_tol_flag_overrides_the_document(options, code, overall, tmp_path, capsy
         assert captured.err.startswith("input error: ") and captured.out == ""
     else:
         assert json.loads(captured.out)["results"]["overall"] == overall
+
+
+def test_rho_needs_the_group_action(tmp_path, capsys):
+    # gamma of p = (t, 0), q = (0, t) under the action exp(g1) is 1.0; a
+    # form that dropped the rho for want of an action would give 0.5
+    raw = {
+        "task": "gamma",
+        "group": {"kind": "translation", "dim": 2},
+        "module": {"coeff_dim": 1, "rho": [[[1]], [[0]]]},
+        "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [1]}]},
+        "paths": {"p": {"coords": ["t", "0"]}, "q": {"coords": ["0", "t"]}},
+        "pair": ["p", "q"],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "module.group_action" in captured.err
+    raw["module"]["group_action"] = {"exprs": ["exp(g1)*a1"]}
+    report, code = run(parse_document(raw))
+    assert code == 0
+    assert report["results"]["value"] == [pytest.approx(1.0, abs=1e-8)]
+
+
+@pytest.mark.parametrize(
+    "fixture, flag, warning",
+    [
+        ("torus_gamma.json", ["--tol", "1e-3"], "option 'tol' has no effect on task 'gamma'"),
+        (
+            "sl2_cohomology.json",
+            ["--quad-order", "8"],
+            "option 'quad_order' has no effect on task 'cohomology'",
+        ),
+    ],
+    ids=["tol_on_gamma", "quad_order_on_cohomology"],
+)
+def test_unread_option_warns(fixture, flag, warning, capsys):
+    reports = []
+    for flags in ([], flag):
+        assert main([str(FIXTURES / fixture), "--output", "machine", *flags]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, flagged = reports
+    assert flagged["warnings"] == [warning] + plain["warnings"]
+    assert flagged["results"] == plain["results"]
 
 
 def test_flags_are_part_of_the_inputs_digest(capsys):
@@ -378,7 +435,9 @@ def test_fixture_machine_report_is_strict_json(entry, capsys):
     assert code == entry["expected_exit"]
     out = capsys.readouterr().out
     if out:
-        assert _strict_json(out)["task"] == entry["task"]
+        report = _strict_json(out)
+        assert report["task"] == entry["task"]
+        assert not [w for w in report["warnings"] if w.startswith("option ")]
 
 
 class TestRoundTrip:

@@ -7,11 +7,13 @@ import lieext as lx
 from lieext.documents import parse_document
 from lieext.errors import (
     BoundaryMismatchError,
+    MalformedInputError,
     MembershipError,
     NotALoopError,
     TangentDecompositionError,
 )
-from lieext.geometry import cancel_boundary_edges, smooth_step
+from lieext.batch import vectorized
+from lieext.geometry import _distances_to_curve, cancel_boundary_edges, smooth_step
 
 from conftest import area_cochain, random_torus_path, shoelace_area, torus_path
 
@@ -45,6 +47,28 @@ class TestGroups:
     def test_builtin_groups_validate(self, factory):
         group = factory()
         assert lx.validate_group(group) == []
+
+    def test_bad_basis_matches_the_per_pair_reference(self, su2):
+        group = replace(su2, basis=su2.basis * np.array([1.0, 1.0, 1.1])[:, None, None])
+        c, basis = group.algebra.structure_constants, group.basis
+        reference = []
+        for i in range(3):
+            for j in range(i + 1, 3):
+                comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+                res = float(np.max(np.abs(comm - np.einsum("k,kab->ab", c[i, j], basis))))
+                if res > 1e-9 * max(1.0, float(np.max(np.abs(basis))) ** 2):
+                    reference.append(("basis_commutator", (i, j), res))
+        rng = np.random.default_rng(7)
+        for trial in range(3):
+            g = group.exp(group.realize(0.05 * rng.normal(size=3)))
+            res = float(np.max(np.abs(group.exp(group.log(g)) - g)))
+            if res > 1e-8:
+                reference.append(("exp_log_roundtrip", (trial,), res))
+        issues = lx.validate_group(group)
+        assert [(i.identity, i.indices) for i in issues] == [r[:2] for r in reference]
+        assert [i.indices for i in issues] == [(0, 1), (0, 2), (1, 2)]
+        assert np.allclose([i.residual for i in issues], [r[2] for r in reference],
+                           rtol=0, atol=1e-15)
 
     def test_commutators_match_structure_constants_oracle(self, su2):
         c = su2.algebra.structure_constants
@@ -129,6 +153,30 @@ class TestActionCompatibility:
         wrong = lx.ModuleAction(rho=0.5 * mod.rho, group_action=mod.group_action)
         issues = lx.validate_action_compatibility(group, wrong)
         assert issues and all(i.identity == "action_compatibility" for i in issues)
+
+    def test_wrong_column_matches_the_per_pair_reference(self, trans2):
+        # R^2 acting on R^2 by rotation through 2 pi g1; rho[1][:, 0] is wrong
+        good = self.rotation_module(trans2)
+        rho = np.stack([good.rho[0], [[0.3, 0.0], [0.0, 0.0]]])
+        mod = lx.ModuleAction(rho=rho, group_action=good.group_action)
+        h, reference = lx.groups.DEFAULT_FD_STEP, []
+        for i in range(2):
+            for b in range(2):
+                fb = np.eye(2)[b]
+                plus = mod.act(trans2.exp(h * trans2.basis[i]), fb)
+                minus = mod.act(trans2.exp(-h * trans2.basis[i]), fb)
+                res = float(np.max(np.abs((plus - minus) / (2.0 * h) - rho[i][:, b])))
+                if res > lx.groups.DEFAULT_DERIV_TOL:
+                    reference.append(("action_compatibility", (i, b), res))
+        issues = lx.validate_action_compatibility(trans2, mod)
+        assert [(i.identity, i.indices) for i in issues] == [r[:2] for r in reference]
+        assert [i.indices for i in issues] == [(1, 0)]
+        assert np.allclose([i.residual for i in issues], [r[2] for r in reference],
+                           rtol=0, atol=1e-15)
+
+    def test_rho_count_must_match_the_group(self, trans2):
+        with pytest.raises(MalformedInputError):
+            lx.validate_action_compatibility(trans2, self.rotation_module(trans2))
 
     def test_normalization_residual(self, trans2, rng):
         chart = trans2.chart
@@ -466,6 +514,15 @@ class TestCurvature:
             assert lx.curvature_defect(form, x, y) < 1e-12
 
 
+def counted(fn, calls):
+    """fn as a vectorized map that records each call in calls."""
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return vectorized(counting)
+
+
 class TestHolonomy:
     @staticmethod
     def square_loop(group, side=0.5):
@@ -514,6 +571,34 @@ class TestHolonomy:
             agree = abs(v1[0] - v2[0]) < 1e-6
             assert agree == should_agree
 
+    def test_loop_is_sampled_once(self, torus2, unit_lattice):
+        calls = []
+        loop = lx.GroupPath(eval=counted(self.square_loop(torus2), calls))
+        bound = square_patch_chain(torus2, lambda t, s: np.array([t / 2, s / 2]))
+        lx.holonomy(torus_form(torus2), loop, bound, unit_lattice, 4)
+        assert len(calls) == 1
+
+    def test_distances_match_the_per_point_search(self, torus2):
+        def reference(point, curve, coarse=65):
+            us = np.linspace(0.0, 1.0, coarse)
+            k = int(np.argmin(np.max(np.abs(curve(us) - point), axis=(-2, -1))))
+            lo, hi = us[max(0, k - 1)], us[min(coarse - 1, k + 1)]
+            for _ in range(80):
+                m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+                if np.max(np.abs(curve(m1) - point)) < np.max(np.abs(curve(m2) - point)):
+                    hi = m2
+                else:
+                    lo = m1
+            return float(np.max(np.abs(curve(0.5 * (lo + hi)) - point)))
+
+        points = self.square_loop(torus2, side=0.4)(np.linspace(0.0, 1.0, 8))
+        patch = vectorized(lambda t, s: torus2.chart.from_coords(np.stack([t, s], -1) / 2))
+        bound = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch),))
+        for curve, _ in cancel_boundary_edges(bound, 1e-9):
+            got = _distances_to_curve(points, curve)
+            want = [reference(point, curve) for point in points]
+            assert np.allclose(got, want, rtol=0, atol=1e-15)
+
     def test_open_loop_rejected(self, torus2, unit_lattice):
         form = torus_form(torus2)
         arc = lx.coordinate_path(torus2, lambda t: np.array([0.25 * t, 0.0]))
@@ -534,6 +619,40 @@ class TestHolonomy:
 
 
 class TestBoundaryBookkeeping:
+    def test_two_triangles_tile_the_torus_square(self, torus2):
+        chart = torus2.chart
+        lower = lx.SurfacePatch(eval=lambda t, s: chart.from_coords([t, s]), domain="simplex")
+        upper = lx.SurfacePatch(
+            eval=lambda t, s: chart.from_coords([s, t]), domain="simplex", coefficient=-1
+        )
+        assert cancel_boundary_edges(lx.Surface2Chain(patches=(lower, upper)), 1e-9) == []
+
+    def test_one_triangle_leaves_three_edges(self, torus2):
+        chart = torus2.chart
+        patch = lx.SurfacePatch(eval=lambda t, s: chart.from_coords([t, s]), domain="simplex")
+        leftovers = cancel_boundary_edges(lx.Surface2Chain(patches=(patch,)), 1e-9)
+        assert [w for _, w in leftovers] == [1, 1, -1]
+        u = np.array([0.2, 0.7])
+        for (curve, _), coords in zip(leftovers, ([u, 0 * u], [1 + 0 * u, u], [u, u])):
+            assert np.allclose(curve(u), chart.from_coords(np.stack(coords, axis=-1)))
+
+    def test_closure_evaluates_each_patch_once(self, torus2):
+        calls = [[] for _ in range(5)]
+        patches = [
+            lx.SurfacePatch(
+                eval=counted(
+                    lambda t, s, di=k // 2, dj=k % 2: torus2.chart.from_coords(
+                        np.stack([(di + t) / 2.0, (dj + s) / 2.0], axis=-1)
+                    ),
+                    calls[k],
+                ),
+                coefficient=1 if k < 4 else 0,
+            )
+            for k in range(5)
+        ]
+        lx.assert_cycle_closed(torus2, lx.Surface2Chain(patches=tuple(patches)))
+        assert [len(c) for c in calls] == [1, 1, 1, 1, 0]
+
     def test_fundamental_square_cancels(self, torus2):
         chain = square_patch_chain(torus2, lambda t, s: np.array([t, s]))
         assert cancel_boundary_edges(chain, 1e-9) == []
