@@ -100,10 +100,6 @@ class ModuleAction:
     def coeff_dim(self) -> int:
         return self.rho.shape[1]
 
-    @property
-    def is_trivial(self) -> bool:
-        return not np.any(self.rho) and self.group_action is None
-
     def act(self, g, v: np.ndarray) -> np.ndarray:
         """Apply the group action of g to v (identity when trivial)."""
         if self.group_action is None:
@@ -278,9 +274,17 @@ def lattice_member(
             f"vector length {v.shape} does not match lattice ambient dimension "
             f"{lat.ambient_dim}"
         )
+    return lattice_verdict(lat, v, reduce_mod_lattice(lat, v), tol_lat)
+
+
+def lattice_verdict(
+    lat: Lattice, v: np.ndarray, offset: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT
+) -> LatticeMembership:
+    """lattice_member's verdict on v, given its representative offset =
+    reduce_mod_lattice(lat, v), so a stack reduced in one call needs no
+    second reduction per vector."""
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
-    offset = reduce_mod_lattice(lat, v)
     nearest, *_ = np.linalg.lstsq(lat.generators.T, v - offset, rcond=None)
     if not np.all(np.abs(nearest) < 2.0 ** 53):
         raise LieExtError(

@@ -7,10 +7,11 @@ Usage:
     lieext --fixtures
 
 A document's "options" may set four names: quad_order (an integer from 1
-to MAX_QUAD_ORDER = 256, default 16), tol (a positive number; default 1e-9
-for validate and extend, 1e-8 for equivalence, 1e-6 for check-integrability
-and pi1), fd_step (a positive number, default 1e-3 for d2) and degrees (a
-list of integers, default [2] for cohomology).  Any other name exits 2;
+to MAX_QUAD_ORDER = 256, default 16; at least 2 for check-integrability),
+tol (a positive number; default 1e-9 for validate and extend, 1e-8 for
+equivalence, 1e-6 for check-integrability and pi1), fd_step (a positive
+number, default 1e-3 for d2) and degrees (a list of integers, default [2]
+for cohomology).  Any other name exits 2;
 a known option that the task does not read gives a warning.
 The flags --quad-order, --tol and --fd-step are written into the
 document's options before it is parsed and override the values there.

@@ -13,7 +13,7 @@ _reals.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -311,12 +311,7 @@ def _parse_group(section) -> MatrixGroup:
         _require("algebra" in section, "matrix group needs structure constants (via 'algebra')")
         alg = _parse_algebra(section["algebra"])
         try:
-            return MatrixGroup(
-                algebra=alg,
-                basis=basis,
-                mod_action=trivial_module(alg.dim, 1),
-                name=section.get("name", "matrix-group"),
-            )
+            return MatrixGroup(algebra=alg, basis=basis, name=section.get("name", "matrix-group"))
         except MalformedInputError as exc:
             raise DocumentError(f"group: {exc}") from None
     raise DocumentError(
@@ -566,20 +561,6 @@ def parse_document(text_or_dict) -> ProblemDocument:
 # Runners call library functions through this module's globals.
 
 
-def _form(doc: ProblemDocument) -> EquivariantForm:
-    """The document's cocycle as a form on its group.  A non-zero rho alone
-    would be dropped here, since the form twists by the group action."""
-    group, mod = doc.group, doc.module
-    if mod is not None and mod.group_action is None and np.any(mod.rho):
-        raise DocumentError(
-            f"task {doc.task!r} needs module.group_action, the group action "
-            "that a non-zero module.rho differentiates"
-        )
-    if mod is not None and mod.group_action is not None:
-        group = replace(group, mod_action=mod)
-    return EquivariantForm(doc.cocycle, group)
-
-
 def _components(cochain: Cochain) -> list:
     return [
         {"indices": list(k), "value": [float(x) for x in v]}
@@ -602,7 +583,13 @@ def _run_validate(doc):
             for i in validate_path(doc.group, path)
         ]
     results = {"violations": [i.as_dict() for i in issues], "valid": not issues}
-    return results, [], EXIT_OK
+    warnings = []
+    if doc.group is not None and doc.module.group_action is None and np.any(doc.module.rho):
+        warnings.append(
+            "module.rho is non-zero but module.group_action is missing: gamma, "
+            "check-integrability and pi1 will refuse this document"
+        )
+    return results, warnings, EXIT_OK
 
 
 def _render_validate(results):
@@ -671,7 +658,7 @@ def _render_equivalence(results):
 
 
 def _run_gamma(doc):
-    form = _form(doc)
+    form = EquivariantForm(doc.cocycle, doc.group, doc.module)
     g1, g2 = (doc.paths[name] for name in doc.pair)
     warnings = []
     for name in doc.pair:
@@ -727,7 +714,7 @@ def _render_d2(results):
 
 
 def _run_check_integrability(doc):
-    form = _form(doc)
+    form = EquivariantForm(doc.cocycle, doc.group, doc.module)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
     if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
         raise NotACocycleError("the cochain to integrate is not a cocycle")
@@ -761,7 +748,7 @@ def _render_check_integrability(results):
 
 
 def _run_pi1(doc):
-    form = _form(doc)
+    form = EquivariantForm(doc.cocycle, doc.group, doc.module)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
     quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
     table = pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .algebra import (
     Lattice,
+    ModuleAction,
     bracket as algebra_bracket,
     reduce_mod_lattice,
     trivial_module,
@@ -44,6 +45,7 @@ from .errors import (
 from .extensions import build_algebra_extension
 from .groups import (
     DEFAULT_FD_STEP,
+    MEMBERSHIP_TOL,
     GroupPath,
     MatrixGroup,
     exp_path,
@@ -62,30 +64,35 @@ def smooth_step(u):
 
 @dataclass(frozen=True)
 class EquivariantForm:
-    """Left-equivariant extension of a degree-2 cochain over a matrix group."""
+    """Left-equivariant extension of a degree-2 cochain over a matrix group,
+    twisted by the coefficient module (trivial when none is given)."""
 
     cochain: Cochain
     group: MatrixGroup
+    module: Optional[ModuleAction] = None
 
     def __post_init__(self):
-        if self.cochain.degree != 2:
+        cochain = self.cochain
+        if cochain.degree != 2:
             raise MalformedInputError("equivariant form needs a degree-2 cochain")
-        if self.cochain.alg_dim != self.group.algebra.dim:
+        if cochain.alg_dim != self.group.algebra.dim:
             raise MalformedInputError(
                 "cochain algebra dimension does not match the group"
             )
-        mod = self.group.mod_action
-        if mod.group_action is not None and mod.coeff_dim != self.cochain.coeff_dim:
+        if self.module is None:
+            object.__setattr__(self, "module", trivial_module(cochain.alg_dim, cochain.coeff_dim))
+        mod = self.module
+        if (mod.alg_dim, mod.coeff_dim) != (cochain.alg_dim, cochain.coeff_dim):
             raise MalformedInputError(
-                "cochain coefficient dimension does not match the group action"
+                f"module acts by {mod.alg_dim} matrices on R^{mod.coeff_dim} but the "
+                f"cochain has algebra dimension {cochain.alg_dim} and values in "
+                f"R^{cochain.coeff_dim}"
             )
-
-    def module(self):
-        """The coefficient module, resized when the group's is a placeholder."""
-        mod = self.group.mod_action
-        if mod.coeff_dim != self.cochain.coeff_dim:
-            return trivial_module(self.group.algebra.dim, self.cochain.coeff_dim)
-        return mod
+        if mod.group_action is None and np.any(mod.rho):
+            raise MalformedInputError(
+                "a non-zero module.rho needs module.group_action, the group "
+                "action it differentiates; the form twists by that action"
+            )
 
     def __call__(self, g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return eval_equivariant(self, g, u, v)
@@ -104,7 +111,7 @@ def eval_equivariant(
     y = group.tangent_coefficients(g, v)
     i, j = index_table(form.cochain.alg_dim, 2).T
     minors = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-    return group.mod_action.act(g, minors @ form.cochain.values)
+    return form.module.act(g, minors @ form.cochain.values)
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,7 @@ def spanning_chain(
     """
     end_gap = float(np.max(np.abs(g1(1.0) - g2(1.0))))
     scale = max(1.0, float(np.max(np.abs(g1(1.0)))))
-    if end_gap > 100 * group.membership_tol * scale:
+    if end_gap > 100 * MEMBERSHIP_TOL * scale:
         raise NotALoopError(
             f"paths end {end_gap:.3e} apart; a spanning surface needs a "
             "common endpoint"
@@ -352,16 +359,16 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
     return [(c, w) for c, w in zip(curves, weights) if w != 0]
 
 
-def _distances_to_curve(points: np.ndarray, curve: Callable, coarse: int = 65) -> np.ndarray:
+def _distances_to_curve(points: np.ndarray, curve: Callable) -> np.ndarray:
     """Distance from each matrix of a stack to a sampled-then-refined point
-    on a curve: a coarse grid brackets each nearest parameter, then 80
-    ternary steps refine all brackets at once."""
+    on a curve: a grid of 65 parameters brackets each nearest parameter,
+    then 80 ternary steps refine all brackets at once."""
     def dist(us):
         return np.max(np.abs(curve(us) - points), axis=(-2, -1))
 
-    us = np.linspace(0.0, 1.0, coarse)
+    us = np.linspace(0.0, 1.0, 65)
     k = np.argmin(np.max(np.abs(curve(us)[:, None] - points), axis=(-2, -1)), axis=0)
-    lo, hi = us[np.maximum(0, k - 1)], us[np.minimum(coarse - 1, k + 1)]
+    lo, hi = us[np.maximum(0, k - 1)], us[np.minimum(64, k + 1)]
     for _ in range(80):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
@@ -386,7 +393,7 @@ def holonomy(
     params = np.linspace(0.0, 1.0, 24)
     points = loop(params)  # points[0] and points[-1] are the loop's ends
     scale = max(1.0, float(np.max(np.abs(points[0]))))
-    tol = 100 * group.membership_tol * scale
+    tol = 100 * MEMBERSHIP_TOL * scale
     if float(np.max(np.abs(points[-1] - points[0]))) > tol:
         raise NotALoopError("loop endpoints do not match")
     leftovers = cancel_boundary_edges(bounding, tol) if bounding.patches else []
@@ -428,7 +435,7 @@ def path_cocycle_coboundary(
     with pointwise path products; lands in the period lattice when the
     integrability condition holds.
     """
-    act = form.group.mod_action.act
+    act = form.module.act
     g12 = pointwise_product(g1, g2)
     g23 = pointwise_product(g2, g3)
     return (
@@ -564,7 +571,7 @@ def curvature_defect(
     """
     group = form.group
     ext = build_algebra_extension(
-        group.algebra, form.module(), form.cochain, force=True
+        group.algebra, form.module, form.cochain, force=True
     )
     xhat = ext.embed_base(np.asarray(x, dtype=float))
     yhat = ext.embed_base(np.asarray(y, dtype=float))

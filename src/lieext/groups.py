@@ -25,7 +25,6 @@ from .algebra import (
     ModuleAction,
     abelian_algebra,
     heisenberg3_algebra,
-    trivial_module,
     validate_algebra,
     ValidationIssue,
     _issues_above,
@@ -33,7 +32,7 @@ from .algebra import (
 from .batch import per_point, vectorized
 from .errors import MalformedInputError, MembershipError, TangentDecompositionError
 
-DEFAULT_MEMBERSHIP_TOL = 1e-9
+MEMBERSHIP_TOL = 1e-9
 DEFAULT_DERIV_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-5
 TANGENT_RESIDUAL_TOL = 1e-6
@@ -54,17 +53,15 @@ class CoordinateChart:
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """Matrix realization of a Lie group with its algebra and module."""
+    """Matrix realization of a Lie group with its algebra."""
 
     algebra: LieAlgebra
     basis: np.ndarray  # shape (n, d, d)
-    mod_action: ModuleAction
     exp: Callable = None
     log: Callable = None
     inverse: Callable = None
     membership: Optional[Callable] = None  # matrix -> residual
     chart: Optional[CoordinateChart] = None
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL
     name: str = "matrix-group"
 
     def __post_init__(self):
@@ -117,7 +114,7 @@ class MatrixGroup:
             )
         return np.einsum("i,ijk->jk", x, self.basis)
 
-    def decompose(self, mat: np.ndarray, tol: float = TANGENT_RESIDUAL_TOL) -> np.ndarray:
+    def decompose(self, mat: np.ndarray) -> np.ndarray:
         """d x d matrices (any leading axes) -> coefficients in the realized
         basis, each checked against its residual."""
         mat = np.asarray(mat, dtype=float)
@@ -125,12 +122,12 @@ class MatrixGroup:
         coeffs = vec @ self._flat_pinv.T
         residual = np.linalg.norm(coeffs @ self._flat_basis.T - vec, axis=-1)
         scale = np.maximum(1.0, np.linalg.norm(vec, axis=-1))
-        bad = np.flatnonzero(~(residual <= tol * scale))  # NaN fails too
+        bad = np.flatnonzero(~(residual <= TANGENT_RESIDUAL_TOL * scale))  # NaN fails too
         if bad.size:
             at = bad[0]
             raise TangentDecompositionError(
                 f"matrix is {residual.flat[at]:.3e} away from the algebra span "
-                f"(tolerance {tol:.1e} x {scale.flat[at]:.3g})"
+                f"(tolerance {TANGENT_RESIDUAL_TOL:.1e} x {scale.flat[at]:.3g})"
             )
         return coeffs
 
@@ -140,11 +137,11 @@ class MatrixGroup:
 
     def check_membership(self, g: np.ndarray, scale=1.0):
         """Raise MembershipError unless every matrix of the stack g is in the
-        group, each within membership_tol times max(1, its scale)."""
+        group, each within MEMBERSHIP_TOL times max(1, its scale)."""
         if self.membership is None:
             return
         res = np.asarray(self.membership(np.asarray(g, dtype=float)), dtype=float)
-        bad = np.flatnonzero(~(res <= self.membership_tol * np.maximum(1.0, scale)))
+        bad = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, scale)))
         if bad.size:
             raise MembershipError(
                 f"matrix is not in {self.name} (residual {res.flat[bad[0]]:.3e})"
@@ -219,7 +216,7 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     """Check basedness and periodicity of the left logarithmic derivative."""
     issues = []
     base_res = float(np.max(np.abs(path(0.0) - group.identity)))
-    if base_res > group.membership_tol * 10:
+    if base_res > 10 * MEMBERSHIP_TOL:
         issues.append(ValidationIssue("based_at_identity", (0,), base_res))
     d0, d1 = log_derivative(group, path, np.array([0.0, 1.0]))
     res = float(np.max(np.abs(d0 - d1), initial=0.0))
@@ -263,7 +260,7 @@ def _transpose(g):
     return np.swapaxes(np.asarray(g, dtype=float), -1, -2)
 
 
-def torus_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGroup:
+def torus_group(k: int) -> MatrixGroup:
     """T^k as block-diagonal 2x2 rotations, coordinates in winding units."""
     alg = abelian_algebra(k)
     d = 2 * k
@@ -322,7 +319,6 @@ def torus_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGroup:
     return MatrixGroup(
         algebra=alg,
         basis=basis,
-        mod_action=module or trivial_module(k, 1),
         exp=exp_map,
         log=log_map,
         inverse=vectorized(_transpose),
@@ -332,7 +328,7 @@ def torus_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGroup:
     )
 
 
-def translation_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGroup:
+def translation_group(k: int) -> MatrixGroup:
     """R^k additive, embedded as (k+1) x (k+1) unitriangular matrices."""
     alg = abelian_algebra(k)
     d = k + 1
@@ -360,7 +356,6 @@ def translation_group(k: int, module: Optional[ModuleAction] = None) -> MatrixGr
     return MatrixGroup(
         algebra=alg,
         basis=basis,
-        mod_action=module or trivial_module(k, 1),
         exp=vectorized(lambda mat: np.eye(d) + mat),
         log=vectorized(lambda g: np.asarray(g, dtype=float) - np.eye(d)),
         inverse=vectorized(lambda g: from_coords(-to_coords(g))),
@@ -381,7 +376,7 @@ def _quaternion_left_matrix(q: np.ndarray) -> np.ndarray:
     return np.asarray(q, dtype=float)[..., _QUAT_INDEX] * _QUAT_SIGN
 
 
-def su2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
+def su2_group() -> MatrixGroup:
     """SU(2) as unit quaternions acting on R^4 by left multiplication.
 
     Basis (i, j, k) with [i, j] = 2k and cyclic.
@@ -422,7 +417,6 @@ def su2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
     return MatrixGroup(
         algebra=alg,
         basis=basis,
-        mod_action=module or trivial_module(3, 1),
         exp=exp_map,
         log=log_map,
         inverse=vectorized(_transpose),
@@ -437,7 +431,7 @@ def quaternion_element(q: np.ndarray) -> np.ndarray:
     return _quaternion_left_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
-def sl2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
+def sl2_group() -> MatrixGroup:
     """SL(2, R) with the defining 2x2 realization of basis (h, e, f)."""
     from .algebra import sl2_algebra
 
@@ -451,13 +445,12 @@ def sl2_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
     return MatrixGroup(
         algebra=sl2_algebra(),
         basis=basis,
-        mod_action=module or trivial_module(3, 1),
         membership=vectorized(lambda g: np.abs(np.linalg.det(g) - 1.0)),
         name="SL(2,R)",
     )
 
 
-def heisenberg_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
+def heisenberg_group() -> MatrixGroup:
     """3x3 upper unitriangular matrices; algebra is heis3."""
     alg = heisenberg3_algebra()
     basis = np.zeros((3, 3, 3))
@@ -494,7 +487,6 @@ def heisenberg_group(module: Optional[ModuleAction] = None) -> MatrixGroup:
     return MatrixGroup(
         algebra=alg,
         basis=basis,
-        mod_action=module or trivial_module(3, 1),
         exp=exp_map,
         log=log_map,
         membership=membership,

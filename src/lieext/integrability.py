@@ -12,7 +12,7 @@ of the path cocycle to loops: pairwise cocycle values, their antisymmetrized
 commutators, and the commutators reduced modulo the lattice.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,10 +22,11 @@ from .algebra import (
     Lattice,
     LatticeMembership,
     lattice_member,
+    lattice_verdict,
     reduce_mod_lattice,
 )
 from .batch import vectorized
-from .errors import NotALoopError, OpenChainError
+from .errors import MalformedInputError, NotALoopError, OpenChainError
 from .geometry import (
     DEFAULT_QUAD_ORDER,
     EquivariantForm,
@@ -34,7 +35,12 @@ from .geometry import (
     path_cocycle,
     surface_integral,
 )
-from .groups import DEFAULT_FD_STEP, GroupPath, MatrixGroup, coordinate_path
+from .groups import DEFAULT_FD_STEP, MEMBERSHIP_TOL, GroupPath, MatrixGroup, coordinate_path
+
+ASSUMPTION = (
+    "the supplied generators are assumed to span H_2(G); completeness "
+    "is not verified internally"
+)
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,7 @@ class CycleSet:
 
 def assert_cycle_closed(group: MatrixGroup, chain: Surface2Chain, name: str = "cycle"):
     """Raise OpenChainError unless the chain's boundary edges cancel."""
-    tol = 1e4 * group.membership_tol
-    leftovers = cancel_boundary_edges(chain, tol)
+    leftovers = cancel_boundary_edges(chain, 1e4 * MEMBERSHIP_TOL)
     if leftovers:
         raise OpenChainError(
             f"{name!r} has {len(leftovers)} uncancelled boundary edge(s); "
@@ -96,16 +101,12 @@ class IntegrabilityReport:
     generators: Tuple[GeneratorVerdict, ...]
     overall: str  # "integrable" | "not_integrable" | "indeterminate"
     quad_order: int
-    assumption: str = (
-        "the supplied generators are assumed to span H_2(G); completeness "
-        "is not verified internally"
-    )
 
     def as_dict(self):
         return {
             "overall": self.overall,
             "quad_order": self.quad_order,
-            "assumption": self.assumption,
+            "assumption": ASSUMPTION,
             "generators": [g.as_dict() for g in self.generators],
         }
 
@@ -130,19 +131,27 @@ def check_integrability(
     The membership tolerance is inflated per generator by the difference
     between the period and a comparison value taken with half the
     quadrature order and twice the central-difference step, so the estimate
-    covers both the quadrature error and the finite-difference floor.  An
-    empty generator set (simply connected group with trivial H_2) is
-    integrable for every cocycle.
+    covers both the quadrature error and the finite-difference floor.  A
+    generator whose estimate reaches half the shortest lattice vector is
+    indeterminate: the inflated tolerance would reach the next lattice
+    point.  An empty generator set (simply connected group with trivial
+    H_2) is integrable for every cocycle.
     """
+    if quad_order < 2:
+        raise MalformedInputError(
+            f"quad_order {quad_order} is below 2: the error estimate compares the "
+            "period with one at half the order, which would be the same rule"
+        )
+    half_shortest = 0.5 * np.min(np.linalg.norm(lattice._reduced, axis=1), initial=np.inf)
     results = []
     for name, chain in cycles.generators:
         value = period(form, chain, quad_order, name)
-        coarse = surface_integral(
-            form, chain, max(1, quad_order // 2), 2 * DEFAULT_FD_STEP
-        )
+        coarse = surface_integral(form, chain, quad_order // 2, 2 * DEFAULT_FD_STEP)
         err = float(np.max(np.abs(value - coarse)))
         tol = tol_lat + err
         membership = lattice_member(lattice, value, tol)
+        if err >= half_shortest:
+            membership = replace(membership, verdict="indeterminate")
         results.append(
             GeneratorVerdict(
                 name=name,
@@ -217,7 +226,7 @@ def pi1_cocycle_table(
         start, end = loop(np.array([0.0, 1.0]))
         gap = float(np.max(np.abs(end - start)))
         base = float(np.max(np.abs(start - group.identity)))
-        if gap > 1e4 * group.membership_tol or base > 1e4 * group.membership_tol:
+        if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
             raise NotALoopError(f"loop {name!r} does not close at the identity")
     k = len(paths)
     values = np.array(
@@ -226,6 +235,9 @@ def pi1_cocycle_table(
     commutators = values - np.swapaxes(values, 0, 1)
     if lattice is None:
         return Pi1CocycleTable(names, values, commutators, None, None)
-    memberships = [[lattice_member(lattice, v, tol_lat) for v in row] for row in commutators]
     reduced = reduce_mod_lattice(lattice, commutators)
+    memberships = [
+        [lattice_verdict(lattice, v, offset, tol_lat) for v, offset in zip(row, offsets)]
+        for row, offsets in zip(commutators, reduced)
+    ]
     return Pi1CocycleTable(names, values, commutators, reduced, memberships)

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +310,25 @@ def test_rho_needs_the_group_action(tmp_path, capsys):
     assert report["results"]["value"] == [pytest.approx(1.0, abs=1e-8)]
 
 
+def test_validate_warns_of_rho_without_group_action():
+    raw = {
+        "task": "validate",
+        "group": {"kind": "translation", "dim": 2},
+        "module": {"coeff_dim": 1, "rho": [[[1]], [[0]]]},
+    }
+    report, code = run(parse_document(raw))
+    assert code == 0 and report["results"]["valid"] is True
+    assert report["warnings"] == [
+        "module.rho is non-zero but module.group_action is missing: gamma, "
+        "check-integrability and pi1 will refuse this document"
+    ]
+    # an algebra alone carries no form: rho is all the module it needs
+    del raw["group"]
+    raw["algebra"] = {"dim": 2}
+    report, _ = run(parse_document(raw))
+    assert report["warnings"] == []
+
+
 @pytest.mark.parametrize(
     "fixture, flag, warning",
     [
@@ -386,6 +408,24 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def fixture_report(name):
+    """A shipped fixture's exit code and machine report, the report without
+    its timing field (None when the run prints none)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(FIXTURES / name), "--output", "machine"])
+    report = _strict_json(out.getvalue()) if out.getvalue() else None
+    if report is not None:
+        del report["timing_seconds"]
+    return {"exit": code, "report": report}
+
+
+# Every fixture's report as fixture_report gives it; rewrite the file with
+# `PYTHONPATH=src python tests/test_cli.py` when a change to a report is meant.
+PINNED_REPORTS_PATH = Path(__file__).with_name("fixture_reports.json")
+PINNED_REPORTS = json.loads(PINNED_REPORTS_PATH.read_text()) if PINNED_REPORTS_PATH.exists() else {}
+
+
 def _equivalence_of(value1, value2):
     raw = json.loads(load_fixture("equivalence_r2.json"))
     raw["cocycle"]["components"][0]["value"] = [value1]
@@ -430,14 +470,13 @@ def test_equivalence_near_the_top_of_the_double_range(tmp_path, capsys):
 @pytest.mark.parametrize(
     "entry", json.loads((FIXTURES / "index.json").read_text()), ids=lambda e: e["file"]
 )
-def test_fixture_machine_report_is_strict_json(entry, capsys):
-    code = main([str(FIXTURES / entry["file"]), "--output", "machine"])
-    assert code == entry["expected_exit"]
-    out = capsys.readouterr().out
-    if out:
-        report = _strict_json(out)
-        assert report["task"] == entry["task"]
-        assert not [w for w in report["warnings"] if w.startswith("option ")]
+def test_fixture_machine_report_is_strict_json(entry):
+    got = fixture_report(entry["file"])
+    assert got["exit"] == entry["expected_exit"]
+    if got["report"] is not None:
+        assert got["report"]["task"] == entry["task"]
+        assert not [w for w in got["report"]["warnings"] if w.startswith("option ")]
+    assert got == PINNED_REPORTS[entry["file"]]
 
 
 class TestRoundTrip:
@@ -564,3 +603,10 @@ class TestCliBehavior:
         out = capsys.readouterr().out
         assert code == 0
         assert "valid" in out
+
+
+if __name__ == "__main__":
+    index = json.loads((FIXTURES / "index.json").read_text())
+    pinned = {entry["file"]: fixture_report(entry["file"]) for entry in index}
+    lines = [f"{json.dumps(name)}: {json.dumps(pinned[name], sort_keys=True)}" for name in sorted(pinned)]
+    PINNED_REPORTS_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")

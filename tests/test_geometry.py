@@ -217,7 +217,7 @@ class TestEquivariantForm:
             x, y = rng.normal(size=(2, 3))
             xm, ym = su2.realize(x), su2.realize(y)
             lhs = lx.eval_equivariant(form, g, g @ xm, g @ ym)
-            rhs = su2.mod_action.act(g, lx.eval_equivariant(form, su2.identity, xm, ym))
+            rhs = form.module.act(g, lx.eval_equivariant(form, su2.identity, xm, ym))
             assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_antisymmetry_exact(self, torus2, rng):
@@ -327,7 +327,6 @@ class TestSurfaceIntegral:
         group = lx.MatrixGroup(
             algebra=su2.algebra,
             basis=su2.basis,
-            mod_action=su2.mod_action,
             exp=su2.exp,
             log=su2.log,
         )
@@ -777,9 +776,9 @@ class TestBatchedQuadrature:
             "paths": {"p": {"coords": ["0.3*t", "t"]}, "q": {"coords": ["t", "sin(t)"]}},
             "pair": ["p", "q"],
         })
-        group = replace(doc.group, mod_action=doc.module)
+        form = lx.EquivariantForm(doc.cocycle, doc.group, doc.module)
         chain = lx.product_triangle_chain(doc.paths["p"], doc.paths["q"])
-        self.assert_matches(lx.EquivariantForm(doc.cocycle, group), chain)
+        self.assert_matches(form, chain)
 
     def test_leaving_the_group_at_one_interior_node(self, torus2):
         nodes = 0.5 * (np.polynomial.legendre.leggauss(6)[0] + 1.0)
@@ -817,3 +816,34 @@ class TestBatchedQuadrature:
         values = path(np.array([0.25, 0.5, 0.25]))
         assert len(calls) == 2
         assert np.array_equal(values[0], path(0.25)) and np.array_equal(values[1], path(0.5))
+
+
+class TestFormModule:
+    """The coefficient module is the form's third argument, trivial by default."""
+
+    @staticmethod
+    def r2_gamma(module):
+        # p = (t, 0), q = (0, t) on R^2 with omega01 = 1: 0.5 untwisted
+        group = lx.translation_group(2)
+        p = lx.coordinate_path(group, lambda t: np.array([t, 0.0]))
+        q = lx.coordinate_path(group, lambda t: np.array([0.0, t]))
+        form = lx.EquivariantForm(area_cochain(), group, module)
+        return lx.path_cocycle(form, p, q)
+
+    def test_rho_without_group_action_is_refused(self):
+        with pytest.raises(MalformedInputError, match="module.group_action"):
+            self.r2_gamma(lx.ModuleAction(rho=[[[1.0]], [[0.0]]]))
+
+    @pytest.mark.parametrize("alg_dim, coeff_dim", [(2, 2), (3, 1)])
+    def test_module_dimensions_must_match_the_cochain(self, alg_dim, coeff_dim):
+        with pytest.raises(MalformedInputError, match="module"):
+            self.r2_gamma(lx.trivial_module(alg_dim, coeff_dim))
+
+    def test_group_action_twists_the_path_cocycle(self):
+        chart = lx.translation_group(2).chart
+        module = lx.ModuleAction(
+            rho=[[[1.0]], [[0.0]]],
+            group_action=lambda g, v: np.exp(chart.to_coords(g)[0]) * v,
+        )
+        assert self.r2_gamma(module)[0] == pytest.approx(1.0, abs=1e-8)
+        assert self.r2_gamma(None)[0] == pytest.approx(0.5, abs=1e-8)

@@ -1,8 +1,14 @@
+import json
+import sys
+from importlib import resources
+
 import numpy as np
 import pytest
 
 import lieext as lx
-from lieext.errors import NotALoopError, OpenChainError
+from lieext.cli import run
+from lieext.documents import parse_document
+from lieext.errors import EXIT_INDETERMINATE, MalformedInputError, NotALoopError, OpenChainError
 
 from conftest import area_cochain
 
@@ -160,6 +166,36 @@ class TestCheckIntegrability:
         assert "assumption" in data
 
 
+def wavy_square_document(value, quad_order):
+    """T^2 against Z over one wavy square of class 1, so the period is value."""
+    return {
+        "task": "check-integrability",
+        "group": {"kind": "torus", "dim": 2},
+        "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [value]}]},
+        "lattice": {"generators": [[1.0]]},
+        "cycles": [{"name": "wavy", "patches": [
+            {"coords": ["t + 0.2*sin(2*pi*s)", "s + 0.2*sin(2*pi*t)"]}]}],
+        "options": {"quad_order": quad_order},
+    }
+
+
+class TestErrorEstimate:
+    def test_quad_order_one_is_refused(self):
+        # at order 1 the half-order comparison is the period itself: the
+        # estimate reads ~1e-8 while the period -0.579 is far from the true 1
+        with pytest.raises(MalformedInputError, match="half the order"):
+            run(parse_document(wavy_square_document(1.0, 1)))
+
+    def test_estimate_over_half_the_lattice_spacing_is_indeterminate(self):
+        # period 0.454 against a true 0.5, estimate 0.744: the inflated
+        # tolerance covers every point of R, so "member" would mean nothing
+        report, code = run(parse_document(wavy_square_document(0.5, 2)))
+        results = report["results"]
+        assert code == EXIT_INDETERMINATE and results["overall"] == "indeterminate"
+        assert results["generators"][0]["verdict"] == "indeterminate"
+        assert results["generators"][0]["error_estimate"] >= 0.5
+
+
 class TestPi1Table:
     def test_basis_commutator_equals_area(self, torus2, unit_lattice):
         for c in (1.0, 0.5):
@@ -202,6 +238,21 @@ class TestPi1Table:
         )
         assert table_2z.commutator_memberships[0][1].verdict == "not_member"
         assert table_2z.commutators_mod[0, 1, 0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_commutators_are_reduced_in_one_call(self, monkeypatch):
+        original, calls = lx.reduce_mod_lattice, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lieext") and getattr(module, "reduce_mod_lattice", None) is original:
+                monkeypatch.setattr(module, "reduce_mod_lattice", counted)
+        fixture = resources.files("lieext") / "fixtures" / "pi1_torus.json"
+        report, _ = run(parse_document(json.loads(fixture.read_text())))
+        assert len(calls) == 1
+        assert report["results"]["commutator_in_lattice"] == [["member"] * 2] * 2
 
     def test_open_loop_rejected(self, torus2):
         form = lx.EquivariantForm(area_cochain(), torus2)
