@@ -77,6 +77,7 @@ from .groups import (
 from .integrability import (
     CycleSet,
     check_integrability,
+    half_lattice_spacing,
     pi1_cocycle_table,
     torus_winding_loop,
 )
@@ -720,13 +721,24 @@ def _run_check_integrability(doc):
         raise NotACocycleError("the cochain to integrate is not a cocycle")
     quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
     report = check_integrability(form, doc.cycles, doc.lattice, quad_order, tol)
+    half = half_lattice_spacing(doc.lattice)
     warnings = []
     code = EXIT_OK
     if report.overall == "indeterminate":
         code = EXIT_INDETERMINATE
-        warnings.append("some period sits in the ambiguity band of the lattice test")
+        if any(
+            gen.membership.verdict == "indeterminate" and gen.error_estimate < half
+            for gen in report.generators
+        ):
+            warnings.append("some period sits in the ambiguity band of the lattice test")
     for gen in report.generators:
-        if gen.error_estimate > tol:
+        if gen.error_estimate >= half:
+            warnings.append(
+                f"generator {gen.name!r}: quadrature error estimate "
+                f"{gen.error_estimate:.2e} reaches half the shortest lattice vector "
+                f"({half:.2e}), so the lattice test cannot decide; try a higher quad_order"
+            )
+        elif gen.error_estimate > tol:
             warnings.append(
                 f"generator {gen.name!r}: quadrature error estimate "
                 f"{gen.error_estimate:.2e} inflated the tolerance"

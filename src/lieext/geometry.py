@@ -422,6 +422,30 @@ def holonomy(
 # Cocycle identities and derivation checks
 
 
+def _shared(path: GroupPath) -> GroupPath:
+    """The path, called once per distinct parameter for as long as the
+    result lives: it keeps the parameters seen so far, sorted, with their
+    values, so all surfaces of one identity share their path evaluations."""
+    keys, values = np.empty(0), None
+
+    @vectorized
+    def shared(t):
+        nonlocal keys, values
+        # the stable sort gives each parameter seen before a key's index
+        merged, first = np.unique(np.concatenate([keys, np.ravel(t)]), return_index=True)
+        fresh = first >= keys.size
+        if fresh.any():
+            new = path(merged[fresh])
+            stack = np.empty((merged.size,) + new.shape[1:])
+            stack[fresh] = new
+            if values is not None:
+                stack[~fresh] = values
+            keys, values = merged, stack
+        return values[np.searchsorted(keys, t)]
+
+    return GroupPath(eval=shared)
+
+
 def path_cocycle_coboundary(
     form: EquivariantForm,
     g1: GroupPath,
@@ -433,8 +457,9 @@ def path_cocycle_coboundary(
 
     g1 . gamma(g2, g3) - gamma(g1 g2, g3) + gamma(g1, g2 g3) - gamma(g1, g2),
     with pointwise path products; lands in the period lattice when the
-    integrability condition holds.
+    integrability condition holds.  Each path is called once per parameter.
     """
+    g1, g2, g3 = map(_shared, (g1, g2, g3))
     act = form.module.act
     g12 = pointwise_product(g1, g2)
     g23 = pointwise_product(g2, g3)
@@ -459,8 +484,10 @@ def representative_independence_residuals(
     For homotopic replacements g1 -> g1p and g2 -> g2p (same endpoints),
     each returned vector lies in the period lattice when the integrability
     condition holds: replacing either factor, or both, shifts the cocycle
-    by the flux through the corresponding spanning surfaces.
+    by the flux through the corresponding spanning surfaces.  Each path is
+    called once per parameter.
     """
+    g1, g1p, g2, g2p = map(_shared, (g1, g1p, g2, g2p))
     group = form.group
     g1g2 = pointwise_product(g1, g2)
     span = lambda a, b: spanning_chain(group, a, b)

@@ -119,6 +119,12 @@ def _combine(verdicts: Sequence[str]) -> str:
     return "integrable"
 
 
+def half_lattice_spacing(lattice: Lattice) -> float:
+    """Half the length of the shortest lattice vector (infinite for rank 0):
+    a generator whose error estimate reaches it is indeterminate."""
+    return 0.5 * float(np.min(np.linalg.norm(lattice._reduced, axis=1), initial=np.inf))
+
+
 def check_integrability(
     form: EquivariantForm,
     cycles: CycleSet,
@@ -142,7 +148,7 @@ def check_integrability(
             f"quad_order {quad_order} is below 2: the error estimate compares the "
             "period with one at half the order, which would be the same rule"
         )
-    half_shortest = 0.5 * np.min(np.linalg.norm(lattice._reduced, axis=1), initial=np.inf)
+    half_shortest = half_lattice_spacing(lattice)
     results = []
     for name, chain in cycles.generators:
         value = period(form, chain, quad_order, name)

@@ -288,6 +288,35 @@ def test_tol_flag_overrides_the_document(options, code, overall, tmp_path, capsy
         assert json.loads(captured.out)["results"]["overall"] == overall
 
 
+def test_indeterminate_warning_names_its_cause(tmp_path, capsys):
+    # the wavy square's period at order 2 is 0.454 with estimate 0.744: the
+    # estimate, not the ambiguity band [tol, 10 tol), makes it indeterminate
+    raw = {
+        "task": "check-integrability",
+        "group": {"kind": "torus", "dim": 2},
+        "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [0.5]}]},
+        "lattice": {"generators": [[1.0]]},
+        "cycles": [{"name": "wavy", "patches": [
+            {"coords": ["t + 0.2*sin(2*pi*s)", "s + 0.2*sin(2*pi*t)"]}]}],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path), "--quad-order", "2"]) == 4
+    out = capsys.readouterr().out
+    assert "verdict: indeterminate" in out
+    assert "ambiguity band" not in out
+    assert (
+        "warning: generator 'wavy': quadrature error estimate 7.44e-01 reaches half "
+        "the shortest lattice vector (5.00e-01), so the lattice test cannot decide; "
+        "try a higher quad_order\n"
+    ) in out
+    # a period in the band keeps the band warning
+    assert main([str(FIXTURES / "torus_indeterminate.json")]) == 4
+    out = capsys.readouterr().out
+    assert "warning: some period sits in the ambiguity band of the lattice test\n" in out
+    assert "half the shortest lattice vector" not in out
+
+
 def test_rho_needs_the_group_action(tmp_path, capsys):
     # gamma of p = (t, 0), q = (0, t) under the action exp(g1) is 1.0; a
     # form that dropped the rho for want of an action would give 0.5

@@ -431,6 +431,57 @@ class TestPathCocycleIdentities:
             lx.surface_integral(form, chain, 12)[0], abs=1e-9
         )
 
+    @staticmethod
+    def family(torus2, rng):
+        """g1, g1p, g2, g2p homotopic in pairs, and a free g3."""
+        paths = [random_torus_path(torus2, rng, w)[0] for w in ([1, 0], [1, 0], [0, 1], [0, 1])]
+        return paths + [random_torus_path(torus2, rng)[0]]
+
+    def test_each_path_sees_each_parameter_in_one_call(self, torus2, rng):
+        form = torus_form(torus2)
+        g1, g1p, g2, g2p, g3 = self.family(torus2, rng)
+        for identity, paths in (
+            (lx.path_cocycle_coboundary, (g1, g2, g3)),
+            (lx.representative_independence_residuals, (g1, g1p, g2, g2p)),
+        ):
+            calls = [[] for _ in paths]
+            identity(form, *(lx.GroupPath(eval=counted(p, c)) for p, c in zip(paths, calls)), 16)
+            for path_calls in calls:
+                per_call = [np.unique(np.asarray(t, dtype=float)) for (t,) in path_calls]
+                assert per_call, "the identity never evaluated the path"
+                assert sum(p.size for p in per_call) == np.unique(np.concatenate(per_call)).size
+
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_shared_evaluation_keeps_every_bit(self, torus2, rng, order):
+        # each term below evaluates its own paths; the identities share
+        # path values across their surfaces and must not change one bit
+        form = torus_form(torus2)
+        prod = lx.pointwise_product
+        gamma = lambda a, b: lx.path_cocycle(form, a, b, order)
+        integ = lambda chain: lx.surface_integral(form, chain, order)
+        span = lambda a, b: lx.spanning_chain(torus2, a, b)
+        for _ in range(3):
+            g1, g1p, g2, g2p, g3 = self.family(torus2, rng)
+            want = (
+                form.module.act(g1(1.0), gamma(g2, g3))
+                - gamma(prod(g1, g2), g3)
+                + gamma(g1, prod(g2, g3))
+                - gamma(g1, g2)
+            )
+            assert np.array_equal(lx.path_cocycle_coboundary(form, g1, g2, g3, order), want)
+
+            base = gamma(g1, g2)
+            flux1 = integ(span(g1, g1p))
+            flux2 = integ(lx.left_translate_chain(g1(1.0), span(g2, g2p)))
+            want = [
+                integ(span(prod(g1, g2), prod(g1p, g2))) - flux1 - gamma(g1p, g2) + base,
+                integ(span(prod(g1, g2), prod(g1, g2p))) - flux2 - gamma(g1, g2p) + base,
+                integ(span(prod(g1, g2), prod(g1p, g2p))) - flux1 - flux2 - gamma(g1p, g2p) + base,
+            ]
+            got = lx.representative_independence_residuals(form, g1, g1p, g2, g2p, order)
+            assert len(got) == 3
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
 
 class TestDerivation:
     def test_zero_cochain(self, trans2, rng):
