@@ -23,9 +23,12 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .algebra import DEFAULT_TOL_ALG, LieAlgebra, ModuleAction
-from .errors import MalformedInputError, UserFunctionError
+from .errors import LieExtError, MalformedInputError, UserFunctionError
 
 RANK_TOL_FACTOR = 1e-10
+# d_n is assembled dense and its SVD takes a few copies of it; a d_n with
+# more entries than this (128 MiB of doubles) is refused.
+MAX_D_ENTRIES = 2**24
 
 
 def increasing_tuples(n_g: int, degree: int):
@@ -169,6 +172,7 @@ def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
     the rest with k sorted in, where r counts the rest entries below k;
     a k already in the rest contributes nothing (alternation).
     """
+    _check_size(alg, mod, n)
     dim, m = alg.dim, mod.coeff_dim
     rows = index_table(dim, n + 1)
     binom = np.array(
@@ -266,14 +270,27 @@ def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
     return rank, float(min(terms)), u, vt
 
 
-def _check_degree(alg: LieAlgebra, n: int):
+def _check_size(alg: LieAlgebra, mod: ModuleAction, n: int):
+    """Refuse a d_n with more than MAX_D_ENTRIES entries, from its binomial
+    shape alone, before any index table is built."""
+    entries = math.comb(alg.dim, n + 1) * math.comb(alg.dim, n) * mod.coeff_dim**2
+    if entries > MAX_D_ENTRIES:
+        raise MalformedInputError(
+            f"d_{n} would hold {entries} entries, more than {MAX_D_ENTRIES}"
+        )
+
+
+def _check_degree(alg: LieAlgebra, mod: ModuleAction, n: int):
+    """Refuse a degree outside 0..dim or one whose d_n or d_{n-1} is too large."""
     if n < 0 or n > alg.dim:
         raise MalformedInputError(f"degree {n} outside 0..{alg.dim}")
+    for k in range(max(n - 1, 0), n + 1):
+        _check_size(alg, mod, k)
 
 
 def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> ComplexSlice:
     """Assemble d_n and d_{n-1} and extract cocycle/coboundary bases."""
-    _check_degree(alg, n)
+    _check_degree(alg, mod, n)
     d_n = coboundary_matrix(alg, mod, n)
     d_prev = coboundary_matrix(alg, mod, n - 1) if n else np.zeros((d_n.shape[1], 0))
     rank, _, _, vt = _svd_rank(d_n, compute_uv=True)
@@ -290,7 +307,7 @@ def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int])
     are taken.
     """
     for n in degrees:
-        _check_degree(alg, n)
+        _check_degree(alg, mod, n)
     needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
     ranks = {k: _svd_rank(coboundary_matrix(alg, mod, k))[:2] for k in needed}
     table = []
@@ -349,6 +366,8 @@ class GroupCochain:
     def __call__(self, *elements):
         try:
             val = self.eval(*elements)
+        except LieExtError:  # already says what is wrong, with its exit code
+            raise
         except Exception as exc:  # surface user-code failures uniformly
             raise UserFunctionError(f"group cochain evaluation failed: {exc}") from exc
         return np.atleast_1d(np.asarray(val, dtype=float))

@@ -4,12 +4,14 @@ A document names its task and provides the sections that task needs:
 algebra (structure constants, sparse triples or dense), module (rho
 matrices and an optional group-action expression), lattice, group (a named
 built-in or an explicit matrix realization), cocycles, and parametric
-paths/loops/cycles written in the small expression grammar (variables t
-and s).  Indices are 0-based throughout.  parse_document builds and
-cross-checks the in-memory objects and reads the options against OPTIONS;
-TASKS holds, for each task, the sections it needs, how it runs and how its
-results read as text.  Numbers are read by two readers only: _integer and
-_reals.
+paths/loops/cycles written in the small expression grammar.  Indices are
+0-based throughout.  parse_document builds and cross-checks the in-memory
+objects and reads the options against OPTIONS; TASKS holds, for each task,
+the sections it needs, how it runs and how its results read as text.
+Numbers are read by two readers only: _integer and _reals.  Every
+expression-valued section (path and patch coords or matrix, the module's
+group action, the d2 cochain) is compiled, and its variables checked, by
+_compile_exprs, and evaluated on arrays by one _evaluator.
 """
 
 import json
@@ -86,6 +88,9 @@ SCHEMA_VERSION = 1
 # Above 64 a patch is integrated over slices of its stencil; far above it,
 # Gauss-Legendre nodes alone would exhaust memory.
 MAX_QUAD_ORDER = 256
+# The largest algebra, group and coefficient dimension: an algebra's Jacobi
+# check holds dim^4 numbers, so even an extension stays within ~300 MB.
+MAX_DIM = 24
 
 
 @dataclass
@@ -104,7 +109,7 @@ class ProblemDocument:
     loops: List[tuple] = field(default_factory=list)
     cycles: Optional[CycleSet] = None
     pair: Optional[tuple] = None
-    cochain_expr: Optional[list] = None
+    cochain_expr: Optional[GroupCochain] = None
     options: dict = field(default_factory=dict)  # name -> value, as OPTIONS reads it
 
 
@@ -185,7 +190,7 @@ def _parse_options(options) -> dict:
 
 def _parse_algebra(section) -> LieAlgebra:
     _require(isinstance(section, dict), "algebra section must be an object")
-    n = _integer(section.get("dim"), "algebra dim", low=0)
+    n = _integer(section.get("dim"), "algebra dim", 0, MAX_DIM)
     labels = _list(section.get("labels", []), "algebra.labels")
     labels = tuple(_name(label, "algebra label") for label in labels)
     if "structure_constants_dense" in section:
@@ -234,20 +239,51 @@ def serialize_extension(ext: AlgebraExtension) -> dict:
     }
 
 
-def _compile_exprs(strings, context):
+def _compile_exprs(strings, context, names, numbers=False):
+    """Each expression string of strings compiled, and each JSON number, where
+    numbers allows them (matrix entries), as a float; a DocumentError names
+    the entry, context[i], that does not parse or reads a variable outside
+    names."""
     out = []
     for idx, text in enumerate(strings):
+        where = f"{context}[{idx}]"
+        if numbers and isinstance(text, (int, float)):
+            out.append(float(_reals(text, where, ())))
+            continue
         try:
-            out.append(expressions.parse_expression(text))
+            expr = expressions.parse_expression(text)
         except ExpressionError as exc:
             pos = f" at position {exc.position}" if exc.position is not None else ""
-            raise DocumentError(f"{context}[{idx}]: {exc}{pos}") from None
+            raise DocumentError(f"{where}: {exc}{pos}") from None
+        unknown = sorted(expr.variables - set(names))
+        if unknown:
+            raise DocumentError(
+                f"{where}: unknown variable {unknown[0]!r}; the variables here "
+                f"are {', '.join(names)}"
+            )
+        out.append(expr)
     return out
+
+
+def _evaluator(entries, names) -> Callable:
+    """The constants and compiled expressions of entries, a vector or a
+    matrix, as one vectorized map: one array per name in, an array of shape
+    shape + entries' shape out, shape being the broadcast shape of the arrays."""
+    table = np.array(entries, dtype=object)
+
+    @vectorized
+    def evaluate(*args):
+        env = dict(zip(names, args))
+        out = np.empty(np.broadcast_shapes(*map(np.shape, args)) + table.shape)
+        for at, entry in np.ndenumerate(table):
+            out[(...,) + at] = entry(env) if callable(entry) else entry
+        return out
+    return evaluate
 
 
 def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGroup]) -> ModuleAction:
     _require(isinstance(section, dict), "module section must be an object")
-    m = _integer(section.get("coeff_dim"), "module coeff_dim", low=0)
+    m = _integer(section.get("coeff_dim"), "module coeff_dim", 0, MAX_DIM)
     dim = alg.dim if alg is not None else (group.algebra.dim if group else None)
     _require(dim is not None, "module section needs an algebra or group to attach to")
     rho = np.zeros((dim, m, m))
@@ -263,16 +299,15 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
         _require(group is not None and group.chart is not None,
                  "module.group_action needs a group with a coordinate chart")
         context = "module.group_action.exprs"
-        exprs = _compile_exprs(_list(ga["exprs"], context), context)
-        _require(len(exprs) == m, f"module.group_action needs {m} expressions")
         chart = group.chart
+        names = [f"g{i + 1}" for i in range(chart.dim)] + [f"a{j + 1}" for j in range(m)]
+        exprs = _compile_exprs(_list(ga["exprs"], context), context, names)
+        _require(len(exprs) == m, f"module.group_action needs {m} expressions")
+        values = _evaluator(exprs, names)
 
         @vectorized
         def action(g, v):
-            coords = chart.to_coords(g)
-            env = {f"g{i + 1}": coords[..., i] for i in range(chart.dim)}
-            env.update({f"a{j + 1}": v[..., j] for j in range(m)})
-            return _fill(coords.shape[:-1], [exprs], env)[..., 0, :]
+            return values(*np.moveaxis(chart.to_coords(g), -1, 0), *np.moveaxis(v, -1, 0))
 
     return ModuleAction(rho=rho, group_action=action)
 
@@ -300,7 +335,7 @@ def _parse_group(section) -> MatrixGroup:
     _require(isinstance(section, dict), "group section must be an object")
     kind = section.get("kind")
     if kind in ("torus", "translation"):
-        k = _integer(section.get("dim"), f"{kind} group dim", low=1)
+        k = _integer(section.get("dim"), f"{kind} group dim", 1, MAX_DIM)
         return (torus_group if kind == "torus" else translation_group)(k)
     if kind == "su2":
         return su2_group()
@@ -348,19 +383,10 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
     return cochain
 
 
-def _fill(shape, rows, env) -> np.ndarray:
-    """Array of shape shape + (rows, columns) whose entries are the
-    constants and compiled expressions of rows, broadcast over shape."""
-    out = np.empty(tuple(shape) + (len(rows), len(rows[0]) if rows else 0))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[..., i, j] = entry(env) if callable(entry) else entry
-    return out
-
-
-def _map_eval(entries, group: MatrixGroup, var_names, context):
-    """Compile a coords vector or matrix of expressions into an evaluator
-    that takes scalars or arrays of parameters."""
+def _map_eval(entries, group: MatrixGroup, names, context):
+    """A path's or patch's coords vector or matrix of expressions in the
+    parameters names, as a vectorized map from parameter arrays to the
+    stack of group matrices."""
     if isinstance(entries, dict) and "coords" in entries:
         _require(
             group.chart is not None,
@@ -372,14 +398,8 @@ def _map_eval(entries, group: MatrixGroup, var_names, context):
             isinstance(coords, list) and len(coords) == chart.dim,
             f"{context}.coords must be a list of {chart.dim} expressions",
         )
-        exprs = _compile_exprs(coords, f"{context}.coords")
-
-        @vectorized
-        def ev(*args):
-            shape = np.broadcast_shapes(*map(np.shape, args))
-            coords = _fill(shape, [exprs], dict(zip(var_names, args)))[..., 0, :]
-            return chart.from_coords(coords)
-        return ev
+        values = _evaluator(_compile_exprs(coords, f"{context}.coords", names), names)
+        return vectorized(lambda *args: chart.from_coords(values(*args)))
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
         d = group.embed_dim
@@ -388,20 +408,10 @@ def _map_eval(entries, group: MatrixGroup, var_names, context):
             and all(isinstance(r, list) and len(r) == d for r in rows),
             f"{context}.matrix must be a list of {d} rows of {d} entries",
         )
-        compiled = [
-            [
-                float(_reals(e, context, ())) if isinstance(e, (int, float))
-                else _compile_exprs([e], context)[0]
-                for e in row
-            ]
-            for row in rows
-        ]
-
-        @vectorized
-        def ev(*args):
-            shape = np.broadcast_shapes(*map(np.shape, args))
-            return _fill(shape, compiled, dict(zip(var_names, args)))
-        return ev
+        return _evaluator([
+            _compile_exprs(row, f"{context}.matrix[{i}]", names, numbers=True)
+            for i, row in enumerate(rows)
+        ], names)
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
@@ -537,17 +547,14 @@ def parse_document(text_or_dict) -> ProblemDocument:
             doc.group is not None and doc.group.chart is not None,
             "cochain_expr needs a group with a coordinate chart",
         )
-        compiled = _compile_exprs(exprs, "cochain_expr")
-        k = doc.group.chart.dim
-        allowed = {f"x{i + 1}" for i in range(k)} | {f"y{i + 1}" for i in range(k)}
-        for expr in compiled:
-            bad = expr.variables - allowed
-            if bad:
-                raise DocumentError(
-                    f"cochain_expr: unknown variables {sorted(bad)}; use x1..x{k} "
-                    f"and y1..y{k}"
-                )
-        doc.cochain_expr = compiled
+        chart = doc.group.chart
+        names = [f"x{i + 1}" for i in range(chart.dim)] + [f"y{i + 1}" for i in range(chart.dim)]
+        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names), names)
+
+        def f_eval(g, h):
+            return values(*np.moveaxis(chart.to_coords(g), -1, 0),
+                          *np.moveaxis(chart.to_coords(h), -1, 0))
+        doc.cochain_expr = GroupCochain(degree=2, eval=f_eval, coeff_dim=len(exprs))
 
     for section in TASKS[task].needs:
         value = getattr(doc, section)
@@ -684,16 +691,7 @@ def _render_gamma(results):
 
 def _run_d2(doc):
     step = doc.options.get("fd_step", DEFAULT_D2_STEP)
-    chart = doc.group.chart
-    exprs = doc.cochain_expr
-
-    def f_eval(g, h):
-        gx, hy = chart.to_coords(g), chart.to_coords(h)
-        env = {f"x{i + 1}": gx[i] for i in range(chart.dim)}
-        env.update({f"y{i + 1}": hy[i] for i in range(chart.dim)})
-        return np.array([e(env) for e in exprs])
-
-    f = GroupCochain(degree=2, eval=f_eval, coeff_dim=len(exprs))
+    chart, f = doc.group.chart, doc.cochain_expr
     rng = np.random.default_rng(0)
     samples = [chart.from_coords(0.5 * rng.normal(size=chart.dim)) for _ in range(8)]
     warnings = []

@@ -107,8 +107,7 @@ def eval_equivariant(
     The cochain is the minors x_i y_j - x_j y_i (i < j) of the two
     coefficient vectors contracted with its components."""
     group = form.group
-    x = group.tangent_coefficients(g, u)
-    y = group.tangent_coefficients(g, v)
+    x, y = group.tangent_coefficients(g, np.stack([u, v]))
     i, j = index_table(form.cochain.alg_dim, 2).T
     minors = x[..., i] * y[..., j] - x[..., j] * y[..., i]
     return form.module.act(g, minors @ form.cochain.values)

@@ -53,7 +53,7 @@ class CycleSet:
         object.__setattr__(self, "generators", tuple(self.generators))
 
 
-def assert_cycle_closed(group: MatrixGroup, chain: Surface2Chain, name: str = "cycle"):
+def assert_cycle_closed(chain: Surface2Chain, name: str = "cycle"):
     """Raise OpenChainError unless the chain's boundary edges cancel."""
     leftovers = cancel_boundary_edges(chain, 1e4 * MEMBERSHIP_TOL)
     if leftovers:
@@ -70,7 +70,7 @@ def period(
     name: str = "cycle",
 ) -> np.ndarray:
     """Integral of the form over a closed 2-chain (not reduced mod Gamma)."""
-    assert_cycle_closed(form.group, cycle, name)
+    assert_cycle_closed(cycle, name)
     return surface_integral(form, cycle, quad_order)
 
 

@@ -32,6 +32,12 @@ def load_fixture(name):
     return (FIXTURES / name).read_text()
 
 
+def machine_report(args, capsys):
+    """main run in this process with machine output: the report it prints."""
+    main([*args, "--output", "machine"])
+    return json.loads(capsys.readouterr().out)
+
+
 class TestParseDocument:
     def test_heis3_fixture_parses_and_validates(self):
         doc = parse_document(load_fixture("heis3_validate.json"))
@@ -149,6 +155,13 @@ def _set(*keys, value):
     return edit
 
 
+def _each(*edits):
+    def edit(raw):
+        for one in edits:
+            one(raw)
+    return edit
+
+
 MALFORMED = {
     "torus_dim_string": ("torus_integrable.json", _set("group", "dim", value="x")),
     "torus_dim_negative": ("torus_integrable.json", _set("group", "dim", value=-1)),
@@ -255,6 +268,63 @@ MALFORMED = {
         _set("module", value={"coeff_dim": 1, "rho": [[[1.0]], [[0.0]]],
                               "group_action": "trivial"}),
     ),
+    # every expression's variables are checked when the document is parsed,
+    # also where the task never evaluates it
+    "unknown_variable_unpaired_path": (
+        "torus_gamma.json", _set("paths", "extra", value={"coords": ["t + q", "0"]})
+    ),
+    "unknown_variable_zero_coefficient_patch": (
+        "torus_integrable.json",
+        _set("cycles", 0, "patches", value=[
+            {"coords": ["t", "s"]}, {"coords": ["t", "s + q"], "coefficient": 0}]),
+    ),
+    "unknown_variable_group_action_on_cohomology": (
+        "torus_integrable.json",
+        _each(_set("task", value="cohomology"),
+              _set("module", value={"coeff_dim": 1, "group_action": {"exprs": ["a1 + q"]}})),
+    ),
+    "unknown_variable_matrix_entry": (
+        "su2_sphere_period.json", _set("cycles", 0, "patches", 0, "matrix", 1, 1, value="q")
+    ),
+    "unknown_variable_cochain_expr": ("r2_d2.json", _set("cochain_expr", value=["x1 * s"])),
+    # a d2 expression that cannot be evaluated is an input error like any other
+    "cochain_expr_divide_by_zero": ("r2_d2.json", _set("cochain_expr", value=["x1/y2"])),
+    # sizes are bounded before anything of that size is built
+    "algebra_dim_too_large": ("heis3_validate.json", _set("algebra", value={"dim": 1_000_000})),
+    "torus_dim_too_large": ("torus_integrable.json", _set("group", "dim", value=10**12)),
+    "translation_dim_too_large": ("r2_d2.json", _set("group", "dim", value=10**6)),
+    "coeff_dim_too_large": ("extend_heis3.json", _set("module", "coeff_dim", value=10**6)),
+    "cohomology_degree_too_large": (
+        "sl2_cohomology.json",
+        _each(_set("algebra", value={"dim": 24}), _set("module", "coeff_dim", value=24),
+              _set("options", "degrees", value=[12])),
+    ),
+    "extension_too_large": (
+        "extend_heis3.json",
+        _each(_set("algebra", value={"dim": 24}), _set("module", "coeff_dim", value=24),
+              _set("cocycle", "components", value=[])),
+    ),
+}
+
+# The entry an error names, where it matters which one it is.
+MALFORMED_MESSAGES = {
+    "unknown_variable_unpaired_path": (
+        "paths['extra'].coords[0]: unknown variable 'q'; the variables here are t"
+    ),
+    "unknown_variable_zero_coefficient_patch": (
+        "cycles['fundamental'].patches[1].coords[1]: unknown variable 'q'; "
+        "the variables here are t, s"
+    ),
+    "unknown_variable_group_action_on_cohomology": (
+        "module.group_action.exprs[0]: unknown variable 'q'; the variables here are g1, g2, a1"
+    ),
+    "unknown_variable_matrix_entry": "patches[0].matrix[1][1]: unknown variable 'q'",
+    "unknown_variable_cochain_expr": (
+        "cochain_expr[0]: unknown variable 's'; the variables here are x1, x2, y1, y2"
+    ),
+    "cochain_expr_divide_by_zero": "cannot evaluate 'x1/y2'",
+    "cohomology_degree_too_large": "entries, more than",
+    "extension_too_large": "d_2 would hold",
 }
 
 
@@ -267,6 +337,7 @@ def test_malformed_document_exits_2(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("input error: ")
+    assert MALFORMED_MESSAGES.get(case, "") in captured.err
     assert captured.out == ""
 
 
@@ -530,9 +601,14 @@ class TestFixtures:
     @pytest.mark.parametrize(
         "entry", json.loads((FIXTURES / "index.json").read_text()), ids=lambda e: e["file"]
     )
-    def test_fixture_exit_codes(self, entry):
-        proc = run_cli([str(FIXTURES / entry["file"])])
-        assert proc.returncode == entry["expected_exit"], proc.stderr or proc.stdout
+    def test_fixture_exit_codes(self, entry, capsys):
+        code = main([str(FIXTURES / entry["file"])])
+        captured = capsys.readouterr()
+        assert code == entry["expected_exit"], captured.err or captured.out
+
+    def test_exit_code_crosses_the_process_boundary(self):
+        proc = run_cli([str(FIXTURES / "torus_indeterminate.json")])
+        assert proc.returncode == 4, proc.stderr or proc.stdout
 
     def test_fixture_listing(self):
         proc = run_cli(["--fixtures"])
@@ -553,18 +629,16 @@ class TestCliBehavior:
         r1.pop("timing_seconds"), r2.pop("timing_seconds")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_task_override_flag(self):
-        proc = run_cli(
-            [str(FIXTURES / "sl2_cohomology.json"), "--task", "validate", "--output", "machine"]
-        )
-        report = json.loads(proc.stdout)
+    def test_task_override_flag(self, capsys):
+        report = machine_report([str(FIXTURES / "sl2_cohomology.json"), "--task", "validate"],
+                                capsys)
         assert report["task"] == "validate"
         assert report["results"]["valid"] is True
 
-    def test_quad_order_flag_changes_report(self):
-        args = [str(FIXTURES / "torus_integrable.json"), "--output", "machine"]
-        full = json.loads(run_cli(args).stdout)
-        coarse = json.loads(run_cli(args + ["--quad-order", "4"]).stdout)
+    def test_quad_order_flag_changes_report(self, capsys):
+        args = [str(FIXTURES / "torus_integrable.json")]
+        full = machine_report(args, capsys)
+        coarse = machine_report(args + ["--quad-order", "4"], capsys)
         assert full["results"]["quad_order"] == 16
         assert coarse["results"]["quad_order"] == 4
 
@@ -597,32 +671,27 @@ class TestCliBehavior:
         proc = run_cli(["-"], stdin_text="{broken")
         assert proc.returncode == 2
 
-    def test_gamma_report_values(self):
-        proc = run_cli([str(FIXTURES / "torus_gamma.json"), "--output", "machine"])
-        report = json.loads(proc.stdout)
+    def test_gamma_report_values(self, capsys):
+        report = machine_report([str(FIXTURES / "torus_gamma.json")], capsys)
         assert report["results"]["value"][0] == pytest.approx(0.5, abs=1e-8)
 
-    def test_d2_report_matches_analytic(self):
-        proc = run_cli([str(FIXTURES / "r2_d2.json"), "--output", "machine"])
-        report = json.loads(proc.stdout)
+    def test_d2_report_matches_analytic(self, capsys):
+        report = machine_report([str(FIXTURES / "r2_d2.json")], capsys)
         comps = {tuple(c["indices"]): c["value"] for c in report["results"]["derived_cochain"]}
         assert comps[(0, 1)][0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_cohomology_report_betti(self):
-        proc = run_cli([str(FIXTURES / "sl2_cohomology.json"), "--output", "machine"])
-        report = json.loads(proc.stdout)
+    def test_cohomology_report_betti(self, capsys):
+        report = machine_report([str(FIXTURES / "sl2_cohomology.json")], capsys)
         betti = {sl["degree"]: sl["betti"] for sl in report["results"]["slices"]}
         assert betti[1] == 0 and betti[2] == 0
 
-    def test_equivalence_report(self):
-        proc = run_cli([str(FIXTURES / "equivalence_r2.json"), "--output", "machine"])
-        report = json.loads(proc.stdout)
+    def test_equivalence_report(self, capsys):
+        report = machine_report([str(FIXTURES / "equivalence_r2.json")], capsys)
         assert report["results"]["equivalent"] is False
         assert report["results"]["residual"] == pytest.approx(1.0)
 
-    def test_pi1_report(self):
-        proc = run_cli([str(FIXTURES / "pi1_torus.json"), "--output", "machine"])
-        report = json.loads(proc.stdout)
+    def test_pi1_report(self, capsys):
+        report = machine_report([str(FIXTURES / "pi1_torus.json")], capsys)
         com = np.array(report["results"]["commutators"])
         assert com[0, 1, 0] == pytest.approx(1.0, abs=1e-7)
         assert report["results"]["commutator_in_lattice"][0][1] == "member"

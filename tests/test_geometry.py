@@ -700,7 +700,7 @@ class TestBoundaryBookkeeping:
             )
             for k in range(5)
         ]
-        lx.assert_cycle_closed(torus2, lx.Surface2Chain(patches=tuple(patches)))
+        lx.assert_cycle_closed(lx.Surface2Chain(patches=tuple(patches)))
         assert [len(c) for c in calls] == [1, 1, 1, 1, 0]
 
     def test_fundamental_square_cancels(self, torus2):
