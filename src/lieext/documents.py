@@ -123,7 +123,10 @@ def _integer(value, context, low=None, high=None) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         if (low is None or value >= low) and (high is None or value <= high):
             return value
-    bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+    bounds = (
+        "" if low is None else f" >= {low}" if high is None
+        else f" equal to {low}" if low == high else f" in [{low}, {high}]"
+    )
     raise DocumentError(f"{context} must be an integer{bounds}, got {value!r}")
 
 
@@ -265,10 +268,11 @@ def _compile_exprs(strings, context, names, numbers=False):
     return out
 
 
-def _evaluator(entries, names) -> Callable:
+def _evaluator(entries, names, context) -> Callable:
     """The constants and compiled expressions of entries, a vector or a
     matrix, as one vectorized map: one array per name in, an array of shape
-    shape + entries' shape out, shape being the broadcast shape of the arrays."""
+    shape + entries' shape out, shape being the broadcast shape of the arrays.
+    An evaluation error names the entry, context[i] or context[i][j]."""
     table = np.array(entries, dtype=object)
 
     @vectorized
@@ -276,7 +280,11 @@ def _evaluator(entries, names) -> Callable:
         env = dict(zip(names, args))
         out = np.empty(np.broadcast_shapes(*map(np.shape, args)) + table.shape)
         for at, entry in np.ndenumerate(table):
-            out[(...,) + at] = entry(env) if callable(entry) else entry
+            try:
+                out[(...,) + at] = entry(env) if callable(entry) else entry
+            except ExpressionError as exc:
+                where = context + "".join(f"[{k}]" for k in at)
+                raise ExpressionError(f"{where}: {exc}", exc.position) from None
         return out
     return evaluate
 
@@ -303,7 +311,7 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
         names = [f"g{i + 1}" for i in range(chart.dim)] + [f"a{j + 1}" for j in range(m)]
         exprs = _compile_exprs(_list(ga["exprs"], context), context, names)
         _require(len(exprs) == m, f"module.group_action needs {m} expressions")
-        values = _evaluator(exprs, names)
+        values = _evaluator(exprs, names, context)
 
         @vectorized
         def action(g, v):
@@ -358,7 +366,9 @@ def _parse_group(section) -> MatrixGroup:
 
 def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> Cochain:
     _require(isinstance(section, dict), f"{context} section must be an object")
-    degree = _integer(section.get("degree", 2), f"{context}: degree", low=0)
+    degree = _integer(
+        section.get("degree", 2), f"{context}: degree (tasks read 2-cocycles only)", 2, 2
+    )
     comps = {}
     for entry in _list(section.get("components", []), f"{context}.components"):
         _require(
@@ -398,7 +408,8 @@ def _map_eval(entries, group: MatrixGroup, names, context):
             isinstance(coords, list) and len(coords) == chart.dim,
             f"{context}.coords must be a list of {chart.dim} expressions",
         )
-        values = _evaluator(_compile_exprs(coords, f"{context}.coords", names), names)
+        context = f"{context}.coords"
+        values = _evaluator(_compile_exprs(coords, context, names), names, context)
         return vectorized(lambda *args: chart.from_coords(values(*args)))
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
@@ -408,10 +419,11 @@ def _map_eval(entries, group: MatrixGroup, names, context):
             and all(isinstance(r, list) and len(r) == d for r in rows),
             f"{context}.matrix must be a list of {d} rows of {d} entries",
         )
+        context = f"{context}.matrix"
         return _evaluator([
-            _compile_exprs(row, f"{context}.matrix[{i}]", names, numbers=True)
+            _compile_exprs(row, f"{context}[{i}]", names, numbers=True)
             for i, row in enumerate(rows)
-        ], names)
+        ], names, context)
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
@@ -549,7 +561,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         )
         chart = doc.group.chart
         names = [f"x{i + 1}" for i in range(chart.dim)] + [f"y{i + 1}" for i in range(chart.dim)]
-        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names), names)
+        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names), names, "cochain_expr")
 
         def f_eval(g, h):
             return values(*np.moveaxis(chart.to_coords(g), -1, 0),

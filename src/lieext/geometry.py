@@ -7,8 +7,8 @@ left translation twisted with the coefficient action:
 
 with tangents decomposed in the realized algebra basis.  Everything else
 here is built on integrating that form over parameterized 2-chains with a
-tensor Gauss-Legendre rule (Duffy-mapped on triangles) and patch partials
-by central differences, in one array pass over all nodes of a patch:
+tensor Gauss-Legendre rule and patch partials by central differences, in
+one array pass over all nodes of a patch:
 
 * the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
   path-pair cocycle;
@@ -19,6 +19,10 @@ by central differences, in one array pass over all nodes of a patch:
 * the finite-difference derivation taking a smooth group 2-cochain to an
   algebra 2-cochain, and the consistency checks tying the path cocycle and
   the extension's curvature back to omega.
+
+A triangle patch is integrated on the square's own nodes with spectral
+integration weights, so it is evaluated on the whole unit square, on both
+sides of the diagonal, and must be defined there.
 """
 
 from dataclasses import dataclass
@@ -117,7 +121,9 @@ def eval_equivariant(
 class SurfacePatch:
     """One parameterized 2-patch: map from the unit square or the triangle
     {0 <= s <= t <= 1} into the group, with an integer multiplicity.
-    Called on arrays of parameters it returns the stack of matrices."""
+    Called on arrays of parameters it returns the stack of matrices.  A
+    triangle ("simplex") patch is evaluated on the whole unit square, so it
+    must be defined beyond the triangle too."""
 
     eval: Callable
     domain: str = "square"  # "square" | "simplex"
@@ -169,18 +175,28 @@ _PASS_NODES = 4096
 def _stencil(order: int, domain: str, step: float):
     """Parameters and weights of the tensor Gauss-Legendre grid on a domain.
 
-    Node (i, j) sits at (u_i, u_j) on the square and at the Duffy image
-    (u_i, u_i u_j), with Jacobian u_i, on the triangle.  Returns ts and ss
-    of shape (5, N), the nodes followed by their central-difference
+    Both domains use the nodes (u_i, u_j) of the square.  On the square node
+    (i, j) weighs w_i w_j; on the triangle {0 <= s <= t <= 1} it weighs
+    w_i S_ij, where S_ij, the integral of the j-th Lagrange basis polynomial
+    of the nodes from 0 to u_i, is the spectral integration matrix.  The
+    discrete orthogonality of the Legendre polynomials at the Gauss nodes x
+    (weights 2 w) gives l_j = sum_k (2k + 1) w_j P_k(x_j) P_k, and
+    (2k + 1) int_{-1}^x P_k = P_{k+1}(x) - P_{k-1}(x), with P_{-1} = -1, so
+    S_ij = sum_k (P_{k+1} - P_{k-1})(x_i) P_k(x_j) w_j / 2.  Returns ts and
+    ss of shape (5, N), the nodes followed by their central-difference
     neighbours t + h, t - h, s + h, s - h, and the N node weights.
     """
     x, w = np.polynomial.legendre.leggauss(order)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    u, v = np.repeat(nodes, order), np.tile(nodes, order)
-    t, s, jac = (u, u * v, u) if domain == "simplex" else (u, v, 1.0)
+    inner = weights  # node (i, j) weighs w_i times inner[j], or inner[i, j]
+    if domain == "simplex":
+        p = np.polynomial.legendre.legvander(x, order)  # P_0 .. P_order at the nodes
+        primitives = p[:, 1:] - np.hstack([-np.ones((order, 1)), p[:, :-2]])
+        inner = 0.25 * (primitives @ p[:, :-1].T) * w  # S
+    t, s = np.repeat(nodes, order), np.tile(nodes, order)
     ts = np.stack([t, t + step, t - step, t, t])
     ss = np.stack([s, s, s, s + step, s - step])
-    weight = np.repeat(weights, order) * np.tile(weights, order) * jac
+    weight = (weights[:, None] * inner).ravel()
     for arr in (ts, ss, weight):
         arr.flags.writeable = False
     return ts, ss, weight
@@ -194,9 +210,10 @@ def surface_integral(
 ) -> np.ndarray:
     """Integral of the form over the chain.
 
-    Tensor Gauss-Legendre of the given order per axis; the triangle domain
-    is reached through the Duffy map (t, s) = (u, u v) with Jacobian u,
-    which keeps the rule robust at the collapsed vertex.  Patch partial
+    Tensor Gauss-Legendre of the given order per axis; a triangle patch is
+    integrated on the square's own nodes with the spectral integration
+    weights of _stencil, so it is evaluated on the whole unit square, on
+    both sides of the diagonal, and must be defined there.  Patch partial
     derivatives are central differences with the given step.  Each patch
     is one array pass: the patch is evaluated once on all nodes and their
     four neighbours, and membership, the tangent decomposition, the
@@ -211,9 +228,17 @@ def surface_integral(
         ts, ss, weight = _stencil(quad_order, patch.domain, step)
         for lo in range(0, weight.size, _PASS_NODES):
             part = slice(lo, lo + _PASS_NODES)
-            mats = patch(ts[:, part].ravel(), ss[:, part].ravel())
-            g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
-            group.check_membership(g, scale=np.max(np.abs(g), axis=(-2, -1), initial=0.0))
+            try:
+                mats = patch(ts[:, part].ravel(), ss[:, part].ravel())
+                g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
+                group.check_membership(g, scale=np.max(np.abs(g), axis=(-2, -1), initial=0.0))
+            except LieExtError as exc:
+                if patch.domain != "simplex":
+                    raise
+                raise MalformedInputError(
+                    "a simplex patch is integrated on the whole unit square, on both "
+                    f"sides of the diagonal, and must be defined there: {exc}"
+                ) from None
             du = (t_plus - t_minus) / (2.0 * step)
             dv = (s_plus - s_minus) / (2.0 * step)
             vals = weight[part, None] * eval_equivariant(form, g, du, dv)

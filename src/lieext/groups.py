@@ -137,10 +137,12 @@ class MatrixGroup:
 
     def check_membership(self, g: np.ndarray, scale=1.0):
         """Raise MembershipError unless every matrix of the stack g is in the
-        group, each within MEMBERSHIP_TOL times max(1, its scale)."""
+        group, each within MEMBERSHIP_TOL times max(1, its scale); a NaN
+        matrix fails quietly, its residual being NaN."""
         if self.membership is None:
             return
-        res = np.asarray(self.membership(np.asarray(g, dtype=float)), dtype=float)
+        with np.errstate(invalid="ignore"):
+            res = np.asarray(self.membership(np.asarray(g, dtype=float)), dtype=float)
         bad = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, scale)))
         if bad.size:
             raise MembershipError(

@@ -217,6 +217,12 @@ MALFORMED = {
         _set("lattice", "generators", value=[[float("nan")]]),
     ),
     "cocycle_degree_string": ("torus_integrable.json", _set("cocycle", "degree", value="x")),
+    # a cocycle of another degree is refused before its index table is built
+    "cocycle_degree_8": (
+        "heis3_validate.json",
+        _each(_set("algebra", value={"dim": 24}),
+              _set("cocycle", value={"degree": 8, "components": []})),
+    ),
     "cycles_not_list": ("torus_integrable.json", _set("cycles", value=3)),
     "pair_entry_not_string": ("torus_gamma.json", _set("pair", 0, value=["p1"])),
     # the option aliases are gone: a task reads one tolerance, 'tol'
@@ -289,6 +295,13 @@ MALFORMED = {
     "unknown_variable_cochain_expr": ("r2_d2.json", _set("cochain_expr", value=["x1 * s"])),
     # a d2 expression that cannot be evaluated is an input error like any other
     "cochain_expr_divide_by_zero": ("r2_d2.json", _set("cochain_expr", value=["x1/y2"])),
+    # a simplex patch is evaluated on both sides of the diagonal
+    "simplex_patch_undefined_off_the_triangle": (
+        "torus_integrable.json",
+        _set("cycles", 0, "patches", value=[
+            {"domain": "simplex", "coords": ["t", "s + exp(1000*(s-t)) - exp(1000*(s-t))"]},
+            {"domain": "simplex", "coords": ["s", "t"], "coefficient": -1}]),
+    ),
     # sizes are bounded before anything of that size is built
     "algebra_dim_too_large": ("heis3_validate.json", _set("algebra", value={"dim": 1_000_000})),
     "torus_dim_too_large": ("torus_integrable.json", _set("group", "dim", value=10**12)),
@@ -322,7 +335,16 @@ MALFORMED_MESSAGES = {
     "unknown_variable_cochain_expr": (
         "cochain_expr[0]: unknown variable 's'; the variables here are x1, x2, y1, y2"
     ),
-    "cochain_expr_divide_by_zero": "cannot evaluate 'x1/y2'",
+    "patch_divide_by_zero": "cycles['fundamental'].patches[0].coords[0]: cannot evaluate 't/0'",
+    "cochain_expr_divide_by_zero": "cochain_expr[0]: cannot evaluate 'x1/y2'",
+    "cocycle_degree_8": (
+        "cocycle: degree (tasks read 2-cocycles only) must be an integer equal to 2"
+    ),
+    "simplex_patch_undefined_off_the_triangle": (
+        "a simplex patch is integrated on the whole unit square, on both sides of the "
+        "diagonal, and must be defined there: cycles['fundamental'].patches[0].coords[1]: "
+        "cannot evaluate"
+    ),
     "cohomology_degree_too_large": "entries, more than",
     "extension_too_large": "d_2 would hold",
 }

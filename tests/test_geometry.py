@@ -292,13 +292,50 @@ class TestSurfaceIntegral:
             assert fine < max(coarse / 100.0, QUAD_FLOOR)
         assert errors[-1] < QUAD_FLOOR
 
-    def test_triangle_domain_duffy(self, trans2):
+    def test_triangle_domain_on_the_square_grid(self, trans2):
         form = lx.EquivariantForm(area_cochain(), trans2)
         patch = lx.SurfacePatch(
             eval=lambda t, s: trans2.chart.from_coords([t, s]), domain="simplex"
         )
         val = lx.surface_integral(form, lx.Surface2Chain(patches=(patch,)), 16)
         assert val[0] == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("order", [2, 8, 64, 256])
+    def test_triangle_weights_integrate_monomials(self, order):
+        ts, ss, weight = lx.geometry._stencil(order, "simplex", 1e-5)
+        t, s = ts[0], ss[0]
+        assert weight.sum() == pytest.approx(0.5, abs=1e-15)
+        assert np.sum(np.abs(weight)) < 0.55  # no cancellation between weights
+        powers = range(min(order, 20))
+        got = np.array([[weight @ (t ** a * s ** b) for b in powers] for a in powers])
+        # int_0^1 t^a int_0^t s^b ds dt = 1 / ((b + 1) (a + b + 2))
+        a, b = np.meshgrid(powers, powers, indexing="ij")
+        assert np.max(np.abs(got - 1.0 / ((b + 1) * (a + b + 2)))) <= 1e-15
+
+    def test_product_triangle_hands_the_second_path_3n_parameters(self, trans2):
+        calls = []
+
+        def coords(t):
+            calls.append(t)
+            return np.array([t * t, np.sin(t)])
+
+        p = lx.coordinate_path(trans2, lambda t: np.array([t, 0.5 * t]))
+        q = lx.coordinate_path(trans2, coords)
+        lx.path_cocycle(lx.EquivariantForm(area_cochain(), trans2), p, q, 16)
+        # the nodes and their two difference neighbours, each called once
+        assert len(set(calls)) <= 3 * 16
+
+    @pytest.mark.parametrize("outside", [2.0, np.nan])
+    def test_simplex_patch_must_be_defined_on_the_square(self, torus2, outside):
+        def patch(t, s):
+            g = torus2.chart.from_coords([t, s])
+            return g if s <= t else outside * g
+
+        chain = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch, domain="simplex"),))
+        with pytest.raises(MalformedInputError, match="defined there") as info:
+            lx.surface_integral(torus_form(torus2), chain, 8)
+        assert info.value.exit_code == 2
+        assert "simplex patch" in str(info.value) and "whole unit square" in str(info.value)
 
     def test_stokes_boundary_of_3_patch(self, torus2, rng):
         form = torus_form(torus2)
@@ -732,19 +769,25 @@ class TestBoundaryBookkeeping:
 
 def per_node_integral(form, chain, order, step=lx.groups.DEFAULT_FD_STEP):
     """Reference quadrature: one node at a time, scalar patch calls and the
-    public eval_equivariant, in the order the rule defines."""
+    public eval_equivariant, in the order the rule defines.  A triangle node
+    (i, j) weighs w_i times the integral from 0 to u_i of the j-th Lagrange
+    polynomial of the nodes, here built by a Legendre fit."""
     x, w = np.polynomial.legendre.leggauss(order)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    lagrange_integrals = [
+        np.polynomial.Legendre.fit(nodes, e_j, order - 1, domain=[0, 1]).integ(lbnd=0)
+        for e_j in np.eye(order)
+    ]
     total = np.zeros(form.cochain.coeff_dim)
     for patch in chain.patches:
-        for i, u in enumerate(nodes):
-            for j, v in enumerate(nodes):
-                t, s, jac = (u, u * v, u) if patch.domain == "simplex" else (u, v, 1.0)
+        for i, t in enumerate(nodes):
+            for j, s in enumerate(nodes):
+                inner = lagrange_integrals[j](t) if patch.domain == "simplex" else weights[j]
                 g = patch(t, s)
                 du = (patch(t + step, s) - patch(t - step, s)) / (2.0 * step)
                 dv = (patch(t, s + step) - patch(t, s - step)) / (2.0 * step)
                 value = lx.eval_equivariant(form, g, du, dv)
-                total = total + patch.coefficient * weights[i] * weights[j] * jac * value
+                total = total + patch.coefficient * weights[i] * inner * value
     return total
 
 
