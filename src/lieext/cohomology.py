@@ -29,6 +29,10 @@ RANK_TOL_FACTOR = 1e-10
 # d_n is assembled dense and its SVD takes a few copies of it; a d_n with
 # more entries than this (128 MiB of doubles) is refused.
 MAX_D_ENTRIES = 2**24
+# The term tables of d_n (see _term_table) kept in memory, and the size of
+# the largest one kept: 3 MiB of int32 (row, col, src) triples.
+TERM_CACHE_SIZE = 64
+MAX_CACHED_TERMS = 2**18
 
 
 def increasing_tuples(n_g: int, degree: int):
@@ -158,6 +162,76 @@ def _lex_rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return binom[n_g, k] - 1 - binom[n_g - 1 - tuples, k - np.arange(k)].sum(axis=1)
 
 
+def _term_count(dim: int, n: int) -> int:
+    """Terms of d_n: n + 1 action slots and C(n + 1, 2) slot pairs per row,
+    each pair with the dim - n + 1 indices k not in the rest of the row."""
+    return math.comb(dim, n + 1) * ((n + 1) + math.comb(n + 1, 2) * (dim - n + 1))
+
+
+@functools.lru_cache(maxsize=TERM_CACHE_SIZE)
+def _term_table(dim: int, n: int) -> tuple:
+    """(n_action, row, col, src): every term of d_n on a dim-dimensional
+    algebra as read-only int32 arrays, in an order that sums each entry as
+    the formula does: the action term first, then slot pairs ascending.
+
+    Row block I = (i_0 < .. < i_n) gets the action term (-1)^p rho[i_p] in
+    the column block of I without i_p (src = i_p, plus dim when the sign is
+    negative), and for each slot pair p < q and each k not in the rest of I
+    the bracket term (-1)^(p+q+s) c[i_p, i_q, k] in the column block J of
+    the rest with k sorted in, s the slot of k in J (src = the flat index of
+    (i_p, i_q, k) in c, plus dim^3 when the sign is negative).  Every such k
+    is listed, zero c or not, so the table depends on (dim, n) alone.
+
+    Only k = i_p or i_q lands on a column of I without one slot, where the
+    action terms are; those bracket terms follow the action terms, pair by
+    pair.  A k outside I gives a J that no other term reaches, found as
+    (I without i_q, plus k) without i_p.  Indices fit int32: a d_n with
+    bracket terms has n >= 1 and so dim <= 322 under MAX_D_ENTRIES.
+    """
+    # the ranks read C(x, j) <= C(dim, n) only: larger ones are clipped
+    binom = np.array(
+        [[min(math.comb(x, j), 2**62) for j in range(n + 1)] for x in range(dim + 1)],
+        dtype=np.intp,
+    )
+    rows = index_table(dim, n + 1)
+    slots = np.arange(n + 1, dtype=np.int32)
+    others = np.array([np.delete(slots, p) for p in slots], dtype=np.intp).reshape(n + 1, n)
+    # drop[r, p]: the column of row r without its slot p
+    drop = _lex_rank(rows[:, others].reshape(len(rows) * (n + 1), n), binom)
+    drop = drop.reshape(len(rows), n + 1).astype(np.int32)
+    rows = rows.astype(np.int32)
+    every = np.arange(len(rows), dtype=np.int32)
+    row, col = [np.tile(every, n + 1)], [drop.T]
+    src = [(rows + dim * (slots % 2)).T]
+    if n:
+        p, q = np.array(list(itertools.combinations(slots, 2))).T
+        i, j = rows[:, p].T, rows[:, q].T  # (pair, row)
+        row.append(np.tile(every, 2 * len(p)))
+        col.append(np.stack([drop[:, q].T, drop[:, p].T], axis=1))
+        src.append(np.stack([
+            (i * dim + j) * dim + i + dim**3 * (q % 2)[:, None],
+            (i * dim + j) * dim + j + dim**3 * ((p + 1) % 2)[:, None],
+        ], axis=1))
+        # k outside I, ascending, and t = the number of entries of I below k
+        outside = np.ones((len(rows), dim), dtype=bool)
+        outside[every[:, None], rows] = False
+        k = np.nonzero(outside)[1].astype(np.int32).reshape(len(rows), max(dim - n - 1, 0))
+        t = k - np.arange(k.shape[1], dtype=np.int32)
+        # insert[A, k]: the row A + {k}, for a column A, by one scatter
+        insert = np.full((math.comb(dim, n), dim), -1, dtype=np.int32)
+        insert[drop, rows] = every[:, None]
+        i, j, p = i[..., None], j[..., None], p[:, None, None]
+        with_k = insert[drop[:, q].T[..., None], k]
+        row.append(np.broadcast_to(every[:, None], with_k.shape))
+        col.append(drop[with_k, p + (k < i)])
+        parity = (p + q[:, None, None] + t - (i < k) - (j < k)) % 2
+        src.append((i * dim + j) * dim + k + dim**3 * parity)
+    table = [np.concatenate([a.ravel() for a in arrays]) for arrays in (row, col, src)]
+    for a in table:
+        a.flags.writeable = False
+    return len(rows) * (n + 1), *table
+
+
 def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
     """Matrix of d_n in the package component bases.
 
@@ -165,41 +239,36 @@ def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
         sum_i (-1)^{i+1} X_i . omega(.., X^_i, ..)
       + sum_{i<j} (-1)^{i+j} omega([X_i, X_j], .., X^_i, .., X^_j, ..)
 
-    Filled from index combinatorics, one pass per slot (or pair of slots)
-    over all rows at once.  Row block I = (i_0 < .. < i_n) gets
-    (-1)^p rho[i_p] in the column block of I without i_p, and
-    (-1)^(p+q+r) c[i_p, i_q, k] times the identity in the column block of
-    the rest with k sorted in, where r counts the rest entries below k;
-    a k already in the rest contributes nothing (alternation).
+    Which entry each term lands in, and with which sign, depends on (dim, n)
+    alone: the terms come from _term_table, cached by (dim, n).  A call
+    gathers their values from rho and c, expands the m x m rho blocks and
+    the c (x) I_m diagonals, and sums them into the dense matrix with one
+    np.bincount scatter, in the table's order, so every entry gets the same
+    bits as a term-by-term sum.  The cache keeps at most TERM_CACHE_SIZE
+    tables of at most MAX_CACHED_TERMS terms, 12 bytes each: 192 MiB at
+    worst, 1.5 times one d_n of MAX_D_ENTRIES doubles.  A larger table (d_6
+    at dim 13, d_1 from dim 81 on) is built for its one call and dropped.
     """
     _check_size(alg, mod, n)
     dim, m = alg.dim, mod.coeff_dim
-    rows = index_table(dim, n + 1)
-    binom = np.array(
-        [[math.comb(x, j) for j in range(n + 1)] for x in range(dim + 1)],
-        dtype=np.intp,
-    )
-    n_cols = binom[dim, n]
-    mat = np.zeros((len(rows), m, n_cols, m))
-    for p in range(n + 1):
-        cols = _lex_rank(np.delete(rows, p, axis=1), binom)
-        np.add.at(
-            mat,
-            (np.arange(len(rows)), slice(None), cols, slice(None)),
-            (-1.0) ** p * mod.rho[rows[:, p]],
-        )
-    c = alg.structure_constants
-    diag = np.arange(m)
-    for p, q in itertools.combinations(range(n + 1), 2):
-        r, k = np.nonzero(c[rows[:, p], rows[:, q]])
-        rest = np.delete(rows, [p, q], axis=1)[r]
-        keep = ~np.any(rest == k[:, None], axis=1)
-        r, k, rest = r[keep], k[keep], rest[keep]
-        below = np.sum(rest < k[:, None], axis=1)
-        cols = _lex_rank(np.sort(np.column_stack([rest, k]), axis=1), binom)
-        vals = (-1.0) ** (p + q + below) * c[rows[r, p], rows[r, q], k]
-        np.add.at(mat, (r[:, None], diag, cols[:, None], diag), vals[:, None])
-    return mat.reshape(len(rows) * m, n_cols * m)
+    terms = _term_table if _term_count(dim, n) <= MAX_CACHED_TERMS else _term_table.__wrapped__
+    n_action, row, col, src = terms(dim, n)
+    n_rows, n_cols = math.comb(dim, n + 1) * m, math.comb(dim, n) * m
+    # entry (row * m + a, col * m + b) is flat (row * m + a) * n_cols + col * m + b
+    start = m * (row.astype(np.intp) * n_cols + col)
+    block = np.arange(m)[:, None] * n_cols + np.arange(m)
+    # src counts into [values, -values]; a zero c adds -0.0, the exact
+    # additive identity, so a sum keeps the bits it has without the term
+    rho = np.concatenate([mod.rho, -mod.rho])
+    c = np.concatenate([alg.structure_constants.ravel(), -alg.structure_constants.ravel()])
+    c[c == 0.0] = -0.0
+    index = np.concatenate([
+        (start[:n_action, None] + block.ravel()).ravel(),
+        (start[n_action:, None] + block.diagonal()).ravel(),
+    ])
+    values = np.concatenate([rho[src[:n_action]].ravel(), np.repeat(c[src[n_action:]], m)])
+    mat = np.bincount(index, values, minlength=n_rows * n_cols)
+    return mat.astype(float, copy=False).reshape(n_rows, n_cols)  # no terms: ints
 
 
 def apply_d(alg: LieAlgebra, mod: ModuleAction, omega: Cochain) -> Cochain:
@@ -271,12 +340,17 @@ def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
 
 
 def _check_size(alg: LieAlgebra, mod: ModuleAction, n: int):
-    """Refuse a d_n with more than MAX_D_ENTRIES entries, from its binomial
-    shape alone, before any index table is built."""
+    """Refuse a d_n with more than MAX_D_ENTRIES entries or terms, from its
+    binomial shape alone, before any index or term table is built."""
     entries = math.comb(alg.dim, n + 1) * math.comb(alg.dim, n) * mod.coeff_dim**2
     if entries > MAX_D_ENTRIES:
         raise MalformedInputError(
             f"d_{n} would hold {entries} entries, more than {MAX_D_ENTRIES}"
+        )
+    terms = _term_count(alg.dim, n)
+    if terms > MAX_D_ENTRIES:
+        raise MalformedInputError(
+            f"d_{n} would sum {terms} terms, more than {MAX_D_ENTRIES}"
         )
 
 

@@ -207,10 +207,13 @@ def _parse_algebra(section) -> LieAlgebra:
             "algebra: sparse structure constants are [i, j, k, value] rows",
         )
         values = _reals([entry[3] for entry in rows], "algebra: sparse values", (len(rows),))
+        seen = set()
         for entry, value in zip(rows, values):
             i, j, k = (_integer(x, "algebra: sparse index", low=0) for x in entry[:3])
             if not (i < j < n and k < n):
                 raise DocumentError(f"algebra: sparse row {entry} needs i < j < dim and k < dim")
+            _require((i, j, k) not in seen, f"algebra: sparse entry ({i}, {j}, {k}) given twice")
+            seen.add((i, j, k))
             c[i, j, k] = value
             c[j, i, k] = -value  # antisymmetric partner filled by convention
     try:
@@ -384,6 +387,7 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
             tuple(sorted(idx)) == idx and len(set(idx)) == degree,
             f"{context}: indices {idx} must be strictly increasing",
         )
+        _require(idx not in comps, f"{context}: indices {list(idx)} given twice")
         value = entry["value"] if isinstance(entry["value"], list) else [entry["value"]]
         comps[idx] = _reals(value, f"{context}: value for {idx}", (coeff_dim,))
     try:
@@ -506,6 +510,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         for pos, entry in enumerate(_list(raw["loops"], "loops")):
             _require(isinstance(entry, dict), "loops entries must be objects")
             name = _name(entry.get("name", f"loop{pos}"), "loop name")
+            _require(name not in dict(doc.loops), f"loops: name {name!r} given twice")
             if "winding" in entry:
                 context = f"loops[{name!r}]: winding"
                 winding = [_integer(w, context) for w in _list(entry["winding"], context)]
@@ -524,6 +529,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         for pos, entry in enumerate(_list(raw["cycles"], "cycles")):
             _require(isinstance(entry, dict), "cycles entries must be objects")
             name = _name(entry.get("name", f"cycle{pos}"), "cycle name")
+            _require(name not in dict(gens), f"cycles: name {name!r} given twice")
             patches = entry.get("patches")
             _require(
                 isinstance(patches, list) and patches,

@@ -317,6 +317,31 @@ MALFORMED = {
         _each(_set("algebra", value={"dim": 24}), _set("module", "coeff_dim", value=24),
               _set("cocycle", "components", value=[])),
     ),
+    # an entry or a name stated twice is refused, not overwritten
+    "sparse_entry_twice": (
+        "heis3_validate.json",
+        _set("algebra", "structure_constants", value=[[0, 1, 2, 1.0], [0, 1, 2, -1.0]]),
+    ),
+    "cocycle_indices_twice": (
+        "extend_heis3.json",
+        _set("cocycle", "components", value=[
+            {"indices": [0, 1], "value": [1.0]}, {"indices": [0, 1], "value": [3.0]}]),
+    ),
+    "cocycle2_indices_twice": (
+        "equivalence_r2.json",
+        _set("cocycle2", "components", value=[
+            {"indices": [0, 1], "value": [1.0]}, {"indices": [0, 1], "value": [1.0]}]),
+    ),
+    "cycle_name_twice": (
+        "torus_integrable.json",
+        _set("cycles", value=[
+            {"name": "fundamental", "patches": [{"coords": ["t", "s"]}]},
+            {"name": "fundamental", "patches": [{"coords": ["s", "t"]}]}]),
+    ),
+    "loop_name_twice": (
+        "pi1_torus.json",
+        _set("loops", value=[{"name": "m", "winding": [1, 0]}, {"name": "m", "winding": [0, 1]}]),
+    ),
 }
 
 # The entry an error names, where it matters which one it is.
@@ -347,6 +372,11 @@ MALFORMED_MESSAGES = {
     ),
     "cohomology_degree_too_large": "entries, more than",
     "extension_too_large": "d_2 would hold",
+    "sparse_entry_twice": "algebra: sparse entry (0, 1, 2) given twice",
+    "cocycle_indices_twice": "cocycle: indices [0, 1] given twice",
+    "cocycle2_indices_twice": "cocycle2: indices [0, 1] given twice",
+    "cycle_name_twice": "cycles: name 'fundamental' given twice",
+    "loop_name_twice": "loops: name 'm' given twice",
 }
 
 

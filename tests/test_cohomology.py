@@ -1,5 +1,6 @@
 import math
 import operator
+import types
 
 import numpy as np
 import pytest
@@ -180,6 +181,72 @@ class TestApplyD:
                     rtol=0.0,
                     atol=1e-12,
                 ), (alg.dim, n)
+
+
+class TestTermTable:
+    """coboundary_matrix sums the terms of a table cached by (dim, n)."""
+
+    def test_same_shape_algebras_share_terms_not_values(self, rng):
+        table = lieext.cohomology._term_table
+        algs = [
+            lx.change_of_basis(
+                lx.direct_sum(lx.sl2_algebra(), lx.abelian_algebra(1)),
+                rng.normal(size=(4, 4)) + 3 * np.eye(4),
+            ),
+            lx.change_of_basis(
+                lx.direct_sum(lx.heisenberg3_algebra(), lx.abelian_algebra(1)),
+                rng.normal(size=(4, 4)) + 3 * np.eye(4),
+            ),
+        ]
+        hits = table.cache_info().hits
+        for m in (1, 3):
+            for alg in algs:
+                mod = lx.ModuleAction(rho=rng.normal(size=(4, m, m)))
+                for n in range(alg.dim + 1):
+                    assert np.allclose(
+                        lx.coboundary_matrix(alg, mod, n),
+                        oracle_d_matrix(alg, mod, n),
+                        rtol=0.0,
+                        atol=1e-12,
+                    ), (m, n)
+        assert table.cache_info().hits - hits >= 15  # 20 calls, one build per (4, n)
+
+    def test_cached_arrays_are_read_only(self):
+        n_action, *arrays = lieext.cohomology._term_table(4, 2)
+        assert n_action == math.comb(4, 3) * 3
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_cache_is_bounded(self):
+        maxsize = lieext.cohomology._term_table.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 39
+
+    def test_oversized_table_is_built_but_not_kept(self):
+        table = lieext.cohomology._term_table
+        assert lieext.cohomology._term_count(13, 6) > lieext.cohomology.MAX_CACHED_TERMS
+        before = table.cache_info()
+        d6 = lx.coboundary_matrix(lx.abelian_algebra(13), lx.trivial_module(13, 1), 6)
+        assert d6.shape == (math.comb(13, 7), math.comb(13, 6)) and not np.any(d6)
+        after = table.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_binomials_beyond_int64_are_never_read(self):
+        # C(68, 34) > 2^63: the rank table of d_66 used to overflow
+        d = lx.coboundary_matrix(lx.abelian_algebra(68), lx.trivial_module(68, 1), 66)
+        assert d.shape == (68, math.comb(68, 66)) and not np.any(d)
+
+    @pytest.mark.parametrize("dim, n, message", [
+        (30, 5, "entries, more than"),
+        (225, 223, "terms, more than"),
+    ])
+    def test_oversized_d_n_refused_before_the_table(self, monkeypatch, dim, n, message):
+        monkeypatch.setattr(lieext.cohomology, "_term_table", None)
+        # the size check reads the algebra's dimension only
+        alg = types.SimpleNamespace(dim=dim)
+        with pytest.raises(MalformedInputError, match=message):
+            lx.coboundary_matrix(alg, lx.trivial_module(dim, 1), n)
 
 
 class TestComplexSlice:
