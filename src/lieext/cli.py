@@ -106,34 +106,37 @@ def _list_fixtures() -> str:
     return "\n".join(lines)
 
 
+# Built once per process: parse_args reads it and returns a fresh namespace.
+_PARSER = argparse.ArgumentParser(
+    prog="lieext",
+    description="Lie algebra/group cohomology, extensions, and the "
+    "period-lattice integrability test.",
+)
+_PARSER.add_argument(
+    "document",
+    nargs="?",
+    help="problem document path, or '-' for stdin",
+)
+_PARSER.add_argument("--task", help="override the document's task")
+_PARSER.add_argument("--quad-order", type=int, help="quadrature order per axis")
+_PARSER.add_argument("--tol", type=float, help="task-appropriate tolerance override")
+_PARSER.add_argument("--fd-step", type=float, help="finite-difference step for d2")
+_PARSER.add_argument(
+    "--output", choices=("text", "machine"), default="text", help="report format"
+)
+_PARSER.add_argument(
+    "--fixtures", action="store_true", help="list shipped example documents"
+)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lieext",
-        description="Lie algebra/group cohomology, extensions, and the "
-        "period-lattice integrability test.",
-    )
-    parser.add_argument(
-        "document",
-        nargs="?",
-        help="problem document path, or '-' for stdin",
-    )
-    parser.add_argument("--task", help="override the document's task")
-    parser.add_argument("--quad-order", type=int, help="quadrature order per axis")
-    parser.add_argument("--tol", type=float, help="task-appropriate tolerance override")
-    parser.add_argument("--fd-step", type=float, help="finite-difference step for d2")
-    parser.add_argument(
-        "--output", choices=("text", "machine"), default="text", help="report format"
-    )
-    parser.add_argument(
-        "--fixtures", action="store_true", help="list shipped example documents"
-    )
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if args.fixtures:
         print(_list_fixtures())
         return EXIT_OK
     if not args.document:
-        parser.error("a document path (or '-') is required unless --fixtures is given")
+        _PARSER.error("a document path (or '-') is required unless --fixtures is given")
 
     started = time.perf_counter()
     try:

@@ -27,7 +27,7 @@ sides of the diagonal, and must be defined there.
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,7 +171,6 @@ def left_translate_chain(g: np.ndarray, chain: Surface2Chain) -> Surface2Chain:
 _PASS_NODES = 4096
 
 
-@lru_cache(maxsize=32)
 def _stencil(order: int, domain: str, step: float):
     """Parameters and weights of the tensor Gauss-Legendre grid on a domain.
 
@@ -196,10 +195,81 @@ def _stencil(order: int, domain: str, step: float):
     t, s = np.repeat(nodes, order), np.tile(nodes, order)
     ts = np.stack([t, t + step, t - step, t, t])
     ss = np.stack([s, s, s, s + step, s - step])
-    weight = (weights[:, None] * inner).ravel()
-    for arr in (ts, ss, weight):
-        arr.flags.writeable = False
-    return ts, ss, weight
+    return ts, ss, (weights[:, None] * inner).ravel()
+
+
+@lru_cache(maxsize=32)
+def _passes(rules: Tuple[Tuple[int, float], ...], domain: str) -> tuple:
+    """The stencils of several (order, step) rules on one domain, cut into
+    array passes of at most _PASS_NODES nodes.
+
+    Each rule's nodes are cut into slices of _PASS_NODES, and consecutive
+    slices share a pass while it has room, so no slice straddles two passes
+    and each rule is summed over the same slices as when it is integrated
+    alone.  A pass is (ts, ss, den, weight, segments): the parameters of
+    shape (5, n) as in _stencil, each node's difference denominator 2 h,
+    its weight, and (rule, start, stop) for each slice it holds.
+    """
+    passes = [[]]
+    for r, (order, step) in enumerate(rules):
+        ts, ss, weight = _stencil(order, domain, step)
+        for lo in range(0, weight.size, _PASS_NODES):
+            part = slice(lo, lo + _PASS_NODES)
+            piece = (r, ts[:, part], ss[:, part], np.full(weight[part].size, 2.0 * step), weight[part])
+            if sum(p[4].size for p in passes[-1]) + piece[4].size > _PASS_NODES:
+                passes.append([])
+            passes[-1].append(piece)
+    out = []
+    for pieces in passes:
+        rules_in, *arrays = zip(*pieces)
+        sizes = [weight.size for weight in arrays[-1]]
+        arrays = [np.concatenate(a, axis=-1) for a in arrays]
+        for arr in arrays:
+            arr.flags.writeable = False
+        ends = np.cumsum(sizes)
+        out.append((*arrays, tuple(zip(rules_in, ends - sizes, ends))))
+    return tuple(out)
+
+
+def surface_integrals(
+    form: EquivariantForm,
+    chain: Surface2Chain,
+    rules: Sequence[Tuple[int, float]],
+) -> np.ndarray:
+    """Integrals of the form over the chain, one row per (quad_order, step)
+    rule, each bit for bit what surface_integral returns for that rule.
+
+    Each patch is one array pass over the stencils of all the rules: the
+    patch is evaluated once on every rule's nodes and their four difference
+    neighbours, and membership, the tangent decomposition, the cochain, the
+    action and the weights are applied to the whole stack; each rule's
+    weighted values are summed over its own nodes.  Stencils of more than
+    _PASS_NODES nodes in all are integrated in several passes (_passes).
+    """
+    group = form.group
+    rules = tuple((int(order), float(step)) for order, step in rules)
+    totals = np.zeros((len(rules), form.cochain.coeff_dim))
+    for patch in chain.patches:
+        if patch.coefficient == 0:
+            continue
+        for ts, ss, den, weight, segments in _passes(rules, patch.domain):
+            try:
+                mats = patch(ts.ravel(), ss.ravel())
+                g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
+                group.check_membership(g, scale=np.max(np.abs(g), axis=(-2, -1), initial=0.0))
+            except LieExtError as exc:
+                if patch.domain != "simplex":
+                    raise
+                raise MalformedInputError(
+                    "a simplex patch is integrated on the whole unit square, on both "
+                    f"sides of the diagonal, and must be defined there: {exc}"
+                ) from None
+            du = (t_plus - t_minus) / den[:, None, None]
+            dv = (s_plus - s_minus) / den[:, None, None]
+            vals = weight[:, None] * eval_equivariant(form, g, du, dv)
+            for r, lo, hi in segments:
+                totals[r] = totals[r] + patch.coefficient * np.sum(vals[lo:hi], axis=0)
+    return totals
 
 
 def surface_integral(
@@ -218,32 +288,10 @@ def surface_integral(
     is one array pass: the patch is evaluated once on all nodes and their
     four neighbours, and membership, the tangent decomposition, the
     cochain, the action and the weights are applied to the whole stack
-    (orders above 64 pass over slices of _PASS_NODES nodes).
+    (orders above 64 pass over slices of _PASS_NODES nodes).  This is
+    surface_integrals with one rule.
     """
-    group = form.group
-    total = np.zeros(form.cochain.coeff_dim)
-    for patch in chain.patches:
-        if patch.coefficient == 0:
-            continue
-        ts, ss, weight = _stencil(quad_order, patch.domain, step)
-        for lo in range(0, weight.size, _PASS_NODES):
-            part = slice(lo, lo + _PASS_NODES)
-            try:
-                mats = patch(ts[:, part].ravel(), ss[:, part].ravel())
-                g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
-                group.check_membership(g, scale=np.max(np.abs(g), axis=(-2, -1), initial=0.0))
-            except LieExtError as exc:
-                if patch.domain != "simplex":
-                    raise
-                raise MalformedInputError(
-                    "a simplex patch is integrated on the whole unit square, on both "
-                    f"sides of the diagonal, and must be defined there: {exc}"
-                ) from None
-            du = (t_plus - t_minus) / (2.0 * step)
-            dv = (s_plus - s_minus) / (2.0 * step)
-            vals = weight[part, None] * eval_equivariant(form, g, du, dv)
-            total = total + patch.coefficient * np.sum(vals, axis=0)
-    return total
+    return surface_integrals(form, chain, ((quad_order, step),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,30 +405,49 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
     Each patch is evaluated once, on all of its edges at the same 33
     parameters.  An edge joins the first class whose samples it matches
     within tol, forward before reversed, else opens a class; degenerate
-    (constant) edges drop out.
+    (constant) edges drop out.  The end samples of all pairs of edges are
+    compared first, forward and reversed, in a few array operations, and
+    the 33 samples only of pairs whose ends match; a full match implies
+    matching ends, so the classes are the same.
     """
     u = np.linspace(0.0, 1.0, 33)
-    curves, weights, samples = [], [], []
+    segments, weights, samples = [], [], []
     for p in chain.patches:
         if p.coefficient == 0:
             continue
         starts, ends, signs = (np.array(x) for x in zip(*_EDGES[p.domain]))
         edges = _along(p, starts[:, None], ends[:, None], u)  # (edges, 33, d, d)
-        for start, end, sign, arr in zip(starts, ends, signs, edges):
-            if np.max(np.abs(arr - arr[0])) <= tol:
-                continue  # constant edge carries no boundary
-            weight = int(sign) * p.coefficient
-            if samples:
-                gaps = np.abs(np.stack([arr, arr[::-1]])[:, None] - np.array(samples))
-                hits = (np.max(gaps, axis=(2, 3, 4)) <= tol).T.ravel()  # class-major
-                if hits.any():
-                    k, reverse = divmod(int(np.argmax(hits)), 2)
-                    weights[k] += -weight if reverse else weight
-                    continue
-            curves.append(vectorized(partial(_along, p, start, end)))
-            weights.append(weight)
-            samples.append(arr)
-    return [(c, w) for c, w in zip(curves, weights) if w != 0]
+        constant = np.max(np.abs(edges - edges[:, :1]), axis=(1, 2, 3)) <= tol
+        for e in np.flatnonzero(~constant):  # a constant edge carries no boundary
+            segments.append((p, starts[e], ends[e]))
+            weights.append(int(signs[e]) * p.coefficient)
+            samples.append(edges[e])
+    if not samples:
+        return []
+    samples = np.array(samples)
+    tips = samples[:, [0, -1]]
+    both = np.stack([tips, tips[:, ::-1]], axis=1)  # (n, 2, 2, d, d): forward, reversed
+    # match[i][j] = (forward, reversed): edge i's ends against edge j's, for 8
+    # edges i at a time, which takes no more memory than comparing one
+    # edge's 33 samples, forward and reversed, with half of the edges
+    match = np.concatenate([
+        np.max(np.abs(tips[lo : lo + 8, None, None] - both), axis=(-3, -2, -1)) <= tol
+        for lo in range(0, len(tips), 8)
+    ]).tolist()
+    classes, net = [], []  # the edge that opened each class, its net weight
+    for i, arr in enumerate(samples):
+        for k, j in enumerate(classes):
+            forward, reverse = match[i][j]
+            forward = forward and np.max(np.abs(arr - samples[j])) <= tol
+            if forward or (reverse and np.max(np.abs(arr[::-1] - samples[j])) <= tol):
+                net[k] += weights[i] if forward else -weights[i]
+                break
+        else:
+            classes.append(i)
+            net.append(weights[i])
+    return [
+        (vectorized(partial(_along, *segments[j])), w) for j, w in zip(classes, net) if w != 0
+    ]
 
 
 def _distances_to_curve(points: np.ndarray, curve: Callable) -> np.ndarray:

@@ -2,7 +2,12 @@
 
 A group is described by the d x d realization of its Lie algebra basis plus
 exp/log maps (closed forms for the built-in groups, scipy fallbacks
-otherwise).  Tangent matrices are decomposed in the realized basis by least
+otherwise).  The built-in groups also invert and check membership in closed
+form, from the entries of each matrix and with no factorization: the torus
+and SU(2) invert by transposes, the Heisenberg group by I - n + n^2 with
+n = g - I, and the torus residual is the largest entry of B^T B - I and
+det B - 1 over its 2x2 blocks B, and off the blocks.  A group given no
+inverse inverts with numpy.  Tangent matrices are decomposed in the realized basis by least
 squares against a precomputed pseudoinverse; the residual of that solve is
 the "did we leave the group?" guard used throughout the quadrature code.
 Every map takes a stack of matrices (leading axes) as well as a single one;
@@ -271,11 +276,7 @@ def torus_group(k: int) -> MatrixGroup:
     for i in range(k):
         basis[i, 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 2.0 * np.pi * j_block
     cos_at, sin_at = np.arange(0, d, 2), np.arange(1, d, 2)  # rows/columns of each block
-    pair = np.arange(2)
-    block_rows = cos_at[:, None, None] + pair[None, :, None]  # (k, 2, 2) indices of the blocks
-    block_cols = cos_at[:, None, None] + pair[None, None, :]
-    off_block = np.ones((d, d), dtype=bool)
-    off_block[block_rows, block_cols] = False
+    off_rows, off_cols = np.nonzero(np.kron(1.0 - np.eye(k), np.ones((2, 2))))  # off the blocks
 
     def rotations(theta):
         """Block-diagonal rotations by the angles theta (..., k)."""
@@ -306,12 +307,17 @@ def torus_group(k: int) -> MatrixGroup:
 
     @vectorized
     def membership(g):
+        """Largest entry of B^T B - I and det B - 1 over the 2x2 blocks
+        B = [[a, b], [c, e]], and of the entries off the blocks."""
         g = np.asarray(g, dtype=float)
-        blocks = g[..., block_rows, block_cols]
-        orthogonal = np.abs(_transpose(blocks) @ blocks - np.eye(2))
-        res = np.max(orthogonal, axis=(-3, -2, -1), initial=0.0)
-        res = np.maximum(res, np.max(np.abs(np.linalg.det(blocks) - 1.0), axis=-1, initial=0.0))
-        return np.maximum(res, np.max(np.abs(g[..., off_block]), axis=-1, initial=0.0))
+        a, b = g[..., cos_at, cos_at], g[..., cos_at, sin_at]
+        c, e = g[..., sin_at, cos_at], g[..., sin_at, sin_at]
+        res = np.concatenate(
+            [a * a + c * c - 1.0, a * b + c * e, b * b + e * e - 1.0, a * e - b * c - 1.0,
+             g[..., off_rows, off_cols]],
+            axis=-1,
+        )
+        return np.max(np.abs(res), axis=-1, initial=0.0)
 
     chart = CoordinateChart(
         dim=k,
@@ -471,6 +477,11 @@ def heisenberg_group() -> MatrixGroup:
         return n - 0.5 * (n @ n)
 
     @vectorized
+    def inverse(g):
+        n = np.asarray(g, dtype=float) - np.eye(3)  # n^3 = 0 for a member
+        return np.eye(3) - n + n @ n
+
+    @vectorized
     def from_coords(v):
         v = np.asarray(v, dtype=float)
         g = np.zeros(v.shape[:-1] + (3, 3)) + np.eye(3)
@@ -491,6 +502,7 @@ def heisenberg_group() -> MatrixGroup:
         basis=basis,
         exp=exp_map,
         log=log_map,
+        inverse=inverse,
         membership=membership,
         chart=CoordinateChart(dim=3, to_coords=to_coords, from_coords=from_coords),
         name="Heisenberg(3)",

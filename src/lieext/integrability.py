@@ -34,6 +34,7 @@ from .geometry import (
     cancel_boundary_edges,
     path_cocycle,
     surface_integral,
+    surface_integrals,
 )
 from .groups import DEFAULT_FD_STEP, MEMBERSHIP_TOL, GroupPath, MatrixGroup, coordinate_path
 
@@ -137,10 +138,12 @@ def check_integrability(
     The membership tolerance is inflated per generator by the difference
     between the period and a comparison value taken with half the
     quadrature order and twice the central-difference step, so the estimate
-    covers both the quadrature error and the finite-difference floor.  A
-    generator whose estimate reaches half the shortest lattice vector is
-    indeterminate: the inflated tolerance would reach the next lattice
-    point.  An empty generator set (simply connected group with trivial
+    covers both the quadrature error and the finite-difference floor.  After
+    the generator's closure check, both values come from one
+    surface_integrals pass, which evaluates each patch once on the stencils
+    of both rules.  A generator whose estimate reaches half the shortest
+    lattice vector is indeterminate: the inflated tolerance would reach the
+    next lattice point.  An empty generator set (simply connected group with trivial
     H_2) is integrable for every cocycle.
     """
     if quad_order < 2:
@@ -149,10 +152,11 @@ def check_integrability(
             "period with one at half the order, which would be the same rule"
         )
     half_shortest = half_lattice_spacing(lattice)
+    rules = ((quad_order, DEFAULT_FD_STEP), (quad_order // 2, 2 * DEFAULT_FD_STEP))
     results = []
     for name, chain in cycles.generators:
-        value = period(form, chain, quad_order, name)
-        coarse = surface_integral(form, chain, quad_order // 2, 2 * DEFAULT_FD_STEP)
+        assert_cycle_closed(chain, name)
+        value, coarse = surface_integrals(form, chain, rules)
         err = float(np.max(np.abs(value - coarse)))
         tol = tol_lat + err
         membership = lattice_member(lattice, value, tol)

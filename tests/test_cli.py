@@ -687,6 +687,14 @@ class TestCliBehavior:
         assert report["task"] == "validate"
         assert report["results"]["valid"] is True
 
+    def test_flags_do_not_carry_over_to_the_next_call(self, capsys):
+        cohomology = str(FIXTURES / "sl2_cohomology.json")
+        torus = str(FIXTURES / "torus_integrable.json")
+        assert machine_report([cohomology, "--task", "validate"], capsys)["task"] == "validate"
+        assert machine_report([cohomology], capsys)["task"] == "cohomology"
+        assert machine_report([torus, "--quad-order", "4"], capsys)["results"]["quad_order"] == 4
+        assert machine_report([torus], capsys)["results"]["quad_order"] == 16
+
     def test_quad_order_flag_changes_report(self, capsys):
         args = [str(FIXTURES / "torus_integrable.json")]
         full = machine_report(args, capsys)

@@ -97,6 +97,41 @@ class TestGroups:
         with pytest.raises(TangentDecompositionError):
             su2.decompose(bad)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_torus_membership_matches_the_matrix_formula(self, k, rng):
+        def reference(g):
+            """max |B^T B - I|, |det B - 1| over the 2x2 blocks B, and the
+            largest entry off the blocks."""
+            res = 0.0
+            for i in range(k):
+                block = g[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
+                res = max(res, np.max(np.abs(block.T @ block - np.eye(2))),
+                          abs(np.linalg.det(block) - 1.0))
+            off = g.copy()
+            for i in range(k):
+                off[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 0.0
+            return max(res, np.max(np.abs(off)))
+
+        torus = lx.torus_group(k)
+        rotations = torus.chart.from_coords(rng.normal(size=(20, k)))
+        for scale in (0.0, 1e-12, 1e-9, 1e-6, 0.1):
+            g = rotations + scale * rng.normal(size=rotations.shape)
+            want = np.array([reference(m) for m in g])
+            assert np.max(np.abs(torus.membership(g) - want)) <= 1e-15
+
+    def test_torus_membership_fails_a_nan_matrix(self, torus2):
+        g = torus2.chart.from_coords([0.1, 0.2])
+        g[1, 0] = np.nan
+        with pytest.raises(MembershipError):
+            torus2.check_membership(g)
+
+    def test_heisenberg_inverse(self, rng):
+        heis = lx.heisenberg_group()
+        g = heis.chart.from_coords(rng.normal(scale=3.0, size=(50, 3)))
+        eye = np.broadcast_to(np.eye(3), g.shape)
+        assert np.max(np.abs(g @ heis.inverse(g) - eye)) <= 1e-13
+        assert np.max(np.abs(heis.inverse(g) @ g - eye)) <= 1e-13
+
 
 class TestPaths:
     def test_good_path_validates(self, torus2):
@@ -910,6 +945,55 @@ class TestBatchedQuadrature:
         values = path(np.array([0.25, 0.5, 0.25]))
         assert len(calls) == 2
         assert np.array_equal(values[0], path(0.25)) and np.array_equal(values[1], path(0.5))
+
+
+class TestRulesInOnePass:
+    """surface_integrals evaluates each patch once for all its rules; each
+    rule's row is what surface_integral gives for that rule alone."""
+
+    @staticmethod
+    def chain(kind, torus2, rng):
+        if kind == "square":
+            patch = vectorized(lambda t, s: torus2.chart.from_coords(
+                np.stack([t + 0.2 * s * s, s - 0.1 * t], axis=-1)))
+            return lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch),))
+        if kind == "simplex":
+            g1, g2 = (random_torus_path(torus2, rng)[0] for _ in range(2))
+            return lx.product_triangle_chain(g1, g2)
+        if kind == "tiled":  # four quarters and a patch of coefficient 0
+            patches = [
+                lx.SurfacePatch(eval=vectorized(lambda t, s, di=k // 2, dj=k % 2:
+                    torus2.chart.from_coords(np.stack([(di + t) / 2.0, (dj + s + 0.1 * t * s) / 2.0], axis=-1))),
+                    coefficient=1 if k < 4 else 0)
+                for k in range(5)
+            ]
+            return lx.Surface2Chain(patches=tuple(patches))
+        heis = lx.heisenberg_group()
+        return lx.cube_boundary_chain(vectorized(lambda a, b, c: heis.chart.from_coords(
+            np.stack(np.broadcast_arrays(a + 0.3 * b * c, b - 0.2 * a * a, c + a * b), axis=-1))))
+
+    @pytest.mark.parametrize("kind", ["square", "simplex", "tiled", "cube"])
+    @pytest.mark.parametrize("orders", [(16, 8), (5, 2), (60, 30), (72, 36)])
+    def test_rows_equal_one_rule_calls_bit_for_bit(self, kind, orders, torus2, rng):
+        chain = self.chain(kind, torus2, rng)
+        group = lx.heisenberg_group() if kind == "cube" else torus2
+        form = random_form(group, rng, coeff_dim=2)
+        rules = [(orders[0], 1e-5), (orders[1], 2e-5)]
+        rows = lx.geometry.surface_integrals(form, chain, rules)
+        for row, (order, step) in zip(rows, rules):
+            assert row.tobytes() == lx.surface_integral(form, chain, order, step).tobytes()
+
+    @pytest.mark.parametrize("orders, slices", [
+        # order 72 is a full pass and a 1088-node slice, which the 1296
+        # nodes of order 36 join
+        ((72, 36), [[(0, 4096)], [(0, 1088), (1, 1296)]]),
+        # 3600 + 900 nodes exceed a pass, so order 30 takes the next one whole
+        ((60, 30), [[(0, 3600)], [(1, 900)]]),
+    ])
+    def test_passes_hold_whole_slices(self, orders, slices):
+        passes = lx.geometry._passes(((orders[0], 1e-5), (orders[1], 2e-5)), "square")
+        assert [[(r, int(hi - lo)) for r, lo, hi in p[-1]] for p in passes] == slices
+        assert all(p[3].size <= lx.geometry._PASS_NODES for p in passes)
 
 
 class TestFormModule:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lieext as lx
+from lieext.batch import vectorized
 from lieext.cli import run
 from lieext.documents import parse_document
 from lieext.errors import EXIT_INDETERMINATE, MalformedInputError, NotALoopError, OpenChainError
@@ -177,6 +178,26 @@ def wavy_square_document(value, quad_order):
             {"coords": ["t + 0.2*sin(2*pi*s)", "s + 0.2*sin(2*pi*t)"]}]}],
         "options": {"quad_order": quad_order},
     }
+
+
+def test_each_patch_is_evaluated_twice_per_generator(torus2, unit_lattice):
+    calls = [[] for _ in range(4)]
+
+    def counted(k, di, dj):
+        def patch(t, s):
+            calls[k].append(t)
+            return torus2.chart.from_coords(np.stack([(di + t) / 2.0, (dj + s) / 2.0], axis=-1))
+
+        return vectorized(patch)
+
+    chain = lx.Surface2Chain(patches=tuple(
+        lx.SurfacePatch(eval=counted(k, k // 2, k % 2)) for k in range(4)
+    ))
+    cycles = lx.CycleSet(generators=(("a", chain), ("b", chain)))
+    report = lx.check_integrability(lx.EquivariantForm(area_cochain(), torus2), cycles, unit_lattice)
+    assert report.overall == "integrable"
+    # per generator: once on the edges for closure, once on both rules' stencils
+    assert [len(c) for c in calls] == [4, 4, 4, 4]
 
 
 class TestErrorEstimate:
