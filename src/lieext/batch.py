@@ -26,7 +26,10 @@ def per_point(fn: Callable, point_ndim: int = 0) -> Callable:
     point_ndim is the number of trailing axes of one point of the first
     argument (0 for curve and surface parameters, which are broadcast
     together; 1 for a coordinate vector; 2 for a matrix).  A call without
-    leading axes passes its arguments to fn unchanged.
+    leading axes passes its arguments to fn unchanged.  fn is called once
+    per distinct point: the points are found by one unique over rows of all
+    arguments, or, for one argument of one number such as a curve f(t), by
+    one 1-D unique whose np.float64 values fn gets in turn.
     """
     if getattr(fn, "vectorized", False):
         return fn
@@ -41,15 +44,15 @@ def per_point(fn: Callable, point_ndim: int = 0) -> Callable:
             return np.asarray(fn(*args), dtype=float)
         shapes = [a.shape[len(lead):] for a in arrays]
         sizes = [math.prod(shape) for shape in shapes]
-        rows = np.concatenate([a.reshape(-1, n) for a, n in zip(arrays, sizes)], axis=1)
-        if rows.shape[1] == 1:  # a 1-D unique is far cheaper than one over rows
-            points, where = np.unique(rows[:, 0], return_inverse=True)
-            points = points[:, None]
-        else:
-            points, where = np.unique(rows, axis=0, return_inverse=True)
         # one array per argument, its first axis running over the distinct points
-        columns = np.split(points, np.cumsum(sizes)[:-1], axis=1)
-        parts = [c.reshape((-1,) + shape) for c, shape in zip(columns, shapes)]
+        if sizes == [1]:  # one argument of one number, as a curve f(t): a 1-D unique
+            points, where = np.unique(arrays[0], return_inverse=True)
+            parts = [points.reshape((-1,) + shapes[0])]
+        else:
+            rows = np.concatenate([a.reshape(-1, n) for a, n in zip(arrays, sizes)], axis=1)
+            points, where = np.unique(rows, axis=0, return_inverse=True)
+            columns = np.split(points, np.cumsum(sizes)[:-1], axis=1)
+            parts = [c.reshape((-1,) + shape) for c, shape in zip(columns, shapes)]
         values = np.array([fn(*point) for point in zip(*parts)], dtype=float)
         return values[where.reshape(-1)].reshape(lead + values.shape[1:])
 

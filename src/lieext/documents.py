@@ -47,6 +47,7 @@ from .errors import (
     ExpressionError,
     LieExtError,
     MalformedInputError,
+    MembershipError,
     NotACocycleError,
     UnresolvedReferenceError,
 )
@@ -689,6 +690,11 @@ def _run_gamma(doc):
     warnings = []
     for name in doc.pair:
         issues = validate_path(doc.group, doc.paths[name])
+        if issues and issues[0].identity == "in_group":
+            raise MembershipError(
+                f"paths[{name!r}] leaves the group {doc.group.name}: membership residual "
+                f"{issues[0].residual:.3e}"
+            )
         if issues:
             warnings.append(f"path {name!r}: " + "; ".join(i.identity for i in issues))
     value = path_cocycle(form, g1, g2, doc.options.get("quad_order", DEFAULT_QUAD_ORDER))

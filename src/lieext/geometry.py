@@ -54,6 +54,7 @@ from .groups import (
     MatrixGroup,
     exp_path,
     pointwise_product,
+    validate_action_compatibility,
 )
 
 DEFAULT_QUAD_ORDER = 16
@@ -96,6 +97,12 @@ class EquivariantForm:
             raise MalformedInputError(
                 "a non-zero module.rho needs module.group_action, the group "
                 "action it differentiates; the form twists by that action"
+            )
+        issues = validate_action_compatibility(self.group, mod)
+        if issues:
+            raise MalformedInputError(
+                "module.group_action is not a group action with derivative module.rho: "
+                + "; ".join(f"{i.identity} at {i.indices}: residual {i.residual:.3e}" for i in issues)
             )
 
     def __call__(self, g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -335,9 +342,15 @@ def spanning_chain(
     is a genuine spanning surface.  Requires the two paths to stay within
     the principal branch of the group logarithm of each other; a sampled
     continuity check guards against branch jumps.
+
+    The patch evaluates its t-only factors g1(t), g2(t), the inverse, the
+    product and L(t) once per distinct t of its arguments (3n at order n
+    for a stencil of 5n^2 points), and the schedule once per distinct s;
+    each point gathers its factors from these.
     """
-    end_gap = float(np.max(np.abs(g1(1.0) - g2(1.0))))
-    scale = max(1.0, float(np.max(np.abs(g1(1.0)))))
+    end = g1(1.0)
+    end_gap = float(np.max(np.abs(end - g2(1.0))))
+    scale = max(1.0, float(np.max(np.abs(end))))
     if end_gap > 100 * MEMBERSHIP_TOL * scale:
         raise NotALoopError(
             f"paths end {end_gap:.3e} apart; a spanning surface needs a "
@@ -354,9 +367,14 @@ def spanning_chain(
 
     @vectorized
     def patch(t, s):
-        gt = g1(t)
-        ell = group.log(group.inverse(gt) @ g2(t))
-        return gt @ group.exp(np.asarray(schedule(s))[..., None, None] * ell)
+        t, s = np.broadcast_arrays(t, s)
+        ts, at_t = np.unique(t, return_inverse=True)
+        ss, at_s = np.unique(s, return_inverse=True)
+        gt = g1(ts)
+        ell = group.log(group.inverse(gt) @ g2(ts))
+        at_t, at_s = at_t.reshape(t.shape), at_s.reshape(s.shape)
+        sigma = np.asarray(schedule(ss))[at_s]
+        return gt[at_t] @ group.exp(sigma[..., None, None] * ell[at_t])
 
     return Surface2Chain(patches=(SurfacePatch(eval=patch, domain="square"),))
 
@@ -515,24 +533,26 @@ def holonomy(
 
 def _shared(path: GroupPath) -> GroupPath:
     """The path, called once per distinct parameter for as long as the
-    result lives: it keeps the parameters seen so far, sorted, with their
-    values, so all surfaces of one identity share their path evaluations."""
+    result lives, so all surfaces of one identity share their path
+    evaluations.  It keeps the parameters seen so far, sorted, with their
+    values: one searchsorted and an equality test find the parameters seen
+    before, which are answered by lookup; the path is called only on the
+    distinct others, sorted, and they are inserted in place."""
     keys, values = np.empty(0), None
 
     @vectorized
     def shared(t):
         nonlocal keys, values
-        # the stable sort gives each parameter seen before a key's index
-        merged, first = np.unique(np.concatenate([keys, np.ravel(t)]), return_index=True)
-        fresh = first >= keys.size
-        if fresh.any():
-            new = path(merged[fresh])
-            stack = np.empty((merged.size,) + new.shape[1:])
-            stack[fresh] = new
-            if values is not None:
-                stack[~fresh] = values
-            keys, values = merged, stack
-        return values[np.searchsorted(keys, t)]
+        t = np.asarray(t, dtype=float)
+        at = np.searchsorted(keys, t)
+        miss = keys[np.minimum(at, keys.size - 1)] != t if keys.size else np.ones(t.shape, bool)
+        if miss.any():
+            new = np.unique(t[miss], return_index=True)[0]  # the sort path: no numpy.ma import
+            where, fresh = np.searchsorted(keys, new), path(new)
+            keys = np.insert(keys, where, new)
+            values = fresh if values is None else np.insert(values, where, fresh, axis=0)
+            at = np.searchsorted(keys, t)
+        return values[at]
 
     return GroupPath(eval=shared)
 

@@ -140,19 +140,23 @@ class MatrixGroup:
         """Left-translate a tangent u at g back to the algebra: g^-1 u."""
         return self.decompose(self.inverse(g) @ u)
 
-    def check_membership(self, g: np.ndarray, scale=1.0):
-        """Raise MembershipError unless every matrix of the stack g is in the
-        group, each within MEMBERSHIP_TOL times max(1, its scale); a NaN
-        matrix fails quietly, its residual being NaN."""
+    def outside(self, g: np.ndarray, scale=1.0) -> np.ndarray:
+        """Membership residuals, in row-major order, of the matrices of the
+        stack g that are not in the group within MEMBERSHIP_TOL times
+        max(1, their scale); a NaN matrix is outside quietly, its residual
+        being NaN.  Empty for a group with no membership test."""
         if self.membership is None:
-            return
+            return np.empty(0)
         with np.errstate(invalid="ignore"):
             res = np.asarray(self.membership(np.asarray(g, dtype=float)), dtype=float)
-        bad = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, scale)))
+        return res[~(res <= MEMBERSHIP_TOL * np.maximum(1.0, scale))]
+
+    def check_membership(self, g: np.ndarray, scale=1.0):
+        """Raise MembershipError unless every matrix of the stack g is in the
+        group (see outside)."""
+        bad = self.outside(g, scale)
         if bad.size:
-            raise MembershipError(
-                f"matrix is not in {self.name} (residual {res.flat[bad[0]]:.3e})"
-            )
+            raise MembershipError(f"matrix is not in {self.name} (residual {bad[0]:.3e})")
 
 
 def validate_group(group: MatrixGroup, tol_alg: float = 1e-9):
@@ -173,17 +177,23 @@ def validate_group(group: MatrixGroup, tol_alg: float = 1e-9):
 
 
 def validate_action_compatibility(group: MatrixGroup, mod: ModuleAction):
-    """Check that the group action differentiates to rho at the identity.
+    """Check that the group action fixes each vector at the identity and
+    differentiates to rho there.
 
-    Central difference of t -> group_action(exp(t e_i), f_b) at t = 0 must
-    match rho[i][:, b] for every basis pair (i, b); one exp and one action
-    call cover all of them.
+    group_action(e, f_b) must be f_b within MEMBERSHIP_TOL for every b, one
+    action call; the central difference of t -> group_action(exp(t e_i), f_b)
+    at t = 0 must match rho[i][:, b] for every basis pair (i, b), one exp
+    and one more action call.
     """
     n, m, d = group.algebra.dim, mod.coeff_dim, group.embed_dim
     if mod.group_action is not None and mod.alg_dim != n:
         raise MalformedInputError(f"module has {mod.alg_dim} rho matrices for algebra dim {n}")
-    if mod.group_action is None or not mod.rho.size:
+    if mod.group_action is None or not m:
         return []
+    fixed = mod.act(np.broadcast_to(group.identity, (m, d, d)), np.eye(m))  # row b acts on f_b
+    issues = _issues_above("action_identity", np.max(np.abs(fixed - np.eye(m)), axis=1), MEMBERSHIP_TOL)
+    if not n:
+        return issues
     steps = np.array([DEFAULT_FD_STEP, -DEFAULT_FD_STEP])
     g = group.exp(np.multiply.outer(steps, group.basis))  # (2, n, d, d)
     moved = mod.act(
@@ -191,7 +201,7 @@ def validate_action_compatibility(group: MatrixGroup, mod: ModuleAction):
     )  # moved[., i, b] is the action on f_b
     derivative = (moved[0] - moved[1]) / (2.0 * DEFAULT_FD_STEP)
     res = np.max(np.abs(derivative - np.swapaxes(mod.rho, 1, 2)), axis=2)
-    return _issues_above("action_compatibility", res, DEFAULT_DERIV_TOL)
+    return issues + _issues_above("action_compatibility", res, DEFAULT_DERIV_TOL)
 
 
 @dataclass(frozen=True)
@@ -220,12 +230,24 @@ def log_derivative(group: MatrixGroup, path: GroupPath, t) -> np.ndarray:
 
 
 def validate_path(group: MatrixGroup, path: GroupPath):
-    """Check basedness and periodicity of the left logarithmic derivative."""
+    """Check that the path stays in the group, then its basedness and the
+    periodicity of its left logarithmic derivative.
+
+    One path call gives 33 samples of [0, 1] and the difference neighbours
+    of both ends.  Membership of all of them is checked first: a path that
+    leaves the group gets the one issue "in_group" with the largest
+    residual, since its tangents need not lie in the algebra."""
+    h = DEFAULT_FD_STEP
+    g = path(np.concatenate([np.linspace(0.0, 1.0, 33), [h, 1.0 + h, -h, 1.0 - h]]))
+    outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
+    if outside.size:
+        return [ValidationIssue("in_group", (), float(np.max(outside)))]
     issues = []
-    base_res = float(np.max(np.abs(path(0.0) - group.identity)))
+    base_res = float(np.max(np.abs(g[0] - group.identity)))
     if base_res > 10 * MEMBERSHIP_TOL:
         issues.append(ValidationIssue("based_at_identity", (0,), base_res))
-    d0, d1 = log_derivative(group, path, np.array([0.0, 1.0]))
+    # log_derivative at t = 0 and 1
+    d0, d1 = group.decompose(group.inverse(g[[0, 32]]) @ ((g[33:35] - g[35:]) / (2.0 * h)))
     res = float(np.max(np.abs(d0 - d1), initial=0.0))
     if res > DEFAULT_DERIV_TOL:
         issues.append(ValidationIssue("periodic_log_derivative", (), res))

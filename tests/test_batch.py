@@ -49,7 +49,9 @@ class TestPerPoint:
         ts = np.array([[0.25, 0.5, 0.25], [0.5, 0.75, 0.25]])
         values = per_point(fn)(ts)
         assert sorted(args[0] for args in calls) == [0.25, 0.5, 0.75]
+        assert all(type(t) is np.float64 for (t,) in calls)
         assert values.shape == (2, 3, 2, 2)
+        assert np.array_equal(values, ts[..., None, None] * np.eye(2))
 
     def test_one_call_per_distinct_pair(self):
         fn, calls = recording(lambda t, s: [t - s, t + s])

@@ -162,6 +162,8 @@ def _each(*edits):
     return edit
 
 
+DOUBLING = {"coeff_dim": 1, "group_action": {"exprs": ["2*a1"]}}
+
 MALFORMED = {
     "torus_dim_string": ("torus_integrable.json", _set("group", "dim", value="x")),
     "torus_dim_negative": ("torus_integrable.json", _set("group", "dim", value=-1)),
@@ -342,6 +344,11 @@ MALFORMED = {
         "pi1_torus.json",
         _set("loops", value=[{"name": "m", "winding": [1, 0]}, {"name": "m", "winding": [0, 1]}]),
     ),
+    # a group action must fix every vector at the identity: 2*a1 has the
+    # derivative rho = 0 but doubles each value of the form
+    "group_action_doubles_gamma": ("torus_gamma.json", _set("module", value=DOUBLING)),
+    "group_action_doubles_pi1": ("pi1_torus.json", _set("module", value=DOUBLING)),
+    "group_action_doubles_integrability": ("torus_integrable.json", _set("module", value=DOUBLING)),
 }
 
 # The entry an error names, where it matters which one it is.
@@ -377,6 +384,11 @@ MALFORMED_MESSAGES = {
     "cocycle2_indices_twice": "cocycle2: indices [0, 1] given twice",
     "cycle_name_twice": "cycles: name 'fundamental' given twice",
     "loop_name_twice": "loops: name 'm' given twice",
+    **{
+        f"group_action_doubles_{task}": "module.group_action is not a group action with "
+        "derivative module.rho: action_identity at (0,): residual 1.000e+00"
+        for task in ("gamma", "pi1", "integrability")
+    },
 }
 
 
@@ -479,6 +491,39 @@ def test_validate_warns_of_rho_without_group_action():
     raw["algebra"] = {"dim": 2}
     report, _ = run(parse_document(raw))
     assert report["warnings"] == []
+
+
+def test_validate_reports_an_action_that_moves_the_identity():
+    raw = _edited("torus_gamma.json", _set("module", value=DOUBLING))
+    report, code = run(parse_document({**raw, "task": "validate"}))
+    assert code == 0 and report["results"]["violations"] == [
+        {"identity": "action_identity", "indices": [0], "residual": 1.0}
+    ]
+
+
+# entry [0][0] of p1 is cos(t), which leaves the torus: at t = 1 the
+# first block's columns have norm 0.84 and 1
+OFF_TORUS = {"matrix": [["cos(t)", "0", "0", "0"], ["0", "1", "0", "0"],
+                        ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
+
+
+def test_validate_reports_a_path_that_leaves_the_group():
+    raw = _edited("torus_gamma.json", _set("paths", "p1", value=OFF_TORUS))
+    report, code = run(parse_document({**raw, "task": "validate"}))
+    assert code == 0 and report["results"]["valid"] is False
+    [violation] = report["results"]["violations"]
+    assert violation["identity"] == "path[p1].in_group" and violation["residual"] > 0.1
+
+
+def test_gamma_names_the_path_that_leaves_the_group(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("torus_gamma.json", _set("paths", "p1", value=OFF_TORUS))))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "computation rejected: paths['p1'] leaves the group T^2: membership residual "
+    )
 
 
 @pytest.mark.parametrize(
@@ -722,6 +767,32 @@ class TestCliBehavior:
             text=True,
         )
         assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_path_identities_and_fixtures_leave_numpy_ma_unloaded(self):
+        # a plain np.unique takes numpy's hash path, which imports numpy.ma
+        # and raises peak memory by about a megabyte; every unique here must
+        # ask for an index or an inverse
+        script = """if True:
+            import contextlib, io, sys
+            from importlib import resources
+            import numpy as np
+            import lieext as lx
+            from lieext.cli import main
+            torus = lx.torus_group(2)
+            form = lx.EquivariantForm(lx.cochain_from_pairs(2, 1, {(0, 1): 1.0}), torus)
+            g1, g1p, g2, g2p = (
+                lx.coordinate_path(torus, lambda t, w=w, a=a: np.array(w) * t + a * np.sin(2 * np.pi * t))
+                for w, a in (([1, 0], 0.05), ([1, 0], -0.03), ([0, 1], 0.04), ([0, 1], 0.02))
+            )
+            lx.path_cocycle_coboundary(form, g1, g2, g1p, 8)
+            lx.representative_independence_residuals(form, g1, g1p, g2, g2p, 8)
+            fixtures = resources.files("lieext") / "fixtures"
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [main([str(fixtures / name)]) for name in ("sl2_cohomology.json", "torus_integrable.json")]
+            print(codes, "numpy.ma" in sys.modules)
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout.strip() == "[0, 0] False", proc.stderr
 
     def test_missing_file_is_input_error(self):
         proc = run_cli(["/nonexistent/problem.json"])

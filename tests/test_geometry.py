@@ -13,7 +13,7 @@ from lieext.errors import (
     TangentDecompositionError,
 )
 from lieext.batch import vectorized
-from lieext.geometry import _distances_to_curve, cancel_boundary_edges, smooth_step
+from lieext.geometry import _distances_to_curve, _shared, cancel_boundary_edges, smooth_step
 
 from conftest import area_cochain, random_torus_path, shoelace_area, torus_path
 
@@ -148,6 +148,15 @@ class TestPaths:
         issues = lx.validate_path(torus2, path)
         assert any(i.identity == "based_at_identity" for i in issues)
 
+    def test_path_leaving_the_group_is_reported_alone(self, torus2):
+        # based and in the torus at both ends, but not in between
+        def off(t):
+            return torus2.chart.from_coords([t, 0.0]) * (1.0 + 0.1 * np.sin(np.pi * t))
+
+        issues = lx.validate_path(torus2, lx.GroupPath(eval=off))
+        assert [(i.identity, i.indices) for i in issues] == [("in_group", ())]
+        assert issues[0].residual == pytest.approx(0.21, abs=1e-3)  # |1.1^2 - 1| at t = 1/2
+
     def test_pointwise_product(self, torus2, rng):
         p1, c1 = random_torus_path(torus2, rng)
         p2, c2 = random_torus_path(torus2, rng)
@@ -208,6 +217,16 @@ class TestActionCompatibility:
         assert [i.indices for i in issues] == [(1, 0)]
         assert np.allclose([i.residual for i in issues], [r[2] for r in reference],
                            rtol=0, atol=1e-15)
+
+    def test_identity_must_act_as_the_identity(self, trans2):
+        # 2 v has the derivative rho = 0 at the identity, but moves every vector there
+        mod = lx.ModuleAction(rho=np.zeros((2, 2, 2)), group_action=lambda g, v: 2.0 * v)
+        issues = lx.validate_action_compatibility(trans2, mod)
+        assert [(i.identity, i.indices, i.residual) for i in issues] == [
+            ("action_identity", (0,), 1.0), ("action_identity", (1,), 1.0)
+        ]
+        with pytest.raises(MalformedInputError, match=r"action_identity at \(0,\): residual 1.000e\+00"):
+            lx.EquivariantForm(lx.cochain_from_pairs(2, 2, {(0, 1): [1.0, 0.0]}), trans2, mod)
 
     def test_rho_count_must_match_the_group(self, trans2):
         with pytest.raises(MalformedInputError):
@@ -454,6 +473,30 @@ class TestSpanningChain:
         with pytest.raises(NotALoopError):
             lx.spanning_chain(torus2, g1, g2)
 
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_t_only_factors_once_per_distinct_t(self, torus2, rng, order):
+        logs = []
+
+        def log(g):
+            logs.append(np.shape(g)[:-2])
+            return torus2.log(g)
+
+        group = replace(torus2, log=vectorized(log))
+        g1_calls, g2_calls = [], []
+        g1, g2 = (random_torus_path(torus2, rng, [1, 0])[0] for _ in range(2))
+        chain = lx.spanning_chain(
+            group, lx.GroupPath(eval=counted(g1, g1_calls)), lx.GroupPath(eval=counted(g2, g2_calls))
+        )
+        assert len(g1_calls) == 2  # the common end once, then the branch samples
+        for calls in (g1_calls, g2_calls, logs):
+            calls.clear()
+        lx.surface_integral(lx.EquivariantForm(area_cochain(), group), chain, order)
+        # the stencil's t takes the n nodes and their two difference neighbours
+        for calls in (g1_calls, g2_calls):
+            [(t,)] = calls
+            assert t.size <= 3 * order and np.unique(t, return_index=True)[0].size == t.size
+        assert logs == [(g1_calls[0][0].size,)]
+
     def test_schedule_choice_does_not_change_flux(self, torus2):
         form = torus_form(torus2)
         g1, _ = torus_path(torus2, [1, 1], [[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
@@ -522,6 +565,19 @@ class TestPathCocycleIdentities:
                 per_call = [np.unique(np.asarray(t, dtype=float)) for (t,) in path_calls]
                 assert per_call, "the identity never evaluated the path"
                 assert sum(p.size for p in per_call) == np.unique(np.concatenate(per_call)).size
+
+    def test_shared_path_answers_seen_parameters_by_lookup(self, torus2, rng):
+        calls = []
+        g, _ = random_torus_path(torus2, rng)
+        shared = _shared(lx.GroupPath(eval=counted(g, calls)))
+        first = shared(np.array([0.5, 0.25, 0.5]))
+        assert [list(t) for (t,) in calls] == [[0.25, 0.5]]
+        again = shared(np.array([[0.25], [0.5]]))
+        assert len(calls) == 1  # every parameter seen: no path call
+        assert np.array_equal(again[:, 0], first[[1, 0]]) and again.shape == (2, 1, 4, 4)
+        shared(np.array([0.75, 0.25, 1.0, 0.75]))
+        assert [list(t) for (t,) in calls[1:]] == [[0.75, 1.0]]  # the new ones, once each
+        assert np.array_equal(shared(1.0), g(1.0)) and len(calls) == 2
 
     @pytest.mark.parametrize("order", [8, 16])
     def test_shared_evaluation_keeps_every_bit(self, torus2, rng, order):
