@@ -48,7 +48,8 @@ class LieAlgebra:
     basis_labels: tuple = ()
 
     def __post_init__(self):
-        c = np.asarray(self.structure_constants, dtype=float)
+        c = np.array(self.structure_constants, dtype=float)
+        c.flags.writeable = False
         if c.ndim != 3 or not (c.shape[0] == c.shape[1] == c.shape[2]):
             raise MalformedInputError(
                 f"structure constants must be n x n x n, got shape {c.shape}"

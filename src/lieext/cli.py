@@ -69,9 +69,12 @@ def run(doc: ProblemDocument) -> tuple:
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         results, task_warnings, code = task.run(doc)
-    where = _non_finite(results)
-    if where is not None:
-        raise LieExtError(f"{where} is not finite")
+    try:  # at C speed; the walk only names the place
+        json.dumps(results, allow_nan=False)
+    except (ValueError, TypeError):
+        where = _non_finite(results)
+        if where is not None:
+            raise LieExtError(f"{where} is not finite") from None
     return (
         {
             "schema_version": SCHEMA_VERSION,

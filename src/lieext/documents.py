@@ -75,6 +75,7 @@ from .groups import (
     translation_group,
     validate_action_compatibility,
     validate_group,
+    validate_lattice_fixed,
     validate_path,
 )
 from .integrability import (
@@ -595,6 +596,15 @@ def _components(cochain: Cochain) -> list:
     ]
 
 
+def _form(doc):
+    """The document's equivariant form; the group must fix its lattice."""
+    for issue in validate_lattice_fixed(doc.module, doc.lattice) if doc.lattice else ():
+        (i, j), residual = issue.indices, issue.residual
+        raise MalformedInputError(f"lattice generator {j} is not fixed by the group: "
+                                  f"|module.rho[{i}] gamma_{j}| / |gamma_{j}| = {residual:.3e}")
+    return EquivariantForm(doc.cocycle, doc.group, doc.module)
+
+
 def _run_validate(doc):
     tol = doc.options.get("tol", DEFAULT_TOL_ALG)
     issues = list(validate_algebra(doc.algebra, tol))
@@ -604,6 +614,8 @@ def _run_validate(doc):
         issues += validate_group(doc.group, tol)
         if doc.module is not None and doc.module.group_action is not None:
             issues += validate_action_compatibility(doc.group, doc.module)
+    if doc.lattice is not None:
+        issues += validate_lattice_fixed(doc.module, doc.lattice, tol)
     for name, path in doc.paths.items():
         issues += [
             type(i)(f"path[{name}].{i.identity}", i.indices, i.residual)
@@ -685,7 +697,7 @@ def _render_equivalence(results):
 
 
 def _run_gamma(doc):
-    form = EquivariantForm(doc.cocycle, doc.group, doc.module)
+    form = _form(doc)
     g1, g2 = (doc.paths[name] for name in doc.pair)
     warnings = []
     for name in doc.pair:
@@ -737,7 +749,7 @@ def _render_d2(results):
 
 
 def _run_check_integrability(doc):
-    form = EquivariantForm(doc.cocycle, doc.group, doc.module)
+    form = _form(doc)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
     if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
         raise NotACocycleError("the cochain to integrate is not a cocycle")
@@ -782,7 +794,7 @@ def _render_check_integrability(results):
 
 
 def _run_pi1(doc):
-    form = EquivariantForm(doc.cocycle, doc.group, doc.module)
+    form = _form(doc)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
     quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
     table = pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol)

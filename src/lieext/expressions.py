@@ -2,19 +2,26 @@
 
 Deliberately small so inputs stay auditable: numeric literals, the constant
 pi, named variables, + - * /, unary minus, parentheses, and the functions
-sin, cos, exp.  No user-defined functions, no powers, no attribute access;
-parsing is a plain recursive descent with positions in error messages.
+sin, cos, exp.  No user-defined functions, no powers, no attribute access.
 
-Each expression is compiled once, at parse time, into a closure of numpy
-operations, so variables may be scalars or arrays of parameters.  It runs
-with numpy's divide, overflow and invalid floating-point errors raised,
-and any of them (t/0, exp(1000), sin(inf)) is an ExpressionError.
+Parsing is one operator-precedence loop (shunting-yard) over the tokens of
+one compiled regex, with a stack of operands and one of pending operators
+and open groups; a reduction builds the node, its numpy closure and its
+depth together.  + - and * / are left-associative and unary minus binds
+tighter than * /, as in Python.  A parse error carries the position of its
+token, and a lexical error (a character outside the grammar, a malformed or
+out-of-range number) comes before any syntax error.  The node is at most
+MAX_DEPTH levels deep (an operation, unary minus or call is a level, a
+parenthesis none), which bounds the recursion of evaluation and of any walk
+over it.  The closures run with numpy's divide, overflow and invalid errors
+raised, on scalars or arrays, and any of those errors (t/0, exp(1000),
+sin(inf)) is an ExpressionError.
 """
-
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+import re
+from dataclasses import InitVar, dataclass
+from typing import Callable, Dict, NoReturn
 
 import numpy as np
 
@@ -28,137 +35,24 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": math.pi}
 
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
+MAX_DEPTH = 500
+
+# A pending operator as (level, node name, numpy function).  Level 0, an
+# open parenthesis or call, stops every reduction but that of its ')'.
+_PENDING = {
+    "+": (1, "+", operator.add),
+    "-": (1, "-", operator.sub),
+    "*": (2, "*", operator.mul),
+    "/": (2, "/", operator.truediv),
+    **{name: (0, name, fn) for name, fn in FUNCTIONS.items()},
 }
+_PREFIX = {"-": [(3, "neg", None)], "(": [(0, "(", None)], "+": []}  # unary plus is no node
+# A token that may follow an operand, with the lowest level it reduces; None
+# is the end of the text.
+_CLOSING = {"+": 1, "-": 1, "*": 2, "/": 2, ")": 1, None: 1}
 
-_TOKEN_OPS = set("+-*/()")
-
-
-def _tokenize(text: str) -> List[Tuple[str, object, int]]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ExpressionError(f"bad number {text[i:j]!r}", position=i)
-            if not math.isfinite(value):
-                raise ExpressionError(f"number {text[i:j]!r} is out of range", position=i)
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", position=i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("end", None, len(self.text))
-
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, at = self.peek()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r}", position=at)
-        self.advance()
-
-    def parse(self):
-        node = self.expression()
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected {val!r}", position=at)
-        return node
-
-    def expression(self):
-        node = self.term()
-        while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = (val, node, rhs)
-            else:
-                return node
-
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = (val, node, rhs)
-            else:
-                return node
-
-    def factor(self):
-        kind, val, at = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return ("neg", self.factor())
-        if kind == "op" and val == "+":
-            self.advance()
-            return self.factor()
-        return self.atom()
-
-    def atom(self):
-        kind, val, at = self.advance()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expression()
-                self.expect_op(")")
-                return ("call", val, arg)
-            if val in CONSTANTS:
-                return ("num", CONSTANTS[val])
-            return ("var", val)
-        if kind == "op" and val == "(":
-            node = self.expression()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected {val!r}", position=at)
+_NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
+_TOKEN = re.compile(rf"[-+*/()]|{_NUMBER.pattern}|(?!\d)\w+|\S")  # whitespace is skipped
 
 
 @dataclass(frozen=True)
@@ -169,9 +63,10 @@ class Expression:
     source: str
     node: tuple
     variables: frozenset
+    fn: InitVar[Callable]  # the node compiled, env -> value
 
-    def __post_init__(self):
-        object.__setattr__(self, "_fn", _compile(self.node, self.source))
+    def __post_init__(self, fn):
+        object.__setattr__(self, "_fn", fn)
 
     def __call__(self, env: Dict[str, object]):
         try:
@@ -181,54 +76,105 @@ class Expression:
             raise ExpressionError(f"cannot evaluate {self.source!r}: {exc}") from None
 
 
-def _compile(node, source) -> Callable:
-    """The node as a closure env -> value built from numpy operations."""
-    op = node[0]
-    if op == "num":
-        value = np.float64(node[1])
-        return lambda env: value
-    if op == "var":
-        name = node[1]
+def _variable(name, source):
+    def variable(env):
+        try:
+            return np.asarray(env[name], dtype=float)
+        except KeyError:
+            raise ExpressionError(f"unknown variable {name!r} in {source!r}") from None
+    return variable
 
-        def variable(env):
+
+def _fail(text, at, message=None) -> NoReturn:
+    """Raise the first lexical error of text, else message ('unexpected' and
+    the token by default) at token number at; one past the last is the end."""
+    matches = list(_TOKEN.finditer(text))
+    for match in matches:
+        token, start = match.group(), match.start()
+        if _NUMBER.fullmatch(token):
             try:
-                return np.asarray(env[name], dtype=float)
-            except KeyError:
-                raise ExpressionError(
-                    f"unknown variable {name!r} in {source!r}"
-                ) from None
-        return variable
-    if op == "neg":
-        arg = _compile(node[1], source)
-        return lambda env: -arg(env)
-    if op == "call":
-        fn, arg = FUNCTIONS[node[1]], _compile(node[2], source)
-        return lambda env: fn(arg(env))
-    if op in _BINARY:
-        fn, lhs, rhs = _BINARY[op], _compile(node[1], source), _compile(node[2], source)
-        return lambda env: fn(lhs(env), rhs(env))
-    raise ExpressionError(f"corrupt expression node {op!r}")
-
-
-def _collect_vars(node, out):
-    if node[0] == "var":
-        out.add(node[1])
-    elif node[0] in ("neg",):
-        _collect_vars(node[1], out)
-    elif node[0] == "call":
-        _collect_vars(node[2], out)
-    elif node[0] in "+-*/":
-        _collect_vars(node[1], out)
-        _collect_vars(node[2], out)
+                if not math.isfinite(float(token)):
+                    raise ExpressionError(f"number {token!r} is out of range", position=start)
+            except ValueError:
+                raise ExpressionError(f"bad number {token!r}", position=start) from None
+        elif not (token[0].isalpha() or token[0] == "_" or token in "+-*/()"):
+            raise ExpressionError(f"unexpected character {token[0]!r}", position=start)
+    if at == len(matches):
+        raise ExpressionError(message or "unexpected None", position=len(text))
+    token = matches[at].group()
+    value = float(token) if _NUMBER.fullmatch(token) else token
+    raise ExpressionError(message or f"unexpected {value!r}", position=matches[at].start())
 
 
 def parse_expression(text: str) -> Expression:
+    """Compile text, or raise an ExpressionError with the position of the
+    offending token."""
     if not isinstance(text, str):
         raise ExpressionError(f"expression must be a string, got {type(text).__name__}")
-    try:
-        node = _Parser(text).parse()
-        variables = set()
-        _collect_vars(node, variables)
-        return Expression(source=text, node=node, variables=frozenset(variables))
-    except RecursionError:
-        raise ExpressionError("expression is nested too deeply") from None
+    tokens = _TOKEN.findall(text)
+    tokens.append(None)
+    operands, pending, variables = [], [], {}  # (node, fn, depth); _PENDING values; name -> fn
+    operand = True  # the next token must begin an operand
+    steps = enumerate(tokens)
+    for at, token in steps:
+        if operand:
+            if token in _PREFIX:
+                pending += _PREFIX[token]
+            elif token in FUNCTIONS:
+                pending.append(_PENDING[token])
+                at, token = next(steps)
+                if token != "(":
+                    _fail(text, at, "expected '('")
+            elif token is None or token in _CLOSING:
+                _fail(text, at)
+            elif token in CONSTANTS or token[0].isdecimal() or token[0] == ".":
+                try:
+                    value = CONSTANTS[token] if token in CONSTANTS else float(token)
+                except ValueError:
+                    _fail(text, at)
+                if not math.isfinite(value):
+                    _fail(text, at)
+                operands.append((("num", value), lambda env, v=np.float64(value): v, 1))
+                operand = False
+            else:
+                fn = variables.get(token)
+                if fn is None:
+                    if not (token[0].isalpha() or token[0] == "_"):
+                        _fail(text, at)
+                    fn = variables[token] = _variable(token, text)
+                operands.append((("var", token), fn, 1))
+                operand = False
+            continue
+        level = _CLOSING.get(token)
+        if level is None:
+            _fail(text, at, "expected ')'" if any(not p[0] for p in pending) else None)
+        while pending and pending[-1][0] >= level:
+            top, op, f = pending.pop()
+            node, fn, depth = operands.pop()
+            if top == 3:
+                node, fn = ("neg", node), lambda env, a=fn: -a(env)
+            else:
+                lhs, lhs_fn, lhs_depth = operands.pop()
+                node, fn = (op, lhs, node), lambda env, f=f, a=lhs_fn, b=fn: f(a(env), b(env))
+                if lhs_depth > depth:
+                    depth = lhs_depth
+            if depth >= MAX_DEPTH:
+                _fail(text, at, "expression is nested too deeply")
+            operands.append((node, fn, depth + 1))
+        if token in _PENDING:
+            pending.append(_PENDING[token])
+            operand = True
+        elif not pending:
+            if token:  # a ')' that closes nothing
+                _fail(text, at)
+        elif not token:
+            _fail(text, at, "expected ')'")
+        else:
+            _, op, f = pending.pop()
+            if f:
+                node, fn, depth = operands.pop()
+                if depth >= MAX_DEPTH:
+                    _fail(text, at, "expression is nested too deeply")
+                operands.append((("call", op, node), lambda env, f=f, a=fn: f(a(env)), depth + 1))
+    (node, fn, _), = operands
+    return Expression(text, node, frozenset(variables), fn)

@@ -44,6 +44,7 @@ from .errors import (
     BoundaryMismatchError,
     LieExtError,
     MalformedInputError,
+    MembershipError,
     NotALoopError,
 )
 from .extensions import build_algebra_extension
@@ -256,14 +257,21 @@ def surface_integrals(
     group = form.group
     rules = tuple((int(order), float(step)) for order, step in rules)
     totals = np.zeros((len(rules), form.cochain.coeff_dim))
-    for patch in chain.patches:
+    for p, patch in enumerate(chain.patches):
         if patch.coefficient == 0:
             continue
         for ts, ss, den, weight, segments in _passes(rules, patch.domain):
             try:
                 mats = patch(ts.ravel(), ss.ravel())
                 g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
-                group.check_membership(g, scale=np.max(np.abs(g), axis=(-2, -1), initial=0.0))
+                scale = np.max(np.abs(g), axis=(-2, -1), initial=0.0)
+                try:
+                    group.check_membership(g, scale)
+                except MembershipError as exc:  # name the first node outside
+                    at = group.outside(g, scale)[0][0]
+                    raise MembershipError(
+                        f"patches[{p}] leaves the group at (t, s) = ({ts[0, at]:.6g}, {ss[0, at]:.6g}): {exc}"
+                    ) from None
             except LieExtError as exc:
                 if patch.domain != "simplex":
                     raise

@@ -17,15 +17,18 @@ matrix through `batch.per_point`.
 Built-ins: tori (block rotations, coordinates in winding units, so the
 basis matrix of each circle factor is 2*pi*J and exp(1 * e_i) = 1), additive
 translation groups, SU(2) as unit quaternions acting on R^4, and the 3x3
-unipotent Heisenberg group.
+unipotent Heisenberg group, each built once per process, with read-only arrays.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .algebra import (
+    DEFAULT_TOL_ALG,
+    Lattice,
     LieAlgebra,
     ModuleAction,
     abelian_algebra,
@@ -70,7 +73,8 @@ class MatrixGroup:
     name: str = "matrix-group"
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
+        basis = np.array(self.basis, dtype=float)
+        basis.flags.writeable = False
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise MalformedInputError(f"basis must be n x d x d, got {basis.shape}")
         if basis.shape[0] != self.algebra.dim:
@@ -101,6 +105,7 @@ class MatrixGroup:
         flat = basis.reshape(self.algebra.dim, -1).T if self.algebra.dim else np.zeros((basis.shape[1] ** 2, 0))
         object.__setattr__(self, "_flat_basis", flat)
         object.__setattr__(self, "_flat_pinv", np.linalg.pinv(flat) if flat.size else flat.T)
+        self._flat_pinv.flags.writeable = False
 
     @property
     def embed_dim(self) -> int:
@@ -140,21 +145,22 @@ class MatrixGroup:
         """Left-translate a tangent u at g back to the algebra: g^-1 u."""
         return self.decompose(self.inverse(g) @ u)
 
-    def outside(self, g: np.ndarray, scale=1.0) -> np.ndarray:
-        """Membership residuals, in row-major order, of the matrices of the
+    def outside(self, g: np.ndarray, scale=1.0):
+        """Row-major indices and membership residuals of the matrices of the
         stack g that are not in the group within MEMBERSHIP_TOL times
         max(1, their scale); a NaN matrix is outside quietly, its residual
         being NaN.  Empty for a group with no membership test."""
         if self.membership is None:
-            return np.empty(0)
+            return np.empty(0, dtype=int), np.empty(0)
         with np.errstate(invalid="ignore"):
             res = np.asarray(self.membership(np.asarray(g, dtype=float)), dtype=float)
-        return res[~(res <= MEMBERSHIP_TOL * np.maximum(1.0, scale))]
+        at = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, scale)))
+        return at, res.ravel()[at]
 
     def check_membership(self, g: np.ndarray, scale=1.0):
         """Raise MembershipError unless every matrix of the stack g is in the
         group (see outside)."""
-        bad = self.outside(g, scale)
+        _, bad = self.outside(g, scale)
         if bad.size:
             raise MembershipError(f"matrix is not in {self.name} (residual {bad[0]:.3e})")
 
@@ -204,6 +210,20 @@ def validate_action_compatibility(group: MatrixGroup, mod: ModuleAction):
     return issues + _issues_above("action_compatibility", res, DEFAULT_DERIV_TOL)
 
 
+def validate_lattice_fixed(mod: ModuleAction, lattice: Lattice, tol_alg: float = DEFAULT_TOL_ALG):
+    """Check that rho(x_i) gamma_j = 0 within tol_alg |gamma_j| for every basis
+    vector x_i and lattice generator gamma_j; the residual is the ratio of the
+    norms.  R^m / lattice is a G-module only if G preserves the lattice, and a
+    connected G preserving a discrete subgroup fixes it pointwise."""
+    gens = lattice.generators
+    if not gens.size or not np.any(mod.rho):  # rho = 0 fixes every vector
+        return []
+    if gens.shape[1] != mod.coeff_dim:
+        raise MalformedInputError(f"lattice lives in R^{gens.shape[1]}, the module in R^{mod.coeff_dim}")
+    moved = np.linalg.norm(np.einsum("iab,jb->ija", mod.rho, gens), axis=2)
+    return _issues_above("lattice_fixed", moved / np.linalg.norm(gens, axis=1), tol_alg)
+
+
 @dataclass(frozen=True)
 class GroupPath:
     """Evaluable based path [0, 1] -> G; called on an array of parameters it
@@ -239,7 +259,7 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     residual, since its tangents need not lie in the algebra."""
     h = DEFAULT_FD_STEP
     g = path(np.concatenate([np.linspace(0.0, 1.0, 33), [h, 1.0 + h, -h, 1.0 - h]]))
-    outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
+    _, outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
     if outside.size:
         return [ValidationIssue("in_group", (), float(np.max(outside)))]
     issues = []
@@ -289,6 +309,7 @@ def _transpose(g):
     return np.swapaxes(np.asarray(g, dtype=float), -1, -2)
 
 
+@lru_cache(maxsize=32)
 def torus_group(k: int) -> MatrixGroup:
     """T^k as block-diagonal 2x2 rotations, coordinates in winding units."""
     alg = abelian_algebra(k)
@@ -358,6 +379,7 @@ def torus_group(k: int) -> MatrixGroup:
     )
 
 
+@lru_cache(maxsize=32)
 def translation_group(k: int) -> MatrixGroup:
     """R^k additive, embedded as (k+1) x (k+1) unitriangular matrices."""
     alg = abelian_algebra(k)
@@ -406,6 +428,7 @@ def _quaternion_left_matrix(q: np.ndarray) -> np.ndarray:
     return np.asarray(q, dtype=float)[..., _QUAT_INDEX] * _QUAT_SIGN
 
 
+@lru_cache(maxsize=None)
 def su2_group() -> MatrixGroup:
     """SU(2) as unit quaternions acting on R^4 by left multiplication.
 
@@ -480,6 +503,7 @@ def sl2_group() -> MatrixGroup:
     )
 
 
+@lru_cache(maxsize=None)
 def heisenberg_group() -> MatrixGroup:
     """3x3 upper unitriangular matrices; algebra is heis3."""
     alg = heisenberg3_algebra()

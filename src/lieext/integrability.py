@@ -26,7 +26,7 @@ from .algebra import (
     reduce_mod_lattice,
 )
 from .batch import vectorized
-from .errors import MalformedInputError, NotALoopError, OpenChainError
+from .errors import MalformedInputError, MembershipError, NotALoopError, OpenChainError
 from .geometry import (
     DEFAULT_QUAD_ORDER,
     EquivariantForm,
@@ -156,7 +156,10 @@ def check_integrability(
     results = []
     for name, chain in cycles.generators:
         assert_cycle_closed(chain, name)
-        value, coarse = surface_integrals(form, chain, rules)
+        try:
+            value, coarse = surface_integrals(form, chain, rules)
+        except MembershipError as exc:
+            raise MembershipError(f"cycles[{name!r}].{exc}") from None
         err = float(np.max(np.abs(value - coarse)))
         tol = tol_lat + err
         membership = lattice_member(lattice, value, tol)

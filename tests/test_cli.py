@@ -163,6 +163,19 @@ def _each(*edits):
 
 
 DOUBLING = {"coeff_dim": 1, "group_action": {"exprs": ["2*a1"]}}
+TWO_PI = 2.0 * np.pi
+# R^2 rotated by the first coordinate of T^2: a group action with derivative
+# rho, but no rotation fixes Z^2, so R^2 / Z^2 is no module of the group
+ROTATION = _each(
+    _set("module", value={
+        "coeff_dim": 2,
+        "rho": [[[0.0, -TWO_PI], [TWO_PI, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "group_action": {"exprs": ["cos(2*pi*g1)*a1 - sin(2*pi*g1)*a2",
+                                   "sin(2*pi*g1)*a1 + cos(2*pi*g1)*a2"]},
+    }),
+    _set("cocycle", "components", value=[{"indices": [0, 1], "value": [1.0, 0.0]}]),
+    _set("lattice", value={"generators": [[1.0, 0.0], [0.0, 1.0]]}),
+)
 
 MALFORMED = {
     "torus_dim_string": ("torus_integrable.json", _set("group", "dim", value="x")),
@@ -349,6 +362,9 @@ MALFORMED = {
     "group_action_doubles_gamma": ("torus_gamma.json", _set("module", value=DOUBLING)),
     "group_action_doubles_pi1": ("pi1_torus.json", _set("module", value=DOUBLING)),
     "group_action_doubles_integrability": ("torus_integrable.json", _set("module", value=DOUBLING)),
+    "lattice_rotated_gamma": ("torus_gamma.json", ROTATION),
+    "lattice_rotated_pi1": ("pi1_torus.json", ROTATION),
+    "lattice_rotated_integrability": ("torus_integrable.json", ROTATION),
 }
 
 # The entry an error names, where it matters which one it is.
@@ -389,7 +405,21 @@ MALFORMED_MESSAGES = {
         "derivative module.rho: action_identity at (0,): residual 1.000e+00"
         for task in ("gamma", "pi1", "integrability")
     },
+    **{
+        f"lattice_rotated_{task}": "lattice generator 0 is not fixed by the group: "
+        "|module.rho[0] gamma_0| / |gamma_0| = 6.283e+00"
+        for task in ("gamma", "pi1", "integrability")
+    },
 }
+
+
+def test_validate_lists_a_lattice_the_group_moves():
+    raw = _edited("torus_integrable.json", _each(ROTATION, _set("task", value="validate")))
+    report, code = run(parse_document(raw))
+    assert code == 0 and report["results"]["valid"] is False
+    assert [(v["identity"], v["indices"]) for v in report["results"]["violations"]] == [
+        ("lattice_fixed", [0, 0]), ("lattice_fixed", [0, 1])
+    ]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -523,6 +553,22 @@ def test_gamma_names_the_path_that_leaves_the_group(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(
         "computation rejected: paths['p1'] leaves the group T^2: membership residual "
+    )
+
+
+@pytest.mark.parametrize("fixture, group", [("torus_integrable.json", "T^2"),
+                                            ("su2_sphere_period.json", "SU(2)")])
+def test_check_integrability_names_the_patch_that_leaves_the_group(fixture, group, tmp_path, capsys):
+    raw = _edited(fixture, _set("cycles", value=[{"name": "fundamental", "patches": [OFF_TORUS]}]))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the first node of the order-16 rule, t = s = 0.0053, where 1 - cos(t)^2 = 2.8e-5
+    assert captured.err == (
+        "computation rejected: cycles['fundamental'].patches[0] leaves the group at (t, s) = "
+        f"(0.00529953, 0.00529953): matrix is not in {group} (residual 2.808e-05)\n"
     )
 
 

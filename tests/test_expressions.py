@@ -1,8 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieext.errors import ExpressionError
-from lieext.expressions import parse_expression
+from lieext.expressions import MAX_DEPTH, parse_expression
 
 
 class TestParsing:
@@ -64,6 +69,53 @@ class TestErrors:
         with pytest.raises(ExpressionError):
             parse_expression("1 2")
 
+    # A lexical error anywhere (a character outside the grammar, a malformed
+    # or out-of-range number) is reported before a syntax error.
+    @pytest.mark.parametrize("text, message, position", [
+        ("1 + * 2", "unexpected '*'", 4),
+        ("t ^ 2", "unexpected character '^'", 2),
+        ("sin t", "expected '('", 4),
+        ("sin", "expected '('", 3),
+        ("sin(t", "expected ')'", 5),
+        ("((t)", "expected ')'", 4),
+        ("(t", "expected ')'", 2),
+        ("(t s)", "expected ')'", 3),
+        ("1 2", "unexpected 2.0", 2),
+        (")", "unexpected ')'", 0),
+        ("cos(t))", "unexpected ')'", 6),
+        ("sin()", "unexpected ')'", 4),
+        ("2 * (3 + )", "unexpected ')'", 9),
+        ("1e400", "number '1e400' is out of range", 0),
+        ("t + 1e309", "number '1e309' is out of range", 4),
+        (".", "bad number '.'", 0),
+        ("1.2.3", "bad number '1.2.3'", 0),
+        ("", "unexpected None", 0),
+        ("   ", "unexpected None", 3),
+        ("t +", "unexpected None", 3),
+        ("-", "unexpected None", 1),
+        ("sin(", "unexpected None", 4),
+        ("exp(t,s)", "unexpected character ','", 5),
+        ("1e", "unexpected 'e'", 1),
+        ("0x10", "unexpected 'x10'", 1),
+        ("pi(t)", "unexpected '('", 2),
+        ("t(s)", "unexpected '('", 1),
+        ("sin(t) cos(t)", "unexpected 'cos'", 7),
+        ("3 / / 4", "unexpected '/'", 4),
+        ("1 + * $", "unexpected character '$'", 6),
+        ("1 2 1e999", "number '1e999' is out of range", 4),
+    ])
+    def test_message_and_position(self, text, message, position):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert (str(err.value), err.value.position) == (message, position)
+
+    def test_names_and_numbers_beyond_ascii(self):
+        assert parse_expression("θ + _a1").variables == {"θ", "_a1"}
+        assert parse_expression("٣٣")({}) == 33.0  # decimal digits of any script
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("t + ½")
+        assert (str(err.value), err.value.position) == ("unexpected character '½'", 4)
+
 
 class TestArrays:
     @pytest.mark.parametrize(
@@ -96,5 +148,63 @@ class TestArrays:
             parse_expression("t + 1e400")
 
     def test_deep_nesting_is_an_expression_error(self):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
             parse_expression("+".join(["t"] * 1200))
+
+
+class TestNestingBound:
+    """MAX_DEPTH levels parse and evaluate; one more is refused at parse time."""
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "+".join(["t"] * n),  # a left-deep chain, n levels
+        lambda n: "-" * (n - 1) + "t",
+        lambda n: "sin(" * (n - 1) + "t" + ")" * (n - 1),
+        lambda n: "(" * n + "t" + "*t)" * (n - 1) + ")",
+    ])
+    def test_both_ends(self, make):
+        inside = parse_expression(make(MAX_DEPTH))
+        assert np.isfinite(inside({"t": np.array([0.5, 0.25])})).all()
+        with pytest.raises(ExpressionError, match="nested too deeply") as err:
+            parse_expression(make(MAX_DEPTH + 1))
+        assert err.value.position is not None
+
+    def test_parentheses_add_no_level(self):
+        assert parse_expression("(" * 5000 + "t" + ")" * 5000)({"t": 2.0}) == 2.0
+
+
+_NAMES = ("t", "s", "x1", "y_2", "_a", "sinx", "pi2")
+_leaves = st.one_of(
+    st.floats(0, 1e3).map(repr),  # always with '.' or 'e', so Python reads a float too
+    st.sampled_from([".5", "5.", "2.5E3", "1e-2", "pi"]),
+    st.sampled_from(_NAMES),
+)
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", " - ", " * "]), children)
+        .map("".join),
+        st.tuples(st.sampled_from(["-", "+", "- "]), children).map("".join),
+        children.map("({})".format),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), children).map("{0[0]}({0[1]})".format),
+    )
+
+
+class TestAgainstPython:
+    """Python's + - * / and unary minus have the grammar's precedence and
+    associativity, so Python's eval of the same text is a reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(_leaves, _grow, max_leaves=12),
+           st.lists(st.floats(-2, 2), min_size=len(_NAMES), max_size=len(_NAMES)))
+    def test_bit_identical_to_python_eval(self, text, values):
+        env = dict(zip(_NAMES, values))
+        e = parse_expression(text)
+        assert e.variables == set(re.findall(r"\w+", text)) & set(_NAMES)
+        try:
+            got = np.float64(e(env))
+        except ExpressionError:  # t/0 or an overflow; Python may go on with inf
+            return
+        namespace = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": math.pi}
+        want = np.float64(eval(text, {"__builtins__": {}}, {**namespace, **env}))
+        assert got.tobytes() == want.tobytes(), (text, got, want)

@@ -48,6 +48,17 @@ class TestGroups:
         group = factory()
         assert lx.validate_group(group) == []
 
+    @pytest.mark.parametrize(
+        "factory", [lambda: lx.torus_group(2), lambda: lx.translation_group(3), lx.su2_group,
+                    lx.heisenberg_group],
+    )
+    def test_builtin_groups_are_built_once_and_read_only(self, factory):
+        group = factory()
+        assert factory() is group
+        for array in (group.basis, group.algebra.structure_constants):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1.0
+
     def test_bad_basis_matches_the_per_pair_reference(self, su2):
         group = replace(su2, basis=su2.basis * np.array([1.0, 1.0, 1.1])[:, None, None])
         c, basis = group.algebra.structure_constants, group.basis
@@ -227,6 +238,15 @@ class TestActionCompatibility:
         ]
         with pytest.raises(MalformedInputError, match=r"action_identity at \(0,\): residual 1.000e\+00"):
             lx.EquivariantForm(lx.cochain_from_pairs(2, 2, {(0, 1): [1.0, 0.0]}), trans2, mod)
+
+    def test_lattice_fixed_is_relative_to_each_generator(self):
+        # rho[1] kills gamma_0 = (2, 0) and moves gamma_1 = (0, 1e-3) by 1e-6
+        mod = lx.ModuleAction(rho=np.stack([np.zeros((2, 2)), [[0.0, 1e-3], [0.0, 0.0]]]))
+        issues = lx.validate_lattice_fixed(mod, lx.Lattice(np.array([[2.0, 0.0], [0.0, 1e-3]])))
+        assert [(i.identity, i.indices) for i in issues] == [("lattice_fixed", (1, 1))]
+        assert issues[0].residual == pytest.approx(1e-3, rel=1e-12)
+        with pytest.raises(MalformedInputError, match="lattice lives in R\\^1, the module in R\\^2"):
+            lx.validate_lattice_fixed(mod, lx.Lattice(np.array([[1.0]])))
 
     def test_rho_count_must_match_the_group(self, trans2):
         with pytest.raises(MalformedInputError):
