@@ -319,14 +319,16 @@ def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
     identity factors.
     """
     rows, cols = mat.shape
-    if rows == 0 or cols == 0 or not np.any(mat):
+    top = float(np.max(np.abs(mat), initial=0.0))
+    if top == 0.0:
         return 0, None, *((np.eye(rows), np.eye(cols)) if compute_uv else (None, None))
     # Work on mat divided by the power of two at its largest entry, with the
     # cutoff in the same units, so that the singular values of a matrix near
     # the top of the double range stay finite; dividing by a power of two is
     # exact.  Entries below 1 are left as they are: their cutoff is the floor.
-    scale = max(1.0, float(np.ldexp(1.0, np.frexp(np.max(np.abs(mat)))[1] - 1)))
-    mat = mat / scale
+    scale = max(1.0, float(np.ldexp(1.0, np.frexp(top)[1] - 1)))
+    if scale != 1.0:
+        mat = mat / scale
     if compute_uv:
         u, s, vt = np.linalg.svd(mat)
     else:

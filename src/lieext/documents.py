@@ -14,8 +14,11 @@ group action, the d2 cochain) is compiled, and its variables checked, by
 _compile_exprs, and evaluated on arrays by one _evaluator.
 """
 
+import bisect
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -37,6 +40,7 @@ from .cohomology import (
     Cochain,
     GroupCochain,
     cohomology_table,
+    index_table,
     is_cocycle,
     normalization_residual,
 )
@@ -193,31 +197,52 @@ def _parse_options(options) -> dict:
     return read
 
 
+def _index_rows(items, width, high=float("inf")):
+    """items, JSON integers in [0, high), as rows of width: int64, or exact
+    Python integers beyond it; None unless the type, range, order (first
+    index below the second) and repeat masks pass on every row."""
+    if set(map(type, items)) <= {int} and 0 <= min(items, default=0) and (
+            top := max(items, default=-1)) < high:
+        arr = np.array(items, dtype=np.int64 if top < 2**63 else object).reshape(-1, width)
+        if (arr[:, 0] < arr[:, 1]).all() and len(set(zip(*[iter(items)] * width))) == len(arr):
+            return arr
+
+
 def _parse_algebra(section) -> LieAlgebra:
+    """The algebra section.  Sparse rows are read as arrays: types and lengths
+    over all rows at once, then the index masks of _index_rows.  When a mask
+    fails, bisection finds the first row it fails on, and the checks of one
+    row, run on that row alone, name its first fault."""
     _require(isinstance(section, dict), "algebra section must be an object")
     n = _integer(section.get("dim"), "algebra dim", 0, MAX_DIM)
     labels = _list(section.get("labels", []), "algebra.labels")
     labels = tuple(_name(label, "algebra label") for label in labels)
     if "structure_constants_dense" in section:
+        _require("structure_constants" not in section, "algebra: give either "
+                 "structure_constants or structure_constants_dense, not both")
         c = _reals(section["structure_constants_dense"], "algebra: dense structure constants",
                    (n, n, n))
     else:
         c = np.zeros((n, n, n))
         rows = _list(section.get("structure_constants", []), "algebra.structure_constants")
         _require(
-            all(isinstance(entry, list) and len(entry) == 4 for entry in rows),
+            set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4},
             "algebra: sparse structure constants are [i, j, k, value] rows",
         )
-        values = _reals([entry[3] for entry in rows], "algebra: sparse values", (len(rows),))
-        seen = set()
-        for entry, value in zip(rows, values):
-            i, j, k = (_integer(x, "algebra: sparse index", low=0) for x in entry[:3])
-            if not (i < j < n and k < n):
-                raise DocumentError(f"algebra: sparse row {entry} needs i < j < dim and k < dim")
-            _require((i, j, k) not in seen, f"algebra: sparse entry ({i}, {j}, {k}) given twice")
-            seen.add((i, j, k))
-            c[i, j, k] = value
-            c[j, i, k] = -value  # antisymmetric partner filled by convention
+        flat = list(chain.from_iterable(rows))
+        values = _reals(flat[3::4], "algebra: sparse values", (len(rows),))
+        del flat[3::4]
+        ijk = _index_rows(flat, 3, n)
+        if ijk is None:  # the first row the arrays cannot take names its fault
+            row = rows[bisect.bisect_left(
+                range(len(rows)), True, key=lambda e: _index_rows(flat[:3 * e + 3], 3, n) is None)]
+            i, j, k = (_integer(x, "algebra: sparse index", low=0) for x in row[:3])
+            _require(i < j < n and k < n,
+                     f"algebra: sparse row {row} needs i < j < dim and k < dim")
+            raise DocumentError(f"algebra: sparse entry ({i}, {j}, {k}) given twice")
+        i, j, k = ijk.T
+        c[i, j, k] = values
+        c[j, i, k] = -values  # antisymmetric partner filled by convention
     try:
         return LieAlgebra(structure_constants=c, basis_labels=labels)
     except MalformedInputError as exc:
@@ -227,15 +252,10 @@ def _parse_algebra(section) -> LieAlgebra:
 def serialize_algebra(alg: LieAlgebra) -> dict:
     """Algebra section in the sparse document format (round-trippable)."""
     c = alg.structure_constants
-    return {
-        "dim": alg.dim,
-        "labels": list(alg.basis_labels),
-        "structure_constants": [
-            [int(i), int(j), int(k), float(c[i, j, k])]
-            for i, j, k in zip(*np.nonzero(c))
-            if i < j
-        ],
-    }
+    i, j, k = np.nonzero((c != 0) & np.triu(np.ones((alg.dim, alg.dim), bool), 1)[..., None])
+    rows = zip(i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist())
+    return {"dim": alg.dim, "labels": list(alg.basis_labels),
+            "structure_constants": list(map(list, rows))}
 
 
 def serialize_extension(ext: AlgebraExtension) -> dict:
@@ -370,12 +390,32 @@ def _parse_group(section) -> MatrixGroup:
 
 
 def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> Cochain:
+    """A cocycle section, its components read as arrays by read below.  When
+    a check fails, bisection finds the first component it fails on, and the
+    checks of one component, run on it alone, name its first fault.  Indices
+    out of range are named together, once every component has been read."""
     _require(isinstance(section, dict), f"{context} section must be an object")
     degree = _integer(
         section.get("degree", 2), f"{context}: degree (tasks read 2-cocycles only)", 2, 2
     )
-    comps = {}
-    for entry in _list(section.get("components", []), f"{context}.components"):
+    comps = _list(section.get("components", []), f"{context}.components")
+
+    def read(part):  # (N, 2) indices and (N, coeff_dim) values, or None
+        try:
+            idx, values = zip(*map(itemgetter("indices", "value"), part)) if part else ((), ())
+            if not set(map(type, values)) <= {list}:  # a value given as one number
+                values = [v if isinstance(v, list) else [v] for v in values]
+            if set(map(len, idx)) <= {2} and set(map(len, values)) <= {coeff_dim}:
+                pairs = _index_rows(list(chain.from_iterable(idx)), 2)
+                flat = _reals(list(chain.from_iterable(values)), "", (len(part) * coeff_dim,))
+                return None if pairs is None else (pairs, flat.reshape(len(part), coeff_dim))
+        except (KeyError, TypeError, DocumentError):
+            return None
+
+    arrays = read(comps)
+    if arrays is None:  # the first component the arrays cannot take names its fault
+        end = bisect.bisect_left(range(len(comps)), True, key=lambda e: read(comps[:e + 1]) is None)
+        entry, seen = comps[end], set(map(tuple, read(comps[:end])[0].tolist()))
         _require(
             isinstance(entry, dict) and "indices" in entry and "value" in entry,
             f"{context}: components are objects with 'indices' and 'value'",
@@ -385,18 +425,18 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
             for i in _list(entry["indices"], f"{context}: indices")
         )
         _require(len(idx) == degree, f"{context}: indices {idx} must be {degree} integers")
-        _require(
-            tuple(sorted(idx)) == idx and len(set(idx)) == degree,
-            f"{context}: indices {idx} must be strictly increasing",
-        )
-        _require(idx not in comps, f"{context}: indices {list(idx)} given twice")
+        _require(idx[0] < idx[1], f"{context}: indices {idx} must be strictly increasing")
+        _require(idx not in seen, f"{context}: indices {list(idx)} given twice")
         value = entry["value"] if isinstance(entry["value"], list) else [entry["value"]]
-        comps[idx] = _reals(value, f"{context}: value for {idx}", (coeff_dim,))
-    try:
-        cochain = Cochain(degree, alg_dim, coeff_dim, comps)
-    except MalformedInputError as exc:
-        raise DocumentError(f"{context}: {exc}") from None
-    return cochain
+        _reals(value, f"{context}: value for {idx}", (coeff_dim,))
+    pairs, values = arrays
+    i, j = pairs.T
+    out = sorted(map(tuple, pairs[j >= alg_dim].tolist()))
+    _require(not out, f"{context}: component indices {out} are not strictly increasing "
+             f"degree-{degree} tuples in range({alg_dim})")
+    rows = np.zeros((len(index_table(alg_dim, degree)), coeff_dim))
+    rows[i * (2 * alg_dim - i - 1) // 2 + j - i - 1] = values
+    return Cochain(degree, alg_dim, coeff_dim, rows)
 
 
 def _map_eval(entries, group: MatrixGroup, names, context):
@@ -590,10 +630,8 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
 
 def _components(cochain: Cochain) -> list:
-    return [
-        {"indices": list(k), "value": [float(x) for x in v]}
-        for k, v in cochain.components.items()
-    ]
+    keys = index_table(cochain.alg_dim, cochain.degree).tolist()
+    return [{"indices": k, "value": v} for k, v in zip(keys, cochain.values.tolist())]
 
 
 def _form(doc):

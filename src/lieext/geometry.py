@@ -177,6 +177,8 @@ def left_translate_chain(g: np.ndarray, chain: Surface2Chain) -> Surface2Chain:
 # Nodes per array pass; larger grids are integrated in slices of this many
 # nodes so the stacked patch values stay a few megabytes.
 _PASS_NODES = 4096
+_OFF_TRIANGLE = ("a simplex patch is integrated on the whole unit square, on both sides of "
+                 "the diagonal, and must be defined there: ")
 
 
 def _stencil(order: int, domain: str, step: float):
@@ -263,22 +265,23 @@ def surface_integrals(
         for ts, ss, den, weight, segments in _passes(rules, patch.domain):
             try:
                 mats = patch(ts.ravel(), ss.ravel())
-                g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
-                scale = np.max(np.abs(g), axis=(-2, -1), initial=0.0)
-                try:
-                    group.check_membership(g, scale)
-                except MembershipError as exc:  # name the first node outside
-                    at = group.outside(g, scale)[0][0]
-                    raise MembershipError(
-                        f"patches[{p}] leaves the group at (t, s) = ({ts[0, at]:.6g}, {ss[0, at]:.6g}): {exc}"
-                    ) from None
             except LieExtError as exc:
                 if patch.domain != "simplex":
                     raise
-                raise MalformedInputError(
-                    "a simplex patch is integrated on the whole unit square, on both "
-                    f"sides of the diagonal, and must be defined there: {exc}"
-                ) from None
+                raise MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
+            g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
+            scale = np.max(np.abs(g), axis=(-2, -1), initial=0.0)
+            try:
+                group.check_membership(g, scale)
+            except MembershipError:  # name the first node outside, one on the triangle first
+                at, res = group.outside(g, scale)
+                on = (ss[0, at] <= ts[0, at]) | (patch.domain != "simplex")
+                k = int(np.argmax(on))
+                exc = MembershipError(
+                    f"patches[{p}] leaves the group at (t, s) = ({ts[0, at[k]]:.6g}, "
+                    f"{ss[0, at[k]]:.6g}): matrix is not in {group.name} (residual {res[k]:.3e})"
+                )
+                raise exc if on[k] else MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
             du = (t_plus - t_minus) / den[:, None, None]
             dv = (s_plus - s_minus) / den[:, None, None]
             vals = weight[:, None] * eval_equivariant(form, g, du, dv)

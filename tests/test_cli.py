@@ -317,6 +317,10 @@ MALFORMED = {
             {"domain": "simplex", "coords": ["t", "s + exp(1000*(s-t)) - exp(1000*(s-t))"]},
             {"domain": "simplex", "coords": ["s", "t"], "coefficient": -1}]),
     ),
+    "sparse_and_dense_structure_constants": (
+        "sl2_cohomology.json",
+        _set("algebra", "structure_constants_dense", value=np.zeros((3, 3, 3)).tolist()),
+    ),
     # sizes are bounded before anything of that size is built
     "algebra_dim_too_large": ("heis3_validate.json", _set("algebra", value={"dim": 1_000_000})),
     "torus_dim_too_large": ("torus_integrable.json", _set("group", "dim", value=10**12)),
@@ -394,6 +398,9 @@ MALFORMED_MESSAGES = {
         "cannot evaluate"
     ),
     "cohomology_degree_too_large": "entries, more than",
+    "sparse_and_dense_structure_constants": (
+        "algebra: give either structure_constants or structure_constants_dense, not both"
+    ),
     "extension_too_large": "d_2 would hold",
     "sparse_entry_twice": "algebra: sparse entry (0, 1, 2) given twice",
     "cocycle_indices_twice": "cocycle: indices [0, 1] given twice",
@@ -569,6 +576,20 @@ def test_check_integrability_names_the_patch_that_leaves_the_group(fixture, grou
     assert captured.err == (
         "computation rejected: cycles['fundamental'].patches[0] leaves the group at (t, s) = "
         f"(0.00529953, 0.00529953): matrix is not in {group} (residual 2.808e-05)\n"
+    )
+
+
+def test_a_simplex_patch_that_leaves_the_group_on_its_triangle_is_named(tmp_path, capsys):
+    raw = _edited("su2_sphere_period.json",
+                  _set("cycles", 0, "patches", value=[{"domain": "simplex", **OFF_TORUS}]))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    # t = s is on the triangle; a node with s > t alone would be an input error
+    assert captured.out == "" and captured.err == (
+        "computation rejected: cycles['equatorial-sphere'].patches[0] leaves the group at "
+        "(t, s) = (0.00529953, 0.00529953): matrix is not in SU(2) (residual 2.808e-05)\n"
     )
 
 

@@ -198,6 +198,14 @@ def test_one_number_values_and_lists_mix_when_coeff_dim_is_1():
     assert doc.cocycle.values.tolist() == [[0.0], [2.5], [3.0]]
 
 
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_empty_sections_read_as_zero(dim):
+    doc = parse_document({"task": "extend", "algebra": {"dim": dim, "structure_constants": []},
+                          "cocycle": {"components": []}})
+    assert doc.algebra.structure_constants.shape == (dim,) * 3
+    assert not doc.algebra.structure_constants.any() and not doc.cocycle.values.any()
+
+
 DIM = 5
 PAIRS = list(itertools.combinations(range(DIM), 2))
 finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)

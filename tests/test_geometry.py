@@ -411,6 +411,17 @@ class TestSurfaceIntegral:
         assert info.value.exit_code == 2
         assert "simplex patch" in str(info.value) and "whole unit square" in str(info.value)
 
+    def test_simplex_patch_that_leaves_the_group_on_the_triangle(self, torus2):
+        def patch(t, s):
+            g = torus2.chart.from_coords([t, s])
+            return 2.0 * g if s > t or t > 0.5 else g  # outside on both sides
+
+        chain = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch, domain="simplex"),))
+        with pytest.raises(MembershipError, match=r"patches\[0\] leaves the group at") as info:
+            lx.surface_integral(torus_form(torus2), chain, 8)
+        t, s = map(float, str(info.value).split("(t, s) = (")[1].split(")")[0].split(", "))
+        assert info.value.exit_code == 3 and s <= t and t > 0.5
+
     def test_stokes_boundary_of_3_patch(self, torus2, rng):
         form = torus_form(torus2)
         a = rng.normal(0, 0.3, size=(2, 3))
