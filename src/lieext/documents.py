@@ -126,7 +126,7 @@ def _require(condition, message):
 
 def _integer(value, context, low=None, high=None) -> int:
     """value as a JSON integer (never a boolean) in [low, high] where given."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:
         if (low is None or value >= low) and (high is None or value <= high):
             return value
     bounds = (
@@ -209,10 +209,9 @@ def _index_rows(items, width, high=float("inf")):
 
 
 def _parse_algebra(section) -> LieAlgebra:
-    """The algebra section.  Sparse rows are read as arrays: types and lengths
-    over all rows at once, then the index masks of _index_rows.  When a mask
-    fails, bisection finds the first row it fails on, and the checks of one
-    row, run on that row alone, name its first fault."""
+    """The algebra section.  Sparse rows are read as arrays (types and lengths
+    over all rows at once, then the masks of _index_rows); when a mask fails,
+    bisection finds the first row it fails on, and one row's checks name it."""
     _require(isinstance(section, dict), "algebra section must be an object")
     n = _integer(section.get("dim"), "algebra dim", 0, MAX_DIM)
     labels = _list(section.get("labels", []), "algebra.labels")
@@ -253,9 +252,8 @@ def serialize_algebra(alg: LieAlgebra) -> dict:
     """Algebra section in the sparse document format (round-trippable)."""
     c = alg.structure_constants
     i, j, k = np.nonzero((c != 0) & np.triu(np.ones((alg.dim, alg.dim), bool), 1)[..., None])
-    rows = zip(i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist())
-    return {"dim": alg.dim, "labels": list(alg.basis_labels),
-            "structure_constants": list(map(list, rows))}
+    rows = list(map(list, zip(i.tolist(), j.tolist(), k.tolist(), c[i, j, k].tolist())))
+    return {"dim": alg.dim, "labels": list(alg.basis_labels), "structure_constants": rows}
 
 
 def serialize_extension(ext: AlgebraExtension) -> dict:
@@ -390,10 +388,9 @@ def _parse_group(section) -> MatrixGroup:
 
 
 def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> Cochain:
-    """A cocycle section, its components read as arrays by read below.  When
-    a check fails, bisection finds the first component it fails on, and the
-    checks of one component, run on it alone, name its first fault.  Indices
-    out of range are named together, once every component has been read."""
+    """A cocycle section, its components read as arrays by read below; when
+    a check fails, bisection finds the first component it fails on, and one
+    component's checks name it.  Indices out of range are named together."""
     _require(isinstance(section, dict), f"{context} section must be an object")
     degree = _integer(
         section.get("degree", 2), f"{context}: degree (tasks read 2-cocycles only)", 2, 2
