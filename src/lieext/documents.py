@@ -432,7 +432,7 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
     _require(not out, f"{context}: component indices {out} are not strictly increasing "
              f"degree-{degree} tuples in range({alg_dim})")
     rows = np.zeros((len(index_table(alg_dim, degree)), coeff_dim))
-    rows[i * (2 * alg_dim - i - 1) // 2 + j - i - 1] = values
+    rows[i * (2 * alg_dim - i - 1) // 2 + j - i - 1] = values  # the lex row of (i, j)
     return Cochain(degree, alg_dim, coeff_dim, rows)
 
 
