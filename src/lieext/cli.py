@@ -87,9 +87,39 @@ def run(doc: ProblemDocument) -> tuple:
     )
 
 
+# Text names a results field as the machine report does, apart from these.
+_LABELS = {"overall": "verdict"}
+
+
+def _text(value) -> str:
+    """A string bare, any other value as in the machine report."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _results_lines(results: dict, indent: str = "") -> list:
+    """One line per scalar or list of scalars, `key: value`; a dict as `key:`
+    and its fields indented; any other list as `key:` and one `- item` line
+    per item, a dict item as `- k: v, k: v`."""
+    lines = []
+    for key, value in results.items():
+        key = _LABELS.get(key, key)
+        if isinstance(value, dict):
+            lines += [f"{indent}{key}:", *_results_lines(value, indent + "  ")]
+        elif isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value):
+            lines.append(f"{indent}{key}:")
+            lines += [
+                f"{indent}  - " + (", ".join(f"{k}: {_text(v)}" for k, v in item.items())
+                                   if isinstance(item, dict) else _text(item))
+                for item in value
+            ]
+        else:
+            lines.append(f"{indent}{key}: {_text(value)}")
+    return lines
+
+
 def _render_text(report: dict) -> str:
     lines = [f"task: {report['task']}", f"inputs: {report['inputs_digest']}"]
-    lines += TASKS[report["task"]].render(report["results"])
+    lines += _results_lines(report["results"])
     lines += [f"warning: {w}" for w in report["warnings"]]
     lines.append(f"time: {report['timing_seconds']:.3f}s")
     return "\n".join(lines)

@@ -7,7 +7,9 @@ built-in or an explicit matrix realization), cocycles, and parametric
 paths/loops/cycles written in the small expression grammar.  Indices are
 0-based throughout.  parse_document builds and cross-checks the in-memory
 objects and reads the options against OPTIONS; TASKS holds, for each task,
-the sections it needs, how it runs and how its results read as text.
+the sections it needs, the options it reads and how it runs.  No task has a
+text form of its own: the text report names the results fields as the
+machine report does.
 Numbers are read by two readers only: _integer and _reals.  Every
 expression-valued section (path and patch coords or matrix, the module's
 group action, the d2 cochain) is compiled, and its variables checked, by
@@ -176,15 +178,21 @@ def _name(value, context) -> str:
     return value
 
 
+def _degrees(value, context) -> list:
+    """value as a non-empty list of distinct integers >= 0."""
+    degrees = [_integer(n, context, low=0) for n in _list(value, context)]
+    _require(degrees and len(set(degrees)) == len(degrees),
+             f"{context} must list distinct degrees, at least one, got {value!r}")
+    return degrees
+
+
 # The options a document may set, each with the reader of its value.  A task
 # reads the ones it uses and keeps its own default for one left out.
 OPTIONS = {
     "quad_order": lambda value, context: _integer(value, context, 1, MAX_QUAD_ORDER),
     "tol": _positive,
     "fd_step": _positive,
-    "degrees": lambda value, context: [
-        _integer(n, context, low=0) for n in _list(value, context)
-    ],
+    "degrees": _degrees,
 }
 
 
@@ -579,7 +587,8 @@ def parse_document(text_or_dict) -> ProblemDocument:
                 for k, p in enumerate(patches)
             )
             gens.append((name, Surface2Chain(patches=built)))
-        doc.cycles = CycleSet(generators=tuple(gens))
+        # an empty list leaves the section missing, as for loops
+        doc.cycles = CycleSet(generators=tuple(gens)) if gens else None
 
     if "pair" in raw:
         pair = raw["pair"]
@@ -621,8 +630,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
 
 # ---------------------------------------------------------------------------
-# Tasks: each runner maps a document to (results, warnings, exit code) and
-# each renderer maps results to the lines of the text report.
+# Tasks: each runner maps a document to (results, warnings, exit code).
 # Runners call library functions through this module's globals.
 
 
@@ -666,28 +674,9 @@ def _run_validate(doc):
     return results, warnings, EXIT_OK
 
 
-def _render_validate(results):
-    if results["valid"]:
-        return ["valid: all identities hold"]
-    return [f"violations ({len(results['violations'])}):"] + [
-        f"  {v['identity']} at {tuple(v['indices'])}: residual {v['residual']:.3e}"
-        for v in results["violations"]
-    ]
-
-
 def _run_cohomology(doc):
     table = cohomology_table(doc.algebra, doc.module, doc.options.get("degrees", [2]))
     return {"slices": table}, [], EXIT_OK
-
-
-def _render_cohomology(results):
-    return [
-        f"degree {sl['degree']}: dim C = {sl['cochain_dim']}, "
-        f"dim Z = {sl['cocycle_dim']}, dim B = {sl['coboundary_dim']}, "
-        f"betti = {sl['betti']}, rank margin = "
-        + ("n/a" if sl["rank_margin"] is None else f"{sl['rank_margin']:.2e}")
-        for sl in results["slices"]
-    ]
 
 
 def _run_extend(doc):
@@ -696,18 +685,6 @@ def _run_extend(doc):
     residual = max((i.residual for i in validate_algebra(ext.total, tol)), default=0.0)
     results = {"extension": serialize_extension(ext), "jacobi_residual": residual}
     return results, [], EXIT_OK
-
-
-def _render_extend(results):
-    ext = results["extension"]
-    return [
-        f"extension built: total dim {ext['algebra']['dim']} "
-        f"(base {ext['base_dim']} + coefficients {ext['coeff_dim']})",
-        f"jacobi residual: {results['jacobi_residual']:.3e}",
-    ] + [
-        f"  c[{row[0]},{row[1]},{row[2]}] = {row[3]}"
-        for row in ext["algebra"]["structure_constants"]
-    ]
 
 
 def _run_equivalence(doc):
@@ -719,16 +696,6 @@ def _run_equivalence(doc):
     if witness is not None:
         results["witness"] = _components(witness)
     return results, [], EXIT_OK
-
-
-def _render_equivalence(results):
-    return [
-        f"equivalent: {results['equivalent']}",
-        f"residual: {results['residual']:.3e}",
-    ] + [
-        f"  witness{tuple(comp['indices'])} = {comp['value']}"
-        for comp in results.get("witness", [])
-    ]
 
 
 def _run_gamma(doc):
@@ -753,13 +720,6 @@ def _run_gamma(doc):
     return results, warnings, EXIT_OK
 
 
-def _render_gamma(results):
-    lines = [f"value: {results['value']}"]
-    if "value_mod_lattice" in results:
-        lines.append(f"value mod lattice: {results['value_mod_lattice']}")
-    return lines
-
-
 def _run_d2(doc):
     step = doc.options.get("fd_step", DEFAULT_D2_STEP)
     chart, f = doc.group.chart, doc.cochain_expr
@@ -774,13 +734,6 @@ def _run_d2(doc):
         )
     derived = derived_cochain(doc.group, f, step)
     return {"derived_cochain": _components(derived), "fd_step": step}, warnings, EXIT_OK
-
-
-def _render_d2(results):
-    return [
-        f"  D2f{tuple(comp['indices'])} = {comp['value']}"
-        for comp in results["derived_cochain"]
-    ]
 
 
 def _run_check_integrability(doc):
@@ -815,19 +768,6 @@ def _run_check_integrability(doc):
     return report.as_dict(), warnings, code
 
 
-def _render_check_integrability(results):
-    return (
-        [f"verdict: {results['overall']}"]
-        + [
-            f"  {gen['generator']}: period {gen['period']} -> {gen['verdict']} "
-            f"(coefficients {gen['coefficients']}, residual {gen['residual']:.2e}, "
-            f"error estimate {gen['error_estimate']:.2e})"
-            for gen in results["generators"]
-        ]
-        + [f"assumption: {results['assumption']}"]
-    )
-
-
 def _run_pi1(doc):
     form = _form(doc)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
@@ -836,44 +776,26 @@ def _run_pi1(doc):
     return table.as_dict(), [], EXIT_OK
 
 
-def _render_pi1(results):
-    loops = results["loops"]
-    lines = [f"loops: {', '.join(loops)}", "commutators:"]
-    lines += [f"  {loops[i]}: {row}" for i, row in enumerate(results["commutators"])]
-    if "commutator_in_lattice" in results:
-        lines.append("commutator in lattice:")
-        lines += [
-            f"  {loops[i]}: {row}"
-            for i, row in enumerate(results["commutator_in_lattice"])
-        ]
-    return lines
-
-
 @dataclass(frozen=True)
 class Task:
     """One CLI task: the document sections it needs, the options its runner
-    reads, its runner and its text renderer."""
+    reads and its runner.  The text report walks the runner's results, so a
+    new field needs no code to be shown."""
 
     needs: tuple
     options: tuple
     run: Callable
-    render: Callable
 
 
 TASKS: Dict[str, Task] = {
-    "validate": Task(("algebra",), ("tol",), _run_validate, _render_validate),
-    "cohomology": Task(("algebra",), ("degrees",), _run_cohomology, _render_cohomology),
-    "extend": Task(("algebra", "cocycle"), ("tol",), _run_extend, _render_extend),
-    "equivalence": Task(
-        ("algebra", "cocycle", "cocycle2"), ("tol",), _run_equivalence, _render_equivalence
-    ),
-    "gamma": Task(("group", "cocycle", "pair"), ("quad_order",), _run_gamma, _render_gamma),
-    "d2": Task(("group", "cochain_expr"), ("fd_step",), _run_d2, _render_d2),
+    "validate": Task(("algebra",), ("tol",), _run_validate),
+    "cohomology": Task(("algebra",), ("degrees",), _run_cohomology),
+    "extend": Task(("algebra", "cocycle"), ("tol",), _run_extend),
+    "equivalence": Task(("algebra", "cocycle", "cocycle2"), ("tol",), _run_equivalence),
+    "gamma": Task(("group", "cocycle", "pair"), ("quad_order",), _run_gamma),
+    "d2": Task(("group", "cochain_expr"), ("fd_step",), _run_d2),
     "check-integrability": Task(
-        ("group", "cocycle", "lattice", "cycles"),
-        ("quad_order", "tol"),
-        _run_check_integrability,
-        _render_check_integrability,
+        ("group", "cocycle", "lattice", "cycles"), ("quad_order", "tol"), _run_check_integrability
     ),
-    "pi1": Task(("group", "cocycle", "loops"), ("quad_order", "tol"), _run_pi1, _render_pi1),
+    "pi1": Task(("group", "cocycle", "loops"), ("quad_order", "tol"), _run_pi1),
 }

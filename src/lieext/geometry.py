@@ -191,7 +191,9 @@ def _stencil(order: int, domain: str, step: float):
     discrete orthogonality of the Legendre polynomials at the Gauss nodes x
     (weights 2 w) gives l_j = sum_k (2k + 1) w_j P_k(x_j) P_k, and
     (2k + 1) int_{-1}^x P_k = P_{k+1}(x) - P_{k-1}(x), with P_{-1} = -1, so
-    S_ij = sum_k (P_{k+1} - P_{k-1})(x_i) P_k(x_j) w_j / 2.  Returns ts and
+    S_ij = sum_k (P_{k+1} - P_{k-1})(x_i) P_k(x_j) w_j / 2.  The triangle weights
+    sum to 1/2, integrate t^a s^b exactly for a, b < order, and their
+    absolute values sum to at most 0.54: no cancellation.  Returns ts and
     ss of shape (5, N), the nodes followed by their central-difference
     neighbours t + h, t - h, s + h, s - h, and the N node weights.
     """
@@ -296,18 +298,11 @@ def surface_integral(
     quad_order: int = DEFAULT_QUAD_ORDER,
     step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
-    """Integral of the form over the chain.
+    """Integral of the form over the chain: surface_integrals with one rule.
 
-    Tensor Gauss-Legendre of the given order per axis; a triangle patch is
-    integrated on the square's own nodes with the spectral integration
-    weights of _stencil, so it is evaluated on the whole unit square, on
-    both sides of the diagonal, and must be defined there.  Patch partial
-    derivatives are central differences with the given step.  Each patch
-    is one array pass: the patch is evaluated once on all nodes and their
-    four neighbours, and membership, the tangent decomposition, the
-    cochain, the action and the weights are applied to the whole stack
-    (orders above 64 pass over slices of _PASS_NODES nodes).  This is
-    surface_integrals with one rule.
+    Tensor Gauss-Legendre of the given order per axis, patch partials by
+    central differences with the given step; a triangle patch is evaluated
+    on the whole unit square and must be defined there (see _stencil).
     """
     return surface_integrals(form, chain, ((quad_order, step),))[0]
 
@@ -320,7 +315,8 @@ def product_triangle_chain(g1: GroupPath, g2: GroupPath) -> Surface2Chain:
     """The triangle (t, s) -> g1(t) g2(s) on {0 <= s <= t <= 1}.
 
     Its boundary is g1 + (g1(1) . g2) - (g1 g2): the first path, the left
-    translate of the second, minus their pointwise product.
+    translate of the second, minus their pointwise product.  On the stencil
+    of an order-n rule each path is called at 3n distinct parameters.
     """
     return Surface2Chain(
         patches=(
@@ -606,8 +602,10 @@ def representative_independence_residuals(
     For homotopic replacements g1 -> g1p and g2 -> g2p (same endpoints),
     each returned vector lies in the period lattice when the integrability
     condition holds: replacing either factor, or both, shifts the cocycle
-    by the flux through the corresponding spanning surfaces.  Each path is
-    called once per parameter.
+    by the flux through the corresponding spanning surfaces.  Its 9
+    distinct integrals (four product triangles, three spanning surfaces of
+    product paths, two fluxes) are each taken once, and each path is called
+    once per parameter.
     """
     g1, g1p, g2, g2p = map(_shared, (g1, g1p, g2, g2p))
     group = form.group

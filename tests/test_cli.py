@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import lieext as lx
-from lieext.cli import main, run
+from lieext.cli import _LABELS, main, run
 from lieext.documents import parse_document, serialize_algebra
 from lieext.errors import DocumentError, UnresolvedReferenceError
 
@@ -210,6 +211,8 @@ MALFORMED = {
     "quad_order_bool": ("torus_integrable.json", _set("options", "quad_order", value=True)),
     "degree_fraction": ("sl2_cohomology.json", _set("options", value={"degrees": [2.5]})),
     "degrees_bool": ("sl2_cohomology.json", _set("options", "degrees", value=[True])),
+    "degrees_empty": ("sl2_cohomology.json", _set("options", "degrees", value=[])),
+    "degrees_twice": ("sl2_cohomology.json", _set("options", "degrees", value=[2, 2])),
     "tol_bool": ("torus_integrable.json", _set("options", "tol", value=True)),
     "patch_exp_overflow": (
         "torus_integrable.json",
@@ -239,6 +242,8 @@ MALFORMED = {
               _set("cocycle", value={"degree": 8, "components": []})),
     ),
     "cycles_not_list": ("torus_integrable.json", _set("cycles", value=3)),
+    # no generators is no answer: T^2 has H_2 = Z
+    "cycles_empty": ("torus_integrable.json", _set("cycles", value=[])),
     "pair_entry_not_string": ("torus_gamma.json", _set("pair", 0, value=["p1"])),
     # the option aliases are gone: a task reads one tolerance, 'tol'
     "tol_alg_alias": ("extend_heis3.json", _set("options", value={"tol_alg": 1e-9})),
@@ -407,6 +412,9 @@ MALFORMED_MESSAGES = {
     "cocycle2_indices_twice": "cocycle2: indices [0, 1] given twice",
     "cycle_name_twice": "cycles: name 'fundamental' given twice",
     "loop_name_twice": "loops: name 'm' given twice",
+    "cycles_empty": "task 'check-integrability' requires a 'cycles' section",
+    "degrees_empty": "option 'degrees' must list distinct degrees, at least one, got []",
+    "degrees_twice": "option 'degrees' must list distinct degrees, at least one, got [2, 2]",
     **{
         f"group_action_doubles_{task}": "module.group_action is not a group action with "
         "derivative module.rho: action_identity at (0,): residual 1.000e+00"
@@ -741,6 +749,26 @@ def test_fixture_machine_report_is_strict_json(entry):
         assert got["report"]["task"] == entry["task"]
         assert not [w for w in got["report"]["warnings"] if w.startswith("option ")]
     assert got == PINNED_REPORTS[entry["file"]]
+
+
+REPR_TOKENS = re.compile(r"\b(True|False|None)\b|[\[,] *'|' *[\],]")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [e for e in json.loads((FIXTURES / "index.json").read_text()) if e["expected_exit"] in (0, 4)],
+    ids=lambda e: e["file"],
+)
+def test_text_report_shows_every_results_field(entry, capsys):
+    path = str(FIXTURES / entry["file"])
+    code = main([path, "--output", "machine"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert main([path]) == code
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    for key in results:
+        assert any(line.startswith(f"{_LABELS.get(key, key)}:") for line in lines), key
+    assert not REPR_TOKENS.search(out), out
 
 
 class TestRoundTrip:
