@@ -539,12 +539,10 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
     if "cocycle" in raw:
         _require(doc.algebra is not None, "cocycle needs an algebra or group section")
-        doc.cocycle = _parse_cocycle(raw["cocycle"], doc.algebra.dim, coeff_dim or 1)
+        doc.cocycle = _parse_cocycle(raw["cocycle"], doc.algebra.dim, coeff_dim)
     if "cocycle2" in raw:
         _require(doc.algebra is not None, "cocycle2 needs an algebra or group section")
-        doc.cocycle2 = _parse_cocycle(
-            raw["cocycle2"], doc.algebra.dim, coeff_dim or 1, context="cocycle2"
-        )
+        doc.cocycle2 = _parse_cocycle(raw["cocycle2"], doc.algebra.dim, coeff_dim, "cocycle2")
 
     if "paths" in raw:
         _require(doc.group is not None, "paths need a group section")
@@ -561,8 +559,10 @@ def parse_document(text_or_dict) -> ProblemDocument:
             if "winding" in entry:
                 context = f"loops[{name!r}]: winding"
                 winding = [_integer(w, context) for w in _list(entry["winding"], context)]
+                _require(raw["group"]["kind"] == "torus",
+                         f"{context} needs a torus group, not {doc.group.name}")
                 _require(
-                    doc.group.chart is not None and len(winding) == doc.group.chart.dim,
+                    len(winding) == doc.group.chart.dim,
                     f"loops[{name!r}]: winding length must match the group's "
                     "coordinate dimension",
                 )
@@ -585,6 +585,10 @@ def parse_document(text_or_dict) -> ProblemDocument:
             built = tuple(
                 _parse_patch(p, doc.group, f"cycles[{name!r}].patches[{k}]")
                 for k, p in enumerate(patches)
+            )
+            _require(
+                any(p.coefficient for p in built),
+                f"cycles[{name!r}] has no patch with a non-zero coefficient",
             )
             gens.append((name, Surface2Chain(patches=built)))
         # an empty list leaves the section missing, as for loops

@@ -6,16 +6,16 @@ sin, cos, exp.  No user-defined functions, no powers, no attribute access.
 
 Parsing is one operator-precedence loop (shunting-yard) over the tokens of
 one compiled regex, with a stack of operands and one of pending operators
-and open groups; a reduction builds the node, its numpy closure and its
-depth together.  + - and * / are left-associative and unary minus binds
-tighter than * /, as in Python.  A parse error carries the position of its
-token, and a lexical error (a character outside the grammar, a malformed or
-out-of-range number) comes before any syntax error.  The node is at most
-MAX_DEPTH levels deep (an operation, unary minus or call is a level, a
-parenthesis none), which bounds the recursion of evaluation and of any walk
-over it.  The closures run with numpy's divide, overflow and invalid errors
-raised, on scalars or arrays, and any of those errors (t/0, exp(1000),
-sin(inf)) is an ExpressionError.
+and open groups; a reduction builds a numpy closure and its depth
+together.  + - and * / are left-associative and unary minus binds tighter
+than * /, as in Python.  A parse error carries the position of its token,
+and a lexical error (a character outside the grammar, a malformed or
+out-of-range number) comes before any syntax error.  The expression is at
+most MAX_DEPTH levels deep (an operation, unary minus or call is a level, a
+parenthesis none), which bounds the recursion of evaluation.  The closures
+run with numpy's divide, overflow and invalid errors raised, on scalars or
+arrays, and any of those errors (t/0, exp(1000), sin(inf)) is an
+ExpressionError.
 """
 import math
 import operator
@@ -37,16 +37,16 @@ CONSTANTS = {"pi": math.pi}
 
 MAX_DEPTH = 500
 
-# A pending operator as (level, node name, numpy function).  Level 0, an
-# open parenthesis or call, stops every reduction but that of its ')'.
+# A pending operator as (level, numpy function).  Level 0, an open
+# parenthesis or call, stops every reduction but that of its ')'.
 _PENDING = {
-    "+": (1, "+", operator.add),
-    "-": (1, "-", operator.sub),
-    "*": (2, "*", operator.mul),
-    "/": (2, "/", operator.truediv),
-    **{name: (0, name, fn) for name, fn in FUNCTIONS.items()},
+    "+": (1, operator.add),
+    "-": (1, operator.sub),
+    "*": (2, operator.mul),
+    "/": (2, operator.truediv),
+    **{name: (0, fn) for name, fn in FUNCTIONS.items()},
 }
-_PREFIX = {"-": [(3, "neg", None)], "(": [(0, "(", None)], "+": []}  # unary plus is no node
+_PREFIX = {"-": [(3, None)], "(": [(0, None)], "+": []}  # unary plus is no operation
 # A token that may follow an operand, with the lowest level it reduces; None
 # is the end of the text.
 _CLOSING = {"+": 1, "-": 1, "*": 2, "/": 2, ")": 1, None: 1}
@@ -61,9 +61,8 @@ class Expression:
     values are scalars or arrays (the result broadcasts over them)."""
 
     source: str
-    node: tuple
     variables: frozenset
-    fn: InitVar[Callable]  # the node compiled, env -> value
+    fn: InitVar[Callable]  # the expression compiled, env -> value
 
     def __post_init__(self, fn):
         object.__setattr__(self, "_fn", fn)
@@ -113,7 +112,7 @@ def parse_expression(text: str) -> Expression:
         raise ExpressionError(f"expression must be a string, got {type(text).__name__}")
     tokens = _TOKEN.findall(text)
     tokens.append(None)
-    operands, pending, variables = [], [], {}  # (node, fn, depth); _PENDING values; name -> fn
+    operands, pending, variables = [], [], {}  # (fn, depth); _PENDING values; name -> fn
     operand = True  # the next token must begin an operand
     steps = enumerate(tokens)
     for at, token in steps:
@@ -134,7 +133,7 @@ def parse_expression(text: str) -> Expression:
                     _fail(text, at)
                 if not math.isfinite(value):
                     _fail(text, at)
-                operands.append((("num", value), lambda env, v=np.float64(value): v, 1))
+                operands.append((lambda env, v=np.float64(value): v, 1))
                 operand = False
             else:
                 fn = variables.get(token)
@@ -142,25 +141,25 @@ def parse_expression(text: str) -> Expression:
                     if not (token[0].isalpha() or token[0] == "_"):
                         _fail(text, at)
                     fn = variables[token] = _variable(token, text)
-                operands.append((("var", token), fn, 1))
+                operands.append((fn, 1))
                 operand = False
             continue
         level = _CLOSING.get(token)
         if level is None:
             _fail(text, at, "expected ')'" if any(not p[0] for p in pending) else None)
         while pending and pending[-1][0] >= level:
-            top, op, f = pending.pop()
-            node, fn, depth = operands.pop()
+            top, f = pending.pop()
+            fn, depth = operands.pop()
             if top == 3:
-                node, fn = ("neg", node), lambda env, a=fn: -a(env)
+                fn = lambda env, a=fn: -a(env)
             else:
-                lhs, lhs_fn, lhs_depth = operands.pop()
-                node, fn = (op, lhs, node), lambda env, f=f, a=lhs_fn, b=fn: f(a(env), b(env))
+                lhs_fn, lhs_depth = operands.pop()
+                fn = lambda env, f=f, a=lhs_fn, b=fn: f(a(env), b(env))
                 if lhs_depth > depth:
                     depth = lhs_depth
             if depth >= MAX_DEPTH:
                 _fail(text, at, "expression is nested too deeply")
-            operands.append((node, fn, depth + 1))
+            operands.append((fn, depth + 1))
         if token in _PENDING:
             pending.append(_PENDING[token])
             operand = True
@@ -170,11 +169,11 @@ def parse_expression(text: str) -> Expression:
         elif not token:
             _fail(text, at, "expected ')'")
         else:
-            _, op, f = pending.pop()
+            _, f = pending.pop()
             if f:
-                node, fn, depth = operands.pop()
+                fn, depth = operands.pop()
                 if depth >= MAX_DEPTH:
                     _fail(text, at, "expression is nested too deeply")
-                operands.append((("call", op, node), lambda env, f=f, a=fn: f(a(env)), depth + 1))
-    (node, fn, _), = operands
-    return Expression(text, node, frozenset(variables), fn)
+                operands.append((lambda env, f=f, a=fn: f(a(env)), depth + 1))
+    (fn, _), = operands
+    return Expression(text, frozenset(variables), fn)

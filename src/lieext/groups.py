@@ -4,15 +4,16 @@ A group is described by the d x d realization of its Lie algebra basis plus
 exp/log maps (closed forms for the built-in groups, scipy fallbacks
 otherwise).  The built-in groups also invert and check membership in closed
 form, from the entries of each matrix and with no factorization: the torus
-and SU(2) invert by transposes, the Heisenberg group by I - n + n^2 with
-n = g - I, and the torus residual is the largest entry of B^T B - I and
-det B - 1 over its 2x2 blocks B, and off the blocks.  A group given no
-inverse inverts with numpy.  Tangent matrices are decomposed in the realized basis by least
-squares against a precomputed pseudoinverse; the residual of that solve is
-the "did we leave the group?" guard used throughout the quadrature code.
-Every map takes a stack of matrices (leading axes) as well as a single one;
-maps supplied by the caller, and the scipy fallbacks, are evaluated per
-matrix through `batch.per_point`.
+and SU(2) invert by transposes, and the torus residual is the largest entry
+of B^T B - I and det B - 1 over its 2x2 blocks B, and off the blocks.  R^k
+and the Heisenberg group are built as one unipotent group g = I + n, n^3 = 0,
+charted by the entries of n (see `_unipotent_group`).  A group given no
+inverse inverts with numpy.  Tangent matrices are decomposed in the realized
+basis by least squares against a precomputed pseudoinverse; the residual of
+that solve is the "did we leave the group?" guard used throughout the
+quadrature code.  Every map takes a stack of matrices (leading axes) as well
+as a single one; maps supplied by the caller, and the scipy fallbacks, are
+evaluated per matrix through `batch.per_point`.
 
 Built-ins: tori (block rotations, coordinates in winding units, so the
 basis matrix of each circle factor is 2*pi*J and exp(1 * e_i) = 1), additive
@@ -379,42 +380,60 @@ def torus_group(k: int) -> MatrixGroup:
     )
 
 
-@lru_cache(maxsize=32)
-def translation_group(k: int) -> MatrixGroup:
-    """R^k additive, embedded as (k+1) x (k+1) unitriangular matrices."""
-    alg = abelian_algebra(k)
-    d = k + 1
-    basis = np.zeros((k, d, d))
-    for i in range(k):
-        basis[i, i, k] = 1.0
+def _unipotent_group(algebra: LieAlgebra, rows, cols, name: str) -> MatrixGroup:
+    """Unipotent group g = I + n, n^3 = 0, whose basis matrix i is the unit
+    matrix E[rows[i], cols[i]] (rows[i] < cols[i]), charted by those entries;
+    the membership residual is the largest entry of g off the chart's image.
+    exp, log and inverse are I + n + n^2/2, n - n^2/2 and I - n + n^2, cut
+    after n when every product of two basis matrices vanishes (as on R^k)."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    d = int(np.max(cols, initial=0)) + 1
+    eye = np.eye(d)
+    basis = np.zeros((len(rows), d, d))
+    basis[np.arange(len(rows)), rows, cols] = 1.0
+    square = bool(np.any(np.einsum("iab,jbc->ijac", basis, basis)))  # n^2 != 0 on the span
 
     @vectorized
-    def from_coords(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = np.zeros(x.shape[:-1] + (d, d)) + np.eye(d)
-        g[..., :k, k] = x
+    def exp_map(mat):
+        return eye + mat + 0.5 * (mat @ mat) if square else eye + mat
+
+    @vectorized
+    def log_map(g):
+        n = np.asarray(g, dtype=float) - eye
+        return n - 0.5 * (n @ n) if square else n
+
+    @vectorized
+    def inverse(g):
+        if not square:
+            return 2.0 * eye - g  # I - n in one pass
+        n = np.asarray(g, dtype=float) - eye  # n^3 = 0 for a member
+        return eye - n + n @ n
+
+    @vectorized
+    def from_coords(v):
+        v = np.asarray(v, dtype=float)
+        g = np.zeros(v.shape[:-1] + (d, d)) + eye
+        g[..., rows, cols] = v
         return g
 
     @vectorized
     def to_coords(g):
-        return np.asarray(g, dtype=float)[..., :k, k].copy()
+        return np.asarray(g, dtype=float)[..., rows, cols]
 
     @vectorized
     def membership(g):
         g = np.asarray(g, dtype=float)
-        return np.max(np.abs(g - from_coords(g[..., :k, k])), axis=(-2, -1))
+        return np.max(np.abs(g - from_coords(to_coords(g))), axis=(-2, -1))
 
-    chart = CoordinateChart(dim=k, to_coords=to_coords, from_coords=from_coords)
-    return MatrixGroup(
-        algebra=alg,
-        basis=basis,
-        exp=vectorized(lambda mat: np.eye(d) + mat),
-        log=vectorized(lambda g: np.asarray(g, dtype=float) - np.eye(d)),
-        inverse=vectorized(lambda g: from_coords(-to_coords(g))),
-        membership=membership,
-        chart=chart,
-        name=f"R^{k}",
-    )
+    chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords)
+    return MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,
+                       membership=membership, chart=chart, name=name)
+
+
+@lru_cache(maxsize=32)
+def translation_group(k: int) -> MatrixGroup:
+    """R^k additive, embedded as (k+1) x (k+1) unitriangular matrices."""
+    return _unipotent_group(abelian_algebra(k), range(k), [k] * k, f"R^{k}")
 
 
 # Left multiplication by q = (w, x, y, z): entry (r, c) is sign * q[index].
@@ -505,51 +524,5 @@ def sl2_group() -> MatrixGroup:
 
 @lru_cache(maxsize=None)
 def heisenberg_group() -> MatrixGroup:
-    """3x3 upper unitriangular matrices; algebra is heis3."""
-    alg = heisenberg3_algebra()
-    basis = np.zeros((3, 3, 3))
-    basis[0, 0, 1] = 1.0  # x
-    basis[1, 1, 2] = 1.0  # y
-    basis[2, 0, 2] = 1.0  # z = [x, y]
-    rows, cols = (0, 1, 0), (1, 2, 2)  # entries of the coordinates (x, y, z)
-
-    @vectorized
-    def exp_map(mat):
-        return np.eye(3) + mat + 0.5 * (mat @ mat)
-
-    @vectorized
-    def log_map(g):
-        n = np.asarray(g, dtype=float) - np.eye(3)
-        return n - 0.5 * (n @ n)
-
-    @vectorized
-    def inverse(g):
-        n = np.asarray(g, dtype=float) - np.eye(3)  # n^3 = 0 for a member
-        return np.eye(3) - n + n @ n
-
-    @vectorized
-    def from_coords(v):
-        v = np.asarray(v, dtype=float)
-        g = np.zeros(v.shape[:-1] + (3, 3)) + np.eye(3)
-        g[..., rows, cols] = v
-        return g
-
-    @vectorized
-    def to_coords(g):
-        return np.asarray(g, dtype=float)[..., rows, cols]
-
-    @vectorized
-    def membership(g):
-        g = np.asarray(g, dtype=float)
-        return np.max(np.abs(g - from_coords(to_coords(g))), axis=(-2, -1))
-
-    return MatrixGroup(
-        algebra=alg,
-        basis=basis,
-        exp=exp_map,
-        log=log_map,
-        inverse=inverse,
-        membership=membership,
-        chart=CoordinateChart(dim=3, to_coords=to_coords, from_coords=from_coords),
-        name="Heisenberg(3)",
-    )
+    """3x3 upper unitriangular matrices; basis x, y, z = [x, y] of heis3."""
+    return _unipotent_group(heisenberg3_algebra(), (0, 1, 0), (1, 2, 2), "Heisenberg(3)")

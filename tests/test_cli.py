@@ -244,6 +244,17 @@ MALFORMED = {
     "cycles_not_list": ("torus_integrable.json", _set("cycles", value=3)),
     # no generators is no answer: T^2 has H_2 = Z
     "cycles_empty": ("torus_integrable.json", _set("cycles", value=[])),
+    # a generator whose patches all have coefficient 0 is the zero chain
+    "cycle_zero_chain": (
+        "torus_not_integrable.json", _set("cycles", 0, "patches", 0, "coefficient", value=0)
+    ),
+    # a winding is a straight loop in a torus's angle coordinates
+    "winding_on_heisenberg": (
+        "pi1_torus.json",
+        _each(_set("group", value={"kind": "heisenberg"}),
+              _set("loops", value=[{"name": "l0", "winding": [1, 0, 0]}])),
+    ),
+    "cocycle_value_for_coeff_dim_0": ("extend_heis3.json", _set("module", "coeff_dim", value=0)),
     "pair_entry_not_string": ("torus_gamma.json", _set("pair", 0, value=["p1"])),
     # the option aliases are gone: a task reads one tolerance, 'tol'
     "tol_alg_alias": ("extend_heis3.json", _set("options", value={"tol_alg": 1e-9})),
@@ -413,6 +424,9 @@ MALFORMED_MESSAGES = {
     "cycle_name_twice": "cycles: name 'fundamental' given twice",
     "loop_name_twice": "loops: name 'm' given twice",
     "cycles_empty": "task 'check-integrability' requires a 'cycles' section",
+    "cycle_zero_chain": "cycles['fundamental'] has no patch with a non-zero coefficient",
+    "winding_on_heisenberg": "loops['l0']: winding needs a torus group, not Heisenberg(3)",
+    "cocycle_value_for_coeff_dim_0": "cocycle: value for (0, 1): got shape (1,), expected (0,)",
     "degrees_empty": "option 'degrees' must list distinct degrees, at least one, got []",
     "degrees_twice": "option 'degrees' must list distinct degrees, at least one, got [2, 2]",
     **{
@@ -536,6 +550,13 @@ def test_validate_warns_of_rho_without_group_action():
     raw["algebra"] = {"dim": 2}
     report, _ = run(parse_document(raw))
     assert report["warnings"] == []
+
+
+def test_a_cocycle_into_coeff_dim_0_has_empty_values():
+    raw = _edited("extend_heis3.json", _each(_set("module", "coeff_dim", value=0),
+                                              _set("cocycle", "components", 0, "value", value=[])))
+    report, code = run(parse_document(raw))
+    assert code == 0 and report["results"]["extension"]["coeff_dim"] == 0
 
 
 def test_validate_reports_an_action_that_moves_the_identity():

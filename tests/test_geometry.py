@@ -89,7 +89,8 @@ class TestGroups:
                 assert np.allclose(comm, np.einsum("k,kab->ab", c[i, j], su2.basis))
 
     def test_exp_log_round_trip(self, rng, torus2, su2):
-        for group in (torus2, su2, lx.heisenberg_group()):
+        translations = [lx.translation_group(k) for k in (1, 3, 24)]
+        for group in (torus2, su2, lx.heisenberg_group(), *translations):
             for _ in range(5):
                 x = 0.2 * rng.normal(size=group.algebra.dim)
                 g = group.exp(group.realize(x))
@@ -136,12 +137,17 @@ class TestGroups:
         with pytest.raises(MembershipError):
             torus2.check_membership(g)
 
-    def test_heisenberg_inverse(self, rng):
-        heis = lx.heisenberg_group()
-        g = heis.chart.from_coords(rng.normal(scale=3.0, size=(50, 3)))
-        eye = np.broadcast_to(np.eye(3), g.shape)
-        assert np.max(np.abs(g @ heis.inverse(g) - eye)) <= 1e-13
-        assert np.max(np.abs(heis.inverse(g) @ g - eye)) <= 1e-13
+    @pytest.mark.parametrize(
+        "factory",
+        [lx.heisenberg_group, *(lambda k=k: lx.translation_group(k) for k in (1, 3, 24))],
+        ids=["heisenberg", "R1", "R3", "R24"],
+    )
+    def test_heisenberg_inverse(self, factory, rng):
+        group = factory()
+        g = group.chart.from_coords(rng.normal(scale=3.0, size=(50, group.algebra.dim)))
+        eye = np.broadcast_to(group.identity, g.shape)
+        assert np.max(np.abs(g @ group.inverse(g) - eye)) <= 1e-13
+        assert np.max(np.abs(group.inverse(g) @ g - eye)) <= 1e-13
 
 
 class TestPaths:
