@@ -8,17 +8,17 @@ values.  The group side is an evaluator only: group cochains are
 user-supplied smooth maps and the coboundary delta is applied pointwise to
 tuples of group elements.
 
-Component order convention, fixed for every matrix in the package:
-strictly increasing multi-indices in lexicographic order, coefficient index
-varying fastest (flat position = index_position * m + coefficient).
+Component order convention, fixed for every matrix in the package and
+owned by index_table alone: strictly increasing multi-indices in
+lexicographic order, coefficient index varying fastest (flat position =
+index_position * m + coefficient).
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,15 +35,12 @@ TERM_CACHE_SIZE = 64
 MAX_CACHED_TERMS = 2**18
 
 
-def increasing_tuples(n_g: int, degree: int):
-    """All strictly increasing multi-indices of the given degree, lex order."""
-    return list(itertools.combinations(range(n_g), degree))
-
-
 @functools.lru_cache(maxsize=256)
 def index_table(n_g: int, degree: int) -> np.ndarray:
-    """increasing_tuples as a shared read-only (C(n_g, degree), degree) array."""
-    table = np.array(increasing_tuples(n_g, degree), dtype=np.intp).reshape(-1, degree)
+    """The strictly increasing degree-tuples in range(n_g), in lex order, as a
+    shared read-only (C(n_g, degree), degree) array; degree 0 is one empty row."""
+    combos = list(itertools.combinations(range(n_g), degree))
+    table = np.array(combos, dtype=np.intp).reshape(len(combos), degree)
     table.flags.writeable = False
     return table
 
@@ -54,40 +51,21 @@ class Cochain:
 
     values is a read-only (C(alg_dim, degree), coeff_dim) array: row p is
     the value on the p-th row of index_table(alg_dim, degree).  It is given
-    as any array of that size (kept as a view when it already holds floats)
-    or as a {tuple: value} dict whose missing tuples are zero.
+    as any array of that size (kept as a view when it already holds floats),
+    or left out for the zero cochain; cochain_from_pairs reads keyed input.
     """
 
     degree: int
     alg_dim: int
     coeff_dim: int
-    values: np.ndarray = field(default_factory=dict)
+    values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        values = self.values
-        if isinstance(values, Mapping):
-            index = {k: p for p, k in enumerate(increasing_tuples(self.alg_dim, self.degree))}
-            unknown = values.keys() - index.keys()
-            if unknown:
-                raise MalformedInputError(
-                    f"component indices {sorted(unknown)} are not strictly "
-                    f"increasing degree-{self.degree} tuples in range({self.alg_dim})"
-                )
-            rows = np.zeros((len(index), self.coeff_dim))
-            for key, val in values.items():
-                rows[index[key]] = np.asarray(val, dtype=float).reshape(self.coeff_dim)
-            values = rows
-        values = np.asarray(values, dtype=float).reshape(
-            math.comb(self.alg_dim, self.degree), self.coeff_dim
-        )
+        shape = (math.comb(self.alg_dim, self.degree), self.coeff_dim)
+        values = np.zeros(shape) if self.values is None else self.values
+        values = np.asarray(values, dtype=float).reshape(shape)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @property
-    def components(self) -> Mapping:
-        """Read-only {tuple: value} view of the rows, for serialisers."""
-        keys = increasing_tuples(self.alg_dim, self.degree)
-        return MappingProxyType(dict(zip(keys, self.values)))
 
     def __call__(self, *vectors: np.ndarray) -> np.ndarray:
         """Alternating multilinear evaluation on arbitrary vectors."""
@@ -111,10 +89,6 @@ class Cochain:
         """Read-only flat view in the package component order."""
         return self.values.reshape(-1)
 
-    @staticmethod
-    def from_vector(degree: int, alg_dim: int, coeff_dim: int, vec: np.ndarray) -> "Cochain":
-        return Cochain(degree, alg_dim, coeff_dim, vec)
-
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values), initial=0.0))
 
@@ -137,22 +111,35 @@ class Cochain:
         return other.values
 
 
-def zero_cochain(degree: int, alg_dim: int, coeff_dim: int) -> Cochain:
-    return Cochain(degree, alg_dim, coeff_dim)
-
-
 def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
-    """Cochain from {(i, j): value} style input; scalar values allowed for m=1."""
-    return Cochain(degree, alg_dim, coeff_dim, {tuple(k): v for k, v in pairs.items()})
+    """Cochain from {(i, j): value} input, the one reader of keyed components.
+
+    Each key is looked up in index_table(alg_dim, degree); a key that is not
+    a strictly increasing degree-tuple in range(alg_dim) raises
+    MalformedInputError.  Missing keys are zero, and a value may be a scalar
+    when coeff_dim is 1.
+    """
+    position = {key: p for p, key in enumerate(map(tuple, index_table(alg_dim, degree).tolist()))}
+    pairs = {tuple(k): v for k, v in pairs.items()}
+    unknown = pairs.keys() - position.keys()
+    if unknown:
+        raise MalformedInputError(
+            f"component indices {sorted(unknown)} are not strictly "
+            f"increasing degree-{degree} tuples in range({alg_dim})"
+        )
+    rows = np.zeros((len(position), coeff_dim))
+    for key, val in pairs.items():
+        rows[position[key]] = np.asarray(val, dtype=float).reshape(coeff_dim)
+    return Cochain(degree, alg_dim, coeff_dim, rows)
 
 
 def random_cochain(degree, alg_dim, coeff_dim, rng) -> Cochain:
     size = math.comb(alg_dim, degree) * coeff_dim
-    return Cochain.from_vector(degree, alg_dim, coeff_dim, rng.normal(size=size))
+    return Cochain(degree, alg_dim, coeff_dim, rng.normal(size=size))
 
 
 def _lex_rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Position of each sorted row of `tuples` in increasing_tuples(n_g, k).
+    """Position of each sorted row of `tuples` in index_table(n_g, k).
 
     Combinatorial number system for lex order:
     rank(a_0 < .. < a_{k-1}) = C(n_g, k) - 1 - sum_i C(n_g - 1 - a_i, k - i),
@@ -414,7 +401,7 @@ def cohomology_representatives(slice_: ComplexSlice) -> list:
     coeffs, *_ = np.linalg.lstsq(b, z, rcond=None)
     rank, _, u, _ = _svd_rank(z - b @ coeffs, compute_uv=True)
     return [
-        Cochain.from_vector(slice_.n, slice_.alg_dim, slice_.coeff_dim, u[:, i])
+        Cochain(slice_.n, slice_.alg_dim, slice_.coeff_dim, u[:, i])
         for i in range(rank)
     ]
 

@@ -85,7 +85,6 @@ from .groups import (
     validate_path,
 )
 from .integrability import (
-    CycleSet,
     check_integrability,
     half_lattice_spacing,
     pi1_cocycle_table,
@@ -115,7 +114,7 @@ class ProblemDocument:
     cocycle2: Optional[Cochain] = None
     paths: Dict[str, GroupPath] = field(default_factory=dict)
     loops: List[tuple] = field(default_factory=list)
-    cycles: Optional[CycleSet] = None
+    cycles: List[tuple] = field(default_factory=list)
     pair: Optional[tuple] = None
     cochain_expr: Optional[GroupCochain] = None
     options: dict = field(default_factory=dict)  # name -> value, as OPTIONS reads it
@@ -485,7 +484,7 @@ def _parse_path(entries, group: MatrixGroup, context) -> GroupPath:
 def _parse_patch(entry, group: MatrixGroup, context) -> SurfacePatch:
     _require(isinstance(entry, dict), f"{context} must be an object")
     domain = entry.get("domain", "square")
-    coeff = _integer(entry.get("coefficient", 1), f"{context}: coefficient")
+    coeff = _integer(entry.get("coefficient", 1), f"{context}: coefficient", -2**53, 2**53)
     ev = _map_eval(entry, group, ("t", "s"), context)
     try:
         return SurfacePatch(eval=ev, domain=domain, coefficient=coeff)
@@ -558,7 +557,8 @@ def parse_document(text_or_dict) -> ProblemDocument:
             _require(name not in dict(doc.loops), f"loops: name {name!r} given twice")
             if "winding" in entry:
                 context = f"loops[{name!r}]: winding"
-                winding = [_integer(w, context) for w in _list(entry["winding"], context)]
+                winding = [_integer(w, context, -2**53, 2**53)
+                           for w in _list(entry["winding"], context)]
                 _require(raw["group"]["kind"] == "torus",
                          f"{context} needs a torus group, not {doc.group.name}")
                 _require(
@@ -572,11 +572,10 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
     if "cycles" in raw:
         _require(doc.group is not None, "cycles need a group section")
-        gens = []
         for pos, entry in enumerate(_list(raw["cycles"], "cycles")):
             _require(isinstance(entry, dict), "cycles entries must be objects")
             name = _name(entry.get("name", f"cycle{pos}"), "cycle name")
-            _require(name not in dict(gens), f"cycles: name {name!r} given twice")
+            _require(name not in dict(doc.cycles), f"cycles: name {name!r} given twice")
             patches = entry.get("patches")
             _require(
                 isinstance(patches, list) and patches,
@@ -590,9 +589,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
                 any(p.coefficient for p in built),
                 f"cycles[{name!r}] has no patch with a non-zero coefficient",
             )
-            gens.append((name, Surface2Chain(patches=built)))
-        # an empty list leaves the section missing, as for loops
-        doc.cycles = CycleSet(generators=tuple(gens)) if gens else None
+            doc.cycles.append((name, Surface2Chain(patches=built)))
 
     if "pair" in raw:
         pair = raw["pair"]

@@ -127,7 +127,7 @@ def are_equivalent(
     sol, *_ = np.linalg.lstsq(d1, unit, rcond=None)
     residual = scale * float(np.linalg.norm(d1 @ sol - unit))
     if residual < equiv_tol:
-        witness = Cochain.from_vector(1, alg.dim, mod.coeff_dim, scale * sol)
+        witness = Cochain(1, alg.dim, mod.coeff_dim, scale * sol)
         return True, witness, residual
     return False, None, residual
 

@@ -44,16 +44,6 @@ ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
-class CycleSet:
-    """Named 2-chains asserted by the user to be cycles generating H_2(G)."""
-
-    generators: Tuple[Tuple[str, Surface2Chain], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-
-
 def assert_cycle_closed(chain: Surface2Chain, name: str = "cycle"):
     """Raise OpenChainError unless the chain's boundary edges cancel."""
     leftovers = cancel_boundary_edges(chain, 1e4 * MEMBERSHIP_TOL)
@@ -128,12 +118,13 @@ def half_lattice_spacing(lattice: Lattice) -> float:
 
 def check_integrability(
     form: EquivariantForm,
-    cycles: CycleSet,
+    cycles: Sequence[Tuple[str, Surface2Chain]],
     lattice: Lattice,
     quad_order: int = DEFAULT_QUAD_ORDER,
     tol_lat: float = DEFAULT_TOL_LAT,
 ) -> IntegrabilityReport:
-    """Period-in-lattice test over every generator.
+    """Period-in-lattice test over every (name, 2-cycle) pair in cycles, the
+    named chains the caller asserts generate H_2(G).
 
     The membership tolerance is inflated per generator by the difference
     between the period and a comparison value taken with half the
@@ -154,7 +145,7 @@ def check_integrability(
     half_shortest = half_lattice_spacing(lattice)
     rules = ((quad_order, DEFAULT_FD_STEP), (quad_order // 2, 2 * DEFAULT_FD_STEP))
     results = []
-    for name, chain in cycles.generators:
+    for name, chain in cycles:
         assert_cycle_closed(chain, name)
         try:
             value, coarse = surface_integrals(form, chain, rules)

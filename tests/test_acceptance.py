@@ -145,7 +145,7 @@ def test_criterion_4_torus_quantization():
     patch = lx.SurfacePatch(
         eval=lambda t, s: torus.chart.from_coords([t, s]), domain="square"
     )
-    cycles = lx.CycleSet(generators=(("fundamental", lx.Surface2Chain(patches=(patch,))),))
+    cycles = [("fundamental", lx.Surface2Chain(patches=(patch,)))]
     cases = [
         (1.0, [[1.0]], "integrable"),
         (0.5, [[1.0]], "not_integrable"),
@@ -258,7 +258,7 @@ def test_criterion_8_curvature_identity():
         x, y = rng.normal(size=(2, 2))
         worst = max(worst, lx.curvature_defect(form, x, y))
         # sl2 extensions: arbitrary 2-cochains are cocycles here
-        om = lx.Cochain.from_vector(2, 3, 1, rng.normal(size=3))
+        om = lx.Cochain(2, 3, 1, rng.normal(size=3))
         form2 = lx.EquivariantForm(om, sl2g)
         x2, y2 = rng.normal(size=(2, 3))
         worst = max(worst, lx.curvature_defect(form2, x2, y2))
@@ -332,7 +332,7 @@ def test_criterion_10_boundary_periods():
         patches=(lx.SurfacePatch(eval=sphere, domain="square"),)
     )
     for _ in range(3):
-        om = lx.Cochain.from_vector(2, 3, 1, rng.normal(size=3))
+        om = lx.Cochain(2, 3, 1, rng.normal(size=3))
         form_s = lx.EquivariantForm(om, su2)
         val = lx.period(form_s, sphere_chain, 16)
         worst = max(worst, abs(val[0]))

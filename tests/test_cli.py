@@ -178,6 +178,9 @@ ROTATION = _each(
     _set("lattice", value={"generators": [[1.0, 0.0], [0.0, 1.0]]}),
 )
 
+# coefficients and windings are read as exact doubles, |n| <= 2**53
+BEYOND_2_53 = {"1e400": 10**400, "minus_1e400": -10**400, "2_70": 2**70}
+
 MALFORMED = {
     "torus_dim_string": ("torus_integrable.json", _set("group", "dim", value="x")),
     "torus_dim_negative": ("torus_integrable.json", _set("group", "dim", value=-1)),
@@ -255,6 +258,13 @@ MALFORMED = {
               _set("loops", value=[{"name": "l0", "winding": [1, 0, 0]}])),
     ),
     "cocycle_value_for_coeff_dim_0": ("extend_heis3.json", _set("module", "coeff_dim", value=0)),
+    **{
+        f"coefficient_{name}": (
+            "torus_integrable.json", _set("cycles", 0, "patches", 0, "coefficient", value=value)
+        )
+        for name, value in BEYOND_2_53.items()
+    },
+    "winding_1e400": ("pi1_torus.json", _set("loops", 0, "winding", value=[10**400, 0])),
     "pair_entry_not_string": ("torus_gamma.json", _set("pair", 0, value=["p1"])),
     # the option aliases are gone: a task reads one tolerance, 'tol'
     "tol_alg_alias": ("extend_heis3.json", _set("options", value={"tol_alg": 1e-9})),
@@ -427,6 +437,13 @@ MALFORMED_MESSAGES = {
     "cycle_zero_chain": "cycles['fundamental'] has no patch with a non-zero coefficient",
     "winding_on_heisenberg": "loops['l0']: winding needs a torus group, not Heisenberg(3)",
     "cocycle_value_for_coeff_dim_0": "cocycle: value for (0, 1): got shape (1,), expected (0,)",
+    **{
+        f"coefficient_{name}": "cycles['fundamental'].patches[0]: coefficient must be an "
+        f"integer in [-9007199254740992, 9007199254740992], got {value}\n"
+        for name, value in BEYOND_2_53.items()
+    },
+    "winding_1e400": "loops['m']: winding must be an integer in "
+    f"[-9007199254740992, 9007199254740992], got {10**400}\n",
     "degrees_empty": "option 'degrees' must list distinct degrees, at least one, got []",
     "degrees_twice": "option 'degrees' must list distinct degrees, at least one, got [2, 2]",
     **{

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import types
@@ -20,15 +21,15 @@ def oracle_d_matrix(alg, mod, n):
     """
     m = mod.coeff_dim
     dim = alg.dim
-    sources = lx.increasing_tuples(dim, n)
-    targets = lx.increasing_tuples(dim, n + 1)
+    sources = list(itertools.combinations(range(dim), n))
+    targets = list(itertools.combinations(range(dim), n + 1))
     mat = np.zeros((len(targets) * m, len(sources) * m))
     eye = np.eye(dim)
     for col_pos, src in enumerate(sources):
         for col_a in range(m):
             vec = np.zeros(len(sources) * m)
             vec[col_pos * m + col_a] = 1.0
-            omega = lx.Cochain.from_vector(n, dim, m, vec)
+            omega = lx.Cochain(n, dim, m, vec)
             for row_pos, tgt in enumerate(targets):
                 args = [eye[i] for i in tgt]
                 val = np.zeros(m)
@@ -69,10 +70,21 @@ def oracle_betti(alg, mod, n):
     return (dim_cn - rank_n) - rank_prev
 
 
+# (degree, alg_dim, coeff_dim, pairs, vec): keyed input and the flat vector it reads as
+FULL = np.linspace(-1.0, 1.0, 20)
+KEYED_INPUTS = [
+    (3, 5, 2, dict(zip(itertools.combinations(range(5), 3), FULL.reshape(10, 2))), FULL),
+    (2, 3, 1, {(1, 2): 4.0}, [0.0, 0.0, 4.0]),  # missing keys are zero; a scalar when m = 1
+    (1, 3, 2, {(2,): [1.0, 2.0]}, [0.0, 0.0, 0.0, 0.0, 1.0, 2.0]),
+    (0, 3, 2, {(): [1.0, 2.0]}, [1.0, 2.0]),
+    (2, 4, 2, {}, np.zeros(12)),
+]
+
+
 class TestCochain:
     def test_component_count(self, sl2):
-        om = lx.zero_cochain(2, 3, 2)
-        assert len(om.components) == 3  # C(3, 2)
+        om = lx.Cochain(2, 3, 2)
+        assert om.values.shape == (3, 2)  # C(3, 2)
 
     def test_alternation_exact(self, rng):
         om = lx.random_cochain(3, 4, 2, rng)
@@ -83,62 +95,65 @@ class TestCochain:
     def test_multilinear_evaluation_matches_components(self, rng):
         om = lx.random_cochain(2, 4, 3, rng)
         eye = np.eye(4)
-        for key, val in om.components.items():
+        for key, val in zip(itertools.combinations(range(4), 2), om.values):
             assert np.allclose(om(eye[key[0]], eye[key[1]]), val)
 
     def test_vector_round_trip(self, rng):
         om = lx.random_cochain(2, 5, 2, rng)
-        back = lx.Cochain.from_vector(2, 5, 2, om.to_vector())
-        assert all(
-            np.array_equal(back.components[k], om.components[k])
-            for k in om.components
-        )
+        back = lx.Cochain(2, 5, 2, om.to_vector())
+        assert np.array_equal(back.values, om.values)
 
     def test_bad_component_indices_rejected(self):
-        with pytest.raises(MalformedInputError):
-            lx.Cochain(2, 3, 1, {(1, 0): np.array([1.0])})
+        # decreasing, out of range, too short, too long
+        for key in [(1, 0), (0, 3), (0,), (0, 1, 2)]:
+            with pytest.raises(MalformedInputError) as err:
+                lx.cochain_from_pairs(3, 1, {key: [1.0], (0, 1): [1.0]})
+            assert str(err.value) == (
+                f"component indices {[key]} are not strictly increasing "
+                "degree-2 tuples in range(3)"
+            )
 
-    def test_dict_and_vector_input_agree(self, rng):
-        vec = rng.normal(size=10 * 2)
-        pairs = {key: vec[2 * p : 2 * p + 2] for p, key in enumerate(lx.increasing_tuples(5, 3))}
-        from_dict = lx.Cochain(3, 5, 2, pairs)
-        from_vec = lx.Cochain.from_vector(3, 5, 2, vec)
-        assert from_dict.values.shape == from_vec.values.shape == (10, 2)
-        assert np.array_equal(from_dict.values, from_vec.values)
-        assert np.array_equal(from_dict.to_vector(), vec)
-        assert all(np.array_equal(pairs[k], v) for k, v in from_vec.components.items())
+    def test_dict_and_vector_input_agree(self):
+        for degree, alg_dim, coeff_dim, pairs, vec in KEYED_INPUTS:
+            from_dict = lx.cochain_from_pairs(alg_dim, coeff_dim, pairs, degree)
+            from_vec = lx.Cochain(degree, alg_dim, coeff_dim, vec)
+            shape = (math.comb(alg_dim, degree), coeff_dim)
+            assert from_dict.values.shape == from_vec.values.shape == shape
+            assert np.array_equal(from_dict.values, from_vec.values)
+            assert np.array_equal(from_dict.to_vector(), vec)
+            rows = dict(zip(itertools.combinations(range(alg_dim), degree), from_vec.values))
+            assert all(np.array_equal(rows[k], np.reshape(v, coeff_dim)) for k, v in pairs.items())
+        assert np.array_equal(lx.Cochain(2, 4, 2).values, np.zeros((6, 2)))  # no values: zero
 
     def test_storage_is_one_read_only_array(self, rng):
         vec = rng.normal(size=3)
-        om = lx.Cochain.from_vector(2, 3, 1, vec)
+        om = lx.Cochain(2, 3, 1, vec)
         assert np.shares_memory(om.to_vector(), vec)
         with pytest.raises(ValueError):
             om.to_vector()[0] = 1.0
-        with pytest.raises(TypeError):
-            om.components[(0, 1)] = np.ones(1)
 
 
 class TestApplyD:
     def test_zero_maps_to_zero(self, heis3):
         mod = lx.trivial_module(3, 1)
-        assert lx.apply_d(heis3, mod, lx.zero_cochain(2, 3, 1)).max_norm() == 0.0
+        assert lx.apply_d(heis3, mod, lx.Cochain(2, 3, 1)).max_norm() == 0.0
 
     def test_heis3_dual_basis_functional(self, heis3):
         # d(lambda)(X, Y) = -lambda([X, Y]) for trivial coefficients
         mod = lx.trivial_module(3, 1)
-        lam = lx.Cochain(1, 3, 1, {(2,): [1.0]})
+        lam = lx.cochain_from_pairs(3, 1, {(2,): [1.0]}, degree=1)
         d = lx.apply_d(heis3, mod, lam)
         eye = np.eye(3)
-        for i, j in lx.increasing_tuples(3, 2):
+        for (i, j), val in zip(itertools.combinations(range(3), 2), d.values):
             expected = -lx.bracket(heis3, eye[i], eye[j])[2]
-            assert d.components[(i, j)][0] == pytest.approx(expected)
-        assert d.components[(0, 1)][0] == pytest.approx(-1.0)
+            assert val[0] == pytest.approx(expected)
+        assert d.values[0, 0] == pytest.approx(-1.0)  # the row of (0, 1)
 
     def test_degree_zero_is_module_action(self, sl2, rng):
         mod = lx.adjoint_module(sl2)
         v = rng.normal(size=3)
-        d = lx.apply_d(sl2, mod, lx.Cochain(0, 3, 3, {(): v}))
-        for (i,), val in d.components.items():
+        d = lx.apply_d(sl2, mod, lx.cochain_from_pairs(3, 3, {(): v}, degree=0))
+        for i, val in enumerate(d.values):
             assert np.allclose(val, mod.rho[i] @ v)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -276,9 +291,7 @@ class TestComplexSlice:
             for n in range(alg.dim + 1):
                 sl = lx.build_complex_slice(alg, mod, n)
                 rank = sl.d_matrix.shape[1] - sl.cocycle_dim
-                assert sl.cocycle_dim + rank == len(
-                    lx.increasing_tuples(alg.dim, n)
-                ) * mod.coeff_dim
+                assert sl.cocycle_dim + rank == math.comb(alg.dim, n) * mod.coeff_dim
 
     def test_top_degree_kernel_is_everything(self, heis3):
         sl = lx.build_complex_slice(heis3, lx.trivial_module(3, 1), 3)

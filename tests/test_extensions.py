@@ -32,7 +32,7 @@ class TestBuildAlgebraExtension:
 
     def test_zero_cocycle_trivial_action_is_direct_sum(self, sl2):
         ext = lx.build_algebra_extension(
-            sl2, lx.trivial_module(3, 2), lx.zero_cochain(2, 3, 2)
+            sl2, lx.trivial_module(3, 2), lx.Cochain(2, 3, 2)
         )
         c = ext.total.structure_constants
         assert np.array_equal(c[:3, :3, :3], sl2.structure_constants)
@@ -104,8 +104,8 @@ class TestJacobiCocycleEquivalence:
 
     def test_perturbation_residual_linear_in_epsilon(self, sl2):
         adj = lx.adjoint_module(sl2)
-        base = lx.zero_cochain(2, 3, 3)
-        direction = lx.Cochain(2, 3, 3, {(0, 1): np.array([0.0, 1.0, 0.0])})
+        base = lx.Cochain(2, 3, 3)
+        direction = lx.cochain_from_pairs(3, 3, {(0, 1): np.array([0.0, 1.0, 0.0])})
         d_dir = lx.apply_d(sl2, adj, direction).max_norm()
         assert d_dir > 0.1  # the direction must actually break closedness
         eps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
@@ -133,7 +133,7 @@ class TestAreEquivalent:
     def test_r2_area_vs_zero_not_equivalent(self, r2):
         mod = lx.trivial_module(2, 1)
         same, witness, residual = lx.are_equivalent(
-            r2, mod, area_cochain(), lx.zero_cochain(2, 2, 1)
+            r2, mod, area_cochain(), lx.Cochain(2, 2, 1)
         )
         assert not same and witness is None
         assert residual == pytest.approx(1.0)  # d1 = 0, so the gap is |omega|
@@ -144,7 +144,7 @@ class TestAreEquivalent:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, _, residual = lx.are_equivalent(
-                r2, mod, area_cochain(scale), lx.zero_cochain(2, 2, 1)
+                r2, mod, area_cochain(scale), lx.Cochain(2, 2, 1)
             )
         assert residual == pytest.approx(scale, rel=1e-15)
 
@@ -157,7 +157,7 @@ class TestAreEquivalent:
 
     def test_inputs_must_be_2_cochains(self, heis3):
         mod = lx.trivial_module(3, 1)
-        three = lx.zero_cochain(3, 3, 1)
+        three = lx.Cochain(3, 3, 1)
         with pytest.raises(MalformedInputError):
             lx.are_equivalent(heis3, mod, three, three)
 
@@ -194,7 +194,7 @@ class TestAreEquivalent:
         adj = lx.adjoint_module(sl2)
         with pytest.raises(NotACocycleError):
             lx.are_equivalent(
-                sl2, adj, lx.random_cochain(2, 3, 3, rng), lx.zero_cochain(2, 3, 3)
+                sl2, adj, lx.random_cochain(2, 3, 3, rng), lx.Cochain(2, 3, 3)
             )
 
 

@@ -70,7 +70,7 @@ class TestPeriod:
 
     def test_su2_equatorial_sphere_is_a_boundary(self, su2, rng):
         # H_2 of a 3-sphere vanishes, so every closed 2-form has period 0
-        om = lx.Cochain.from_vector(2, 3, 1, rng.normal(size=3))
+        om = lx.Cochain(2, 3, 1, rng.normal(size=3))
         form = lx.EquivariantForm(om, su2)
         val = lx.period(form, sphere_cycle(), 16)
         assert abs(val[0]) < 1e-7
@@ -92,7 +92,7 @@ class TestPeriod:
 
 class TestCheckIntegrability:
     def cycles(self, group):
-        return lx.CycleSet(generators=(("fundamental", fundamental_cycle(group)),))
+        return [("fundamental", fundamental_cycle(group))]
 
     def test_quantized_levels(self, torus2):
         cases = [
@@ -109,10 +109,10 @@ class TestCheckIntegrability:
             assert report.generators[0].period[0] == pytest.approx(c, abs=1e-8)
 
     def test_empty_generator_set_vacuously_integrable(self, su2, rng):
-        om = lx.Cochain.from_vector(2, 3, 1, rng.normal(size=3))
+        om = lx.Cochain(2, 3, 1, rng.normal(size=3))
         form = lx.EquivariantForm(om, su2)
         report = lx.check_integrability(
-            form, lx.CycleSet(generators=()), lx.Lattice(generators=[[1.0]]), 8
+            form, [], lx.Lattice(generators=[[1.0]]), 8
         )
         assert report.overall == "integrable"
         assert report.generators == ()
@@ -193,7 +193,7 @@ def test_each_patch_is_evaluated_twice_per_generator(torus2, unit_lattice):
     chain = lx.Surface2Chain(patches=tuple(
         lx.SurfacePatch(eval=counted(k, k // 2, k % 2)) for k in range(4)
     ))
-    cycles = lx.CycleSet(generators=(("a", chain), ("b", chain)))
+    cycles = [("a", chain), ("b", chain)]
     report = lx.check_integrability(lx.EquivariantForm(area_cochain(), torus2), cycles, unit_lattice)
     assert report.overall == "integrable"
     # per generator: once on the edges for closure, once on both rules' stencils

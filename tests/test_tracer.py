@@ -1,15 +1,17 @@
-"""The benchmark's tracer wraps library functions by name: a renamed function
-must fail here, and every original must be back after a traced run."""
+"""The benchmark's tracer wraps library functions by name, and its workloads
+call library functions by name: a renamed or deleted function must fail
+here, and every original must be back after a traced run."""
 
+import functools
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import lieext.cli  # noqa: F401  (the tracer wraps cli.main)
 
-_spec = importlib.util.spec_from_file_location(
-    "tracer", Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
-)
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+_spec = importlib.util.spec_from_file_location("tracer", BENCHMARK / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
@@ -40,3 +42,18 @@ def test_install_wraps_every_traced_function_and_uninstall_restores_it():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_every_library_name_the_benchmark_uses_resolves():
+    names = {
+        match for path in BENCHMARK.glob("*.py")
+        for match in re.findall(r"\blieext(?:\.\w+)+", path.read_text())
+    }
+    assert "lieext.cochain_from_pairs" in names
+    missing = []
+    for name in sorted(names):  # the lieext modules are all imported by now
+        try:
+            functools.reduce(getattr, name.split(".")[1:], lieext)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
