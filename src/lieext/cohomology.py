@@ -115,21 +115,24 @@ def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
     """Cochain from {(i, j): value} input, the one reader of keyed components.
 
     Each key is looked up in index_table(alg_dim, degree); a key that is not
-    a strictly increasing degree-tuple in range(alg_dim) raises
-    MalformedInputError.  Missing keys are zero, and a value may be a scalar
-    when coeff_dim is 1.
+    a strictly increasing degree-tuple in range(alg_dim), or a value that is
+    not coeff_dim numbers, raises MalformedInputError.  Missing keys are
+    zero, and a value may be a scalar when coeff_dim is 1.
     """
     position = {key: p for p, key in enumerate(map(tuple, index_table(alg_dim, degree).tolist()))}
-    pairs = {tuple(k): v for k, v in pairs.items()}
-    unknown = pairs.keys() - position.keys()
+    unknown = [key for key in pairs if key not in position]
     if unknown:
         raise MalformedInputError(
-            f"component indices {sorted(unknown)} are not strictly "
+            f"component indices {unknown} are not strictly "
             f"increasing degree-{degree} tuples in range({alg_dim})"
         )
     rows = np.zeros((len(position), coeff_dim))
     for key, val in pairs.items():
-        rows[position[key]] = np.asarray(val, dtype=float).reshape(coeff_dim)
+        try:
+            rows[position[key]] = np.asarray(val, dtype=float).reshape(coeff_dim)
+        except (TypeError, ValueError):
+            count = "1 number" if coeff_dim == 1 else f"{coeff_dim} numbers"
+            raise MalformedInputError(f"value for {key} must be {count}, got {val!r}") from None
     return Cochain(degree, alg_dim, coeff_dim, rows)
 
 

@@ -747,34 +747,34 @@ def _run_check_integrability(doc):
     half = half_lattice_spacing(doc.lattice)
     warnings = []
     code = EXIT_OK
-    if report.overall == "indeterminate":
+    if report["overall"] == "indeterminate":
         code = EXIT_INDETERMINATE
         if any(
-            gen.membership.verdict == "indeterminate" and gen.error_estimate < half
-            for gen in report.generators
+            gen["verdict"] == "indeterminate" and gen["error_estimate"] < half
+            for gen in report["generators"]
         ):
             warnings.append("some period sits in the ambiguity band of the lattice test")
-    for gen in report.generators:
-        if gen.error_estimate >= half:
+    for gen in report["generators"]:
+        err = gen["error_estimate"]
+        if err >= half:
             warnings.append(
-                f"generator {gen.name!r}: quadrature error estimate "
-                f"{gen.error_estimate:.2e} reaches half the shortest lattice vector "
+                f"generator {gen['generator']!r}: quadrature error estimate "
+                f"{err:.2e} reaches half the shortest lattice vector "
                 f"({half:.2e}), so the lattice test cannot decide; try a higher quad_order"
             )
-        elif gen.error_estimate > tol:
+        elif err > tol:
             warnings.append(
-                f"generator {gen.name!r}: quadrature error estimate "
-                f"{gen.error_estimate:.2e} inflated the tolerance"
+                f"generator {gen['generator']!r}: quadrature error estimate "
+                f"{err:.2e} inflated the tolerance"
             )
-    return report.as_dict(), warnings, code
+    return report, warnings, code
 
 
 def _run_pi1(doc):
     form = _form(doc)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
     quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
-    table = pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol)
-    return table.as_dict(), [], EXIT_OK
+    return pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol), [], EXIT_OK
 
 
 @dataclass(frozen=True)

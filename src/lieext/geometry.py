@@ -46,6 +46,7 @@ from .errors import (
     MalformedInputError,
     MembershipError,
     NotALoopError,
+    TangentDecompositionError,
 )
 from .extensions import build_algebra_extension
 from .groups import (
@@ -105,9 +106,6 @@ class EquivariantForm:
                 "module.group_action is not a group action with derivative module.rho: "
                 + "; ".join(f"{i.identity} at {i.indices}: residual {i.residual:.3e}" for i in issues)
             )
-
-    def __call__(self, g: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return eval_equivariant(self, g, u, v)
 
 
 def eval_equivariant(
@@ -286,7 +284,10 @@ def surface_integrals(
                 raise exc if on[k] else MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
             du = (t_plus - t_minus) / den[:, None, None]
             dv = (s_plus - s_minus) / den[:, None, None]
-            vals = weight[:, None] * eval_equivariant(form, g, du, dv)
+            try:
+                vals = weight[:, None] * eval_equivariant(form, g, du, dv)
+            except TangentDecompositionError as exc:
+                raise TangentDecompositionError(f"patches[{p}]: {exc}") from None
             for r, lo, hi in segments:
                 totals[r] = totals[r] + patch.coefficient * np.sum(vals[lo:hi], axis=0)
     return totals

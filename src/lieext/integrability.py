@@ -12,21 +12,19 @@ of the path cocycle to loops: pairwise cocycle values, their antisymmetrized
 commutators, and the commutators reduced modulo the lattice.
 """
 
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_TOL_LAT,
-    Lattice,
-    LatticeMembership,
-    lattice_member,
-    lattice_verdict,
-    reduce_mod_lattice,
-)
+from .algebra import DEFAULT_TOL_LAT, Lattice, lattice_member, lattice_verdict, reduce_mod_lattice
 from .batch import vectorized
-from .errors import MalformedInputError, MembershipError, NotALoopError, OpenChainError
+from .errors import (
+    MalformedInputError,
+    MembershipError,
+    NotALoopError,
+    OpenChainError,
+    TangentDecompositionError,
+)
 from .geometry import (
     DEFAULT_QUAD_ORDER,
     EquivariantForm,
@@ -37,12 +35,6 @@ from .geometry import (
     surface_integrals,
 )
 from .groups import DEFAULT_FD_STEP, MEMBERSHIP_TOL, GroupPath, MatrixGroup, coordinate_path
-
-ASSUMPTION = (
-    "the supplied generators are assumed to span H_2(G); completeness "
-    "is not verified internally"
-)
-
 
 def assert_cycle_closed(chain: Surface2Chain, name: str = "cycle"):
     """Raise OpenChainError unless the chain's boundary edges cancel."""
@@ -65,51 +57,6 @@ def period(
     return surface_integral(form, cycle, quad_order)
 
 
-@dataclass(frozen=True)
-class GeneratorVerdict:
-    name: str
-    period: np.ndarray
-    membership: LatticeMembership
-    error_estimate: float
-    tol_used: float
-
-    def as_dict(self):
-        return {
-            "generator": self.name,
-            "period": [float(v) for v in self.period],
-            "verdict": self.membership.verdict,
-            "coefficients": [int(k) for k in self.membership.coefficients],
-            "residual": self.membership.residual,
-            "error_estimate": self.error_estimate,
-            "tolerance_used": self.tol_used,
-        }
-
-
-@dataclass(frozen=True)
-class IntegrabilityReport:
-    """Per-generator periods and verdicts plus the overall conclusion."""
-
-    generators: Tuple[GeneratorVerdict, ...]
-    overall: str  # "integrable" | "not_integrable" | "indeterminate"
-    quad_order: int
-
-    def as_dict(self):
-        return {
-            "overall": self.overall,
-            "quad_order": self.quad_order,
-            "assumption": ASSUMPTION,
-            "generators": [g.as_dict() for g in self.generators],
-        }
-
-
-def _combine(verdicts: Sequence[str]) -> str:
-    if any(v == "not_member" for v in verdicts):
-        return "not_integrable"
-    if any(v == "indeterminate" for v in verdicts):
-        return "indeterminate"
-    return "integrable"
-
-
 def half_lattice_spacing(lattice: Lattice) -> float:
     """Half the length of the shortest lattice vector (infinite for rank 0):
     a generator whose error estimate reaches it is indeterminate."""
@@ -122,9 +69,16 @@ def check_integrability(
     lattice: Lattice,
     quad_order: int = DEFAULT_QUAD_ORDER,
     tol_lat: float = DEFAULT_TOL_LAT,
-) -> IntegrabilityReport:
+) -> dict:
     """Period-in-lattice test over every (name, 2-cycle) pair in cycles, the
     named chains the caller asserts generate H_2(G).
+
+    The report has, in this order, overall ("integrable", "not_integrable"
+    if any generator is "not_member", else "indeterminate" if any is),
+    quad_order, assumption and generators; each generator has generator
+    (its name), period, verdict ("member", "not_member" or
+    "indeterminate"), coefficients and residual of the nearest lattice
+    point, error_estimate and tolerance_used.
 
     The membership tolerance is inflated per generator by the difference
     between the period and a comparison value taken with half the
@@ -134,8 +88,8 @@ def check_integrability(
     surface_integrals pass, which evaluates each patch once on the stencils
     of both rules.  A generator whose estimate reaches half the shortest
     lattice vector is indeterminate: the inflated tolerance would reach the
-    next lattice point.  An empty generator set (simply connected group with trivial
-    H_2) is integrable for every cocycle.
+    next lattice point.  An empty generator set (simply connected group with
+    trivial H_2) is integrable for every cocycle.
     """
     if quad_order < 2:
         raise MalformedInputError(
@@ -144,62 +98,38 @@ def check_integrability(
         )
     half_shortest = half_lattice_spacing(lattice)
     rules = ((quad_order, DEFAULT_FD_STEP), (quad_order // 2, 2 * DEFAULT_FD_STEP))
-    results = []
+    generators = []
     for name, chain in cycles:
         assert_cycle_closed(chain, name)
         try:
             value, coarse = surface_integrals(form, chain, rules)
-        except MembershipError as exc:
-            raise MembershipError(f"cycles[{name!r}].{exc}") from None
+        except (MembershipError, TangentDecompositionError) as exc:
+            raise type(exc)(f"cycles[{name!r}].{exc}") from None
         err = float(np.max(np.abs(value - coarse)))
         tol = tol_lat + err
         membership = lattice_member(lattice, value, tol)
-        if err >= half_shortest:
-            membership = replace(membership, verdict="indeterminate")
-        results.append(
-            GeneratorVerdict(
-                name=name,
-                period=value,
-                membership=membership,
-                error_estimate=err,
-                tol_used=tol,
-            )
-        )
-    overall = _combine([r.membership.verdict for r in results]) if results else "integrable"
-    return IntegrabilityReport(
-        generators=tuple(results), overall=overall, quad_order=quad_order
-    )
+        generators.append({
+            "generator": name,
+            "period": [float(v) for v in value],
+            "verdict": "indeterminate" if err >= half_shortest else membership.verdict,
+            "coefficients": [int(k) for k in membership.coefficients],
+            "residual": membership.residual,
+            "error_estimate": err,
+            "tolerance_used": tol,
+        })
+    verdicts = [gen["verdict"] for gen in generators]
+    return {
+        "overall": ("not_integrable" if "not_member" in verdicts
+                    else "indeterminate" if "indeterminate" in verdicts else "integrable"),
+        "quad_order": quad_order,
+        "assumption": ("the supplied generators are assumed to span H_2(G); "
+                       "completeness is not verified internally"),
+        "generators": generators,
+    }
 
 
 # ---------------------------------------------------------------------------
 # The fiber over pi_1: restriction of the path cocycle to loops
-
-
-@dataclass(frozen=True)
-class Pi1CocycleTable:
-    """Pairwise path-cocycle values over closed loops and their commutators."""
-
-    names: Tuple[str, ...]
-    values: np.ndarray  # (k, k, m): cocycle value for (loop_i, loop_j)
-    commutators: np.ndarray  # (k, k, m): values[i,j] - values[j,i]
-    commutators_mod: Optional[np.ndarray]  # reduced mod Gamma, or None
-    commutator_memberships: Optional[list]  # verdicts per ordered pair
-
-    def commutator(self, i: int, j: int) -> np.ndarray:
-        return self.commutators[i, j]
-
-    def as_dict(self):
-        out = {
-            "loops": list(self.names),
-            "values": self.values.tolist(),
-            "commutators": self.commutators.tolist(),
-        }
-        if self.commutators_mod is not None:
-            out["commutators_mod_lattice"] = self.commutators_mod.tolist()
-            out["commutator_in_lattice"] = [
-                [mem.verdict for mem in row] for row in self.commutator_memberships
-            ]
-        return out
 
 
 def torus_winding_loop(group: MatrixGroup, winding: Sequence[int]) -> GroupPath:
@@ -216,15 +146,21 @@ def pi1_cocycle_table(
     lattice: Optional[Lattice] = None,
     quad_order: int = DEFAULT_QUAD_ORDER,
     tol_lat: float = DEFAULT_TOL_LAT,
-) -> Pi1CocycleTable:
+) -> dict:
     """Path-cocycle table over closed based loops.
+
+    The table has, in this order, loops (the names), values (k x k x m: the
+    cocycle value of each ordered pair of loops) and commutators
+    (values[i][j] - values[j][i]); with a lattice it adds
+    commutators_mod_lattice (the commutators reduced mod Gamma) and
+    commutator_in_lattice (the lattice verdict of each commutator).
 
     Every loop must close at the identity; the cocycle of a pair is the
     product-triangle integral, which equals the universal-cover computation
     because the form pulls back along the covering projection.
     """
     group = form.group
-    names = tuple(name for name, _ in loops)
+    names = [name for name, _ in loops]
     paths = [loop for _, loop in loops]
     for name, loop in zip(names, paths):
         start, end = loop(np.array([0.0, 1.0]))
@@ -237,11 +173,12 @@ def pi1_cocycle_table(
         [path_cocycle(form, p, q, quad_order) for p in paths for q in paths]
     ).reshape(k, k, form.cochain.coeff_dim)
     commutators = values - np.swapaxes(values, 0, 1)
-    if lattice is None:
-        return Pi1CocycleTable(names, values, commutators, None, None)
-    reduced = reduce_mod_lattice(lattice, commutators)
-    memberships = [
-        [lattice_verdict(lattice, v, offset, tol_lat) for v, offset in zip(row, offsets)]
-        for row, offsets in zip(commutators, reduced)
-    ]
-    return Pi1CocycleTable(names, values, commutators, reduced, memberships)
+    table = {"loops": names, "values": values.tolist(), "commutators": commutators.tolist()}
+    if lattice is not None:
+        reduced = reduce_mod_lattice(lattice, commutators)
+        table["commutators_mod_lattice"] = reduced.tolist()
+        table["commutator_in_lattice"] = [
+            [lattice_verdict(lattice, v, off, tol_lat).verdict for v, off in zip(row, offsets)]
+            for row, offsets in zip(commutators, reduced)
+        ]
+    return table

@@ -625,6 +625,22 @@ def test_check_integrability_names_the_patch_that_leaves_the_group(fixture, grou
     )
 
 
+def test_check_integrability_names_the_patch_whose_tangents_leave_the_algebra(tmp_path, capsys):
+    # a matrix group has no membership test: the patch's tangents fail to
+    # decompose in the algebra span instead
+    group = {"kind": "matrix", "algebra": {"dim": 2}, "basis": lx.torus_group(2).basis.tolist()}
+    raw = _edited("torus_integrable.json", _set("group", value=group))
+    raw["cycles"] = [{"name": "fundamental", "patches": [OFF_TORUS]}]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "computation rejected: cycles['fundamental'].patches[0]: matrix is 5.300e-03 away "
+        "from the algebra span (tolerance 1.0e-06 x 1)\n"
+    )
+
+
 def test_a_simplex_patch_that_leaves_the_group_on_its_triangle_is_named(tmp_path, capsys):
     raw = _edited("su2_sphere_period.json",
                   _set("cycles", 0, "patches", value=[{"domain": "simplex", **OFF_TORUS}]))

@@ -104,14 +104,23 @@ class TestCochain:
         assert np.array_equal(back.values, om.values)
 
     def test_bad_component_indices_rejected(self):
-        # decreasing, out of range, too short, too long
-        for key in [(1, 0), (0, 3), (0,), (0, 1, 2)]:
+        def unknown(key, degree=2):
+            return (f"component indices {[key]} are not strictly increasing "
+                    f"degree-{degree} tuples in range(3)")
+
+        # decreasing, out of range, too short, too long keys; a non-tuple
+        # key; a value of the wrong length; a value that is not a number
+        cases = [((3, 1, {key: [1.0], (0, 1): [1.0]}), unknown(key))
+                 for key in [(1, 0), (0, 3), (0,), (0, 1, 2)]]
+        cases += [
+            ((3, 1, {0: 1.0}, 1), unknown(0, degree=1)),
+            ((3, 2, {(0, 1): [1.0]}), "value for (0, 1) must be 2 numbers, got [1.0]"),
+            ((3, 1, {(0, 1): "x"}), "value for (0, 1) must be 1 number, got 'x'"),
+        ]
+        for args, message in cases:
             with pytest.raises(MalformedInputError) as err:
-                lx.cochain_from_pairs(3, 1, {key: [1.0], (0, 1): [1.0]})
-            assert str(err.value) == (
-                f"component indices {[key]} are not strictly increasing "
-                "degree-2 tuples in range(3)"
-            )
+                lx.cochain_from_pairs(*args)
+            assert str(err.value) == message
 
     def test_dict_and_vector_input_agree(self):
         for degree, alg_dim, coeff_dim, pairs, vec in KEYED_INPUTS:

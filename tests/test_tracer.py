@@ -8,6 +8,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import lieext.cli  # noqa: F401  (the tracer wraps cli.main)
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -42,6 +44,24 @@ def test_install_wraps_every_traced_function_and_uninstall_restores_it():
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_argument_hooks_find_their_arguments():
+    # the tracer binds surface_integral's form/chain/quad_order and
+    # coboundary_matrix's alg/mod/n by name: a renamed parameter must fail here
+    torus = lieext.torus_group(2)
+    square = lieext.SurfacePatch(
+        eval=lambda t, s: torus.chart.from_coords(np.stack([t, s], axis=-1)))
+    form = lieext.EquivariantForm(lieext.cochain_from_pairs(2, 1, {(0, 1): 1.0}), torus)
+    sl2 = lieext.sl2_algebra()
+    run = tracer.Tracer()
+    run.install()
+    try:
+        lieext.geometry.surface_integral(form, lieext.Surface2Chain(patches=(square,)), 4)
+        lieext.cohomology.coboundary_matrix(sl2, lieext.adjoint_module(sl2), 1)
+    finally:
+        run.uninstall()
+    assert run.shared["integral"][0] == run.shared["d"][0] == 1
 
 
 def test_every_library_name_the_benchmark_uses_resolves():
