@@ -25,22 +25,6 @@ LATTICE_BAND_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
-class ValidationIssue:
-    """One violated identity: which law, at which indices, how badly."""
-
-    identity: str
-    indices: tuple
-    residual: float
-
-    def as_dict(self):
-        return {
-            "identity": self.identity,
-            "indices": list(self.indices),
-            "residual": self.residual,
-        }
-
-
-@dataclass(frozen=True)
 class LieAlgebra:
     """Structure-constant description of a finite-dimensional Lie algebra."""
 
@@ -150,9 +134,13 @@ class Lattice:
         object.__setattr__(self, "generators", gens)
         if not np.all(np.isfinite(gens)):
             raise InvalidLatticeError("generators must be finite")
+        if self.rank > self.ambient_dim:
+            raise InvalidLatticeError(
+                f"{self.rank} generators in R^{self.ambient_dim} cannot be independent"
+            )
         if self.rank > 0:
             svals = np.linalg.svd(gens, compute_uv=False)
-            if self.rank > self.ambient_dim or svals.min() <= DEFAULT_TOL_LAT * svals.max():
+            if svals.min() <= DEFAULT_TOL_LAT * svals.max():
                 raise InvalidLatticeError(
                     f"generators are rank deficient (smallest singular value "
                     f"{svals.min():.3e}, largest {svals.max():.3e})"
@@ -167,31 +155,23 @@ class Lattice:
     def ambient_dim(self) -> int:
         return self.generators.shape[1]
 
-
-@dataclass(frozen=True)
-class LatticeMembership:
-    """Outcome of a lattice membership test.
-
-    verdict is "member", "not_member", or "indeterminate"; coefficients are
-    the integer combination of the generators nearest to the value, residual
-    the distance to it.
-    """
-
-    verdict: str
-    coefficients: np.ndarray
-    residual: float
-
-    def __bool__(self):
-        return self.verdict == "member"
+    @property
+    def half_spacing(self) -> float:
+        """Half the length of the shortest LLL-reduced basis vector (infinite
+        for rank 0): a quadrature error that reaches it could move a period
+        to the next lattice point."""
+        return 0.5 * float(np.min(np.linalg.norm(self._reduced, axis=1), initial=np.inf))
 
 
 def _issues_above(identity: str, residuals, tol: float, indices=None) -> list:
-    """One issue per residual above tol, in row-major order; an issue's
-    indices are its position, or the entries there of the index arrays."""
+    """One issue {"identity", "indices", "residual"} per residual above tol,
+    in row-major order; an issue's indices are its position, or the entries
+    there of the index arrays."""
     residuals = np.asarray(residuals)
     indices = np.indices(residuals.shape) if indices is None else indices
     return [
-        ValidationIssue(identity, tuple(int(i.flat[k]) for i in indices), float(residuals.flat[k]))
+        {"identity": identity, "indices": [int(i.flat[k]) for i in indices],
+         "residual": float(residuals.flat[k])}
         for k in np.flatnonzero(residuals > tol)
     ]
 
@@ -258,16 +238,15 @@ def change_of_basis(alg: LieAlgebra, p: np.ndarray) -> LieAlgebra:
     return LieAlgebra(structure_constants=cprime)
 
 
-def lattice_member(
-    lat: Lattice, v: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT
-) -> LatticeMembership:
+def lattice_member(lat: Lattice, v: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT) -> dict:
     """Decide whether v lies in the lattice, within tol_lat.
 
     The verdict rests on the distance from v to the nearest lattice point
     (reduce_mod_lattice), in the units of v: "member" below tol_lat,
     "indeterminate" in the ambiguity band [tol_lat, LATTICE_BAND_FACTOR *
-    tol_lat), and "not_member" beyond it.  The coefficients are those of
-    the nearest point in the basis of the generators.
+    tol_lat), and "not_member" beyond it.  Returns {"verdict",
+    "coefficients", "residual"}: the verdict, the coefficients of the
+    nearest point in the basis of the generators, and the distance to it.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.ambient_dim,):
@@ -280,26 +259,27 @@ def lattice_member(
 
 def lattice_verdict(
     lat: Lattice, v: np.ndarray, offset: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT
-) -> LatticeMembership:
+) -> dict:
     """lattice_member's verdict on v, given its representative offset =
     reduce_mod_lattice(lat, v), so a stack reduced in one call needs no
-    second reduction per vector."""
+    second reduction; on a stack (..., m) each field is the nested list
+    over the stack."""
+    v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
-    nearest, *_ = np.linalg.lstsq(lat.generators.T, v - offset, rcond=None)
+    stack, m = v.shape[:-1], lat.ambient_dim
+    nearest, *_ = np.linalg.lstsq(lat.generators.T, (v - offset).reshape(-1, m).T, rcond=None)
+    nearest = nearest.T.reshape(stack + (lat.rank,))
     if not np.all(np.abs(nearest) < 2.0 ** 53):
         raise LieExtError(
             f"lattice coefficients {nearest.tolist()} are beyond the integer "
             "resolution of double precision"
         )
-    residual = float(np.linalg.norm(offset))
-    if residual < tol_lat:
-        verdict = "member"
-    elif residual < LATTICE_BAND_FACTOR * tol_lat:
-        verdict = "indeterminate"
-    else:
-        verdict = "not_member"
-    return LatticeMembership(verdict, np.round(nearest).astype(int), residual)
+    residual = np.reshape([np.linalg.norm(o) for o in np.reshape(offset, (-1, m))], stack)
+    verdict = np.where(residual < tol_lat, "member", np.where(
+        residual < LATTICE_BAND_FACTOR * tol_lat, "indeterminate", "not_member"))
+    return {"verdict": verdict.tolist(), "coefficients": np.round(nearest).astype(int).tolist(),
+            "residual": residual.tolist()}
 
 
 def reduce_mod_lattice(lat: Optional[Lattice], v: np.ndarray) -> np.ndarray:

@@ -116,8 +116,9 @@ def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
 
     Each key is looked up in index_table(alg_dim, degree); a key that is not
     a strictly increasing degree-tuple in range(alg_dim), or a value that is
-    not coeff_dim numbers, raises MalformedInputError.  Missing keys are
-    zero, and a value may be a scalar when coeff_dim is 1.
+    not coeff_dim finite numbers (a string or a boolean is none), raises
+    MalformedInputError.  Missing keys are zero, and a value may be a
+    scalar when coeff_dim is 1.
     """
     position = {key: p for p, key in enumerate(map(tuple, index_table(alg_dim, degree).tolist()))}
     unknown = [key for key in pairs if key not in position]
@@ -127,12 +128,17 @@ def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
             f"increasing degree-{degree} tuples in range({alg_dim})"
         )
     rows = np.zeros((len(position), coeff_dim))
+    count = "1 number" if coeff_dim == 1 else f"{coeff_dim} numbers"
     for key, val in pairs.items():
         try:
-            rows[position[key]] = np.asarray(val, dtype=float).reshape(coeff_dim)
-        except (TypeError, ValueError):
-            count = "1 number" if coeff_dim == 1 else f"{coeff_dim} numbers"
-            raise MalformedInputError(f"value for {key} must be {count}, got {val!r}") from None
+            row = np.asarray(val)
+        except ValueError:  # a ragged list
+            row = None
+        if row is None or row.dtype.kind not in "iuf" or row.size != coeff_dim:
+            raise MalformedInputError(f"value for {key} must be {count}, got {val!r}")
+        if not np.all(np.isfinite(row)):
+            raise MalformedInputError(f"value for {key} must be finite, got {val!r}")
+        rows[position[key]] = row.reshape(coeff_dim)
     return Cochain(degree, alg_dim, coeff_dim, rows)
 
 

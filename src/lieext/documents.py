@@ -86,7 +86,6 @@ from .groups import (
 )
 from .integrability import (
     check_integrability,
-    half_lattice_spacing,
     pi1_cocycle_table,
     torus_winding_loop,
 )
@@ -641,12 +640,16 @@ def _components(cochain: Cochain) -> list:
 
 
 def _form(doc):
-    """The document's equivariant form; the group must fix its lattice."""
+    """The document's equivariant form; the group must fix its lattice and
+    the cochain must be a cocycle."""
     for issue in validate_lattice_fixed(doc.module, doc.lattice) if doc.lattice else ():
-        (i, j), residual = issue.indices, issue.residual
+        (i, j), residual = issue["indices"], issue["residual"]
         raise MalformedInputError(f"lattice generator {j} is not fixed by the group: "
                                   f"|module.rho[{i}] gamma_{j}| / |gamma_{j}| = {residual:.3e}")
-    return EquivariantForm(doc.cocycle, doc.group, doc.module)
+    form = EquivariantForm(doc.cocycle, doc.group, doc.module)
+    if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
+        raise NotACocycleError("the cochain to integrate is not a cocycle")
+    return form
 
 
 def _run_validate(doc):
@@ -661,11 +664,9 @@ def _run_validate(doc):
     if doc.lattice is not None:
         issues += validate_lattice_fixed(doc.module, doc.lattice, tol)
     for name, path in doc.paths.items():
-        issues += [
-            type(i)(f"path[{name}].{i.identity}", i.indices, i.residual)
-            for i in validate_path(doc.group, path)
-        ]
-    results = {"violations": [i.as_dict() for i in issues], "valid": not issues}
+        issues += [{**i, "identity": f"path[{name}].{i['identity']}"}
+                   for i in validate_path(doc.group, path)]
+    results = {"violations": issues, "valid": not issues}
     warnings = []
     if doc.group is not None and doc.module.group_action is None and np.any(doc.module.rho):
         warnings.append(
@@ -683,7 +684,7 @@ def _run_cohomology(doc):
 def _run_extend(doc):
     tol = doc.options.get("tol", DEFAULT_TOL_ALG)
     ext = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
-    residual = max((i.residual for i in validate_algebra(ext.total, tol)), default=0.0)
+    residual = max((i["residual"] for i in validate_algebra(ext.total, tol)), default=0.0)
     results = {"extension": serialize_extension(ext), "jacobi_residual": residual}
     return results, [], EXIT_OK
 
@@ -705,13 +706,13 @@ def _run_gamma(doc):
     warnings = []
     for name in doc.pair:
         issues = validate_path(doc.group, doc.paths[name])
-        if issues and issues[0].identity == "in_group":
+        if issues and issues[0]["identity"] == "in_group":
             raise MembershipError(
                 f"paths[{name!r}] leaves the group {doc.group.name}: membership residual "
-                f"{issues[0].residual:.3e}"
+                f"{issues[0]['residual']:.3e}"
             )
         if issues:
-            warnings.append(f"path {name!r}: " + "; ".join(i.identity for i in issues))
+            warnings.append(f"path {name!r}: " + "; ".join(i["identity"] for i in issues))
     value = path_cocycle(form, g1, g2, doc.options.get("quad_order", DEFAULT_QUAD_ORDER))
     results = {"value": [float(v) for v in value]}
     if doc.lattice is not None:
@@ -740,11 +741,9 @@ def _run_d2(doc):
 def _run_check_integrability(doc):
     form = _form(doc)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
-    if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
-        raise NotACocycleError("the cochain to integrate is not a cocycle")
     quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
     report = check_integrability(form, doc.cycles, doc.lattice, quad_order, tol)
-    half = half_lattice_spacing(doc.lattice)
+    half = doc.lattice.half_spacing
     warnings = []
     code = EXIT_OK
     if report["overall"] == "indeterminate":

@@ -104,7 +104,8 @@ class EquivariantForm:
         if issues:
             raise MalformedInputError(
                 "module.group_action is not a group action with derivative module.rho: "
-                + "; ".join(f"{i.identity} at {i.indices}: residual {i.residual:.3e}" for i in issues)
+                + "; ".join(f"{i['identity']} at {tuple(i['indices'])}: "
+                            f"residual {i['residual']:.3e}" for i in issues)
             )
 
 

@@ -35,7 +35,6 @@ from .algebra import (
     abelian_algebra,
     heisenberg3_algebra,
     validate_algebra,
-    ValidationIssue,
     _issues_above,
 )
 from .batch import per_point, vectorized
@@ -262,16 +261,16 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     g = path(np.concatenate([np.linspace(0.0, 1.0, 33), [h, 1.0 + h, -h, 1.0 - h]]))
     _, outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
     if outside.size:
-        return [ValidationIssue("in_group", (), float(np.max(outside)))]
+        return [{"identity": "in_group", "indices": [], "residual": float(np.max(outside))}]
     issues = []
     base_res = float(np.max(np.abs(g[0] - group.identity)))
     if base_res > 10 * MEMBERSHIP_TOL:
-        issues.append(ValidationIssue("based_at_identity", (0,), base_res))
+        issues.append({"identity": "based_at_identity", "indices": [0], "residual": base_res})
     # log_derivative at t = 0 and 1
     d0, d1 = group.decompose(group.inverse(g[[0, 32]]) @ ((g[33:35] - g[35:]) / (2.0 * h)))
     res = float(np.max(np.abs(d0 - d1), initial=0.0))
     if res > DEFAULT_DERIV_TOL:
-        issues.append(ValidationIssue("periodic_log_derivative", (), res))
+        issues.append({"identity": "periodic_log_derivative", "indices": [], "residual": res})
     return issues
 
 

@@ -57,12 +57,6 @@ def period(
     return surface_integral(form, cycle, quad_order)
 
 
-def half_lattice_spacing(lattice: Lattice) -> float:
-    """Half the length of the shortest lattice vector (infinite for rank 0):
-    a generator whose error estimate reaches it is indeterminate."""
-    return 0.5 * float(np.min(np.linalg.norm(lattice._reduced, axis=1), initial=np.inf))
-
-
 def check_integrability(
     form: EquivariantForm,
     cycles: Sequence[Tuple[str, Surface2Chain]],
@@ -96,7 +90,6 @@ def check_integrability(
             f"quad_order {quad_order} is below 2: the error estimate compares the "
             "period with one at half the order, which would be the same rule"
         )
-    half_shortest = half_lattice_spacing(lattice)
     rules = ((quad_order, DEFAULT_FD_STEP), (quad_order // 2, 2 * DEFAULT_FD_STEP))
     generators = []
     for name, chain in cycles:
@@ -107,16 +100,11 @@ def check_integrability(
             raise type(exc)(f"cycles[{name!r}].{exc}") from None
         err = float(np.max(np.abs(value - coarse)))
         tol = tol_lat + err
-        membership = lattice_member(lattice, value, tol)
-        generators.append({
-            "generator": name,
-            "period": [float(v) for v in value],
-            "verdict": "indeterminate" if err >= half_shortest else membership.verdict,
-            "coefficients": [int(k) for k in membership.coefficients],
-            "residual": membership.residual,
-            "error_estimate": err,
-            "tolerance_used": tol,
-        })
+        gen = {"generator": name, "period": [float(v) for v in value],
+               **lattice_member(lattice, value, tol), "error_estimate": err, "tolerance_used": tol}
+        if err >= lattice.half_spacing:
+            gen["verdict"] = "indeterminate"
+        generators.append(gen)
     verdicts = [gen["verdict"] for gen in generators]
     return {
         "overall": ("not_integrable" if "not_member" in verdicts
@@ -155,17 +143,22 @@ def pi1_cocycle_table(
     commutators_mod_lattice (the commutators reduced mod Gamma) and
     commutator_in_lattice (the lattice verdict of each commutator).
 
-    Every loop must close at the identity; the cocycle of a pair is the
+    Every loop must stay in the group, checked on 33 samples of [0, 1],
+    and close at the identity; the cocycle of a pair is the
     product-triangle integral, which equals the universal-cover computation
     because the form pulls back along the covering projection.
     """
     group = form.group
     names = [name for name, _ in loops]
     paths = [loop for _, loop in loops]
-    for name, loop in zip(names, paths):
-        start, end = loop(np.array([0.0, 1.0]))
-        gap = float(np.max(np.abs(end - start)))
-        base = float(np.max(np.abs(start - group.identity)))
+    for name, loop in loops:
+        g = loop(np.linspace(0.0, 1.0, 33))
+        _, outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
+        if outside.size:
+            raise MembershipError(f"loops[{name!r}] leaves the group {group.name}: "
+                                  f"membership residual {np.max(outside):.3e}")
+        gap = float(np.max(np.abs(g[-1] - g[0])))
+        base = float(np.max(np.abs(g[0] - group.identity)))
         if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
             raise NotALoopError(f"loop {name!r} does not close at the identity")
     k = len(paths)
@@ -177,8 +170,6 @@ def pi1_cocycle_table(
     if lattice is not None:
         reduced = reduce_mod_lattice(lattice, commutators)
         table["commutators_mod_lattice"] = reduced.tolist()
-        table["commutator_in_lattice"] = [
-            [lattice_verdict(lattice, v, off, tol_lat).verdict for v, off in zip(row, offsets)]
-            for row, offsets in zip(commutators, reduced)
-        ]
+        table["commutator_in_lattice"] = lattice_verdict(
+            lattice, commutators, reduced, tol_lat)["verdict"]
     return table

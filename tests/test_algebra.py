@@ -41,8 +41,8 @@ class TestValidateAlgebra:
         c[0, 1, 2] = 1.0
         c[1, 0, 2] = 1.0  # wrong sign
         issues = lx.validate_algebra(lx.LieAlgebra(c))
-        anti = [i for i in issues if i.identity == "antisymmetry"]
-        assert any(i.indices == (0, 1, 2) for i in anti)
+        anti = [i for i in issues if i["identity"] == "antisymmetry"]
+        assert any(tuple(i["indices"]) == (0, 1, 2) for i in anti)
 
     def test_jacobi_violation_reported(self):
         # [e0,e1]=e2, [e0,e2]=e1 with [e1,e2]=0 breaks Jacobi on (0,1,2)
@@ -51,11 +51,11 @@ class TestValidateAlgebra:
         c[0, 2, 1], c[2, 0, 1] = 1.0, -1.0
         alg = lx.LieAlgebra(c)
         oracle = brute_force_jacobi_residual(c)
-        issues = [i for i in lx.validate_algebra(alg) if i.identity == "jacobi"]
+        issues = [i for i in lx.validate_algebra(alg) if i["identity"] == "jacobi"]
         assert oracle > 0.0 or issues == []
         if oracle > 0.0:
             assert issues
-            assert max(i.residual for i in issues) == pytest.approx(oracle)
+            assert max(i["residual"] for i in issues) == pytest.approx(oracle)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MalformedInputError):
@@ -80,7 +80,7 @@ class TestValidateModule:
         j = np.array([[0.0, 1.0], [0.0, 0.0]])
         rho = np.stack([j, j, np.eye(2)])
         issues = lx.validate_module(heis3, lx.ModuleAction(rho=rho))
-        assert any(i.indices == (0, 1) for i in issues)
+        assert any(tuple(i["indices"]) == (0, 1) for i in issues)
 
     def test_dimension_mismatch_rejected(self, heis3):
         with pytest.raises(MalformedInputError):
@@ -99,9 +99,9 @@ class TestValidateModule:
                 if res > tol:
                     reference.append(("homomorphism", (i, j), res))
         issues = lx.validate_module(alg, lx.ModuleAction(rho=rho), tol)
-        assert [(i.identity, i.indices) for i in issues] == [r[:2] for r in reference]
-        assert [i.indices for i in issues] == [(0, 2), (1, 2)]
-        assert np.allclose([i.residual for i in issues], [r[2] for r in reference],
+        assert [(i["identity"], tuple(i["indices"])) for i in issues] == [r[:2] for r in reference]
+        assert [tuple(i["indices"]) for i in issues] == [(0, 2), (1, 2)]
+        assert np.allclose([i["residual"] for i in issues], [r[2] for r in reference],
                            rtol=0, atol=1e-15)
 
 
@@ -155,39 +155,39 @@ class TestLattice:
     def test_integer_point(self):
         lat = lx.Lattice(generators=[[1.0]])
         res = lx.lattice_member(lat, np.array([3.0]))
-        assert res.verdict == "member"
-        assert list(res.coefficients) == [3]
+        assert res["verdict"] == "member"
+        assert list(res["coefficients"]) == [3]
 
     def test_half_integer_rejected(self):
         lat = lx.Lattice(generators=[[1.0]])
-        assert lx.lattice_member(lat, np.array([0.5])).verdict == "not_member"
+        assert lx.lattice_member(lat, np.array([0.5]))["verdict"] == "not_member"
 
     def test_two_generator_example(self):
         # residual 1e-9 < tol 1e-6 for v = (2, 4.000000001) in <(1,0),(0,2)>
         lat = lx.Lattice(generators=[[1.0, 0.0], [0.0, 2.0]])
         res = lx.lattice_member(lat, np.array([2.0, 4.000000001]), 1e-6)
-        assert res.verdict == "member"
-        assert list(res.coefficients) == [2, 2]
-        assert res.residual < 1e-6
+        assert res["verdict"] == "member"
+        assert list(res["coefficients"]) == [2, 2]
+        assert res["residual"] < 1e-6
 
     def test_ambiguity_band_is_indeterminate(self):
         lat = lx.Lattice(generators=[[1.0]])
-        assert lx.lattice_member(lat, np.array([1.0 + 5e-6]), 1e-6).verdict == (
+        assert lx.lattice_member(lat, np.array([1.0 + 5e-6]), 1e-6)["verdict"] == (
             "indeterminate"
         )
 
     @pytest.mark.parametrize("value", [0.25, 0.3, 0.7, 1.25])
     def test_far_from_integer_is_not_member(self, value):
         lat = lx.Lattice(generators=[[1.0]])
-        assert lx.lattice_member(lat, np.array([value])).verdict == "not_member"
+        assert lx.lattice_member(lat, np.array([value]))["verdict"] == "not_member"
 
     def test_band_ends_at_band_factor(self):
         lat = lx.Lattice(generators=[[1.0]])
         edge = lx.algebra.LATTICE_BAND_FACTOR * 1e-6
-        assert lx.lattice_member(lat, np.array([2.0 + 0.5 * edge]), 1e-6).verdict == (
+        assert lx.lattice_member(lat, np.array([2.0 + 0.5 * edge]), 1e-6)["verdict"] == (
             "indeterminate"
         )
-        assert lx.lattice_member(lat, np.array([2.0 + 2.0 * edge]), 1e-6).verdict == (
+        assert lx.lattice_member(lat, np.array([2.0 + 2.0 * edge]), 1e-6)["verdict"] == (
             "not_member"
         )
 
@@ -196,7 +196,7 @@ class TestLattice:
         lat = lx.Lattice(generators=gens)
 
         def verdict(coeffs):
-            return lx.lattice_member(lat, gens.T @ np.asarray(coeffs), 1e-6).verdict
+            return lx.lattice_member(lat, gens.T @ np.asarray(coeffs), 1e-6)["verdict"]
 
         assert verdict([2.0, -1.0]) == "member"
         assert verdict([2.0 + 5e-6, -1.0]) == "indeterminate"
@@ -217,9 +217,9 @@ class TestLattice:
     def test_band_is_in_the_units_of_the_value(self, spacing, offset, expected):
         lat = lx.Lattice(generators=[[spacing]])
         res = lx.lattice_member(lat, np.array([7 * spacing + offset]), 1e-6)
-        assert res.verdict == expected
-        assert list(res.coefficients) == [7]
-        assert res.residual == pytest.approx(offset, rel=1e-6)
+        assert res["verdict"] == expected
+        assert list(res["coefficients"]) == [7]
+        assert res["residual"] == pytest.approx(offset, rel=1e-6)
 
     @pytest.mark.parametrize("angle", [0.0, 0.3, 1.1, 2.5])
     def test_reduction_is_nearest_point(self, angle, rng):
@@ -231,30 +231,30 @@ class TestLattice:
             got = lx.reduce_mod_lattice(lat, v)
             nearest = np.min(np.linalg.norm(v - box @ gens, axis=1))
             assert np.linalg.norm(got) <= nearest + 1e-12
-            assert lx.lattice_member(lat, v - got).verdict == "member"
+            assert lx.lattice_member(lat, v - got)["verdict"] == "member"
 
     def test_generators_are_members(self, rng):
         gens = rng.normal(size=(3, 5))
         lat = lx.Lattice(generators=gens)
         for i, g in enumerate(gens):
             res = lx.lattice_member(lat, g)
-            assert res.verdict == "member"
+            assert res["verdict"] == "member"
             expected = np.zeros(3, dtype=int)
             expected[i] = 1
-            assert np.array_equal(res.coefficients, expected)
+            assert np.array_equal(res["coefficients"], expected)
 
     def test_membership_additive(self, rng):
         gens = rng.normal(size=(2, 4))
         lat = lx.Lattice(generators=gens)
         v = gens.T @ np.array([2.0, -1.0])
         w = gens.T @ np.array([0.0, 3.0])
-        assert lx.lattice_member(lat, v).verdict == "member"
-        assert lx.lattice_member(lat, w).verdict == "member"
-        assert lx.lattice_member(lat, v + w).verdict == "member"
+        assert lx.lattice_member(lat, v)["verdict"] == "member"
+        assert lx.lattice_member(lat, w)["verdict"] == "member"
+        assert lx.lattice_member(lat, v + w)["verdict"] == "member"
 
     def test_off_span_rejected(self):
         lat = lx.Lattice(generators=[[1.0, 0.0]])
-        assert lx.lattice_member(lat, np.array([1.0, 0.5])).verdict == "not_member"
+        assert lx.lattice_member(lat, np.array([1.0, 0.5]))["verdict"] == "not_member"
 
     def test_rank_deficient_generators_error(self):
         with pytest.raises(InvalidLatticeError):
@@ -262,7 +262,7 @@ class TestLattice:
 
     def test_rank_check_is_relative_to_scale(self):
         lat = lx.Lattice(generators=[[1e-7]])
-        assert lx.lattice_member(lat, np.array([3e-7])).verdict == "member"
+        assert lx.lattice_member(lat, np.array([3e-7]))["verdict"] == "member"
         with pytest.raises(InvalidLatticeError):
             lx.Lattice(generators=[[1.0, 0.0], [1.0, 1e-9]])
 
@@ -279,8 +279,8 @@ class TestLattice:
 
     def test_rank_zero_lattice(self):
         lat = lx.Lattice(generators=np.zeros((0, 2)))
-        assert lx.lattice_member(lat, np.zeros(2)).verdict == "member"
-        assert lx.lattice_member(lat, np.array([0.1, 0.0])).verdict == "not_member"
+        assert lx.lattice_member(lat, np.zeros(2))["verdict"] == "member"
+        assert lx.lattice_member(lat, np.array([0.1, 0.0]))["verdict"] == "not_member"
 
     @pytest.mark.parametrize(
         "offset, expected", [(5e-7, "member"), (5e-6, "indeterminate"), (2e-4, "not_member")]
@@ -288,8 +288,8 @@ class TestLattice:
     def test_band_at_rank_zero(self, offset, expected):
         lat = lx.Lattice(generators=np.zeros((0, 1)))
         res = lx.lattice_member(lat, np.array([offset]), 1e-6)
-        assert res.verdict == expected
-        assert res.coefficients.size == 0 and res.residual == offset
+        assert res["verdict"] == expected
+        assert len(res["coefficients"]) == 0 and res["residual"] == offset
 
     def test_rank_zero_rejects_non_finite_values(self):
         with pytest.raises(lx.LieExtError):

@@ -299,6 +299,10 @@ MALFORMED = {
     "lattice_generators_string": (
         "torus_integrable.json", _set("lattice", "generators", value=[["1"]])
     ),
+    "lattice_more_generators_than_dimensions": (
+        "torus_integrable.json", _set("lattice", "generators", value=[[1.0], [2.0]])
+    ),
+    "labels_count": ("heis3_validate.json", _set("algebra", "labels", value=["x", "y"])),
     "rho_string": (
         "sl2_cohomology.json", _set("module", "rho", value=[[["1"]], [[0.0]], [[0.0]]])
     ),
@@ -436,6 +440,10 @@ MALFORMED_MESSAGES = {
     "cycles_empty": "task 'check-integrability' requires a 'cycles' section",
     "cycle_zero_chain": "cycles['fundamental'] has no patch with a non-zero coefficient",
     "winding_on_heisenberg": "loops['l0']: winding needs a torus group, not Heisenberg(3)",
+    "lattice_more_generators_than_dimensions": (
+        "input error: lattice: 2 generators in R^1 cannot be independent\n"
+    ),
+    "labels_count": "input error: algebra: 2 labels for dimension 3\n",
     "cocycle_value_for_coeff_dim_0": "cocycle: value for (0, 1): got shape (1,), expected (0,)",
     **{
         f"coefficient_{name}": "cycles['fundamental'].patches[0]: coefficient must be an "
@@ -607,6 +615,68 @@ def test_gamma_names_the_path_that_leaves_the_group(tmp_path, capsys):
     assert captured.err.startswith(
         "computation rejected: paths['p1'] leaves the group T^2: membership residual "
     )
+
+
+def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
+    # closed and based at the identity, but off T^2 in between: at t = 1/2
+    # the first column has norm 1.1
+    bad = {"name": "bad", "matrix": [
+        ["cos(2*pi*t) + 0.1*sin(pi*t)", "-sin(2*pi*t)", "0", "0"],
+        ["sin(2*pi*t)", "cos(2*pi*t)", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
+    raw = _edited("pi1_torus.json", lambda raw: raw["loops"].append(bad))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "computation rejected: loops['bad'] leaves the group T^2: membership residual 1.900e-01\n"
+    )
+
+
+# On the Heisenberg algebra, with omega(e_1, e_2) = (0, 1) its only value,
+# d(omega)(e_0, e_1, e_2) = rho(e_0) omega(e_1, e_2) = (1, 0)
+E01, ZERO = [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]
+NOT_A_COCYCLE = {
+    "group": {"kind": "heisenberg"},
+    "module": {"coeff_dim": 2, "rho": [E01, ZERO, ZERO],
+               "group_action": {"exprs": ["a1 + g1*a2", "a2"]}},
+    "cocycle": {"degree": 2, "components": [{"indices": [1, 2], "value": [0.0, 1.0]}]},
+    "lattice": {"generators": [[1.0, 0.0]]},
+    "paths": {"p": {"coords": ["t", "0", "0"]}, "q": {"coords": ["0", "t", "0"]}},
+    "pair": ["p", "q"],
+    "loops": [{"name": "m", "coords": ["sin(2*pi*t)", "0", "0"]}],
+    "cycles": [{"name": "c", "patches": [{"coords": ["t", "s", "0"]}]}],
+}
+
+
+@pytest.mark.parametrize("task", ["gamma", "pi1", "check-integrability"])
+def test_integrating_a_non_cocycle_is_rejected(task, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**NOT_A_COCYCLE, "task": task}))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "computation rejected: the cochain to integrate is not a cocycle\n"
+    )
+
+
+# T^2 at angles (t, s), its constant entries given as JSON numbers
+TORUS_MATRIX = {"matrix": [["cos(2*pi*t)", "-sin(2*pi*t)", 0, 0],
+                           ["sin(2*pi*t)", "cos(2*pi*t)", 0, 0],
+                           [0, 0, "cos(2*pi*s)", "-sin(2*pi*s)"],
+                           [0, 0, "sin(2*pi*s)", "cos(2*pi*s)"]]}
+
+
+@pytest.mark.parametrize("fixture, edit", [
+    # loops along the coordinate axes are the windings (1, 0) and (0, 1)
+    ("pi1_torus.json", _set("loops", value=[{"name": "m", "coords": ["t", "0"]},
+                                            {"name": "n", "coords": ["0", "t"]}])),
+    ("torus_integrable.json", _set("cycles", 0, "patches", value=[TORUS_MATRIX])),
+])
+def test_other_spellings_of_a_fixture_give_its_results(fixture, edit):
+    expected, _ = run(parse_document(load_fixture(fixture)))
+    report, code = run(parse_document(_edited(fixture, edit)))
+    assert code == 0 and report["results"] == expected["results"]
 
 
 @pytest.mark.parametrize("fixture, group", [("torus_integrable.json", "T^2"),

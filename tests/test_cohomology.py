@@ -109,14 +109,19 @@ class TestCochain:
                     f"degree-{degree} tuples in range(3)")
 
         # decreasing, out of range, too short, too long keys; a non-tuple
-        # key; a value of the wrong length; a value that is not a number
+        # key; a value of the wrong length; a value that is not a number,
+        # also where it reads as one; a value that is not finite
         cases = [((3, 1, {key: [1.0], (0, 1): [1.0]}), unknown(key))
                  for key in [(1, 0), (0, 3), (0,), (0, 1, 2)]]
         cases += [
             ((3, 1, {0: 1.0}, 1), unknown(0, degree=1)),
             ((3, 2, {(0, 1): [1.0]}), "value for (0, 1) must be 2 numbers, got [1.0]"),
             ((3, 1, {(0, 1): "x"}), "value for (0, 1) must be 1 number, got 'x'"),
+            ((3, 1, {(0, 1): "12"}), "value for (0, 1) must be 1 number, got '12'"),
+            ((3, 2, {(1, 2): [1.0, "2"]}), "value for (1, 2) must be 2 numbers, got [1.0, '2']"),
         ]
+        cases += [((3, 1, {(0, 2): value}), f"value for (0, 2) must be finite, got {value!r}")
+                  for value in [float("nan"), float("inf"), -float("inf")]]
         for args, message in cases:
             with pytest.raises(MalformedInputError) as err:
                 lx.cochain_from_pairs(*args)

@@ -112,7 +112,7 @@ class TestJacobiCocycleEquivalence:
         residuals = []
         for e in eps:
             ext = lx.build_algebra_extension(sl2, adj, base + float(e) * direction, force=True)
-            residuals.append(max(i.residual for i in lx.validate_algebra(ext.total)))
+            residuals.append(max(i["residual"] for i in lx.validate_algebra(ext.total)))
         slope = np.polyfit(np.log(eps), np.log(residuals), 1)[0]
         assert abs(slope - 1.0) < 0.1
 

@@ -76,9 +76,9 @@ class TestGroups:
             if res > 1e-8:
                 reference.append(("exp_log_roundtrip", (trial,), res))
         issues = lx.validate_group(group)
-        assert [(i.identity, i.indices) for i in issues] == [r[:2] for r in reference]
-        assert [i.indices for i in issues] == [(0, 1), (0, 2), (1, 2)]
-        assert np.allclose([i.residual for i in issues], [r[2] for r in reference],
+        assert [(i["identity"], tuple(i["indices"])) for i in issues] == [r[:2] for r in reference]
+        assert [tuple(i["indices"]) for i in issues] == [(0, 1), (0, 2), (1, 2)]
+        assert np.allclose([i["residual"] for i in issues], [r[2] for r in reference],
                            rtol=0, atol=1e-15)
 
     def test_commutators_match_structure_constants_oracle(self, su2):
@@ -158,12 +158,12 @@ class TestPaths:
     def test_nonperiodic_derivative_caught(self, torus2):
         path = lx.coordinate_path(torus2, lambda t: np.array([t * t, 0.0]))
         issues = lx.validate_path(torus2, path)
-        assert any(i.identity == "periodic_log_derivative" for i in issues)
+        assert any(i["identity"] == "periodic_log_derivative" for i in issues)
 
     def test_unbased_path_caught(self, torus2):
         path = lx.coordinate_path(torus2, lambda t: np.array([t + 0.25, 0.0]))
         issues = lx.validate_path(torus2, path)
-        assert any(i.identity == "based_at_identity" for i in issues)
+        assert any(i["identity"] == "based_at_identity" for i in issues)
 
     def test_path_leaving_the_group_is_reported_alone(self, torus2):
         # based and in the torus at both ends, but not in between
@@ -171,8 +171,8 @@ class TestPaths:
             return torus2.chart.from_coords([t, 0.0]) * (1.0 + 0.1 * np.sin(np.pi * t))
 
         issues = lx.validate_path(torus2, lx.GroupPath(eval=off))
-        assert [(i.identity, i.indices) for i in issues] == [("in_group", ())]
-        assert issues[0].residual == pytest.approx(0.21, abs=1e-3)  # |1.1^2 - 1| at t = 1/2
+        assert [(i["identity"], tuple(i["indices"])) for i in issues] == [("in_group", ())]
+        assert issues[0]["residual"] == pytest.approx(0.21, abs=1e-3)  # |1.1^2 - 1| at t = 1/2
 
     def test_pointwise_product(self, torus2, rng):
         p1, c1 = random_torus_path(torus2, rng)
@@ -213,7 +213,7 @@ class TestActionCompatibility:
         mod = self.rotation_module(group)
         wrong = lx.ModuleAction(rho=0.5 * mod.rho, group_action=mod.group_action)
         issues = lx.validate_action_compatibility(group, wrong)
-        assert issues and all(i.identity == "action_compatibility" for i in issues)
+        assert issues and all(i["identity"] == "action_compatibility" for i in issues)
 
     def test_wrong_column_matches_the_per_pair_reference(self, trans2):
         # R^2 acting on R^2 by rotation through 2 pi g1; rho[1][:, 0] is wrong
@@ -230,16 +230,16 @@ class TestActionCompatibility:
                 if res > lx.groups.DEFAULT_DERIV_TOL:
                     reference.append(("action_compatibility", (i, b), res))
         issues = lx.validate_action_compatibility(trans2, mod)
-        assert [(i.identity, i.indices) for i in issues] == [r[:2] for r in reference]
-        assert [i.indices for i in issues] == [(1, 0)]
-        assert np.allclose([i.residual for i in issues], [r[2] for r in reference],
+        assert [(i["identity"], tuple(i["indices"])) for i in issues] == [r[:2] for r in reference]
+        assert [tuple(i["indices"]) for i in issues] == [(1, 0)]
+        assert np.allclose([i["residual"] for i in issues], [r[2] for r in reference],
                            rtol=0, atol=1e-15)
 
     def test_identity_must_act_as_the_identity(self, trans2):
         # 2 v has the derivative rho = 0 at the identity, but moves every vector there
         mod = lx.ModuleAction(rho=np.zeros((2, 2, 2)), group_action=lambda g, v: 2.0 * v)
         issues = lx.validate_action_compatibility(trans2, mod)
-        assert [(i.identity, i.indices, i.residual) for i in issues] == [
+        assert [(i["identity"], tuple(i["indices"]), i["residual"]) for i in issues] == [
             ("action_identity", (0,), 1.0), ("action_identity", (1,), 1.0)
         ]
         with pytest.raises(MalformedInputError, match=r"action_identity at \(0,\): residual 1.000e\+00"):
@@ -249,8 +249,8 @@ class TestActionCompatibility:
         # rho[1] kills gamma_0 = (2, 0) and moves gamma_1 = (0, 1e-3) by 1e-6
         mod = lx.ModuleAction(rho=np.stack([np.zeros((2, 2)), [[0.0, 1e-3], [0.0, 0.0]]]))
         issues = lx.validate_lattice_fixed(mod, lx.Lattice(np.array([[2.0, 0.0], [0.0, 1e-3]])))
-        assert [(i.identity, i.indices) for i in issues] == [("lattice_fixed", (1, 1))]
-        assert issues[0].residual == pytest.approx(1e-3, rel=1e-12)
+        assert [(i["identity"], tuple(i["indices"])) for i in issues] == [("lattice_fixed", (1, 1))]
+        assert issues[0]["residual"] == pytest.approx(1e-3, rel=1e-12)
         with pytest.raises(MalformedInputError, match="lattice lives in R\\^1, the module in R\\^2"):
             lx.validate_lattice_fixed(mod, lx.Lattice(np.array([[1.0]])))
 
@@ -555,7 +555,7 @@ class TestPathCocycleIdentities:
             v16 = lx.path_cocycle_coboundary(form, g1, g2, g3, 16)
             v8 = lx.path_cocycle_coboundary(form, g1, g2, g3, 8)
             tol = 1e-6 + float(np.max(np.abs(v16 - v8)))
-            assert lx.lattice_member(unit_lattice, v16, tol).verdict == "member"
+            assert lx.lattice_member(unit_lattice, v16, tol)["verdict"] == "member"
 
     def test_representative_independence(self, torus2, unit_lattice, rng):
         form = torus_form(torus2)
@@ -569,7 +569,7 @@ class TestPathCocycleIdentities:
             )
             for v in vals:
                 assert (
-                    lx.lattice_member(unit_lattice, v, 2e-6).verdict == "member"
+                    lx.lattice_member(unit_lattice, v, 2e-6)["verdict"] == "member"
                 ), f"identity value {v} escaped the lattice"
 
     def test_translation_invariance_trivial_action(self, torus2, rng):
