@@ -9,6 +9,7 @@ pure functions; scalars are float64 throughout.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -126,7 +127,7 @@ class Lattice:
     def __post_init__(self):
         gens = np.asarray(self.generators, dtype=float)
         if gens.size == 0:
-            gens = gens.reshape(0, max(1, gens.shape[-1] if gens.ndim == 2 else 1))
+            gens = gens.reshape(0, gens.shape[-1] if gens.ndim == 2 else 1)
         if gens.ndim != 2:
             raise MalformedInputError(
                 f"generators must be an r x m array, got shape {gens.shape}"
@@ -268,14 +269,15 @@ def lattice_verdict(
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
     stack, m = v.shape[:-1], lat.ambient_dim
-    nearest, *_ = np.linalg.lstsq(lat.generators.T, (v - offset).reshape(-1, m).T, rcond=None)
+    flat = (math.prod(stack), m)  # not (-1, m): m may be 0
+    nearest, *_ = np.linalg.lstsq(lat.generators.T, (v - offset).reshape(flat).T, rcond=None)
     nearest = nearest.T.reshape(stack + (lat.rank,))
     if not np.all(np.abs(nearest) < 2.0 ** 53):
         raise LieExtError(
             f"lattice coefficients {nearest.tolist()} are beyond the integer "
             "resolution of double precision"
         )
-    residual = np.reshape([np.linalg.norm(o) for o in np.reshape(offset, (-1, m))], stack)
+    residual = np.reshape([np.linalg.norm(o) for o in np.reshape(offset, flat)], stack)
     verdict = np.where(residual < tol_lat, "member", np.where(
         residual < LATTICE_BAND_FACTOR * tol_lat, "indeterminate", "not_member"))
     return {"verdict": verdict.tolist(), "coefficients": np.round(nearest).astype(int).tolist(),

@@ -62,8 +62,11 @@ class Cochain:
 
     def __post_init__(self):
         shape = (math.comb(self.alg_dim, self.degree), self.coeff_dim)
-        values = np.zeros(shape) if self.values is None else self.values
-        values = np.asarray(values, dtype=float).reshape(shape)
+        values = np.zeros(shape) if self.values is None else np.asarray(self.values)
+        if values.dtype.kind not in "iuf":
+            raise MalformedInputError(
+                f"cochain values must be real numbers, not dtype {values.dtype}")
+        values = values.astype(float, copy=False).reshape(shape)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -381,7 +384,26 @@ def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int])
     for n in degrees:
         _check_degree(alg, mod, n)
     needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
-    ranks = {k: _svd_rank(coboundary_matrix(alg, mod, k))[:2] for k in needed}
+    # Ranks mean nothing unless d_k d_{k-1} = 0 (a failed Jacobi or
+    # representation identity breaks it): check it on r_i = cos(i), both
+    # factors divided by the power of two s at the largest entry of c and
+    # rho, so nothing overflows; zero c and rho make every d_k zero.
+    top = max(np.abs(alg.structure_constants).max(initial=0.0), np.abs(mod.rho).max(initial=0.0))
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    cols = max((math.comb(alg.dim, k) for k in needed), default=0) * mod.coeff_dim
+    probe = np.cos(np.arange(cols)) / s
+    ranks, prev = {}, None
+    for k in needed:
+        d_k = coboundary_matrix(alg, mod, k)
+        if k - 1 in ranks and top:
+            residual = float(np.abs(d_k @ (prev @ probe[: prev.shape[1]] / s)).max(initial=0.0))
+            if residual > RANK_TOL_FACTOR:
+                raise LieExtError(
+                    f"d_{k} d_{k - 1} is not zero (relative residual {residual:.3e} on a probe "
+                    "vector): the structure constants and rho do not form a cochain complex; "
+                    "the validate task names the identity that fails"
+                )
+        ranks[k], prev = _svd_rank(d_k)[:2], d_k
     table = []
     for n in degrees:
         rank, margin = ranks[n]
@@ -462,21 +484,15 @@ def normalization_residual(f: GroupCochain, identity, elements: Sequence) -> flo
 
 
 def apply_delta(
-    action: Optional[Callable],
-    f: GroupCochain,
-    elements: Sequence,
-    compose: Callable = None,
+    module: Optional[ModuleAction], f: GroupCochain, elements: Sequence
 ) -> np.ndarray:
-    """Group coboundary of f evaluated at an (n+1)-tuple.
+    """Group coboundary of f evaluated at an (n+1)-tuple of group matrices.
 
     (delta f)(g_1..g_{n+1}) = g_1 . f(g_2..g_{n+1})
         + sum_i (-1)^i f(.., g_i g_{i+1}, ..) + (-1)^{n+1} f(g_1..g_n),
-    computed in the coefficient space.  `action` maps (g, vector) to a
-    vector (None = trivial); `compose` is the group operation (default
-    matrix product).
+    computed in the coefficient space.  g_1 acts through the module's
+    group action (None = trivial).
     """
-    if compose is None:
-        compose = lambda a, b: a @ b
     elements = list(elements)
     n = f.degree
     if len(elements) != n + 1:
@@ -484,11 +500,11 @@ def apply_delta(
             f"delta of a degree-{n} cochain needs {n + 1} elements, got {len(elements)}"
         )
     head = f(*elements[1:])
-    out = np.asarray(action(elements[0], head), dtype=float) if action else head.copy()
+    out = np.array(module.act(elements[0], head) if module else head)  # f's value may be shared
     for i in range(1, n + 1):
         merged = (
             elements[: i - 1]
-            + [compose(elements[i - 1], elements[i])]
+            + [elements[i - 1] @ elements[i]]
             + elements[i + 1 :]
         )
         out += (-1.0) ** i * f(*merged)
@@ -496,12 +512,10 @@ def apply_delta(
     return out
 
 
-def delta_cochain(
-    action: Optional[Callable], f: GroupCochain, compose: Callable = None
-) -> GroupCochain:
+def delta_cochain(module: Optional[ModuleAction], f: GroupCochain) -> GroupCochain:
     """The coboundary of f as a new evaluable group cochain."""
     return GroupCochain(
         degree=f.degree + 1,
         coeff_dim=f.coeff_dim,
-        eval=lambda *els: apply_delta(action, f, els, compose=compose),
+        eval=lambda *els: apply_delta(module, f, els),
     )

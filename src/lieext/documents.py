@@ -353,7 +353,7 @@ def _parse_lattice(section, coeff_dim: Optional[int]) -> Lattice:
     _require(isinstance(section, dict), "lattice section must be an object")
     gens = _reals(section.get("generators", []), "lattice: generators")
     if gens.size == 0:
-        m = coeff_dim if coeff_dim else 1
+        m = 1 if coeff_dim is None else coeff_dim
         gens = np.zeros((0, m))
     if gens.ndim != 2:
         raise DocumentError(f"lattice: generators must be r x m, got shape {gens.shape}")

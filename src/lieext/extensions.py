@@ -13,7 +13,7 @@ omega1 - omega2 must lie in the image of d_1.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from .algebra import (
     LieAlgebra,
     ModuleAction,
     reduce_mod_lattice,
+    trivial_module,
 )
 from .cohomology import Cochain, GroupCochain, apply_d, coboundary_matrix, index_table
 from .errors import MalformedInputError, NotACocycleError
+from .groups import MatrixGroup
 
 DEFAULT_EQUIV_TOL = 1e-8
 
@@ -134,57 +136,43 @@ def are_equivalent(
 
 @dataclass(frozen=True)
 class GroupLaw:
-    """Twisted product on G x R^m from a group 2-cocycle.
+    """Twisted product on G x R^m from a group 2-cocycle on a matrix group G,
+    which acts on R^m through the module (trivial when none is given); the
+    optional lattice reduces the second component modulo Gamma."""
 
-    compose/inverse/identity describe G itself (defaults: matrix group).
-    The optional lattice reduces the second component modulo Gamma.
-    """
-
+    group: MatrixGroup
     cocycle: GroupCochain
-    action: Optional[Callable] = None
-    compose: Callable = None
-    inverse: Callable = None
-    identity: object = None
+    module: Optional[ModuleAction] = None
     lattice: Optional[Lattice] = None
 
     def __post_init__(self):
-        if self.compose is None:
-            object.__setattr__(self, "compose", lambda a, b: a @ b)
-        if self.inverse is None:
-            object.__setattr__(self, "inverse", np.linalg.inv)
-
-    def _act(self, g, v):
-        return np.asarray(self.action(g, v), dtype=float) if self.action else np.asarray(v, dtype=float)
+        if self.module is None:
+            mod = trivial_module(self.group.algebra.dim, self.cocycle.coeff_dim)
+            object.__setattr__(self, "module", mod)
 
 
 def group_multiply(law: GroupLaw, p1, p2):
     """(g1, a1)(g2, a2) = (g1 g2, a1 + g1.a2 + f(g1, g2))."""
     g1, a1 = p1
     g2, a2 = p2
-    a = np.asarray(a1, dtype=float) + law._act(g1, a2) + law.cocycle(g1, g2)
-    if law.lattice is not None:
-        a = reduce_mod_lattice(law.lattice, a)
-    return law.compose(g1, g2), a
+    a = np.asarray(a1, dtype=float) + law.module.act(g1, a2) + law.cocycle(g1, g2)
+    return g1 @ g2, reduce_mod_lattice(law.lattice, a)
 
 
 def group_inverse(law: GroupLaw, p):
     """(g, a)^{-1} = (g^{-1}, -g^{-1}.(a + f(g, g^{-1})))."""
     g, a = p
-    ginv = law.inverse(g)
-    val = -law._act(ginv, np.asarray(a, dtype=float) + law.cocycle(g, ginv))
-    if law.lattice is not None:
-        val = reduce_mod_lattice(law.lattice, val)
-    return ginv, val
+    ginv = law.group.inverse(g)
+    val = -law.module.act(ginv, np.asarray(a, dtype=float) + law.cocycle(g, ginv))
+    return ginv, reduce_mod_lattice(law.lattice, val)
 
 
-def group_unit(law: GroupLaw, coeff_dim: int):
-    if law.identity is None:
-        raise MalformedInputError("group law has no identity element attached")
-    return law.identity, np.zeros(coeff_dim)
+def group_unit(law: GroupLaw):
+    return law.group.identity, np.zeros(law.cocycle.coeff_dim)
 
 
 def conjugate_coeff(law: GroupLaw, g, v: np.ndarray) -> np.ndarray:
     """Conjugation of (1, v) by (g, 0); equals (1, g.v) for a true cocycle."""
     coeff_dim = np.asarray(v).shape[0]
-    left = group_multiply(law, (g, np.zeros(coeff_dim)), (law.identity, v))
+    left = group_multiply(law, (g, np.zeros(coeff_dim)), (law.group.identity, v))
     return group_multiply(law, left, group_inverse(law, (g, np.zeros(coeff_dim))))[1]

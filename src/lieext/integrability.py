@@ -98,7 +98,7 @@ def check_integrability(
             value, coarse = surface_integrals(form, chain, rules)
         except (MembershipError, TangentDecompositionError) as exc:
             raise type(exc)(f"cycles[{name!r}].{exc}") from None
-        err = float(np.max(np.abs(value - coarse)))
+        err = float(np.max(np.abs(value - coarse), initial=0.0))
         tol = tol_lat + err
         gen = {"generator": name, "period": [float(v) for v in value],
                **lattice_member(lattice, value, tol), "error_estimate": err, "tolerance_used": tol}

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +18,10 @@ from lieext.documents import parse_document, serialize_algebra
 from lieext.errors import DocumentError, UnresolvedReferenceError
 
 FIXTURES = resources.files("lieext") / "fixtures"
+# the environment of a subprocess, which imports the lieext imported here
+# whether or not it is installed
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(lx.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(args, stdin_text=None):
@@ -25,6 +30,7 @@ def run_cli(args, stdin_text=None):
         input=stdin_text,
         capture_output=True,
         text=True,
+        env=SUBPROCESS_ENV,
     )
     return proc
 
@@ -584,6 +590,23 @@ def test_a_cocycle_into_coeff_dim_0_has_empty_values():
     assert code == 0 and report["results"]["extension"]["coeff_dim"] == 0
 
 
+EMPTY_COEFFS = _each(_set("module", value={"coeff_dim": 0}),
+                     _set("cocycle", "components", value=[]),
+                     _set("lattice", "generators", value=[]))
+
+
+@pytest.mark.parametrize("fixture, edit, expected", [
+    ("torus_integrable.json", EMPTY_COEFFS, {"overall": "integrable", "generators": [
+        {"generator": "fundamental", "period": [], "verdict": "member", "coefficients": [],
+         "residual": 0.0, "error_estimate": 0.0, "tolerance_used": 1e-06}]}),
+    ("pi1_torus.json", _each(EMPTY_COEFFS, _set("loops", value=[{"name": "m", "winding": [1, 0]}])),
+     {"commutator_in_lattice": [["member"]]}),
+], ids=["check-integrability", "pi1"])
+def test_an_empty_lattice_over_coeff_dim_0_is_read(fixture, edit, expected):
+    report, code = run(parse_document(_edited(fixture, edit)))
+    assert code == 0 and {key: report["results"][key] for key in expected} == expected
+
+
 def test_validate_reports_an_action_that_moves_the_identity():
     raw = _edited("torus_gamma.json", _set("module", value=DOUBLING))
     report, code = run(parse_document({**raw, "task": "validate"}))
@@ -631,6 +654,24 @@ def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
     assert captured.out == "" and captured.err == (
         "computation rejected: loops['bad'] leaves the group T^2: membership residual 1.900e-01\n"
     )
+
+
+@pytest.mark.parametrize("raw, message", [
+    # [e0, e1] = e1 and [e1, e2] = e0 break Jacobi
+    ({"task": "cohomology", "algebra": {"dim": 3, "structure_constants": [[0, 1, 1, 1.0],
+                                                                          [1, 2, 0, 1.0]]},
+      "module": {"coeff_dim": 1}, "options": {"degrees": [0, 1, 2, 3]}},
+     "d_2 d_1 is not zero (relative residual 1.000e+00 "),
+    # rho(h), rho(e), rho(f) = 1, 1, 0 is no representation of sl2: [rho(h), rho(e)] != 2 rho(e)
+    (_edited("sl2_cohomology.json", _set("module", "rho", value=[[[1]], [[1]], [[0]]])),
+     "d_1 d_0 is not zero (relative residual 5.000e-01 "),
+], ids=["jacobi", "representation"])
+def test_cohomology_of_a_non_complex_is_rejected(raw, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"computation rejected: {message}")
 
 
 # On the Heisenberg algebra, with omega(e_1, e_2) = (0, 1) its only value,
@@ -984,6 +1025,7 @@ class TestCliBehavior:
             [sys.executable, "-c", "import sys, lieext.cli; print('scipy' in sys.modules)"],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert proc.stdout.strip() == "False", proc.stderr
 
@@ -1010,7 +1052,8 @@ class TestCliBehavior:
                 codes = [main([str(fixtures / name)]) for name in ("sl2_cohomology.json", "torus_integrable.json")]
             print(codes, "numpy.ma" in sys.modules)
         """
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=SUBPROCESS_ENV)
         assert proc.stdout.strip() == "[0, 0] False", proc.stderr
 
     def test_missing_file_is_input_error(self):

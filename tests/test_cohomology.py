@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 import types
 
 import numpy as np
@@ -126,6 +125,12 @@ class TestCochain:
             with pytest.raises(MalformedInputError) as err:
                 lx.cochain_from_pairs(*args)
             assert str(err.value) == message
+        # nor does an array of strings or booleans read as numbers
+        for values in (["12", float("nan"), 0], [True, False, True]):
+            with pytest.raises(MalformedInputError) as err:
+                lx.Cochain(2, 3, 1, values)
+            assert str(err.value) == (
+                f"cochain values must be real numbers, not dtype {np.asarray(values).dtype}")
 
     def test_dict_and_vector_input_agree(self):
         for degree, alg_dim, coeff_dim, pairs, vec in KEYED_INPUTS:
@@ -479,15 +484,17 @@ class TestIsCocycle:
 class TestGroupDelta:
     def test_zero_cochain(self):
         f = lx.GroupCochain(degree=2, eval=lambda g, h: np.zeros(1))
-        v = lx.apply_delta(None, f, [1.0, 2.0, 3.0], compose=operator.add)
+        r1 = lx.translation_group(1)
+        v = lx.apply_delta(None, f, [r1.chart.from_coords([x]) for x in (1.0, 2.0, 3.0)])
         assert np.all(v == 0.0)
 
     def test_product_cochain_on_reals_is_cocycle(self, rng):
         # x.f(y,z) - f(x+y,z) + f(x,y+z) - f(x,y) = yz - (x+y)z + x(y+z) - xy = 0
-        f = lx.GroupCochain(degree=2, eval=lambda x, y: np.array([x * y]))
+        f = lx.GroupCochain(degree=2, eval=lambda g, h: np.array([g[0, 1] * h[0, 1]]))
+        r1 = lx.translation_group(1)
         for _ in range(20):
-            triple = rng.normal(size=3)
-            v = lx.apply_delta(None, f, list(triple), compose=operator.add)
+            triple = [r1.chart.from_coords([x]) for x in rng.normal(size=3)]
+            v = lx.apply_delta(None, f, triple)
             assert abs(v[0]) < 1e-12
 
     def test_normalization_identity_slot(self, trans2, rng):
@@ -523,4 +530,4 @@ class TestGroupDelta:
     def test_wrong_tuple_length_rejected(self):
         f = lx.GroupCochain(degree=2, eval=lambda g, h: np.zeros(1))
         with pytest.raises(MalformedInputError):
-            lx.apply_delta(None, f, [1.0, 2.0], compose=operator.add)
+            lx.apply_delta(None, f, [lx.translation_group(1).identity] * 2)

@@ -1,4 +1,3 @@
-import operator
 import warnings
 
 import numpy as np
@@ -11,11 +10,11 @@ from conftest import area_cochain
 
 
 def rotation_action_module():
-    """R acting on R^2 by rotation: rho = 2*pi*J, group action R(2*pi*x)."""
+    """R acting on R^2 by rotation: rho = 2*pi*J, group action R(2*pi*g[0, 1])."""
     j = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-    def act(x, v):
-        th = 2.0 * np.pi * float(x)
+    def act(g, v):
+        th = 2.0 * np.pi * g[0, 1]
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         return rot @ v
 
@@ -198,48 +197,73 @@ class TestAreEquivalent:
             )
 
 
-def additive_law(cocycle_fn, action=None, lattice=None):
-    return lx.GroupLaw(
-        cocycle=lx.GroupCochain(degree=2, eval=cocycle_fn),
-        action=action,
-        compose=operator.add,
-        inverse=operator.neg,
-        identity=0.0,
-        lattice=lattice,
-    )
+R1 = lx.translation_group(1)
+
+
+def real(x):
+    """The element x of R as a matrix of translation_group(1)."""
+    return R1.chart.from_coords([x])
+
+
+def law_on(group, cocycle_fn, module=None, lattice=None):
+    cocycle = lx.GroupCochain(degree=2, eval=cocycle_fn, coeff_dim=module.coeff_dim if module else 1)
+    return lx.GroupLaw(group, cocycle, module, lattice)
+
+
+def random_element(group, rng):
+    return group.exp(group.realize(rng.normal(size=group.algebra.dim)))
+
+
+def heisenberg_coboundary(g, h):
+    """delta of g -> g[0, 1] g[1, 2] + g[0, 2]^2: a cocycle on the Heisenberg
+    group that, through the central entry (gh)[0, 2] = g[0, 2] + h[0, 2] +
+    g[0, 1] h[1, 2], sees the order of a product."""
+    c = lx.GroupCochain(degree=1, eval=lambda g: np.array([g[0, 1] * g[1, 2] + g[0, 2] ** 2]))
+    return lx.apply_delta(None, c, [g, h])
+
+
+# (group, associative cocycle, non-associative cocycle)
+LAWS = {
+    "R": (R1, lambda g, h: np.array([g[0, 1] * h[0, 1]]),
+          lambda g, h: np.array([g[0, 1] * h[0, 1] ** 2])),
+    "heisenberg": (lx.heisenberg_group(), heisenberg_coboundary,
+                   lambda g, h: np.array([g[0, 1] * h[0, 1] ** 2])),
+}
 
 
 class TestGroupLaw:
     def test_direct_product_when_cocycle_vanishes(self):
-        law = additive_law(lambda x, y: np.zeros(1))
-        g, a = lx.group_multiply(law, (1.0, np.array([0.0])), (2.0, np.array([3.0])))
-        assert g == pytest.approx(3.0) and a[0] == pytest.approx(3.0)
+        law = law_on(R1, lambda g, h: np.zeros(1))
+        g, a = lx.group_multiply(law, (real(1.0), np.array([0.0])), (real(2.0), np.array([3.0])))
+        assert g[0, 1] == pytest.approx(3.0) and a[0] == pytest.approx(3.0)
 
     def test_product_cocycle_twists_fiber(self):
-        law = additive_law(lambda x, y: np.array([x * y]))
-        g, a = lx.group_multiply(law, (1.0, np.array([0.0])), (2.0, np.array([3.0])))
-        assert g == pytest.approx(3.0) and a[0] == pytest.approx(5.0)
+        law = law_on(R1, LAWS["R"][1])
+        g, a = lx.group_multiply(law, (real(1.0), np.array([0.0])), (real(2.0), np.array([3.0])))
+        assert g[0, 1] == pytest.approx(3.0) and a[0] == pytest.approx(5.0)
 
-    def test_inverse_formula(self, rng):
-        law = additive_law(lambda x, y: np.array([x * y]))
+    @pytest.mark.parametrize("name", LAWS)
+    def test_inverse_formula(self, name, rng):
+        group, cocycle, _ = LAWS[name]
+        law = law_on(group, cocycle)
         for _ in range(20):
-            p = (float(rng.normal()), rng.normal(size=1))
+            p = (random_element(group, rng), rng.normal(size=1))
             g, a = lx.group_multiply(law, p, lx.group_inverse(law, p))
-            assert g == pytest.approx(0.0)
+            assert np.allclose(g, group.identity, rtol=0.0, atol=1e-12)
             assert a[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_associativity_iff_delta_vanishes(self, rng):
-        good = additive_law(lambda x, y: np.array([x * y]))
-        bad = additive_law(lambda x, y: np.array([x * y * y]))
-        for law, expect in ((good, True), (bad, False)):
+    @pytest.mark.parametrize("name", LAWS)
+    def test_associativity_iff_delta_vanishes(self, name, rng):
+        group, good_fn, bad_fn = LAWS[name]
+        for law, expect in ((law_on(group, good_fn), True), (law_on(group, bad_fn), False)):
             ok = True
             for _ in range(10):
-                trip = [(float(t), rng.normal(size=1)) for t in rng.normal(size=3)]
+                trip = [(random_element(group, rng), rng.normal(size=1)) for _ in range(3)]
                 left = lx.group_multiply(law, lx.group_multiply(law, trip[0], trip[1]), trip[2])
                 right = lx.group_multiply(law, trip[0], lx.group_multiply(law, trip[1], trip[2]))
-                delta = lx.apply_delta(
-                    None, law.cocycle, [t[0] for t in trip], compose=operator.add
-                )
+                product = trip[0][0] @ trip[1][0] @ trip[2][0]
+                assert np.allclose(left[0], product) and np.allclose(right[0], product)
+                delta = lx.apply_delta(None, law.cocycle, [t[0] for t in trip])
                 agree = abs(left[1][0] - right[1][0]) < 1e-9
                 assert agree == (abs(delta[0]) < 1e-9)
                 ok = ok and agree
@@ -247,26 +271,20 @@ class TestGroupLaw:
 
     def test_fiber_reduced_mod_lattice(self):
         lat = lx.Lattice(generators=[[1.0]])
-        law = additive_law(lambda x, y: np.array([x * y]), lattice=lat)
-        _, a = lx.group_multiply(law, (1.5, np.array([0.2])), (2.0, np.array([0.2])))
+        law = law_on(R1, LAWS["R"][1], lattice=lat)
+        _, a = lx.group_multiply(law, (real(1.5), np.array([0.2])), (real(2.0), np.array([0.2])))
         # 0.2 + 0.2 + 3.0 = 3.4 -> 0.4 mod Z
         assert a[0] == pytest.approx(0.4)
 
     def test_conjugation_realizes_group_action(self, rng):
         mod = rotation_action_module()
-        law = lx.GroupLaw(
-            cocycle=lx.GroupCochain(degree=2, eval=lambda x, y: np.zeros(2)),
-            action=mod.act,
-            compose=operator.add,
-            inverse=operator.neg,
-            identity=0.0,
-        )
+        law = law_on(R1, lambda g, h: np.zeros(2), module=mod)
         for _ in range(10):
-            g = float(rng.normal())
+            g = real(rng.normal())
             v = rng.normal(size=2)
             assert np.allclose(lx.conjugate_coeff(law, g, v), mod.act(g, v), atol=1e-12)
 
     def test_unit_element(self):
-        law = additive_law(lambda x, y: np.array([x * y]))
-        g, a = lx.group_unit(law, 1)
-        assert g == 0.0 and np.all(a == 0.0)
+        law = law_on(R1, LAWS["R"][1])
+        g, a = lx.group_unit(law)
+        assert np.array_equal(g, np.eye(2)) and np.all(a == 0.0)
