@@ -60,7 +60,7 @@ def _non_finite(value, where="results"):
 
 def run(doc: ProblemDocument) -> tuple:
     """Run a parsed document's task; return (report dict, exit code)."""
-    # overflow shows up as a non-finite result, rejected below, not as a warning
+    # overflow shows up as a non-finite result, rejected by _encode, not as a warning
     task = TASKS[doc.task]
     warnings = [
         f"option {name!r} has no effect on task {doc.task!r}"
@@ -69,12 +69,6 @@ def run(doc: ProblemDocument) -> tuple:
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         results, task_warnings, code = task.run(doc)
-    try:  # at C speed; the walk only names the place
-        json.dumps(results, allow_nan=False)
-    except (ValueError, TypeError):
-        where = _non_finite(results)
-        if where is not None:
-            raise LieExtError(f"{where} is not finite") from None
     return (
         {
             "schema_version": SCHEMA_VERSION,
@@ -123,6 +117,21 @@ def _render_text(report: dict) -> str:
     lines += [f"warning: {w}" for w in report["warnings"]]
     lines.append(f"time: {report['timing_seconds']:.3f}s")
     return "\n".join(lines)
+
+
+def _encode(report: dict, machine: bool) -> str:
+    """The report as printed, dumped once in machine mode; a NaN or infinity
+    in results fails one strict dump at C speed, and the walk then names it."""
+    try:
+        if machine:
+            return json.dumps(report, sort_keys=True, allow_nan=False)
+        json.dumps(report["results"], allow_nan=False)
+    except (ValueError, TypeError):
+        where = _non_finite(report["results"])
+        if where is None:
+            raise
+        raise LieExtError(f"{where} is not finite") from None
+    return _render_text(report)
 
 
 def _list_fixtures() -> str:
@@ -195,16 +204,13 @@ def main(argv=None) -> int:
             if flags and isinstance(raw.setdefault("options", {}), dict):
                 raw["options"].update(flags)
         report, code = run(parse_document(raw))
+        report["timing_seconds"] = time.perf_counter() - started
+        output = _encode(report, args.output == "machine")
     except LieExtError as exc:
         kind = "input error" if exc.exit_code == EXIT_INPUT else "computation rejected"
         print(f"{kind}: {exc}", file=sys.stderr)
         return exc.exit_code
-
-    report["timing_seconds"] = time.perf_counter() - started
-    if args.output == "machine":
-        print(json.dumps(report, sort_keys=True, allow_nan=False))
-    else:
-        print(_render_text(report))
+    print(output)
     return code
 
 

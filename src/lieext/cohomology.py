@@ -29,8 +29,8 @@ RANK_TOL_FACTOR = 1e-10
 # d_n is assembled dense and its SVD takes a few copies of it; a d_n with
 # more entries than this (128 MiB of doubles) is refused.
 MAX_D_ENTRIES = 2**24
-# The term tables of d_n (see _term_table) kept in memory, and the size of
-# the largest one kept: 3 MiB of int32 (row, col, src) triples.
+# The plans of d_n (see _plan) kept in memory, and the size of the largest
+# one kept: 2 MiB of int32 (index, source) pairs, 128 MiB for a full cache.
 TERM_CACHE_SIZE = 64
 MAX_CACHED_TERMS = 2**18
 
@@ -161,31 +161,35 @@ def _lex_rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return binom[n_g, k] - 1 - binom[n_g - 1 - tuples, k - np.arange(k)].sum(axis=1)
 
 
-def _term_count(dim: int, n: int) -> int:
-    """Terms of d_n: n + 1 action slots and C(n + 1, 2) slot pairs per row,
-    each pair with the dim - n + 1 indices k not in the rest of the row."""
-    return math.comb(dim, n + 1) * ((n + 1) + math.comb(n + 1, 2) * (dim - n + 1))
+def _term_count(dim: int, n: int, m: int = 1) -> int:
+    """Scalar terms of d_n: per row, n + 1 action slots of m^2 entries and
+    C(n + 1, 2) slot pairs of m, each with the dim - n + 1 k not in the rest."""
+    return math.comb(dim, n + 1) * ((n + 1) * m * m + math.comb(n + 1, 2) * (dim - n + 1) * m)
 
 
 @functools.lru_cache(maxsize=TERM_CACHE_SIZE)
-def _term_table(dim: int, n: int) -> tuple:
-    """(n_action, row, col, src): every term of d_n on a dim-dimensional
-    algebra as read-only int32 arrays, in an order that sums each entry as
-    the formula does: the action term first, then slot pairs ascending.
+def _plan(dim: int, n: int, m: int) -> tuple:
+    """(index, source), read-only int32: term t of d_n adds signed[source[t]]
+    to the flat entry index[t], signed = [rho, -rho, c, -c] flattened, in an
+    order that sums each entry as the formula does: the action term first,
+    then slot pairs ascending.
 
-    Row block I = (i_0 < .. < i_n) gets the action term (-1)^p rho[i_p] in
-    the column block of I without i_p (src = i_p, plus dim when the sign is
-    negative), and for each slot pair p < q and each k not in the rest of I
-    the bracket term (-1)^(p+q+s) c[i_p, i_q, k] in the column block J of
-    the rest with k sorted in, s the slot of k in J (src = the flat index of
-    (i_p, i_q, k) in c, plus dim^3 when the sign is negative).  Every such k
-    is listed, zero c or not, so the table depends on (dim, n) alone.
+    Row block I = (i_0 < .. < i_n) gets the m x m action term (-1)^p rho[i_p]
+    in the column block of I without i_p, and for each slot pair p < q and
+    each k not in the rest of I the bracket term (-1)^(p+q+s) c[i_p, i_q, k]
+    I_m in the column block J of the rest with k sorted in, s the slot of k
+    in J.  Every such k is listed, zero c or not, so the plan depends on
+    (dim, n, m) alone.
 
     Only k = i_p or i_q lands on a column of I without one slot, where the
     action terms are; those bracket terms follow the action terms, pair by
     pair.  A k outside I gives a J that no other term reaches, found as
-    (I without i_q, plus k) without i_p.  Indices fit int32: a d_n with
-    bracket terms has n >= 1 and so dim <= 322 under MAX_D_ENTRIES.
+    (I without i_q, plus k) without i_p.  Indices fit int32: index is below
+    MAX_D_ENTRIES, and a d_n with bracket terms has n >= 1 and so dim <= 322.
+
+    Cached by (dim, n, m): at most TERM_CACHE_SIZE plans of at most
+    MAX_CACHED_TERMS terms, 8 bytes each, 128 MiB at worst; a larger plan
+    (d_6 at dim 13, d_1 from dim 81 on, m = 1) is built per call, not kept.
     """
     # the ranks read C(x, j) <= C(dim, n) only: larger ones are clipped
     binom = np.array(
@@ -200,6 +204,7 @@ def _term_table(dim: int, n: int) -> tuple:
     drop = drop.reshape(len(rows), n + 1).astype(np.int32)
     rows = rows.astype(np.int32)
     every = np.arange(len(rows), dtype=np.int32)
+    # src: i_p in [rho, -rho] per action term, (i_p, i_q, k) in [c, -c] per bracket
     row, col = [np.tile(every, n + 1)], [drop.T]
     src = [(rows + dim * (slots % 2)).T]
     if n:
@@ -225,10 +230,19 @@ def _term_table(dim: int, n: int) -> tuple:
         col.append(drop[with_k, p + (k < i)])
         parity = (p + q[:, None, None] + t - (i < k) - (j < k)) % 2
         src.append((i * dim + j) * dim + k + dim**3 * parity)
-    table = [np.concatenate([a.ravel() for a in arrays]) for arrays in (row, col, src)]
-    for a in table:
+    row, col, src = (np.concatenate([a.ravel() for a in arrays]) for arrays in (row, col, src))
+    n_action, n_cols = len(rows) * (n + 1), math.comb(dim, n) * m
+    # entry (row * m + a, col * m + b) is flat (row * m + a) * n_cols + col * m + b
+    start = m * (row * n_cols + col)
+    block = np.arange(m)[:, None] * n_cols + np.arange(m)
+    index = np.concatenate([(start[:n_action, None] + block.ravel()).ravel(),
+                            (start[n_action:, None] + block.diagonal()).ravel()])
+    source = np.concatenate([(src[:n_action, None] * m * m + np.arange(m * m)).ravel(),
+                             np.repeat(src[n_action:] + 2 * dim * m * m, m)])
+    plan = index.astype(np.int32), source.astype(np.int32)
+    for a in plan:
         a.flags.writeable = False
-    return len(rows) * (n + 1), *table
+    return plan
 
 
 def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
@@ -238,36 +252,22 @@ def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
         sum_i (-1)^{i+1} X_i . omega(.., X^_i, ..)
       + sum_{i<j} (-1)^{i+j} omega([X_i, X_j], .., X^_i, .., X^_j, ..)
 
-    Which entry each term lands in, and with which sign, depends on (dim, n)
-    alone: the terms come from _term_table, cached by (dim, n).  A call
-    gathers their values from rho and c, expands the m x m rho blocks and
-    the c (x) I_m diagonals, and sums them into the dense matrix with one
-    np.bincount scatter, in the table's order, so every entry gets the same
-    bits as a term-by-term sum.  The cache keeps at most TERM_CACHE_SIZE
-    tables of at most MAX_CACHED_TERMS terms, 12 bytes each: 192 MiB at
-    worst, 1.5 times one d_n of MAX_D_ENTRIES doubles.  A larger table (d_6
-    at dim 13, d_1 from dim 81 on) is built for its one call and dropped.
+    Where each term lands, and with which sign, depends on (dim, n, m) alone,
+    so the terms come from the cached _plan; a call gathers their values from
+    [rho, -rho, c, -c] and sums them with one np.bincount in the plan's
+    order, so every entry gets the same bits as a term-by-term sum.
     """
     _check_size(alg, mod, n)
     dim, m = alg.dim, mod.coeff_dim
-    terms = _term_table if _term_count(dim, n) <= MAX_CACHED_TERMS else _term_table.__wrapped__
-    n_action, row, col, src = terms(dim, n)
-    n_rows, n_cols = math.comb(dim, n + 1) * m, math.comb(dim, n) * m
-    # entry (row * m + a, col * m + b) is flat (row * m + a) * n_cols + col * m + b
-    start = m * (row.astype(np.intp) * n_cols + col)
-    block = np.arange(m)[:, None] * n_cols + np.arange(m)
-    # src counts into [values, -values]; a zero c adds -0.0, the exact
-    # additive identity, so a sum keeps the bits it has without the term
-    rho = np.concatenate([mod.rho, -mod.rho])
-    c = np.concatenate([alg.structure_constants.ravel(), -alg.structure_constants.ravel()])
-    c[c == 0.0] = -0.0
-    index = np.concatenate([
-        (start[:n_action, None] + block.ravel()).ravel(),
-        (start[n_action:, None] + block.diagonal()).ravel(),
-    ])
-    values = np.concatenate([rho[src[:n_action]].ravel(), np.repeat(c[src[n_action:]], m)])
-    mat = np.bincount(index, values, minlength=n_rows * n_cols)
-    return mat.astype(float, copy=False).reshape(n_rows, n_cols)  # no terms: ints
+    plan = _plan if _term_count(dim, n, m) <= MAX_CACHED_TERMS else _plan.__wrapped__
+    index, source = plan(dim, n, m)
+    rho, c = mod.rho.ravel(), alg.structure_constants.ravel()
+    signed = np.concatenate([rho, -rho, c, -c])
+    bracket = signed[2 * rho.size:]
+    bracket[bracket == 0.0] = -0.0  # a zero c adds -0.0, the exact additive identity
+    shape = math.comb(dim, n + 1) * m, math.comb(dim, n) * m
+    mat = np.bincount(index, signed[source], minlength=shape[0] * shape[1])
+    return mat.astype(float, copy=False).reshape(shape)  # no terms: ints
 
 
 def apply_d(alg: LieAlgebra, mod: ModuleAction, omega: Cochain) -> Cochain:
@@ -342,7 +342,7 @@ def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
 
 def _check_size(alg: LieAlgebra, mod: ModuleAction, n: int):
     """Refuse a d_n with more than MAX_D_ENTRIES entries or terms, from its
-    binomial shape alone, before any index or term table is built."""
+    binomial shape alone, before any index table or plan is built."""
     entries = math.comb(alg.dim, n + 1) * math.comb(alg.dim, n) * mod.coeff_dim**2
     if entries > MAX_D_ENTRIES:
         raise MalformedInputError(
@@ -363,11 +363,39 @@ def _check_degree(alg: LieAlgebra, mod: ModuleAction, n: int):
         _check_size(alg, mod, k)
 
 
+def _complex(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]):
+    """Yield (k, d_k) for the ascending degrees, each d_k assembled once.
+
+    Ranks mean nothing unless d_k d_{k-1} = 0 (a failed Jacobi or
+    representation identity breaks it), so each d_k that follows d_{k-1} is
+    checked on the probe r_i = cos(i), both factors divided by the power of
+    two s at the largest entry of c and rho, so nothing overflows; zero c
+    and rho make every d_k zero.
+    """
+    top = max(np.abs(alg.structure_constants).max(initial=0.0), np.abs(mod.rho).max(initial=0.0))
+    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    prev = {}
+    for k in degrees:
+        d_k = coboundary_matrix(alg, mod, k)
+        if k - 1 in prev and top:
+            probe = np.cos(np.arange(prev[k - 1].shape[1])) / s
+            residual = float(np.abs(d_k @ (prev[k - 1] @ probe / s)).max(initial=0.0))
+            if residual > RANK_TOL_FACTOR:
+                raise LieExtError(
+                    f"d_{k} d_{k - 1} is not zero (relative residual {residual:.3e} on a probe "
+                    "vector): the structure constants and rho do not form a cochain complex; "
+                    "the validate task names the identity that fails"
+                )
+        yield k, d_k
+        prev = {k: d_k}
+
+
 def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> ComplexSlice:
-    """Assemble d_n and d_{n-1} and extract cocycle/coboundary bases."""
+    """Assemble d_n and d_{n-1}, check that they compose to zero, and extract
+    cocycle/coboundary bases."""
     _check_degree(alg, mod, n)
-    d_n = coboundary_matrix(alg, mod, n)
-    d_prev = coboundary_matrix(alg, mod, n - 1) if n else np.zeros((d_n.shape[1], 0))
+    d = dict(_complex(alg, mod, range(max(n - 1, 0), n + 1)))
+    d_n, d_prev = d[n], d[n - 1] if n else np.zeros((d[n].shape[1], 0))
     rank, _, _, vt = _svd_rank(d_n, compute_uv=True)
     rank_prev, _, u, _ = _svd_rank(d_prev, compute_uv=True)
     return ComplexSlice(n, alg.dim, mod.coeff_dim, d_n, vt[rank:].T, u[:, :rank_prev])
@@ -384,26 +412,7 @@ def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int])
     for n in degrees:
         _check_degree(alg, mod, n)
     needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
-    # Ranks mean nothing unless d_k d_{k-1} = 0 (a failed Jacobi or
-    # representation identity breaks it): check it on r_i = cos(i), both
-    # factors divided by the power of two s at the largest entry of c and
-    # rho, so nothing overflows; zero c and rho make every d_k zero.
-    top = max(np.abs(alg.structure_constants).max(initial=0.0), np.abs(mod.rho).max(initial=0.0))
-    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    cols = max((math.comb(alg.dim, k) for k in needed), default=0) * mod.coeff_dim
-    probe = np.cos(np.arange(cols)) / s
-    ranks, prev = {}, None
-    for k in needed:
-        d_k = coboundary_matrix(alg, mod, k)
-        if k - 1 in ranks and top:
-            residual = float(np.abs(d_k @ (prev @ probe[: prev.shape[1]] / s)).max(initial=0.0))
-            if residual > RANK_TOL_FACTOR:
-                raise LieExtError(
-                    f"d_{k} d_{k - 1} is not zero (relative residual {residual:.3e} on a probe "
-                    "vector): the structure constants and rho do not form a cochain complex; "
-                    "the validate task names the identity that fails"
-                )
-        ranks[k], prev = _svd_rank(d_k)[:2], d_k
+    ranks = {k: _svd_rank(d_k)[:2] for k, d_k in _complex(alg, mod, needed)}
     table = []
     for n in degrees:
         rank, margin = ranks[n]
@@ -459,12 +468,16 @@ class GroupCochain:
 
     def __call__(self, *elements):
         try:
-            val = self.eval(*elements)
+            val = np.atleast_1d(np.asarray(self.eval(*elements), dtype=float))
         except LieExtError:  # already says what is wrong, with its exit code
             raise
         except Exception as exc:  # surface user-code failures uniformly
             raise UserFunctionError(f"group cochain evaluation failed: {exc}") from exc
-        return np.atleast_1d(np.asarray(val, dtype=float))
+        if val.shape != (self.coeff_dim,):
+            raise UserFunctionError(
+                f"group cochain values must lie in R^{self.coeff_dim}, got shape {val.shape}"
+            )
+        return val
 
 
 def normalization_residual(f: GroupCochain, identity, elements: Sequence) -> float:

@@ -149,6 +149,11 @@ class GroupLaw:
         if self.module is None:
             mod = trivial_module(self.group.algebra.dim, self.cocycle.coeff_dim)
             object.__setattr__(self, "module", mod)
+        if self.module.coeff_dim != self.cocycle.coeff_dim:
+            raise MalformedInputError(
+                f"module acts on R^{self.module.coeff_dim} but the cocycle takes values "
+                f"in R^{self.cocycle.coeff_dim}"
+            )
 
 
 def group_multiply(law: GroupLaw, p1, p2):

@@ -885,10 +885,11 @@ def _gamma_of_big_cocycle():
     ],
     ids=["equivalence_residual", "gamma_value"],
 )
-def test_non_finite_result_is_rejected(raw, field, tmp_path, capsys):
+@pytest.mark.parametrize("output", ["text", "machine"])
+def test_non_finite_result_is_rejected(raw, field, output, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(raw))
-    assert main([str(path), "--output", "machine"]) == 3
+    assert main([str(path), "--output", output]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"computation rejected: {field} is not finite\n"

@@ -7,7 +7,7 @@ import pytest
 
 import lieext as lx
 import lieext.cohomology
-from lieext.errors import MalformedInputError
+from lieext.errors import LieExtError, MalformedInputError
 
 
 def oracle_d_matrix(alg, mod, n):
@@ -217,11 +217,44 @@ class TestApplyD:
                 ), (alg.dim, n)
 
 
+def term_by_term_d_matrix(alg, mod, n):
+    """d_n summed one term at a time in the plan's order: per row block the
+    action terms, then the slot pairs ascending, each pair's k ascending."""
+    dim, m = alg.dim, mod.coeff_dim
+    cols = {key: p for p, key in enumerate(itertools.combinations(range(dim), n))}
+    mat = np.zeros((math.comb(dim, n + 1) * m, len(cols) * m))
+    for r, row in enumerate(itertools.combinations(range(dim), n + 1)):
+        for p in range(n + 1):
+            col = cols[row[:p] + row[p + 1 :]]
+            term = (-1.0) ** p * mod.rho[row[p]]
+            for a, b in itertools.product(range(m), repeat=2):
+                mat[r * m + a, col * m + b] += term[a, b]
+        for p, q in itertools.combinations(range(n + 1), 2):
+            rest = row[:p] + row[p + 1 : q] + row[q + 1 :]
+            for k in sorted(set(range(dim)) - set(rest)):
+                key = tuple(sorted(rest + (k,)))
+                term = (-1.0) ** (p + q + key.index(k)) * alg.structure_constants[row[p], row[q], k]
+                for a in range(m):
+                    mat[r * m + a, cols[key] * m + a] += term
+    return mat
+
+
 class TestTermTable:
-    """coboundary_matrix sums the terms of a table cached by (dim, n)."""
+    """coboundary_matrix sums the terms of a plan cached by (dim, n, m)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("dim", range(6))
+    def test_entries_keep_the_bits_of_a_term_by_term_sum(self, dim, m, rng):
+        # about half of c and rho exactly zero, so signed zeros meet every sum
+        c = rng.normal(size=(dim,) * 3) * (rng.random((dim,) * 3) < 0.5)
+        alg = lx.LieAlgebra(c - c.transpose(1, 0, 2))
+        mod = lx.ModuleAction(rho=rng.normal(size=(dim, m, m)) * (rng.random((dim, m, m)) < 0.5))
+        for n in range(dim + 1):
+            got, want = lx.coboundary_matrix(alg, mod, n), term_by_term_d_matrix(alg, mod, n)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_same_shape_algebras_share_terms_not_values(self, rng):
-        table = lieext.cohomology._term_table
+        plan = lieext.cohomology._plan
         algs = [
             lx.change_of_basis(
                 lx.direct_sum(lx.sl2_algebra(), lx.abelian_algebra(1)),
@@ -232,7 +265,7 @@ class TestTermTable:
                 rng.normal(size=(4, 4)) + 3 * np.eye(4),
             ),
         ]
-        hits = table.cache_info().hits
+        before = plan.cache_info()
         for m in (1, 3):
             for alg in algs:
                 mod = lx.ModuleAction(rho=rng.normal(size=(4, m, m)))
@@ -243,27 +276,30 @@ class TestTermTable:
                         rtol=0.0,
                         atol=1e-12,
                     ), (m, n)
-        assert table.cache_info().hits - hits >= 15  # 20 calls, one build per (4, n)
+        after = plan.cache_info()
+        # 20 calls on 10 keys (4, n, m): at most one build per key
+        assert after.misses - before.misses <= 10 and after.hits - before.hits >= 10
 
     def test_cached_arrays_are_read_only(self):
-        n_action, *arrays = lieext.cohomology._term_table(4, 2)
-        assert n_action == math.comb(4, 3) * 3
-        for a in arrays:
-            assert not a.flags.writeable
+        index, source = lieext.cohomology._plan(4, 2, 2)
+        assert index.size == source.size == lieext.cohomology._term_count(4, 2, 2) == 4 * (12 + 18)
+        for a in (index, source):
+            assert a.dtype == np.int32 and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
 
     def test_cache_is_bounded(self):
-        maxsize = lieext.cohomology._term_table.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 39
+        # the cohomology benchmark stream needs 50 (dim, n, m) keys
+        maxsize = lieext.cohomology._plan.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 50
 
     def test_oversized_table_is_built_but_not_kept(self):
-        table = lieext.cohomology._term_table
+        plan = lieext.cohomology._plan
         assert lieext.cohomology._term_count(13, 6) > lieext.cohomology.MAX_CACHED_TERMS
-        before = table.cache_info()
+        before = plan.cache_info()
         d6 = lx.coboundary_matrix(lx.abelian_algebra(13), lx.trivial_module(13, 1), 6)
         assert d6.shape == (math.comb(13, 7), math.comb(13, 6)) and not np.any(d6)
-        after = table.cache_info()
+        after = plan.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_binomials_beyond_int64_are_never_read(self):
@@ -276,7 +312,7 @@ class TestTermTable:
         (225, 223, "terms, more than"),
     ])
     def test_oversized_d_n_refused_before_the_table(self, monkeypatch, dim, n, message):
-        monkeypatch.setattr(lieext.cohomology, "_term_table", None)
+        monkeypatch.setattr(lieext.cohomology, "_plan", None)
         # the size check reads the algebra's dimension only
         alg = types.SimpleNamespace(dim=dim)
         with pytest.raises(MalformedInputError, match=message):
@@ -315,6 +351,17 @@ class TestComplexSlice:
     def test_top_degree_kernel_is_everything(self, heis3):
         sl = lx.build_complex_slice(heis3, lx.trivial_module(3, 1), 3)
         assert sl.cocycle_dim == sl.cochain_dim == 1
+
+    def test_non_complex_is_refused_as_betti_refuses_it(self):
+        # [e0, e1] = e1 and [e1, e2] = e0 break Jacobi, so d_2 d_1 != 0
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 1], c[1, 0, 1], c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0, 1.0, -1.0
+        alg, mod = lx.LieAlgebra(c), lx.trivial_module(3, 1)
+        with pytest.raises(LieExtError, match=r"^d_2 d_1 is not zero") as refused:
+            lx.build_complex_slice(alg, mod, 2)
+        with pytest.raises(LieExtError) as betti_refused:
+            lx.betti(alg, mod, 2)
+        assert str(refused.value) == str(betti_refused.value)
 
 
 class TestCohomologyTable:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lieext as lx
-from lieext.errors import MalformedInputError, NotACocycleError
+from lieext.errors import MalformedInputError, NotACocycleError, UserFunctionError
 
 from conftest import area_cochain
 
@@ -288,3 +288,16 @@ class TestGroupLaw:
         law = law_on(R1, LAWS["R"][1])
         g, a = lx.group_unit(law)
         assert np.array_equal(g, np.eye(2)) and np.all(a == 0.0)
+
+    def test_cocycle_value_of_the_wrong_length_is_refused(self):
+        # coeff_dim is left at 1, but the values are 2-vectors
+        cocycle = lx.GroupCochain(degree=2, eval=lambda g, h: np.array([1.0, 2.0]))
+        law = lx.GroupLaw(R1, cocycle)
+        one = (real(0.0), np.zeros(1))
+        with pytest.raises(UserFunctionError, match=r"must lie in R\^1, got shape \(2,\)"):
+            lx.group_multiply(law, one, one)
+
+    def test_module_of_another_dimension_is_refused(self):
+        cocycle = lx.GroupCochain(degree=2, eval=lambda g, h: np.zeros(1))
+        with pytest.raises(MalformedInputError, match="acts on R\\^2 but the cocycle takes values in R\\^1"):
+            lx.GroupLaw(R1, cocycle, rotation_action_module())

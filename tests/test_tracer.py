@@ -4,6 +4,7 @@ here, and every original must be back after a traced run."""
 
 import functools
 import importlib.util
+import math
 import re
 import sys
 from pathlib import Path
@@ -62,6 +63,23 @@ def test_argument_hooks_find_their_arguments():
     finally:
         run.uninstall()
     assert run.shared["integral"][0] == run.shared["d"][0] == 1
+
+
+def test_a_traced_table_assembles_each_degree_once_on_the_traced_path():
+    # the cohomology workload's coboundary metrics count these spans: a table
+    # that assembled d_n some other way would leave them silently short
+    alg = lieext.direct_sum(lieext.sl2_algebra(), lieext.heisenberg3_algebra())
+    mod = lieext.trivial_module(alg.dim, 2)
+    run = tracer.Tracer()
+    run.install()
+    try:
+        lieext.cohomology_table(alg, mod, range(alg.dim + 1))
+    finally:
+        run.uninstall()
+    spans = [span for span in run.spans if span[3] == "cohomology.coboundary_matrix"]
+    assert len(spans) == run.shared["d"][0] == alg.dim + 1
+    assert sum(run.d_entries.values()) == sum(
+        math.comb(alg.dim, n + 1) * math.comb(alg.dim, n) * 4 for n in range(alg.dim + 1))
 
 
 def test_every_library_name_the_benchmark_uses_resolves():
