@@ -53,6 +53,7 @@ class Cochain:
     the value on the p-th row of index_table(alg_dim, degree).  It is given
     as any array of that size (kept as a view when it already holds floats),
     or left out for the zero cochain; cochain_from_pairs reads keyed input.
+    Its call, on vectors or stacks of them, is the package's one evaluator.
     """
 
     degree: int
@@ -71,22 +72,32 @@ class Cochain:
         object.__setattr__(self, "values", values)
 
     def __call__(self, *vectors: np.ndarray) -> np.ndarray:
-        """Alternating multilinear evaluation on arbitrary vectors."""
+        """Alternating multilinear evaluation on vectors (..., alg_dim) that broadcast together,
+        valued (..., coeff_dim).  Minor p of the index table is x_i y_j - x_j y_i in degree 2,
+        else a batched det, set to exact zero where two arguments are equal."""
         if len(vectors) != self.degree:
             raise MalformedInputError(
                 f"degree-{self.degree} cochain called with {len(vectors)} arguments"
             )
         if self.degree == 0:
             return self.values[0].copy()
-        mat = np.asarray(vectors, dtype=float)
-        if mat.shape != (self.degree, self.alg_dim):
-            raise MalformedInputError(f"arguments must be vectors of length {self.alg_dim}")
-        for a, b in itertools.combinations(range(self.degree), 2):
-            if np.array_equal(mat[a], mat[b]):
-                return np.zeros(self.coeff_dim)  # alternation, exactly
-        # minor p is det(mat[:, key_p]): one batched det over the index table
-        cols = mat[:, index_table(self.alg_dim, self.degree)]
-        return np.linalg.det(np.moveaxis(cols, 1, 0)) @ self.values
+        try:
+            lengths = {np.shape(v)[-1:] for v in vectors}
+            vecs = np.broadcast_arrays(*map(np.asarray, vectors))
+        except ValueError:  # a ragged list, or shapes that do not broadcast
+            lengths = None
+        if lengths != {(self.alg_dim,)} or any(v.dtype.kind not in "iuf" for v in vecs):
+            raise MalformedInputError(f"arguments must be real vectors of length {self.alg_dim}, "
+                                      "or stacks of them that broadcast together")
+        keys = index_table(self.alg_dim, self.degree)
+        if self.degree == 2:
+            (x, y), (i, j) = (v.astype(float, copy=False) for v in vecs), keys.T
+            return (x[..., i] * y[..., j] - x[..., j] * y[..., i]) @ self.values
+        mat = np.stack(vecs, axis=-2)  # (..., degree, alg_dim)
+        a, b = np.triu_indices(self.degree, 1)
+        same = np.all(mat[..., a, :] == mat[..., b, :], axis=-1).any(axis=-1, keepdims=True)
+        # minor p is det(mat[..., :, key_p]): one batched det over the index table
+        return np.where(same, 0.0, np.linalg.det(np.moveaxis(mat[..., keys], -2, -3)) @ self.values)
 
     def to_vector(self) -> np.ndarray:
         """Read-only flat view in the package component order."""
@@ -263,8 +274,6 @@ def coboundary_matrix(alg: LieAlgebra, mod: ModuleAction, n: int) -> np.ndarray:
     index, source = plan(dim, n, m)
     rho, c = mod.rho.ravel(), alg.structure_constants.ravel()
     signed = np.concatenate([rho, -rho, c, -c])
-    bracket = signed[2 * rho.size:]
-    bracket[bracket == 0.0] = -0.0  # a zero c adds -0.0, the exact additive identity
     shape = math.comb(dim, n + 1) * m, math.comb(dim, n) * m
     mat = np.bincount(index, signed[source], minlength=shape[0] * shape[1])
     return mat.astype(float, copy=False).reshape(shape)  # no terms: ints
@@ -355,16 +364,15 @@ def _check_size(alg: LieAlgebra, mod: ModuleAction, n: int):
         )
 
 
-def _check_degree(alg: LieAlgebra, mod: ModuleAction, n: int):
-    """Refuse a degree outside 0..dim or one whose d_n or d_{n-1} is too large."""
+def _check_degree(alg: LieAlgebra, n: int):
+    """Refuse a degree outside 0..dim."""
     if n < 0 or n > alg.dim:
         raise MalformedInputError(f"degree {n} outside 0..{alg.dim}")
-    for k in range(max(n - 1, 0), n + 1):
-        _check_size(alg, mod, k)
 
 
 def _complex(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]):
-    """Yield (k, d_k) for the ascending degrees, each d_k assembled once.
+    """Yield (k, d_k) for the ascending degrees, each d_k assembled once and
+    none before the size of every d_k is checked.
 
     Ranks mean nothing unless d_k d_{k-1} = 0 (a failed Jacobi or
     representation identity breaks it), so each d_k that follows d_{k-1} is
@@ -374,6 +382,8 @@ def _complex(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]):
     """
     top = max(np.abs(alg.structure_constants).max(initial=0.0), np.abs(mod.rho).max(initial=0.0))
     s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    for k in degrees:
+        _check_size(alg, mod, k)
     prev = {}
     for k in degrees:
         d_k = coboundary_matrix(alg, mod, k)
@@ -393,7 +403,7 @@ def _complex(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]):
 def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> ComplexSlice:
     """Assemble d_n and d_{n-1}, check that they compose to zero, and extract
     cocycle/coboundary bases."""
-    _check_degree(alg, mod, n)
+    _check_degree(alg, n)
     d = dict(_complex(alg, mod, range(max(n - 1, 0), n + 1)))
     d_n, d_prev = d[n], d[n - 1] if n else np.zeros((d[n].shape[1], 0))
     rank, _, _, vt = _svd_rank(d_n, compute_uv=True)
@@ -410,7 +420,7 @@ def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int])
     are taken.
     """
     for n in degrees:
-        _check_degree(alg, mod, n)
+        _check_degree(alg, n)
     needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
     ranks = {k: _svd_rank(d_k)[:2] for k, d_k in _complex(alg, mod, needed)}
     table = []

@@ -5,10 +5,10 @@ left translation twisted with the coefficient action:
 
     form(g)(u, v) = g . omega(g^-1 u, g^-1 v),
 
-with tangents decomposed in the realized algebra basis.  Everything else
-here is built on integrating that form over parameterized 2-chains with a
-tensor Gauss-Legendre rule and patch partials by central differences, in
-one array pass over all nodes of a patch:
+with tangents decomposed in the realized algebra basis and omega evaluated
+by its own call.  Everything else here is built on integrating that form
+over parameterized 2-chains with a tensor Gauss-Legendre rule and patch
+partials by central differences, in one array pass over all nodes of a patch:
 
 * the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
   path-pair cocycle;
@@ -113,15 +113,10 @@ def eval_equivariant(
     form: EquivariantForm, g: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """Value of the form at g on tangent matrices u, v at g; on stacks of
-    matrices (..., d, d) a stack of values (..., m).
-
-    The cochain is the minors x_i y_j - x_j y_i (i < j) of the two
-    coefficient vectors contracted with its components."""
-    group = form.group
-    x, y = group.tangent_coefficients(g, np.stack([u, v]))
-    i, j = index_table(form.cochain.alg_dim, 2).T
-    minors = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-    return form.module.act(g, minors @ form.cochain.values)
+    matrices (..., d, d) a stack of values (..., m): the cochain on the
+    stacked coefficient vectors of g^-1 u and g^-1 v, acted on by g."""
+    x, y = form.group.tangent_coefficients(g, np.stack([u, v]))
+    return form.module.act(g, form.cochain(x, y))
 
 
 @dataclass(frozen=True)
@@ -696,8 +691,6 @@ def cocycle_recovery_residual(
     compares with omega(X, Y).
     """
     group = form.group
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
 
     def fn(tau, sigma):
         p = exp_path(group, x, scale=tau)
@@ -718,12 +711,8 @@ def curvature_defect(
     of the extension built from the form's cochain; the value reduces to
     the antisymmetrized coefficient projection of the extension bracket.
     """
-    group = form.group
-    ext = build_algebra_extension(
-        group.algebra, form.module, form.cochain, force=True
-    )
-    xhat = ext.embed_base(np.asarray(x, dtype=float))
-    yhat = ext.embed_base(np.asarray(y, dtype=float))
+    ext = build_algebra_extension(form.group.algebra, form.module, form.cochain, force=True)
+    xhat, yhat = ext.embed_base(x), ext.embed_base(y)
     forward = ext.project_coeff(algebra_bracket(ext.total, xhat, yhat))
     backward = ext.project_coeff(algebra_bracket(ext.total, yhat, xhat))
     value = 0.5 * (forward - backward)

@@ -90,12 +90,64 @@ class TestCochain:
         x, y, z = rng.normal(size=(3, 4))
         assert np.allclose(om(x, y, z), -om(y, x, z))
         assert np.all(om(x, x, z) == 0.0)
+        # on stacks the zero is exact at each point with two equal arguments
+        xs, ys, zs = rng.normal(size=(3, 6, 4))
+        ys[::2] = xs[::2]
+        values = om(xs, ys, zs)
+        assert values.shape == (6, 2)
+        assert np.all(values[::2] == 0.0) and np.all(values[1::2] != 0.0)
+        broadcast = om(zs[0], xs, zs)  # one vector against stacks: equal at point 0
+        assert np.all(broadcast[0] == 0.0) and np.all(broadcast[1:] != 0.0)
 
     def test_multilinear_evaluation_matches_components(self, rng):
         om = lx.random_cochain(2, 4, 3, rng)
         eye = np.eye(4)
         for key, val in zip(itertools.combinations(range(4), 2), om.values):
             assert np.allclose(om(eye[key[0]], eye[key[1]]), val)
+        for dtype in (int, np.uint8):  # integers are evaluated as floats: no wrap-around
+            assert np.array_equal(om(eye[1].astype(dtype), eye[0].astype(dtype)), -om.values[0])
+
+    def test_stacked_call_is_the_per_point_calls(self, rng):
+        # With identity values a cochain's value is its minors, bit for bit
+        # at every point of a stack.  A stacked value is those minors times
+        # the values; that product is not compared with the per-point one,
+        # since a BLAS product of one row can round apart from one of a stack.
+        for degree, dim in [(n, d) for n in range(4) for d in range(n, 6)]:
+            rows = math.comb(dim, degree)
+            minors = lx.Cochain(degree, dim, rows, np.eye(rows))
+            args = list(rng.normal(size=(degree, 5, 4, dim)))
+            if degree > 1:
+                args[0] = args[0][0, 0]  # one vector against the stacks
+            stacked = minors(*args)
+            assert stacked.shape == ((5, 4) if degree else ()) + (rows,)
+            for point in np.ndindex(5, 4):
+                single = minors(*(a if a.ndim == 1 else a[point] for a in args))
+                assert np.array_equal(single, stacked[point] if degree else stacked)
+            om = lx.random_cochain(degree, dim, 2, rng)
+            assert np.array_equal(om(*args), stacked @ om.values)
+
+    def test_malformed_arguments_rejected(self):
+        om = lx.Cochain(2, 3, 1, [1, 2, 3])
+        vectors = ("arguments must be real vectors of length 3, or stacks of them that "
+                   "broadcast together")
+        cases = [
+            ((np.ones(3),), "degree-2 cochain called with 1 arguments"),
+            ((np.ones(3), np.ones(3), np.ones(3)), "degree-2 cochain called with 3 arguments"),
+            ((np.ones(3), np.ones(2)), vectors),  # lengths differ
+            ((np.ones(1), np.ones(3)), vectors),  # a length-1 vector does not broadcast in
+            ((np.ones((2, 4)), np.ones((2, 4))), vectors),  # wrong last axis
+            ((np.ones((2, 3)), np.ones((3, 3))), vectors),  # stacks that do not broadcast
+            (([[1, 2, 3], [1, 2]], np.ones(3)), vectors),  # ragged
+            (("x", np.ones(3)), vectors),
+            (("123", np.ones(3)), vectors),  # a string, also where it reads as numbers
+            ((np.ones(3, dtype=complex), np.ones(3)), vectors),
+            ((np.ones(3, dtype=bool), np.ones(3)), vectors),
+            ((2.0, np.ones(3)), vectors),
+        ]
+        for args, message in cases:
+            with pytest.raises(MalformedInputError) as err:
+                om(*args)
+            assert str(err.value) == message
 
     def test_vector_round_trip(self, rng):
         om = lx.random_cochain(2, 5, 2, rng)
@@ -394,6 +446,18 @@ class TestCohomologyTable:
         monkeypatch.setattr(lieext.cohomology, "coboundary_matrix", None)
         with pytest.raises(MalformedInputError, match="degree 4 outside 0..3"):
             lx.cohomology_table(sl2, lx.trivial_module(3, 1), [0, 1, 4])
+
+    def test_sizes_checked_before_any_assembly(self, monkeypatch):
+        # d_3 of R^30 is refused before anything of that size, or any d_k,
+        # is built, and after the range of every degree is checked
+        monkeypatch.setattr(lieext.cohomology, "coboundary_matrix", None)
+        alg, mod = lx.abelian_algebra(30), lx.trivial_module(30, 1)
+        with pytest.raises(MalformedInputError, match=r"^d_3 would hold \d+ entries"):
+            lx.cohomology_table(alg, mod, [0, 1, 3])
+        with pytest.raises(MalformedInputError, match="degree 31 outside 0..30"):
+            lx.cohomology_table(alg, mod, [3, 31])
+        with pytest.raises(MalformedInputError, match=r"^d_3 would hold \d+ entries"):
+            lx.build_complex_slice(alg, mod, 3)
 
     def test_matches_complex_slices(self, rng):
         for alg, mod in self._cases(rng):

@@ -316,10 +316,13 @@ class TestEquivariantForm:
         gs = np.stack([su2.exp(su2.realize(rng.normal(size=3))) for _ in range(4)])
         us = gs @ su2.realize(rng.normal(size=3))
         vs = gs @ su2.realize(rng.normal(size=3))
+        # u and v are decomposed as one stack, as the form does: decomposing
+        # them one by one can round apart in the last bit
         stacked = lx.eval_equivariant(form, gs, us, vs)
+        assert np.array_equal(stacked, om(*su2.tangent_coefficients(gs, np.stack([us, vs]))))
         for g, u, v, value in zip(gs, us, vs, stacked):
-            x, y = su2.tangent_coefficients(g, u), su2.tangent_coefficients(g, v)
-            assert np.allclose(lx.eval_equivariant(form, g, u, v), om(x, y), rtol=0, atol=1e-13)
+            x, y = su2.tangent_coefficients(g, np.stack([u, v]))
+            assert np.array_equal(lx.eval_equivariant(form, g, u, v), om(x, y))
             assert np.allclose(value, om(x, y), rtol=0, atol=1e-13)
 
 
