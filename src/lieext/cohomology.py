@@ -288,34 +288,6 @@ def apply_d(alg: LieAlgebra, mod: ModuleAction, omega: Cochain) -> Cochain:
     return Cochain(n + 1, alg.dim, mod.coeff_dim, d_n @ omega.to_vector())
 
 
-@dataclass(frozen=True)
-class ComplexSlice:
-    """Degree-n slice of the algebra cochain complex: d_n, kernel, image."""
-
-    n: int
-    alg_dim: int
-    coeff_dim: int
-    d_matrix: np.ndarray
-    z_basis: np.ndarray  # columns span ker d_n
-    b_basis: np.ndarray  # columns span im d_{n-1}
-
-    @property
-    def cochain_dim(self) -> int:
-        return self.d_matrix.shape[1]
-
-    @property
-    def cocycle_dim(self) -> int:
-        return self.z_basis.shape[1]
-
-    @property
-    def coboundary_dim(self) -> int:
-        return self.b_basis.shape[1]
-
-    @property
-    def betti(self) -> int:
-        return self.cocycle_dim - self.coboundary_dim
-
-
 def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
     """(rank, margin, u, vt) of mat, with u and vt only when compute_uv.
 
@@ -337,10 +309,10 @@ def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
     scale = max(1.0, float(np.ldexp(1.0, np.frexp(top)[1] - 1)))
     if scale != 1.0:
         mat = mat / scale
-    if compute_uv:
-        u, s, vt = np.linalg.svd(mat)
-    else:
-        u, s, vt = None, np.linalg.svd(mat, compute_uv=False), None
+    # rank and margin always come from the values-only SVD: the one with
+    # vectors can round the singular values below the cutoff differently
+    s = np.linalg.svd(mat, compute_uv=False)
+    u, _, vt = np.linalg.svd(mat) if compute_uv else (None, None, None)
     cut = max(RANK_TOL_FACTOR * s[0], 64 * np.finfo(float).eps * max(1.0 / scale, s[0]))
     rank = int(np.sum(s > cut))
     terms = [s[rank - 1] / cut] if rank else []
@@ -400,15 +372,23 @@ def _complex(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]):
         prev = {k: d_k}
 
 
-def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> ComplexSlice:
-    """Assemble d_n and d_{n-1}, check that they compose to zero, and extract
-    cocycle/coboundary bases."""
+def _row(n: int, dim_c: int, rank: int, rank_prev: int, margin) -> dict:
+    """Degree n of the complex from dim C^n, rank d_n, rank d_{n-1} and the margin of d_n."""
+    return dict(degree=n, cochain_dim=dim_c, cocycle_dim=dim_c - rank, coboundary_dim=rank_prev,
+                betti=dim_c - rank - rank_prev, rank_margin=margin)
+
+
+def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> dict:
+    """The cohomology_table row of degree n plus d_matrix (d_n), z_basis (its
+    columns span ker d_n) and b_basis (its columns span im d_{n-1}); d_n and
+    d_{n-1} are checked to compose to zero."""
     _check_degree(alg, n)
     d = dict(_complex(alg, mod, range(max(n - 1, 0), n + 1)))
     d_n, d_prev = d[n], d[n - 1] if n else np.zeros((d[n].shape[1], 0))
-    rank, _, _, vt = _svd_rank(d_n, compute_uv=True)
+    rank, margin, _, vt = _svd_rank(d_n, compute_uv=True)
     rank_prev, _, u, _ = _svd_rank(d_prev, compute_uv=True)
-    return ComplexSlice(n, alg.dim, mod.coeff_dim, d_n, vt[rank:].T, u[:, :rank_prev])
+    return {**_row(n, d_n.shape[1], rank, rank_prev, margin),
+            "d_matrix": d_n, "z_basis": vt[rank:].T, "b_basis": u[:, :rank_prev]}
 
 
 def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]) -> list:
@@ -423,16 +403,8 @@ def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int])
         _check_degree(alg, n)
     needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
     ranks = {k: _svd_rank(d_k)[:2] for k, d_k in _complex(alg, mod, needed)}
-    table = []
-    for n in degrees:
-        rank, margin = ranks[n]
-        rank_prev = ranks.get(n - 1, (0,))[0]
-        dim_c = math.comb(alg.dim, n) * mod.coeff_dim
-        table.append(dict(
-            degree=n, cochain_dim=dim_c, cocycle_dim=dim_c - rank, coboundary_dim=rank_prev,
-            betti=dim_c - rank - rank_prev, rank_margin=margin,
-        ))
-    return table
+    return [_row(n, math.comb(alg.dim, n) * mod.coeff_dim, ranks[n][0],
+                 ranks.get(n - 1, (0,))[0], ranks[n][1]) for n in degrees]
 
 
 def betti(alg: LieAlgebra, mod: ModuleAction, n: int) -> int:
@@ -440,20 +412,18 @@ def betti(alg: LieAlgebra, mod: ModuleAction, n: int) -> int:
     return cohomology_table(alg, mod, [n])[0]["betti"]
 
 
-def cohomology_representatives(slice_: ComplexSlice) -> list:
-    """Cocycle representatives spanning a complement of the coboundaries.
+def cohomology_representatives(alg: LieAlgebra, mod: ModuleAction, n: int) -> list:
+    """Degree-n cocycle representatives spanning a complement of the coboundaries.
 
-    Each kernel basis vector is projected against the coboundary space by
-    least squares; an independent subset of the projections is returned as
-    Cochain objects (betti of them).
+    Each kernel basis vector of build_complex_slice(alg, mod, n) is projected
+    against the coboundary space by least squares; an independent subset of
+    the projections is returned as Cochain objects (betti of them).
     """
-    z, b = slice_.z_basis, slice_.b_basis
+    slice_ = build_complex_slice(alg, mod, n)
+    z, b = slice_["z_basis"], slice_["b_basis"]
     coeffs, *_ = np.linalg.lstsq(b, z, rcond=None)
     rank, _, u, _ = _svd_rank(z - b @ coeffs, compute_uv=True)
-    return [
-        Cochain(slice_.n, slice_.alg_dim, slice_.coeff_dim, u[:, i])
-        for i in range(rank)
-    ]
+    return [Cochain(n, alg.dim, mod.coeff_dim, u[:, i]) for i in range(rank)]
 
 
 def is_cocycle(

@@ -59,7 +59,6 @@ from .errors import (
 )
 from .extensions import (
     DEFAULT_EQUIV_TOL,
-    AlgebraExtension,
     are_equivalent,
     build_algebra_extension,
 )
@@ -262,12 +261,13 @@ def serialize_algebra(alg: LieAlgebra) -> dict:
     return {"dim": alg.dim, "labels": list(alg.basis_labels), "structure_constants": rows}
 
 
-def serialize_extension(ext: AlgebraExtension) -> dict:
-    """Document fragment for a built extension: total algebra plus markers."""
+def serialize_extension(total: LieAlgebra, base_dim: int) -> dict:
+    """Document fragment for a built extension: the total algebra, whose first
+    base_dim basis vectors span g and the rest a."""
     return {
-        "algebra": serialize_algebra(ext.total),
-        "base_dim": ext.base_dim,
-        "coeff_dim": ext.coeff_dim,
+        "algebra": serialize_algebra(total),
+        "base_dim": base_dim,
+        "coeff_dim": total.dim - base_dim,
     }
 
 
@@ -433,12 +433,12 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
         value = entry["value"] if isinstance(entry["value"], list) else [entry["value"]]
         _reals(value, f"{context}: value for {idx}", (coeff_dim,))
     pairs, values = arrays
-    i, j = pairs.T
-    out = sorted(map(tuple, pairs[j >= alg_dim].tolist()))
+    out = sorted(map(tuple, pairs[pairs[:, 1] >= alg_dim].tolist()))
     _require(not out, f"{context}: component indices {out} are not strictly increasing "
              f"degree-{degree} tuples in range({alg_dim})")
-    rows = np.zeros((len(index_table(alg_dim, degree)), coeff_dim))
-    rows[i * (2 * alg_dim - i - 1) // 2 + j - i - 1] = values  # the lex row of (i, j)
+    keys = index_table(alg_dim, degree)  # (i, j) -> i * alg_dim + j keeps the lex order
+    rows = np.zeros((len(keys), coeff_dim))
+    rows[np.searchsorted(keys @ (alg_dim, 1), pairs @ (alg_dim, 1))] = values
     return Cochain(degree, alg_dim, coeff_dim, rows)
 
 
@@ -658,7 +658,8 @@ def _run_validate(doc):
     if doc.module is not None:
         issues += validate_module(doc.algebra, doc.module, tol)
     if doc.group is not None:
-        issues += validate_group(doc.group, tol)
+        # the group's algebra is doc.algebra unless an algebra section is given
+        issues += [i for i in validate_group(doc.group, tol) if i not in issues]
         if doc.module is not None and doc.module.group_action is not None:
             issues += validate_action_compatibility(doc.group, doc.module)
     if doc.lattice is not None:
@@ -683,10 +684,10 @@ def _run_cohomology(doc):
 
 def _run_extend(doc):
     tol = doc.options.get("tol", DEFAULT_TOL_ALG)
-    ext = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
-    residual = max((i["residual"] for i in validate_algebra(ext.total, tol)), default=0.0)
-    results = {"extension": serialize_extension(ext), "jacobi_residual": residual}
-    return results, [], EXIT_OK
+    total = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
+    residual = max((i["residual"] for i in validate_algebra(total, tol)), default=0.0)
+    extension = serialize_extension(total, doc.algebra.dim)
+    return {"extension": extension, "jacobi_residual": residual}, [], EXIT_OK
 
 
 def _run_equivalence(doc):

@@ -25,39 +25,11 @@ from .algebra import (
     reduce_mod_lattice,
     trivial_module,
 )
-from .cohomology import Cochain, GroupCochain, apply_d, coboundary_matrix, index_table
+from .cohomology import Cochain, GroupCochain, _complex, apply_d, index_table
 from .errors import MalformedInputError, NotACocycleError
 from .groups import MatrixGroup
 
 DEFAULT_EQUIV_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class AlgebraExtension:
-    """g (+)_omega a with its assembled total algebra."""
-
-    base: LieAlgebra
-    coeff: ModuleAction
-    cocycle: Cochain
-    total: LieAlgebra
-
-    @property
-    def base_dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def coeff_dim(self) -> int:
-        return self.coeff.coeff_dim
-
-    def embed_base(self, x: np.ndarray) -> np.ndarray:
-        """Section X -> (X, 0) of the projection onto g."""
-        return np.concatenate([np.asarray(x, dtype=float), np.zeros(self.coeff_dim)])
-
-    def project_base(self, w: np.ndarray) -> np.ndarray:
-        return np.asarray(w, dtype=float)[: self.base_dim]
-
-    def project_coeff(self, w: np.ndarray) -> np.ndarray:
-        return np.asarray(w, dtype=float)[self.base_dim :]
 
 
 def build_algebra_extension(
@@ -66,10 +38,11 @@ def build_algebra_extension(
     omega: Cochain,
     tol: float = DEFAULT_TOL_ALG,
     force: bool = False,
-) -> AlgebraExtension:
-    """Assemble the twisted algebra; reject non-cocycles unless force=True.
+) -> LieAlgebra:
+    """The twisted algebra g (+)_omega a; reject non-cocycles unless force=True.
 
-    The Jacobi identity of the total algebra fails exactly when d(omega)
+    Its first alg.dim basis vectors span g and the other mod.coeff_dim span
+    a.  The Jacobi identity of the total algebra fails exactly when d(omega)
     does not vanish, so non-cocycle input is refused with that residual.
     The force flag builds the broken object anyway (property tests need it).
     """
@@ -93,7 +66,7 @@ def build_algebra_extension(
     # [(e_i, 0), (0, f_b)] = (0, rho_i f_b): total[i, n+b, n+a] = rho[i][a, b]
     total[:n, n:, n:] = mod.rho.transpose(0, 2, 1)
     total[n:, :n, n:] = -mod.rho.transpose(2, 0, 1)
-    return AlgebraExtension(base=alg, coeff=mod, cocycle=omega, total=LieAlgebra(total))
+    return LieAlgebra(total)
 
 
 def are_equivalent(
@@ -107,9 +80,10 @@ def are_equivalent(
 
     Returns (verdict, witness 1-cochain or None, least-squares residual).
     The witness is the minimum-norm solution of d_1 lambda = omega1 - omega2.
-    A residual beyond the double range is returned as inf.
+    A residual beyond the double range is returned as inf; an algebra and
+    module whose d_2 d_1 is not zero are refused, as cohomology_table does.
     """
-    d2 = coboundary_matrix(alg, mod, 2)
+    d1, d2 = (d_k for _, d_k in _complex(alg, mod, (1, 2)))
     for omega in (omega1, omega2):
         if (omega.degree, omega.alg_dim, omega.coeff_dim) != (2, alg.dim, mod.coeff_dim):
             raise MalformedInputError("cocycles must be 2-cochains on the algebra/module")
@@ -125,7 +99,6 @@ def are_equivalent(
     big = max(omega1.max_norm(), omega2.max_norm())
     scale = float(np.ldexp(1.0, np.frexp(big)[1] - 1))
     unit = omega1.to_vector() / scale - omega2.to_vector() / scale
-    d1 = coboundary_matrix(alg, mod, 1)
     sol, *_ = np.linalg.lstsq(d1, unit, rcond=None)
     residual = scale * float(np.linalg.norm(d1 @ sol - unit))
     if residual < equiv_tol:

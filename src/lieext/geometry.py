@@ -709,11 +709,10 @@ def curvature_defect(
 
     Pulls the canonical connection's curvature back along the zero section
     of the extension built from the form's cochain; the value reduces to
-    the antisymmetrized coefficient projection of the extension bracket.
+    the a-part of the antisymmetrized bracket of (X, 0) and (Y, 0) in it.
     """
-    ext = build_algebra_extension(form.group.algebra, form.module, form.cochain, force=True)
-    xhat, yhat = ext.embed_base(x), ext.embed_base(y)
-    forward = ext.project_coeff(algebra_bracket(ext.total, xhat, yhat))
-    backward = ext.project_coeff(algebra_bracket(ext.total, yhat, xhat))
-    value = 0.5 * (forward - backward)
+    n, pad = form.group.algebra.dim, np.zeros(form.cochain.coeff_dim)
+    total = build_algebra_extension(form.group.algebra, form.module, form.cochain, force=True)
+    xhat, yhat = np.concatenate([x, pad]), np.concatenate([y, pad])  # X -> (X, 0)
+    value = 0.5 * (algebra_bracket(total, xhat, yhat) - algebra_bracket(total, yhat, xhat))[n:]
     return float(np.max(np.abs(value - form.cochain(x, y))))

@@ -615,6 +615,29 @@ def test_validate_reports_an_action_that_moves_the_identity():
     ]
 
 
+# the basis matrices of sl2, whose algebra section breaks Jacobi at (0, 1, 2)
+# and the commutators of basis elements 0, 2 and 1, 2
+BROKEN_SL2 = {"kind": "matrix", "basis": [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]],
+              "algebra": {"dim": 3, "structure_constants": [[0, 1, 2, 1.0], [0, 2, 0, 1.0],
+                                                            [1, 2, 1, 1.0]]}}
+GROUP_ISSUES = [{"identity": "jacobi", "indices": [0, 1, 2, 2], "residual": 2.0},
+                {"identity": "basis_commutator", "indices": [0, 2], "residual": 3.0},
+                {"identity": "basis_commutator", "indices": [1, 2], "residual": 1.0}]
+
+
+@pytest.mark.parametrize("algebra, expected", [
+    # no algebra section: the document's algebra is the group's
+    (None, GROUP_ISSUES),
+    # an algebra section of its own is checked before the group's algebra
+    ({"dim": 3, "structure_constants": [[0, 1, 1, 1.0], [1, 2, 0, 1.0]]},
+     [{"identity": "jacobi", "indices": [0, 1, 2, 0], "residual": 1.0}, *GROUP_ISSUES]),
+], ids=["group-algebra", "own-algebra"])
+def test_validate_lists_each_algebra_violation_once(algebra, expected):
+    raw = {"task": "validate", "group": BROKEN_SL2}
+    report, code = run(parse_document(raw if algebra is None else {**raw, "algebra": algebra}))
+    assert code == 0 and report["results"]["violations"] == expected
+
+
 # entry [0][0] of p1 is cos(t), which leaves the torus: at t = 1 the
 # first block's columns have norm 0.84 and 1
 OFF_TORUS = {"matrix": [["cos(t)", "0", "0", "0"], ["0", "1", "0", "0"],
@@ -665,7 +688,14 @@ def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
     # rho(h), rho(e), rho(f) = 1, 1, 0 is no representation of sl2: [rho(h), rho(e)] != 2 rho(e)
     (_edited("sl2_cohomology.json", _set("module", "rho", value=[[[1]], [[1]], [[0]]])),
      "d_1 d_0 is not zero (relative residual 5.000e-01 "),
-], ids=["jacobi", "representation"])
+    # the same algebra as in jacobi: equivalence takes d_1 and d_2 from the same complex
+    ({"task": "equivalence", "algebra": {"dim": 3, "structure_constants": [[0, 1, 1, 1.0],
+                                                                           [1, 2, 0, 1.0]]},
+      "module": {"coeff_dim": 1},
+      "cocycle": {"components": [{"indices": [0, 1], "value": 1.0}]},
+      "cocycle2": {"components": []}},
+     "d_2 d_1 is not zero (relative residual 1.000e+00 "),
+], ids=["jacobi", "representation", "equivalence"])
 def test_cohomology_of_a_non_complex_is_rejected(raw, message, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(raw))

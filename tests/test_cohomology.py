@@ -374,17 +374,17 @@ class TestTermTable:
 class TestComplexSlice:
     def test_abelian_r2_degree1_matrix_is_zero(self, r2):
         sl = lx.build_complex_slice(r2, lx.trivial_module(2, 1), 1)
-        assert sl.d_matrix.shape == (1, 2)
-        assert not np.any(sl.d_matrix)
+        assert sl["d_matrix"].shape == (1, 2)
+        assert not np.any(sl["d_matrix"])
 
     def test_sl2_degree1_rank_three(self, sl2):
         sl = lx.build_complex_slice(sl2, lx.trivial_module(3, 1), 1)
-        assert np.linalg.matrix_rank(sl.d_matrix) == 3
+        assert np.linalg.matrix_rank(sl["d_matrix"]) == 3
 
     def test_heis3_degree2_kernel_and_image(self, heis3):
         sl = lx.build_complex_slice(heis3, lx.trivial_module(3, 1), 2)
-        assert sl.cocycle_dim == 3
-        assert sl.coboundary_dim == 1
+        assert sl["cocycle_dim"] == 3
+        assert sl["coboundary_dim"] == 1
 
     def test_d_compose_zero_at_matrix_level(self, sl2):
         mod = lx.adjoint_module(sl2)
@@ -397,12 +397,12 @@ class TestComplexSlice:
             mod = lx.adjoint_module(alg)
             for n in range(alg.dim + 1):
                 sl = lx.build_complex_slice(alg, mod, n)
-                rank = sl.d_matrix.shape[1] - sl.cocycle_dim
-                assert sl.cocycle_dim + rank == math.comb(alg.dim, n) * mod.coeff_dim
+                rank = sl["d_matrix"].shape[1] - sl["cocycle_dim"]
+                assert sl["cocycle_dim"] + rank == math.comb(alg.dim, n) * mod.coeff_dim
 
     def test_top_degree_kernel_is_everything(self, heis3):
         sl = lx.build_complex_slice(heis3, lx.trivial_module(3, 1), 3)
-        assert sl.cocycle_dim == sl.cochain_dim == 1
+        assert sl["cocycle_dim"] == sl["cochain_dim"] == 1
 
     def test_non_complex_is_refused_as_betti_refuses_it(self):
         # [e0, e1] = e1 and [e1, e2] = e0 break Jacobi, so d_2 d_1 != 0
@@ -464,13 +464,9 @@ class TestCohomologyTable:
             table = lx.cohomology_table(alg, mod, range(alg.dim + 1))
             for n, row in enumerate(table):
                 sl = lx.build_complex_slice(alg, mod, n)
-                assert (
-                    row["degree"],
-                    row["cochain_dim"],
-                    row["cocycle_dim"],
-                    row["coboundary_dim"],
-                    row["betti"],
-                ) == (n, sl.cochain_dim, sl.cocycle_dim, sl.coboundary_dim, sl.betti)
+                assert row["degree"] == n
+                for key, value in row.items():
+                    assert sl[key] == value, key
 
     @pytest.mark.parametrize("eps, rank", [(1e-13, 1), (1e-15, 0)])
     def test_rank_margin_near_the_cutoff(self, eps, rank):
@@ -557,9 +553,8 @@ class TestBetti:
 
     def test_representatives_are_independent_cocycles(self, heis3):
         mod = lx.trivial_module(3, 1)
-        sl = lx.build_complex_slice(heis3, mod, 2)
-        reps = lx.cohomology_representatives(sl)
-        assert len(reps) == sl.betti == 2
+        reps = lx.cohomology_representatives(heis3, mod, 2)
+        assert len(reps) == lx.betti(heis3, mod, 2) == 2
         for rep in reps:
             assert lx.is_cocycle(heis3, mod, rep)
         stack = np.stack([r.to_vector() for r in reps])

@@ -11,5 +11,5 @@ def test_readme_example_prints_its_comments():
     expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
     printed = []
     exec(block, {"print": lambda *args: printed.append(" ".join(map(str, args)))})
-    assert expected == ["2", "[[0.5], [1.0]]", "not_integrable", "4.0"]
+    assert expected == ["2", "2", "[[0.5], [1.0]]", "not_integrable", "4.0"]
     assert printed == expected
