@@ -313,7 +313,8 @@ def product_triangle_chain(g1: GroupPath, g2: GroupPath) -> Surface2Chain:
 
     Its boundary is g1 + (g1(1) . g2) - (g1 g2): the first path, the left
     translate of the second, minus their pointwise product.  On the stencil
-    of an order-n rule each path is called at 3n distinct parameters.
+    of an order-n rule each path is called at 3n distinct parameters.  The
+    chain form of what path_cocycle integrates, for chains and as its check.
     """
     return Surface2Chain(
         patches=(
@@ -322,14 +323,51 @@ def product_triangle_chain(g1: GroupPath, g2: GroupPath) -> Surface2Chain:
     )
 
 
+@lru_cache(maxsize=32)
+def _triangle_rule(order: int) -> tuple:
+    """_stencil's triangle rule: (3, n) path parameters u, u + h, u - h; (n, n) weights."""
+    ts, _, weight = _stencil(order, "simplex", DEFAULT_FD_STEP)
+    ts.flags.writeable = weight.flags.writeable = False
+    return ts[:3, ::order], weight.reshape(order, order)
+
+
+def _log_derivatives(group: MatrixGroup, name: str, path: GroupPath, params: np.ndarray):
+    """The path at its nodes params[0], checked, and its g^-1 g' there, from one call."""
+    g, plus, minus = path(params)
+    at, res = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
+    if at.size:
+        raise MembershipError(f"{name} leaves the group at t = {params[0, at[0]]:.6g}: "
+                              f"matrix is not in {group.name} (residual {res[0]:.3e})")
+    try:
+        return g, group.tangent_coefficients(g, (plus - minus) / (2.0 * DEFAULT_FD_STEP))
+    except TangentDecompositionError as exc:
+        raise TangentDecompositionError(f"{name}: {exc}") from None
+
+
 def path_cocycle(
     form: EquivariantForm,
     g1: GroupPath,
     g2: GroupPath,
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> np.ndarray:
-    """Integral of the form over the product triangle of the two paths."""
-    return surface_integral(form, product_triangle_chain(g1, g2), quad_order)
+    """Integral of the form over the triangle sigma(t, s) = g1(t) g2(s), as over
+    product_triangle_chain, from O(n) path work: as sigma^-1 d_t sigma =
+    Ad(g2(s)^-1) g1^-1 g1'(t) and sigma^-1 d_s sigma = g2^-1 g2'(s), each path
+    is called once, at 3n parameters, and checked at its n nodes; the n^2
+    products g1 g2 are formed only for a group action, _PASS_NODES at a time."""
+    group, n = form.group, int(quad_order)
+    params, weight = _triangle_rule(n)
+    (a, xi1), (b, xi2) = (_log_derivatives(group, *named, params) for named in (("g1", g1), ("g2", g2)))
+    try:  # ad[j, k] holds the coefficients of Ad(g2(u_j)^-1) e_k
+        ad = group.decompose(group.inverse(b)[:, None] @ group.basis @ b[:, None])
+    except TangentDecompositionError as exc:
+        raise TangentDecompositionError(f"g2: {exc}") from None
+    vals = form.cochain(np.einsum("ik,jkl->ijl", xi1, ad), xi2)  # (n, n, m)
+    if form.module.group_action is not None:
+        rows = max(1, _PASS_NODES // n)
+        for lo in range(0, n, rows):
+            vals[lo : lo + rows] = form.module.act(a[lo : lo + rows, None] @ b, vals[lo : lo + rows])
+    return np.einsum("ij,ijk->k", weight, vals)
 
 
 def spanning_chain(

@@ -144,9 +144,9 @@ def pi1_cocycle_table(
     commutator_in_lattice (the lattice verdict of each commutator).
 
     Every loop must stay in the group, checked on 33 samples of [0, 1],
-    and close at the identity; the cocycle of a pair is the
-    product-triangle integral, which equals the universal-cover computation
-    because the form pulls back along the covering projection.
+    and close at the identity; the cocycle of a pair is path_cocycle, the
+    product-triangle integral from the loops' log-derivatives, which equals
+    the universal-cover computation: the form pulls back along the covering.
     """
     group = form.group
     names = [name for name, _ in loops]

@@ -695,7 +695,13 @@ def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
       "cocycle": {"components": [{"indices": [0, 1], "value": 1.0}]},
       "cocycle2": {"components": []}},
      "d_2 d_1 is not zero (relative residual 1.000e+00 "),
-], ids=["jacobi", "representation", "equivalence"])
+    # and so does extend, before it builds g (+)_omega a
+    ({"task": "extend", "algebra": {"dim": 3, "structure_constants": [[0, 1, 1, 1.0],
+                                                                      [1, 2, 0, 1.0]]},
+      "module": {"coeff_dim": 1},
+      "cocycle": {"components": [{"indices": [0, 1], "value": 1.0}]}},
+     "d_2 d_1 is not zero (relative residual 1.000e+00 "),
+], ids=["jacobi", "representation", "equivalence", "extend"])
 def test_cohomology_of_a_non_complex_is_rejected(raw, message, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(raw))

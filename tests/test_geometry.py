@@ -1017,6 +1017,29 @@ class TestBatchedQuadrature:
             lx.surface_integral(torus_form(torus2), chain, 6)
         lx.surface_integral(torus_form(torus2), chain, 5)  # no node there
 
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    def test_path_leaving_the_group_at_one_node_is_named(self, torus2, name):
+        nodes = 0.5 * (np.polynomial.legendre.leggauss(6)[0] + 1.0)
+        inside = lx.coordinate_path(torus2, lambda t: np.array([t, 0.5 * t]))
+        outside = lx.GroupPath(eval=lambda t: (1.001 if t == nodes[2] else 1.0) * inside(t))
+        paths = (outside, inside) if name == "g1" else (inside, outside)
+        with pytest.raises(MembershipError) as info:
+            lx.path_cocycle(torus_form(torus2), *paths, 6)
+        # 1.001 times a rotation: a^2 + c^2 - 1 = 1.001^2 - 1
+        assert str(info.value) == (f"{name} leaves the group at t = {nodes[2]:.6g}: "
+                                   "matrix is not in T^2 (residual 2.001e-03)")
+        lx.path_cocycle(torus_form(torus2), *paths, 5)  # no node there
+
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    def test_off_span_path_tangent_is_named(self, name):
+        # the ax + b group has no membership test; (1 + t) E_22 leaves its span
+        group = parse_document(affine_document([["exp(t)", "s"], ["0", "1"]])).group
+        inside = lx.exp_path(group, np.array([0.5, 1.0]))
+        outside = lx.GroupPath(eval=lambda t: np.array([[np.exp(t), t], [0.0, 1.0 + t]]))
+        paths = (outside, inside) if name == "g1" else (inside, outside)
+        with pytest.raises(TangentDecompositionError, match=rf"^{name}: matrix is .* away from the algebra span"):
+            lx.path_cocycle(lx.EquivariantForm(lx.Cochain(2, 2, 1, [0.7]), group), *paths, 4)
+
     def test_off_span_tangent_in_a_document_patch(self):
         doc = parse_document(affine_document([["exp(t)", "s"], ["0", "1 + t * s"]]))
         form, chain = lx.EquivariantForm(doc.cocycle, doc.group), doc.cycles[0][1]
@@ -1041,6 +1064,59 @@ class TestBatchedQuadrature:
         values = path(np.array([0.25, 0.5, 0.25]))
         assert len(calls) == 2
         assert np.array_equal(values[0], path(0.25)) and np.array_equal(values[1], path(0.5))
+
+
+# The R^2 document of TestBatchedQuadrature.test_document_group_action: a
+# rotating group action on R^2-valued coefficients.
+R2_GROUP_ACTION_DOCUMENT = {
+    "task": "gamma",
+    "group": {"kind": "translation", "dim": 2},
+    "module": {
+        "coeff_dim": 2,
+        "rho": [[[0.0, -2.0 * np.pi], [2.0 * np.pi, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        "group_action": {"exprs": ["cos(2*pi*g1)*a1 - sin(2*pi*g1)*a2",
+                                   "sin(2*pi*g1)*a1 + cos(2*pi*g1)*a2"]},
+    },
+    "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [1.0, 0.5]}]},
+    "paths": {"p": {"coords": ["0.3*t", "t"]}, "q": {"coords": ["t", "sin(t)"]}},
+    "pair": ["p", "q"],
+}
+
+
+class TestPathCocycleFromPaths:
+    """path_cocycle integrates the product triangle from the two paths'
+    log-derivatives; product_triangle_chain through surface_integral is the
+    generic route to the same integral."""
+
+    @staticmethod
+    def assert_agrees(form, p, q, order):
+        ref = lx.surface_integral(form, lx.product_triangle_chain(p, q), order)
+        got = lx.path_cocycle(form, p, q, order)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("factory", [lambda: lx.torus_group(2), lambda: lx.torus_group(3),
+                                         lx.su2_group, lx.heisenberg_group, lx.sl2_group],
+                             ids=["T2", "T3", "SU2", "Heisenberg", "SL2R"])
+    def test_agrees_with_the_chain_route(self, factory, order, rng):
+        group = factory()
+        n = group.algebra.dim
+        p, q = (lx.exp_path(group, 0.4 * rng.normal(size=n)) for _ in range(2))
+        self.assert_agrees(random_form(group, rng, 2), p, q, order)
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+    def test_agrees_with_the_chain_route_under_a_group_action(self, order):
+        doc = parse_document(R2_GROUP_ACTION_DOCUMENT)
+        form = lx.EquivariantForm(doc.cocycle, doc.group, doc.module)
+        self.assert_agrees(form, doc.paths["p"], doc.paths["q"], order)
+
+    def test_each_path_is_called_once(self, su2, rng):
+        paths = [lx.exp_path(su2, rng.normal(size=3)) for _ in range(2)]
+        calls = [[], []]
+        counted_paths = [lx.GroupPath(eval=counted(p, c)) for p, c in zip(paths, calls)]
+        lx.path_cocycle(random_form(su2, rng), *counted_paths, 16)
+        assert [len(c) for c in calls] == [1, 1]
+        assert all(np.shape(c[0][0]) == (3, 16) for c in calls)  # nodes, then t + h and t - h
 
 
 class TestRulesInOnePass:
