@@ -239,6 +239,24 @@ MALFORMED = {
         "su2_sphere_period.json",
         _set("cycles", 0, "patches", 0, "matrix", value=[["1", "0"], ["0", "1"]]),
     ),
+    # repeated entries that fail are named at the first occurrence in
+    # row-major order, whichever of their texts sorts first
+    "matrix_repeated_entry_divide_by_zero": (
+        "su2_sphere_period.json",
+        _each(*(_set("cycles", 0, "patches", 0, "matrix", i, i, value=text)
+                for i, text in enumerate(["t/0", "s/0", "t/0", "s/0"]))),
+    ),
+    "matrix_repeated_unknown_variable": (
+        "su2_sphere_period.json",
+        _each(*(_set("cycles", 0, "patches", 0, "matrix", i, i, value=text)
+                for i, text in [(1, "q*t"), (2, "p"), (3, "q*t")])),
+    ),
+    # a text read in an earlier section is checked against the variables of each
+    "repeated_text_unknown_in_a_later_section": (
+        "r2_d2.json",
+        _each(_set("cycles", value=[{"name": "c", "patches": [{"coords": ["t", "s"]}]}]),
+              _set("cochain_expr", value=["s"])),
+    ),
     "lattice_generators_nan": (
         "torus_integrable.json",
         _set("lattice", "generators", value=[[float("nan")]]),
@@ -420,6 +438,15 @@ MALFORMED_MESSAGES = {
         "module.group_action.exprs[0]: unknown variable 'q'; the variables here are g1, g2, a1"
     ),
     "unknown_variable_matrix_entry": "patches[0].matrix[1][1]: unknown variable 'q'",
+    "matrix_repeated_entry_divide_by_zero": (
+        "cycles['equatorial-sphere'].patches[0].matrix[0][0]: cannot evaluate 't/0'"
+    ),
+    "matrix_repeated_unknown_variable": (
+        "cycles['equatorial-sphere'].patches[0].matrix[1][1]: unknown variable 'q'"
+    ),
+    "repeated_text_unknown_in_a_later_section": (
+        "cochain_expr[0]: unknown variable 's'; the variables here are x1, x2, y1, y2"
+    ),
     "unknown_variable_cochain_expr": (
         "cochain_expr[0]: unknown variable 's'; the variables here are x1, x2, y1, y2"
     ),

@@ -4,16 +4,20 @@ Each fault is pinned to its exact message and exit code 2, one fault per
 document, and for two faults in one section the entry that is named.  A
 property test checks that valid sections read bit for bit as the entry by
 entry definition: c[i, j, k] = v and c[j, i, k] = -v, and each component at
-its lexicographic row.
+its lexicographic row.  The expression sections are compiled per document:
+no two parses share a compiled expression.
 """
 
 import itertools
 import json
+import threading
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieext import expressions
 from lieext.cli import main
 from lieext.documents import parse_document
 
@@ -236,3 +240,41 @@ def test_valid_sections_read_as_each_entry_says(triples, components):
         rows[PAIRS.index(ij)] = v
     assert doc.algebra.structure_constants.tobytes() == c.tobytes()
     assert doc.cocycle.values.tobytes() == rows.tobytes()
+
+
+def test_documents_share_no_compiled_expression(monkeypatch):
+    # two parses of one document, one after the other and then in two
+    # threads at once: each compiles every distinct text of the document itself
+    parse, made = expressions.parse_expression, []
+
+    def recorded(text):
+        expr = parse(text)
+        made.append((threading.get_ident(), expr))
+        return expr
+
+    monkeypatch.setattr(expressions, "parse_expression", recorded)
+    raw = json.loads((resources.files("lieext") / "fixtures" / "su2_sphere_period.json").read_text())
+    texts = {entry for row in raw["cycles"][0]["patches"][0]["matrix"] for entry in row}
+
+    def alone():
+        start = len(made)
+        parse_document(raw)
+        return [expr for _, expr in made[start:]]
+
+    meet = threading.Barrier(2)
+
+    def together():
+        meet.wait()
+        parse_document(raw)
+
+    threads = [threading.Thread(target=together) for _ in range(2)]
+    parses = [alone(), alone()]
+    start = len(made)
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    parses += [[expr for ident, expr in made[start:] if ident == thread.ident] for thread in threads]
+    for first, second in (parses[:2], parses[2:]):
+        assert {e.source for e in first} == {e.source for e in second} == texts
+        assert not set(map(id, first)) & set(map(id, second))
