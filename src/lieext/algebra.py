@@ -228,17 +228,6 @@ def trivial_module(alg_dim: int, coeff_dim: int) -> ModuleAction:
     return ModuleAction(rho=np.zeros((alg_dim, coeff_dim, coeff_dim)))
 
 
-def change_of_basis(alg: LieAlgebra, p: np.ndarray) -> LieAlgebra:
-    """Structure constants in the basis e'_a = sum_i p[i, a] e_i."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (alg.dim, alg.dim):
-        raise MalformedInputError("change of basis must be n x n")
-    pinv = np.linalg.inv(p)
-    c = alg.structure_constants
-    cprime = np.einsum("ia,jb,ijk,kc->abc", p, p, c, pinv.T)
-    return LieAlgebra(structure_constants=cprime)
-
-
 def lattice_member(lat: Lattice, v: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT) -> dict:
     """Decide whether v lies in the lattice, within tol_lat.
 
@@ -330,11 +319,3 @@ def sl2_algebra() -> LieAlgebra:
     c[1, 2, 0] = 1.0
     c[2, 1, 0] = -1.0
     return LieAlgebra(structure_constants=c, basis_labels=("h", "e", "f"))
-
-
-def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    n, p = a.dim, b.dim
-    c = np.zeros((n + p, n + p, n + p))
-    c[:n, :n, :n] = a.structure_constants
-    c[n:, n:, n:] = b.structure_constants
-    return LieAlgebra(structure_constants=c)

@@ -156,11 +156,6 @@ def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
     return Cochain(degree, alg_dim, coeff_dim, rows)
 
 
-def random_cochain(degree, alg_dim, coeff_dim, rng) -> Cochain:
-    size = math.comb(alg_dim, degree) * coeff_dim
-    return Cochain(degree, alg_dim, coeff_dim, rng.normal(size=size))
-
-
 def _lex_rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:
     """Position of each sorted row of `tuples` in index_table(n_g, k).
 

@@ -271,22 +271,24 @@ def serialize_extension(total: LieAlgebra, base_dim: int) -> dict:
     }
 
 
-def _compile_exprs(strings, context, names, numbers=False):
+def _compile_exprs(strings, context, names, compiled, numbers=False):
     """Each expression string of strings compiled, and each JSON number, where
     numbers allows them (matrix entries), as a float; a DocumentError names
     the entry, context[i], that does not parse or reads a variable outside
-    names."""
+    names.  compiled maps each text compiled so far to its Expression."""
     out = []
     for idx, text in enumerate(strings):
         where = f"{context}[{idx}]"
         if numbers and isinstance(text, (int, float)):
             out.append(float(_reals(text, where, ())))
             continue
-        try:
-            expr = expressions.parse_expression(text)
-        except ExpressionError as exc:
-            pos = f" at position {exc.position}" if exc.position is not None else ""
-            raise DocumentError(f"{where}: {exc}{pos}") from None
+        expr = compiled.get(text) if isinstance(text, str) else None
+        if expr is None:
+            try:
+                expr = compiled[text] = expressions.parse_expression(text)
+            except ExpressionError as exc:
+                pos = f" at position {exc.position}" if exc.position is not None else ""
+                raise DocumentError(f"{where}: {exc}{pos}") from None
         unknown = sorted(expr.variables - set(names))
         if unknown:
             raise DocumentError(
@@ -301,24 +303,32 @@ def _evaluator(entries, names, context) -> Callable:
     """The constants and compiled expressions of entries, a vector or a
     matrix, as one vectorized map: one array per name in, an array of shape
     shape + entries' shape out, shape being the broadcast shape of the arrays.
-    An evaluation error names the entry, context[i] or context[i][j]."""
+    Each distinct entry is evaluated once per call, at its first position in
+    row-major order, which an evaluation error names (context[i] or
+    context[i][j]), and its value written to every position holding it."""
     table = np.array(entries, dtype=object)
+    slots = {}  # id of each distinct entry -> (entry, its positions as indices of out)
+    for at, entry in np.ndenumerate(table):
+        slots.setdefault(id(entry), (entry, []))[1].append((...,) + at)
 
     @vectorized
     def evaluate(*args):
         env = dict(zip(names, args))
         out = np.empty(np.broadcast_shapes(*map(np.shape, args)) + table.shape)
-        for at, entry in np.ndenumerate(table):
+        for entry, ats in slots.values():
             try:
-                out[(...,) + at] = entry(env) if callable(entry) else entry
+                value = entry(env) if callable(entry) else entry
             except ExpressionError as exc:
-                where = context + "".join(f"[{k}]" for k in at)
+                where = context + "".join(f"[{k}]" for k in ats[0][1:])
                 raise ExpressionError(f"{where}: {exc}", exc.position) from None
+            for at in ats:
+                out[at] = value
         return out
     return evaluate
 
 
-def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGroup]) -> ModuleAction:
+def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGroup],
+                  compiled) -> ModuleAction:
     _require(isinstance(section, dict), "module section must be an object")
     m = _integer(section.get("coeff_dim"), "module coeff_dim", 0, MAX_DIM)
     dim = alg.dim if alg is not None else (group.algebra.dim if group else None)
@@ -338,7 +348,7 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
         context = "module.group_action.exprs"
         chart = group.chart
         names = [f"g{i + 1}" for i in range(chart.dim)] + [f"a{j + 1}" for j in range(m)]
-        exprs = _compile_exprs(_list(ga["exprs"], context), context, names)
+        exprs = _compile_exprs(_list(ga["exprs"], context), context, names, compiled)
         _require(len(exprs) == m, f"module.group_action needs {m} expressions")
         values = _evaluator(exprs, names, context)
 
@@ -442,7 +452,7 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
     return Cochain(degree, alg_dim, coeff_dim, rows)
 
 
-def _map_eval(entries, group: MatrixGroup, names, context):
+def _map_eval(entries, group: MatrixGroup, names, context, compiled):
     """A path's or patch's coords vector or matrix of expressions in the
     parameters names, as a vectorized map from parameter arrays to the
     stack of group matrices."""
@@ -458,7 +468,7 @@ def _map_eval(entries, group: MatrixGroup, names, context):
             f"{context}.coords must be a list of {chart.dim} expressions",
         )
         context = f"{context}.coords"
-        values = _evaluator(_compile_exprs(coords, context, names), names, context)
+        values = _evaluator(_compile_exprs(coords, context, names, compiled), names, context)
         return vectorized(lambda *args: chart.from_coords(values(*args)))
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
@@ -470,21 +480,21 @@ def _map_eval(entries, group: MatrixGroup, names, context):
         )
         context = f"{context}.matrix"
         return _evaluator([
-            _compile_exprs(row, f"{context}[{i}]", names, numbers=True)
+            _compile_exprs(row, f"{context}[{i}]", names, compiled, numbers=True)
             for i, row in enumerate(rows)
         ], names, context)
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
-def _parse_path(entries, group: MatrixGroup, context) -> GroupPath:
-    return GroupPath(eval=_map_eval(entries, group, ("t",), context))
+def _parse_path(entries, group: MatrixGroup, context, compiled) -> GroupPath:
+    return GroupPath(eval=_map_eval(entries, group, ("t",), context, compiled))
 
 
-def _parse_patch(entry, group: MatrixGroup, context) -> SurfacePatch:
+def _parse_patch(entry, group: MatrixGroup, context, compiled) -> SurfacePatch:
     _require(isinstance(entry, dict), f"{context} must be an object")
     domain = entry.get("domain", "square")
     coeff = _integer(entry.get("coefficient", 1), f"{context}: coefficient", -2**53, 2**53)
-    ev = _map_eval(entry, group, ("t", "s"), context)
+    ev = _map_eval(entry, group, ("t", "s"), context, compiled)
     try:
         return SurfacePatch(eval=ev, domain=domain, coefficient=coeff)
     except MalformedInputError as exc:
@@ -513,6 +523,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
     )
     options = _parse_options(raw.get("options", {}))
     doc = ProblemDocument(task=task, raw=raw, options=options)
+    compiled = {}  # each expression text of this document -> its Expression
 
     if "group" in raw:
         doc.group = _parse_group(raw["group"])
@@ -527,7 +538,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         doc.algebra = doc.group.algebra
 
     if "module" in raw:
-        doc.module = _parse_module(raw["module"], doc.algebra, doc.group)
+        doc.module = _parse_module(raw["module"], doc.algebra, doc.group, compiled)
     elif doc.algebra is not None:
         doc.module = trivial_module(doc.algebra.dim, 1)
 
@@ -546,7 +557,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         _require(doc.group is not None, "paths need a group section")
         _require(isinstance(raw["paths"], dict), "paths section must map names to paths")
         for name, entry in raw["paths"].items():
-            doc.paths[name] = _parse_path(entry, doc.group, f"paths[{name!r}]")
+            doc.paths[name] = _parse_path(entry, doc.group, f"paths[{name!r}]", compiled)
 
     if "loops" in raw:
         _require(doc.group is not None, "loops need a group section")
@@ -567,7 +578,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
                 )
                 doc.loops.append((name, torus_winding_loop(doc.group, winding)))
             else:
-                doc.loops.append((name, _parse_path(entry, doc.group, f"loops[{name!r}]")))
+                doc.loops.append((name, _parse_path(entry, doc.group, f"loops[{name!r}]", compiled)))
 
     if "cycles" in raw:
         _require(doc.group is not None, "cycles need a group section")
@@ -581,7 +592,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
                 f"cycles[{name!r}] needs a non-empty 'patches' list",
             )
             built = tuple(
-                _parse_patch(p, doc.group, f"cycles[{name!r}].patches[{k}]")
+                _parse_patch(p, doc.group, f"cycles[{name!r}].patches[{k}]", compiled)
                 for k, p in enumerate(patches)
             )
             _require(
@@ -615,7 +626,8 @@ def parse_document(text_or_dict) -> ProblemDocument:
         )
         chart = doc.group.chart
         names = [f"x{i + 1}" for i in range(chart.dim)] + [f"y{i + 1}" for i in range(chart.dim)]
-        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names), names, "cochain_expr")
+        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names, compiled), names,
+                            "cochain_expr")
 
         def f_eval(g, h):
             return values(*np.moveaxis(chart.to_coords(g), -1, 0),

@@ -26,7 +26,7 @@ sides of the diagonal, and must be defined there.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,10 +148,6 @@ class Surface2Chain:
 
     def __post_init__(self):
         object.__setattr__(self, "patches", tuple(self.patches))
-
-
-def empty_chain() -> Surface2Chain:
-    return Surface2Chain(patches=())
 
 
 def left_translate_chain(g: np.ndarray, chain: Surface2Chain) -> Surface2Chain:
@@ -331,17 +327,41 @@ def _triangle_rule(order: int) -> tuple:
     return ts[:3, ::order], weight.reshape(order, order)
 
 
-def _log_derivatives(group: MatrixGroup, name: str, path: GroupPath, params: np.ndarray):
-    """The path at its nodes params[0], checked, and its g^-1 g' there, from one call."""
+def _path_nodes(group: MatrixGroup, name: str, path: GroupPath, order: int) -> tuple:
+    """The per-path step of path_cocycle: the path at the 3n parameters of
+    _triangle_rule(order), from one call, checked at its n nodes u; g^-1 g'(u);
+    and ad, whose first call gives Ad(g(u_j)^-1) e_k as ad()[j, k], in the
+    basis, as only a second path needs it.  Errors name the path."""
+    params = _triangle_rule(order)[0]
     g, plus, minus = path(params)
     at, res = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
     if at.size:
         raise MembershipError(f"{name} leaves the group at t = {params[0, at[0]]:.6g}: "
                               f"matrix is not in {group.name} (residual {res[0]:.3e})")
-    try:
-        return g, group.tangent_coefficients(g, (plus - minus) / (2.0 * DEFAULT_FD_STEP))
-    except TangentDecompositionError as exc:
-        raise TangentDecompositionError(f"{name}: {exc}") from None
+
+    def named(decompose, *args):
+        try:
+            return decompose(*args)
+        except TangentDecompositionError as exc:
+            raise TangentDecompositionError(f"{name}: {exc}") from None
+
+    ad = cache(lambda: named(group.decompose, group.inverse(g)[:, None] @ group.basis @ g[:, None]))
+    return g, named(group.tangent_coefficients, g, (plus - minus) / (2.0 * DEFAULT_FD_STEP)), ad
+
+
+def _triangle_integral(form: EquivariantForm, first: tuple, second: tuple) -> np.ndarray:
+    """The pair step of path_cocycle on the per-path steps of g1 and g2 at one
+    order n: as sigma^-1 d_t sigma = Ad(g2(s)^-1) g1^-1 g1'(t) and sigma^-1 d_s
+    sigma = g2^-1 g2'(s), the n^2 nodes need no more path work; the products
+    g1 g2 are formed only for a group action, _PASS_NODES at a time."""
+    (a, xi1, _), (b, xi2, ad) = first, second
+    n = len(a)
+    vals = form.cochain(np.einsum("ik,jkl->ijl", xi1, ad()), xi2)  # (n, n, m)
+    if form.module.group_action is not None:
+        rows = max(1, _PASS_NODES // n)
+        for lo in range(0, n, rows):
+            vals[lo : lo + rows] = form.module.act(a[lo : lo + rows, None] @ b, vals[lo : lo + rows])
+    return np.einsum("ij,ijk->k", _triangle_rule(n)[1], vals)
 
 
 def path_cocycle(
@@ -351,23 +371,11 @@ def path_cocycle(
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> np.ndarray:
     """Integral of the form over the triangle sigma(t, s) = g1(t) g2(s), as over
-    product_triangle_chain, from O(n) path work: as sigma^-1 d_t sigma =
-    Ad(g2(s)^-1) g1^-1 g1'(t) and sigma^-1 d_s sigma = g2^-1 g2'(s), each path
-    is called once, at 3n parameters, and checked at its n nodes; the n^2
-    products g1 g2 are formed only for a group action, _PASS_NODES at a time."""
+    product_triangle_chain, from O(n) path work: the pair step
+    (_triangle_integral) on the per-path steps (_path_nodes) of g1 and g2, each
+    called once at 3n parameters; callers with many pairs take each step once."""
     group, n = form.group, int(quad_order)
-    params, weight = _triangle_rule(n)
-    (a, xi1), (b, xi2) = (_log_derivatives(group, *named, params) for named in (("g1", g1), ("g2", g2)))
-    try:  # ad[j, k] holds the coefficients of Ad(g2(u_j)^-1) e_k
-        ad = group.decompose(group.inverse(b)[:, None] @ group.basis @ b[:, None])
-    except TangentDecompositionError as exc:
-        raise TangentDecompositionError(f"g2: {exc}") from None
-    vals = form.cochain(np.einsum("ik,jkl->ijl", xi1, ad), xi2)  # (n, n, m)
-    if form.module.group_action is not None:
-        rows = max(1, _PASS_NODES // n)
-        for lo in range(0, n, rows):
-            vals[lo : lo + rows] = form.module.act(a[lo : lo + rows, None] @ b, vals[lo : lo + rows])
-    return np.einsum("ij,ijk->k", weight, vals)
+    return _triangle_integral(form, _path_nodes(group, "g1", g1, n), _path_nodes(group, "g2", g2, n))
 
 
 def spanning_chain(
@@ -610,18 +618,16 @@ def path_cocycle_coboundary(
 
     g1 . gamma(g2, g3) - gamma(g1 g2, g3) + gamma(g1, g2 g3) - gamma(g1, g2),
     with pointwise path products; lands in the period lattice when the
-    integrability condition holds.  Each path is called once per parameter.
+    integrability condition holds.  Each path is called once per parameter,
+    and each of g1, g2, g3, g1 g2, g2 g3 goes through _path_nodes once.
     """
     g1, g2, g3 = map(_shared, (g1, g2, g3))
-    act = form.module.act
-    g12 = pointwise_product(g1, g2)
-    g23 = pointwise_product(g2, g3)
-    return (
-        act(g1(1.0), path_cocycle(form, g2, g3, quad_order))
-        - path_cocycle(form, g12, g3, quad_order)
-        + path_cocycle(form, g1, g23, quad_order)
-        - path_cocycle(form, g1, g2, quad_order)
-    )
+    group, n = form.group, int(quad_order)
+    a, b, c, ab, bc = (_path_nodes(group, name, path, n) for name, path in (
+        ("g1", g1), ("g2", g2), ("g3", g3),
+        ("g1 g2", pointwise_product(g1, g2)), ("g2 g3", pointwise_product(g2, g3))))
+    gamma = partial(_triangle_integral, form)
+    return form.module.act(g1(1.0), gamma(b, c)) - gamma(ab, c) + gamma(a, bc) - gamma(a, b)
 
 
 def representative_independence_residuals(
@@ -640,21 +646,23 @@ def representative_independence_residuals(
     by the flux through the corresponding spanning surfaces.  Its 9
     distinct integrals (four product triangles, three spanning surfaces of
     product paths, two fluxes) are each taken once, and each path is called
-    once per parameter.
+    once per parameter and goes through _path_nodes once.
     """
     g1, g1p, g2, g2p = map(_shared, (g1, g1p, g2, g2p))
-    group = form.group
+    group, n = form.group, int(quad_order)
     g1g2 = pointwise_product(g1, g2)
     span = lambda a, b: spanning_chain(group, a, b)
     integ = lambda chain: surface_integral(form, chain, quad_order)
-    gamma = lambda a, b: path_cocycle(form, a, b, quad_order)
-    base = gamma(g1, g2)
+    gamma = partial(_triangle_integral, form)
+    a, ap, b, bp = (_path_nodes(group, name, path, n) for name, path in (
+        ("g1", g1), ("g1p", g1p), ("g2", g2), ("g2p", g2p)))
+    base = gamma(a, b)
     flux1 = integ(span(g1, g1p))
     flux2 = integ(left_translate_chain(g1(1.0), span(g2, g2p)))
 
-    first = integ(span(g1g2, pointwise_product(g1p, g2))) - flux1 - gamma(g1p, g2) + base
-    second = integ(span(g1g2, pointwise_product(g1, g2p))) - flux2 - gamma(g1, g2p) + base
-    third = integ(span(g1g2, pointwise_product(g1p, g2p))) - flux1 - flux2 - gamma(g1p, g2p) + base
+    first = integ(span(g1g2, pointwise_product(g1p, g2))) - flux1 - gamma(ap, b) + base
+    second = integ(span(g1g2, pointwise_product(g1, g2p))) - flux2 - gamma(a, bp) + base
+    third = integ(span(g1g2, pointwise_product(g1p, g2p))) - flux1 - flux2 - gamma(ap, bp) + base
     return [first, second, third]
 
 

@@ -274,11 +274,6 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     return issues
 
 
-def identity_path(group: MatrixGroup) -> GroupPath:
-    eye = group.identity
-    return GroupPath(eval=vectorized(lambda t: np.zeros(np.shape(t) + eye.shape) + eye))
-
-
 def exp_path(group: MatrixGroup, x: np.ndarray, scale: float = 1.0) -> GroupPath:
     """t -> exp(t * scale * X) for an algebra coefficient vector X."""
     mat = group.realize(np.asarray(x, dtype=float))
@@ -494,12 +489,6 @@ def su2_group() -> MatrixGroup:
         membership=membership,
         name="SU(2)",
     )
-
-
-def quaternion_element(q: np.ndarray) -> np.ndarray:
-    """Unit quaternions (..., 4) (w, x, y, z) -> SU(2) group elements."""
-    q = np.asarray(q, dtype=float)
-    return _quaternion_left_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
 def sl2_group() -> MatrixGroup:

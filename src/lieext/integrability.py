@@ -29,8 +29,9 @@ from .geometry import (
     DEFAULT_QUAD_ORDER,
     EquivariantForm,
     Surface2Chain,
+    _path_nodes,
+    _triangle_integral,
     cancel_boundary_edges,
-    path_cocycle,
     surface_integral,
     surface_integrals,
 )
@@ -147,10 +148,11 @@ def pi1_cocycle_table(
     and close at the identity; the cocycle of a pair is path_cocycle, the
     product-triangle integral from the loops' log-derivatives, which equals
     the universal-cover computation: the form pulls back along the covering.
+    path_cocycle's per-path step is taken once per loop, which calls each
+    loop once on the rule's parameters, and its pair step on the k^2 pairs.
     """
     group = form.group
     names = [name for name, _ in loops]
-    paths = [loop for _, loop in loops]
     for name, loop in loops:
         g = loop(np.linspace(0.0, 1.0, 33))
         _, outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
@@ -161,10 +163,9 @@ def pi1_cocycle_table(
         base = float(np.max(np.abs(g[0] - group.identity)))
         if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
             raise NotALoopError(f"loop {name!r} does not close at the identity")
-    k = len(paths)
-    values = np.array(
-        [path_cocycle(form, p, q, quad_order) for p in paths for q in paths]
-    ).reshape(k, k, form.cochain.coeff_dim)
+    nodes = [_path_nodes(group, f"loops[{name!r}]", loop, int(quad_order)) for name, loop in loops]
+    values = np.array([_triangle_integral(form, p, q) for p in nodes for q in nodes])
+    values = values.reshape(len(nodes), len(nodes), form.cochain.coeff_dim)
     commutators = values - np.swapaxes(values, 0, 1)
     table = {"loops": names, "values": values.tolist(), "commutators": commutators.tolist()}
     if lattice is not None:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import lieext as lx
+from lieext.batch import vectorized
+from lieext.groups import _quaternion_left_matrix
 
 
 @pytest.fixture
@@ -42,6 +46,43 @@ def su2():
 @pytest.fixture
 def unit_lattice():
     return lx.Lattice(generators=[[1.0]])
+
+
+def random_cochain(degree, alg_dim, coeff_dim, rng):
+    size = math.comb(alg_dim, degree) * coeff_dim
+    return lx.Cochain(degree, alg_dim, coeff_dim, rng.normal(size=size))
+
+
+def direct_sum(a, b):
+    n, p = a.dim, b.dim
+    c = np.zeros((n + p, n + p, n + p))
+    c[:n, :n, :n] = a.structure_constants
+    c[n:, n:, n:] = b.structure_constants
+    return lx.LieAlgebra(structure_constants=c)
+
+
+def change_of_basis(alg, p):
+    """Structure constants in the basis e'_a = sum_i p[i, a] e_i."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (alg.dim, alg.dim):
+        raise lx.MalformedInputError("change of basis must be n x n")
+    cprime = np.einsum("ia,jb,ijk,kc->abc", p, p, alg.structure_constants, np.linalg.inv(p).T)
+    return lx.LieAlgebra(structure_constants=cprime)
+
+
+def empty_chain():
+    return lx.Surface2Chain(patches=())
+
+
+def identity_path(group):
+    eye = group.identity
+    return lx.GroupPath(eval=vectorized(lambda t: np.zeros(np.shape(t) + eye.shape) + eye))
+
+
+def quaternion_element(q):
+    """Unit quaternions (..., 4) (w, x, y, z) -> SU(2) group elements."""
+    q = np.asarray(q, dtype=float)
+    return _quaternion_left_matrix(q / np.linalg.norm(q, axis=-1, keepdims=True))
 
 
 def area_cochain(c=1.0):

@@ -10,7 +10,9 @@ import numpy as np
 
 import lieext as lx
 
-from conftest import area_cochain, random_torus_path
+from conftest import (
+    area_cochain, direct_sum, quaternion_element, random_cochain, random_torus_path,
+)
 from test_cohomology import oracle_betti
 
 
@@ -48,7 +50,7 @@ def test_criterion_2_nilpotency_suites():
         (lx.heisenberg3_algebra(), lx.adjoint_module(lx.heisenberg3_algebra())),
         (lx.sl2_algebra(), lx.adjoint_module(lx.sl2_algebra())),
         (
-            lx.direct_sum(lx.sl2_algebra(), lx.heisenberg3_algebra()),
+            direct_sum(lx.sl2_algebra(), lx.heisenberg3_algebra()),
             lx.trivial_module(6, 2),
         ),
     ]
@@ -56,7 +58,7 @@ def test_criterion_2_nilpotency_suites():
     for alg, mod in algebras:
         for degree in range(alg.dim + 1):
             for _ in range(100):
-                om = lx.random_cochain(degree, alg.dim, mod.coeff_dim, rng)
+                om = random_cochain(degree, alg.dim, mod.coeff_dim, rng)
                 dd = lx.apply_d(alg, mod, lx.apply_d(alg, mod, om))
                 worst_d = max(worst_d, dd.max_norm())
     assert worst_d < 1e-8
@@ -103,10 +105,10 @@ def test_criterion_3_jacobi_iff_cocycle():
         both = {True: 0, False: 0}
         for trial in range(50):
             if trial % 2:
-                omega = lx.random_cochain(2, alg.dim, mod.coeff_dim, rng)
+                omega = random_cochain(2, alg.dim, mod.coeff_dim, rng)
             else:
                 omega = lx.apply_d(
-                    alg, mod, lx.random_cochain(1, alg.dim, mod.coeff_dim, rng)
+                    alg, mod, random_cochain(1, alg.dim, mod.coeff_dim, rng)
                 )
             ext = lx.build_algebra_extension(alg, mod, omega, force=True)
             jacobi_ok = lx.validate_algebra(ext, 1e-9) == []
@@ -118,7 +120,7 @@ def test_criterion_3_jacobi_iff_cocycle():
         # perturb a cocycle along a direction with d(direction) != 0
         direction = None
         while direction is None or lx.apply_d(alg, mod, direction).max_norm() < 0.1:
-            direction = lx.random_cochain(2, alg.dim, mod.coeff_dim, rng)
+            direction = random_cochain(2, alg.dim, mod.coeff_dim, rng)
         eps = np.logspace(-1, -5, 5)
         residuals = []
         for e in eps:
@@ -326,7 +328,7 @@ def test_criterion_10_boundary_periods():
         q = np.array(
             [0.0, np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
         )
-        return lx.quaternion_element(q)
+        return quaternion_element(q)
 
     sphere_chain = lx.Surface2Chain(
         patches=(lx.SurfacePatch(eval=sphere, domain="square"),)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import lieext as lx
 from lieext.errors import InvalidLatticeError, MalformedInputError
 
+from conftest import change_of_basis, direct_sum
+
 
 def brute_force_jacobi_residual(c):
     """Independent oracle: max Jacobi residual by explicit quadruple loops."""
@@ -320,10 +322,10 @@ class TestHelpers:
 
     def test_change_of_basis_preserves_validity(self, sl2, rng):
         p = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-        moved = lx.change_of_basis(sl2, p)
+        moved = change_of_basis(sl2, p)
         assert lx.validate_algebra(moved, 1e-8) == []
 
     def test_direct_sum_validates(self, sl2, heis3):
-        both = lx.direct_sum(sl2, heis3)
+        both = direct_sum(sl2, heis3)
         assert both.dim == 6
         assert lx.validate_algebra(both) == []

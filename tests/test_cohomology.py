@@ -9,6 +9,8 @@ import lieext as lx
 import lieext.cohomology
 from lieext.errors import LieExtError, MalformedInputError
 
+from conftest import change_of_basis, direct_sum, random_cochain
+
 
 def oracle_d_matrix(alg, mod, n):
     """Independent coboundary-matrix assembly.
@@ -86,7 +88,7 @@ class TestCochain:
         assert om.values.shape == (3, 2)  # C(3, 2)
 
     def test_alternation_exact(self, rng):
-        om = lx.random_cochain(3, 4, 2, rng)
+        om = random_cochain(3, 4, 2, rng)
         x, y, z = rng.normal(size=(3, 4))
         assert np.allclose(om(x, y, z), -om(y, x, z))
         assert np.all(om(x, x, z) == 0.0)
@@ -100,7 +102,7 @@ class TestCochain:
         assert np.all(broadcast[0] == 0.0) and np.all(broadcast[1:] != 0.0)
 
     def test_multilinear_evaluation_matches_components(self, rng):
-        om = lx.random_cochain(2, 4, 3, rng)
+        om = random_cochain(2, 4, 3, rng)
         eye = np.eye(4)
         for key, val in zip(itertools.combinations(range(4), 2), om.values):
             assert np.allclose(om(eye[key[0]], eye[key[1]]), val)
@@ -123,7 +125,7 @@ class TestCochain:
             for point in np.ndindex(5, 4):
                 single = minors(*(a if a.ndim == 1 else a[point] for a in args))
                 assert np.array_equal(single, stacked[point] if degree else stacked)
-            om = lx.random_cochain(degree, dim, 2, rng)
+            om = random_cochain(degree, dim, 2, rng)
             assert np.array_equal(om(*args), stacked @ om.values)
 
     def test_malformed_arguments_rejected(self):
@@ -150,7 +152,7 @@ class TestCochain:
             assert str(err.value) == message
 
     def test_vector_round_trip(self, rng):
-        om = lx.random_cochain(2, 5, 2, rng)
+        om = random_cochain(2, 5, 2, rng)
         back = lx.Cochain(2, 5, 2, om.to_vector())
         assert np.array_equal(back.values, om.values)
 
@@ -233,22 +235,22 @@ class TestApplyD:
             (lx.sl2_algebra(), lx.adjoint_module(lx.sl2_algebra())),
             (lx.heisenberg3_algebra(), lx.trivial_module(3, 1)),
             (
-                lx.direct_sum(lx.sl2_algebra(), lx.heisenberg3_algebra()),
+                direct_sum(lx.sl2_algebra(), lx.heisenberg3_algebra()),
                 lx.trivial_module(6, 2),
             ),
         ]
         for alg, mod in algs:
             if degree > alg.dim:
                 continue
-            om = lx.random_cochain(degree, alg.dim, mod.coeff_dim, rng)
+            om = random_cochain(degree, alg.dim, mod.coeff_dim, rng)
             dd = lx.apply_d(alg, mod, lx.apply_d(alg, mod, om))
             assert dd.max_norm() < 1e-8 * alg.dim**3
 
     def test_matches_oracle_matrix(self, sl2, rng):
-        h5 = lx.change_of_basis(
+        h5 = change_of_basis(
             heisenberg_algebra(2), rng.normal(size=(5, 5)) + 3 * np.eye(5)
         )
-        sl2_r1 = lx.direct_sum(sl2, lx.abelian_algebra(1))
+        sl2_r1 = direct_sum(sl2, lx.abelian_algebra(1))
         # commuting matrices: a representation of the abelian R^3
         a = rng.normal(size=(2, 2))
         x, y = rng.normal(size=(2, 3))
@@ -308,12 +310,12 @@ class TestTermTable:
     def test_same_shape_algebras_share_terms_not_values(self, rng):
         plan = lieext.cohomology._plan
         algs = [
-            lx.change_of_basis(
-                lx.direct_sum(lx.sl2_algebra(), lx.abelian_algebra(1)),
+            change_of_basis(
+                direct_sum(lx.sl2_algebra(), lx.abelian_algebra(1)),
                 rng.normal(size=(4, 4)) + 3 * np.eye(4),
             ),
-            lx.change_of_basis(
-                lx.direct_sum(lx.heisenberg3_algebra(), lx.abelian_algebra(1)),
+            change_of_basis(
+                direct_sum(lx.heisenberg3_algebra(), lx.abelian_algebra(1)),
                 rng.normal(size=(4, 4)) + 3 * np.eye(4),
             ),
         ]
@@ -418,8 +420,8 @@ class TestComplexSlice:
 
 class TestCohomologyTable:
     def _cases(self, rng):
-        sl2_h3 = lx.direct_sum(lx.sl2_algebra(), lx.heisenberg3_algebra())
-        h5 = lx.change_of_basis(
+        sl2_h3 = direct_sum(lx.sl2_algebra(), lx.heisenberg3_algebra())
+        h5 = change_of_basis(
             heisenberg_algebra(2), rng.normal(size=(5, 5)) + 3 * np.eye(5)
         )
         return [
@@ -492,7 +494,7 @@ class TestCohomologyTable:
 
     @pytest.mark.parametrize("power", [600, 1000])
     def test_table_is_unchanged_by_a_power_of_two(self, sl2, rng, power):
-        h5 = lx.change_of_basis(
+        h5 = change_of_basis(
             heisenberg_algebra(2), rng.normal(size=(5, 5)) + 3 * np.eye(5)
         )
         for alg in (sl2, h5):
@@ -527,7 +529,7 @@ class TestBetti:
     def test_basis_independence(self, heis3, rng):
         mod = lx.trivial_module(3, 1)
         p = rng.normal(size=(3, 3)) + 3 * np.eye(3)
-        moved = lx.change_of_basis(heis3, p)
+        moved = change_of_basis(heis3, p)
         for n in range(4):
             assert lx.betti(moved, mod, n) == lx.betti(heis3, mod, n)
 
@@ -578,12 +580,12 @@ class TestIsCocycle:
 
     def test_adjoint_coefficients_have_non_cocycles(self, sl2, rng):
         adj = lx.adjoint_module(sl2)
-        om = lx.random_cochain(2, 3, 3, rng)
+        om = random_cochain(2, 3, 3, rng)
         assert not lx.is_cocycle(sl2, adj, om)
 
     def test_coboundaries_are_cocycles(self, sl2, rng):
         adj = lx.adjoint_module(sl2)
-        lam = lx.random_cochain(1, 3, 3, rng)
+        lam = random_cochain(1, 3, 3, rng)
         assert lx.is_cocycle(sl2, adj, lx.apply_d(sl2, adj, lam))
 
 

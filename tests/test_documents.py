@@ -4,8 +4,9 @@ Each fault is pinned to its exact message and exit code 2, one fault per
 document, and for two faults in one section the entry that is named.  A
 property test checks that valid sections read bit for bit as the entry by
 entry definition: c[i, j, k] = v and c[j, i, k] = -v, and each component at
-its lexicographic row.  The expression sections are compiled per document:
-no two parses share a compiled expression.
+its lexicographic row.  The expression sections are compiled per document,
+each distinct text once, and no two parses share a compiled expression;
+each distinct entry of a map is evaluated once per call.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieext import expressions
+from lieext.expressions import Expression
 from lieext.cli import main
 from lieext.documents import parse_document
 
@@ -242,6 +244,40 @@ def test_valid_sections_read_as_each_entry_says(triples, components):
     assert doc.cocycle.values.tobytes() == rows.tobytes()
 
 
+def _su2_sphere():
+    return json.loads((resources.files("lieext") / "fixtures" / "su2_sphere_period.json").read_text())
+
+
+def test_each_distinct_text_is_compiled_and_evaluated_once(monkeypatch):
+    # the sphere's 4 x 4 matrix has 16 entries but only 7 distinct texts
+    parse, compiled, evaluated = expressions.parse_expression, [], []
+
+    def counted_parse(text):
+        compiled.append(text)
+        return parse(text)
+
+    def counted_call(self, env, call=Expression.__call__):
+        evaluated.append(self.source)
+        return call(self, env)
+
+    monkeypatch.setattr(expressions, "parse_expression", counted_parse)
+    raw = _su2_sphere()
+    matrix = raw["cycles"][0]["patches"][0]["matrix"]
+    doc = parse_document(raw)
+    assert sorted(compiled) == sorted({text for row in matrix for text in row})
+    assert len(compiled) == 7
+    [patch] = doc.cycles[0][1].patches
+    monkeypatch.setattr(Expression, "__call__", counted_call)
+    t, s = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)
+    mats = patch(t, s)
+    assert evaluated == compiled  # in row-major order of first occurrence
+    # every position holds its own entry's value, bit for bit
+    monkeypatch.undo()
+    for (i, j), text in np.ndenumerate(np.array(matrix)):
+        value = np.broadcast_to(parse(text)({"t": t, "s": s}), t.shape)
+        assert mats[:, i, j].tobytes() == value.tobytes()
+
+
 def test_documents_share_no_compiled_expression(monkeypatch):
     # two parses of one document, one after the other and then in two
     # threads at once: each compiles every distinct text of the document itself
@@ -253,7 +289,7 @@ def test_documents_share_no_compiled_expression(monkeypatch):
         return expr
 
     monkeypatch.setattr(expressions, "parse_expression", recorded)
-    raw = json.loads((resources.files("lieext") / "fixtures" / "su2_sphere_period.json").read_text())
+    raw = _su2_sphere()
     texts = {entry for row in raw["cycles"][0]["patches"][0]["matrix"] for entry in row}
 
     def alone():

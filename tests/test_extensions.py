@@ -6,7 +6,7 @@ import pytest
 import lieext as lx
 from lieext.errors import MalformedInputError, NotACocycleError, UserFunctionError
 
-from conftest import area_cochain
+from conftest import area_cochain, random_cochain
 
 
 def rotation_action_module():
@@ -40,7 +40,7 @@ class TestBuildAlgebraExtension:
 
     def test_total_bracket_matches_displayed_formula(self, sl2, rng):
         adj = lx.adjoint_module(sl2)
-        lam = lx.random_cochain(1, 3, 3, rng)
+        lam = random_cochain(1, 3, 3, rng)
         omega = lx.apply_d(sl2, adj, lam)
         ext = lx.build_algebra_extension(sl2, adj, omega)
         for _ in range(10):
@@ -61,7 +61,7 @@ class TestBuildAlgebraExtension:
 
     def test_projection_is_homomorphism(self, heis3, rng):
         mod = lx.trivial_module(3, 1)
-        omega = lx.random_cochain(2, 3, 1, rng)
+        omega = random_cochain(2, 3, 1, rng)
         ext = lx.build_algebra_extension(heis3, mod, omega)
         for _ in range(10):
             w1, w2 = rng.normal(size=(2, 4))
@@ -73,7 +73,7 @@ class TestBuildAlgebraExtension:
 
     def test_non_cocycle_rejected_with_residual(self, sl2, rng):
         adj = lx.adjoint_module(sl2)
-        omega = lx.random_cochain(2, 3, 3, rng)
+        omega = random_cochain(2, 3, 3, rng)
         with pytest.raises(NotACocycleError) as err:
             lx.build_algebra_extension(sl2, adj, omega)
         assert err.value.residual == pytest.approx(
@@ -82,7 +82,7 @@ class TestBuildAlgebraExtension:
 
     def test_force_builds_broken_object(self, sl2, rng):
         adj = lx.adjoint_module(sl2)
-        omega = lx.random_cochain(2, 3, 3, rng)
+        omega = random_cochain(2, 3, 3, rng)
         ext = lx.build_algebra_extension(sl2, adj, omega, force=True)
         assert lx.validate_algebra(ext) != []
 
@@ -93,9 +93,9 @@ class TestJacobiCocycleEquivalence:
             adj = lx.adjoint_module(alg)
             for trial in range(25):
                 if trial % 2:
-                    omega = lx.random_cochain(2, alg.dim, adj.coeff_dim, rng)
+                    omega = random_cochain(2, alg.dim, adj.coeff_dim, rng)
                 else:
-                    lam = lx.random_cochain(1, alg.dim, adj.coeff_dim, rng)
+                    lam = random_cochain(1, alg.dim, adj.coeff_dim, rng)
                     omega = lx.apply_d(alg, adj, lam)
                 ext = lx.build_algebra_extension(alg, adj, omega, force=True)
                 jacobi_ok = lx.validate_algebra(ext, 1e-9) == []
@@ -119,8 +119,8 @@ class TestJacobiCocycleEquivalence:
 class TestAreEquivalent:
     def test_coboundary_shift_detected_with_witness(self, sl2, rng):
         adj = lx.adjoint_module(sl2)
-        lam0 = lx.random_cochain(1, 3, 3, rng)
-        omega = lx.apply_d(sl2, adj, lx.random_cochain(1, 3, 3, rng))
+        lam0 = random_cochain(1, 3, 3, rng)
+        omega = lx.apply_d(sl2, adj, random_cochain(1, 3, 3, rng))
         shifted = omega + lx.apply_d(sl2, adj, lam0)
         same, witness, residual = lx.are_equivalent(sl2, adj, shifted, omega)
         assert same and residual < 1e-10
@@ -162,7 +162,7 @@ class TestAreEquivalent:
 
     def test_witness_of_large_cocycles(self, sl2, rng):
         mod = lx.trivial_module(3, 1)
-        om1, om2 = (1e200 * lx.random_cochain(2, 3, 1, rng) for _ in range(2))
+        om1, om2 = (1e200 * random_cochain(2, 3, 1, rng) for _ in range(2))
         same, witness, _ = lx.are_equivalent(sl2, mod, om1, om2, equiv_tol=1e190)
         assert same
         gap = lx.apply_d(sl2, mod, witness) - (om1 - om2)
@@ -171,8 +171,8 @@ class TestAreEquivalent:
     def test_sl2_trivial_coefficients_all_equivalent(self, sl2, rng):
         # H^2(sl2, R) = 0: any two cocycles differ by a coboundary
         mod = lx.trivial_module(3, 1)
-        om1 = lx.random_cochain(2, 3, 1, rng)
-        om2 = lx.random_cochain(2, 3, 1, rng)
+        om1 = random_cochain(2, 3, 1, rng)
+        om2 = random_cochain(2, 3, 1, rng)
         same, witness, _ = lx.are_equivalent(sl2, mod, om1, om2)
         assert same
         assert (lx.apply_d(sl2, mod, witness) - (om1 - om2)).max_norm() < 1e-9
@@ -180,7 +180,7 @@ class TestAreEquivalent:
     def test_equivalence_relation_axioms(self, sl2, rng):
         adj = lx.adjoint_module(sl2)
         oms = [
-            lx.apply_d(sl2, adj, lx.random_cochain(1, 3, 3, rng)) for _ in range(3)
+            lx.apply_d(sl2, adj, random_cochain(1, 3, 3, rng)) for _ in range(3)
         ]
         for om in oms:
             assert lx.are_equivalent(sl2, adj, om, om)[0]
@@ -193,7 +193,7 @@ class TestAreEquivalent:
         adj = lx.adjoint_module(sl2)
         with pytest.raises(NotACocycleError):
             lx.are_equivalent(
-                sl2, adj, lx.random_cochain(2, 3, 3, rng), lx.Cochain(2, 3, 3)
+                sl2, adj, random_cochain(2, 3, 3, rng), lx.Cochain(2, 3, 3)
             )
 
 

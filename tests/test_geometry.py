@@ -15,7 +15,10 @@ from lieext.errors import (
 from lieext.batch import vectorized
 from lieext.geometry import _distances_to_curve, _shared, cancel_boundary_edges, smooth_step
 
-from conftest import area_cochain, random_torus_path, shoelace_area, torus_path
+from conftest import (
+    area_cochain, empty_chain, identity_path, quaternion_element, random_torus_path,
+    shoelace_area, torus_path,
+)
 
 # quadrature floor: central-difference patch partials at h_geo = 1e-5 leave
 # a ~3e-9 derivative error, so converged integrals sit near that level
@@ -338,7 +341,7 @@ class TestProductTriangle:
     def test_degenerate_second_path_gives_zero(self, torus2, rng):
         form = torus_form(torus2)
         g1, _ = random_torus_path(torus2, rng)
-        val = lx.path_cocycle(form, g1, lx.identity_path(torus2), 8)
+        val = lx.path_cocycle(form, g1, identity_path(torus2), 8)
         assert abs(val[0]) < QUAD_FLOOR
 
     def test_r2_straight_paths_give_triangle_area(self, trans2):
@@ -351,7 +354,7 @@ class TestProductTriangle:
 
 class TestSurfaceIntegral:
     def test_empty_chain(self, torus2):
-        assert np.all(lx.surface_integral(torus_form(torus2), lx.empty_chain()) == 0.0)
+        assert np.all(lx.surface_integral(torus_form(torus2), empty_chain()) == 0.0)
 
     def test_torus_fundamental_square(self, torus2):
         for c in (1.0, 0.5, 2.0):
@@ -466,7 +469,7 @@ class TestSurfaceIntegral:
         drift = np.zeros((4, 4))
         drift[0, 0] = 1.0
         patch = lx.SurfacePatch(
-            eval=lambda t, s: lx.quaternion_element([1.0, t, s, 0.0]) + t * s * drift,
+            eval=lambda t, s: quaternion_element([1.0, t, s, 0.0]) + t * s * drift,
             domain="square",
         )
         with pytest.raises(TangentDecompositionError):
@@ -761,7 +764,7 @@ class TestHolonomy:
     def test_constant_loop_empty_chain(self, torus2, unit_lattice):
         form = torus_form(torus2)
         val = lx.holonomy(
-            form, lx.identity_path(torus2), lx.empty_chain(), unit_lattice
+            form, identity_path(torus2), empty_chain(), unit_lattice
         )
         assert np.all(val == 0.0)
 
@@ -821,7 +824,7 @@ class TestHolonomy:
         form = torus_form(torus2)
         arc = lx.coordinate_path(torus2, lambda t: np.array([0.25 * t, 0.0]))
         with pytest.raises(NotALoopError):
-            lx.holonomy(form, arc, lx.empty_chain(), unit_lattice)
+            lx.holonomy(form, arc, empty_chain(), unit_lattice)
 
     def test_boundary_mismatch_rejected(self, torus2, unit_lattice):
         form = torus_form(torus2)

@@ -11,7 +11,7 @@ from lieext.cli import run
 from lieext.documents import parse_document
 from lieext.errors import EXIT_INDETERMINATE, MalformedInputError, NotALoopError, OpenChainError
 
-from conftest import area_cochain
+from conftest import area_cochain, quaternion_element
 
 
 def fundamental_cycle(group):
@@ -45,7 +45,7 @@ def sphere_cycle():
         q = np.array(
             [0.0, np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
         )
-        return lx.quaternion_element(q)
+        return quaternion_element(q)
 
     return lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch, domain="square"),))
 
@@ -273,6 +273,41 @@ class TestPi1Table:
         report, _ = run(parse_document(json.loads(fixture.read_text())))
         assert len(calls) == 1
         assert report["results"]["commutator_in_lattice"] == [["member"] * 2] * 2
+
+    def test_each_loop_is_called_once_on_the_rule(self, torus2):
+        form = lx.EquivariantForm(area_cochain(0.7), torus2)
+        calls = {}
+
+        def counted(name, winding):
+            loop = lx.torus_winding_loop(torus2, winding)
+
+            @vectorized
+            def path(t):
+                calls.setdefault(name, []).append(np.size(t))
+                return loop(t)
+
+            return name, lx.GroupPath(eval=path)
+
+        loops = [counted("m", [1, 0]), counted("n", [1, 2])]
+        table = lx.pi1_cocycle_table(form, loops, quad_order=16)
+        # once on the 33 membership samples, once on the rule's 3n parameters
+        assert calls == {"m": [33, 48], "n": [33, 48]}
+        for i, (_, p) in enumerate(loops):
+            for j, (_, q) in enumerate(loops):
+                assert table["values"][i][j] == lx.path_cocycle(form, p, q, 16).tolist()
+        assert table["commutators"][0][1][0] == pytest.approx(1.4, abs=1e-8)
+
+    def test_a_loop_leaving_the_group_at_a_node_is_named(self, torus2):
+        # on T^2 at the 33 membership samples, off it at the rule's parameters
+        form = lx.EquivariantForm(area_cochain(), torus2)
+        loop = lx.torus_winding_loop(torus2, [1, 0])
+        samples = np.linspace(0.0, 1.0, 33)
+        off = lx.GroupPath(eval=vectorized(
+            lambda t: loop(t) * np.where(np.isin(t, samples), 1.0, 1.1)[..., None, None]))
+        loops = [("m", loop), ("off", off)]
+        with pytest.raises(lx.MembershipError,
+                           match=r"^loops\['off'\] leaves the group at t = 0\.00529953: "):
+            lx.pi1_cocycle_table(form, loops, quad_order=16)
 
     def test_open_loop_rejected(self, torus2):
         form = lx.EquivariantForm(area_cochain(), torus2)

@@ -13,6 +13,8 @@ import numpy as np
 
 import lieext.cli  # noqa: F401  (the tracer wraps cli.main)
 
+from conftest import direct_sum
+
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 _spec = importlib.util.spec_from_file_location("tracer", BENCHMARK / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
@@ -68,7 +70,7 @@ def test_argument_hooks_find_their_arguments():
 def test_a_traced_table_assembles_each_degree_once_on_the_traced_path():
     # the cohomology workload's coboundary metrics count these spans: a table
     # that assembled d_n some other way would leave them silently short
-    alg = lieext.direct_sum(lieext.sl2_algebra(), lieext.heisenberg3_algebra())
+    alg = direct_sum(lieext.sl2_algebra(), lieext.heisenberg3_algebra())
     mod = lieext.trivial_module(alg.dim, 2)
     run = tracer.Tracer()
     run.install()
