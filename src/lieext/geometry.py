@@ -330,8 +330,8 @@ def _triangle_rule(order: int) -> tuple:
 def _path_nodes(group: MatrixGroup, name: str, path: GroupPath, order: int) -> tuple:
     """The per-path step of path_cocycle: the path at the 3n parameters of
     _triangle_rule(order), from one call, checked at its n nodes u; g^-1 g'(u);
-    and ad, whose first call gives Ad(g(u_j)^-1) e_k as ad()[j, k], in the
-    basis, as only a second path needs it.  Errors name the path."""
+    and ad, whose first call computes ad()[j, k], the coefficients of
+    Ad(g(u_j)^-1) e_k, which only a second path needs.  Errors name the path."""
     params = _triangle_rule(order)[0]
     g, plus, minus = path(params)
     at, res = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
