@@ -297,11 +297,12 @@ def test_documents_share_no_compiled_expression(monkeypatch):
         parse_document(raw)
         return [expr for _, expr in made[start:]]
 
-    meet = threading.Barrier(2)
+    meet, done = threading.Barrier(2), []
 
     def together():
-        meet.wait()
+        meet.wait(timeout=30)
         parse_document(raw)
+        done.append(True)
 
     threads = [threading.Thread(target=together) for _ in range(2)]
     parses = [alone(), alone()]
@@ -309,7 +310,8 @@ def test_documents_share_no_compiled_expression(monkeypatch):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+    assert done == [True, True] and not any(thread.is_alive() for thread in threads)
     parses += [[expr for ident, expr in made[start:] if ident == thread.ident] for thread in threads]
     for first, second in (parses[:2], parses[2:]):
         assert {e.source for e in first} == {e.source for e in second} == texts
