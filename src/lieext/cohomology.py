@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import DEFAULT_TOL_ALG, LieAlgebra, ModuleAction
-from .errors import LieExtError, MalformedInputError, UserFunctionError
+from .errors import LieExtError, MalformedInputError, NotACocycleError, UserFunctionError
 
 RANK_TOL_FACTOR = 1e-10
 # d_n is assembled dense and its SVD takes a few copies of it; a d_n with
@@ -424,8 +424,24 @@ def cohomology_representatives(alg: LieAlgebra, mod: ModuleAction, n: int) -> li
 def is_cocycle(
     alg: LieAlgebra, mod: ModuleAction, omega: Cochain, tol: float = DEFAULT_TOL_ALG
 ) -> bool:
-    """True when d(omega) vanishes within tol in the max norm."""
+    """True when d(omega) vanishes within tol in the max norm: _require_cocycles as a predicate."""
     return apply_d(alg, mod, omega).max_norm() < tol
+
+
+def _require_cocycles(alg: LieAlgebra, mod: ModuleAction, omegas: dict, tol=DEFAULT_TOL_ALG):
+    """d_1, once each named 2-cochain of omegas has max |d_2 omega| below tol: the package's one
+    refusal of a non-cocycle, NotACocycleError with the residual of the first that has not (NaN
+    included).  d_1 and d_2 come from _complex, which refuses a d_2 d_1 that is not zero."""
+    shapes = {(w.degree, w.alg_dim, w.coeff_dim) for w in omegas.values()}
+    if shapes != {(2, alg.dim, mod.coeff_dim)}:
+        raise MalformedInputError("cocycles must be 2-cochains on the algebra/module")
+    (_, d1), (_, d2) = _complex(alg, mod, (1, 2))
+    for name, omega in omegas.items():
+        residual = float(np.max(np.abs(d2 @ omega.to_vector()), initial=0.0))
+        if not residual < tol:
+            raise NotACocycleError(f"{name} is not a cocycle: max |d({name})| = {residual:.3e}, "
+                                   f"not below tol {tol:.3e}", residual=residual)
+    return d1
 
 
 @dataclass(frozen=True)

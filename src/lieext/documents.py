@@ -33,6 +33,7 @@ from .algebra import (
     Lattice,
     LieAlgebra,
     ModuleAction,
+    _issues_above,
     reduce_mod_lattice,
     trivial_module,
     validate_algebra,
@@ -41,9 +42,9 @@ from .algebra import (
 from .cohomology import (
     Cochain,
     GroupCochain,
+    _require_cocycles,
     cohomology_table,
     index_table,
-    is_cocycle,
     normalization_residual,
 )
 from .errors import (
@@ -54,7 +55,6 @@ from .errors import (
     LieExtError,
     MalformedInputError,
     MembershipError,
-    NotACocycleError,
     UnresolvedReferenceError,
 )
 from .extensions import (
@@ -393,8 +393,9 @@ def _parse_group(section) -> MatrixGroup:
         basis = _reals(section["basis"], "group.basis")
         _require("algebra" in section, "matrix group needs structure constants (via 'algebra')")
         alg = _parse_algebra(section["algebra"])
+        name = _name(section.get("name", "matrix-group"), "group.name")
         try:
-            return MatrixGroup(algebra=alg, basis=basis, name=section.get("name", "matrix-group"))
+            return MatrixGroup(algebra=alg, basis=basis, name=name)
         except MalformedInputError as exc:
             raise DocumentError(f"group: {exc}") from None
     raise DocumentError(
@@ -652,15 +653,14 @@ def _components(cochain: Cochain) -> list:
 
 
 def _form(doc):
-    """The document's equivariant form; the group must fix its lattice and
-    the cochain must be a cocycle."""
+    """The document's equivariant form; the group must fix its lattice and the
+    cochain must be a cocycle of the group's algebra, not the algebra section's."""
     for issue in validate_lattice_fixed(doc.module, doc.lattice) if doc.lattice else ():
         (i, j), residual = issue["indices"], issue["residual"]
         raise MalformedInputError(f"lattice generator {j} is not fixed by the group: "
                                   f"|module.rho[{i}] gamma_{j}| / |gamma_{j}| = {residual:.3e}")
     form = EquivariantForm(doc.cocycle, doc.group, doc.module)
-    if not is_cocycle(doc.algebra, doc.module, doc.cocycle):
-        raise NotACocycleError("the cochain to integrate is not a cocycle")
+    _require_cocycles(doc.group.algebra, doc.module, {"omega": doc.cocycle})
     return form
 
 
@@ -672,6 +672,9 @@ def _run_validate(doc):
     if doc.group is not None:
         # the group's algebra is doc.algebra unless an algebra section is given
         issues += [i for i in validate_group(doc.group, tol) if i not in issues]
+        i, j = np.triu_indices(doc.algebra.dim, 1)
+        gap = np.abs(doc.algebra.structure_constants - doc.group.algebra.structure_constants)[i, j]
+        issues += _issues_above("group_algebra", np.max(gap, axis=1, initial=0.0), tol, (i, j))
         if doc.module is not None and doc.module.group_action is not None:
             issues += validate_action_compatibility(doc.group, doc.module)
     if doc.lattice is not None:

@@ -25,8 +25,8 @@ from .algebra import (
     reduce_mod_lattice,
     trivial_module,
 )
-from .cohomology import Cochain, GroupCochain, _complex, index_table
-from .errors import MalformedInputError, NotACocycleError
+from .cohomology import Cochain, GroupCochain, _require_cocycles, index_table
+from .errors import MalformedInputError
 from .groups import MatrixGroup
 
 DEFAULT_EQUIV_TOL = 1e-8
@@ -39,26 +39,13 @@ def build_algebra_extension(
     tol: float = DEFAULT_TOL_ALG,
     force: bool = False,
 ) -> LieAlgebra:
-    """The twisted algebra g (+)_omega a; reject non-cocycles unless force=True.
+    """The twisted algebra g (+)_omega a.
 
     Its first alg.dim basis vectors span g and the other mod.coeff_dim span
-    a.  The Jacobi identity of the total algebra fails exactly when d(omega)
-    does not vanish, so non-cocycle input is refused with that residual, and
-    so is a g whose d_2 d_1 is not zero; force=True skips both (for tests).
-    """
-    if omega.degree != 2:
-        raise MalformedInputError("extension cocycle must have degree 2")
-    if omega.alg_dim != alg.dim or omega.coeff_dim != mod.coeff_dim:
-        raise MalformedInputError("cocycle dimensions do not match algebra/module")
-    if not force:
-        _, (_, d2) = _complex(alg, mod, (1, 2))
-        residual = float(np.max(np.abs(d2 @ omega.to_vector()), initial=0.0))
-        if residual >= tol:
-            raise NotACocycleError(
-                f"d(omega) has max norm {residual:.3e} >= tol {tol:.1e}; "
-                "the twisted bracket would violate Jacobi",
-                residual=residual,
-            )
+    a.  Its Jacobi identity fails exactly when d(omega) does not vanish, so
+    omega must pass _require_cocycles at tol; force=True (for tests) passes
+    tol = inf, building any omega of finite residual on a Lie algebra g."""
+    _require_cocycles(alg, mod, {"omega": omega}, np.inf if force else tol)
     n, m = alg.dim, mod.coeff_dim
     total = np.zeros((n + m, n + m, n + m))
     total[:n, :n, :n] = alg.structure_constants
@@ -82,18 +69,9 @@ def are_equivalent(
 
     Returns (verdict, witness 1-cochain or None, least-squares residual).
     The witness is the minimum-norm solution of d_1 lambda = omega1 - omega2.
-    A residual beyond the double range is returned as inf; an algebra and
-    module whose d_2 d_1 is not zero are refused, as cohomology_table does.
-    """
-    d1, d2 = (d_k for _, d_k in _complex(alg, mod, (1, 2)))
-    for omega in (omega1, omega2):
-        if (omega.degree, omega.alg_dim, omega.coeff_dim) != (2, alg.dim, mod.coeff_dim):
-            raise MalformedInputError("cocycles must be 2-cochains on the algebra/module")
-        res = float(np.max(np.abs(d2 @ omega.to_vector()), initial=0.0))
-        if res >= DEFAULT_TOL_ALG:
-            raise NotACocycleError(
-                f"input is not a cocycle (residual {res:.3e})", residual=res
-            )
+    A residual beyond the double range is returned as inf.  Both cochains
+    must pass _require_cocycles, whose refusal names omega1 or omega2."""
+    d1 = _require_cocycles(alg, mod, {"omega1": omega1, "omega2": omega2})
     # Solve for omega1 - omega2 divided by a power of two near the largest
     # input entry, so that neither the difference nor the squares in the
     # norm overflow; dividing by a power of two is exact, so other values

@@ -423,10 +423,16 @@ MALFORMED = {
     "lattice_rotated_gamma": ("torus_gamma.json", ROTATION),
     "lattice_rotated_pi1": ("pi1_torus.json", ROTATION),
     "lattice_rotated_integrability": ("torus_integrable.json", ROTATION),
+    # the Heisenberg group in 3 x 3 matrices, valid but for its name
+    "matrix_group_name_list": ("heis3_validate.json", _set("group", value={
+        "kind": "matrix", "name": [1, 2], "algebra": {"dim": 3, "structure_constants": [[0, 1, 2, 1.0]]},
+        "basis": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                  [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]})),
 }
 
 # The entry an error names, where it matters which one it is.
 MALFORMED_MESSAGES = {
+    "matrix_group_name_list": "group.name must be a string, got [1, 2]",
     "unknown_variable_unpaired_path": (
         "paths['extra'].coords[0]: unknown variable 'q'; the variables here are t"
     ),
@@ -657,12 +663,23 @@ GROUP_ISSUES = [{"identity": "jacobi", "indices": [0, 1, 2, 2], "residual": 2.0}
     (None, GROUP_ISSUES),
     # an algebra section of its own is checked before the group's algebra
     ({"dim": 3, "structure_constants": [[0, 1, 1, 1.0], [1, 2, 0, 1.0]]},
-     [{"identity": "jacobi", "indices": [0, 1, 2, 0], "residual": 1.0}, *GROUP_ISSUES]),
+     [{"identity": "jacobi", "indices": [0, 1, 2, 0], "residual": 1.0}, *GROUP_ISSUES,
+      # and compared with it: the two disagree on every bracket
+      *({"identity": "group_algebra", "indices": ij, "residual": 1.0}
+        for ij in ([0, 1], [0, 2], [1, 2]))]),
 ], ids=["group-algebra", "own-algebra"])
 def test_validate_lists_each_algebra_violation_once(algebra, expected):
     raw = {"task": "validate", "group": BROKEN_SL2}
     report, code = run(parse_document(raw if algebra is None else {**raw, "algebra": algebra}))
     assert code == 0 and report["results"]["violations"] == expected
+
+
+def test_validate_reports_an_algebra_section_that_is_not_the_groups():
+    # an abelian section for the Heisenberg group, whose [e0, e1] is e2
+    report, code = run(parse_document({"task": "validate", "group": {"kind": "heisenberg"},
+                                       "algebra": {"dim": 3}}))
+    assert code == 0 and report["results"] == {"valid": False, "violations": [
+        {"identity": "group_algebra", "indices": [0, 1], "residual": 1.0}]}
 
 
 # entry [0][0] of p1 is cos(t), which leaves the torus: at t = 1 the
@@ -760,8 +777,89 @@ def test_integrating_a_non_cocycle_is_rejected(task, tmp_path, capsys):
     assert main([str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
-        "computation rejected: the cochain to integrate is not a cocycle\n"
+        "computation rejected: omega is not a cocycle: max |d(omega)| = 1.000e+00, "
+        "not below tol 1.000e-09\n"
     )
+
+
+def _unit(i, j, n=4):
+    """E_ij, the n x n matrix unit, as a list."""
+    return np.outer(np.eye(n)[i], np.eye(n)[j]).tolist()
+
+
+def _unipotent(*entries):
+    """The 4 x 4 identity with the expressions of entries, (i, j, text) each, as a matrix map."""
+    rows = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    for i, j, text in entries:
+        rows[i][j] = text
+    return {"matrix": rows}
+
+
+# heis (+) R in 4 x 4 matrices: [e0, e1] = e2, and e3 is central.  omega(e2, e3)
+# = 1 is a cocycle of the abelian R^4 but not of this algebra:
+# d(omega)(e0, e1, e3) = -omega([e0, e1], e3) = -1.
+HEIS_R = {"kind": "matrix", "basis": [_unit(0, 1), _unit(1, 2), _unit(0, 2), _unit(0, 3)],
+          "algebra": {"dim": 4, "structure_constants": [[0, 1, 2, 1.0]]}}
+OMEGA_23 = {"components": [{"indices": [2, 3], "value": 1.0}]}
+HEIS_R_NOT_A_COCYCLE = {
+    "group": HEIS_R, "cocycle": OMEGA_23, "lattice": {"generators": [[1.0]]},
+    "paths": {"p": _unipotent((0, 2, "t")), "q": _unipotent((0, 3, "t"))}, "pair": ["p", "q"],
+    "loops": [{"name": "m", **_unipotent((0, 3, "sin(2*pi*t)"))}],
+    "cycles": [{"name": "c", "patches": [_unipotent((0, 2, "t"), (0, 3, "s"))]}],
+}
+
+
+@pytest.mark.parametrize("task, edit, name", [
+    ("extend", {}, "omega"),
+    ("equivalence", {"cocycle2": {"components": []}}, "omega1"),
+    ("equivalence", {"cocycle": {"components": []}, "cocycle2": OMEGA_23}, "omega2"),
+    ("gamma", {}, "omega"),
+    ("pi1", {}, "omega"),
+    ("check-integrability", {}, "omega"),
+], ids=["extend", "equivalence-cocycle", "equivalence-cocycle2", "gamma", "pi1",
+        "check-integrability"])
+def test_every_task_refuses_a_non_cocycle_in_one_shape(task, edit, name, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**HEIS_R_NOT_A_COCYCLE, **edit, "task": task}))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"computation rejected: {name} is not a cocycle: max |d({name})| = 1.000e+00, "
+        "not below tol 1.000e-09\n"
+    )
+
+
+@pytest.mark.parametrize("tol, code", [(0.5, 3), (2.0, 0)])
+def test_extend_tests_its_cocycle_at_its_tol(tol, code, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**HEIS_R_NOT_A_COCYCLE, "task": "extend", "options": {"tol": tol}}))
+    assert main([str(path)]) == code
+    assert capsys.readouterr().err == ("" if code == 0 else (
+        "computation rejected: omega is not a cocycle: max |d(omega)| = 1.000e+00, "
+        f"not below tol {tol:.3e}\n"))
+
+
+def test_gamma_tests_omega_on_the_group_algebra_not_the_section(tmp_path, capsys):
+    # an abelian section of the right dimension does not make omega a cocycle of HEIS_R
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**HEIS_R_NOT_A_COCYCLE, "task": "gamma", "algebra": {"dim": 4}}))
+    assert main([str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "omega is not a cocycle" in captured.err
+
+
+def test_integrating_on_t4_ignores_a_section_omega_is_no_cocycle_of():
+    # omega(e2, e3) = 0.5 is a cocycle of R^4, the algebra of T^4, so its
+    # period over the (2, 3) coordinate torus is decided, though the section
+    # is heis (+) R
+    report, code = run(parse_document({
+        "task": "check-integrability", "group": {"kind": "torus", "dim": 4},
+        "algebra": HEIS_R["algebra"], "lattice": {"generators": [[1.0]]},
+        "cocycle": {"components": [{"indices": [2, 3], "value": 0.5}]},
+        "cycles": [{"name": "c", "patches": [{"coords": ["0", "0", "t", "s"]}]}]}))
+    [generator] = report["results"]["generators"]
+    assert code == 0 and report["results"]["overall"] == "not_integrable"
+    assert generator["period"] == pytest.approx([0.5], abs=1e-8)
 
 
 # T^2 at angles (t, s), its constant entries given as JSON numbers

@@ -86,6 +86,14 @@ class TestBuildAlgebraExtension:
         ext = lx.build_algebra_extension(sl2, adj, omega, force=True)
         assert lx.validate_algebra(ext) != []
 
+    def test_force_still_needs_a_lie_algebra(self):
+        # [e0, e1] = e1 and [e1, e2] = e0 break Jacobi, so d_2 d_1 is not zero
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 1], c[1, 0, 1], c[1, 2, 0], c[2, 1, 0] = 1.0, -1.0, 1.0, -1.0
+        with pytest.raises(lx.LieExtError, match="d_2 d_1 is not zero"):
+            lx.build_algebra_extension(lx.LieAlgebra(c), lx.trivial_module(3, 1),
+                                       lx.Cochain(2, 3, 1), force=True)
+
 
 class TestJacobiCocycleEquivalence:
     def test_verdicts_agree(self, heis3, sl2, rng):
@@ -195,6 +203,13 @@ class TestAreEquivalent:
             lx.are_equivalent(
                 sl2, adj, random_cochain(2, 3, 3, rng), lx.Cochain(2, 3, 3)
             )
+
+    def test_the_refusal_names_the_cochain_and_its_residual(self, sl2, rng):
+        adj = lx.adjoint_module(sl2)
+        omega = random_cochain(2, 3, 3, rng)
+        with pytest.raises(NotACocycleError, match="^omega2 is not a cocycle") as err:
+            lx.are_equivalent(sl2, adj, lx.Cochain(2, 3, 3), omega)
+        assert err.value.residual == lx.apply_d(sl2, adj, omega).max_norm()
 
 
 R1 = lx.translation_group(1)
