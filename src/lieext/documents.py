@@ -4,12 +4,13 @@ A document names its task and provides the sections that task needs:
 algebra (structure constants, sparse triples or dense), module (rho
 matrices and an optional group-action expression), lattice, group (a named
 built-in or an explicit matrix realization), cocycles, and parametric
-paths/loops/cycles written in the small expression grammar.  Indices are
-0-based throughout.  parse_document builds and cross-checks the in-memory
-objects and reads the options against OPTIONS; TASKS holds, for each task,
-the sections it needs, the options it reads and how it runs.  No task has a
-text form of its own: the text report names the results fields as the
-machine report does.
+paths/loops/cycles written in the small expression grammar.  A document
+gives an algebra or a group, not both: a group document's algebra is the
+group's.  Indices are 0-based throughout.  parse_document builds and
+cross-checks the in-memory objects and reads the options against OPTIONS;
+TASKS holds, for each task, the sections it needs, the options it reads
+and how it runs.  No task has a text form of its own: the text report
+names the results fields as the machine report does.
 Numbers are read by two readers only: _integer and _reals.  Every
 expression-valued section (path and patch coords or matrix, the module's
 group action, the d2 cochain) is compiled, and its variables checked, by
@@ -33,7 +34,6 @@ from .algebra import (
     Lattice,
     LieAlgebra,
     ModuleAction,
-    _issues_above,
     reduce_mod_lattice,
     trivial_module,
     validate_algebra,
@@ -331,11 +331,10 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
                   compiled) -> ModuleAction:
     _require(isinstance(section, dict), "module section must be an object")
     m = _integer(section.get("coeff_dim"), "module coeff_dim", 0, MAX_DIM)
-    dim = alg.dim if alg is not None else (group.algebra.dim if group else None)
-    _require(dim is not None, "module section needs an algebra or group to attach to")
-    rho = np.zeros((dim, m, m))
+    _require(alg is not None, "module section needs an algebra or group to attach to")
+    rho = np.zeros((alg.dim, m, m))
     if "rho" in section:
-        rho = _reals(section["rho"], "module: rho", (dim, m, m))
+        rho = _reals(section["rho"], "module: rho", (alg.dim, m, m))
     action = None
     ga = section.get("group_action")
     if ga is not None and ga != "trivial":
@@ -526,17 +525,13 @@ def parse_document(text_or_dict) -> ProblemDocument:
     doc = ProblemDocument(task=task, raw=raw, options=options)
     compiled = {}  # each expression text of this document -> its Expression
 
-    if "group" in raw:
+    if "group" in raw:  # a group document's algebra is the group's
+        _require("algebra" not in raw, "give an algebra section or a group section, not both; "
+                 "a matrix group gives its algebra in group.algebra")
         doc.group = _parse_group(raw["group"])
-    if "algebra" in raw:
-        doc.algebra = _parse_algebra(raw["algebra"])
-        if doc.group is not None and doc.algebra.dim != doc.group.algebra.dim:
-            raise DocumentError(
-                f"algebra dim {doc.algebra.dim} does not match group algebra "
-                f"dim {doc.group.algebra.dim}"
-            )
-    elif doc.group is not None:
         doc.algebra = doc.group.algebra
+    elif "algebra" in raw:
+        doc.algebra = _parse_algebra(raw["algebra"])
 
     if "module" in raw:
         doc.module = _parse_module(raw["module"], doc.algebra, doc.group, compiled)
@@ -654,13 +649,13 @@ def _components(cochain: Cochain) -> list:
 
 def _form(doc):
     """The document's equivariant form; the group must fix its lattice and the
-    cochain must be a cocycle of the group's algebra, not the algebra section's."""
+    cochain must be a cocycle of the document's algebra, the group's."""
     for issue in validate_lattice_fixed(doc.module, doc.lattice) if doc.lattice else ():
         (i, j), residual = issue["indices"], issue["residual"]
         raise MalformedInputError(f"lattice generator {j} is not fixed by the group: "
                                   f"|module.rho[{i}] gamma_{j}| / |gamma_{j}| = {residual:.3e}")
     form = EquivariantForm(doc.cocycle, doc.group, doc.module)
-    _require_cocycles(doc.group.algebra, doc.module, {"omega": doc.cocycle})
+    _require_cocycles(doc.algebra, doc.module, {"omega": doc.cocycle})
     return form
 
 
@@ -670,11 +665,8 @@ def _run_validate(doc):
     if doc.module is not None:
         issues += validate_module(doc.algebra, doc.module, tol)
     if doc.group is not None:
-        # the group's algebra is doc.algebra unless an algebra section is given
+        # validate_group checks the group's algebra, doc.algebra, again
         issues += [i for i in validate_group(doc.group, tol) if i not in issues]
-        i, j = np.triu_indices(doc.algebra.dim, 1)
-        gap = np.abs(doc.algebra.structure_constants - doc.group.algebra.structure_constants)[i, j]
-        issues += _issues_above("group_algebra", np.max(gap, axis=1, initial=0.0), tol, (i, j))
         if doc.module is not None and doc.module.group_action is not None:
             issues += validate_action_compatibility(doc.group, doc.module)
     if doc.lattice is not None:

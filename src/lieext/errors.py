@@ -48,10 +48,6 @@ class OpenChainError(LieExtError):
     """A 2-chain asserted to be a cycle has uncancelled boundary."""
 
 
-class BoundaryMismatchError(LieExtError):
-    """A bounding surface's boundary does not match the given loop."""
-
-
 class UserFunctionError(LieExtError):
     """A user-supplied evaluable map raised during evaluation."""
 

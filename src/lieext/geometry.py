@@ -11,11 +11,11 @@ over parameterized 2-chains with a tensor Gauss-Legendre rule and patch
 partials by central differences, in one array pass over all nodes of a patch:
 
 * the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
-  path-pair cocycle;
+  path-pair cocycle, taken from the two paths' log-derivatives;
 * spanning surfaces between two paths with the same endpoint, built by
   fiberwise interpolation g1(t) exp(alpha(s) log(g1(t)^-1 g2(t)));
-* boundaries of 3-patches (for Stokes checks), translated chains, and the
-  edge bookkeeping used by cycle-closure and holonomy boundary tests;
+* boundaries of 3-patches (for Stokes checks) and the edge bookkeeping
+  used by the cycle-closure test;
 * the finite-difference derivation taking a smooth group 2-cochain to an
   algebra 2-cochain, and the consistency checks tying the path cocycle and
   the extension's curvature back to omega.
@@ -31,17 +31,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (
-    Lattice,
-    ModuleAction,
-    bracket as algebra_bracket,
-    reduce_mod_lattice,
-    trivial_module,
-)
+from .algebra import ModuleAction, bracket as algebra_bracket, trivial_module
 from .batch import per_point, vectorized
 from .cohomology import Cochain, GroupCochain, index_table
 from .errors import (
-    BoundaryMismatchError,
     LieExtError,
     MalformedInputError,
     MembershipError,
@@ -148,20 +141,6 @@ class Surface2Chain:
 
     def __post_init__(self):
         object.__setattr__(self, "patches", tuple(self.patches))
-
-
-def left_translate_chain(g: np.ndarray, chain: Surface2Chain) -> Surface2Chain:
-    g = np.asarray(g, dtype=float)
-    return Surface2Chain(
-        patches=tuple(
-            SurfacePatch(
-                eval=(lambda p: vectorized(lambda t, s: g @ p(t, s)))(p),
-                domain=p.domain,
-                coefficient=p.coefficient,
-            )
-            for p in chain.patches
-        )
-    )
 
 
 # Nodes per array pass; larger grids are integrated in slices of this many
@@ -304,21 +283,6 @@ def surface_integral(
 # Chains built from paths
 
 
-def product_triangle_chain(g1: GroupPath, g2: GroupPath) -> Surface2Chain:
-    """The triangle (t, s) -> g1(t) g2(s) on {0 <= s <= t <= 1}.
-
-    Its boundary is g1 + (g1(1) . g2) - (g1 g2): the first path, the left
-    translate of the second, minus their pointwise product.  On the stencil
-    of an order-n rule each path is called at 3n distinct parameters.  The
-    chain form of what path_cocycle integrates, for chains and as its check.
-    """
-    return Surface2Chain(
-        patches=(
-            SurfacePatch(eval=vectorized(lambda t, s: g1(t) @ g2(s)), domain="simplex"),
-        )
-    )
-
-
 @lru_cache(maxsize=32)
 def _triangle_rule(order: int) -> tuple:
     """_stencil's triangle rule: (3, n) path parameters u, u + h, u - h; (n, n) weights."""
@@ -370,10 +334,10 @@ def path_cocycle(
     g2: GroupPath,
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> np.ndarray:
-    """Integral of the form over the triangle sigma(t, s) = g1(t) g2(s), as over
-    product_triangle_chain, from O(n) path work: the pair step
-    (_triangle_integral) on the per-path steps (_path_nodes) of g1 and g2, each
-    called once at 3n parameters; callers with many pairs take each step once."""
+    """Integral of the form over the triangle sigma(t, s) = g1(t) g2(s),
+    0 <= s <= t <= 1, from O(n) path work: the pair step (_triangle_integral)
+    on the per-path steps (_path_nodes) of g1 and g2, each called once at 3n
+    parameters; callers with many pairs take each step once."""
     group, n = form.group, int(quad_order)
     return _triangle_integral(form, _path_nodes(group, "g1", g1, n), _path_nodes(group, "g2", g2, n))
 
@@ -518,65 +482,6 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
     ]
 
 
-def _distances_to_curve(points: np.ndarray, curve: Callable) -> np.ndarray:
-    """Distance from each matrix of a stack to a sampled-then-refined point
-    on a curve: a grid of 65 parameters brackets each nearest parameter,
-    then 80 ternary steps refine all brackets at once."""
-    def dist(us):
-        return np.max(np.abs(curve(us) - points), axis=(-2, -1))
-
-    us = np.linspace(0.0, 1.0, 65)
-    k = np.argmin(np.max(np.abs(curve(us)[:, None] - points), axis=(-2, -1)), axis=0)
-    lo, hi = us[np.maximum(0, k - 1)], us[np.minimum(64, k + 1)]
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        d1, d2 = dist(np.stack([m1, m2]))
-        lo, hi = np.where(d1 < d2, lo, m1), np.where(d1 < d2, m2, hi)
-    return dist(0.5 * (lo + hi))
-
-
-def holonomy(
-    form: EquivariantForm,
-    loop: GroupPath,
-    bounding: Surface2Chain,
-    lattice: Optional[Lattice] = None,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-) -> np.ndarray:
-    """Holonomy defect around a loop: the bounding-surface integral mod Gamma.
-
-    The loop must close at the identity, and every sampled loop point must
-    lie on the uncancelled boundary of the bounding chain.
-    """
-    group = form.group
-    params = np.linspace(0.0, 1.0, 24)
-    points = loop(params)  # points[0] and points[-1] are the loop's ends
-    scale = max(1.0, float(np.max(np.abs(points[0]))))
-    tol = 100 * MEMBERSHIP_TOL * scale
-    if float(np.max(np.abs(points[-1] - points[0]))) > tol:
-        raise NotALoopError("loop endpoints do not match")
-    leftovers = cancel_boundary_edges(bounding, tol) if bounding.patches else []
-    if float(np.max(np.abs(points - points[0]))) <= tol:  # constant loop
-        if leftovers:
-            raise BoundaryMismatchError(
-                "bounding chain has net boundary but the loop is constant"
-            )
-    else:
-        if not leftovers:
-            raise BoundaryMismatchError(
-                "bounding chain has no net boundary but the loop is not constant"
-            )
-        best = np.min([_distances_to_curve(points, c) for c, _ in leftovers], axis=0)
-        far = np.flatnonzero(best > tol)
-        if far.size:
-            raise BoundaryMismatchError(
-                f"loop point at parameter {params[far[0]]:.3f} is {best[far[0]]:.3e} "
-                "away from the chain boundary"
-            )
-    value = surface_integral(form, bounding, quad_order)
-    return reduce_mod_lattice(lattice, value)
-
-
 # ---------------------------------------------------------------------------
 # Cocycle identities and derivation checks
 
@@ -643,10 +548,12 @@ def representative_independence_residuals(
     For homotopic replacements g1 -> g1p and g2 -> g2p (same endpoints),
     each returned vector lies in the period lattice when the integrability
     condition holds: replacing either factor, or both, shifts the cocycle
-    by the flux through the corresponding spanning surfaces.  Its 9
-    distinct integrals (four product triangles, three spanning surfaces of
-    product paths, two fluxes) are each taken once, and each path is called
-    once per parameter and goes through _path_nodes once.
+    by the flux through the corresponding spanning surfaces.  The flux
+    through g1(1) times the surface spanning g2 and g2p is g1(1) acting on
+    the flux through that surface, as the form is left-equivariant; so its
+    9 distinct integrals (four product triangles, three spanning surfaces
+    of product paths, two fluxes) are each taken once, and each path is
+    called once per parameter and goes through _path_nodes once.
     """
     g1, g1p, g2, g2p = map(_shared, (g1, g1p, g2, g2p))
     group, n = form.group, int(quad_order)
@@ -658,7 +565,7 @@ def representative_independence_residuals(
         ("g1", g1), ("g1p", g1p), ("g2", g2), ("g2p", g2p)))
     base = gamma(a, b)
     flux1 = integ(span(g1, g1p))
-    flux2 = integ(left_translate_chain(g1(1.0), span(g2, g2p)))
+    flux2 = form.module.act(g1(1.0), integ(span(g2, g2p)))
 
     first = integ(span(g1g2, pointwise_product(g1p, g2))) - flux1 - gamma(ap, b) + base
     second = integ(span(g1g2, pointwise_product(g1, g2p))) - flux2 - gamma(a, bp) + base

@@ -238,17 +238,6 @@ class GroupPath:
         return np.asarray(self.eval(t), dtype=float)
 
 
-def log_derivative(group: MatrixGroup, path: GroupPath, t) -> np.ndarray:
-    """Left logarithmic derivative g^-1 g' expressed in the algebra basis, at
-    one parameter or a stack of them.
-
-    g' is a central difference; paths are closed forms, so evaluating
-    slightly outside [0, 1] is fine."""
-    h = DEFAULT_FD_STEP
-    tangent = (path(np.add(t, h)) - path(np.subtract(t, h))) / (2.0 * h)
-    return group.decompose(group.inverse(path(t)) @ tangent)
-
-
 def validate_path(group: MatrixGroup, path: GroupPath):
     """Check that the path stays in the group, then its basedness and the
     periodicity of its left logarithmic derivative.
@@ -266,7 +255,7 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     base_res = float(np.max(np.abs(g[0] - group.identity)))
     if base_res > 10 * MEMBERSHIP_TOL:
         issues.append({"identity": "based_at_identity", "indices": [0], "residual": base_res})
-    # log_derivative at t = 0 and 1
+    # the left log-derivative g^-1 g' at t = 0 and 1
     d0, d1 = group.decompose(group.inverse(g[[0, 32]]) @ ((g[33:35] - g[35:]) / (2.0 * h)))
     res = float(np.max(np.abs(d0 - d1), initial=0.0))
     if res > DEFAULT_DERIV_TOL:

@@ -5,7 +5,8 @@ import pytest
 
 import lieext as lx
 from lieext.batch import vectorized
-from lieext.groups import _quaternion_left_matrix
+from lieext.geometry import DEFAULT_QUAD_ORDER, cancel_boundary_edges
+from lieext.groups import DEFAULT_FD_STEP, MEMBERSHIP_TOL, _quaternion_left_matrix
 
 
 @pytest.fixture
@@ -136,3 +137,83 @@ def shoelace_area(coords1, coords2, n=20001):
     pts = np.array([coords1(t) for t in ts] + [coords2(t) for t in ts[::-1]])
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def log_derivative(group, path, t):
+    """Left logarithmic derivative g^-1 g' in the algebra basis, at one
+    parameter or a stack of them; g' is a central difference."""
+    h = DEFAULT_FD_STEP
+    tangent = (path(np.add(t, h)) - path(np.subtract(t, h))) / (2.0 * h)
+    return group.decompose(group.inverse(path(t)) @ tangent)
+
+
+def product_triangle_chain(g1, g2):
+    """The triangle (t, s) -> g1(t) g2(s) on {0 <= s <= t <= 1}: the chain
+    form of what path_cocycle integrates, its generic-route oracle.
+
+    Its boundary is g1 + (g1(1) . g2) - (g1 g2): the first path, the left
+    translate of the second, minus their pointwise product."""
+    patch = lx.SurfacePatch(eval=vectorized(lambda t, s: g1(t) @ g2(s)), domain="simplex")
+    return lx.Surface2Chain(patches=(patch,))
+
+
+def left_translate_chain(g, chain):
+    """Each patch of the chain multiplied on the left by the matrix g."""
+    g = np.asarray(g, dtype=float)
+    return lx.Surface2Chain(patches=tuple(
+        lx.SurfacePatch(eval=(lambda p: vectorized(lambda t, s: g @ p(t, s)))(p),
+                        domain=p.domain, coefficient=p.coefficient)
+        for p in chain.patches
+    ))
+
+
+class BoundaryMismatchError(lx.LieExtError):
+    """A bounding surface's boundary does not match the given loop."""
+
+
+def distances_to_curve(points, curve):
+    """Distance from each matrix of a stack to a sampled-then-refined point
+    on a curve: a grid of 65 parameters brackets each nearest parameter,
+    then 80 ternary steps refine all brackets at once."""
+    def dist(us):
+        return np.max(np.abs(curve(us) - points), axis=(-2, -1))
+
+    us = np.linspace(0.0, 1.0, 65)
+    k = np.argmin(np.max(np.abs(curve(us)[:, None] - points), axis=(-2, -1)), axis=0)
+    lo, hi = us[np.maximum(0, k - 1)], us[np.minimum(64, k + 1)]
+    for _ in range(80):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        d1, d2 = dist(np.stack([m1, m2]))
+        lo, hi = np.where(d1 < d2, lo, m1), np.where(d1 < d2, m2, hi)
+    return dist(0.5 * (lo + hi))
+
+
+def holonomy(form, loop, bounding, lattice=None, quad_order=DEFAULT_QUAD_ORDER):
+    """Holonomy defect around a loop: the bounding-surface integral mod Gamma.
+
+    The loop must close at the identity, and every sampled loop point must
+    lie on the uncancelled boundary of the bounding chain."""
+    params = np.linspace(0.0, 1.0, 24)
+    points = loop(params)  # points[0] and points[-1] are the loop's ends
+    scale = max(1.0, float(np.max(np.abs(points[0]))))
+    tol = 100 * MEMBERSHIP_TOL * scale
+    if float(np.max(np.abs(points[-1] - points[0]))) > tol:
+        raise lx.NotALoopError("loop endpoints do not match")
+    leftovers = cancel_boundary_edges(bounding, tol) if bounding.patches else []
+    if float(np.max(np.abs(points - points[0]))) <= tol:  # constant loop
+        if leftovers:
+            raise BoundaryMismatchError("bounding chain has net boundary but the loop is constant")
+    else:
+        if not leftovers:
+            raise BoundaryMismatchError(
+                "bounding chain has no net boundary but the loop is not constant"
+            )
+        best = np.min([distances_to_curve(points, c) for c, _ in leftovers], axis=0)
+        far = np.flatnonzero(best > tol)
+        if far.size:
+            raise BoundaryMismatchError(
+                f"loop point at parameter {params[far[0]]:.3f} is {best[far[0]]:.3e} "
+                "away from the chain boundary"
+            )
+    return lx.reduce_mod_lattice(lattice, lx.surface_integral(form, bounding, quad_order))

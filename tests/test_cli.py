@@ -138,6 +138,7 @@ class TestParseDocument:
             parse_document(raw)
 
     def test_group_algebra_dim_cross_check(self):
+        # any algebra section beside a group is refused, of any dimension
         raw = {
             "task": "validate",
             "group": {"kind": "torus", "dim": 2},
@@ -423,11 +424,14 @@ MALFORMED = {
     "lattice_rotated_gamma": ("torus_gamma.json", ROTATION),
     "lattice_rotated_pi1": ("pi1_torus.json", ROTATION),
     "lattice_rotated_integrability": ("torus_integrable.json", ROTATION),
-    # the Heisenberg group in 3 x 3 matrices, valid but for its name
-    "matrix_group_name_list": ("heis3_validate.json", _set("group", value={
-        "kind": "matrix", "name": [1, 2], "algebra": {"dim": 3, "structure_constants": [[0, 1, 2, 1.0]]},
-        "basis": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
-                  [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]})),
+    # the Heisenberg group in 3 x 3 matrices, valid but for its name, in
+    # place of the algebra section
+    "matrix_group_name_list": ("heis3_validate.json", _each(lambda raw: raw.pop("algebra"), _set(
+        "group", value={
+            "kind": "matrix", "name": [1, 2],
+            "algebra": {"dim": 3, "structure_constants": [[0, 1, 2, 1.0]]},
+            "basis": [[[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]],
+                      [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]}))),
 }
 
 # The entry an error names, where it matters which one it is.
@@ -658,28 +662,54 @@ GROUP_ISSUES = [{"identity": "jacobi", "indices": [0, 1, 2, 2], "residual": 2.0}
                 {"identity": "basis_commutator", "indices": [1, 2], "residual": 1.0}]
 
 
+# A group document's algebra is the group's; an algebra section beside the
+# group is refused, whatever it holds.
+TWO_ALGEBRAS = (2, "", "input error: give an algebra section or a group section, not both; "
+                "a matrix group gives its algebra in group.algebra\n")
+
+
+def cli_outcome(raw, tmp_path, capsys):
+    """The exit code, stdout and stderr of the CLI on the document raw."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    code = main([str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 @pytest.mark.parametrize("algebra, expected", [
     # no algebra section: the document's algebra is the group's
     (None, GROUP_ISSUES),
-    # an algebra section of its own is checked before the group's algebra
-    ({"dim": 3, "structure_constants": [[0, 1, 1, 1.0], [1, 2, 0, 1.0]]},
-     [{"identity": "jacobi", "indices": [0, 1, 2, 0], "residual": 1.0}, *GROUP_ISSUES,
-      # and compared with it: the two disagree on every bracket
-      *({"identity": "group_algebra", "indices": ij, "residual": 1.0}
-        for ij in ([0, 1], [0, 2], [1, 2]))]),
+    # an algebra section of its own, which breaks Jacobi elsewhere, is refused
+    ({"dim": 3, "structure_constants": [[0, 1, 1, 1.0], [1, 2, 0, 1.0]]}, None),
 ], ids=["group-algebra", "own-algebra"])
-def test_validate_lists_each_algebra_violation_once(algebra, expected):
+def test_validate_lists_each_algebra_violation_once(algebra, expected, tmp_path, capsys):
     raw = {"task": "validate", "group": BROKEN_SL2}
-    report, code = run(parse_document(raw if algebra is None else {**raw, "algebra": algebra}))
+    if algebra is not None:
+        assert cli_outcome({**raw, "algebra": algebra}, tmp_path, capsys) == TWO_ALGEBRAS
+        return
+    report, code = run(parse_document(raw))
     assert code == 0 and report["results"]["violations"] == expected
 
 
-def test_validate_reports_an_algebra_section_that_is_not_the_groups():
+def test_validate_reports_an_algebra_section_that_is_not_the_groups(tmp_path, capsys):
     # an abelian section for the Heisenberg group, whose [e0, e1] is e2
-    report, code = run(parse_document({"task": "validate", "group": {"kind": "heisenberg"},
-                                       "algebra": {"dim": 3}}))
+    raw = {"task": "validate", "group": {"kind": "heisenberg"}, "algebra": {"dim": 3}}
+    assert cli_outcome(raw, tmp_path, capsys) == TWO_ALGEBRAS
+
+
+@pytest.mark.parametrize("section", [True, False], ids=["with-section", "without-section"])
+def test_validate_checks_rho_on_the_groups_algebra(section, tmp_path, capsys):
+    # rho = (0, 0, 1) on R^1 is a representation of abelian R^3, not of the
+    # Heisenberg algebra: rho([e0, e1]) = rho(e2) = 1, [rho(e0), rho(e1)] = 0
+    raw = {"task": "validate", "group": {"kind": "heisenberg"},
+           "module": {"coeff_dim": 1, "rho": [[[0]], [[0]], [[1]]]}}
+    if section:
+        assert cli_outcome({**raw, "algebra": {"dim": 3}}, tmp_path, capsys) == TWO_ALGEBRAS
+        return
+    report, code = run(parse_document(raw))
     assert code == 0 and report["results"] == {"valid": False, "violations": [
-        {"identity": "group_algebra", "indices": [0, 1], "residual": 1.0}]}
+        {"identity": "homomorphism", "indices": [0, 1], "residual": 1.0}]}
 
 
 # entry [0][0] of p1 is cos(t), which leaves the torus: at t = 1 the
@@ -840,23 +870,22 @@ def test_extend_tests_its_cocycle_at_its_tol(tol, code, tmp_path, capsys):
 
 
 def test_gamma_tests_omega_on_the_group_algebra_not_the_section(tmp_path, capsys):
-    # an abelian section of the right dimension does not make omega a cocycle of HEIS_R
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps({**HEIS_R_NOT_A_COCYCLE, "task": "gamma", "algebra": {"dim": 4}}))
-    assert main([str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == "" and "omega is not a cocycle" in captured.err
+    # an abelian section of the right dimension cannot stand in for HEIS_R's
+    # algebra, on which omega is no cocycle: the document is refused
+    raw = {**HEIS_R_NOT_A_COCYCLE, "task": "gamma", "algebra": {"dim": 4}}
+    assert cli_outcome(raw, tmp_path, capsys) == TWO_ALGEBRAS
 
 
-def test_integrating_on_t4_ignores_a_section_omega_is_no_cocycle_of():
-    # omega(e2, e3) = 0.5 is a cocycle of R^4, the algebra of T^4, so its
-    # period over the (2, 3) coordinate torus is decided, though the section
-    # is heis (+) R
-    report, code = run(parse_document({
-        "task": "check-integrability", "group": {"kind": "torus", "dim": 4},
-        "algebra": HEIS_R["algebra"], "lattice": {"generators": [[1.0]]},
-        "cocycle": {"components": [{"indices": [2, 3], "value": 0.5}]},
-        "cycles": [{"name": "c", "patches": [{"coords": ["0", "0", "t", "s"]}]}]}))
+def test_integrating_on_t4_ignores_a_section_omega_is_no_cocycle_of(tmp_path, capsys):
+    # omega(e2, e3) = 0.5 is a cocycle of R^4, the algebra of T^4, and not of
+    # heis (+) R; a heis (+) R section beside T^4 is refused, and without it
+    # the period over the (2, 3) coordinate torus is decided
+    raw = {"task": "check-integrability", "group": {"kind": "torus", "dim": 4},
+           "lattice": {"generators": [[1.0]]},
+           "cocycle": {"components": [{"indices": [2, 3], "value": 0.5}]},
+           "cycles": [{"name": "c", "patches": [{"coords": ["0", "0", "t", "s"]}]}]}
+    assert cli_outcome({**raw, "algebra": HEIS_R["algebra"]}, tmp_path, capsys) == TWO_ALGEBRAS
+    report, code = run(parse_document(raw))
     [generator] = report["results"]["generators"]
     assert code == 0 and report["results"]["overall"] == "not_integrable"
     assert generator["period"] == pytest.approx([0.5], abs=1e-8)

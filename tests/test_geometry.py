@@ -6,18 +6,18 @@ import pytest
 import lieext as lx
 from lieext.documents import parse_document
 from lieext.errors import (
-    BoundaryMismatchError,
     MalformedInputError,
     MembershipError,
     NotALoopError,
     TangentDecompositionError,
 )
 from lieext.batch import vectorized
-from lieext.geometry import _distances_to_curve, _shared, cancel_boundary_edges, smooth_step
+from lieext.geometry import _shared, cancel_boundary_edges, smooth_step
 
 from conftest import (
-    area_cochain, empty_chain, identity_path, quaternion_element, random_torus_path,
-    shoelace_area, torus_path,
+    BoundaryMismatchError, area_cochain, distances_to_curve, empty_chain, holonomy,
+    identity_path, left_translate_chain, log_derivative, product_triangle_chain,
+    quaternion_element, random_torus_path, shoelace_area, torus_path,
 )
 
 # quadrature floor: central-difference patch partials at h_geo = 1e-5 leave
@@ -190,7 +190,7 @@ class TestPaths:
 
     def test_log_derivative_matches_analytic(self, torus2):
         path = lx.coordinate_path(torus2, lambda t: np.array([t, 0.5 * t]))
-        d = lx.log_derivative(torus2, path, 0.4)
+        d = log_derivative(torus2, path, 0.4)
         assert np.allclose(d, [1.0, 0.5], atol=1e-9)
 
 
@@ -333,7 +333,7 @@ class TestProductTriangle:
     def test_vertices(self, torus2, rng):
         g1, _ = random_torus_path(torus2, rng)
         g2, _ = random_torus_path(torus2, rng)
-        sigma = lx.product_triangle_chain(g1, g2).patches[0]
+        sigma = product_triangle_chain(g1, g2).patches[0]
         assert np.allclose(sigma(0.0, 0.0), torus2.identity, atol=1e-12)
         assert np.allclose(sigma(1.0, 0.0), g1(1.0))
         assert np.allclose(sigma(1.0, 1.0), g1(1.0) @ g2(1.0))
@@ -582,9 +582,9 @@ class TestPathCocycleIdentities:
         form = torus_form(torus2)
         g1, _ = random_torus_path(torus2, rng)
         g2, _ = random_torus_path(torus2, rng)
-        chain = lx.product_triangle_chain(g1, g2)
+        chain = product_triangle_chain(g1, g2)
         g = torus2.chart.from_coords(rng.normal(size=2))
-        moved = lx.left_translate_chain(g, chain)
+        moved = left_translate_chain(g, chain)
         assert lx.surface_integral(form, moved, 12)[0] == pytest.approx(
             lx.surface_integral(form, chain, 12)[0], abs=1e-9
         )
@@ -643,7 +643,7 @@ class TestPathCocycleIdentities:
 
             base = gamma(g1, g2)
             flux1 = integ(span(g1, g1p))
-            flux2 = integ(lx.left_translate_chain(g1(1.0), span(g2, g2p)))
+            flux2 = form.module.act(g1(1.0), integ(span(g2, g2p)))
             want = [
                 integ(span(prod(g1, g2), prod(g1p, g2))) - flux1 - gamma(g1p, g2) + base,
                 integ(span(prod(g1, g2), prod(g1, g2p))) - flux2 - gamma(g1, g2p) + base,
@@ -763,7 +763,7 @@ class TestHolonomy:
 
     def test_constant_loop_empty_chain(self, torus2, unit_lattice):
         form = torus_form(torus2)
-        val = lx.holonomy(
+        val = holonomy(
             form, identity_path(torus2), empty_chain(), unit_lattice
         )
         assert np.all(val == 0.0)
@@ -772,7 +772,7 @@ class TestHolonomy:
         form = torus_form(torus2)
         loop = self.square_loop(torus2)
         bound = square_patch_chain(torus2, lambda t, s: np.array([t / 2, s / 2]))
-        val = lx.holonomy(form, loop, bound, unit_lattice, 16)
+        val = holonomy(form, loop, bound, unit_lattice, 16)
         assert val[0] == pytest.approx(0.25, abs=1e-8)
 
     def test_two_bounding_surfaces_agree_iff_integrable(self, torus2, unit_lattice):
@@ -787,8 +787,8 @@ class TestHolonomy:
         other = lx.Surface2Chain(patches=small.patches + (full,))
         for c, should_agree in ((1.0, True), (0.5, False)):
             form = torus_form(torus2, c)
-            v1 = lx.holonomy(form, loop, small, unit_lattice, 16)
-            v2 = lx.holonomy(form, loop, other, unit_lattice, 16)
+            v1 = holonomy(form, loop, small, unit_lattice, 16)
+            v2 = holonomy(form, loop, other, unit_lattice, 16)
             agree = abs(v1[0] - v2[0]) < 1e-6
             assert agree == should_agree
 
@@ -796,7 +796,7 @@ class TestHolonomy:
         calls = []
         loop = lx.GroupPath(eval=counted(self.square_loop(torus2), calls))
         bound = square_patch_chain(torus2, lambda t, s: np.array([t / 2, s / 2]))
-        lx.holonomy(torus_form(torus2), loop, bound, unit_lattice, 4)
+        holonomy(torus_form(torus2), loop, bound, unit_lattice, 4)
         assert len(calls) == 1
 
     def test_distances_match_the_per_point_search(self, torus2):
@@ -816,7 +816,7 @@ class TestHolonomy:
         patch = vectorized(lambda t, s: torus2.chart.from_coords(np.stack([t, s], -1) / 2))
         bound = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch),))
         for curve, _ in cancel_boundary_edges(bound, 1e-9):
-            got = _distances_to_curve(points, curve)
+            got = distances_to_curve(points, curve)
             want = [reference(point, curve) for point in points]
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
@@ -824,7 +824,7 @@ class TestHolonomy:
         form = torus_form(torus2)
         arc = lx.coordinate_path(torus2, lambda t: np.array([0.25 * t, 0.0]))
         with pytest.raises(NotALoopError):
-            lx.holonomy(form, arc, empty_chain(), unit_lattice)
+            holonomy(form, arc, empty_chain(), unit_lattice)
 
     def test_boundary_mismatch_rejected(self, torus2, unit_lattice):
         form = torus_form(torus2)
@@ -832,11 +832,11 @@ class TestHolonomy:
         # full fundamental cycle has no net boundary at all
         cycle = square_patch_chain(torus2, lambda t, s: np.array([t, s]))
         with pytest.raises(BoundaryMismatchError):
-            lx.holonomy(form, loop, cycle, unit_lattice)
+            holonomy(form, loop, cycle, unit_lattice)
         # and a chain whose boundary is a different square also fails
         wrong = square_patch_chain(torus2, lambda t, s: np.array([0.3 * t, 0.3 * s]))
         with pytest.raises(BoundaryMismatchError):
-            lx.holonomy(form, loop, wrong, unit_lattice)
+            holonomy(form, loop, wrong, unit_lattice)
 
 
 class TestBoundaryBookkeeping:
@@ -962,14 +962,14 @@ class TestBatchedQuadrature:
     def test_product_triangle_on_translation_group(self, trans2, rng):
         p = lx.coordinate_path(trans2, lambda t: np.array([t, np.sin(t)]))
         q = lx.coordinate_path(trans2, lambda t: np.array([t * t, -t]))
-        self.assert_matches(random_form(trans2, rng), lx.product_triangle_chain(p, q))
+        self.assert_matches(random_form(trans2, rng), product_triangle_chain(p, q))
 
     @pytest.mark.parametrize("factory", [lx.su2_group, lx.sl2_group, lx.heisenberg_group])
     def test_product_triangle_of_exp_paths(self, factory, rng):
         group = factory()
         p = lx.exp_path(group, 0.4 * rng.normal(size=3))
         q = lx.exp_path(group, 0.4 * rng.normal(size=3))
-        self.assert_matches(random_form(group, rng, 2), lx.product_triangle_chain(p, q))
+        self.assert_matches(random_form(group, rng, 2), product_triangle_chain(p, q))
 
     def test_spanning_chain(self, torus2, rng):
         g1, _ = random_torus_path(torus2, rng, winding=[1, 0])
@@ -981,7 +981,7 @@ class TestBatchedQuadrature:
         p = lx.exp_path(group, rng.normal(size=3))
         q = lx.exp_path(group, rng.normal(size=3))
         shift = group.chart.from_coords(rng.normal(size=3))
-        chain = lx.left_translate_chain(shift, lx.product_triangle_chain(p, q))
+        chain = left_translate_chain(shift, product_triangle_chain(p, q))
         self.assert_matches(random_form(group, rng), chain)
 
     def test_document_matrix_group(self):
@@ -1005,7 +1005,7 @@ class TestBatchedQuadrature:
             "pair": ["p", "q"],
         })
         form = lx.EquivariantForm(doc.cocycle, doc.group, doc.module)
-        chain = lx.product_triangle_chain(doc.paths["p"], doc.paths["q"])
+        chain = product_triangle_chain(doc.paths["p"], doc.paths["q"])
         self.assert_matches(form, chain)
 
     def test_leaving_the_group_at_one_interior_node(self, torus2):
@@ -1093,7 +1093,7 @@ class TestPathCocycleFromPaths:
 
     @staticmethod
     def assert_agrees(form, p, q, order):
-        ref = lx.surface_integral(form, lx.product_triangle_chain(p, q), order)
+        ref = lx.surface_integral(form, product_triangle_chain(p, q), order)
         got = lx.path_cocycle(form, p, q, order)
         assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
 
@@ -1134,7 +1134,7 @@ class TestRulesInOnePass:
             return lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch),))
         if kind == "simplex":
             g1, g2 = (random_torus_path(torus2, rng)[0] for _ in range(2))
-            return lx.product_triangle_chain(g1, g2)
+            return product_triangle_chain(g1, g2)
         if kind == "tiled":  # four quarters and a patch of coefficient 0
             patches = [
                 lx.SurfacePatch(eval=vectorized(lambda t, s, di=k // 2, dj=k % 2:
