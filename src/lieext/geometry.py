@@ -13,7 +13,10 @@ partials by central differences, in one array pass over all nodes of a patch:
 * the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
   path-pair cocycle, taken from the two paths' log-derivatives;
 * spanning surfaces between two paths with the same endpoint, built by
-  fiberwise interpolation g1(t) exp(alpha(s) log(g1(t)^-1 g2(t)));
+  fiberwise interpolation g1(t) exp(alpha(s) L(t)), L(t) = log(g1(t)^-1 g2(t));
+* the cocycle identities, which call each path once and take their
+  triangles and spanning surfaces from those values, the s-tangent of a
+  spanning surface as alpha'(s) L(t), with no difference of exponentials;
 * boundaries of 3-patches (for Stokes checks) and the edge bookkeeping
   used by the cycle-closure test;
 * the finite-difference derivation taking a smooth group 2-cochain to an
@@ -48,7 +51,6 @@ from .groups import (
     GroupPath,
     MatrixGroup,
     exp_path,
-    pointwise_product,
     validate_action_compatibility,
 )
 
@@ -284,33 +286,39 @@ def surface_integral(
 
 
 @lru_cache(maxsize=32)
-def _triangle_rule(order: int) -> tuple:
-    """_stencil's triangle rule: (3, n) path parameters u, u + h, u - h; (n, n) weights."""
-    ts, _, weight = _stencil(order, "simplex", DEFAULT_FD_STEP)
-    ts.flags.writeable = weight.flags.writeable = False
-    return ts[:3, ::order], weight.reshape(order, order)
+def _path_rule(order: int) -> tuple:
+    """_stencil's rules on path parameters: the (3, n) parameters u, u + h,
+    u - h at which a path is called, and the (n, n) node weights on the
+    triangle and on the square."""
+    ts, _, triangle = _stencil(order, "simplex", DEFAULT_FD_STEP)
+    square = _stencil(order, "square", DEFAULT_FD_STEP)[2]
+    rule = ts[:3, ::order], triangle.reshape(order, order), square.reshape(order, order)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
-def _path_nodes(group: MatrixGroup, name: str, path: GroupPath, order: int) -> tuple:
-    """The per-path step of path_cocycle: the path at the 3n parameters of
-    _triangle_rule(order), from one call, checked at its n nodes u; g^-1 g'(u);
-    and ad, whose first call computes ad()[j, k], the coefficients of
-    Ad(g(u_j)^-1) e_k, which only a second path needs.  Errors name the path."""
-    params = _triangle_rule(order)[0]
-    g, plus, minus = path(params)
+def _named(name: str, fn: Callable, *args):
+    """fn(*args), a TangentDecompositionError naming what it decomposed for."""
+    try:
+        return fn(*args)
+    except TangentDecompositionError as exc:
+        raise TangentDecompositionError(f"{name}: {exc}") from None
+
+
+def _path_nodes(group: MatrixGroup, name: str, values: np.ndarray) -> tuple:
+    """The per-path step of path_cocycle on a path's values at the 3n
+    parameters of _path_rule(n), of shape (3, n, d, d) or (3n, d, d): the path
+    checked at its n nodes u; g^-1 g'(u); and ad, whose first call computes
+    ad()[j, k], the coefficients of Ad(g(u_j)^-1) e_k, which only a second
+    path needs.  Errors name the path."""
+    g, plus, minus = np.reshape(values, (3, -1) + np.shape(values)[-2:])
     at, res = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
     if at.size:
-        raise MembershipError(f"{name} leaves the group at t = {params[0, at[0]]:.6g}: "
+        raise MembershipError(f"{name} leaves the group at t = {_path_rule(len(g))[0][0, at[0]]:.6g}: "
                               f"matrix is not in {group.name} (residual {res[0]:.3e})")
-
-    def named(decompose, *args):
-        try:
-            return decompose(*args)
-        except TangentDecompositionError as exc:
-            raise TangentDecompositionError(f"{name}: {exc}") from None
-
-    ad = cache(lambda: named(group.decompose, group.inverse(g)[:, None] @ group.basis @ g[:, None]))
-    return g, named(group.tangent_coefficients, g, (plus - minus) / (2.0 * DEFAULT_FD_STEP)), ad
+    ad = cache(lambda: _named(name, group.decompose, group.inverse(g)[:, None] @ group.basis @ g[:, None]))
+    return g, _named(name, group.tangent_coefficients, g, (plus - minus) / (2.0 * DEFAULT_FD_STEP)), ad
 
 
 def _triangle_integral(form: EquivariantForm, first: tuple, second: tuple) -> np.ndarray:
@@ -325,7 +333,7 @@ def _triangle_integral(form: EquivariantForm, first: tuple, second: tuple) -> np
         rows = max(1, _PASS_NODES // n)
         for lo in range(0, n, rows):
             vals[lo : lo + rows] = form.module.act(a[lo : lo + rows, None] @ b, vals[lo : lo + rows])
-    return np.einsum("ij,ijk->k", _triangle_rule(n)[1], vals)
+    return np.einsum("ij,ijk->k", _path_rule(n)[1], vals)
 
 
 def path_cocycle(
@@ -336,10 +344,29 @@ def path_cocycle(
 ) -> np.ndarray:
     """Integral of the form over the triangle sigma(t, s) = g1(t) g2(s),
     0 <= s <= t <= 1, from O(n) path work: the pair step (_triangle_integral)
-    on the per-path steps (_path_nodes) of g1 and g2, each called once at 3n
-    parameters; callers with many pairs take each step once."""
-    group, n = form.group, int(quad_order)
-    return _triangle_integral(form, _path_nodes(group, "g1", g1, n), _path_nodes(group, "g2", g2, n))
+    on the per-path steps (_path_nodes) of g1 and g2, each called once at the
+    3n parameters of _path_rule(n); callers with many pairs take each step once."""
+    group, params = form.group, _path_rule(int(quad_order))[0]
+    return _triangle_integral(form, _path_nodes(group, "g1", g1(params)), _path_nodes(group, "g2", g2(params)))
+
+
+# spanning_chain's branch-guard samples of [0, 1]; the last is t = 1
+_GUARD = np.linspace(0.0, 1.0, 64)
+_GUARD.flags.writeable = False
+
+
+def _spanning_guard(group: MatrixGroup, a: np.ndarray, b: np.ndarray):
+    """spanning_chain's checks on the values a, b of its two paths at _GUARD:
+    a common endpoint, read at the last sample, and no jump of the fiberwise
+    logarithm between samples."""
+    end_gap = float(np.max(np.abs(a[-1] - b[-1])))
+    scale = max(1.0, float(np.max(np.abs(a[-1]))))
+    if end_gap > 100 * MEMBERSHIP_TOL * scale:
+        raise NotALoopError(f"paths end {end_gap:.3e} apart; a spanning surface needs a common endpoint")
+    logs = group.log(group.inverse(a) @ b)
+    if np.max(np.abs(np.diff(logs, axis=0)), initial=0.0) > 3.0:
+        raise NotALoopError("fiberwise logarithm jumps between samples; the paths are too "
+                            "far apart for a single-branch spanning surface")
 
 
 def spanning_chain(
@@ -362,21 +389,7 @@ def spanning_chain(
     for a stencil of 5n^2 points), and the schedule once per distinct s;
     each point gathers its factors from these.
     """
-    end = g1(1.0)
-    end_gap = float(np.max(np.abs(end - g2(1.0))))
-    scale = max(1.0, float(np.max(np.abs(end))))
-    if end_gap > 100 * MEMBERSHIP_TOL * scale:
-        raise NotALoopError(
-            f"paths end {end_gap:.3e} apart; a spanning surface needs a "
-            "common endpoint"
-        )
-    ts = np.linspace(0.0, 1.0, 64)
-    logs = group.log(group.inverse(g1(ts)) @ g2(ts))
-    if np.max(np.abs(np.diff(logs, axis=0)), initial=0.0) > 3.0:
-        raise NotALoopError(
-            "fiberwise logarithm jumps between samples; the paths are too "
-            "far apart for a single-branch spanning surface"
-        )
+    _spanning_guard(group, g1(_GUARD), g2(_GUARD))
     schedule = per_point(schedule)
 
     @vectorized
@@ -486,30 +499,38 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
 # Cocycle identities and derivation checks
 
 
-def _shared(path: GroupPath) -> GroupPath:
-    """The path, called once per distinct parameter for as long as the
-    result lives, so all surfaces of one identity share their path
-    evaluations.  It keeps the parameters seen so far, sorted, with their
-    values: one searchsorted and an equality test find the parameters seen
-    before, which are answered by lookup; the path is called only on the
-    distinct others, sorted, and they are inserted in place."""
-    keys, values = np.empty(0), None
-
-    @vectorized
-    def shared(t):
-        nonlocal keys, values
-        t = np.asarray(t, dtype=float)
-        at = np.searchsorted(keys, t)
-        miss = keys[np.minimum(at, keys.size - 1)] != t if keys.size else np.ones(t.shape, bool)
-        if miss.any():
-            new = np.unique(t[miss], return_index=True)[0]  # the sort path: no numpy.ma import
-            where, fresh = np.searchsorted(keys, new), path(new)
-            keys = np.insert(keys, where, new)
-            values = fresh if values is None else np.insert(values, where, fresh, axis=0)
-            at = np.searchsorted(keys, t)
-        return values[at]
-
-    return GroupPath(eval=shared)
+def _spanning_integral(
+    form: EquivariantForm, a: np.ndarray, b: np.ndarray, order: int, names: Tuple[str, str]
+) -> np.ndarray:
+    """surface_integral(form, spanning_chain(group, g1, g2), order) from the
+    values a, b of g1, g2 at _path_rule(n)'s 3n parameters, then _GUARD, on
+    which spanning_chain's checks run.  H(t, s) = g1(t) exp(sigma(s) L(t)) is
+    formed at the n^2 nodes and their t +- h neighbours, as on the chain's
+    stencil; H^-1 d_s H = sigma'(s) L(t) needs no s +- h, so this takes 3n^2
+    exponentials where the chain takes 5n^2.  H is checked for membership at
+    the nodes and both tangents are decomposed with their residual checks;
+    errors name the surface by its paths."""
+    group, n = form.group, order
+    params, _, weights = _path_rule(n)
+    _spanning_guard(group, a[3 * n :], b[3 * n :])
+    a, b = (v[: 3 * n].reshape((3, n) + v.shape[1:]) for v in (a, b))
+    ell = group.log(group.inverse(a) @ b)  # L at u, u + h, u - h
+    u, (sigma, up, down) = params[0], smooth_step(params)
+    dsigma = (up - down) / (2.0 * DEFAULT_FD_STEP)  # sigma'(s), as the chain's s-difference takes it
+    name = f"the surface spanning {names[0]} and {names[1]}"
+    total, rows = np.zeros(form.cochain.coeff_dim), max(1, _PASS_NODES // n)
+    for lo in range(0, n, rows):  # (3, rows, n, d, d): H at t, t + h, t - h on rows of t
+        h = a[:, lo : lo + rows, None] @ group.exp(sigma[:, None, None] * ell[:, lo : lo + rows, None])
+        at, res = group.outside(h[0], np.max(np.abs(h[0]), axis=(-2, -1)))
+        if at.size:
+            i, j = divmod(int(at[0]), n)
+            raise MembershipError(f"{name} leaves the group at (t, s) = ({u[lo + i]:.6g}, {u[j]:.6g}): "
+                                  f"matrix is not in {group.name} (residual {res[0]:.3e})")
+        x = _named(name, group.tangent_coefficients, h[0], (h[1] - h[2]) / (2.0 * DEFAULT_FD_STEP))
+        y = dsigma[:, None] * _named(name, group.decompose, ell[0, lo : lo + rows, None])
+        vals = form.module.act(h[0], form.cochain(x, y))
+        total = total + np.einsum("ij,ijk->k", weights[lo : lo + rows], vals)
+    return total
 
 
 def path_cocycle_coboundary(
@@ -523,16 +544,18 @@ def path_cocycle_coboundary(
 
     g1 . gamma(g2, g3) - gamma(g1 g2, g3) + gamma(g1, g2 g3) - gamma(g1, g2),
     with pointwise path products; lands in the period lattice when the
-    integrability condition holds.  Each path is called once per parameter,
-    and each of g1, g2, g3, g1 g2, g2 g3 goes through _path_nodes once.
+    integrability condition holds.  Each path is called once, at the 3n
+    parameters of _path_rule(n) and t = 1; the products are products of
+    these values, and each of g1, g2, g3, g1 g2, g2 g3 goes through
+    _path_nodes once.
     """
-    g1, g2, g3 = map(_shared, (g1, g2, g3))
     group, n = form.group, int(quad_order)
-    a, b, c, ab, bc = (_path_nodes(group, name, path, n) for name, path in (
-        ("g1", g1), ("g2", g2), ("g3", g3),
-        ("g1 g2", pointwise_product(g1, g2)), ("g2 g3", pointwise_product(g2, g3))))
+    params = np.append(_path_rule(n)[0], 1.0)
+    g1, g2, g3 = (path(params) for path in (g1, g2, g3))
+    a, b, c, ab, bc = (_path_nodes(group, name, values[:-1]) for name, values in (
+        ("g1", g1), ("g2", g2), ("g3", g3), ("g1 g2", g1 @ g2), ("g2 g3", g2 @ g3)))
     gamma = partial(_triangle_integral, form)
-    return form.module.act(g1(1.0), gamma(b, c)) - gamma(ab, c) + gamma(a, bc) - gamma(a, b)
+    return form.module.act(g1[-1], gamma(b, c)) - gamma(ab, c) + gamma(a, bc) - gamma(a, b)
 
 
 def representative_independence_residuals(
@@ -552,24 +575,26 @@ def representative_independence_residuals(
     through g1(1) times the surface spanning g2 and g2p is g1(1) acting on
     the flux through that surface, as the form is left-equivariant; so its
     9 distinct integrals (four product triangles, three spanning surfaces
-    of product paths, two fluxes) are each taken once, and each path is
-    called once per parameter and goes through _path_nodes once.
+    of product paths, two fluxes) are each taken once.  Each path is called
+    once, at the 3n parameters of _path_rule(n) and spanning_chain's 64
+    guard samples; the products are products of these values, and the
+    spanning surfaces are integrated from them (_spanning_integral).
     """
-    g1, g1p, g2, g2p = map(_shared, (g1, g1p, g2, g2p))
     group, n = form.group, int(quad_order)
-    g1g2 = pointwise_product(g1, g2)
-    span = lambda a, b: spanning_chain(group, a, b)
-    integ = lambda chain: surface_integral(form, chain, quad_order)
+    params = np.concatenate([_path_rule(n)[0].ravel(), _GUARD])
+    values = {name: path(params) for name, path in (("g1", g1), ("g1p", g1p), ("g2", g2), ("g2p", g2p))}
+    a, ap, b, bp = (_path_nodes(group, name, values[name][: 3 * n]) for name in ("g1", "g1p", "g2", "g2p"))
+    for p, q in (("g1", "g2"), ("g1p", "g2"), ("g1", "g2p"), ("g1p", "g2p")):
+        values[f"{p} {q}"] = values[p] @ values[q]
+    span = lambda p, q: _spanning_integral(form, values[p], values[q], n, (p, q))
     gamma = partial(_triangle_integral, form)
-    a, ap, b, bp = (_path_nodes(group, name, path, n) for name, path in (
-        ("g1", g1), ("g1p", g1p), ("g2", g2), ("g2p", g2p)))
     base = gamma(a, b)
-    flux1 = integ(span(g1, g1p))
-    flux2 = form.module.act(g1(1.0), integ(span(g2, g2p)))
+    flux1 = span("g1", "g1p")
+    flux2 = form.module.act(values["g1"][-1], span("g2", "g2p"))
 
-    first = integ(span(g1g2, pointwise_product(g1p, g2))) - flux1 - gamma(ap, b) + base
-    second = integ(span(g1g2, pointwise_product(g1, g2p))) - flux2 - gamma(a, bp) + base
-    third = integ(span(g1g2, pointwise_product(g1p, g2p))) - flux1 - flux2 - gamma(ap, bp) + base
+    first = span("g1 g2", "g1p g2") - flux1 - gamma(ap, b) + base
+    second = span("g1 g2", "g1 g2p") - flux2 - gamma(a, bp) + base
+    third = span("g1 g2", "g1p g2p") - flux1 - flux2 - gamma(ap, bp) + base
     return [first, second, third]
 
 

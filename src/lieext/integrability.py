@@ -30,6 +30,7 @@ from .geometry import (
     EquivariantForm,
     Surface2Chain,
     _path_nodes,
+    _path_rule,
     _triangle_integral,
     cancel_boundary_edges,
     surface_integral,
@@ -163,7 +164,8 @@ def pi1_cocycle_table(
         base = float(np.max(np.abs(g[0] - group.identity)))
         if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
             raise NotALoopError(f"loop {name!r} does not close at the identity")
-    nodes = [_path_nodes(group, f"loops[{name!r}]", loop, int(quad_order)) for name, loop in loops]
+    params = _path_rule(int(quad_order))[0]
+    nodes = [_path_nodes(group, f"loops[{name!r}]", loop(params)) for name, loop in loops]
     values = np.array([_triangle_integral(form, p, q) for p in nodes for q in nodes])
     values = values.reshape(len(nodes), len(nodes), form.cochain.coeff_dim)
     commutators = values - np.swapaxes(values, 0, 1)

@@ -105,7 +105,7 @@ def test_representatives_integrate_each_distinct_surface_once(monkeypatch):
     form = lx.EquivariantForm(area_cochain(1.0), torus)
     rng = np.random.default_rng(3)
     g1, g1p, g2, g2p = (random_torus_path(torus, rng, w)[0] for w in ([1, 0], [1, 0], [0, 1], [0, 1]))
-    calls = {"_path_nodes": [], "_triangle_integral": [], "surface_integral": []}
+    calls = {"_path_nodes": [], "_triangle_integral": [], "_spanning_integral": []}
     for name, found in calls.items():
         def counted(*args, found=found, integrate=getattr(geometry, name), **kwargs):
             found.append(args)
@@ -118,5 +118,7 @@ def test_representatives_integrate_each_distinct_surface_once(monkeypatch):
     # the products and the two fluxes of the replaced factors
     assert [len(found) for found in calls.values()] == [4, 4, 5]
     assert [args[1] for args in calls["_path_nodes"]] == ["g1", "g1p", "g2", "g2p"]
+    assert [args[4] for args in calls["_spanning_integral"]] == [
+        ("g1", "g1p"), ("g2", "g2p"), ("g1 g2", "g1p g2"), ("g1 g2", "g1 g2p"), ("g1 g2", "g1p g2p")]
     # the order-8 identities land near the lattice Z
     assert all(np.max(np.abs(v - np.round(v))) < 1e-2 for v in values)

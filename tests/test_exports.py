@@ -10,8 +10,9 @@ ACCEPTANCE = "called by tests/test_acceptance.py, the paper's acceptance criteri
 KEEP = {
     "adjoint_module": "planned: ROADMAP item 12",
     "cohomology_representatives": "planned: ROADMAP items 1 and 17",
-    **dict.fromkeys(["conjugate_coeff", "group_unit", "delta_cochain"],
+    **dict.fromkeys(["conjugate_coeff", "group_unit", "delta_cochain", "pointwise_product"],
                     "planned: ROADMAP item 10, the extension's group law"),
+    "spanning_chain": "planned: ROADMAP item 10; `benchmark/tracer.py` wraps it by name",
     "sl2_group": "planned: ROADMAP item 3",
     **dict.fromkeys(["curvature_defect", "cocycle_recovery_residual", "period", "betti",
                      "cube_boundary_chain"], ACCEPTANCE),

@@ -12,7 +12,7 @@ from lieext.errors import (
     TangentDecompositionError,
 )
 from lieext.batch import vectorized
-from lieext.geometry import _shared, cancel_boundary_edges, smooth_step
+from lieext.geometry import cancel_boundary_edges, smooth_step
 
 from conftest import (
     BoundaryMismatchError, area_cochain, distances_to_curve, empty_chain, holonomy,
@@ -530,7 +530,8 @@ class TestSpanningChain:
         chain = lx.spanning_chain(
             group, lx.GroupPath(eval=counted(g1, g1_calls)), lx.GroupPath(eval=counted(g2, g2_calls))
         )
-        assert len(g1_calls) == 2  # the common end once, then the branch samples
+        # one call each, on the branch samples, whose last is the common end
+        assert [len(g1_calls), len(g2_calls)] == [1, 1]
         for calls in (g1_calls, g2_calls, logs):
             calls.clear()
         lx.surface_integral(lx.EquivariantForm(area_cochain(), group), chain, order)
@@ -604,33 +605,20 @@ class TestPathCocycleIdentities:
         ):
             calls = [[] for _ in paths]
             identity(form, *(lx.GroupPath(eval=counted(p, c)) for p, c in zip(paths, calls)), 16)
-            for path_calls in calls:
-                per_call = [np.unique(np.asarray(t, dtype=float)) for (t,) in path_calls]
-                assert per_call, "the identity never evaluated the path"
-                assert sum(p.size for p in per_call) == np.unique(np.concatenate(per_call)).size
-
-    def test_shared_path_answers_seen_parameters_by_lookup(self, torus2, rng):
-        calls = []
-        g, _ = random_torus_path(torus2, rng)
-        shared = _shared(lx.GroupPath(eval=counted(g, calls)))
-        first = shared(np.array([0.5, 0.25, 0.5]))
-        assert [list(t) for (t,) in calls] == [[0.25, 0.5]]
-        again = shared(np.array([[0.25], [0.5]]))
-        assert len(calls) == 1  # every parameter seen: no path call
-        assert np.array_equal(again[:, 0], first[[1, 0]]) and again.shape == (2, 1, 4, 4)
-        shared(np.array([0.75, 0.25, 1.0, 0.75]))
-        assert [list(t) for (t,) in calls[1:]] == [[0.75, 1.0]]  # the new ones, once each
-        assert np.array_equal(shared(1.0), g(1.0)) and len(calls) == 2
+            assert [len(c) for c in calls] == [1] * len(paths)
+            # the rule's 3n parameters, then t = 1 or the 64 guard samples ending at t = 1
+            size = 3 * 16 + (1 if len(paths) == 3 else 64)
+            assert all(np.shape(c[0][0]) == (size,) and c[0][0][-1] == 1.0 for c in calls)
 
     @pytest.mark.parametrize("order", [8, 16])
     def test_shared_evaluation_keeps_every_bit(self, torus2, rng, order):
-        # each term below evaluates its own paths; the identities share
-        # path values across their surfaces and must not change one bit
+        # each term below evaluates its own paths; the identities call each
+        # path once, form products from its values and must not change one bit
         form = torus_form(torus2)
         prod = lx.pointwise_product
         gamma = lambda a, b: lx.path_cocycle(form, a, b, order)
-        integ = lambda chain: lx.surface_integral(form, chain, order)
-        span = lambda a, b: lx.spanning_chain(torus2, a, b)
+        params = np.concatenate([lx.geometry._path_rule(order)[0].ravel(), lx.geometry._GUARD])
+        span = lambda a, b: lx.geometry._spanning_integral(form, a(params), b(params), order, ("a", "b"))
         for _ in range(3):
             g1, g1p, g2, g2p, g3 = self.family(torus2, rng)
             want = (
@@ -642,12 +630,12 @@ class TestPathCocycleIdentities:
             assert np.array_equal(lx.path_cocycle_coboundary(form, g1, g2, g3, order), want)
 
             base = gamma(g1, g2)
-            flux1 = integ(span(g1, g1p))
-            flux2 = form.module.act(g1(1.0), integ(span(g2, g2p)))
+            flux1 = span(g1, g1p)
+            flux2 = form.module.act(g1(1.0), span(g2, g2p))
             want = [
-                integ(span(prod(g1, g2), prod(g1p, g2))) - flux1 - gamma(g1p, g2) + base,
-                integ(span(prod(g1, g2), prod(g1, g2p))) - flux2 - gamma(g1, g2p) + base,
-                integ(span(prod(g1, g2), prod(g1p, g2p))) - flux1 - flux2 - gamma(g1p, g2p) + base,
+                span(prod(g1, g2), prod(g1p, g2)) - flux1 - gamma(g1p, g2) + base,
+                span(prod(g1, g2), prod(g1, g2p)) - flux2 - gamma(g1, g2p) + base,
+                span(prod(g1, g2), prod(g1p, g2p)) - flux1 - flux2 - gamma(g1p, g2p) + base,
             ]
             got = lx.representative_independence_residuals(form, g1, g1p, g2, g2p, order)
             assert len(got) == 3
@@ -1120,6 +1108,81 @@ class TestPathCocycleFromPaths:
         lx.path_cocycle(random_form(su2, rng), *counted_paths, 16)
         assert [len(c) for c in calls] == [1, 1]
         assert all(np.shape(c[0][0]) == (3, 16) for c in calls)  # nodes, then t + h and t - h
+
+
+class TestSpanningFromNodes:
+    """representative_independence_residuals integrates each spanning surface
+    from its paths' values at the rule's parameters and the 64 guard samples
+    (_spanning_integral); spanning_chain through surface_integral is the
+    generic route to the same integral."""
+
+    @staticmethod
+    def from_nodes(form, p, q, order, names=("p", "q")):
+        params = np.concatenate([lx.geometry._path_rule(order)[0].ravel(), lx.geometry._GUARD])
+        return lx.geometry._spanning_integral(form, p(params), q(params), order, names)
+
+    @classmethod
+    def assert_agrees(cls, form, p, q, order):
+        ref = lx.surface_integral(form, lx.spanning_chain(form.group, p, q), order)
+        got = cls.from_nodes(form, p, q, order)
+        assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
+
+    @staticmethod
+    def detour(group, p, y):
+        """t -> p(t) exp(sin(pi t) (1 + t) Y): a path with the ends of p."""
+        mat = group.realize(y)
+        return lx.GroupPath(eval=vectorized(
+            lambda t: p(t) @ group.exp(np.multiply.outer(np.sin(np.pi * t) * (1.0 + t), mat))))
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("factory", [lambda: lx.torus_group(2), lambda: lx.torus_group(3),
+                                         lx.su2_group, lx.heisenberg_group, lx.sl2_group],
+                             ids=["T2", "T3", "SU2", "Heisenberg", "SL2R"])
+    def test_agrees_with_the_chain_route(self, factory, order, rng):
+        group = factory()
+        n = group.algebra.dim
+        p = lx.exp_path(group, 0.4 * rng.normal(size=n))
+        q = self.detour(group, p, 0.1 * rng.normal(size=n))
+        self.assert_agrees(random_form(group, rng, 2), p, q, order)
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+    def test_agrees_with_the_chain_route_under_a_group_action(self, order):
+        doc = parse_document(R2_GROUP_ACTION_DOCUMENT)
+        form = lx.EquivariantForm(doc.cocycle, doc.group, doc.module)
+        p = doc.paths["p"]
+        self.assert_agrees(form, p, self.detour(doc.group, p, np.array([0.2, -0.3])), order)
+
+    def test_flux_equals_enclosed_area(self, torus2):
+        # the oracle of TestSpanningChain.test_flux_equals_enclosed_area
+        form = torus_form(torus2)
+        g1, c1 = torus_path(torus2, [1, 0], [[0.10, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.02, 0.0]])
+        g2, c2 = torus_path(torus2, [1, 0], [[0.0, 0.0], [0.12, 0.05]], [[0.03, 0.0], [0.0, 0.0]])
+        assert self.from_nodes(form, g1, g2, 16)[0] == pytest.approx(shoelace_area(c1, c2), abs=1e-7)
+
+    @pytest.mark.parametrize("broken, error", [
+        # exp leaves the group, so H does at its first node
+        ("exp", MembershipError),
+        # log adds the identity, which exp ignores: L leaves the algebra span
+        ("log", TangentDecompositionError),
+    ])
+    def test_errors_name_the_surface_by_its_paths(self, torus2, rng, broken, error):
+        maps = {"exp": lambda x: 1.01 * torus2.exp(x), "log": lambda g: torus2.log(g) + np.eye(4)}
+        group = replace(torus2, **{broken: vectorized(maps[broken])})
+        g1, g1p, g2, g2p, _ = TestPathCocycleIdentities.family(torus2, rng)
+        with pytest.raises(error, match="the surface spanning g1 and g1p"):
+            lx.representative_independence_residuals(
+                lx.EquivariantForm(area_cochain(), group), g1, g1p, g2, g2p, 8)
+
+    @pytest.mark.parametrize("windings, message", [
+        (([0.5, 0], [0, 0]), "paths end .* apart"),
+        (([1, 0], [0, 1]), "fiberwise logarithm jumps"),  # the same end on T^2
+    ])
+    def test_guard_checks_stay(self, torus2, rng, windings, message):
+        g1, g2 = (random_torus_path(torus2, rng, winding=w)[0] for w in windings)
+        for route in (lambda: lx.spanning_chain(torus2, g1, g2),
+                      lambda: self.from_nodes(torus_form(torus2), g1, g2, 8)):
+            with pytest.raises(NotALoopError, match=message):
+                route()
 
 
 class TestRulesInOnePass:
