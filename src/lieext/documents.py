@@ -74,12 +74,12 @@ from .geometry import (
 from .groups import (
     GroupPath,
     MatrixGroup,
+    _group_identities,
     heisenberg_group,
     su2_group,
     torus_group,
     translation_group,
     validate_action_compatibility,
-    validate_group,
     validate_lattice_fixed,
     validate_path,
 )
@@ -665,8 +665,7 @@ def _run_validate(doc):
     if doc.module is not None:
         issues += validate_module(doc.algebra, doc.module, tol)
     if doc.group is not None:
-        # validate_group checks the group's algebra, doc.algebra, again
-        issues += [i for i in validate_group(doc.group, tol) if i not in issues]
+        issues += _group_identities(doc.group, tol)  # doc.algebra is the group's
         if doc.module is not None and doc.module.group_action is not None:
             issues += validate_action_compatibility(doc.group, doc.module)
     if doc.lattice is not None:

@@ -13,7 +13,8 @@ partials by central differences, in one array pass over all nodes of a patch:
 * the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
   path-pair cocycle, taken from the two paths' log-derivatives;
 * spanning surfaces between two paths with the same endpoint, built by
-  fiberwise interpolation g1(t) exp(alpha(s) L(t)), L(t) = log(g1(t)^-1 g2(t));
+  fiberwise interpolation g1(t) exp(alpha(s) L(t)), L(t) = log(g1(t)^-1 g2(t)),
+  as a chain evaluated point by point: the reference for
 * the cocycle identities, which call each path once and take their
   triangles and spanning surfaces from those values, the s-tangent of a
   spanning surface as alpha'(s) L(t), with no difference of exponentials;
@@ -243,11 +244,10 @@ def surface_integrals(
                     raise
                 raise MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
             g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
-            scale = np.max(np.abs(g), axis=(-2, -1), initial=0.0)
             try:
-                group.check_membership(g, scale)
+                group.check_membership(g)
             except MembershipError:  # name the first node outside, one on the triangle first
-                at, res = group.outside(g, scale)
+                at, res = group.outside(g)
                 on = (ss[0, at] <= ts[0, at]) | (patch.domain != "simplex")
                 k = int(np.argmax(on))
                 exc = MembershipError(
@@ -270,15 +270,14 @@ def surface_integral(
     form: EquivariantForm,
     chain: Surface2Chain,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
     """Integral of the form over the chain: surface_integrals with one rule.
 
     Tensor Gauss-Legendre of the given order per axis, patch partials by
-    central differences with the given step; a triangle patch is evaluated
-    on the whole unit square and must be defined there (see _stencil).
+    central differences with step DEFAULT_FD_STEP; a triangle patch is
+    evaluated on the whole unit square and must be defined there (see _stencil).
     """
-    return surface_integrals(form, chain, ((quad_order, step),))[0]
+    return surface_integrals(form, chain, ((quad_order, DEFAULT_FD_STEP),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +312,7 @@ def _path_nodes(group: MatrixGroup, name: str, values: np.ndarray) -> tuple:
     ad()[j, k], the coefficients of Ad(g(u_j)^-1) e_k, which only a second
     path needs.  Errors name the path."""
     g, plus, minus = np.reshape(values, (3, -1) + np.shape(values)[-2:])
-    at, res = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
+    at, res = group.outside(g)
     if at.size:
         raise MembershipError(f"{name} leaves the group at t = {_path_rule(len(g))[0][0, at[0]]:.6g}: "
                               f"matrix is not in {group.name} (residual {res[0]:.3e})")
@@ -369,39 +368,24 @@ def _spanning_guard(group: MatrixGroup, a: np.ndarray, b: np.ndarray):
                             "far apart for a single-branch spanning surface")
 
 
-def spanning_chain(
-    group: MatrixGroup,
-    g1: GroupPath,
-    g2: GroupPath,
-    schedule: Callable = smooth_step,
-) -> Surface2Chain:
-    """Surface bounded by exactly g1 - g2, for paths sharing an endpoint.
+def spanning_chain(group: MatrixGroup, g1: GroupPath, g2: GroupPath) -> Surface2Chain:
+    """Surface bounded by exactly g1 - g2, for paths sharing an endpoint; the
+    reference for _spanning_integral, which the cocycle identities use.
 
-    Fiberwise interpolation H(t, s) = g1(t) exp(schedule(s) L(t)) with
-    L(t) = log(g1(t)^-1 g2(t)).  The two s-edges are the paths, the two
-    t-edges are constant (identity and the common endpoint), so the chain
-    is a genuine spanning surface.  Requires the two paths to stay within
-    the principal branch of the group logarithm of each other; a sampled
-    continuity check guards against branch jumps.
-
-    The patch evaluates its t-only factors g1(t), g2(t), the inverse, the
-    product and L(t) once per distinct t of its arguments (3n at order n
-    for a stencil of 5n^2 points), and the schedule once per distinct s;
-    each point gathers its factors from these.
+    Fiberwise interpolation H(t, s) = g1(t) exp(smooth_step(s) L(t)) with
+    L(t) = log(g1(t)^-1 g2(t)), evaluated directly at each point.  The two
+    s-edges are the paths, the two t-edges are constant (identity and the
+    common endpoint), so the chain is a genuine spanning surface.  Requires
+    the two paths to stay within the principal branch of the group logarithm
+    of each other; a sampled continuity check (_spanning_guard) guards
+    against branch jumps.
     """
     _spanning_guard(group, g1(_GUARD), g2(_GUARD))
-    schedule = per_point(schedule)
 
     @vectorized
     def patch(t, s):
-        t, s = np.broadcast_arrays(t, s)
-        ts, at_t = np.unique(t, return_inverse=True)
-        ss, at_s = np.unique(s, return_inverse=True)
-        gt = g1(ts)
-        ell = group.log(group.inverse(gt) @ g2(ts))
-        at_t, at_s = at_t.reshape(t.shape), at_s.reshape(s.shape)
-        sigma = np.asarray(schedule(ss))[at_s]
-        return gt[at_t] @ group.exp(sigma[..., None, None] * ell[at_t])
+        gt = g1(t)
+        return gt @ group.exp(smooth_step(s)[..., None, None] * group.log(group.inverse(gt) @ g2(t)))
 
     return Surface2Chain(patches=(SurfacePatch(eval=patch, domain="square"),))
 
@@ -521,7 +505,7 @@ def _spanning_integral(
     total, rows = np.zeros(form.cochain.coeff_dim), max(1, _PASS_NODES // n)
     for lo in range(0, n, rows):  # (3, rows, n, d, d): H at t, t + h, t - h on rows of t
         h = a[:, lo : lo + rows, None] @ group.exp(sigma[:, None, None] * ell[:, lo : lo + rows, None])
-        at, res = group.outside(h[0], np.max(np.abs(h[0]), axis=(-2, -1)))
+        at, res = group.outside(h[0])
         if at.size:
             i, j = divmod(int(at[0]), n)
             raise MembershipError(f"{name} leaves the group at (t, s) = ({u[lo + i]:.6g}, {u[j]:.6g}): "

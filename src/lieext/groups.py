@@ -145,37 +145,42 @@ class MatrixGroup:
         """Left-translate a tangent u at g back to the algebra: g^-1 u."""
         return self.decompose(self.inverse(g) @ u)
 
-    def outside(self, g: np.ndarray, scale=1.0):
+    def outside(self, g: np.ndarray):
         """Row-major indices and membership residuals of the matrices of the
-        stack g that are not in the group within MEMBERSHIP_TOL times
-        max(1, their scale); a NaN matrix is outside quietly, its residual
+        stack g that are not in the group within MEMBERSHIP_TOL times max(1,
+        their largest |entry|); a NaN matrix is outside quietly, its residual
         being NaN.  Empty for a group with no membership test."""
         if self.membership is None:
             return np.empty(0, dtype=int), np.empty(0)
+        g = np.asarray(g, dtype=float)
         with np.errstate(invalid="ignore"):
-            res = np.asarray(self.membership(np.asarray(g, dtype=float)), dtype=float)
-        at = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, scale)))
+            res = np.asarray(self.membership(g), dtype=float)
+        at = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))))
         return at, res.ravel()[at]
 
-    def check_membership(self, g: np.ndarray, scale=1.0):
+    def check_membership(self, g: np.ndarray):
         """Raise MembershipError unless every matrix of the stack g is in the
         group (see outside)."""
-        _, bad = self.outside(g, scale)
+        _, bad = self.outside(g)
         if bad.size:
             raise MembershipError(f"matrix is not in {self.name} (residual {bad[0]:.3e})")
 
 
 def validate_group(group: MatrixGroup, tol_alg: float = 1e-9):
+    """validate_algebra's issues, then basis commutators and exp/log round trips."""
+    return validate_algebra(group.algebra, tol_alg) + _group_identities(group, tol_alg)
+
+
+def _group_identities(group: MatrixGroup, tol_alg: float):
     """Basis commutators must reproduce the structure constants; exp/log must
     round-trip near the identity."""
-    issues = list(validate_algebra(group.algebra, tol_alg))
     basis = group.basis
     i, j = np.triu_indices(group.algebra.dim, 1)
     comm = basis[i] @ basis[j] - basis[j] @ basis[i]
     expected = np.einsum("pk,kab->pab", group.algebra.structure_constants[i, j], basis)
     res = np.max(np.abs(comm - expected), axis=(1, 2), initial=0.0)
     bound = tol_alg * max(1.0, float(np.max(np.abs(basis), initial=0.0)) ** 2)
-    issues += _issues_above("basis_commutator", res, bound, (i, j))
+    issues = _issues_above("basis_commutator", res, bound, (i, j))
     x = 0.05 * np.random.default_rng(7).normal(size=(3, group.algebra.dim))
     g = group.exp(np.einsum("ti,ijk->tjk", x, basis))
     res = np.max(np.abs(group.exp(group.log(g)) - g), axis=(1, 2))
@@ -248,7 +253,7 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     residual, since its tangents need not lie in the algebra."""
     h = DEFAULT_FD_STEP
     g = path(np.concatenate([np.linspace(0.0, 1.0, 33), [h, 1.0 + h, -h, 1.0 - h]]))
-    _, outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
+    _, outside = group.outside(g)
     if outside.size:
         return [{"identity": "in_group", "indices": [], "residual": float(np.max(outside))}]
     issues = []

@@ -52,10 +52,9 @@ def period(
     form: EquivariantForm,
     cycle: Surface2Chain,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    name: str = "cycle",
 ) -> np.ndarray:
     """Integral of the form over a closed 2-chain (not reduced mod Gamma)."""
-    assert_cycle_closed(cycle, name)
+    assert_cycle_closed(cycle)
     return surface_integral(form, cycle, quad_order)
 
 
@@ -156,7 +155,7 @@ def pi1_cocycle_table(
     names = [name for name, _ in loops]
     for name, loop in loops:
         g = loop(np.linspace(0.0, 1.0, 33))
-        _, outside = group.outside(g, np.max(np.abs(g), axis=(-2, -1)))
+        _, outside = group.outside(g)
         if outside.size:
             raise MembershipError(f"loops[{name!r}] leaves the group {group.name}: "
                                   f"membership residual {np.max(outside):.3e}")

@@ -692,6 +692,23 @@ def test_validate_lists_each_algebra_violation_once(algebra, expected, tmp_path,
     assert code == 0 and report["results"]["violations"] == expected
 
 
+@pytest.mark.parametrize("group", [{"kind": "heisenberg"}, {"kind": "torus", "dim": 24}],
+                         ids=["heisenberg", "T24"])
+def test_validate_checks_the_algebra_once(group, monkeypatch):
+    calls, original = [], lx.validate_algebra
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieext") and getattr(module, "validate_algebra", None) is original:
+            monkeypatch.setattr(module, "validate_algebra", counted)
+    report, code = run(parse_document({"task": "validate", "group": group}))
+    assert code == 0 and report["results"] == {"violations": [], "valid": True}
+    assert len(calls) == 1
+
+
 def test_validate_reports_an_algebra_section_that_is_not_the_groups(tmp_path, capsys):
     # an abelian section for the Heisenberg group, whose [e0, e1] is e2
     raw = {"task": "validate", "group": {"kind": "heisenberg"}, "algebra": {"dim": 3}}

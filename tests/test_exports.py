@@ -7,16 +7,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lieext"
 ACCEPTANCE = "called by tests/test_acceptance.py, the paper's acceptance criteria"
+VALIDATOR = ("the README's validator of a group; `validate` calls its two halves apart, "
+             "to report the algebra's issues before the module's")
 KEEP = {
     "adjoint_module": "planned: ROADMAP item 12",
     "cohomology_representatives": "planned: ROADMAP items 1 and 17",
     **dict.fromkeys(["conjugate_coeff", "group_unit", "delta_cochain", "pointwise_product"],
                     "planned: ROADMAP item 10, the extension's group law"),
-    "spanning_chain": "planned: ROADMAP item 10; `benchmark/tracer.py` wraps it by name",
+    "spanning_chain": "the tests' reference for `_spanning_integral`; `benchmark/tracer.py` wraps it by name",
     "sl2_group": "planned: ROADMAP item 3",
     **dict.fromkeys(["curvature_defect", "cocycle_recovery_residual", "period", "betti",
                      "cube_boundary_chain"], ACCEPTANCE),
     "is_cocycle": "the library's cocycle predicate; benchmark/tracer.py wraps it by name",
+    "validate_group": VALIDATOR,
 }
 
 
@@ -40,3 +43,52 @@ def test_every_export_is_used_or_kept_for_a_reason():
     used = set().union(*map(names_in, users + list((ROOT / "benchmark").glob("*.py"))))
     assert sorted(exported - used - set(KEEP)) == []
     assert sorted(set(KEEP) - exported) == []  # a name no longer exported needs no reason
+
+
+KEEP_PARAMS = {
+    **dict.fromkeys(["period.quad_order", "cocycle_recovery_residual.step",
+                     "cocycle_recovery_residual.quad_order", "is_cocycle.tol"], ACCEPTANCE),
+    "cochain_from_pairs.degree": "the one reader of keyed cochains, which tests use at degrees 0 and 1",
+    "validate_group.tol_alg": VALIDATOR,
+}
+
+
+def defaulted_params(path):
+    """(function, position or None if keyword-only, name) for each defaulted
+    parameter of path's module-level functions."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            yield from ((node.name, i, arg.arg) for i, arg in enumerate(positional) if i >= first)
+            yield from ((node.name, None, arg.arg)
+                        for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None)
+
+
+def calls_in(path):
+    """(called name, positions passed, keywords passed) for each call in path;
+    a *args passes every later position, a **kwargs (keyword None) every keyword."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            starred = [i for i, arg in enumerate(node.args) if isinstance(arg, ast.Starred)]
+            yield (getattr(node.func, "id", None) or node.func.attr,
+                   starred[0] if starred else len(node.args), {k.arg for k in node.keywords})
+
+
+def test_every_defaulted_parameter_is_passed_or_kept_for_a_reason():
+    """A default that no call in the library or the benchmark overrides is a
+    parameter with one value: it goes, or KEEP_PARAMS says why it stays."""
+    exported = {alias.name for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    calls = [c for path in [*PACKAGE.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
+             for c in calls_in(path)]
+    unpassed = {
+        f"{fn}.{param}"
+        for path in PACKAGE.glob("*.py") for fn, position, param in defaulted_params(path)
+        if fn in exported and not any(
+            name == fn and ((position is not None and position < n) or {param, None} & keywords)
+            for name, n, keywords in calls)
+    }
+    assert sorted(unpassed - set(KEEP_PARAMS)) == []
+    assert sorted(set(KEEP_PARAMS) - unpassed) == []  # a passed parameter needs no reason

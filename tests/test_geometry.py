@@ -134,6 +134,20 @@ class TestGroups:
             want = np.array([reference(m) for m in g])
             assert np.max(np.abs(torus.membership(g) - want)) <= 1e-15
 
+    def test_outside_takes_its_scale_from_the_matrix(self):
+        # MEMBERSHIP_TOL times max(1, the largest |entry|) of each matrix
+        heis = lx.heisenberg_group()
+        big, unit = heis.chart.from_coords(np.array([[1e8, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+        off = np.zeros((3, 3))
+        off[1, 0] = 1.0  # off the chart's image of strictly upper triangular entries
+        g = np.stack([big + 1e-3 * off, big + off, unit + 1e-3 * off, np.full((3, 3), np.nan)])
+        at, res = heis.outside(g)
+        assert at.tolist() == [1, 2, 3]  # 1e-3 <= 1e-9 * 1e8 is inside
+        assert res[:2].tolist() == [1.0, 1e-3] and np.isnan(res[2])
+        heis.check_membership(g[0])
+        with pytest.raises(MembershipError):
+            heis.check_membership(g[1])
+
     def test_torus_membership_fails_a_nan_matrix(self, torus2):
         g = torus2.chart.from_coords([0.1, 0.2])
         g[1, 0] = np.nan
@@ -518,37 +532,35 @@ class TestSpanningChain:
 
     @pytest.mark.parametrize("order", [4, 16])
     def test_t_only_factors_once_per_distinct_t(self, torus2, rng, order):
-        logs = []
-
-        def log(g):
-            logs.append(np.shape(g)[:-2])
-            return torus2.log(g)
-
-        group = replace(torus2, log=vectorized(log))
         g1_calls, g2_calls = [], []
         g1, g2 = (random_torus_path(torus2, rng, [1, 0])[0] for _ in range(2))
         chain = lx.spanning_chain(
-            group, lx.GroupPath(eval=counted(g1, g1_calls)), lx.GroupPath(eval=counted(g2, g2_calls))
+            torus2, lx.GroupPath(eval=counted(g1, g1_calls)), lx.GroupPath(eval=counted(g2, g2_calls))
         )
         # one call each, on the branch samples, whose last is the common end
         assert [len(g1_calls), len(g2_calls)] == [1, 1]
-        for calls in (g1_calls, g2_calls, logs):
+        for calls in (g1_calls, g2_calls):
             calls.clear()
-        lx.surface_integral(lx.EquivariantForm(area_cochain(), group), chain, order)
-        # the stencil's t takes the n nodes and their two difference neighbours
+        lx.surface_integral(torus_form(torus2), chain, order)
+        # one call each per array pass, at the stencil's 3n distinct t
         for calls in (g1_calls, g2_calls):
             [(t,)] = calls
-            assert t.size <= 3 * order and np.unique(t, return_index=True)[0].size == t.size
-        assert logs == [(g1_calls[0][0].size,)]
+            assert np.unique(t).size == 3 * order
 
     def test_schedule_choice_does_not_change_flux(self, torus2):
+        # the flux depends only on the boundary: a linear schedule in place of
+        # smooth_step integrates a different surface with the same value
         form = torus_form(torus2)
         g1, _ = torus_path(torus2, [1, 1], [[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
         g2, _ = torus_path(torus2, [1, 1], [[0.0, 0.05], [0.06, 0.0]], [[0.0, 0.0], [0.02, 0.0]])
+
+        @vectorized
+        def linear(t, s):
+            gt = g1(t)
+            return gt @ torus2.exp(np.asarray(s)[..., None, None] * torus2.log(torus2.inverse(gt) @ g2(t)))
+
         v_flat = lx.surface_integral(form, lx.spanning_chain(torus2, g1, g2), 16)
-        v_lin = lx.surface_integral(
-            form, lx.spanning_chain(torus2, g1, g2, schedule=lambda u: u), 16
-        )
+        v_lin = lx.surface_integral(form, lx.Surface2Chain(patches=(lx.SurfacePatch(eval=linear),)), 16)
         assert v_flat[0] == pytest.approx(v_lin[0], abs=1e-8)
 
 
@@ -1187,7 +1199,7 @@ class TestSpanningFromNodes:
 
 class TestRulesInOnePass:
     """surface_integrals evaluates each patch once for all its rules; each
-    rule's row is what surface_integral gives for that rule alone."""
+    rule's row is what it gives for that rule alone."""
 
     @staticmethod
     def chain(kind, torus2, rng):
@@ -1219,7 +1231,8 @@ class TestRulesInOnePass:
         rules = [(orders[0], 1e-5), (orders[1], 2e-5)]
         rows = lx.geometry.surface_integrals(form, chain, rules)
         for row, (order, step) in zip(rows, rules):
-            assert row.tobytes() == lx.surface_integral(form, chain, order, step).tobytes()
+            alone = lx.geometry.surface_integrals(form, chain, [(order, step)])[0]
+            assert row.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("orders, slices", [
         # order 72 is a full pass and a 1088-node slice, which the 1296

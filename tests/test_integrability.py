@@ -75,6 +75,23 @@ class TestPeriod:
         val = lx.period(form, sphere_cycle(), 16)
         assert abs(val[0]) < 1e-7
 
+    def test_exact_forms_under_a_group_action_have_zero_periods(self, torus2):
+        # T^2 acts on R^2 by rotation through 2 pi t0, read from g's first
+        # block, so rho(e0) = 2 pi J; omega = d alpha is exact, and its form's
+        # periods over the closed wavy torus vanish at a converged order
+        mod = lx.ModuleAction(
+            rho=np.array([2.0 * np.pi * np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros((2, 2))]),
+            group_action=vectorized(lambda g, v: (g[..., :2, :2] @ v[..., None])[..., 0]))
+        wavy = vectorized(lambda t, s: torus2.chart.from_coords(np.stack(
+            [t + 0.2 * np.sin(2.0 * np.pi * s), s + 0.1 * np.sin(2.0 * np.pi * t)], axis=-1)))
+        cycle = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=wavy),))
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            alpha = lx.Cochain(1, 2, 2, rng.normal(size=(2, 2)))
+            form = lx.EquivariantForm(lx.apply_d(torus2.algebra, mod, alpha), torus2, mod)
+            assert np.max(np.abs(lx.period(form, cycle, 8))) > 1e-3  # not zero node by node
+            assert np.max(np.abs(lx.period(form, cycle, 24))) <= 1e-10
+
     def test_open_chain_rejected(self, torus2):
         form = lx.EquivariantForm(area_cochain(), torus2)
         patch = lx.SurfacePatch(
