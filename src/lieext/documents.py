@@ -76,6 +76,7 @@ from .groups import (
     MatrixGroup,
     _group_identities,
     heisenberg_group,
+    sl2_group,
     su2_group,
     torus_group,
     translation_group,
@@ -385,6 +386,8 @@ def _parse_group(section) -> MatrixGroup:
         return (torus_group if kind == "torus" else translation_group)(k)
     if kind == "su2":
         return su2_group()
+    if kind == "sl2":
+        return sl2_group()
     if kind == "heisenberg":
         return heisenberg_group()
     if kind == "matrix":
@@ -398,7 +401,7 @@ def _parse_group(section) -> MatrixGroup:
         except MalformedInputError as exc:
             raise DocumentError(f"group: {exc}") from None
     raise DocumentError(
-        f"unknown group kind {kind!r} (expected torus, translation, su2, "
+        f"unknown group kind {kind!r} (expected torus, translation, su2, sl2, "
         "heisenberg, or matrix)"
     )
 
@@ -454,8 +457,9 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
 
 def _map_eval(entries, group: MatrixGroup, names, context, compiled):
     """A path's or patch's coords vector or matrix of expressions in the
-    parameters names, as a vectorized map from parameter arrays to the
-    stack of group matrices."""
+    parameters names, as (values, chart): a vectorized map from parameter
+    arrays to the stack of chart coordinates, and the group's chart; or to
+    the stack of group matrices, and None."""
     if isinstance(entries, dict) and "coords" in entries:
         _require(
             group.chart is not None,
@@ -468,8 +472,7 @@ def _map_eval(entries, group: MatrixGroup, names, context, compiled):
             f"{context}.coords must be a list of {chart.dim} expressions",
         )
         context = f"{context}.coords"
-        values = _evaluator(_compile_exprs(coords, context, names, compiled), names, context)
-        return vectorized(lambda *args: chart.from_coords(values(*args)))
+        return _evaluator(_compile_exprs(coords, context, names, compiled), names, context), chart
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
         d = group.embed_dim
@@ -482,21 +485,22 @@ def _map_eval(entries, group: MatrixGroup, names, context, compiled):
         return _evaluator([
             _compile_exprs(row, f"{context}[{i}]", names, compiled, numbers=True)
             for i, row in enumerate(rows)
-        ], names, context)
+        ], names, context), None
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
 def _parse_path(entries, group: MatrixGroup, context, compiled) -> GroupPath:
-    return GroupPath(eval=_map_eval(entries, group, ("t",), context, compiled))
+    values, chart = _map_eval(entries, group, ("t",), context, compiled)
+    return GroupPath(eval=values if chart is None else vectorized(lambda t: chart.from_coords(values(t))))
 
 
 def _parse_patch(entry, group: MatrixGroup, context, compiled) -> SurfacePatch:
     _require(isinstance(entry, dict), f"{context} must be an object")
     domain = entry.get("domain", "square")
     coeff = _integer(entry.get("coefficient", 1), f"{context}: coefficient", -2**53, 2**53)
-    ev = _map_eval(entry, group, ("t", "s"), context, compiled)
+    values, chart = _map_eval(entry, group, ("t", "s"), context, compiled)
     try:
-        return SurfacePatch(eval=ev, domain=domain, coefficient=coeff)
+        return SurfacePatch(eval=values, domain=domain, coefficient=coeff, chart=chart)
     except MalformedInputError as exc:
         raise DocumentError(f"{context}: {exc}") from None
 

@@ -8,7 +8,8 @@ left translation twisted with the coefficient action:
 with tangents decomposed in the realized algebra basis and omega evaluated
 by its own call.  Everything else here is built on integrating that form
 over parameterized 2-chains with a tensor Gauss-Legendre rule and patch
-partials by central differences, in one array pass over all nodes of a patch:
+partials by central differences (of a patch's chart coordinates when it has
+a chart, else of its matrices), in one array pass over all nodes of a patch:
 
 * the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
   path-pair cocycle, taken from the two paths' log-derivatives;
@@ -49,6 +50,7 @@ from .extensions import build_algebra_extension
 from .groups import (
     DEFAULT_FD_STEP,
     MEMBERSHIP_TOL,
+    CoordinateChart,
     GroupPath,
     MatrixGroup,
     exp_path,
@@ -119,13 +121,15 @@ def eval_equivariant(
 class SurfacePatch:
     """One parameterized 2-patch: map from the unit square or the triangle
     {0 <= s <= t <= 1} into the group, with an integer multiplicity.
-    Called on arrays of parameters it returns the stack of matrices.  A
+    Called on arrays of parameters it returns the stack of matrices; with a
+    chart, eval gives chart coordinates, differenced in the chart.  A
     triangle ("simplex") patch is evaluated on the whole unit square, so it
     must be defined beyond the triangle too."""
 
     eval: Callable
     domain: str = "square"  # "square" | "simplex"
     coefficient: int = 1
+    chart: Optional[CoordinateChart] = None
 
     def __post_init__(self):
         if self.domain not in ("square", "simplex"):
@@ -133,7 +137,8 @@ class SurfacePatch:
         object.__setattr__(self, "eval", per_point(self.eval))
 
     def __call__(self, t, s) -> np.ndarray:
-        return np.asarray(self.eval(t, s), dtype=float)
+        values = np.asarray(self.eval(t, s), dtype=float)
+        return values if self.chart is None else self.chart.from_coords(values)
 
 
 @dataclass(frozen=True)
@@ -223,12 +228,13 @@ def surface_integrals(
     """Integrals of the form over the chain, one row per (quad_order, step)
     rule, each bit for bit what surface_integral returns for that rule.
 
-    Each patch is one array pass over the stencils of all the rules: the
-    patch is evaluated once on every rule's nodes and their four difference
-    neighbours, and membership, the tangent decomposition, the cochain, the
-    action and the weights are applied to the whole stack; each rule's
-    weighted values are summed over its own nodes.  Stencils of more than
-    _PASS_NODES nodes in all are integrated in several passes (_passes).
+    Each patch is one array pass over the stencils of all the rules: its
+    eval is called once on every rule's nodes and their four difference
+    neighbours and differenced there, only the nodes go through its
+    chart.from_coords, and membership, the tangents (chart.tangent, else g^-1 u
+    decomposed), the cochain, the action and the weights are applied to the
+    whole stack; each rule's weighted values are summed over its own nodes.
+    Stencils of more than _PASS_NODES nodes are integrated in several passes.
     """
     group = form.group
     rules = tuple((int(order), float(step)) for order, step in rules)
@@ -236,14 +242,16 @@ def surface_integrals(
     for p, patch in enumerate(chain.patches):
         if patch.coefficient == 0:
             continue
+        chart = patch.chart
         for ts, ss, den, weight, segments in _passes(rules, patch.domain):
             try:
-                mats = patch(ts.ravel(), ss.ravel())
+                x, t_plus, t_minus, s_plus, s_minus = np.split(
+                    np.asarray(patch.eval(ts.ravel(), ss.ravel()), dtype=float), 5)
+                g = x if chart is None else chart.from_coords(x)
             except LieExtError as exc:
                 if patch.domain != "simplex":
                     raise
                 raise MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
-            g, t_plus, t_minus, s_plus, s_minus = np.split(mats, 5)
             try:
                 group.check_membership(g)
             except MembershipError:  # name the first node outside, one on the triangle first
@@ -255,10 +263,10 @@ def surface_integrals(
                     f"{ss[0, at[k]]:.6g}): matrix is not in {group.name} (residual {res[k]:.3e})"
                 )
                 raise exc if on[k] else MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
-            du = (t_plus - t_minus) / den[:, None, None]
-            dv = (s_plus - s_minus) / den[:, None, None]
+            du = np.stack([t_plus - t_minus, s_plus - s_minus]) / den.reshape((-1,) + (1,) * (x.ndim - 1))
             try:
-                vals = weight[:, None] * eval_equivariant(form, g, du, dv)
+                vals = weight[:, None] * (eval_equivariant(form, g, *du) if chart is None else
+                                          form.module.act(g, form.cochain(*chart.tangent(g, x, du))))
             except TangentDecompositionError as exc:
                 raise TangentDecompositionError(f"patches[{p}]: {exc}") from None
             for r, lo, hi in segments:

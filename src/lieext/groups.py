@@ -48,11 +48,14 @@ TANGENT_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CoordinateChart:
-    """Global-ish coordinates for a group (used by the CLI and D2 curves)."""
+    """Global-ish coordinates x -> phi(x) for a group.  tangent(g, x, dx), on
+    stacks, gives the algebra coefficients of g^-1 dphi_x(dx) at g = phi(x),
+    or raises TangentDecompositionError where they cannot be taken."""
 
     dim: int
     to_coords: Callable
     from_coords: Callable
+    tangent: Callable
 
     def __post_init__(self):
         object.__setattr__(self, "to_coords", per_point(self.to_coords, 2))
@@ -351,10 +354,17 @@ def torus_group(k: int) -> MatrixGroup:
         )
         return np.max(np.abs(res), axis=-1, initial=0.0)
 
+    def tangent(g, x, dx):
+        """dx itself: coordinates in winding units and the basis 2 pi J."""
+        if not np.all(np.isfinite(dx)):
+            raise TangentDecompositionError("coordinate velocity is not finite")
+        return dx
+
     chart = CoordinateChart(
         dim=k,
         to_coords=vectorized(lambda g: angles_of(g) / (2.0 * np.pi)),
         from_coords=from_coords,
+        tangent=tangent,
     )
     return MatrixGroup(
         algebra=alg,
@@ -413,9 +423,14 @@ def _unipotent_group(algebra: LieAlgebra, rows, cols, name: str) -> MatrixGroup:
         g = np.asarray(g, dtype=float)
         return np.max(np.abs(g - from_coords(to_coords(g))), axis=(-2, -1))
 
-    chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords)
-    return MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,
-                       membership=membership, chart=chart, name=name)
+    def tangent(g, x, dx):
+        """g^-1 E(dx), E(dx) = from_coords(dx) - I holding dx at the chart's entries."""
+        return group.tangent_coefficients(g, from_coords(dx) - eye)
+
+    chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords, tangent=tangent)
+    group = MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,
+                        membership=membership, chart=chart, name=name)
+    return group
 
 
 @lru_cache(maxsize=32)

@@ -677,6 +677,16 @@ def cli_outcome(raw, tmp_path, capsys):
     return code, captured.out, captured.err
 
 
+def test_sl2_group_documents(tmp_path, capsys):
+    # SL(2,R) validates as a document group; having no chart, it takes no coords
+    code, out, err = cli_outcome({"task": "validate", "group": {"kind": "sl2"}}, tmp_path, capsys)
+    assert (code, err) == (0, "") and "valid: true" in out
+    raw = _edited("torus_integrable.json", _set("group", value={"kind": "sl2"}))
+    raw["cycles"][0]["patches"][0]["coords"] = ["t", "s", "0"]
+    assert cli_outcome(raw, tmp_path, capsys) == (
+        2, "", "input error: cycles['fundamental'].patches[0]: coordinates need a group with a chart\n")
+
+
 @pytest.mark.parametrize("algebra, expected", [
     # no algebra section: the document's algebra is the group's
     (None, GROUP_ISSUES),
@@ -924,7 +934,27 @@ TORUS_MATRIX = {"matrix": [["cos(2*pi*t)", "-sin(2*pi*t)", 0, 0],
 def test_other_spellings_of_a_fixture_give_its_results(fixture, edit):
     expected, _ = run(parse_document(load_fixture(fixture)))
     report, code = run(parse_document(_edited(fixture, edit)))
-    assert code == 0 and report["results"] == expected["results"]
+    assert code == 0
+    if fixture == "pi1_torus.json":
+        assert report["results"] == expected["results"]
+        return
+    # the matrix spelling takes its partials as differences of matrices, whose
+    # chart curvature leaves a ~1e-9 floor; the coords fixture takes them in
+    # the chart, without it: the same verdicts, periods apart by that floor
+    assert report["results"]["overall"] == expected["results"]["overall"]
+    for got, want in zip(report["results"]["generators"], expected["results"]["generators"], strict=True):
+        assert (got["verdict"], got["coefficients"]) == (want["verdict"], want["coefficients"])
+        assert np.max(np.abs(np.subtract(got["period"], want["period"]))) <= got["error_estimate"]
+
+
+@pytest.mark.parametrize("order", [8, 16, 24])
+def test_coords_torus_reads_its_period_to_rounding(order):
+    # differenced in the chart, the fundamental torus has no difference floor
+    raw = _edited("torus_integrable.json", _set("options", "quad_order", value=order))
+    report, code = run(parse_document(raw))
+    [generator] = report["results"]["generators"]
+    assert code == 0 and generator["period"] == pytest.approx([1.0], abs=1e-11)
+    assert generator["error_estimate"] < 1e-10
 
 
 @pytest.mark.parametrize("fixture, group", [("torus_integrable.json", "T^2"),

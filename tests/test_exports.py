@@ -15,7 +15,6 @@ KEEP = {
     **dict.fromkeys(["conjugate_coeff", "group_unit", "delta_cochain", "pointwise_product"],
                     "planned: ROADMAP item 10, the extension's group law"),
     "spanning_chain": "the tests' reference for `_spanning_integral`; `benchmark/tracer.py` wraps it by name",
-    "sl2_group": "planned: ROADMAP item 3",
     **dict.fromkeys(["curvature_defect", "cocycle_recovery_residual", "period", "betti",
                      "cube_boundary_chain"], ACCEPTANCE),
     "is_cocycle": "the library's cocycle predicate; benchmark/tracer.py wraps it by name",

@@ -1218,11 +1218,14 @@ class TestRulesInOnePass:
                 for k in range(5)
             ]
             return lx.Surface2Chain(patches=tuple(patches))
+        if kind == "chart":  # the square's coordinates, differenced in the chart
+            return lx.Surface2Chain(patches=(lx.SurfacePatch(chart=torus2.chart, eval=vectorized(
+                lambda t, s: np.stack([t + 0.2 * s * s, s - 0.1 * t], axis=-1))),))
         heis = lx.heisenberg_group()
         return lx.cube_boundary_chain(vectorized(lambda a, b, c: heis.chart.from_coords(
             np.stack(np.broadcast_arrays(a + 0.3 * b * c, b - 0.2 * a * a, c + a * b), axis=-1))))
 
-    @pytest.mark.parametrize("kind", ["square", "simplex", "tiled", "cube"])
+    @pytest.mark.parametrize("kind", ["square", "simplex", "tiled", "cube", "chart"])
     @pytest.mark.parametrize("orders", [(16, 8), (5, 2), (60, 30), (72, 36)])
     def test_rows_equal_one_rule_calls_bit_for_bit(self, kind, orders, torus2, rng):
         chain = self.chain(kind, torus2, rng)
@@ -1245,6 +1248,72 @@ class TestRulesInOnePass:
         passes = lx.geometry._passes(((orders[0], 1e-5), (orders[1], 2e-5)), "square")
         assert [[(r, int(hi - lo)) for r, lo, hi in p[-1]] for p in passes] == slices
         assert all(p[3].size <= lx.geometry._PASS_NODES for p in passes)
+
+
+class TestChartPatches:
+    """A patch with a chart is differenced in its coordinates, and only its
+    nodes are mapped to the group."""
+
+    RULES = [(8, 1e-5), (5, 2e-5)]
+
+    @staticmethod
+    def routes(chart, coords, domain="square"):
+        """The coordinate map as a chart patch and as a chartless patch."""
+        coords = vectorized(coords)
+        return (lx.SurfacePatch(eval=coords, chart=chart, domain=domain),
+                lx.SurfacePatch(eval=vectorized(lambda t, s: chart.from_coords(coords(t, s))), domain=domain))
+
+    @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
+                             ids=["heisenberg", "R3"])
+    @pytest.mark.parametrize("domain", ["square", "simplex"])
+    def test_affine_charts_give_the_matrix_route_bit_for_bit(self, factory, domain, rng):
+        group = factory()
+        coords = lambda t, s: np.stack(np.broadcast_arrays(t + 0.3 * s * s, s - 0.2 * t * t, t * s), axis=-1)
+        form = random_form(group, rng, coeff_dim=2)
+        rows = [lx.geometry.surface_integrals(form, lx.Surface2Chain(patches=(patch,)), self.RULES)
+                for patch in self.routes(group.chart, coords, domain)]
+        assert np.array_equal(*rows)
+
+    def test_torus_chart_agrees_with_the_matrix_route(self, torus2, rng):
+        coords = lambda t, s: np.stack([t + 0.1 * np.sin(2 * np.pi * s), s + 0.05 * np.sin(2 * np.pi * t)], -1)
+        form = random_form(torus2, rng)
+        rows = [lx.geometry.surface_integrals(form, lx.Surface2Chain(patches=(patch,)), [(16, 1e-5)])
+                for patch in self.routes(torus2.chart, coords)]
+        assert np.max(np.abs(rows[0] - rows[1])) <= 1e-8
+
+    def test_the_call_maps_the_coordinates_to_the_group(self, torus2):
+        chart_patch, matrix_patch = self.routes(torus2.chart, lambda t, s: np.stack([t, s * t], -1))
+        t, s = np.array([0.1, 0.7]), np.array([0.4, 0.2])
+        assert np.array_equal(chart_patch(t, s), matrix_patch(t, s))
+        assert chart_patch.eval(t, s).shape == (2, 2)
+
+    @pytest.mark.parametrize("factory", [lambda: lx.torus_group(2), lambda: lx.translation_group(2)],
+                             ids=["T2", "R2"])
+    def test_non_finite_coordinates_at_a_neighbour_name_the_patch(self, factory):
+        # NaN beyond the last node in s: only that row's s + h neighbours
+        group = factory()
+        last = 0.5 * (np.polynomial.legendre.leggauss(4)[0][-1] + 1.0)
+        good = lx.SurfacePatch(chart=group.chart, eval=vectorized(lambda t, s: np.stack([t, s], -1)))
+        bad = lx.SurfacePatch(chart=group.chart, eval=vectorized(
+            lambda t, s: np.stack([t, np.where(s > last, np.nan, s)], -1)))
+        form = lx.EquivariantForm(area_cochain(), group)
+        with pytest.raises(TangentDecompositionError, match=r"^patches\[1\]: "):
+            lx.surface_integral(form, lx.Surface2Chain(patches=(good, bad)), 4)
+
+    def test_only_the_nodes_are_mapped_to_the_group(self, torus2):
+        seen = []
+
+        @vectorized
+        def from_coords(x):
+            seen.append(int(np.prod(np.shape(x)[:-1])))
+            return torus2.chart.from_coords(x)
+
+        chart = replace(torus2.chart, from_coords=from_coords)
+        patch = lx.SurfacePatch(chart=chart, eval=vectorized(lambda t, s: np.stack([t, s], -1)))
+        form = torus_form(torus2)
+        n = 16
+        lx.geometry.surface_integrals(form, lx.Surface2Chain(patches=(patch,)), [(n, 1e-5), (n // 2, 2e-5)])
+        assert sum(seen) == n * n + (n // 2) ** 2
 
 
 class TestFormModule:
