@@ -1107,7 +1107,7 @@ class TestPathCocycleFromPaths:
         p, q = (lx.exp_path(group, 0.4 * rng.normal(size=n)) for _ in range(2))
         self.assert_agrees(random_form(group, rng, 2), p, q, order)
 
-    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64, 96])  # 96: row-sliced passes
     def test_agrees_with_the_chain_route_under_a_group_action(self, order):
         doc = parse_document(R2_GROUP_ACTION_DOCUMENT)
         form = lx.EquivariantForm(doc.cocycle, doc.group, doc.module)
@@ -1146,7 +1146,7 @@ class TestSpanningFromNodes:
         return lx.GroupPath(eval=vectorized(
             lambda t: p(t) @ group.exp(np.multiply.outer(np.sin(np.pi * t) * (1.0 + t), mat))))
 
-    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64, 96])  # 96: row-sliced passes
     @pytest.mark.parametrize("factory", [lambda: lx.torus_group(2), lambda: lx.torus_group(3),
                                          lx.su2_group, lx.heisenberg_group, lx.sl2_group],
                              ids=["T2", "T3", "SU2", "Heisenberg", "SL2R"])
@@ -1157,7 +1157,7 @@ class TestSpanningFromNodes:
         q = self.detour(group, p, 0.1 * rng.normal(size=n))
         self.assert_agrees(random_form(group, rng, 2), p, q, order)
 
-    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64])
+    @pytest.mark.parametrize("order", [1, 2, 5, 16, 64, 96])  # 96: row-sliced passes
     def test_agrees_with_the_chain_route_under_a_group_action(self, order):
         doc = parse_document(R2_GROUP_ACTION_DOCUMENT)
         form = lx.EquivariantForm(doc.cocycle, doc.group, doc.module)
