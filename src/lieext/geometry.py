@@ -6,24 +6,24 @@ left translation twisted with the coefficient action:
     form(g)(u, v) = g . omega(g^-1 u, g^-1 v),
 
 with tangents decomposed in the realized algebra basis and omega evaluated
-by its own call.  Everything else here is built on integrating that form
-over parameterized 2-chains with a tensor Gauss-Legendre rule and patch
-partials by central differences (of a patch's chart coordinates when it has
-a chart, else of its matrices), in one array pass over all nodes of a patch:
+by its own call.  Every integral here is a tensor Gauss-Legendre rule whose
+node values one node step takes (membership, tangents, cochain, action)
+from one of three tangent sources:
 
-* the product triangle sigma(t, s) = g1(t) g2(s), whose integral is the
-  path-pair cocycle, taken from the two paths' log-derivatives;
-* spanning surfaces between two paths with the same endpoint, built by
-  fiberwise interpolation g1(t) exp(alpha(s) L(t)), L(t) = log(g1(t)^-1 g2(t)),
-  as a chain evaluated point by point: the reference for
-* the cocycle identities, which call each path once and take their
-  triangles and spanning surfaces from those values, the s-tangent of a
-  spanning surface as alpha'(s) L(t), with no difference of exponentials;
-* boundaries of 3-patches (for Stokes checks) and the edge bookkeeping
-  used by the cycle-closure test;
-* the finite-difference derivation taking a smooth group 2-cochain to an
-  algebra 2-cochain, and the consistency checks tying the path cocycle and
-  the extension's curvature back to omega.
+* patch stencils: central differences of a patch's chart coordinates, or of
+  its matrices without a chart, in one array pass over a patch's nodes;
+* path log-derivatives g^-1 g', one path call each, which give the product
+  triangle sigma(t, s) = g1(t) g2(s), the path-pair cocycle's surface;
+* d_t H and sigma'(s) L(t) on the surface H(t, s) = g1(t) exp(sigma(s) L(t)),
+  L(t) = log(g1(t)^-1 g2(t)), spanning two paths with the same endpoint,
+  from the paths' values (spanning_chain, the same surface evaluated point by
+  point, is the reference); the cocycle identities take their triangles and
+  spanning surfaces from one call of each path.
+
+Besides: boundaries of 3-patches (Stokes checks), the edge bookkeeping of the
+cycle-closure test, the finite-difference derivation of an algebra 2-cochain
+from a smooth group 2-cochain, and the checks tying the path cocycle and the
+extension's curvature back to omega.
 
 A triangle patch is integrated on the square's own nodes with spectral
 integration weights, so it is evaluated on the whole unit square, on both
@@ -220,6 +220,38 @@ def _passes(rules: Tuple[Tuple[int, float], ...], domain: str) -> tuple:
     return tuple(out)
 
 
+def _node_values(group: MatrixGroup, name: str, g: Optional[np.ndarray], params: tuple, tangents: Callable,
+                 form: Optional[EquivariantForm] = None, elements: Optional[Callable] = None, off=False):
+    """The node step of every integral here.  The nodes g (..., d, d), at
+    params (t, or t and s, broadcasting to g's leading axes), are checked
+    first, g None meaning before (a triangle's, through its paths): the first
+    outside, one on the domain first, is named `{name} leaves the group at
+    ...`, an input error if off it (off: a simplex patch's s > t).  Then the
+    route's tangents() are taken under name; with a form, the cochain on them,
+    acted on by elements(), the nodes' group elements, for a group action."""
+    if g is not None:
+        try:
+            group.check_membership(g)
+        except MembershipError:
+            at, res = group.outside(g)
+            node = lambda u: np.broadcast_to(u, g.shape[:-2]).flat[at]
+            on = ~node(off)
+            k = int(np.argmax(on))
+            place = ", ".join(f"{node(u)[k]:.6g}" for u in params)
+            where = f"t = {place}" if len(params) == 1 else f"(t, s) = ({place})"
+            exc = MembershipError(f"{name} leaves the group at {where}: matrix is not in {group.name} "
+                                  f"(residual {res[k]:.3e})")
+            raise exc if on[k] else MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
+    try:
+        values = tangents()
+    except TangentDecompositionError as exc:
+        raise TangentDecompositionError(f"{name}: {exc}") from None
+    if form is None:
+        return values
+    values = form.cochain(*values)
+    return values if form.module.group_action is None else form.module.act(elements(), values)
+
+
 def surface_integrals(
     form: EquivariantForm,
     chain: Surface2Chain,
@@ -231,10 +263,9 @@ def surface_integrals(
     Each patch is one array pass over the stencils of all the rules: its
     eval is called once on every rule's nodes and their four difference
     neighbours and differenced there, only the nodes go through its
-    chart.from_coords, and membership, the tangents (chart.tangent, else g^-1 u
-    decomposed), the cochain, the action and the weights are applied to the
-    whole stack; each rule's weighted values are summed over its own nodes.
-    Stencils of more than _PASS_NODES nodes are integrated in several passes.
+    chart.from_coords, and the node step takes the whole stack with the
+    tangents chart.tangent, else g^-1 u decomposed; each rule's weighted
+    values are summed over its own nodes, in passes of at most _PASS_NODES.
     """
     group = form.group
     rules = tuple((int(order), float(step)) for order, step in rules)
@@ -252,23 +283,10 @@ def surface_integrals(
                 if patch.domain != "simplex":
                     raise
                 raise MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
-            try:
-                group.check_membership(g)
-            except MembershipError:  # name the first node outside, one on the triangle first
-                at, res = group.outside(g)
-                on = (ss[0, at] <= ts[0, at]) | (patch.domain != "simplex")
-                k = int(np.argmax(on))
-                exc = MembershipError(
-                    f"patches[{p}] leaves the group at (t, s) = ({ts[0, at[k]]:.6g}, "
-                    f"{ss[0, at[k]]:.6g}): matrix is not in {group.name} (residual {res[k]:.3e})"
-                )
-                raise exc if on[k] else MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
             du = np.stack([t_plus - t_minus, s_plus - s_minus]) / den.reshape((-1,) + (1,) * (x.ndim - 1))
-            try:
-                vals = weight[:, None] * (eval_equivariant(form, g, *du) if chart is None else
-                                          form.module.act(g, form.cochain(*chart.tangent(g, x, du))))
-            except TangentDecompositionError as exc:
-                raise TangentDecompositionError(f"patches[{p}]: {exc}") from None
+            tangents = partial(group.tangent_coefficients, g, du) if chart is None else partial(chart.tangent, g, x, du)
+            vals = weight[:, None] * _node_values(group, f"patches[{p}]", g, (ts[0], ss[0]), tangents, form,
+                                                  lambda: g, (ss[0] > ts[0]) & (patch.domain == "simplex"))
             for r, lo, hi in segments:
                 totals[r] = totals[r] + patch.coefficient * np.sum(vals[lo:hi], axis=0)
     return totals
@@ -305,41 +323,29 @@ def _path_rule(order: int) -> tuple:
     return rule
 
 
-def _named(name: str, fn: Callable, *args):
-    """fn(*args), a TangentDecompositionError naming what it decomposed for."""
-    try:
-        return fn(*args)
-    except TangentDecompositionError as exc:
-        raise TangentDecompositionError(f"{name}: {exc}") from None
-
-
 def _path_nodes(group: MatrixGroup, name: str, values: np.ndarray) -> tuple:
     """The per-path step of path_cocycle on a path's values at the 3n
     parameters of _path_rule(n), of shape (3, n, d, d) or (3n, d, d): the path
-    checked at its n nodes u; g^-1 g'(u); and ad, whose first call computes
+    checked at its n nodes u; g^-1 g'(u); ad, whose first call computes
     ad()[j, k], the coefficients of Ad(g(u_j)^-1) e_k, which only a second
-    path needs.  Errors name the path."""
+    path needs; and the name that errors give the path."""
     g, plus, minus = np.reshape(values, (3, -1) + np.shape(values)[-2:])
-    at, res = group.outside(g)
-    if at.size:
-        raise MembershipError(f"{name} leaves the group at t = {_path_rule(len(g))[0][0, at[0]]:.6g}: "
-                              f"matrix is not in {group.name} (residual {res[0]:.3e})")
-    ad = cache(lambda: _named(name, group.decompose, group.inverse(g)[:, None] @ group.basis @ g[:, None]))
-    return g, _named(name, group.tangent_coefficients, g, (plus - minus) / (2.0 * DEFAULT_FD_STEP)), ad
+    xi = _node_values(group, name, g, (_path_rule(len(g))[0][0],),
+                      lambda: group.tangent_coefficients(g, (plus - minus) / (2.0 * DEFAULT_FD_STEP)))
+    ad = cache(lambda: group.decompose(group.inverse(g)[:, None] @ group.basis @ g[:, None]))
+    return g, xi, ad, name
 
 
 def _triangle_integral(form: EquivariantForm, first: tuple, second: tuple) -> np.ndarray:
     """The pair step of path_cocycle on the per-path steps of g1 and g2 at one
     order n: as sigma^-1 d_t sigma = Ad(g2(s)^-1) g1^-1 g1'(t) and sigma^-1 d_s
-    sigma = g2^-1 g2'(s), the n^2 nodes need no more path work; the products
-    g1 g2 are formed only for a group action, _PASS_NODES at a time."""
-    (a, xi1, _), (b, xi2, ad) = first, second
-    n = len(a)
-    vals = form.cochain(np.einsum("ik,jkl->ijl", xi1, ad()), xi2)  # (n, n, m)
-    if form.module.group_action is not None:
-        rows = max(1, _PASS_NODES // n)
-        for lo in range(0, n, rows):
-            vals[lo : lo + rows] = form.module.act(a[lo : lo + rows, None] @ b, vals[lo : lo + rows])
+    sigma = g2^-1 g2'(s), the n^2 nodes need no more path work, membership
+    included; the products g1 g2 are formed only for a group action, _PASS_NODES at a time."""
+    (a, xi1, _, _), (b, xi2, ad, name) = first, second
+    n, rows = len(a), max(1, _PASS_NODES // len(a))
+    vals = np.concatenate([_node_values(  # (n, n, m)
+        form.group, name, None, (), lambda: (np.einsum("ik,jkl->ijl", xi1[lo : lo + rows], ad()), xi2),
+        form, lambda: a[lo : lo + rows, None] @ b) for lo in range(0, n, rows)])
     return np.einsum("ij,ijk->k", _path_rule(n)[1], vals)
 
 
@@ -499,9 +505,8 @@ def _spanning_integral(
     which spanning_chain's checks run.  H(t, s) = g1(t) exp(sigma(s) L(t)) is
     formed at the n^2 nodes and their t +- h neighbours, as on the chain's
     stencil; H^-1 d_s H = sigma'(s) L(t) needs no s +- h, so this takes 3n^2
-    exponentials where the chain takes 5n^2.  H is checked for membership at
-    the nodes and both tangents are decomposed with their residual checks;
-    errors name the surface by its paths."""
+    exponentials where the chain takes 5n^2.  The node step checks H and
+    decomposes both tangents, naming the surface by its paths."""
     group, n = form.group, order
     params, _, weights = _path_rule(n)
     _spanning_guard(group, a[3 * n :], b[3 * n :])
@@ -513,14 +518,9 @@ def _spanning_integral(
     total, rows = np.zeros(form.cochain.coeff_dim), max(1, _PASS_NODES // n)
     for lo in range(0, n, rows):  # (3, rows, n, d, d): H at t, t + h, t - h on rows of t
         h = a[:, lo : lo + rows, None] @ group.exp(sigma[:, None, None] * ell[:, lo : lo + rows, None])
-        at, res = group.outside(h[0])
-        if at.size:
-            i, j = divmod(int(at[0]), n)
-            raise MembershipError(f"{name} leaves the group at (t, s) = ({u[lo + i]:.6g}, {u[j]:.6g}): "
-                                  f"matrix is not in {group.name} (residual {res[0]:.3e})")
-        x = _named(name, group.tangent_coefficients, h[0], (h[1] - h[2]) / (2.0 * DEFAULT_FD_STEP))
-        y = dsigma[:, None] * _named(name, group.decompose, ell[0, lo : lo + rows, None])
-        vals = form.module.act(h[0], form.cochain(x, y))
+        tangents = lambda: (group.tangent_coefficients(h[0], (h[1] - h[2]) / (2.0 * DEFAULT_FD_STEP)),
+                            dsigma[:, None] * group.decompose(ell[0, lo : lo + rows, None]))
+        vals = _node_values(group, name, h[0], (u[lo : lo + rows, None], u), tangents, form, lambda: h[0])
         total = total + np.einsum("ij,ijk->k", weights[lo : lo + rows], vals)
     return total
 

@@ -18,6 +18,7 @@ KEEP = {
     **dict.fromkeys(["curvature_defect", "cocycle_recovery_residual", "period", "betti",
                      "cube_boundary_chain"], ACCEPTANCE),
     "is_cocycle": "the library's cocycle predicate; benchmark/tracer.py wraps it by name",
+    "eval_equivariant": "the form at one point, the tests' per-node reference for the quadrature",
     "validate_group": VALIDATOR,
 }
 
