@@ -2,23 +2,25 @@
 
 A group is described by the d x d realization of its Lie algebra basis plus
 exp/log maps (closed forms for the built-in groups, scipy fallbacks
-otherwise).  The built-in groups also invert and check membership in closed
-form, from the entries of each matrix and with no factorization: the torus
-and SU(2) invert by transposes, and the torus residual is the largest entry
-of B^T B - I and det B - 1 over its 2x2 blocks B, and off the blocks.  R^k
-and the Heisenberg group are built as one unipotent group g = I + n, n^3 = 0,
-charted by the entries of n (see `_unipotent_group`).  A group given no
-inverse inverts with numpy.  Tangent matrices are decomposed in the realized
-basis by least squares against a precomputed pseudoinverse; the residual of
-that solve is the "did we leave the group?" guard used throughout the
-quadrature code.  Every map takes a stack of matrices (leading axes) as well
-as a single one; maps supplied by the caller, and the scipy fallbacks, are
-evaluated per matrix through `batch.per_point`.
+otherwise, whose log refuses a matrix with no real logarithm).  The built-in
+groups also invert and check membership in closed form, from the entries of
+each matrix and with no factorization: the torus and SU(2) invert by
+transposes, SL(2,R) by the adjugate, and the torus residual is the largest
+entry of B^T B - I and det B - 1 over its 2x2 blocks B, and off the blocks.
+R^k and the Heisenberg group are built as one unipotent group g = I + n,
+n^3 = 0, charted by the entries of n (see `_unipotent_group`).  A group
+given no inverse inverts with numpy.  Tangent matrices are decomposed in the
+realized basis by least squares against a precomputed pseudoinverse; the
+residual of that solve is the "did we leave the group?" guard used
+throughout the quadrature code.  Every map takes a stack of matrices
+(leading axes) as well as a single one; maps supplied by the caller, and the
+scipy fallbacks, are evaluated per matrix through `batch.per_point`.
 
 Built-ins: tori (block rotations, coordinates in winding units, so the
 basis matrix of each circle factor is 2*pi*J and exp(1 * e_i) = 1), additive
-translation groups, SU(2) as unit quaternions acting on R^4, and the 3x3
-unipotent Heisenberg group, each built once per process, with read-only arrays.
+translation groups, SU(2) as unit quaternions acting on R^4, SL(2,R) in its
+defining representation, and the 3x3 unipotent Heisenberg group, each built
+once per process, with read-only arrays.
 """
 
 from dataclasses import dataclass
@@ -91,7 +93,17 @@ class MatrixGroup:
         if self.exp is None:
             object.__setattr__(self, "exp", scipy.linalg.expm)
         if self.log is None:
-            object.__setattr__(self, "log", lambda g: np.real(scipy.linalg.logm(g)))
+
+            def log(g):
+                out = scipy.linalg.logm(g)
+                imag = float(np.max(np.abs(np.imag(out))))
+                if imag > TANGENT_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(np.real(out))))):
+                    raise TangentDecompositionError(
+                        f"a matrix has no real logarithm in {self.name}: the principal "
+                        f"logarithm has an imaginary part of {imag:.3e}")
+                return np.real(out)
+
+            object.__setattr__(self, "log", log)
         if self.inverse is None:
 
             @vectorized
@@ -500,8 +512,13 @@ def su2_group() -> MatrixGroup:
     )
 
 
+@lru_cache(maxsize=None)
 def sl2_group() -> MatrixGroup:
-    """SL(2, R) with the defining 2x2 realization of basis (h, e, f)."""
+    """SL(2, R) with the defining 2x2 realization of basis (h, e, f), in
+    closed form: X^2 = r^2 I with r^2 = -det X on the traceless matrices, so
+    exp X = cosh(r) I + sinh(r)/r X (cos and sin of |r| when r^2 < 0); log
+    inverts that from cosh(r) = tr(g)/2 and refuses tr g <= -2, where of all
+    elements only -I has a real logarithm; the inverse is the adjugate."""
     from .algebra import sl2_algebra
 
     basis = np.array(
@@ -511,10 +528,45 @@ def sl2_group() -> MatrixGroup:
             [[0.0, 0.0], [1.0, 0.0]],
         ]
     )
+
+    def det(g):
+        return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+
+    @vectorized
+    def exp_map(mat):
+        mat = np.asarray(mat, dtype=float)
+        q = -det(mat)  # r^2
+        r = np.sqrt(np.abs(q))
+        cosh = np.where(q >= 0.0, np.cosh(r), np.cos(r))
+        sinhc = np.where(r > 0.0, np.where(q >= 0.0, np.sinh(r), np.sin(r)) / np.where(r > 0.0, r, 1.0), 1.0)
+        return cosh[..., None, None] * np.eye(2) + sinhc[..., None, None] * mat
+
+    @vectorized
+    def log_map(g):
+        g = np.asarray(g, dtype=float)
+        c = 0.5 * (g[..., 0, 0] + g[..., 1, 1])  # cosh(r)
+        bad = np.flatnonzero(~(c > -1.0))  # NaN fails too
+        if bad.size:
+            raise TangentDecompositionError(
+                f"a matrix of trace {2.0 * c.flat[bad[0]]:.6g} has no real logarithm in SL(2,R): "
+                "the logarithm needs trace > -2")
+        s2 = np.abs((c - 1.0) * (c + 1.0))  # sinh(r)^2, or sin^2 when c < 1
+        r = np.where(c > 1.0, np.arccosh(np.maximum(c, 1.0)), np.arccos(np.minimum(c, 1.0)))
+        ratio = np.where(s2 > 0.0, r / np.sqrt(np.where(s2 > 0.0, s2, 1.0)), 1.0)  # r / sinh(r)
+        return ratio[..., None, None] * (g - c[..., None, None] * np.eye(2))
+
+    @vectorized
+    def inverse(g):
+        """[[d, -b], [-c, a]], from g^T = [[a, c], [b, d]] read backwards."""
+        return _transpose(g)[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+
     return MatrixGroup(
         algebra=sl2_algebra(),
         basis=basis,
-        membership=vectorized(lambda g: np.abs(np.linalg.det(g) - 1.0)),
+        exp=exp_map,
+        log=log_map,
+        inverse=inverse,
+        membership=vectorized(lambda g: np.abs(det(np.asarray(g, dtype=float)) - 1.0)),
         name="SL(2,R)",
     )
 

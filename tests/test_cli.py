@@ -1258,14 +1258,21 @@ class TestCliBehavior:
         assert main([str(path), "--task", "validate"]) == 2
         assert capsys.readouterr().err.startswith("input error: ")
 
-    def test_import_leaves_scipy_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, lieext.cli; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            env=SUBPROCESS_ENV,
-        )
-        assert proc.stdout.strip() == "False", proc.stderr
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # nor do building SL(2,R), whose maps are closed forms, and validating it
+        path = tmp_path / "sl2.json"
+        path.write_text(json.dumps({"task": "validate", "group": {"kind": "sl2"}}))
+        script = """if True:
+            import contextlib, io, sys, lieext, lieext.cli
+            print('scipy' in sys.modules)
+            lieext.sl2_group()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = lieext.cli.main([sys.argv[1]])
+            print(code, 'scipy' in sys.modules)
+        """
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+                              env=SUBPROCESS_ENV)
+        assert proc.stdout.split() == ["False", "0", "False"], proc.stderr
 
     def test_path_identities_and_fixtures_leave_numpy_ma_unloaded(self):
         # a plain np.unique takes numpy's hash path, which imports numpy.ma

@@ -45,6 +45,7 @@ class TestGroups:
             lambda: lx.translation_group(3),
             lambda: lx.su2_group(),
             lambda: lx.heisenberg_group(),
+            lx.sl2_group,
         ],
     )
     def test_builtin_groups_validate(self, factory):
@@ -53,7 +54,7 @@ class TestGroups:
 
     @pytest.mark.parametrize(
         "factory", [lambda: lx.torus_group(2), lambda: lx.translation_group(3), lx.su2_group,
-                    lx.heisenberg_group],
+                    lx.heisenberg_group, lx.sl2_group],
     )
     def test_builtin_groups_are_built_once_and_read_only(self, factory):
         group = factory()
@@ -165,6 +166,59 @@ class TestGroups:
         eye = np.broadcast_to(group.identity, g.shape)
         assert np.max(np.abs(g @ group.inverse(g) - eye)) <= 1e-13
         assert np.max(np.abs(group.inverse(g) @ g - eye)) <= 1e-13
+
+
+SL2_ALGEBRA_SECTION = {"dim": 3, "structure_constants": [[0, 1, 1, 2.0], [0, 2, 2, -2.0], [1, 2, 0, 1.0]]}
+
+
+class TestSL2ClosedForm:
+    """sl2_group's exp, log and inverse in closed form, against scipy."""
+
+    @staticmethod
+    def algebra_elements(rng):
+        """Coefficients (h, e, f): generic, near the identity, and nilpotent
+        (pure e or f, and a h + b e - a^2/b f, with a^2 + bc = 0)."""
+        a, b = rng.normal(size=(2, 10))
+        return np.concatenate([
+            0.4 * rng.normal(size=(40, 3)), 1e-7 * rng.normal(size=(10, 3)),
+            rng.normal(size=(10, 1)) * [0.0, 1.0, 0.0], rng.normal(size=(10, 1)) * [0.0, 0.0, 1.0],
+            0.3 * np.stack([a, b, -a * a / b], axis=1),
+        ])
+
+    def test_agrees_with_scipy(self, rng):
+        import scipy.linalg
+
+        group = lx.sl2_group()
+        mats = np.einsum("ti,ijk->tjk", self.algebra_elements(rng), group.basis)
+        g = np.array([scipy.linalg.expm(m) for m in mats])
+        for mine, want in ((group.exp(mats), g), (group.log(g), [np.real(scipy.linalg.logm(m)) for m in g]),
+                           (group.inverse(g), np.linalg.inv(g))):
+            scale = np.maximum(1.0, np.max(np.abs(want), axis=(1, 2)))
+            assert np.max(np.max(np.abs(mine - want), axis=(1, 2)) / scale) <= 1e-12
+
+    def test_round_trip(self, rng):
+        group = lx.sl2_group()
+        mats = np.einsum("ti,ijk->tjk", self.algebra_elements(rng), group.basis)
+        g = group.exp(mats)
+        assert np.max(np.abs(group.log(g) - mats)) <= 1e-12
+        assert np.max(np.abs(group.exp(group.log(g)) - g)) <= 1e-12
+        assert np.max(np.abs(group.inverse(g) @ g - np.eye(2))) <= 1e-12
+        assert group.membership(g).max() <= 1e-12
+
+    @pytest.mark.parametrize("diagonal, trace", [([-2.0, -0.5], "-2.5"), ([-1.0, -1.0], "-2")])
+    def test_log_refuses_trace_at_most_minus_two(self, diagonal, trace):
+        # diag(-2, -0.5) has no real logarithm; the real part of its complex
+        # one, diag(ln 2, -ln 2), exponentiates to diag(2, 0.5)
+        with pytest.raises(TangentDecompositionError, match=rf"trace {trace} has no real logarithm"):
+            lx.sl2_group().log(np.diag(diagonal))
+
+    def test_matrix_group_log_refuses_a_complex_logarithm(self):
+        group = parse_document({"task": "validate", "group": {
+            "kind": "matrix", "basis": lx.sl2_group().basis.tolist(), "algebra": SL2_ALGEBRA_SECTION}}).group
+        with pytest.raises(TangentDecompositionError, match="no real logarithm in matrix-group"):
+            group.log(np.diag([-2.0, -0.5]))
+        g = lx.sl2_group().exp(lx.sl2_group().realize(np.array([0.3, -0.2, 0.5])))
+        assert np.max(np.abs(group.log(g) - lx.sl2_group().log(g))) <= 1e-12
 
 
 class TestPaths:
