@@ -222,13 +222,13 @@ def _passes(rules: Tuple[Tuple[int, float], ...], domain: str) -> tuple:
 
 def _node_values(group: MatrixGroup, name: str, g: Optional[np.ndarray], params: tuple, tangents: Callable,
                  form: Optional[EquivariantForm] = None, elements: Optional[Callable] = None, off=False):
-    """The node step of every integral here.  The nodes g (..., d, d), at
-    params (t, or t and s, broadcasting to g's leading axes), are checked
-    first, g None meaning before (a triangle's, through its paths): the first
-    outside, one on the domain first, is named `{name} leaves the group at
-    ...`, an input error if off it (off: a simplex patch's s > t).  Then the
-    route's tangents() are taken under name; with a form, the cochain on them,
-    acted on by elements(), the nodes' group elements, for a group action."""
+    """The node step of every integral here.  It checks the nodes g (..., d,
+    d) at params (t, or t and s, broadcasting to g's leading axes), naming
+    the first outside `{name} leaves the group at ...`, one on the domain
+    first, and as an input error if it is off (a simplex patch's s > t); g
+    None had its nodes checked before (a triangle, through its paths).  It
+    takes the route's tangents() under name and, given a form, the cochain on
+    them, acted on by elements(), the nodes' group elements, for an action."""
     if g is not None:
         try:
             group.check_membership(g)

@@ -168,9 +168,6 @@ class TestGroups:
         assert np.max(np.abs(group.inverse(g) @ g - eye)) <= 1e-13
 
 
-SL2_ALGEBRA_SECTION = {"dim": 3, "structure_constants": [[0, 1, 1, 2.0], [0, 2, 2, -2.0], [1, 2, 0, 1.0]]}
-
-
 class TestSL2ClosedForm:
     """sl2_group's exp, log and inverse in closed form, against scipy."""
 
@@ -213,8 +210,9 @@ class TestSL2ClosedForm:
             lx.sl2_group().log(np.diag(diagonal))
 
     def test_matrix_group_log_refuses_a_complex_logarithm(self):
+        algebra = {"dim": 3, "structure_constants": [[0, 1, 1, 2.0], [0, 2, 2, -2.0], [1, 2, 0, 1.0]]}
         group = parse_document({"task": "validate", "group": {
-            "kind": "matrix", "basis": lx.sl2_group().basis.tolist(), "algebra": SL2_ALGEBRA_SECTION}}).group
+            "kind": "matrix", "basis": lx.sl2_group().basis.tolist(), "algebra": algebra}}).group
         with pytest.raises(TangentDecompositionError, match="no real logarithm in matrix-group"):
             group.log(np.diag([-2.0, -0.5]))
         g = lx.sl2_group().exp(lx.sl2_group().realize(np.array([0.3, -0.2, 0.5])))
