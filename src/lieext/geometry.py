@@ -370,13 +370,17 @@ _GUARD.flags.writeable = False
 
 def _spanning_guard(group: MatrixGroup, a: np.ndarray, b: np.ndarray):
     """spanning_chain's checks on the values a, b of its two paths at _GUARD:
-    a common endpoint, read at the last sample, and no jump of the fiberwise
-    logarithm between samples."""
+    a common endpoint, read at the last sample, a fiberwise logarithm at every
+    sample (a group log may refuse one), and no jump of it between samples."""
     end_gap = float(np.max(np.abs(a[-1] - b[-1])))
     scale = max(1.0, float(np.max(np.abs(a[-1]))))
     if end_gap > 100 * MEMBERSHIP_TOL * scale:
         raise NotALoopError(f"paths end {end_gap:.3e} apart; a spanning surface needs a common endpoint")
-    logs = group.log(group.inverse(a) @ b)
+    try:
+        logs = group.log(group.inverse(a) @ b)
+    except TangentDecompositionError as exc:
+        raise NotALoopError(f"no fiberwise logarithm ({exc}); the paths are too far apart for a "
+                            "single-branch spanning surface") from None
     if np.max(np.abs(np.diff(logs, axis=0)), initial=0.0) > 3.0:
         raise NotALoopError("fiberwise logarithm jumps between samples; the paths are too "
                             "far apart for a single-branch spanning surface")

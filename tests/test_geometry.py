@@ -1249,6 +1249,21 @@ class TestSpanningFromNodes:
                 route()
 
 
+def test_a_refused_fiberwise_logarithm_is_a_branch_error():
+    # p(t), a rotation by 2 pi t times diag(e^sin(pi t), e^-sin(pi t)), has
+    # trace below -2 around t = 1/2 (-diag(e, 1/e) there) and no real logarithm
+    group = lx.sl2_group()
+    p = lx.GroupPath(eval=vectorized(lambda t: group.exp(
+        np.multiply.outer(2.0 * np.pi * t, group.basis[1] - group.basis[2])) @ group.exp(
+        np.multiply.outer(np.sin(np.pi * t), group.basis[0]))))
+    e = lx.exp_path(group, np.zeros(3))
+    form = lx.EquivariantForm(lx.Cochain(2, 3, 1, [1.0, 0.5, -0.3]), group)
+    for route in (lambda: lx.spanning_chain(group, e, p),
+                  lambda: lx.representative_independence_residuals(form, e, p, e, e, 8)):
+        with pytest.raises(NotALoopError, match=r"^no fiberwise logarithm \(a matrix of trace -2\.14853 has"):
+            route()
+
+
 class TestRulesInOnePass:
     """surface_integrals evaluates each patch once for all its rules; each
     rule's row is what it gives for that rule alone."""
