@@ -23,7 +23,7 @@ defining representation, and the 3x3 unipotent Heisenberg group, each built
 once per process, with read-only arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -247,9 +247,16 @@ def validate_lattice_fixed(mod: ModuleAction, lattice: Lattice, tol_alg: float =
 @dataclass(frozen=True)
 class GroupPath:
     """Evaluable based path [0, 1] -> G; called on an array of parameters it
-    returns the stack of matrices."""
+    returns the stack of matrices.
+
+    eval must be a pure function of t.  The path cocycle, its identities and
+    the pi_1 table keep the path's values at the library's own parameter
+    sets (a rule's 3n parameters, the 64 spanning-guard samples, t = 1, a
+    loop's 33 membership samples), read-only, for the path's lifetime, and
+    call the path only at sets it has not seen."""
 
     eval: Callable
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eval", per_point(self.eval))

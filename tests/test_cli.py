@@ -765,8 +765,8 @@ def test_gamma_names_the_path_that_leaves_the_group(tmp_path, capsys):
 
 
 def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
-    # closed and based at the identity, but off T^2 in between: at t = 1/2
-    # the first column has norm 1.1
+    # closed and based at the identity, but off T^2 in between (at t = 1/2
+    # the first column has norm 1.1); the first of the 33 samples off it is t = 1/32
     bad = {"name": "bad", "matrix": [
         ["cos(2*pi*t) + 0.1*sin(pi*t)", "-sin(2*pi*t)", "0", "0"],
         ["sin(2*pi*t)", "cos(2*pi*t)", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
@@ -776,7 +776,8 @@ def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
     assert main([str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
-        "computation rejected: loops['bad'] leaves the group T^2: membership residual 1.900e-01\n"
+        "computation rejected: loops['bad'] leaves the group at t = 0.03125: matrix is not in T^2 "
+        "(residual 1.932e-02)\n"
     )
 
 

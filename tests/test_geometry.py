@@ -705,6 +705,45 @@ class TestPathCocycleIdentities:
             assert len(got) == 3
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    def test_a_reused_path_is_called_only_on_parameter_sets_it_has_not_seen(self, torus2, rng):
+        form = torus_form(torus2)
+        calls = [[] for _ in range(5)]
+        paths = [lx.GroupPath(eval=counted(p, c)) for p, c in zip(self.family(torus2, rng), calls)]
+        g1, g1p, g2, g2p, g3 = paths
+        lx.path_cocycle_coboundary(form, g1, g2, g3, 16)
+        for c in calls:
+            c.clear()
+        lx.representative_independence_residuals(form, g1, g1p, g2, g2p, 16)
+        # g1 and g2 kept the rule's parameters from the coboundary
+        guard = lx.geometry._GUARD
+        fresh = np.concatenate([lx.geometry._path_rule(16)[0].ravel(), guard])
+        want = [guard, fresh, guard, fresh, None]
+        for c, params in zip(calls, want):
+            assert len(c) == (params is not None)
+            assert params is None or np.array_equal(c[0][0], params)
+        for c in calls:
+            c.clear()
+        lx.path_cocycle_coboundary(form, g1, g2, g3, 16)
+        lx.representative_independence_residuals(form, g1, g1p, g2, g2p, 16)
+        assert calls == [[]] * 5
+        # what a path keeps is read-only
+        for path in paths:
+            for values in path._memo.values():
+                with pytest.raises(ValueError):
+                    values[0, 0, 0] = 0.0
+
+    def test_reused_paths_keep_every_bit(self, torus2, rng):
+        # criterion 6's order on one family: each result equals the same call
+        # on fresh copies of the paths, which keep no values yet
+        form = torus_form(torus2)
+        paths = self.family(torus2, rng)
+        for identity, which in ((lx.path_cocycle_coboundary, (0, 2, 4)),
+                                (lx.representative_independence_residuals, (0, 1, 2, 3))):
+            for order in (16, 8):
+                got = identity(form, *(paths[i] for i in which), order)
+                want = identity(form, *(lx.GroupPath(eval=paths[i].eval) for i in which), order)
+                assert np.array_equal(got, want)
+
 
 class TestDerivation:
     def test_zero_cochain(self, trans2, rng):
@@ -768,6 +807,20 @@ class TestCocycleRecovery:
         form = torus_form(torus2)
         e = np.eye(2)
         assert lx.cocycle_recovery_residual(form, e[0], e[0], 1e-3, 8) < 1e-9
+
+    def test_shared_path_values_keep_every_bit(self, su2, rng):
+        # gamma(p, q) and gamma(q, p) share p's and q's values; fresh copies
+        # of the paths in the second term must give the same bits
+        form = random_form(su2, rng)
+        x, y = rng.normal(size=(2, 3))
+
+        def fn(tau, sigma):
+            p, q = lx.exp_path(su2, x, scale=tau), lx.exp_path(su2, y, scale=sigma)
+            fresh = lambda path: lx.GroupPath(eval=path.eval)
+            return lx.path_cocycle(form, p, q, 16) - lx.path_cocycle(form, fresh(q), fresh(p), 16)
+
+        want = float(np.max(np.abs(lx.geometry._mixed_partial(fn, 1e-3) - form.cochain(x, y))))
+        assert lx.cocycle_recovery_residual(form, x, y, 1e-3, 16) == want
 
 
 class TestCurvature:
