@@ -468,41 +468,58 @@ def _along(patch: SurfacePatch, start: np.ndarray, end: np.ndarray, u) -> np.nda
     return patch(at[..., 0], at[..., 1])
 
 
+def _edge_rule(domain: str) -> tuple:
+    """A domain's edges: their parameters t and s at 33 samples each, of shape
+    (edges, 33), as _along takes them, and their starts, ends and signs."""
+    starts, ends, signs = (np.array(x) for x in zip(*_EDGES[domain]))
+    at = starts[:, None] + np.linspace(0.0, 1.0, 33)[:, None] * (ends - starts)[:, None]
+    rule = at[..., 0], at[..., 1], starts, ends, signs
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+_EDGE_RULES = {domain: _edge_rule(domain) for domain in _EDGES}
+
+
 def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
     """Pairwise-cancel matching boundary edges; return the net leftovers as
-    (curve, weight) pairs, each curve a map [0,1] -> G on arrays.
+    segments (patch, start, end, weight), the patch's edge from parameter
+    start to end (_along evaluates it).
 
     Each patch is evaluated once, on all of its edges at the same 33
     parameters.  An edge joins the first class whose samples it matches
     within tol, forward before reversed, else opens a class; degenerate
-    (constant) edges drop out.  The end samples of all pairs of edges are
-    compared first, forward and reversed, in a few array operations, and
-    the 33 samples only of pairs whose ends match; a full match implies
-    matching ends, so the classes are the same.
+    (constant) edges drop out.  Candidate pairs come first, from the four
+    entries of the edges' end samples that vary most over the chain,
+    compared forward and reversed for all pairs in a few array operations;
+    the 33 samples are compared only for candidates.  A full match implies a
+    match of those entries, so the classes are the same.
     """
-    u = np.linspace(0.0, 1.0, 33)
     segments, weights, samples = [], [], []
     for p in chain.patches:
         if p.coefficient == 0:
             continue
-        starts, ends, signs = (np.array(x) for x in zip(*_EDGES[p.domain]))
-        edges = _along(p, starts[:, None], ends[:, None], u)  # (edges, 33, d, d)
-        constant = np.max(np.abs(edges - edges[:, :1]), axis=(1, 2, 3)) <= tol
-        for e in np.flatnonzero(~constant):  # a constant edge carries no boundary
-            segments.append((p, starts[e], ends[e]))
-            weights.append(int(signs[e]) * p.coefficient)
-            samples.append(edges[e])
+        ts, ss, starts, ends, signs = _EDGE_RULES[p.domain]
+        samples.append(p(ts, ss))  # (edges, 33, d, d)
+        segments += [(p, a, b) for a, b in zip(starts, ends)]
+        weights += [int(sign) * p.coefficient for sign in signs]
     if not samples:
         return []
-    samples = np.array(samples)
-    tips = samples[:, [0, -1]]
-    both = np.stack([tips, tips[:, ::-1]], axis=1)  # (n, 2, 2, d, d): forward, reversed
-    # match[i][j] = (forward, reversed): edge i's ends against edge j's, for 8
-    # edges i at a time, which takes no more memory than comparing one
-    # edge's 33 samples, forward and reversed, with half of the edges
+    samples = np.concatenate(samples)
+    keep = np.flatnonzero(~(np.max(np.abs(samples - samples[:, :1]), axis=(1, 2, 3)) <= tol))
+    if not keep.size:  # a constant edge carries no boundary
+        return []
+    samples, n = samples[keep], keep.size
+    segments, weights = [segments[e] for e in keep], [weights[e] for e in keep]
+    tips = samples[:, [0, -1]].reshape(n, 2, -1)
+    key = tips[:, :, np.argsort(np.ptp(tips, axis=(0, 1)))[-4:]]  # (n, 2, 4)
+    both = np.stack([key, key[:, ::-1]], axis=1)  # forward, reversed
+    # match[i][j] = (forward, reversed), for rows of edges i at a time
+    rows = max(1, 4096 // n)
     match = np.concatenate([
-        np.max(np.abs(tips[lo : lo + 8, None, None] - both), axis=(-3, -2, -1)) <= tol
-        for lo in range(0, len(tips), 8)
+        np.max(np.abs(key[lo : lo + rows, None, None] - both), axis=(-2, -1)) <= tol
+        for lo in range(0, n, rows)
     ]).tolist()
     classes, net = [], []  # the edge that opened each class, its net weight
     for i, arr in enumerate(samples):
@@ -515,9 +532,7 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
         else:
             classes.append(i)
             net.append(weights[i])
-    return [
-        (vectorized(partial(_along, *segments[j])), w) for j, w in zip(classes, net) if w != 0
-    ]
+    return [(*segments[j], w) for j, w in zip(classes, net) if w != 0]
 
 
 # ---------------------------------------------------------------------------

@@ -141,11 +141,15 @@ class MatrixGroup:
 
     def decompose(self, mat: np.ndarray) -> np.ndarray:
         """d x d matrices (any leading axes) -> coefficients in the realized
-        basis, each checked against its residual."""
+        basis, each checked against its residual: at most TANGENT_RESIDUAL_TOL
+        times max(1, |mat|), the scale taken only where the residual exceeds
+        the tolerance itself."""
         mat = np.asarray(mat, dtype=float)
         vec = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
         coeffs = vec @ self._flat_pinv.T
         residual = np.linalg.norm(coeffs @ self._flat_basis.T - vec, axis=-1)
+        if np.all(residual <= TANGENT_RESIDUAL_TOL):  # the scale is at least 1
+            return coeffs
         scale = np.maximum(1.0, np.linalg.norm(vec, axis=-1))
         bad = np.flatnonzero(~(residual <= TANGENT_RESIDUAL_TOL * scale))  # NaN fails too
         if bad.size:
@@ -163,13 +167,17 @@ class MatrixGroup:
     def outside(self, g: np.ndarray):
         """Row-major indices and membership residuals of the matrices of the
         stack g that are not in the group within MEMBERSHIP_TOL times max(1,
-        their largest |entry|); a NaN matrix is outside quietly, its residual
-        being NaN.  Empty for a group with no membership test."""
+        their largest |entry|), the scale taken only where some residual
+        exceeds MEMBERSHIP_TOL itself or g holds a NaN; a NaN matrix is
+        outside quietly, whatever its residual.  Empty for a group with no
+        membership test."""
         if self.membership is None:
             return np.empty(0, dtype=int), np.empty(0)
         g = np.asarray(g, dtype=float)
         with np.errstate(invalid="ignore"):
             res = np.asarray(self.membership(g), dtype=float)
+        if np.all(res <= MEMBERSHIP_TOL) and not np.isnan(np.sum(g)):
+            return np.empty(0, dtype=int), np.empty(0)
         at = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))))
         return at, res.ravel()[at]
 
@@ -443,8 +451,23 @@ def _unipotent_group(algebra: LieAlgebra, rows, cols, name: str) -> MatrixGroup:
         return np.max(np.abs(g - from_coords(to_coords(g))), axis=(-2, -1))
 
     def tangent(g, x, dx):
-        """g^-1 E(dx), E(dx) = from_coords(dx) - I holding dx at the chart's entries."""
-        return group.tangent_coefficients(g, from_coords(dx) - eye)
+        """The coefficients of g^-1 E(dx), E(dx) holding dx at the chart's
+        entries and zeros elsewhere.  The basis being unit matrices, whose
+        pseudoinverse is their transpose, decompose's coefficients are the
+        entries of g^-1 E(dx) at the chart's entries, read here, and its
+        residual is the norm of the entries off the chart.  decompose itself
+        runs, and refuses, only where that residual exceeds
+        TANGENT_RESIDUAL_TOL or a coefficient is not finite."""
+        dx = np.asarray(dx, dtype=float)
+        e = np.zeros(dx.shape[:-1] + (d, d))
+        e[..., rows, cols] = dx
+        m = group.inverse(g) @ e
+        coeffs = m[..., rows, cols]
+        m[..., rows, cols] = 0.0
+        residual = np.linalg.norm(m.reshape(m.shape[:-2] + (d * d,)), axis=-1)
+        if np.all(residual <= TANGENT_RESIDUAL_TOL) and np.all(np.isfinite(coeffs)):
+            return coeffs
+        return group.tangent_coefficients(g, e)
 
     chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords, tangent=tangent)
     group = MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,

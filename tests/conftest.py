@@ -1,11 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import lieext as lx
 from lieext.batch import vectorized
-from lieext.geometry import DEFAULT_QUAD_ORDER, cancel_boundary_edges
+from lieext.geometry import DEFAULT_QUAD_ORDER, _along, cancel_boundary_edges
 from lieext.groups import DEFAULT_FD_STEP, MEMBERSHIP_TOL, _quaternion_left_matrix
 
 
@@ -200,16 +201,16 @@ def holonomy(form, loop, bounding, lattice=None, quad_order=DEFAULT_QUAD_ORDER):
     tol = 100 * MEMBERSHIP_TOL * scale
     if float(np.max(np.abs(points[-1] - points[0]))) > tol:
         raise lx.NotALoopError("loop endpoints do not match")
-    leftovers = cancel_boundary_edges(bounding, tol) if bounding.patches else []
+    curves = [partial(_along, patch, start, end) for patch, start, end, _ in cancel_boundary_edges(bounding, tol)]
     if float(np.max(np.abs(points - points[0]))) <= tol:  # constant loop
-        if leftovers:
+        if curves:
             raise BoundaryMismatchError("bounding chain has net boundary but the loop is constant")
     else:
-        if not leftovers:
+        if not curves:
             raise BoundaryMismatchError(
                 "bounding chain has no net boundary but the loop is not constant"
             )
-        best = np.min([distances_to_curve(points, c) for c, _ in leftovers], axis=0)
+        best = np.min([distances_to_curve(points, c) for c in curves], axis=0)
         far = np.flatnonzero(best > tol)
         if far.size:
             raise BoundaryMismatchError(

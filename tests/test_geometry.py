@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from lieext.errors import (
     TangentDecompositionError,
 )
 from lieext.batch import vectorized
-from lieext.geometry import cancel_boundary_edges, smooth_step
+from lieext.geometry import _along, cancel_boundary_edges, smooth_step
+from lieext.groups import MEMBERSHIP_TOL
 
 from conftest import (
     BoundaryMismatchError, area_cochain, distances_to_curve, empty_chain, holonomy,
@@ -166,6 +168,126 @@ class TestGroups:
         eye = np.broadcast_to(group.identity, g.shape)
         assert np.max(np.abs(g @ group.inverse(g) - eye)) <= 1e-13
         assert np.max(np.abs(group.inverse(g) @ g - eye)) <= 1e-13
+
+
+def outside_formula(group, g):
+    """MatrixGroup.outside as one formula: every residual against
+    MEMBERSHIP_TOL times max(1, the matrix's largest |entry|)."""
+    with np.errstate(invalid="ignore"):
+        res = np.asarray(group.membership(g), dtype=float)
+    at = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))))
+    return at, res.ravel()[at]
+
+
+class TestScreenedGuards:
+    """Membership and decomposition test residual <= tol first and take
+    their scale only where that fails; the chart tangent of R^k and the
+    Heisenberg group reads decompose's coefficients at the chart's entries."""
+
+    @pytest.mark.parametrize("factory, spread", [
+        (lambda: lx.torus_group(2), 1.0), (lx.su2_group, 1.0), (lx.sl2_group, 2.0),
+        (lx.heisenberg_group, 1e4), (lambda: lx.translation_group(3), 1e6)],
+        ids=["T2", "SU2", "SL2", "heisenberg", "R3"])
+    @pytest.mark.parametrize("largest", [-2.0, -7.0])
+    def test_outside_matches_the_formula_with_injected_failures(self, factory, spread, largest, rng):
+        # failures up to 10^largest; at 1e-7 every residual may pass a looser screen
+        group = factory()
+        for _ in range(5):
+            x = spread * rng.normal(size=(4, 6, group.algebra.dim))
+            g = group.exp(np.einsum("...i,ijk->...jk", x, group.basis))
+            hit = rng.random((4, 6)) < 0.4
+            size = 10.0 ** rng.uniform(-13.0, largest, size=(4, 6))
+            g = g + (hit * size)[..., None, None] * rng.normal(size=g.shape)
+            if rng.random() < 0.5:
+                g[tuple(rng.integers(0, 4, size=1)) + (1, 0, 1)] = np.nan
+            at, res = group.outside(g)
+            want_at, want_res = outside_formula(group, g)
+            assert at.dtype == want_at.dtype and np.array_equal(at, want_at)
+            assert np.array_equal(res, want_res, equal_nan=True)
+
+    def test_a_nan_matrix_is_outside_whatever_its_residual(self, torus2):
+        # a user membership reading only the first column misses the NaN
+        group = replace(torus2, membership=lambda g: abs(g[0, 0] ** 2 + g[1, 0] ** 2 - 1.0))
+        g = torus2.chart.from_coords(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        g[1, 0, 1] = np.nan
+        at, res = group.outside(g)
+        assert at.tolist() == [1] and res[0] <= MEMBERSHIP_TOL
+        with pytest.raises(MembershipError):
+            group.check_membership(g)
+
+    def test_decompose_passes_a_residual_below_the_scaled_tolerance(self, su2):
+        mat = su2.realize(np.array([1e4, -2e4, 3e3]))
+        mat[0, 0] = 1e-4  # off the span: residual 1e-4, between 1e-6 and 1e-6 * |mat|
+        vec = mat.reshape(-1)
+        residual = np.linalg.norm(vec @ su2._flat_pinv.T @ su2._flat_basis.T - vec)
+        assert 1e-6 < residual <= 1e-6 * np.linalg.norm(vec)
+        assert np.array_equal(su2.decompose(mat), vec @ su2._flat_pinv.T)
+
+    def test_decompose_refuses_a_residual_above_the_tolerance_at_scale_one(self, su2):
+        mat = su2.realize(np.array([0.1, 0.0, 0.2]))
+        mat[0, 0] = 1e-5  # residual 1e-5, |mat| below 1
+        with pytest.raises(TangentDecompositionError,
+                           match=r"^matrix is 1\.000e-05 away from the algebra span \(tolerance 1\.0e-06 x 1\)$"):
+            su2.decompose(np.stack([su2.basis[1], mat]))
+
+    def test_decompose_refuses_nan_with_its_message(self, su2):
+        mat = su2.realize(np.array([1.0, 2.0, 3.0]))
+        mat[2, 1] = np.nan
+        with pytest.raises(TangentDecompositionError,
+                           match=r"^matrix is nan away from the algebra span \(tolerance 1\.0e-06 x nan\)$"):
+            su2.decompose(np.stack([su2.basis[0], mat]))
+
+    @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
+                             ids=["heisenberg", "R3"])
+    def test_chart_tangent_is_the_decomposition_bit_for_bit(self, factory, rng):
+        group = factory()
+        chart, eye = group.chart, np.eye(group.embed_dim)
+        for lead in [(), (7,), (2, 9), (2, 300)]:
+            g = chart.from_coords(rng.normal(scale=3.0, size=lead[-1:] + (group.algebra.dim,)))
+            dx = rng.normal(size=lead + (group.algebra.dim,))
+            dx[rng.random(dx.shape) < 0.3] = 0.0
+            dx[rng.random(dx.shape) < 0.3] = -0.0
+            got = chart.tangent(g, None, dx)
+            want = group.tangent_coefficients(g, chart.from_coords(dx) - eye)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_chart_tangent_calls_decompose_only_where_its_residual_fails(self, monkeypatch, rng):
+        heis, calls = lx.heisenberg_group(), []
+        decompose = lx.MatrixGroup.decompose
+        monkeypatch.setattr(lx.MatrixGroup, "decompose", lambda *args: calls.append(1) or decompose(*args))
+        g = heis.chart.from_coords(rng.normal(size=(5, 3)))
+        heis.chart.tangent(g, None, rng.normal(size=(2, 5, 3)))
+        assert calls == []
+        g[2, 1, 0] = 1e-8  # off the group: a residual ~1e-5 above 1e-6, within 1e-6 |mat|
+        dx = 1e3 * rng.normal(size=(2, 5, 3))
+        want = heis.tangent_coefficients(g, heis.chart.from_coords(dx) - np.eye(3))
+        calls.clear()
+        assert np.array_equal(heis.chart.tangent(g, None, dx), want) and calls == [1]
+
+    @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
+                             ids=["heisenberg", "R3"])
+    def test_chart_tangent_off_the_group_is_refused_as_decompose_refuses(self, factory):
+        group = factory()
+        g = group.chart.from_coords(np.array([[0.3, -0.2, 0.5], [0.1, 0.2, 0.3]]))
+        g[1, -1, 0] = 1e-4  # below the diagonal: g^-1 E(dx) leaves the span by ~1e-5
+        dx = np.array([[1.0, 0.5, 0.0], [0.2, 0.1, 0.3]])
+        messages = []
+        for tangent in (group.chart.tangent, lambda g, x, dx: group.tangent_coefficients(
+                g, group.chart.from_coords(dx) - np.eye(group.embed_dim))):
+            with pytest.raises(TangentDecompositionError, match="away from the algebra span") as info:
+                tangent(g, None, dx)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
+                             ids=["heisenberg", "R3"])
+    def test_chart_tangent_refuses_an_infinite_velocity(self, factory):
+        group = factory()
+        g = group.chart.from_coords(np.array([[0.3, -0.2, 0.5], [0.1, 0.2, 0.3]]))
+        dx = np.array([[1.0, 0.5, 0.0], [0.0, np.inf, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TangentDecompositionError, match="away from the algebra span"):
+            group.chart.tangent(g, None, dx)
 
 
 class TestSL2ClosedForm:
@@ -920,7 +1042,8 @@ class TestHolonomy:
         points = self.square_loop(torus2, side=0.4)(np.linspace(0.0, 1.0, 8))
         patch = vectorized(lambda t, s: torus2.chart.from_coords(np.stack([t, s], -1) / 2))
         bound = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch),))
-        for curve, _ in cancel_boundary_edges(bound, 1e-9):
+        for patch, start, end, _ in cancel_boundary_edges(bound, 1e-9):
+            curve = partial(_along, patch, start, end)
             got = distances_to_curve(points, curve)
             want = [reference(point, curve) for point in points]
             assert np.allclose(got, want, rtol=0, atol=1e-15)
@@ -957,10 +1080,10 @@ class TestBoundaryBookkeeping:
         chart = torus2.chart
         patch = lx.SurfacePatch(eval=lambda t, s: chart.from_coords([t, s]), domain="simplex")
         leftovers = cancel_boundary_edges(lx.Surface2Chain(patches=(patch,)), 1e-9)
-        assert [w for _, w in leftovers] == [1, 1, -1]
+        assert [w for *_, w in leftovers] == [1, 1, -1]
         u = np.array([0.2, 0.7])
-        for (curve, _), coords in zip(leftovers, ([u, 0 * u], [1 + 0 * u, u], [u, u])):
-            assert np.allclose(curve(u), chart.from_coords(np.stack(coords, axis=-1)))
+        for (patch, start, end, _), coords in zip(leftovers, ([u, 0 * u], [1 + 0 * u, u], [u, u])):
+            assert np.allclose(_along(patch, start, end, u), chart.from_coords(np.stack(coords, axis=-1)))
 
     def test_closure_evaluates_each_patch_once(self, torus2):
         calls = [[] for _ in range(5)]
@@ -1004,6 +1127,129 @@ class TestBoundaryBookkeeping:
                 )
         chain = lx.Surface2Chain(patches=tuple(patches))
         assert cancel_boundary_edges(chain, 1e-9) == []
+
+
+def closure_reference(chain, tol):
+    """cancel_boundary_edges by brute force: each edge against every class
+    opener on all 33 samples, forward then reversed; the leftovers as
+    (patch, start, end, net weight)."""
+    u = np.linspace(0.0, 1.0, 33)
+    classes = []  # [opener's samples, net weight, opener's segment]
+    for p in chain.patches:
+        if p.coefficient == 0:
+            continue
+        starts, ends, signs = (np.array(x) for x in zip(*lx.geometry._EDGES[p.domain]))
+        for start, end, sign, arr in zip(starts, ends, signs, _along(p, starts[:, None], ends[:, None], u)):
+            if np.max(np.abs(arr - arr[0])) <= tol:
+                continue
+            w = int(sign) * p.coefficient
+            for c in classes:
+                if np.max(np.abs(arr - c[0])) <= tol:
+                    c[1] += w
+                    break
+                if np.max(np.abs(arr[::-1] - c[0])) <= tol:
+                    c[1] -= w
+                    break
+            else:
+                classes.append([arr, w, (p, start, end)])
+    return [(*segment, w) for _, w, segment in classes if w != 0]
+
+
+class TestClosureAgainstBruteForce:
+    """cancel_boundary_edges picks candidate pairs from four tip entries;
+    its classes and net weights are those of comparing every pair."""
+
+    @staticmethod
+    def assert_same(chain, tol=1e4 * MEMBERSHIP_TOL):
+        got, want = cancel_boundary_edges(chain, tol), closure_reference(chain, tol)
+        assert len(got) == len(want)
+        for (p, a, b, w), (q, c, d, v) in zip(got, want):
+            assert p is q and np.array_equal(a, c) and np.array_equal(b, d) and w == v
+        return got
+
+    @staticmethod
+    def block(rng, chart):
+        """A smooth 3-patch in chart coordinates, like the benchmark's cubes."""
+        coef = rng.uniform(-0.6, 0.6, size=(chart.dim, 5))
+
+        @vectorized
+        def block(u, v, w):
+            u, v, w = np.broadcast_arrays(u, v, w)
+            x = [a[0] + a[1] * u + a[2] * v * w + a[3] * np.sin(np.pi * w) * u + a[4] * np.cos(np.pi * v)
+                 for a in coef]
+            return chart.from_coords(np.stack(x, axis=-1))
+
+        return block
+
+    @pytest.mark.parametrize("factory", [lambda: lx.torus_group(2), lx.heisenberg_group],
+                             ids=["T2", "heisenberg"])
+    def test_cube_boundaries(self, factory, rng):
+        group = factory()
+        for _ in range(3):
+            chain = lx.cube_boundary_chain(self.block(rng, group.chart))
+            assert self.assert_same(chain) == []
+            assert self.assert_same(lx.Surface2Chain(patches=chain.patches[1:]))  # one face gone
+
+    @staticmethod
+    def quarters(torus, flips=(False,) * 4):
+        """The quarter tiling of the fundamental square; a flipped quarter
+        swaps t and s and has coefficient -1, the same 2-chain."""
+        patches = []
+        for (a, b), flip in zip([(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)], flips):
+            def coords(t, s, a=a, b=b, flip=flip):
+                t, s = (s, t) if flip else (t, s)
+                return torus.chart.from_coords(np.stack(np.broadcast_arrays(0.5 * t + a, 0.5 * s + b), -1))
+            patches.append(lx.SurfacePatch(eval=vectorized(coords), coefficient=-1 if flip else 1))
+        return patches
+
+    def test_quarter_tilings_with_reversed_patches(self, torus2):
+        for flips in [(False,) * 4, (True, False, False, True), (True,) * 4, (False, True, True, False)]:
+            patches = self.quarters(torus2, flips)
+            assert self.assert_same(lx.Surface2Chain(patches=tuple(patches))) == []
+            assert len(self.assert_same(lx.Surface2Chain(patches=tuple(patches[:3])))) == 4
+
+    def test_triangles_and_negated_patches(self, torus2):
+        chart = torus2.chart
+        lower = lx.SurfacePatch(eval=lambda t, s: chart.from_coords([0.5 * t, 0.5 * s]), domain="simplex")
+        upper = lx.SurfacePatch(eval=lambda t, s: chart.from_coords([0.5 * s, 0.5 * t]), domain="simplex",
+                                coefficient=-1)
+        negated = replace(lower, coefficient=-1)
+        for patches in [(lower, upper), (lower, negated), (lower, upper, negated), (upper, upper, lower)]:
+            self.assert_same(lx.Surface2Chain(patches=patches))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("entry", [(2, 0), (0, 1)], ids=["other-entry", "candidate-entry"])
+    def test_edges_apart_by_exactly_tol_cancel(self, reverse, entry):
+        # A's edge at t = 1 against B's at t = 0, apart by delta at one entry,
+        # 0 on A's edge: (2, 0) varies least over the tips and is not among
+        # the four candidate entries, (0, 1) is
+        tol = 1e-5
+
+        def a_map(t, s):
+            t, s = np.broadcast_arrays(t, s)
+            g = np.zeros(t.shape + (3, 3)) + np.eye(3)
+            g[..., 0, 1], g[..., 0, 2], g[..., 1, 2], g[..., 1, 0] = t - 1.0, s, t * s, t + s
+            return g
+
+        def chain(delta):
+            def b_map(t, s):
+                g = a_map(1.0 + t, 1.0 - s if reverse else s)
+                g[(..., *entry)] += delta
+                return g
+            return lx.Surface2Chain(patches=(
+                lx.SurfacePatch(eval=vectorized(a_map)),
+                lx.SurfacePatch(eval=vectorized(b_map), coefficient=-1 if reverse else 1)))
+
+        assert len(self.assert_same(chain(tol), tol)) == 6
+        assert len(self.assert_same(chain(np.nextafter(tol, np.inf)), tol)) == 8
+
+    def test_ends_that_match_with_middles_that_do_not(self, torus2):
+        # B's edge at t = 0 matches A's at t = 1 at both ends but not between
+        a = lambda t, s: torus2.chart.from_coords(np.stack(np.broadcast_arrays(0.5 * t, 0.5 * s), -1))
+        b = lambda t, s: torus2.chart.from_coords(
+            np.stack(np.broadcast_arrays(0.5 + 0.5 * t + 1e-3 * np.sin(np.pi * s) ** 2, 0.5 * s), -1))
+        chain = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=vectorized(a)), lx.SurfacePatch(eval=vectorized(b))))
+        assert len(self.assert_same(chain)) == 8
 
 
 def per_node_integral(form, chain, order, step=lx.groups.DEFAULT_FD_STEP):
