@@ -54,7 +54,6 @@ from .errors import (
     ExpressionError,
     LieExtError,
     MalformedInputError,
-    MembershipError,
     UnresolvedReferenceError,
 )
 from .extensions import (
@@ -70,8 +69,10 @@ from .geometry import (
     SurfacePatch,
     derived_cochain,
     path_cocycle,
+    path_samples,
 )
 from .groups import (
+    PATH_SAMPLES,
     GroupPath,
     MatrixGroup,
     _group_identities,
@@ -491,7 +492,7 @@ def _map_eval(entries, group: MatrixGroup, names, context, compiled):
 
 def _parse_path(entries, group: MatrixGroup, context, compiled) -> GroupPath:
     values, chart = _map_eval(entries, group, ("t",), context, compiled)
-    return GroupPath(eval=values if chart is None else vectorized(lambda t: chart.from_coords(values(t))))
+    return GroupPath(eval=values, chart=chart)
 
 
 def _parse_patch(entry, group: MatrixGroup, context, compiled) -> SurfacePatch:
@@ -716,12 +717,8 @@ def _run_gamma(doc):
     g1, g2 = (doc.paths[name] for name in doc.pair)
     warnings = []
     for name in doc.pair:
+        path_samples(doc.group, f"paths[{name!r}]", doc.paths[name], PATH_SAMPLES)
         issues = validate_path(doc.group, doc.paths[name])
-        if issues and issues[0]["identity"] == "in_group":
-            raise MembershipError(
-                f"paths[{name!r}] leaves the group {doc.group.name}: membership residual "
-                f"{issues[0]['residual']:.3e}"
-            )
         if issues:
             warnings.append(f"path {name!r}: " + "; ".join(i["identity"] for i in issues))
     value = path_cocycle(form, g1, g2, doc.options.get("quad_order", DEFAULT_QUAD_ORDER))

@@ -19,9 +19,7 @@ from one of three tangent sources:
   L(t) = log(g1(t)^-1 g2(t)), spanning two paths with the same endpoint,
   from the paths' values (spanning_chain, the same surface evaluated point by
   point, is the reference); the cocycle identities take their triangles and
-  spanning surfaces from the same path values.  A path's values at these
-  parameter sets are kept on the path (_path_values), so a path is called
-  at most once per set over its lifetime.
+  spanning surfaces from the same path values, read by GroupPath.values_at.
 
 Besides: boundaries of 3-patches (Stokes checks), the edge bookkeeping of the
 cycle-closure test, the finite-difference derivation of an algebra 2-cochain
@@ -326,22 +324,13 @@ def _path_rule(order: int) -> tuple:
     return rule
 
 
-def _path_values(path: GroupPath, *sets: np.ndarray) -> np.ndarray:
-    """The path's values on the parameter sets, concatenated in order, of
-    shape (total size, d, d).  Each set's values are kept on the path,
-    read-only and keyed by the set's content; the sets not yet kept are
-    evaluated in one call, on the concatenation of their flattened
-    parameters (a lone set keeps its shape)."""
-    memo, keys = path._memo, [s.tobytes() for s in sets]
-    fresh = [(k, s) for k, s in zip(keys, sets) if k not in memo]
-    if fresh:
-        values = path(fresh[0][1] if len(fresh) == 1 else np.concatenate([s.ravel() for _, s in fresh]))
-        values = values.reshape((-1,) + values.shape[-2:])
-        values.flags.writeable = False
-        lo = 0
-        for k, s in fresh:
-            memo[k], lo = values[lo : lo + s.size], lo + s.size
-    return np.concatenate([memo[k] for k in keys])
+def path_samples(group: MatrixGroup, name: str, path: GroupPath, samples: np.ndarray) -> np.ndarray:
+    """The path's values at the samples (GroupPath.values_at), checked by
+    the node step, which names the first sample outside the group as
+    `{name} leaves the group at t = ...`."""
+    g = path.values_at(samples)
+    _node_values(group, name, g, (samples,), lambda: None)
+    return g
 
 
 def _path_nodes(group: MatrixGroup, name: str, values: np.ndarray) -> tuple:
@@ -379,11 +368,11 @@ def path_cocycle(
     """Integral of the form over the triangle sigma(t, s) = g1(t) g2(s),
     0 <= s <= t <= 1, from O(n) path work: the pair step (_triangle_integral)
     on the per-path steps (_path_nodes) of g1 and g2, on their values at the
-    3n parameters of _path_rule(n) (_path_values); callers with many pairs
-    take each step once."""
+    3n parameters of _path_rule(n); callers with many pairs take each step
+    once."""
     group, params = form.group, _path_rule(int(quad_order))[0]
-    return _triangle_integral(form, _path_nodes(group, "g1", _path_values(g1, params)),
-                              _path_nodes(group, "g2", _path_values(g2, params)))
+    return _triangle_integral(form, _path_nodes(group, "g1", g1.values_at(params)),
+                              _path_nodes(group, "g2", g2.values_at(params)))
 
 
 # spanning_chain's branch-guard samples of [0, 1]; the last is t = 1
@@ -578,13 +567,11 @@ def path_cocycle_coboundary(
 
     g1 . gamma(g2, g3) - gamma(g1 g2, g3) + gamma(g1, g2 g3) - gamma(g1, g2),
     with pointwise path products; lands in the period lattice when the
-    integrability condition holds.  It takes each path's values at the 3n
-    parameters of _path_rule(n) and t = 1, _GUARD's last sample
-    (_path_values); the products are products of these values, and each of
-    g1, g2, g3, g1 g2, g2 g3 goes through _path_nodes once.
+    integrability condition holds.  The products are products of the paths'
+    values, and each of g1, g2, g3, g1 g2, g2 g3 goes through _path_nodes once.
     """
     group, n = form.group, int(quad_order)
-    g1, g2, g3 = (_path_values(path, _path_rule(n)[0], _GUARD[-1:]) for path in (g1, g2, g3))
+    g1, g2, g3 = (path.values_at(_path_rule(n)[0], _GUARD[-1:]) for path in (g1, g2, g3))
     a, b, c, ab, bc = (_path_nodes(group, name, values[:-1]) for name, values in (
         ("g1", g1), ("g2", g2), ("g3", g3), ("g1 g2", g1 @ g2), ("g2 g3", g2 @ g3)))
     gamma = partial(_triangle_integral, form)
@@ -608,14 +595,11 @@ def representative_independence_residuals(
     through g1(1) times the surface spanning g2 and g2p is g1(1) acting on
     the flux through that surface, as the form is left-equivariant; so its
     9 distinct integrals (four product triangles, three spanning surfaces
-    of product paths, two fluxes) are each taken once.  It takes each path's
-    values at the 3n parameters of _path_rule(n) and spanning_chain's 64
-    guard samples (_path_values); the products are products of these
-    values, and the spanning surfaces are integrated from them
-    (_spanning_integral).
+    of product paths, two fluxes) are each taken once, the products and the
+    spanning surfaces (_spanning_integral) from the paths' values.
     """
     group, n = form.group, int(quad_order)
-    values = {name: _path_values(path, _path_rule(n)[0], _GUARD)
+    values = {name: path.values_at(_path_rule(n)[0], _GUARD)
               for name, path in (("g1", g1), ("g1p", g1p), ("g2", g2), ("g2p", g2p))}
     a, ap, b, bp = (_path_nodes(group, name, values[name][: 3 * n]) for name in ("g1", "g1p", "g2", "g2p"))
     for p, q in (("g1", "g2"), ("g1p", "g2"), ("g1", "g2p"), ("g1p", "g2p")):

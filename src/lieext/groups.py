@@ -146,8 +146,9 @@ class MatrixGroup:
         the tolerance itself."""
         mat = np.asarray(mat, dtype=float)
         vec = mat.reshape(mat.shape[:-2] + (mat.shape[-2] * mat.shape[-1],))
-        coeffs = vec @ self._flat_pinv.T
-        residual = np.linalg.norm(coeffs @ self._flat_basis.T - vec, axis=-1)
+        with np.errstate(invalid="ignore"):  # a non-finite entry is refused below, with no warning
+            coeffs = vec @ self._flat_pinv.T
+            residual = np.linalg.norm(coeffs @ self._flat_basis.T - vec, axis=-1)
         if np.all(residual <= TANGENT_RESIDUAL_TOL):  # the scale is at least 1
             return coeffs
         scale = np.maximum(1.0, np.linalg.norm(vec, axis=-1))
@@ -255,34 +256,56 @@ def validate_lattice_fixed(mod: ModuleAction, lattice: Lattice, tol_alg: float =
 @dataclass(frozen=True)
 class GroupPath:
     """Evaluable based path [0, 1] -> G; called on an array of parameters it
-    returns the stack of matrices.
-
-    eval must be a pure function of t.  The path cocycle, its identities and
-    the pi_1 table keep the path's values at the library's own parameter
-    sets (a rule's 3n parameters, the 64 spanning-guard samples, t = 1, a
-    loop's 33 membership samples), read-only, for the path's lifetime, and
-    call the path only at sets it has not seen."""
+    returns the stack of matrices.  With a chart, as for a SurfacePatch, eval
+    gives chart coordinates, shape(t) + (chart.dim,), mapped through
+    chart.from_coords.  eval must be pure: the path keeps its values (values_at)."""
 
     eval: Callable
+    chart: Optional[CoordinateChart] = None
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eval", per_point(self.eval))
 
     def __call__(self, t) -> np.ndarray:
-        return np.asarray(self.eval(t), dtype=float)
+        values = np.asarray(self.eval(t), dtype=float)
+        return values if self.chart is None else self.chart.from_coords(
+            values.reshape(np.shape(t) + (self.chart.dim,)))
+
+    def values_at(self, *sets: np.ndarray) -> np.ndarray:
+        """The path's values on the parameter sets, concatenated in order, of
+        shape (total size, d, d).  The path keeps its values at each set for
+        its lifetime, read-only and keyed by the set's content, and is called
+        once, on the concatenated parameters of the sets it has not kept (a
+        lone set keeps its shape).  The path cocycle, its identities,
+        validate_path and the pi_1 table read paths here, at a rule's 3n
+        parameters, the 64 spanning-guard samples, t = 1, PATH_SAMPLES and a
+        loop's 33 samples; dataclasses.replace(path) copies none of them."""
+        keys = [s.tobytes() for s in sets]
+        fresh = [(k, s) for k, s in zip(keys, sets) if k not in self._memo]
+        if fresh:
+            values = self(fresh[0][1] if len(fresh) == 1 else np.concatenate([s.ravel() for _, s in fresh]))
+            values = values.reshape((-1,) + values.shape[-2:])
+            values.flags.writeable = False
+            lo = 0
+            for k, s in fresh:
+                self._memo[k], lo = values[lo : lo + s.size], lo + s.size
+        return np.concatenate([self._memo[k] for k in keys])
+
+
+# validate_path's samples: 33 of [0, 1], then the difference neighbours of both ends
+PATH_SAMPLES = np.concatenate([np.linspace(0.0, 1.0, 33), [DEFAULT_FD_STEP, 1.0 + DEFAULT_FD_STEP,
+                                                         -DEFAULT_FD_STEP, 1.0 - DEFAULT_FD_STEP]])
+PATH_SAMPLES.flags.writeable = False
 
 
 def validate_path(group: MatrixGroup, path: GroupPath):
     """Check that the path stays in the group, then its basedness and the
-    periodicity of its left logarithmic derivative.
-
-    One path call gives 33 samples of [0, 1] and the difference neighbours
-    of both ends.  Membership of all of them is checked first: a path that
+    periodicity of its left logarithmic derivative, on its values at
+    PATH_SAMPLES.  Membership of all of them is checked first: a path that
     leaves the group gets the one issue "in_group" with the largest
     residual, since its tangents need not lie in the algebra."""
-    h = DEFAULT_FD_STEP
-    g = path(np.concatenate([np.linspace(0.0, 1.0, 33), [h, 1.0 + h, -h, 1.0 - h]]))
+    g = path.values_at(PATH_SAMPLES)
     _, outside = group.outside(g)
     if outside.size:
         return [{"identity": "in_group", "indices": [], "residual": float(np.max(outside))}]
@@ -291,7 +314,7 @@ def validate_path(group: MatrixGroup, path: GroupPath):
     if base_res > 10 * MEMBERSHIP_TOL:
         issues.append({"identity": "based_at_identity", "indices": [0], "residual": base_res})
     # the left log-derivative g^-1 g' at t = 0 and 1
-    d0, d1 = group.decompose(group.inverse(g[[0, 32]]) @ ((g[33:35] - g[35:]) / (2.0 * h)))
+    d0, d1 = group.decompose(group.inverse(g[[0, 32]]) @ ((g[33:35] - g[35:]) / (2.0 * DEFAULT_FD_STEP)))
     res = float(np.max(np.abs(d0 - d1), initial=0.0))
     if res > DEFAULT_DERIV_TOL:
         issues.append({"identity": "periodic_log_derivative", "indices": [], "residual": res})
@@ -305,14 +328,11 @@ def exp_path(group: MatrixGroup, x: np.ndarray, scale: float = 1.0) -> GroupPath
 
 
 def coordinate_path(group: MatrixGroup, fn: Callable) -> GroupPath:
-    """Path from a coordinate function t -> chart coordinates."""
+    """The path of a coordinate function t -> chart coordinates, carrying the
+    group's chart."""
     if group.chart is None:
         raise MalformedInputError(f"{group.name} has no coordinate chart")
-    chart = group.chart
-    coords = per_point(fn)
-    return GroupPath(eval=vectorized(
-        lambda t: chart.from_coords(coords(t).reshape(np.shape(t) + (chart.dim,)))
-    ))
+    return GroupPath(eval=fn, chart=group.chart)
 
 
 def pointwise_product(g1: GroupPath, g2: GroupPath) -> GroupPath:
@@ -461,13 +481,14 @@ def _unipotent_group(algebra: LieAlgebra, rows, cols, name: str) -> MatrixGroup:
         dx = np.asarray(dx, dtype=float)
         e = np.zeros(dx.shape[:-1] + (d, d))
         e[..., rows, cols] = dx
-        m = group.inverse(g) @ e
-        coeffs = m[..., rows, cols]
-        m[..., rows, cols] = 0.0
-        residual = np.linalg.norm(m.reshape(m.shape[:-2] + (d * d,)), axis=-1)
-        if np.all(residual <= TANGENT_RESIDUAL_TOL) and np.all(np.isfinite(coeffs)):
-            return coeffs
-        return group.tangent_coefficients(g, e)
+        with np.errstate(invalid="ignore"):  # decompose refuses a non-finite dx, with no warning
+            m = group.inverse(g) @ e
+            coeffs = m[..., rows, cols]
+            m[..., rows, cols] = 0.0
+            residual = np.linalg.norm(m.reshape(m.shape[:-2] + (d * d,)), axis=-1)
+            if np.all(residual <= TANGENT_RESIDUAL_TOL) and np.all(np.isfinite(coeffs)):
+                return coeffs
+            return group.tangent_coefficients(g, e)
 
     chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords, tangent=tangent)
     group = MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,

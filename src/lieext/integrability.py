@@ -29,12 +29,11 @@ from .geometry import (
     DEFAULT_QUAD_ORDER,
     EquivariantForm,
     Surface2Chain,
-    _node_values,
     _path_nodes,
     _path_rule,
-    _path_values,
     _triangle_integral,
     cancel_boundary_edges,
+    path_samples,
     surface_integral,
     surface_integrals,
 )
@@ -146,27 +145,25 @@ def pi1_cocycle_table(
     commutators_mod_lattice (the commutators reduced mod Gamma) and
     commutator_in_lattice (the lattice verdict of each commutator).
 
-    Every loop must stay in the group, checked on 33 samples of [0, 1] by
-    the node step, which names the first sample outside, and close at the
+    Every loop must stay in the group, checked on 33 samples of [0, 1]
+    (path_samples), which names the first sample outside, and close at the
     identity; the cocycle of a pair is path_cocycle, the product-triangle
     integral from the loops' log-derivatives, which equals the
     universal-cover computation: the form pulls back along the covering.
-    path_cocycle's per-path step is taken once per loop, on the loop's values
-    at the rule's parameters (_path_values), and its pair step on the k^2
-    pairs.
+    path_cocycle's per-path step is taken once per loop, and its pair step
+    on the k^2 pairs.
     """
     group = form.group
     names = [name for name, _ in loops]
     samples = np.linspace(0.0, 1.0, 33)
     for name, loop in loops:
-        g = _path_values(loop, samples)
-        _node_values(group, f"loops[{name!r}]", g, (samples,), lambda: None)
+        g = path_samples(group, f"loops[{name!r}]", loop, samples)
         gap = float(np.max(np.abs(g[-1] - g[0])))
         base = float(np.max(np.abs(g[0] - group.identity)))
         if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
             raise NotALoopError(f"loop {name!r} does not close at the identity")
     params = _path_rule(int(quad_order))[0]
-    nodes = [_path_nodes(group, f"loops[{name!r}]", _path_values(loop, params)) for name, loop in loops]
+    nodes = [_path_nodes(group, f"loops[{name!r}]", loop.values_at(params)) for name, loop in loops]
     values = np.array([_triangle_integral(form, p, q) for p in nodes for q in nodes])
     values = values.reshape(len(nodes), len(nodes), form.cochain.coeff_dim)
     commutators = values - np.swapaxes(values, 0, 1)

@@ -750,17 +750,20 @@ def test_validate_reports_a_path_that_leaves_the_group():
     report, code = run(parse_document({**raw, "task": "validate"}))
     assert code == 0 and report["results"]["valid"] is False
     [violation] = report["results"]["violations"]
-    assert violation["identity"] == "path[p1].in_group" and violation["residual"] > 0.1
+    # the largest residual, |cos(t)^2 - 1|, is at the end neighbour t = 1 + h
+    assert violation["identity"] == "path[p1].in_group"
+    assert violation["residual"] == pytest.approx(np.sin(1.0 + 1e-5) ** 2, rel=1e-12)
 
 
 def test_gamma_names_the_path_that_leaves_the_group(tmp_path, capsys):
+    # named as pi1 names a loop: the first of its samples off T^2, t = 1/32
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_edited("torus_gamma.json", _set("paths", "p1", value=OFF_TORUS))))
     assert main([str(path)]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "computation rejected: paths['p1'] leaves the group T^2: membership residual "
+    assert captured.out == "" and captured.err == (
+        "computation rejected: paths['p1'] leaves the group at t = 0.03125: matrix is not in T^2 "
+        "(residual 9.762e-04)\n"
     )
 
 

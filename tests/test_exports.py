@@ -92,3 +92,23 @@ def test_every_defaulted_parameter_is_passed_or_kept_for_a_reason():
     }
     assert sorted(unpassed - set(KEEP_PARAMS)) == []
     assert sorted(set(KEEP_PARAMS) - unpassed) == []  # a passed parameter needs no reason
+
+
+KEEP_PRIVATE = {
+    "_require_cocycles": "the package's one refusal of a non-cocycle, which the form (documents) and "
+                         "the extension (extensions) raise at their own tolerance",
+    "_group_identities": VALIDATOR,
+    "_issues_above": "the issue format of every validator, which groups' validators share with algebra's",
+    **dict.fromkeys(["_path_rule", "_path_nodes", "_triangle_integral"],
+                    "pi1 takes the per-path step once per loop and the pair step on k² pairs"),
+}
+
+
+def test_every_private_name_imported_across_modules_is_kept_for_a_reason():
+    """An underscore name that one lieext module imports from another is a
+    step the owner shares: it goes, or KEEP_PRIVATE says why it stays."""
+    imported = {alias.name for path in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if alias.name.startswith("_")}
+    assert sorted(imported - set(KEEP_PRIVATE)) == []
+    assert sorted(set(KEEP_PRIVATE) - imported) == []  # a name no longer imported needs no reason

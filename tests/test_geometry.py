@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -285,9 +286,17 @@ class TestScreenedGuards:
         group = factory()
         g = group.chart.from_coords(np.array([[0.3, -0.2, 0.5], [0.1, 0.2, 0.3]]))
         dx = np.array([[1.0, 0.5, 0.0], [0.0, np.inf, 1.0]])
-        with np.errstate(invalid="ignore"), pytest.raises(
-                TangentDecompositionError, match="away from the algebra span"):
+        with pytest.raises(TangentDecompositionError, match="away from the algebra span"):
             group.chart.tangent(g, None, dx)
+
+    def test_refusals_of_an_infinite_entry_warn_nothing(self):
+        heisenberg, su2 = lx.heisenberg_group(), lx.su2_group()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TangentDecompositionError, match="nan away from the algebra span"):
+                heisenberg.chart.tangent(heisenberg.identity, None, np.array([[1.0, np.inf, 0.0]]))
+            with pytest.raises(TangentDecompositionError, match="nan away from the algebra span"):
+                su2.decompose(np.full((4, 4), np.inf))
 
 
 class TestSL2ClosedForm:
@@ -364,6 +373,33 @@ class TestPaths:
         issues = lx.validate_path(torus2, lx.GroupPath(eval=off))
         assert [(i["identity"], tuple(i["indices"])) for i in issues] == [("in_group", ())]
         assert issues[0]["residual"] == pytest.approx(0.21, abs=1e-3)  # |1.1^2 - 1| at t = 1/2
+
+    @pytest.mark.parametrize("kind", ["torus", "heisenberg"])
+    def test_coordinate_paths_carry_the_chart(self, kind):
+        # a coordinate_path and a document coords path keep their coordinates
+        # and map them through the group's chart: the same bits as composing
+        # chart.from_coords after the coordinate map
+        doc = parse_document({"task": "validate", "group": {"kind": kind, "dim": 2}, "paths": {
+            "p": {"coords": ["sin(3*t)", "t*t", "cos(t) - 1"][: 2 if kind == "torus" else 3]}}})
+        group, t = doc.group, np.linspace(-0.1, 1.1, 23)
+        coords = lambda t: np.array([np.sin(3 * t), t * t, np.cos(t) - 1.0])[: group.chart.dim]
+        for path in (doc.paths["p"], lx.coordinate_path(group, coords)):
+            assert path.chart is group.chart
+            for at in (t, 0.4):
+                want = group.chart.from_coords(np.asarray(path.eval(at)).reshape(np.shape(at) + (-1,)))
+                assert path(at).tobytes() == want.tobytes()
+            assert np.allclose(path.eval(t), np.moveaxis(coords(t), 0, -1), rtol=0.0, atol=1e-15)
+
+    def test_a_copy_keeps_the_chart_and_no_values(self, torus2):
+        calls = []
+        path = lx.GroupPath(eval=counted(lambda t: np.multiply.outer(t, [1.0, 0.5]), calls),
+                            chart=torus2.chart)
+        kept = path.values_at(lx.groups.PATH_SAMPLES)
+        copy = replace(path)
+        assert copy.chart is torus2.chart and len(calls) == 1
+        path.values_at(lx.groups.PATH_SAMPLES)  # kept: no call
+        assert len(calls) == 1
+        assert copy.values_at(lx.groups.PATH_SAMPLES).tobytes() == kept.tobytes() and len(calls) == 2
 
     def test_pointwise_product(self, torus2, rng):
         p1, c1 = random_torus_path(torus2, rng)
@@ -863,7 +899,7 @@ class TestPathCocycleIdentities:
                                 (lx.representative_independence_residuals, (0, 1, 2, 3))):
             for order in (16, 8):
                 got = identity(form, *(paths[i] for i in which), order)
-                want = identity(form, *(lx.GroupPath(eval=paths[i].eval) for i in which), order)
+                want = identity(form, *(replace(paths[i]) for i in which), order)
                 assert np.array_equal(got, want)
 
 
