@@ -159,8 +159,8 @@ class Lattice:
     @property
     def half_spacing(self) -> float:
         """Half the length of the shortest LLL-reduced basis vector (infinite
-        for rank 0): a quadrature error that reaches it could move a period
-        to the next lattice point."""
+        for rank 0): a tolerance that reaches it could take in the next
+        lattice point, so lattice_verdict decides nothing there."""
         return 0.5 * float(np.min(np.linalg.norm(self._reduced, axis=1), initial=np.inf))
 
 
@@ -231,12 +231,11 @@ def trivial_module(alg_dim: int, coeff_dim: int) -> ModuleAction:
 def lattice_member(lat: Lattice, v: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT) -> dict:
     """Decide whether v lies in the lattice, within tol_lat.
 
-    The verdict rests on the distance from v to the nearest lattice point
-    (reduce_mod_lattice), in the units of v: "member" below tol_lat,
-    "indeterminate" in the ambiguity band [tol_lat, LATTICE_BAND_FACTOR *
-    tol_lat), and "not_member" beyond it.  Returns {"verdict",
-    "coefficients", "residual"}: the verdict, the coefficients of the
-    nearest point in the basis of the generators, and the distance to it.
+    The verdict (lattice_verdict) rests on the distance from v to the
+    nearest lattice point (reduce_mod_lattice), in the units of v.  Returns
+    {"verdict", "coefficients", "residual"}: the verdict, the coefficients
+    of the nearest point in the basis of the generators, and the distance
+    to it.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.ambient_dim,):
@@ -253,7 +252,13 @@ def lattice_verdict(
     """lattice_member's verdict on v, given its representative offset =
     reduce_mod_lattice(lat, v), so a stack reduced in one call needs no
     second reduction; on a stack (..., m) each field is the nested list
-    over the stack."""
+    over the stack.
+
+    This is the one rule that maps a tolerance to a verdict: "member" for a
+    residual below tol_lat, "indeterminate" in the ambiguity band [tol_lat,
+    LATTICE_BAND_FACTOR * tol_lat), "not_member" beyond it; and
+    "indeterminate" everywhere when tol_lat reaches lat.half_spacing, since
+    a ball that wide can hold the next lattice point too."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
@@ -269,6 +274,8 @@ def lattice_verdict(
     residual = np.reshape([np.linalg.norm(o) for o in np.reshape(offset, flat)], stack)
     verdict = np.where(residual < tol_lat, "member", np.where(
         residual < LATTICE_BAND_FACTOR * tol_lat, "indeterminate", "not_member"))
+    if tol_lat >= lat.half_spacing:
+        verdict[...] = "indeterminate"
     return {"verdict": verdict.tolist(), "coefficients": np.round(nearest).astype(int).tolist(),
             "residual": residual.tolist()}
 

@@ -666,13 +666,9 @@ def _form(doc):
 
 def _run_validate(doc):
     tol = doc.options.get("tol", DEFAULT_TOL_ALG)
-    issues = list(validate_algebra(doc.algebra, tol))
-    if doc.module is not None:
-        issues += validate_module(doc.algebra, doc.module, tol)
-    if doc.group is not None:
-        issues += _group_identities(doc.group, tol)  # doc.algebra is the group's
-        if doc.module is not None and doc.module.group_action is not None:
-            issues += validate_action_compatibility(doc.group, doc.module)
+    issues = validate_algebra(doc.algebra, tol) + validate_module(doc.algebra, doc.module, tol)
+    if doc.group is not None:  # doc.algebra is the group's
+        issues += _group_identities(doc.group, tol) + validate_action_compatibility(doc.group, doc.module)
     if doc.lattice is not None:
         issues += validate_lattice_fixed(doc.module, doc.lattice, tol)
     for name, path in doc.paths.items():
@@ -717,8 +713,9 @@ def _run_gamma(doc):
     g1, g2 = (doc.paths[name] for name in doc.pair)
     warnings = []
     for name in doc.pair:
-        path_samples(doc.group, f"paths[{name!r}]", doc.paths[name], PATH_SAMPLES)
         issues = validate_path(doc.group, doc.paths[name])
+        if issues and issues[0]["identity"] == "in_group":  # name the first sample outside
+            path_samples(doc.group, f"paths[{name!r}]", doc.paths[name], PATH_SAMPLES)
         if issues:
             warnings.append(f"path {name!r}: " + "; ".join(i["identity"] for i in issues))
     value = path_cocycle(form, g1, g2, doc.options.get("quad_order", DEFAULT_QUAD_ORDER))
@@ -747,34 +744,11 @@ def _run_d2(doc):
 
 
 def _run_check_integrability(doc):
-    form = _form(doc)
     tol = doc.options.get("tol", DEFAULT_TOL_LAT)
     quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
-    report = check_integrability(form, doc.cycles, doc.lattice, quad_order, tol)
-    half = doc.lattice.half_spacing
-    warnings = []
-    code = EXIT_OK
-    if report["overall"] == "indeterminate":
-        code = EXIT_INDETERMINATE
-        if any(
-            gen["verdict"] == "indeterminate" and gen["error_estimate"] < half
-            for gen in report["generators"]
-        ):
-            warnings.append("some period sits in the ambiguity band of the lattice test")
-    for gen in report["generators"]:
-        err = gen["error_estimate"]
-        if err >= half:
-            warnings.append(
-                f"generator {gen['generator']!r}: quadrature error estimate "
-                f"{err:.2e} reaches half the shortest lattice vector "
-                f"({half:.2e}), so the lattice test cannot decide; try a higher quad_order"
-            )
-        elif err > tol:
-            warnings.append(
-                f"generator {gen['generator']!r}: quadrature error estimate "
-                f"{err:.2e} inflated the tolerance"
-            )
-    return report, warnings, code
+    report = check_integrability(_form(doc), doc.cycles, doc.lattice, quad_order, tol)
+    warnings = report.pop("warnings")
+    return report, warnings, EXIT_INDETERMINATE if report["overall"] == "indeterminate" else EXIT_OK
 
 
 def _run_pi1(doc):

@@ -429,28 +429,25 @@ def _unipotent_group(algebra: LieAlgebra, rows, cols, name: str) -> MatrixGroup:
     """Unipotent group g = I + n, n^3 = 0, whose basis matrix i is the unit
     matrix E[rows[i], cols[i]] (rows[i] < cols[i]), charted by those entries;
     the membership residual is the largest entry of g off the chart's image.
-    exp, log and inverse are I + n + n^2/2, n - n^2/2 and I - n + n^2, cut
-    after n when every product of two basis matrices vanishes (as on R^k)."""
+    exp, log and inverse are I + n + n^2/2, n - n^2/2 and I - n + n^2 (on
+    R^k, where n^2 = 0 on the span, the n^2 terms are zeros)."""
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
     d = int(np.max(cols, initial=0)) + 1
     eye = np.eye(d)
     basis = np.zeros((len(rows), d, d))
     basis[np.arange(len(rows)), rows, cols] = 1.0
-    square = bool(np.any(np.einsum("iab,jbc->ijac", basis, basis)))  # n^2 != 0 on the span
 
     @vectorized
     def exp_map(mat):
-        return eye + mat + 0.5 * (mat @ mat) if square else eye + mat
+        return eye + mat + 0.5 * (mat @ mat)
 
     @vectorized
     def log_map(g):
         n = np.asarray(g, dtype=float) - eye
-        return n - 0.5 * (n @ n) if square else n
+        return n - 0.5 * (n @ n)
 
     @vectorized
     def inverse(g):
-        if not square:
-            return 2.0 * eye - g  # I - n in one pass
         n = np.asarray(g, dtype=float) - eye  # n^3 = 0 for a member
         return eye - n + n @ n
 

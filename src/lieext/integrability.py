@@ -71,8 +71,8 @@ def check_integrability(
 
     The report has, in this order, overall ("integrable", "not_integrable"
     if any generator is "not_member", else "indeterminate" if any is),
-    quad_order, assumption and generators; each generator has generator
-    (its name), period, verdict ("member", "not_member" or
+    quad_order, assumption, generators and warnings; each generator has
+    generator (its name), period, verdict ("member", "not_member" or
     "indeterminate"), coefficients and residual of the nearest lattice
     point, error_estimate and tolerance_used.
 
@@ -82,10 +82,14 @@ def check_integrability(
     covers both the quadrature error and the finite-difference floor.  After
     the generator's closure check, both values come from one
     surface_integrals pass, which evaluates each patch once on the stencils
-    of both rules.  A generator whose estimate reaches half the shortest
-    lattice vector is indeterminate: the inflated tolerance would reach the
-    next lattice point.  An empty generator set (simply connected group with
-    trivial H_2) is integrable for every cocycle.
+    of both rules.  The verdict is lattice_member's at the inflated
+    tolerance, so a tolerance that reaches half the shortest lattice vector
+    gives "indeterminate".  The warnings explain the verdicts: when overall
+    is "indeterminate" because a period sits in the ambiguity band, that
+    comes first; then one note per generator whose estimate or tolerance
+    reaches half the spacing, or whose estimate inflated the tolerance.  An
+    empty generator set (simply connected group with trivial H_2) is
+    integrable for every cocycle.
     """
     if quad_order < 2:
         raise MalformedInputError(
@@ -93,7 +97,8 @@ def check_integrability(
             "period with one at half the order, which would be the same rule"
         )
     rules = ((quad_order, DEFAULT_FD_STEP), (quad_order // 2, 2 * DEFAULT_FD_STEP))
-    generators = []
+    half = lattice.half_spacing
+    generators, notes, band = [], [], False
     for name, chain in cycles:
         assert_cycle_closed(chain, name)
         try:
@@ -104,17 +109,29 @@ def check_integrability(
         tol = tol_lat + err
         gen = {"generator": name, "period": [float(v) for v in value],
                **lattice_member(lattice, value, tol), "error_estimate": err, "tolerance_used": tol}
-        if err >= lattice.half_spacing:
-            gen["verdict"] = "indeterminate"
         generators.append(gen)
+        if tol >= half:
+            what, size, fix = (("quadrature error estimate", err, "higher quad_order") if err >= half
+                               else ("tolerance", tol, "lower tol"))
+            notes.append(f"generator {name!r}: {what} {size:.2e} reaches half the shortest lattice "
+                         f"vector ({half:.2e}), so the lattice test cannot decide; try a {fix}")
+        else:
+            band = band or gen["verdict"] == "indeterminate"
+            if err > tol_lat:
+                notes.append(f"generator {name!r}: quadrature error estimate {err:.2e} "
+                             "inflated the tolerance")
     verdicts = [gen["verdict"] for gen in generators]
+    overall = ("not_integrable" if "not_member" in verdicts
+               else "indeterminate" if "indeterminate" in verdicts else "integrable")
+    if overall == "indeterminate" and band:
+        notes.insert(0, "some period sits in the ambiguity band of the lattice test")
     return {
-        "overall": ("not_integrable" if "not_member" in verdicts
-                    else "indeterminate" if "indeterminate" in verdicts else "integrable"),
+        "overall": overall,
         "quad_order": quad_order,
         "assumption": ("the supplied generators are assumed to span H_2(G); "
                        "completeness is not verified internally"),
         "generators": generators,
+        "warnings": notes,
     }
 
 

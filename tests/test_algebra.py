@@ -178,6 +178,17 @@ class TestLattice:
             "indeterminate"
         )
 
+    def test_a_tolerance_reaching_half_the_spacing_decides_nothing(self):
+        # a ball of radius 0.5 around 0.49 holds 0 and 1: no verdict is vacuous
+        lat = lx.Lattice(generators=[[1.0]])
+        for tol in (0.5, 0.6):
+            assert lx.lattice_member(lat, np.array([0.49]), tol)["verdict"] == "indeterminate"
+            assert lx.lattice_member(lat, np.array([3.0]), tol)["verdict"] == "indeterminate"
+        stack = np.array([[0.0], [0.25]])
+        assert lx.algebra.lattice_verdict(lat, stack, lx.reduce_mod_lattice(lat, stack), 0.5)[
+            "verdict"] == ["indeterminate", "indeterminate"]
+        assert lx.lattice_member(lat, np.array([0.49]), 0.499)["verdict"] == "member"
+
     @pytest.mark.parametrize("value", [0.25, 0.3, 0.7, 1.25])
     def test_far_from_integer_is_not_member(self, value):
         lat = lx.Lattice(generators=[[1.0]])
@@ -264,7 +275,7 @@ class TestLattice:
 
     def test_rank_check_is_relative_to_scale(self):
         lat = lx.Lattice(generators=[[1e-7]])
-        assert lx.lattice_member(lat, np.array([3e-7]))["verdict"] == "member"
+        assert lx.lattice_member(lat, np.array([3e-7]), 1e-9)["verdict"] == "member"
         with pytest.raises(InvalidLatticeError):
             lx.Lattice(generators=[[1.0, 0.0], [1.0, 1e-9]])
 

@@ -550,19 +550,21 @@ def test_tol_flag_overrides_the_document(options, code, overall, tmp_path, capsy
         assert json.loads(captured.out)["results"]["overall"] == overall
 
 
+WAVY = {
+    "task": "check-integrability",
+    "group": {"kind": "torus", "dim": 2},
+    "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [0.5]}]},
+    "lattice": {"generators": [[1.0]]},
+    "cycles": [{"name": "wavy", "patches": [
+        {"coords": ["t + 0.2*sin(2*pi*s)", "s + 0.2*sin(2*pi*t)"]}]}],
+}
+
+
 def test_indeterminate_warning_names_its_cause(tmp_path, capsys):
     # the wavy square's period at order 2 is 0.454 with estimate 0.744: the
     # estimate, not the ambiguity band [tol, 10 tol), makes it indeterminate
-    raw = {
-        "task": "check-integrability",
-        "group": {"kind": "torus", "dim": 2},
-        "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [0.5]}]},
-        "lattice": {"generators": [[1.0]]},
-        "cycles": [{"name": "wavy", "patches": [
-            {"coords": ["t + 0.2*sin(2*pi*s)", "s + 0.2*sin(2*pi*t)"]}]}],
-    }
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(WAVY))
     assert main([str(path), "--quad-order", "2"]) == 4
     out = capsys.readouterr().out
     assert "verdict: indeterminate" in out
@@ -577,6 +579,53 @@ def test_indeterminate_warning_names_its_cause(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "warning: some period sits in the ambiguity band of the lattice test\n" in out
     assert "half the shortest lattice vector" not in out
+
+
+def test_an_estimate_above_tol_warns_that_it_inflated_the_tolerance(tmp_path, capsys):
+    # the wavy square's period at order 4 is 0.4999991 with estimate 4.57e-02,
+    # above tol 1e-6 and below half the spacing: not_member, and a note
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(WAVY))
+    report = machine_report([str(path), "--quad-order", "4"], capsys)
+    assert report["results"]["overall"] == "not_integrable"
+    assert report["warnings"] == [
+        "generator 'wavy': quadrature error estimate 4.57e-02 inflated the tolerance"]
+    assert "warnings" not in report["results"]
+
+
+@pytest.mark.parametrize("fixture, tol", [("torus_not_integrable.json", 0.6),
+                                          ("torus_integrable.json", 0.5)])
+def test_a_tolerance_at_half_the_spacing_is_indeterminate(fixture, tol, capsys):
+    # the period 0.4999999999980 (or 1 - 4e-12) lies within tol of both 0 and 1
+    assert main([str(FIXTURES / fixture), "--tol", str(tol), "--output", "machine"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    (gen,) = report["results"]["generators"]
+    assert report["results"]["overall"] == gen["verdict"] == "indeterminate"
+    assert report["warnings"] == [
+        f"generator 'fundamental': tolerance {gen['tolerance_used']:.2e} reaches half the "
+        "shortest lattice vector (5.00e-01), so the lattice test cannot decide; try a lower tol"]
+
+
+def test_a_period_half_a_step_off_a_small_lattice_is_indeterminate(tmp_path, capsys):
+    # the period 5e-8 sits half way between 0 and 1e-7; the default tol 1e-6
+    # is ten steps wide
+    raw = _edited("torus_integrable.json", _set("lattice", "generators", value=[[1e-7]]))
+    raw["cocycle"]["components"][0]["value"] = [0.5e-7]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path), "--output", "machine"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["overall"] == "indeterminate"
+    assert report["warnings"] == [
+        "generator 'fundamental': tolerance 1.00e-06 reaches half the shortest lattice "
+        "vector (5.00e-08), so the lattice test cannot decide; try a lower tol"]
+
+
+def test_pi1_commutators_at_a_tolerance_of_half_the_spacing_are_indeterminate(capsys):
+    report = machine_report([str(FIXTURES / "pi1_torus.json"), "--tol", "0.6"], capsys)
+    assert report["results"]["commutator_in_lattice"] == [["indeterminate"] * 2] * 2
+    report = machine_report([str(FIXTURES / "pi1_torus.json")], capsys)
+    assert report["results"]["commutator_in_lattice"] == [["member"] * 2] * 2
 
 
 def test_rho_needs_the_group_action(tmp_path, capsys):
@@ -765,6 +814,27 @@ def test_gamma_names_the_path_that_leaves_the_group(tmp_path, capsys):
         "computation rejected: paths['p1'] leaves the group at t = 0.03125: matrix is not in T^2 "
         "(residual 9.762e-04)\n"
     )
+
+
+def test_gamma_warns_of_a_path_that_does_not_start_at_the_identity(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("torus_gamma.json",
+                                       _set("paths", "p1", value={"coords": ["t + 0.25", "0"]}))))
+    assert main([str(path), "--output", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == ["path 'p1': based_at_identity"]
+
+
+def test_gamma_checks_each_paths_samples_once(monkeypatch, capsys):
+    shapes = []
+    outside = lx.MatrixGroup.outside
+
+    def counted(self, g):
+        shapes.append(np.shape(g))
+        return outside(self, g)
+
+    monkeypatch.setattr(lx.MatrixGroup, "outside", counted)
+    assert main([str(FIXTURES / "torus_gamma.json")]) == 0
+    assert [shape for shape in shapes if shape[0] == len(lx.groups.PATH_SAMPLES)] == [(37, 4, 4)] * 2
 
 
 def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
@@ -1048,9 +1118,19 @@ def test_lattice_error_has_one_prefix(tmp_path, capsys):
     )
 
 
+def test_a_lattice_in_another_space_than_the_module_is_refused(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("torus_integrable.json",
+                                       _set("lattice", "generators", value=[[1.0, 0.0]]))))
+    assert main([str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: lattice: generators live in R^2 but the coefficient space is R^1\n")
+
+
 def test_small_scale_lattice_is_accepted():
     raw = _edited("torus_integrable.json", _set("lattice", "generators", value=[[1e-7]]))
     raw["cocycle"]["components"][0]["value"] = [1e-7]
+    raw["options"] = {"tol": 1e-9}  # below half the lattice spacing, 5e-8
     report, code = run(parse_document(raw))
     assert code == 0
     assert report["results"]["overall"] == "integrable"
@@ -1059,12 +1139,21 @@ def test_small_scale_lattice_is_accepted():
 def test_small_lattice_is_tested_in_period_units():
     # the period 0.9999999987 is 1.3e-9 from the lattice point 10^7 * 1e-7
     raw = _edited("torus_integrable.json", _set("lattice", "generators", value=[[1e-7]]))
+    raw["options"] = {"tol": 1e-9}  # below half the lattice spacing, 5e-8
     report, code = run(parse_document(raw))
     assert code == 0
     (gen,) = report["results"]["generators"]
     assert report["results"]["overall"] == "integrable"
     assert gen["verdict"] == "member" and gen["coefficients"] == [10_000_000]
     assert gen["residual"] < 1e-8
+
+
+def test_d2_warns_of_a_cochain_that_is_not_normalized(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("r2_d2.json", _set("cochain_expr", value=["x1*y2 + 1"]))))
+    assert main([str(path), "--output", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [
+        "cochain is not normalized: |f| reaches 1.00e+00 with an identity argument"]
 
 
 @pytest.mark.parametrize("step, code", [(1e-300, 2), (1e154, 3)])
@@ -1221,6 +1310,24 @@ class TestCliBehavior:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["results"]["valid"] is True
+
+    def test_stdin_input_in_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(load_fixture("heis3_validate.json")))
+        assert machine_report(["-"], capsys)["results"]["valid"] is True
+
+    def test_fixture_listing_in_process(self, capsys):
+        assert main(["--fixtures"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("shipped example documents:\n")
+        assert "  torus_integrable.json  task=check-integrability  expected_exit=0  " in out
+        assert f"    path: {FIXTURES / 'torus_integrable.json'}\n" in out
+
+    def test_unreadable_document_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main([str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot read {missing}: ")
 
     def test_machine_reports_deterministic_apart_from_timing(self):
         args = [str(FIXTURES / "torus_integrable.json"), "--output", "machine"]
