@@ -256,9 +256,10 @@ def lattice_verdict(
 
     This is the one rule that maps a tolerance to a verdict: "member" for a
     residual below tol_lat, "indeterminate" in the ambiguity band [tol_lat,
-    LATTICE_BAND_FACTOR * tol_lat), "not_member" beyond it; and
-    "indeterminate" everywhere when tol_lat reaches lat.half_spacing, since
-    a ball that wide can hold the next lattice point too."""
+    LATTICE_BAND_FACTOR * tol_lat), "not_member" beyond it.  Once tol_lat
+    reaches lat.half_spacing, "member" turns "indeterminate" too, since a
+    ball that wide can hold the next lattice point; "not_member" stands, as
+    the residual is the distance to the nearest lattice point."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
@@ -272,10 +273,8 @@ def lattice_verdict(
             "resolution of double precision"
         )
     residual = np.reshape([np.linalg.norm(o) for o in np.reshape(offset, flat)], stack)
-    verdict = np.where(residual < tol_lat, "member", np.where(
+    verdict = np.where((residual < tol_lat) & (tol_lat < lat.half_spacing), "member", np.where(
         residual < LATTICE_BAND_FACTOR * tol_lat, "indeterminate", "not_member"))
-    if tol_lat >= lat.half_spacing:
-        verdict[...] = "indeterminate"
     return {"verdict": verdict.tolist(), "coefficients": np.round(nearest).astype(int).tolist(),
             "residual": residual.tolist()}
 

@@ -67,8 +67,9 @@ def run(doc: ProblemDocument) -> tuple:
         for name in doc.options
         if name not in task.options
     ]
+    options = {name: doc.options.get(name, default) for name, default in task.options.items()}
     with np.errstate(over="ignore", invalid="ignore"):
-        results, task_warnings, code = task.run(doc)
+        results, task_warnings, code = task.run(doc, **options)
     return (
         {
             "schema_version": SCHEMA_VERSION,

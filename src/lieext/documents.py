@@ -9,8 +9,8 @@ gives an algebra or a group, not both: a group document's algebra is the
 group's.  Indices are 0-based throughout.  parse_document builds and
 cross-checks the in-memory objects and reads the options against OPTIONS;
 TASKS holds, for each task, the sections it needs, the options it reads
-and how it runs.  No task has a text form of its own: the text report
-names the results fields as the machine report does.
+with their defaults, and how it runs.  No task has a text form of its own:
+the text report names the results fields as the machine report does.
 Numbers are read by two readers only: _integer and _reals.  Every
 expression-valued section (path and patch coords or matrix, the module's
 group action, the d2 cochain) is compiled, and its variables checked, by
@@ -186,7 +186,7 @@ def _degrees(value, context) -> list:
 
 
 # The options a document may set, each with the reader of its value.  A task
-# reads the ones it uses and keeps its own default for one left out.
+# reads the ones TASKS lists for it, with the defaults listed there.
 OPTIONS = {
     "quad_order": lambda value, context: _integer(value, context, 1, MAX_QUAD_ORDER),
     "tol": _positive,
@@ -643,8 +643,9 @@ def parse_document(text_or_dict) -> ProblemDocument:
 
 
 # ---------------------------------------------------------------------------
-# Tasks: each runner maps a document to (results, warnings, exit code).
-# Runners call library functions through this module's globals.
+# Tasks: each runner maps a document and the options its task reads, as
+# keywords, to (results, warnings, exit code).  Runners call library
+# functions through this module's globals.
 
 
 def _components(cochain: Cochain) -> list:
@@ -664,8 +665,7 @@ def _form(doc):
     return form
 
 
-def _run_validate(doc):
-    tol = doc.options.get("tol", DEFAULT_TOL_ALG)
+def _run_validate(doc, tol):
     issues = validate_algebra(doc.algebra, tol) + validate_module(doc.algebra, doc.module, tol)
     if doc.group is not None:  # doc.algebra is the group's
         issues += _group_identities(doc.group, tol) + validate_action_compatibility(doc.group, doc.module)
@@ -684,21 +684,19 @@ def _run_validate(doc):
     return results, warnings, EXIT_OK
 
 
-def _run_cohomology(doc):
-    table = cohomology_table(doc.algebra, doc.module, doc.options.get("degrees", [2]))
+def _run_cohomology(doc, degrees):
+    table = cohomology_table(doc.algebra, doc.module, degrees)
     return {"slices": table}, [], EXIT_OK
 
 
-def _run_extend(doc):
-    tol = doc.options.get("tol", DEFAULT_TOL_ALG)
+def _run_extend(doc, tol):
     total = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
     residual = max((i["residual"] for i in validate_algebra(total, tol)), default=0.0)
     extension = serialize_extension(total, doc.algebra.dim)
     return {"extension": extension, "jacobi_residual": residual}, [], EXIT_OK
 
 
-def _run_equivalence(doc):
-    tol = doc.options.get("tol", DEFAULT_EQUIV_TOL)
+def _run_equivalence(doc, tol):
     verdict, witness, residual = are_equivalent(
         doc.algebra, doc.module, doc.cocycle, doc.cocycle2, tol
     )
@@ -708,7 +706,7 @@ def _run_equivalence(doc):
     return results, [], EXIT_OK
 
 
-def _run_gamma(doc):
+def _run_gamma(doc, quad_order):
     form = _form(doc)
     g1, g2 = (doc.paths[name] for name in doc.pair)
     warnings = []
@@ -718,7 +716,7 @@ def _run_gamma(doc):
             path_samples(doc.group, f"paths[{name!r}]", doc.paths[name], PATH_SAMPLES)
         if issues:
             warnings.append(f"path {name!r}: " + "; ".join(i["identity"] for i in issues))
-    value = path_cocycle(form, g1, g2, doc.options.get("quad_order", DEFAULT_QUAD_ORDER))
+    value = path_cocycle(form, g1, g2, quad_order)
     results = {"value": [float(v) for v in value]}
     if doc.lattice is not None:
         results["value_mod_lattice"] = [
@@ -727,8 +725,7 @@ def _run_gamma(doc):
     return results, warnings, EXIT_OK
 
 
-def _run_d2(doc):
-    step = doc.options.get("fd_step", DEFAULT_D2_STEP)
+def _run_d2(doc, fd_step):
     chart, f = doc.group.chart, doc.cochain_expr
     rng = np.random.default_rng(0)
     samples = [chart.from_coords(0.5 * rng.normal(size=chart.dim)) for _ in range(8)]
@@ -739,45 +736,41 @@ def _run_d2(doc):
             f"cochain is not normalized: |f| reaches {norm_res:.2e} with an "
             "identity argument"
         )
-    derived = derived_cochain(doc.group, f, step)
-    return {"derived_cochain": _components(derived), "fd_step": step}, warnings, EXIT_OK
+    derived = derived_cochain(doc.group, f, fd_step)
+    return {"derived_cochain": _components(derived), "fd_step": fd_step}, warnings, EXIT_OK
 
 
-def _run_check_integrability(doc):
-    tol = doc.options.get("tol", DEFAULT_TOL_LAT)
-    quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
+def _run_check_integrability(doc, quad_order, tol):
     report = check_integrability(_form(doc), doc.cycles, doc.lattice, quad_order, tol)
     warnings = report.pop("warnings")
     return report, warnings, EXIT_INDETERMINATE if report["overall"] == "indeterminate" else EXIT_OK
 
 
-def _run_pi1(doc):
-    form = _form(doc)
-    tol = doc.options.get("tol", DEFAULT_TOL_LAT)
-    quad_order = doc.options.get("quad_order", DEFAULT_QUAD_ORDER)
-    return pi1_cocycle_table(form, doc.loops, doc.lattice, quad_order, tol), [], EXIT_OK
+def _run_pi1(doc, quad_order, tol):
+    table = pi1_cocycle_table(_form(doc), doc.loops, doc.lattice, quad_order, tol)
+    warnings = table.pop("warnings")
+    return table, warnings, EXIT_INDETERMINATE if warnings else EXIT_OK
 
 
 @dataclass(frozen=True)
 class Task:
-    """One CLI task: the document sections it needs, the options its runner
-    reads and its runner.  The text report walks the runner's results, so a
-    new field needs no code to be shown."""
+    """One CLI task: the document sections it needs, each option its runner
+    reads with its default, and its runner.  The text report walks the
+    runner's results, so a new field needs no code to be shown."""
 
     needs: tuple
-    options: tuple
+    options: dict
     run: Callable
 
 
 TASKS: Dict[str, Task] = {
-    "validate": Task(("algebra",), ("tol",), _run_validate),
-    "cohomology": Task(("algebra",), ("degrees",), _run_cohomology),
-    "extend": Task(("algebra", "cocycle"), ("tol",), _run_extend),
-    "equivalence": Task(("algebra", "cocycle", "cocycle2"), ("tol",), _run_equivalence),
-    "gamma": Task(("group", "cocycle", "pair"), ("quad_order",), _run_gamma),
-    "d2": Task(("group", "cochain_expr"), ("fd_step",), _run_d2),
-    "check-integrability": Task(
-        ("group", "cocycle", "lattice", "cycles"), ("quad_order", "tol"), _run_check_integrability
-    ),
-    "pi1": Task(("group", "cocycle", "loops"), ("quad_order", "tol"), _run_pi1),
+    "validate": Task(("algebra",), {"tol": DEFAULT_TOL_ALG}, _run_validate),
+    "cohomology": Task(("algebra",), {"degrees": (2,)}, _run_cohomology),
+    "extend": Task(("algebra", "cocycle"), {"tol": DEFAULT_TOL_ALG}, _run_extend),
+    "equivalence": Task(("algebra", "cocycle", "cocycle2"), {"tol": DEFAULT_EQUIV_TOL}, _run_equivalence),
+    "gamma": Task(("group", "cocycle", "pair"), {"quad_order": DEFAULT_QUAD_ORDER}, _run_gamma),
+    "d2": Task(("group", "cochain_expr"), {"fd_step": DEFAULT_D2_STEP}, _run_d2),
+    "check-integrability": Task(("group", "cocycle", "lattice", "cycles"),
+                                {"quad_order": DEFAULT_QUAD_ORDER, "tol": DEFAULT_TOL_LAT}, _run_check_integrability),
+    "pi1": Task(("group", "cocycle", "loops"), {"quad_order": DEFAULT_QUAD_ORDER, "tol": DEFAULT_TOL_LAT}, _run_pi1),
 }

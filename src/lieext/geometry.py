@@ -7,19 +7,18 @@ left translation twisted with the coefficient action:
 
 with tangents decomposed in the realized algebra basis and omega evaluated
 by its own call.  Every integral here is a tensor Gauss-Legendre rule whose
-node values one node step takes (membership, tangents, cochain, action)
-from one of three tangent sources:
+node values one node step takes (membership, tangents, cochain, action),
+its tangents from one tangent step, which differences chart coordinates in
+the chart and matrices as matrices, on:
 
-* patch stencils: central differences of a patch's chart coordinates, or of
-  its matrices without a chart, in one array pass over a patch's nodes;
-* path log-derivatives g^-1 g', from each path's values at the rule's
-  parameters, which give the product triangle sigma(t, s) = g1(t) g2(s),
-  the path-pair cocycle's surface;
-* d_t H and sigma'(s) L(t) on the surface H(t, s) = g1(t) exp(sigma(s) L(t)),
-  L(t) = log(g1(t)^-1 g2(t)), spanning two paths with the same endpoint,
-  from the paths' values (spanning_chain, the same surface evaluated point by
-  point, is the reference); the cocycle identities take their triangles and
-  spanning surfaces from the same path values, read by GroupPath.values_at.
+* patch stencils, in one array pass over a patch's nodes;
+* paths at the rule's parameters: their log-derivatives g^-1 g' give the
+  product triangle sigma(t, s) = g1(t) g2(s), the path-pair cocycle's
+  surface, and a product of paths composes its factors' log-derivatives;
+* d_t H on the surface H(t, s) = g1(t) exp(sigma(s) L(t)), L(t) =
+  log(g1(t)^-1 g2(t)), spanning two paths with the same endpoint
+  (spanning_chain, the same surface evaluated point by point, is the
+  reference); the cocycle identities read the paths through GroupPath.
 
 Besides: boundaries of 3-patches (Stokes checks), the edge bookkeeping of the
 cycle-closure test, the finite-difference derivation of an algebra 2-cochain
@@ -221,6 +220,16 @@ def _passes(rules: Tuple[Tuple[int, float], ...], domain: str) -> tuple:
     return tuple(out)
 
 
+def _tangent_step(group: MatrixGroup, chart: Optional[CoordinateChart], rows: np.ndarray, den) -> tuple:
+    """The group elements at a node row, and their tangent source: rows is
+    the node row and its +h and -h rows per direction, of chart coordinates,
+    else of matrices; den is 2 h.  The source's leading axis runs over the
+    directions: chart.tangent on the coordinate differences, else g^-1 du."""
+    x, du = rows[0], (rows[1::2] - rows[2::2]) / den
+    g = x if chart is None else chart.from_coords(x)
+    return g, partial(group.tangent_coefficients, g, du) if chart is None else partial(chart.tangent, g, x, du)
+
+
 def _node_values(group: MatrixGroup, name: str, g: Optional[np.ndarray], params: tuple, tangents: Callable,
                  form: Optional[EquivariantForm] = None, elements: Optional[Callable] = None, off=False):
     """The node step of every integral here.  It checks the nodes g (..., d,
@@ -263,10 +272,9 @@ def surface_integrals(
 
     Each patch is one array pass over the stencils of all the rules: its
     eval is called once on every rule's nodes and their four difference
-    neighbours and differenced there, only the nodes go through its
-    chart.from_coords, and the node step takes the whole stack with the
-    tangents chart.tangent, else g^-1 u decomposed; each rule's weighted
-    values are summed over its own nodes, in passes of at most _PASS_NODES.
+    neighbours, and the tangent step and the node step take the whole
+    stack; each rule's weighted values are summed over its own nodes, in
+    passes of at most _PASS_NODES.
     """
     group = form.group
     rules = tuple((int(order), float(step)) for order, step in rules)
@@ -274,18 +282,15 @@ def surface_integrals(
     for p, patch in enumerate(chain.patches):
         if patch.coefficient == 0:
             continue
-        chart = patch.chart
         for ts, ss, den, weight, segments in _passes(rules, patch.domain):
             try:
-                x, t_plus, t_minus, s_plus, s_minus = np.split(
-                    np.asarray(patch.eval(ts.ravel(), ss.ravel()), dtype=float), 5)
-                g = x if chart is None else chart.from_coords(x)
+                rows = np.asarray(patch.eval(ts.ravel(), ss.ravel()), dtype=float)
+                g, tangents = _tangent_step(group, patch.chart, rows.reshape((5, -1) + rows.shape[1:]),
+                                            den.reshape((-1,) + (1,) * (rows.ndim - 1)))
             except LieExtError as exc:
                 if patch.domain != "simplex":
                     raise
                 raise MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
-            du = np.stack([t_plus - t_minus, s_plus - s_minus]) / den.reshape((-1,) + (1,) * (x.ndim - 1))
-            tangents = partial(group.tangent_coefficients, g, du) if chart is None else partial(chart.tangent, g, x, du)
             vals = weight[:, None] * _node_values(group, f"patches[{p}]", g, (ts[0], ss[0]), tangents, form,
                                                   lambda: g, (ss[0] > ts[0]) & (patch.domain == "simplex"))
             for r, lo, hi in segments:
@@ -333,17 +338,29 @@ def path_samples(group: MatrixGroup, name: str, path: GroupPath, samples: np.nda
     return g
 
 
-def _path_nodes(group: MatrixGroup, name: str, values: np.ndarray) -> tuple:
-    """The per-path step of path_cocycle on a path's values at the 3n
-    parameters of _path_rule(n), of shape (3, n, d, d) or (3n, d, d): the path
-    checked at its n nodes u; g^-1 g'(u); ad, whose first call computes
+def _path_nodes(group: MatrixGroup, name: str, path: GroupPath, order: int) -> tuple:
+    """The per-path step of path_cocycle at order n, on what the path keeps
+    at the 3n parameters of _path_rule(n): the path checked at its n nodes
+    u; g^-1 g'(u), from the tangent step; ad, whose first call computes
     ad()[j, k], the coefficients of Ad(g(u_j)^-1) e_k, which only a second
     path needs; and the name that errors give the path."""
-    g, plus, minus = np.reshape(values, (3, -1) + np.shape(values)[-2:])
-    xi = _node_values(group, name, g, (_path_rule(len(g))[0][0],),
-                      lambda: group.tangent_coefficients(g, (plus - minus) / (2.0 * DEFAULT_FD_STEP)))
+    rows = path._kept(_path_rule(order)[0])
+    g, tangents = _tangent_step(group, path.chart, rows.reshape((3, order) + rows.shape[1:]), 2.0 * DEFAULT_FD_STEP)
+    # C order: the pair step's einsum sums in an order that follows the layout
+    xi = _node_values(group, name, g, (_path_rule(order)[0][0],), lambda: np.ascontiguousarray(tangents()[0]))
     ad = cache(lambda: group.decompose(group.inverse(g)[:, None] @ group.basis @ g[:, None]))
     return g, xi, ad, name
+
+
+def _product_nodes(group: MatrixGroup, name: str, first: tuple, second: tuple) -> tuple:
+    """The per-path step of g1 g2 from those of g1 and g2: the products
+    checked, (g1 g2)^-1 (g1 g2)' = Ad(g2^-1) g1^-1 g1' + g2^-1 g2', and
+    Ad((g1 g2)^-1) = Ad(g2^-1) Ad(g1^-1), which is ad1() @ ad2()."""
+    (a, xi1, ad1, _), (b, xi2, ad2, _) = first, second
+    g = a @ b
+    xi = _node_values(group, name, g, (_path_rule(len(g))[0][0],),
+                      lambda: np.einsum("jk,jkl->jl", xi1, ad2()) + xi2)
+    return g, xi, cache(lambda: ad1() @ ad2()), name
 
 
 def _triangle_integral(form: EquivariantForm, first: tuple, second: tuple) -> np.ndarray:
@@ -367,12 +384,10 @@ def path_cocycle(
 ) -> np.ndarray:
     """Integral of the form over the triangle sigma(t, s) = g1(t) g2(s),
     0 <= s <= t <= 1, from O(n) path work: the pair step (_triangle_integral)
-    on the per-path steps (_path_nodes) of g1 and g2, on their values at the
-    3n parameters of _path_rule(n); callers with many pairs take each step
-    once."""
-    group, params = form.group, _path_rule(int(quad_order))[0]
-    return _triangle_integral(form, _path_nodes(group, "g1", g1.values_at(params)),
-                              _path_nodes(group, "g2", g2.values_at(params)))
+    on the per-path steps (_path_nodes) of g1 and g2; callers with many pairs
+    take each step once."""
+    group, n = form.group, int(quad_order)
+    return _triangle_integral(form, _path_nodes(group, "g1", g1, n), _path_nodes(group, "g2", g2, n))
 
 
 # spanning_chain's branch-guard samples of [0, 1]; the last is t = 1
@@ -549,9 +564,9 @@ def _spanning_integral(
     total, rows = np.zeros(form.cochain.coeff_dim), max(1, _PASS_NODES // n)
     for lo in range(0, n, rows):  # (3, rows, n, d, d): H at t, t + h, t - h on rows of t
         h = a[:, lo : lo + rows, None] @ group.exp(sigma[:, None, None] * ell[:, lo : lo + rows, None])
-        tangents = lambda: (group.tangent_coefficients(h[0], (h[1] - h[2]) / (2.0 * DEFAULT_FD_STEP)),
-                            dsigma[:, None] * group.decompose(ell[0, lo : lo + rows, None]))
-        vals = _node_values(group, name, h[0], (u[lo : lo + rows, None], u), tangents, form, lambda: h[0])
+        g, dt = _tangent_step(group, None, h, 2.0 * DEFAULT_FD_STEP)
+        tangents = lambda: (*dt(), dsigma[:, None] * group.decompose(ell[0, lo : lo + rows, None]))
+        vals = _node_values(group, name, g, (u[lo : lo + rows, None], u), tangents, form, lambda: g)
         total = total + np.einsum("ij,ijk->k", weights[lo : lo + rows], vals)
     return total
 
@@ -567,15 +582,15 @@ def path_cocycle_coboundary(
 
     g1 . gamma(g2, g3) - gamma(g1 g2, g3) + gamma(g1, g2 g3) - gamma(g1, g2),
     with pointwise path products; lands in the period lattice when the
-    integrability condition holds.  The products are products of the paths'
-    values, and each of g1, g2, g3, g1 g2, g2 g3 goes through _path_nodes once.
+    integrability condition holds.  Each of g1, g2, g3 goes through
+    _path_nodes once, and g1 g2 and g2 g3 compose their steps.
     """
     group, n = form.group, int(quad_order)
-    g1, g2, g3 = (path.values_at(_path_rule(n)[0], _GUARD[-1:]) for path in (g1, g2, g3))
-    a, b, c, ab, bc = (_path_nodes(group, name, values[:-1]) for name, values in (
-        ("g1", g1), ("g2", g2), ("g3", g3), ("g1 g2", g1 @ g2), ("g2 g3", g2 @ g3)))
+    end = [path.values_at(_path_rule(n)[0], _GUARD[-1:])[-1] for path in (g1, g2, g3)][0]
+    a, b, c = (_path_nodes(group, name, path, n) for name, path in (("g1", g1), ("g2", g2), ("g3", g3)))
+    ab, bc = _product_nodes(group, "g1 g2", a, b), _product_nodes(group, "g2 g3", b, c)
     gamma = partial(_triangle_integral, form)
-    return form.module.act(g1[-1], gamma(b, c)) - gamma(ab, c) + gamma(a, bc) - gamma(a, b)
+    return form.module.act(end, gamma(b, c)) - gamma(ab, c) + gamma(a, bc) - gamma(a, b)
 
 
 def representative_independence_residuals(
@@ -599,9 +614,9 @@ def representative_independence_residuals(
     spanning surfaces (_spanning_integral) from the paths' values.
     """
     group, n = form.group, int(quad_order)
-    values = {name: path.values_at(_path_rule(n)[0], _GUARD)
-              for name, path in (("g1", g1), ("g1p", g1p), ("g2", g2), ("g2p", g2p))}
-    a, ap, b, bp = (_path_nodes(group, name, values[name][: 3 * n]) for name in ("g1", "g1p", "g2", "g2p"))
+    paths = {"g1": g1, "g1p": g1p, "g2": g2, "g2p": g2p}
+    values = {name: path.values_at(_path_rule(n)[0], _GUARD) for name, path in paths.items()}
+    a, ap, b, bp = (_path_nodes(group, name, path, n) for name, path in paths.items())
     for p, q in (("g1", "g2"), ("g1p", "g2"), ("g1", "g2p"), ("g1p", "g2p")):
         values[f"{p} {q}"] = values[p] @ values[q]
     span = lambda p, q: _spanning_integral(form, values[p], values[q], n, (p, q))

@@ -273,19 +273,26 @@ class GroupPath:
             values.reshape(np.shape(t) + (self.chart.dim,)))
 
     def values_at(self, *sets: np.ndarray) -> np.ndarray:
-        """The path's values on the parameter sets, concatenated in order, of
-        shape (total size, d, d).  The path keeps its values at each set for
-        its lifetime, read-only and keyed by the set's content, and is called
-        once, on the concatenated parameters of the sets it has not kept (a
-        lone set keeps its shape).  The path cocycle, its identities,
-        validate_path and the pi_1 table read paths here, at a rule's 3n
-        parameters, the 64 spanning-guard samples, t = 1, PATH_SAMPLES and a
-        loop's 33 samples; dataclasses.replace(path) copies none of them."""
+        """The path's matrices (total size, d, d): _kept(*sets) through the chart."""
+        values = self._kept(*sets)
+        return values if self.chart is None else self.chart.from_coords(values)
+
+    def _kept(self, *sets: np.ndarray) -> np.ndarray:
+        """What eval returns on the parameter sets, concatenated in order:
+        chart coordinates (total size, chart.dim) with a chart, else
+        matrices.  The path keeps them at each set for its lifetime,
+        read-only and keyed by the set's content, and is called once, on the
+        concatenated parameters of the sets it has not kept (a lone set keeps
+        its shape).  The path cocycle, its identities, validate_path and the
+        pi_1 table read paths here, at a rule's 3n parameters, the 64
+        spanning-guard samples, t = 1, PATH_SAMPLES and a loop's 33 samples;
+        dataclasses.replace(path) copies none of them."""
         keys = [s.tobytes() for s in sets]
         fresh = [(k, s) for k, s in zip(keys, sets) if k not in self._memo]
         if fresh:
-            values = self(fresh[0][1] if len(fresh) == 1 else np.concatenate([s.ravel() for _, s in fresh]))
-            values = values.reshape((-1,) + values.shape[-2:])
+            params = fresh[0][1] if len(fresh) == 1 else np.concatenate([s.ravel() for _, s in fresh])
+            values = np.asarray(self.eval(params), dtype=float)
+            values = values.reshape((-1,) + ((self.chart.dim,) if self.chart else values.shape[-2:]))
             values.flags.writeable = False
             lo = 0
             for k, s in fresh:

@@ -30,7 +30,6 @@ from .geometry import (
     EquivariantForm,
     Surface2Chain,
     _path_nodes,
-    _path_rule,
     _triangle_integral,
     cancel_boundary_edges,
     path_samples,
@@ -84,12 +83,12 @@ def check_integrability(
     surface_integrals pass, which evaluates each patch once on the stencils
     of both rules.  The verdict is lattice_member's at the inflated
     tolerance, so a tolerance that reaches half the shortest lattice vector
-    gives "indeterminate".  The warnings explain the verdicts: when overall
-    is "indeterminate" because a period sits in the ambiguity band, that
-    comes first; then one note per generator whose estimate or tolerance
-    reaches half the spacing, or whose estimate inflated the tolerance.  An
-    empty generator set (simply connected group with trivial H_2) is
-    integrable for every cocycle.
+    leaves no generator "member".  The warnings explain the verdicts: when
+    overall is "indeterminate" because a period sits in the ambiguity band,
+    that comes first; then one note per generator left "indeterminate" by an
+    estimate or tolerance that reaches half the spacing, or whose estimate
+    inflated the tolerance.  An empty generator set (simply connected group
+    with trivial H_2) is integrable for every cocycle.
     """
     if quad_order < 2:
         raise MalformedInputError(
@@ -110,7 +109,7 @@ def check_integrability(
         gen = {"generator": name, "period": [float(v) for v in value],
                **lattice_member(lattice, value, tol), "error_estimate": err, "tolerance_used": tol}
         generators.append(gen)
-        if tol >= half:
+        if tol >= half and gen["verdict"] == "indeterminate":
             what, size, fix = (("quadrature error estimate", err, "higher quad_order") if err >= half
                                else ("tolerance", tol, "lower tol"))
             notes.append(f"generator {name!r}: {what} {size:.2e} reaches half the shortest lattice "
@@ -160,7 +159,10 @@ def pi1_cocycle_table(
     cocycle value of each ordered pair of loops) and commutators
     (values[i][j] - values[j][i]); with a lattice it adds
     commutators_mod_lattice (the commutators reduced mod Gamma) and
-    commutator_in_lattice (the lattice verdict of each commutator).
+    commutator_in_lattice (the lattice verdict of each commutator).  Last
+    come its warnings: one per "indeterminate" commutator, naming its loops
+    and why, a tolerance that reaches half the shortest lattice vector or
+    the ambiguity band.
 
     Every loop must stay in the group, checked on 33 samples of [0, 1]
     (path_samples), which names the first sample outside, and close at the
@@ -179,15 +181,20 @@ def pi1_cocycle_table(
         base = float(np.max(np.abs(g[0] - group.identity)))
         if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
             raise NotALoopError(f"loop {name!r} does not close at the identity")
-    params = _path_rule(int(quad_order))[0]
-    nodes = [_path_nodes(group, f"loops[{name!r}]", loop.values_at(params)) for name, loop in loops]
+    nodes = [_path_nodes(group, f"loops[{name!r}]", loop, int(quad_order)) for name, loop in loops]
     values = np.array([_triangle_integral(form, p, q) for p in nodes for q in nodes])
     values = values.reshape(len(nodes), len(nodes), form.cochain.coeff_dim)
     commutators = values - np.swapaxes(values, 0, 1)
-    table = {"loops": names, "values": values.tolist(), "commutators": commutators.tolist()}
+    table, notes = {"loops": names, "values": values.tolist(), "commutators": commutators.tolist()}, []
     if lattice is not None:
         reduced = reduce_mod_lattice(lattice, commutators)
         table["commutators_mod_lattice"] = reduced.tolist()
-        table["commutator_in_lattice"] = lattice_verdict(
+        verdicts = table["commutator_in_lattice"] = lattice_verdict(
             lattice, commutators, reduced, tol_lat)["verdict"]
+        why = (f": tolerance {tol_lat:.2e} reaches half the shortest lattice vector ({lattice.half_spacing:.2e}), "
+               "so the lattice test cannot decide; try a lower tol" if tol_lat >= lattice.half_spacing
+               else " sits in the ambiguity band of the lattice test")
+        notes = [f"commutator of loops {a!r} and {b!r}{why}" for a, row in zip(names, verdicts)
+                 for b, verdict in zip(names, row) if verdict == "indeterminate"]
+    table["warnings"] = notes
     return table

@@ -1,0 +1,127 @@
+"""Soundness census: how often `check-integrability` answers confidently wrong
+on documents whose answer is known.
+
+    PYTHONPATH=src python tests/census.py [--seed 20261020] [--count 400]
+
+Each document runs through `lieext.cli.main` in this process.  An answer is
+right when it exits 0 with the known verdict, confidently wrong when it
+exits 0 with the other one, and honest when it exits 4; any other exit is
+counted apart.  The counts are printed per family and quadrature order.
+
+Families:
+* `t2-step`: one square on T^2 whose first coordinate climbs a logistic
+  step, `["t + h/(1 + exp(-(t - c)/w))", "s"]`, with h in {-1, 1, 2}, w =
+  10^U(-3, log10 0.012), c in U(0.3, 0.7), cocycle 0.5 or 0.25 on (0, 1),
+  order 8, 16, 24 or 32 and lattice Z.  The oracle is the cycle's degree,
+  the determinant of its edge translations (1 + h here), computed from the
+  patch's coordinates at the edges: the period is the cocycle times it.
+* `h2-incomplete`: the two documents whose cycles do not span H_2(T^k), on
+  which the answer must be the one over every coordinate 2-torus: T^2
+  whose only cycle is the fundamental square with coefficient 2, and T^3
+  with cocycle values 1 on (0, 1) and 0.5 on (1, 2) whose only cycle is
+  the (0, 1) torus.  Both are not integrable.
+This script is not collected by pytest.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from lieext.cli import main
+
+ORDERS = (8, 16, 24, 32)
+STEP = "t + {h}/(1 + exp(-(t - {c!r})/{w!r}))"
+
+
+def torus_document(k, cocycle, patches, order):
+    return {
+        "task": "check-integrability",
+        "group": {"kind": "torus", "dim": k},
+        "cocycle": {"degree": 2, "components": [{"indices": list(ij), "value": [v]} for ij, v in cocycle]},
+        "lattice": {"generators": [[1.0]]},
+        "cycles": [{"name": "cycle", "patches": patches}],
+        "options": {"quad_order": order},
+    }
+
+
+def step_degree(h, c, w):
+    """The degree of the step square: the determinant of its edge
+    translations, each rounded to the integer it closes up to on the torus.
+    x takes no s and y = s no t, so it is x(1) - x(0) times y(1) - y(0) = 1."""
+    x = lambda t: t + h / (1.0 + np.exp(-(t - c) / w))
+    return round(x(1.0) - x(0.0))
+
+
+def step_family(rng, count):
+    for _ in range(count):
+        h = int(rng.choice([-1, 1, 2]))
+        w = float(10.0 ** rng.uniform(-3.0, np.log10(0.012)))
+        c = float(rng.uniform(0.3, 0.7))
+        value = float(rng.choice([0.5, 0.25]))
+        order = int(rng.choice(ORDERS))
+        period = value * step_degree(h, c, w)
+        patch = {"domain": "square", "coords": [STEP.format(h=h, c=c, w=w), "s"]}
+        yield order, torus_document(2, [((0, 1), value)], [patch], order), period == round(period)
+
+
+def incomplete_family():
+    """Each 2-torus of T^k has the cocycle's value as its period, so the
+    extension needs every value in Z: 0.5 is not."""
+    square = {"domain": "square", "coords": ["t", "s"], "coefficient": 2}
+    yield 16, torus_document(2, [((0, 1), 0.5)], [square], 16), False
+    torus01 = {"domain": "square", "coords": ["t", "s", "0"]}
+    yield 16, torus_document(3, [((0, 1), 1.0), ((1, 2), 0.5)], [torus01], 16), False
+
+
+def run(path, doc):
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(path), "--output", "machine"])
+    overall = json.loads(out.getvalue())["results"]["overall"] if code in (0, 4) else None
+    return code, overall
+
+
+def census(seed, count):
+    """Counter of (family, order, outcome), outcome one of right, wrong,
+    exit 4 and other."""
+    rng = np.random.default_rng(seed)
+    counts = Counter()
+    families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        for family, docs in families:
+            for order, doc, integrable in docs:
+                code, overall = run(path, doc)
+                if code == 0:
+                    right = overall == ("integrable" if integrable else "not_integrable")
+                    outcome = "right" if right else "wrong"
+                else:
+                    outcome = "exit 4" if code == 4 else "other"
+                counts[family, order, outcome] += 1
+    return counts
+
+
+def report(counts) -> str:
+    outcomes = ("right", "wrong", "exit 4", "other")
+    rows = sorted({(family, order) for family, order, _ in counts})
+    lines = [f"{'family':<14} {'order':>5} " + " ".join(f"{o:>7}" for o in outcomes)]
+    for family, order in rows + [("total", "")]:
+        pick = lambda o: sum(n for (f, q, out), n in counts.items()
+                             if out == o and (family == "total" or (f, q) == (family, order)))
+        lines.append(f"{family:<14} {order!s:>5} " + " ".join(f"{pick(o):>7}" for o in outcomes))
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=20261020)
+    parser.add_argument("--count", type=int, default=400, help="t2-step documents")
+    args = parser.parse_args()
+    print(report(census(args.seed, args.count)))

@@ -189,6 +189,15 @@ class TestLattice:
             "verdict"] == ["indeterminate", "indeterminate"]
         assert lx.lattice_member(lat, np.array([0.49]), 0.499)["verdict"] == "member"
 
+    def test_a_tolerance_reaching_half_the_spacing_keeps_not_member(self):
+        # the residual is the distance to the nearest lattice point, so 50 is
+        # far from every point of the lattice at tol 0.6, however wide the ball
+        lat = lx.Lattice([[1, 0], [0, 100]])
+        res = lx.lattice_member(lat, (0, 50), 0.6)
+        assert (res["verdict"], res["residual"]) == ("not_member", 50.0)
+        assert lx.lattice_member(lat, (0, 5), 0.6)["verdict"] == "indeterminate"  # the band
+        assert lx.lattice_member(lat, (0, 0.1), 0.6)["verdict"] == "indeterminate"  # not member
+
     @pytest.mark.parametrize("value", [0.25, 0.3, 0.7, 1.25])
     def test_far_from_integer_is_not_member(self, value):
         lat = lx.Lattice(generators=[[1.0]])

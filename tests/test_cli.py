@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -606,6 +607,21 @@ def test_a_tolerance_at_half_the_spacing_is_indeterminate(fixture, tol, capsys):
         "shortest lattice vector (5.00e-01), so the lattice test cannot decide; try a lower tol"]
 
 
+def test_a_period_far_off_the_lattice_stays_not_member_at_half_the_spacing(tmp_path, capsys):
+    # the period (0.5, 50) lies 50 from the nearest point of the lattice
+    # Z x 100 Z, beyond the band of tol 0.6, though 0.6 exceeds half its spacing
+    raw = _edited("torus_not_integrable.json", _each(
+        _set("module", value={"coeff_dim": 2}), _set("lattice", "generators", value=[[1, 0], [0, 100]]),
+        _set("cocycle", "components", value=[{"indices": [0, 1], "value": [0.5, 50]}])))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert main([str(path), "--tol", "0.6", "--output", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["overall"] == "not_integrable"
+    assert report["results"]["generators"][0]["verdict"] == "not_member"
+    assert report["warnings"] == []
+
+
 def test_a_period_half_a_step_off_a_small_lattice_is_indeterminate(tmp_path, capsys):
     # the period 5e-8 sits half way between 0 and 1e-7; the default tol 1e-6
     # is ten steps wide
@@ -626,6 +642,31 @@ def test_pi1_commutators_at_a_tolerance_of_half_the_spacing_are_indeterminate(ca
     assert report["results"]["commutator_in_lattice"] == [["indeterminate"] * 2] * 2
     report = machine_report([str(FIXTURES / "pi1_torus.json")], capsys)
     assert report["results"]["commutator_in_lattice"] == [["member"] * 2] * 2
+
+
+def test_pi1_exits_4_and_explains_each_indeterminate_commutator(tmp_path, capsys):
+    # at tol 0.6 every commutator, each loop's with itself included
+    assert main([str(FIXTURES / "pi1_torus.json"), "--tol", "0.6", "--output", "machine"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert "warnings" not in report["results"]
+    assert report["warnings"] == [
+        f"commutator of loops {a!r} and {b!r}: tolerance 6.00e-01 reaches half the shortest lattice "
+        "vector (5.00e-01), so the lattice test cannot decide; try a lower tol" for a in "mn" for b in "mn"]
+    # the commutator 1 lies 5e-6 from the lattice 1.000005 Z, in the band at the default tol
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("pi1_torus.json", _set("lattice", "generators", value=[[1.000005]]))))
+    assert main([str(path), "--output", "machine"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["commutator_in_lattice"] == [["member", "indeterminate"], ["indeterminate", "member"]]
+    assert report["warnings"] == [f"commutator of loops {a!r} and {b!r} sits in the ambiguity band of the "
+                                  "lattice test" for a, b in ("mn", "nm")]
+
+
+def test_each_runner_takes_the_options_its_task_lists():
+    # the CLI passes each runner the options its task reads: the document's
+    # value, else the default in TASKS
+    for name, task in lx.documents.TASKS.items():
+        assert list(inspect.signature(task.run).parameters)[1:] == list(task.options), name
 
 
 def test_rho_needs_the_group_action(tmp_path, capsys):

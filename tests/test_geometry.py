@@ -786,6 +786,36 @@ class TestPathCocycleIdentities:
             tol = 1e-6 + float(np.max(np.abs(v16 - v8)))
             assert lx.lattice_member(unit_lattice, v16, tol)["verdict"] == "member"
 
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_torus_coboundary_vanishes(self, torus2, rng, order):
+        # on the torus with a trivial action g^-1 (g1 g2)' is the sum of the
+        # factors' log-derivatives, so the four terms cancel by bilinearity, as
+        # in the exact identity; differencing the products left ~7e-9
+        form = torus_form(torus2)
+        for _ in range(3):
+            paths = [random_torus_path(torus2, rng)[0] for _ in range(3)]
+            assert np.max(np.abs(lx.path_cocycle_coboundary(form, *paths, order))) <= 1e-14
+
+    @pytest.mark.parametrize("group", [lx.su2_group(), lx.heisenberg_group(), lx.sl2_group()],
+                             ids=["su2", "heisenberg", "sl2"])
+    def test_a_product_step_composes_its_factors_steps(self, group, rng):
+        # against the differenced step of the pointwise product: the same
+        # nodes, log-derivatives to the difference floor, Ad((g1 g2)^-1) to rounding
+        n = group.algebra.dim
+
+        def path():
+            x, y = (group.realize(0.7 * rng.normal(size=n)) for _ in range(2))
+            return lx.GroupPath(eval=vectorized(
+                lambda t: group.exp(np.multiply.outer(t, x) + np.multiply.outer(t * t, y))))
+
+        g1, g2 = path(), path()
+        nodes, compose = lx.geometry._path_nodes, lx.geometry._product_nodes
+        got = compose(group, "g1 g2", nodes(group, "g1", g1, 16), nodes(group, "g2", g2, 16))
+        want = nodes(group, "g1 g2", lx.pointwise_product(g1, g2), 16)
+        assert np.array_equal(got[0], want[0])
+        assert np.max(np.abs(got[1] - want[1])) <= 1e-7
+        assert np.max(np.abs(got[2]() - want[2]())) <= 1e-12
+
     def test_representative_independence(self, torus2, unit_lattice, rng):
         form = torus_form(torus2)
         for _ in range(3):
@@ -841,13 +871,18 @@ class TestPathCocycleIdentities:
         gamma = lambda a, b: lx.path_cocycle(form, a, b, order)
         params = np.concatenate([lx.geometry._path_rule(order)[0].ravel(), lx.geometry._GUARD])
         span = lambda a, b: lx.geometry._spanning_integral(form, a(params), b(params), order, ("a", "b"))
+        # the coboundary's products compose their factors' steps on fresh copies
+        nodes = lambda name, p: lx.geometry._path_nodes(torus2, name, replace(p), order)
+        compose = partial(lx.geometry._product_nodes, torus2)
+        pair = partial(lx.geometry._triangle_integral, form)
         for _ in range(3):
             g1, g1p, g2, g2p, g3 = self.family(torus2, rng)
+            a, b, c = nodes("g1", g1), nodes("g2", g2), nodes("g3", g3)
             want = (
-                form.module.act(g1(1.0), gamma(g2, g3))
-                - gamma(prod(g1, g2), g3)
-                + gamma(g1, prod(g2, g3))
-                - gamma(g1, g2)
+                form.module.act(g1(1.0), pair(b, c))
+                - pair(compose("g1 g2", a, b), c)
+                + pair(a, compose("g2 g3", b, c))
+                - pair(a, b)
             )
             assert np.array_equal(lx.path_cocycle_coboundary(form, g1, g2, g3, order), want)
 
