@@ -221,25 +221,29 @@ def _passes(rules: Tuple[Tuple[int, float], ...], domain: str) -> tuple:
 
 
 def _tangent_step(group: MatrixGroup, chart: Optional[CoordinateChart], rows: np.ndarray, den) -> tuple:
-    """The group elements at a node row, and their tangent source: rows is
-    the node row and its +h and -h rows per direction, of chart coordinates,
-    else of matrices; den is 2 h.  The source's leading axis runs over the
-    directions: chart.tangent on the coordinate differences, else g^-1 du."""
+    """The node row and its tangent source: rows is the node row and its +h
+    and -h rows per direction, of chart coordinates, else of matrices; den
+    is 2 h.  The source's leading axis runs over the directions:
+    chart.tangent on the coordinates and their differences, else g^-1 du."""
     x, du = rows[0], (rows[1::2] - rows[2::2]) / den
-    g = x if chart is None else chart.from_coords(x)
-    return g, partial(group.tangent_coefficients, g, du) if chart is None else partial(chart.tangent, g, x, du)
+    return x, partial(group.tangent_coefficients if chart is None else chart.tangent, x, du)
 
 
-def _node_values(group: MatrixGroup, name: str, g: Optional[np.ndarray], params: tuple, tangents: Callable,
-                 form: Optional[EquivariantForm] = None, elements: Optional[Callable] = None, off=False):
-    """The node step of every integral here.  It checks the nodes g (..., d,
-    d) at params (t, or t and s, broadcasting to g's leading axes), naming
-    the first outside `{name} leaves the group at ...`, one on the domain
-    first, and as an input error if it is off (a simplex patch's s > t); g
-    None had its nodes checked before (a triangle, through its paths).  It
-    takes the route's tangents() under name and, given a form, the cochain on
-    them, acted on by elements(), the nodes' group elements, for an action."""
-    if g is not None:
+def _node_values(group: MatrixGroup, chart: Optional[CoordinateChart], name: str, nodes: Optional[np.ndarray],
+                 params: tuple, tangents: Callable, form: Optional[EquivariantForm] = None,
+                 elements: Optional[Callable] = None, off=False):
+    """The node step of every integral here.  It checks the nodes at params
+    (t, or t and s, broadcasting to the nodes' leading axes), naming the
+    first outside `{name} leaves the group at ...`, one on the domain first,
+    and as an input error if it is off (a simplex patch's s > t): matrices
+    (..., d, d) by the membership test, chart coordinates (..., k) by their
+    finiteness, mapping them through the chart for the membership test only
+    when one is not; nodes None had their nodes checked before (a triangle,
+    through its paths).  It takes the route's tangents() under name and,
+    given a form, the cochain on them, acted on by elements(), the nodes'
+    group elements, for an action."""
+    if nodes is not None and (chart is None or not np.all(np.isfinite(nodes))):
+        g = nodes if chart is None else chart.from_coords(nodes)
         try:
             group.check_membership(g)
         except MembershipError:
@@ -285,14 +289,15 @@ def surface_integrals(
         for ts, ss, den, weight, segments in _passes(rules, patch.domain):
             try:
                 rows = np.asarray(patch.eval(ts.ravel(), ss.ravel()), dtype=float)
-                g, tangents = _tangent_step(group, patch.chart, rows.reshape((5, -1) + rows.shape[1:]),
+                x, tangents = _tangent_step(group, patch.chart, rows.reshape((5, -1) + rows.shape[1:]),
                                             den.reshape((-1,) + (1,) * (rows.ndim - 1)))
             except LieExtError as exc:
                 if patch.domain != "simplex":
                     raise
                 raise MalformedInputError(_OFF_TRIANGLE + str(exc)) from None
-            vals = weight[:, None] * _node_values(group, f"patches[{p}]", g, (ts[0], ss[0]), tangents, form,
-                                                  lambda: g, (ss[0] > ts[0]) & (patch.domain == "simplex"))
+            elements = (lambda: x) if patch.chart is None else partial(patch.chart.from_coords, x)
+            vals = weight[:, None] * _node_values(group, patch.chart, f"patches[{p}]", x, (ts[0], ss[0]), tangents,
+                                                  form, elements, (ss[0] > ts[0]) & (patch.domain == "simplex"))
             for r, lo, hi in segments:
                 totals[r] = totals[r] + patch.coefficient * np.sum(vals[lo:hi], axis=0)
     return totals
@@ -333,9 +338,8 @@ def path_samples(group: MatrixGroup, name: str, path: GroupPath, samples: np.nda
     """The path's values at the samples (GroupPath.values_at), checked by
     the node step, which names the first sample outside the group as
     `{name} leaves the group at t = ...`."""
-    g = path.values_at(samples)
-    _node_values(group, name, g, (samples,), lambda: None)
-    return g
+    _node_values(group, path.chart, name, path._kept(samples), (samples,), lambda: None)
+    return path.values_at(samples)
 
 
 def _path_nodes(group: MatrixGroup, name: str, path: GroupPath, order: int) -> tuple:
@@ -345,9 +349,11 @@ def _path_nodes(group: MatrixGroup, name: str, path: GroupPath, order: int) -> t
     ad()[j, k], the coefficients of Ad(g(u_j)^-1) e_k, which only a second
     path needs; and the name that errors give the path."""
     rows = path._kept(_path_rule(order)[0])
-    g, tangents = _tangent_step(group, path.chart, rows.reshape((3, order) + rows.shape[1:]), 2.0 * DEFAULT_FD_STEP)
+    x, tangents = _tangent_step(group, path.chart, rows.reshape((3, order) + rows.shape[1:]), 2.0 * DEFAULT_FD_STEP)
     # C order: the pair step's einsum sums in an order that follows the layout
-    xi = _node_values(group, name, g, (_path_rule(order)[0][0],), lambda: np.ascontiguousarray(tangents()[0]))
+    xi = _node_values(group, path.chart, name, x, (_path_rule(order)[0][0],),
+                      lambda: np.ascontiguousarray(tangents()[0]))
+    g = x if path.chart is None else path.chart.from_coords(x)
     ad = cache(lambda: group.decompose(group.inverse(g)[:, None] @ group.basis @ g[:, None]))
     return g, xi, ad, name
 
@@ -358,7 +364,7 @@ def _product_nodes(group: MatrixGroup, name: str, first: tuple, second: tuple) -
     Ad((g1 g2)^-1) = Ad(g2^-1) Ad(g1^-1), which is ad1() @ ad2()."""
     (a, xi1, ad1, _), (b, xi2, ad2, _) = first, second
     g = a @ b
-    xi = _node_values(group, name, g, (_path_rule(len(g))[0][0],),
+    xi = _node_values(group, None, name, g, (_path_rule(len(g))[0][0],),
                       lambda: np.einsum("jk,jkl->jl", xi1, ad2()) + xi2)
     return g, xi, cache(lambda: ad1() @ ad2()), name
 
@@ -371,7 +377,7 @@ def _triangle_integral(form: EquivariantForm, first: tuple, second: tuple) -> np
     (a, xi1, _, _), (b, xi2, ad, name) = first, second
     n, rows = len(a), max(1, _PASS_NODES // len(a))
     vals = np.concatenate([_node_values(  # (n, n, m)
-        form.group, name, None, (), lambda: (np.einsum("ik,jkl->ijl", xi1[lo : lo + rows], ad()), xi2),
+        form.group, None, name, None, (), lambda: (np.einsum("ik,jkl->ijl", xi1[lo : lo + rows], ad()), xi2),
         form, lambda: a[lo : lo + rows, None] @ b) for lo in range(0, n, rows)])
     return np.einsum("ij,ijk->k", _path_rule(n)[1], vals)
 
@@ -566,7 +572,7 @@ def _spanning_integral(
         h = a[:, lo : lo + rows, None] @ group.exp(sigma[:, None, None] * ell[:, lo : lo + rows, None])
         g, dt = _tangent_step(group, None, h, 2.0 * DEFAULT_FD_STEP)
         tangents = lambda: (*dt(), dsigma[:, None] * group.decompose(ell[0, lo : lo + rows, None]))
-        vals = _node_values(group, name, g, (u[lo : lo + rows, None], u), tangents, form, lambda: g)
+        vals = _node_values(group, None, name, g, (u[lo : lo + rows, None], u), tangents, form, lambda: g)
         total = total + np.einsum("ij,ijk->k", weights[lo : lo + rows], vals)
     return total
 

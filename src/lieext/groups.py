@@ -50,9 +50,12 @@ TANGENT_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CoordinateChart:
-    """Global-ish coordinates x -> phi(x) for a group.  tangent(g, x, dx), on
-    stacks, gives the algebra coefficients of g^-1 dphi_x(dx) at g = phi(x),
-    or raises TangentDecompositionError where they cannot be taken."""
+    """Global-ish coordinates x -> phi(x) for a group.  phi maps every finite
+    coordinate vector into the group (within MEMBERSHIP_TOL), so a chart
+    route screens its nodes by finiteness alone and maps only a node that is
+    not finite, whose matrix the membership test then names.  tangent(x,
+    dx), on stacks, gives the algebra coefficients of phi(x)^-1 dphi_x(dx),
+    or raises TangentDecompositionError where one is not finite."""
 
     dim: int
     to_coords: Callable
@@ -175,10 +178,10 @@ class MatrixGroup:
         if self.membership is None:
             return np.empty(0, dtype=int), np.empty(0)
         g = np.asarray(g, dtype=float)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):  # a sum of large entries may overflow
             res = np.asarray(self.membership(g), dtype=float)
-        if np.all(res <= MEMBERSHIP_TOL) and not np.isnan(np.sum(g)):
-            return np.empty(0, dtype=int), np.empty(0)
+            if np.all(res <= MEMBERSHIP_TOL) and not np.isnan(np.sum(g)):
+                return np.empty(0, dtype=int), np.empty(0)
         at = np.flatnonzero(~(res <= MEMBERSHIP_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))))
         return at, res.ravel()[at]
 
@@ -381,7 +384,9 @@ def torus_group(k: int) -> MatrixGroup:
 
     @vectorized
     def from_coords(x):
-        return rotations(2.0 * np.pi * np.atleast_1d(np.asarray(x, dtype=float)))
+        # |x| >= 2^52 is a whole number of turns, which fmod takes off, so
+        # 2 pi x stays finite; smaller x are kept bit for bit
+        return rotations(2.0 * np.pi * np.fmod(np.atleast_1d(np.asarray(x, dtype=float)), 2.0**52))
 
     @vectorized
     def exp_map(mat):
@@ -408,7 +413,7 @@ def torus_group(k: int) -> MatrixGroup:
         )
         return np.max(np.abs(res), axis=-1, initial=0.0)
 
-    def tangent(g, x, dx):
+    def tangent(x, dx):
         """dx itself: coordinates in winding units and the basis 2 pi J."""
         if not np.all(np.isfinite(dx)):
             raise TangentDecompositionError("coordinate velocity is not finite")
@@ -474,30 +479,27 @@ def _unipotent_group(algebra: LieAlgebra, rows, cols, name: str) -> MatrixGroup:
         g = np.asarray(g, dtype=float)
         return np.max(np.abs(g - from_coords(to_coords(g))), axis=(-2, -1))
 
-    def tangent(g, x, dx):
-        """The coefficients of g^-1 E(dx), E(dx) holding dx at the chart's
-        entries and zeros elsewhere.  The basis being unit matrices, whose
-        pseudoinverse is their transpose, decompose's coefficients are the
-        entries of g^-1 E(dx) at the chart's entries, read here, and its
-        residual is the norm of the entries off the chart.  decompose itself
-        runs, and refuses, only where that residual exceeds
-        TANGENT_RESIDUAL_TOL or a coefficient is not finite."""
-        dx = np.asarray(dx, dtype=float)
-        e = np.zeros(dx.shape[:-1] + (d, d))
-        e[..., rows, cols] = dx
-        with np.errstate(invalid="ignore"):  # decompose refuses a non-finite dx, with no warning
-            m = group.inverse(g) @ e
-            coeffs = m[..., rows, cols]
-            m[..., rows, cols] = 0.0
-            residual = np.linalg.norm(m.reshape(m.shape[:-2] + (d * d,)), axis=-1)
-            if np.all(residual <= TANGENT_RESIDUAL_TOL) and np.all(np.isfinite(coeffs)):
-                return coeffs
-            return group.tangent_coefficients(g, e)
+    # the (k, k, k) table of (E_j E_l)[rows[i], cols[i]] holds 0 or 1; its ones
+    # (j, l, i): on the Heisenberg group one, x dy in z, and none on R^k
+    j, l, i = np.nonzero((basis[:, None] @ basis)[..., rows, cols])
+    gather = np.eye(len(rows))[i]
+
+    def tangent(x, dx):
+        """The coefficients of g^-1 E(dx) at g = I + N(x), E(dx) and N(x)
+        holding dx and x at the chart's entries: a product of three matrices
+        of the span vanishes, so g^-1 E(dx) = (I - N + N^2) E(dx) = E(dx) -
+        N(x) E(dx), whose entry i is dx_i less the x_j dx_l of the table.  A
+        coefficient that is not finite, from dx or an x_j dx_l that
+        overflows, is refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = dx - (x[..., j] * dx[..., l]) @ gather
+        if not np.all(np.isfinite(coeffs)):
+            raise TangentDecompositionError("chart tangent is not finite")
+        return coeffs
 
     chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords, tangent=tangent)
-    group = MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,
-                        membership=membership, chart=chart, name=name)
-    return group
+    return MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,
+                       membership=membership, chart=chart, name=name)
 
 
 @lru_cache(maxsize=32)

@@ -20,6 +20,15 @@ Families:
   whose only cycle is the fundamental square with coefficient 2, and T^3
   with cocycle values 1 on (0, 1) and 0.5 on (1, 2) whose only cycle is
   the (0, 1) torus.  Both are not integrable.
+* `heis-narrow`: the six faces of a block (u, v, r) in [0,1]^3 ->
+  Heisenberg(3) whose x coordinate climbs the same kind of logistic step,
+  in p = u + 0.2 v r: `p + h/(1 + exp(-(p - c)/w))` with h, w and c drawn
+  as above, y = v + a u r and z = r + b u v (a, b in U(-0.5, 0.5)),
+  cocycle values in {0.25, 0.5, 1} on (0, 1), (0, 2) and (1, 2), order 8,
+  16, 24 or 32 and lattice Z.  A block's boundary bounds, so the period is
+  0 and the answer integrable.  They are drawn after the t2-step
+  documents, from the same generator, so those draws are the ones made
+  without this family.
 This script is not collected by pytest.
 """
 
@@ -36,7 +45,7 @@ import numpy as np
 from lieext.cli import main
 
 ORDERS = (8, 16, 24, 32)
-STEP = "t + {h}/(1 + exp(-(t - {c!r})/{w!r}))"
+STEP = "{u} + {h}/(1 + exp(-({u} - {c!r})/{w!r}))"
 
 
 def torus_document(k, cocycle, patches, order):
@@ -66,7 +75,7 @@ def step_family(rng, count):
         value = float(rng.choice([0.5, 0.25]))
         order = int(rng.choice(ORDERS))
         period = value * step_degree(h, c, w)
-        patch = {"domain": "square", "coords": [STEP.format(h=h, c=c, w=w), "s"]}
+        patch = {"domain": "square", "coords": [STEP.format(u="t", h=h, c=c, w=w), "s"]}
         yield order, torus_document(2, [((0, 1), value)], [patch], order), period == round(period)
 
 
@@ -77,6 +86,37 @@ def incomplete_family():
     yield 16, torus_document(2, [((0, 1), 0.5)], [square], 16), False
     torus01 = {"domain": "square", "coords": ["t", "s", "0"]}
     yield 16, torus_document(3, [((0, 1), 1.0), ((1, 2), 0.5)], [torus01], 16), False
+
+
+def heis_narrow_family(rng, count):
+    for _ in range(count):
+        h = int(rng.choice([-1, 1, 2]))
+        w = float(10.0 ** rng.uniform(-3.0, np.log10(0.012)))
+        c = float(rng.uniform(0.3, 0.7))
+        a, b = (float(v) for v in rng.uniform(-0.5, 0.5, size=2))
+        values = [float(v) for v in rng.choice([0.25, 0.5, 1.0], size=3)]
+        order = int(rng.choice(ORDERS))
+
+        def block(u, v, r):
+            return [STEP.format(u=f"({u}) + 0.2*({v})*({r})", h=h, c=c, w=w),
+                    f"({v}) + {a!r}*({u})*({r})", f"({r}) + {b!r}*({u})*({v})"]
+
+        patches = []
+        for axis in range(3):  # the faces as cube_boundary_chain orients them
+            sign = -1 if axis % 2 == 0 else 1
+            for value, coefficient in (("0", sign), ("1", -sign)):
+                args = ["t", "s"]
+                args.insert(axis, value)
+                patches.append({"domain": "square", "coefficient": coefficient, "coords": block(*args)})
+        yield order, {
+            "task": "check-integrability",
+            "group": {"kind": "heisenberg"},
+            "cocycle": {"degree": 2, "components": [{"indices": list(ij), "value": [v]}
+                                                    for ij, v in zip(((0, 1), (0, 2), (1, 2)), values)]},
+            "lattice": {"generators": [[1.0]]},
+            "cycles": [{"name": "block-boundary", "patches": patches}],
+            "options": {"quad_order": order},
+        }, True
 
 
 def run(path, doc):
@@ -93,7 +133,8 @@ def census(seed, count):
     exit 4 and other."""
     rng = np.random.default_rng(seed)
     counts = Counter()
-    families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()))
+    families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()),
+                ("heis-narrow", heis_narrow_family(rng, count)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         for family, docs in families:
@@ -122,6 +163,6 @@ def report(counts) -> str:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=20261020)
-    parser.add_argument("--count", type=int, default=400, help="t2-step documents")
+    parser.add_argument("--count", type=int, default=400, help="t2-step and heis-narrow documents each")
     args = parser.parse_args()
     print(report(census(args.seed, args.count)))

@@ -183,7 +183,7 @@ def outside_formula(group, g):
 class TestScreenedGuards:
     """Membership and decomposition test residual <= tol first and take
     their scale only where that fails; the chart tangent of R^k and the
-    Heisenberg group reads decompose's coefficients at the chart's entries."""
+    Heisenberg group is a closed form in the coordinates."""
 
     @pytest.mark.parametrize("factory, spread", [
         (lambda: lx.torus_group(2), 1.0), (lx.su2_group, 1.0), (lx.sl2_group, 2.0),
@@ -240,63 +240,88 @@ class TestScreenedGuards:
 
     @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
                              ids=["heisenberg", "R3"])
-    def test_chart_tangent_is_the_decomposition_bit_for_bit(self, factory, rng):
+    def test_chart_tangent_agrees_with_the_decomposition(self, factory, rng):
+        # the closed form E(dx) - N(x) E(dx) against g^-1 E(dx) as matrices,
+        # whose product may fuse a multiply-add: a few ulps of x dx apart
         group = factory()
         chart, eye = group.chart, np.eye(group.embed_dim)
-        for lead in [(), (7,), (2, 9), (2, 300)]:
-            g = chart.from_coords(rng.normal(scale=3.0, size=lead[-1:] + (group.algebra.dim,)))
+        for lead in [(), (7,), (2, 300)]:
+            x = rng.normal(scale=3.0, size=lead[-1:] + (group.algebra.dim,))
             dx = rng.normal(size=lead + (group.algebra.dim,))
             dx[rng.random(dx.shape) < 0.3] = 0.0
-            dx[rng.random(dx.shape) < 0.3] = -0.0
-            got = chart.tangent(g, None, dx)
-            want = group.tangent_coefficients(g, chart.from_coords(dx) - eye)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_chart_tangent_calls_decompose_only_where_its_residual_fails(self, monkeypatch, rng):
-        heis, calls = lx.heisenberg_group(), []
-        decompose = lx.MatrixGroup.decompose
-        monkeypatch.setattr(lx.MatrixGroup, "decompose", lambda *args: calls.append(1) or decompose(*args))
-        g = heis.chart.from_coords(rng.normal(size=(5, 3)))
-        heis.chart.tangent(g, None, rng.normal(size=(2, 5, 3)))
-        assert calls == []
-        g[2, 1, 0] = 1e-8  # off the group: a residual ~1e-5 above 1e-6, within 1e-6 |mat|
-        dx = 1e3 * rng.normal(size=(2, 5, 3))
-        want = heis.tangent_coefficients(g, heis.chart.from_coords(dx) - np.eye(3))
-        calls.clear()
-        assert np.array_equal(heis.chart.tangent(g, None, dx), want) and calls == [1]
-
-    @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
-                             ids=["heisenberg", "R3"])
-    def test_chart_tangent_off_the_group_is_refused_as_decompose_refuses(self, factory):
-        group = factory()
-        g = group.chart.from_coords(np.array([[0.3, -0.2, 0.5], [0.1, 0.2, 0.3]]))
-        g[1, -1, 0] = 1e-4  # below the diagonal: g^-1 E(dx) leaves the span by ~1e-5
-        dx = np.array([[1.0, 0.5, 0.0], [0.2, 0.1, 0.3]])
-        messages = []
-        for tangent in (group.chart.tangent, lambda g, x, dx: group.tangent_coefficients(
-                g, group.chart.from_coords(dx) - np.eye(group.embed_dim))):
-            with pytest.raises(TangentDecompositionError, match="away from the algebra span") as info:
-                tangent(g, None, dx)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+            got = chart.tangent(x, dx)
+            want = group.tangent_coefficients(chart.from_coords(x), chart.from_coords(dx) - eye)
+            scale = np.max(np.abs(dx), axis=-1, keepdims=True) * (1.0 + np.max(np.abs(x), axis=-1, keepdims=True))
+            assert got.shape == want.shape and np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
     @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
                              ids=["heisenberg", "R3"])
     def test_chart_tangent_refuses_an_infinite_velocity(self, factory):
         group = factory()
-        g = group.chart.from_coords(np.array([[0.3, -0.2, 0.5], [0.1, 0.2, 0.3]]))
-        dx = np.array([[1.0, 0.5, 0.0], [0.0, np.inf, 1.0]])
-        with pytest.raises(TangentDecompositionError, match="away from the algebra span"):
-            group.chart.tangent(g, None, dx)
+        x = np.array([[0.3, -0.2, 0.5], [0.1, 0.2, 0.3]])
+        for bad in (np.inf, -np.inf, np.nan):
+            dx = np.array([[1.0, 0.5, 0.0], [0.0, bad, 1.0]])
+            with pytest.raises(TangentDecompositionError, match="^chart tangent is not finite$"):
+                group.chart.tangent(x, dx)
+
+    def test_chart_tangent_refuses_an_overflowing_product(self):
+        # the Heisenberg z coefficient is dz - x dy; R^3 has no product to overflow
+        x, dx = np.array([1e300, 0.0, 0.0]), np.array([0.0, 1e10, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TangentDecompositionError, match="^chart tangent is not finite$"):
+                lx.heisenberg_group().chart.tangent(x, dx)
+            assert lx.translation_group(3).chart.tangent(x, dx).tolist() == dx.tolist()
+            assert lx.heisenberg_group().chart.tangent(x, 1e-10 * dx).tolist() == [0.0, 1.0, -1e300]
 
     def test_refusals_of_an_infinite_entry_warn_nothing(self):
         heisenberg, su2 = lx.heisenberg_group(), lx.su2_group()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TangentDecompositionError, match="nan away from the algebra span"):
-                heisenberg.chart.tangent(heisenberg.identity, None, np.array([[1.0, np.inf, 0.0]]))
+            with pytest.raises(TangentDecompositionError, match="chart tangent is not finite"):
+                heisenberg.chart.tangent(np.zeros((1, 3)), np.array([[1.0, np.inf, 0.0]]))
             with pytest.raises(TangentDecompositionError, match="nan away from the algebra span"):
                 su2.decompose(np.full((4, 4), np.inf))
+
+
+CHART_GROUPS = {**{f"T{k}": partial(lx.torus_group, k) for k in (1, 2, 3)},
+                **{f"R{k}": partial(lx.translation_group, k) for k in (1, 2, 3)}, "heisenberg": lx.heisenberg_group}
+
+
+class TestChartScreen:
+    """A chart route checks its nodes by the finiteness of their coordinates:
+    each built-in chart maps every finite coordinate vector into its group,
+    and the membership test names every node that is not finite."""
+
+    @pytest.mark.parametrize("name", CHART_GROUPS)
+    def test_every_finite_coordinate_is_in_the_group(self, name, rng):
+        group = CHART_GROUPS[name]()
+        k = group.chart.dim
+        x = rng.choice([-1.0, 1.0], size=(400, k)) * 10.0 ** rng.uniform(-300.0, 300.0, size=(400, k))
+        x[:20] = rng.choice([-0.0, 0.0, 1e-300, -1e300, 1e300, -np.finfo(float).max, 2.0**52 + 1.0], size=(20, k))
+        assert group.outside(group.chart.from_coords(x))[0].size == 0
+        bad = rng.choice(400, size=30, replace=False)
+        x[bad, rng.integers(0, k, size=30)] = rng.choice([np.nan, np.inf, -np.inf], size=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # cos(inf) warns on the torus
+            at, res = group.outside(group.chart.from_coords(x))
+        assert at.tolist() == sorted(bad.tolist()) and np.all(np.isnan(res))
+
+    def test_a_nan_patch_node_is_named_as_by_the_matrix_test(self, torus2):
+        t0 = 0.5 * (np.polynomial.legendre.leggauss(6)[0][2] + 1.0)
+        patch = lx.SurfacePatch(chart=torus2.chart, eval=vectorized(
+            lambda t, s: np.stack([np.where((t == t0) & (s == t0), np.nan, t), s], -1)))
+        with pytest.raises(MembershipError) as info:
+            lx.surface_integral(torus_form(torus2), lx.Surface2Chain(patches=(patch,)), 6)
+        assert str(info.value) == (f"patches[0] leaves the group at (t, s) = ({t0:.6g}, {t0:.6g}): "
+                                   "matrix is not in T^2 (residual nan)")
+
+    def test_a_nan_path_node_is_named_as_by_the_matrix_test(self, torus2):
+        t0 = 0.5 * (np.polynomial.legendre.leggauss(6)[0][2] + 1.0)
+        path = lx.coordinate_path(torus2, vectorized(lambda t: np.stack([np.where(t == t0, np.nan, t), 0.5 * t], -1)))
+        with pytest.raises(MembershipError) as info:
+            lx.path_cocycle(torus_form(torus2), path, lx.coordinate_path(torus2, lambda t: np.array([0.0, t])), 6)
+        assert str(info.value) == f"g1 leaves the group at t = {t0:.6g}: matrix is not in T^2 (residual nan)"
 
 
 class TestSL2ClosedForm:
@@ -1689,7 +1714,7 @@ class TestRulesInOnePass:
 
 class TestChartPatches:
     """A patch with a chart is differenced in its coordinates, and only its
-    nodes are mapped to the group."""
+    nodes, and only for a group action, are mapped to the group."""
 
     RULES = [(8, 1e-5), (5, 2e-5)]
 
@@ -1700,16 +1725,25 @@ class TestChartPatches:
         return (lx.SurfacePatch(eval=coords, chart=chart, domain=domain),
                 lx.SurfacePatch(eval=vectorized(lambda t, s: chart.from_coords(coords(t, s))), domain=domain))
 
-    @pytest.mark.parametrize("factory", [lx.heisenberg_group, lambda: lx.translation_group(3)],
-                             ids=["heisenberg", "R3"])
-    @pytest.mark.parametrize("domain", ["square", "simplex"])
-    def test_affine_charts_give_the_matrix_route_bit_for_bit(self, factory, domain, rng):
-        group = factory()
+    @staticmethod
+    def affine_rows(group, domain, rng):
         coords = lambda t, s: np.stack(np.broadcast_arrays(t + 0.3 * s * s, s - 0.2 * t * t, t * s), axis=-1)
         form = random_form(group, rng, coeff_dim=2)
-        rows = [lx.geometry.surface_integrals(form, lx.Surface2Chain(patches=(patch,)), self.RULES)
-                for patch in self.routes(group.chart, coords, domain)]
-        assert np.array_equal(*rows)
+        return [lx.geometry.surface_integrals(form, lx.Surface2Chain(patches=(patch,)), TestChartPatches.RULES)
+                for patch in TestChartPatches.routes(group.chart, coords, domain)]
+
+    @pytest.mark.parametrize("factory", [lambda: lx.translation_group(3)], ids=["R3"])
+    @pytest.mark.parametrize("domain", ["square", "simplex"])
+    def test_affine_charts_give_the_matrix_route_bit_for_bit(self, factory, domain, rng):
+        assert np.array_equal(*self.affine_rows(factory(), domain, rng))
+
+    @pytest.mark.parametrize("domain", ["square", "simplex"])
+    def test_heisenberg_chart_agrees_with_the_matrix_route(self, domain, rng):
+        # its tangent's z coefficient dz - x dy rounds x dy, which the matrix
+        # route's product may fuse into the subtraction
+        for _ in range(5):
+            chart, matrix = self.affine_rows(lx.heisenberg_group(), domain, rng)
+            assert np.max(np.abs(chart - matrix)) <= 1e-15 * max(1.0, np.max(np.abs(matrix)))
 
     def test_torus_chart_agrees_with_the_matrix_route(self, torus2, rng):
         coords = lambda t, s: np.stack([t + 0.1 * np.sin(2 * np.pi * s), s + 0.05 * np.sin(2 * np.pi * t)], -1)
@@ -1747,10 +1781,12 @@ class TestChartPatches:
 
         chart = replace(torus2.chart, from_coords=from_coords)
         patch = lx.SurfacePatch(chart=chart, eval=vectorized(lambda t, s: np.stack([t, s], -1)))
-        form = torus_form(torus2)
-        n = 16
-        lx.geometry.surface_integrals(form, lx.Surface2Chain(patches=(patch,)), [(n, 1e-5), (n // 2, 2e-5)])
-        assert sum(seen) == n * n + (n // 2) ** 2
+        chain, rules, n = lx.Surface2Chain(patches=(patch,)), [(16, 1e-5), (8, 2e-5)], 16
+        lx.geometry.surface_integrals(torus_form(torus2), chain, rules)
+        assert seen == []  # finite coordinates need no matrix
+        acting = lx.ModuleAction(rho=np.zeros((2, 1, 1)), group_action=lambda g, v: v)
+        lx.geometry.surface_integrals(lx.EquivariantForm(area_cochain(), torus2, acting), chain, rules)
+        assert sum(seen) == n * n + (n // 2) ** 2  # the nodes, for the action
 
 
 class TestFormModule:
