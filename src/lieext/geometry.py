@@ -16,9 +16,10 @@ the chart and matrices as matrices, on:
   product triangle sigma(t, s) = g1(t) g2(s), the path-pair cocycle's
   surface, and a product of paths composes its factors' log-derivatives;
 * d_t H on the surface H(t, s) = g1(t) exp(sigma(s) L(t)), L(t) =
-  log(g1(t)^-1 g2(t)), spanning two paths with the same endpoint
-  (spanning_chain, the same surface evaluated point by point, is the
-  reference); the cocycle identities read the paths through GroupPath.
+  log(g1(t)^-1 g2(t)), spanning two paths with the same endpoint, in
+  coordinates on an additive chart (spanning_chain, the same surface
+  evaluated point by point, is the reference of the matrices); the
+  cocycle identities read the paths through GroupPath.
 
 Besides: boundaries of 3-patches (Stokes checks), the edge bookkeeping of the
 cycle-closure test, the finite-difference derivation of an algebra 2-cochain
@@ -554,26 +555,38 @@ def _spanning_integral(
 ) -> np.ndarray:
     """surface_integral(form, spanning_chain(group, g1, g2), order) from the
     values a, b of g1, g2 at _path_rule(n)'s 3n parameters, then _GUARD, on
-    which spanning_chain's checks run.  H(t, s) = g1(t) exp(sigma(s) L(t)) is
-    formed at the n^2 nodes and their t +- h neighbours, as on the chain's
-    stencil; H^-1 d_s H = sigma'(s) L(t) needs no s +- h, so this takes 3n^2
-    exponentials where the chain takes 5n^2.  The node step checks H and
-    decomposes both tangents, naming the surface by its paths."""
+    which spanning_chain's checks run: matrices, or coordinates (..., k) in
+    the group's chart if it is additive.  H(t, s) = g1(t) exp(sigma(s) L(t))
+    is formed at the n^2 nodes and their t +- h neighbours, as on the chain's
+    stencil; H^-1 d_s H = sigma'(s) L(t) needs no s +- h.  In coordinates H is
+    x_a + sigma(s) l(t), l = to_coords(from_coords(x_b - x_a)) the
+    coefficients of L, and a matrix only for a group action; else it takes
+    3n^2 exponentials where the chain takes 5n^2.  The node step checks H and
+    takes both tangents, naming the surface by its paths."""
     group, n = form.group, order
+    chart = group.chart if a.ndim == 2 else None
     params, _, weights = _path_rule(n)
-    _spanning_guard(group, a[3 * n :], b[3 * n :])
+    _spanning_guard(group, *(v[3 * n :] if chart is None else chart.from_coords(v[3 * n :]) for v in (a, b)))
     a, b = (v[: 3 * n].reshape((3, n) + v.shape[1:]) for v in (a, b))
-    ell = group.log(group.inverse(a) @ b)  # L at u, u + h, u - h
     u, (sigma, up, down) = params[0], smooth_step(params)
     dsigma = (up - down) / (2.0 * DEFAULT_FD_STEP)  # sigma'(s), as the chain's s-difference takes it
+    if chart is None:  # L at u, u + h, u - h, as matrices
+        ell = group.log(group.inverse(a) @ b)
+        surface = lambda part: a[:, part, None] @ group.exp(sigma[:, None, None] * ell[:, part, None])
+        along_s = lambda part: group.decompose(ell[0, part, None])
+    else:
+        ell = chart.to_coords(chart.from_coords(b - a))
+        surface = lambda part: a[:, part, None] + sigma[:, None] * ell[:, part, None]
+        along_s = lambda part: ell[0, part, None]
     name = f"the surface spanning {names[0]} and {names[1]}"
     total, rows = np.zeros(form.cochain.coeff_dim), max(1, _PASS_NODES // n)
-    for lo in range(0, n, rows):  # (3, rows, n, d, d): H at t, t + h, t - h on rows of t
-        h = a[:, lo : lo + rows, None] @ group.exp(sigma[:, None, None] * ell[:, lo : lo + rows, None])
-        g, dt = _tangent_step(group, None, h, 2.0 * DEFAULT_FD_STEP)
-        tangents = lambda: (*dt(), dsigma[:, None] * group.decompose(ell[0, lo : lo + rows, None]))
-        vals = _node_values(group, None, name, g, (u[lo : lo + rows, None], u), tangents, form, lambda: g)
-        total = total + np.einsum("ij,ijk->k", weights[lo : lo + rows], vals)
+    for lo in range(0, n, rows):  # (3, rows, n, ...): H at t, t + h, t - h on rows of t
+        part = slice(lo, lo + rows)
+        g, dt = _tangent_step(group, chart, surface(part), 2.0 * DEFAULT_FD_STEP)
+        tangents = lambda: (*dt(), dsigma[:, None] * along_s(part))
+        elements = (lambda: g) if chart is None else partial(chart.from_coords, g)
+        vals = _node_values(group, chart, name, g, (u[part, None], u), tangents, form, elements)
+        total = total + np.einsum("ij,ijk->k", weights[part], vals)
     return total
 
 
@@ -617,19 +630,25 @@ def representative_independence_residuals(
     the flux through that surface, as the form is left-equivariant; so its
     9 distinct integrals (four product triangles, three spanning surfaces
     of product paths, two fluxes) are each taken once, the products and the
-    spanning surfaces (_spanning_integral) from the paths' values.
+    spanning surfaces (_spanning_integral) from the paths' values: their
+    coordinates, products by addition, when all four carry the group's
+    chart and it is additive, else their matrices.
     """
     group, n = form.group, int(quad_order)
     paths = {"g1": g1, "g1p": g1p, "g2": g2, "g2p": g2p}
-    values = {name: path.values_at(_path_rule(n)[0], _GUARD) for name, path in paths.items()}
+    additive = group.chart is not None and group.chart.additive
+    chart = group.chart if additive and all(p.chart is group.chart for p in paths.values()) else None
+    read = GroupPath.values_at if chart is None else GroupPath._kept
+    values = {name: read(path, _path_rule(n)[0], _GUARD) for name, path in paths.items()}
     a, ap, b, bp = (_path_nodes(group, name, path, n) for name, path in paths.items())
     for p, q in (("g1", "g2"), ("g1p", "g2"), ("g1", "g2p"), ("g1p", "g2p")):
-        values[f"{p} {q}"] = values[p] @ values[q]
+        values[f"{p} {q}"] = values[p] @ values[q] if chart is None else values[p] + values[q]
     span = lambda p, q: _spanning_integral(form, values[p], values[q], n, (p, q))
     gamma = partial(_triangle_integral, form)
     base = gamma(a, b)
     flux1 = span("g1", "g1p")
-    flux2 = form.module.act(values["g1"][-1], span("g2", "g2p"))
+    end = values["g1"][-1] if chart is None else chart.from_coords(values["g1"][-1])
+    flux2 = form.module.act(end, span("g2", "g2p"))
 
     first = span("g1 g2", "g1p g2") - flux1 - gamma(ap, b) + base
     second = span("g1 g2", "g1 g2p") - flux2 - gamma(a, bp) + base

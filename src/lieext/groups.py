@@ -55,12 +55,16 @@ class CoordinateChart:
     route screens its nodes by finiteness alone and maps only a node that is
     not finite, whose matrix the membership test then names.  tangent(x,
     dx), on stacks, gives the algebra coefficients of phi(x)^-1 dphi_x(dx),
-    or raises TangentDecompositionError where one is not finite."""
+    or raises TangentDecompositionError where one is not finite.  additive
+    declares that the group law is addition of coordinates, phi(x) = exp(x .
+    basis): phi(x + y) = phi(x) phi(y), tangent(x, dx) = dx, and
+    to_coords(phi(d)) are the coefficients of the group's log of phi(d)."""
 
     dim: int
     to_coords: Callable
     from_coords: Callable
     tangent: Callable
+    additive: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "to_coords", per_point(self.to_coords, 2))
@@ -424,6 +428,7 @@ def torus_group(k: int) -> MatrixGroup:
         to_coords=vectorized(lambda g: angles_of(g) / (2.0 * np.pi)),
         from_coords=from_coords,
         tangent=tangent,
+        additive=True,
     )
     return MatrixGroup(
         algebra=alg,
@@ -497,7 +502,8 @@ def _unipotent_group(algebra: LieAlgebra, rows, cols, name: str) -> MatrixGroup:
             raise TangentDecompositionError("chart tangent is not finite")
         return coeffs
 
-    chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords, tangent=tangent)
+    chart = CoordinateChart(dim=len(rows), to_coords=to_coords, from_coords=from_coords, tangent=tangent,
+                            additive=not i.size)  # R^k: an empty table, n^2 = 0
     return MatrixGroup(algebra=algebra, basis=basis, exp=exp_map, log=log_map, inverse=inverse,
                        membership=membership, chart=chart, name=name)
 

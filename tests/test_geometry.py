@@ -283,6 +283,28 @@ class TestScreenedGuards:
             with pytest.raises(TangentDecompositionError, match="nan away from the algebra span"):
                 su2.decompose(np.full((4, 4), np.inf))
 
+    @pytest.mark.parametrize("factory", [partial(lx.torus_group, k) for k in (1, 2, 3)]
+                             + [partial(lx.translation_group, k) for k in (1, 2, 3)],
+                             ids=["T1", "T2", "T3", "R1", "R2", "R3"])
+    def test_additive_charts_keep_their_contract(self, factory, rng):
+        # phi(x + y) = phi(x) phi(y), phi(x) = exp(x . basis), tangent(x, dx) = dx,
+        # and to_coords(phi(d)) are the coefficients of the group log of phi(d),
+        # on d of several turns, so that the torus log wraps
+        group = factory()
+        chart = group.chart
+        assert chart.additive
+        x, y, d = rng.normal(scale=2.0, size=(3, 40, chart.dim))
+        assert np.allclose(chart.from_coords(x + y), chart.from_coords(x) @ chart.from_coords(y), rtol=0, atol=1e-12)
+        exp = group.exp(np.einsum("ti,ijk->tjk", x, group.basis))
+        assert np.allclose(chart.from_coords(x), exp, rtol=0, atol=1e-12)
+        assert np.array_equal(chart.tangent(x, d), d)
+        logs = group.decompose(group.log(chart.from_coords(d)))
+        assert np.allclose(chart.to_coords(chart.from_coords(d)), logs, rtol=0, atol=1e-12)
+
+    def test_the_heisenberg_chart_is_not_additive(self):
+        # its x dy table is not empty: phi(x) phi(y) = phi(x + y) + x_1 y_2 in z
+        assert not lx.heisenberg_group().chart.additive
+
 
 CHART_GROUPS = {**{f"T{k}": partial(lx.torus_group, k) for k in (1, 2, 3)},
                 **{f"R{k}": partial(lx.translation_group, k) for k in (1, 2, 3)}, "heisenberg": lx.heisenberg_group}
@@ -890,38 +912,42 @@ class TestPathCocycleIdentities:
     @pytest.mark.parametrize("order", [8, 16])
     def test_shared_evaluation_keeps_every_bit(self, torus2, rng, order):
         # each term below evaluates its own paths; the identities call each
-        # path once, form products from its values and must not change one bit
+        # path once, form products from its values and must not change one bit:
+        # chart paths as coordinates with products by addition, their
+        # chartless copies as matrices with products by matrix products
         form = torus_form(torus2)
-        prod = lx.pointwise_product
         gamma = lambda a, b: lx.path_cocycle(form, a, b, order)
         params = np.concatenate([lx.geometry._path_rule(order)[0].ravel(), lx.geometry._GUARD])
-        span = lambda a, b: lx.geometry._spanning_integral(form, a(params), b(params), order, ("a", "b"))
+        span = lambda x, y: lx.geometry._spanning_integral(form, x, y, order, ("a", "b"))
         # the coboundary's products compose their factors' steps on fresh copies
         nodes = lambda name, p: lx.geometry._path_nodes(torus2, name, replace(p), order)
         compose = partial(lx.geometry._product_nodes, torus2)
         pair = partial(lx.geometry._triangle_integral, form)
         for _ in range(3):
-            g1, g1p, g2, g2p, g3 = self.family(torus2, rng)
-            a, b, c = nodes("g1", g1), nodes("g2", g2), nodes("g3", g3)
-            want = (
-                form.module.act(g1(1.0), pair(b, c))
-                - pair(compose("g1 g2", a, b), c)
-                + pair(a, compose("g2 g3", b, c))
-                - pair(a, b)
-            )
-            assert np.array_equal(lx.path_cocycle_coboundary(form, g1, g2, g3, order), want)
+            family = self.family(torus2, rng)
+            for paths, product in ((family, np.add), ([chartless(p) for p in family], np.matmul)):
+                g1, g1p, g2, g2p, g3 = paths
+                a, b, c = nodes("g1", g1), nodes("g2", g2), nodes("g3", g3)
+                want = (
+                    form.module.act(g1(1.0), pair(b, c))
+                    - pair(compose("g1 g2", a, b), c)
+                    + pair(a, compose("g2 g3", b, c))
+                    - pair(a, b)
+                )
+                assert np.array_equal(lx.path_cocycle_coboundary(form, g1, g2, g3, order), want)
 
-            base = gamma(g1, g2)
-            flux1 = span(g1, g1p)
-            flux2 = form.module.act(g1(1.0), span(g2, g2p))
-            want = [
-                span(prod(g1, g2), prod(g1p, g2)) - flux1 - gamma(g1p, g2) + base,
-                span(prod(g1, g2), prod(g1, g2p)) - flux2 - gamma(g1, g2p) + base,
-                span(prod(g1, g2), prod(g1p, g2p)) - flux1 - flux2 - gamma(g1p, g2p) + base,
-            ]
-            got = lx.representative_independence_residuals(form, g1, g1p, g2, g2p, order)
-            assert len(got) == 3
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                x1, x1p, x2, x2p = (np.asarray(p.eval(params), dtype=float) for p in (g1, g1p, g2, g2p))
+                base = gamma(g1, g2)
+                flux1 = span(x1, x1p)
+                flux2 = form.module.act(g1(1.0), span(x2, x2p))
+                want = [
+                    span(product(x1, x2), product(x1p, x2)) - flux1 - gamma(g1p, g2) + base,
+                    span(product(x1, x2), product(x1, x2p)) - flux2 - gamma(g1, g2p) + base,
+                    span(product(x1, x2), product(x1p, x2p)) - flux1 - flux2 - gamma(g1p, g2p) + base,
+                ]
+                got = lx.representative_independence_residuals(form, g1, g1p, g2, g2p, order)
+                assert len(got) == 3
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_a_reused_path_is_called_only_on_parameter_sets_it_has_not_seen(self, torus2, rng):
         form = torus_form(torus2)
@@ -1056,6 +1082,11 @@ class TestCurvature:
             form = lx.EquivariantForm(om, su2)
             x, y = rng.normal(size=(2, 3))
             assert lx.curvature_defect(form, x, y) < 1e-12
+
+
+def chartless(path):
+    """A copy of the path that gives matrices, with no chart."""
+    return lx.GroupPath(eval=vectorized(lambda t: path(t)))
 
 
 def counted(fn, calls):
@@ -1625,12 +1656,59 @@ class TestSpanningFromNodes:
         ("log", TangentDecompositionError),
     ])
     def test_errors_name_the_surface_by_its_paths(self, torus2, rng, broken, error):
+        # chartless copies take the matrix route, which calls exp and log;
+        # the chart route forms the surface in coordinates and calls neither
         maps = {"exp": lambda x: 1.01 * torus2.exp(x), "log": lambda g: torus2.log(g) + np.eye(4)}
         group = replace(torus2, **{broken: vectorized(maps[broken])})
-        g1, g1p, g2, g2p, _ = TestPathCocycleIdentities.family(torus2, rng)
+        family = TestPathCocycleIdentities.family(torus2, rng)
+        g1, g1p, g2, g2p, _ = map(chartless, family)
         with pytest.raises(error, match="the surface spanning g1 and g1p"):
             lx.representative_independence_residuals(
                 lx.EquivariantForm(area_cochain(), group), g1, g1p, g2, g2p, 8)
+
+    @pytest.mark.parametrize("order", [1, 5, 16, 96])  # 96: row-sliced passes
+    @pytest.mark.parametrize("kind", ["T2", "T3", "R2", "R2-action"])
+    def test_the_chart_route_agrees_with_the_matrix_route(self, kind, order, rng):
+        # chart paths of an additive chart span in coordinates, their chartless
+        # copies as matrices, whose t-difference on the torus has the truncation
+        # h^2 (2 pi)^2 / 6 ~ 6.6e-10 per partial that coordinates do not; with
+        # unit windings the largest move, over 20 families per group and over
+        # max(1, |omega|), measured 3.2e-9 at order 1 and 6.5e-10 at orders 5
+        # to 96; R^2, affine in its coordinates, agreed to the bit
+        if kind == "R2-action":
+            doc = parse_document(R2_GROUP_ACTION_DOCUMENT)
+            form = lx.EquivariantForm(doc.cocycle, doc.group, doc.module)
+        else:
+            form = random_form({"T2": lx.torus_group(2), "T3": lx.torus_group(3)}.get(kind, lx.translation_group(2)),
+                               rng, 2)
+        e = np.eye(form.group.chart.dim, dtype=int)
+        paths = [random_torus_path(form.group, rng, w)[0] for w in (e[0], e[0], e[1], e[1])]
+        got = lx.representative_independence_residuals(form, *paths, order)
+        want = lx.representative_independence_residuals(form, *map(chartless, paths), order)
+        bound = (5e-9 if order == 1 else 1e-9) * max(1.0, float(np.max(np.abs(form.cochain.values))))
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= bound
+
+    def test_coordinates_whole_turns_apart_span_what_their_matrices_span(self, torus2, rng):
+        # g1p and g2p have the matrices of g1 and g2, a whole number of turns
+        # away in each coordinate: l(t) takes the difference to the log's branch
+        form = random_form(torus2, rng)
+        g1, _, g2, _, _ = TestPathCocycleIdentities.family(torus2, rng)
+        g1p, g2p = (lx.coordinate_path(torus2, lambda t, p=p, turns=turns: p.eval(t) + turns)
+                    for p, turns in ((g1, [1.0, -2.0]), (g2, [3.0, 1.0])))
+        got = lx.representative_independence_residuals(form, g1, g1p, g2, g2p, 16)
+        want = lx.representative_independence_residuals(form, *map(chartless, (g1, g1p, g2, g2p)), 16)
+        bound = 1e-9 * max(1.0, float(np.max(np.abs(form.cochain.values))))
+        assert np.max(np.abs(np.array(got) - np.array(want))) <= bound
+
+    def test_a_non_finite_coordinate_is_named_on_the_surface(self, torus2, rng):
+        # g1's coordinates are NaN at the middle node t = 1/2 of order 5
+        g1, g1p = TestPathCocycleIdentities.family(torus2, rng)[:2]
+        broken = lx.coordinate_path(torus2, lambda t: np.full(2, np.nan) if t == 0.5 else g1.eval(t))
+        params = np.concatenate([lx.geometry._path_rule(5)[0].ravel(), lx.geometry._GUARD])
+        with pytest.raises(MembershipError, match=r"^the surface spanning g1 and g1p leaves the group "
+                                                  r"at \(t, s\) = \(0\.5, 0\.0469101\): matrix is not in T\^2"):
+            lx.geometry._spanning_integral(torus_form(torus2), broken._kept(params), g1p._kept(params), 5,
+                                           ("g1", "g1p"))
 
     @pytest.mark.parametrize("windings, message", [
         (([0.5, 0], [0, 0]), "paths end .* apart"),
