@@ -13,8 +13,9 @@ with their defaults, and how it runs.  No task has a text form of its own:
 the text report names the results fields as the machine report does.
 Numbers are read by two readers only: _integer and _reals.  Every
 expression-valued section (path and patch coords or matrix, the module's
-group action, the d2 cochain) is compiled, and its variables checked, by
-_compile_exprs, and evaluated on arrays by one _evaluator.
+group action, the d2 cochain) is compiled into one node table, and its
+variables checked, by _compile_exprs, and evaluated on arrays by one
+_evaluator.
 """
 
 import bisect
@@ -273,21 +274,23 @@ def serialize_extension(total: LieAlgebra, base_dim: int) -> dict:
     }
 
 
-def _compile_exprs(strings, context, names, compiled, numbers=False):
-    """Each expression string of strings compiled, and each JSON number, where
-    numbers allows them (matrix entries), as a float; a DocumentError names
-    the entry, context[i], that does not parse or reads a variable outside
-    names.  compiled maps each text compiled so far to its Expression."""
-    out = []
+def _compile_exprs(strings, context, names, compiled, table=None, numbers=False):
+    """table, a new one by default, with each expression string of strings
+    compiled, and each JSON number, where numbers allows them (matrix
+    entries), compiled from its float's repr, entered in order; a
+    DocumentError names the entry, context[i], that does not parse or reads
+    a variable outside names.  compiled maps each text compiled so far to
+    its Expression: a text met again is entered, and copied when another
+    map's table holds it, not parsed again."""
+    table = expressions.Table() if table is None else table
     for idx, text in enumerate(strings):
         where = f"{context}[{idx}]"
         if numbers and isinstance(text, (int, float)):
-            out.append(float(_reals(text, where, ())))
-            continue
+            text = repr(float(_reals(text, where, ())))  # parses to the same bits
         expr = compiled.get(text) if isinstance(text, str) else None
         if expr is None:
             try:
-                expr = compiled[text] = expressions.parse_expression(text)
+                expr = compiled[text] = expressions.parse_expression(text, table)
             except ExpressionError as exc:
                 pos = f" at position {exc.position}" if exc.position is not None else ""
                 raise DocumentError(f"{where}: {exc}{pos}") from None
@@ -297,35 +300,24 @@ def _compile_exprs(strings, context, names, compiled, numbers=False):
                 f"{where}: unknown variable {unknown[0]!r}; the variables here "
                 f"are {', '.join(names)}"
             )
-        out.append(expr)
-    return out
+        table.enter(expr)
+    return table
 
 
-def _evaluator(entries, names, context) -> Callable:
-    """The constants and compiled expressions of entries, a vector or a
-    matrix, as one vectorized map: one array per name in, an array of shape
-    shape + entries' shape out, shape being the broadcast shape of the arrays.
-    Each distinct entry is evaluated once per call, at its first position in
-    row-major order, which an evaluation error names (context[i] or
-    context[i][j]), and its value written to every position holding it."""
-    table = np.array(entries, dtype=object)
-    slots = {}  # id of each distinct entry -> (entry, its positions as indices of out)
-    for at, entry in np.ndenumerate(table):
-        slots.setdefault(id(entry), (entry, []))[1].append((...,) + at)
+def _evaluator(table, shape, names, context) -> Callable:
+    """The entries of table, a vector or a matrix of the given shape, as one
+    vectorized map: one array per name in, an array of shape shape' + shape
+    out, shape' being the broadcast shape of the arrays.  Each distinct
+    subexpression is evaluated once per call (expressions.Table.compile), and
+    an evaluation error names the first entry in row-major order that needs
+    the failing node (context[i] or context[i][j])."""
+    run = table.compile(names, lambda e: context + "".join(
+        f"[{k}]" for k in np.unravel_index(e, shape)) + ": ")
 
     @vectorized
     def evaluate(*args):
-        env = dict(zip(names, args))
-        out = np.empty(np.broadcast_shapes(*map(np.shape, args)) + table.shape)
-        for entry, ats in slots.values():
-            try:
-                value = entry(env) if callable(entry) else entry
-            except ExpressionError as exc:
-                where = context + "".join(f"[{k}]" for k in ats[0][1:])
-                raise ExpressionError(f"{where}: {exc}", exc.position) from None
-            for at in ats:
-                out[at] = value
-        return out
+        out = run(*args)
+        return out.reshape(out.shape[:-1] + shape)
     return evaluate
 
 
@@ -349,9 +341,9 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
         context = "module.group_action.exprs"
         chart = group.chart
         names = [f"g{i + 1}" for i in range(chart.dim)] + [f"a{j + 1}" for j in range(m)]
-        exprs = _compile_exprs(_list(ga["exprs"], context), context, names, compiled)
-        _require(len(exprs) == m, f"module.group_action needs {m} expressions")
-        values = _evaluator(exprs, names, context)
+        table = _compile_exprs(_list(ga["exprs"], context), context, names, compiled)
+        _require(len(table.entries) == m, f"module.group_action needs {m} expressions")
+        values = _evaluator(table, (m,), names, context)
 
         @vectorized
         def action(g, v):
@@ -473,7 +465,8 @@ def _map_eval(entries, group: MatrixGroup, names, context, compiled):
             f"{context}.coords must be a list of {chart.dim} expressions",
         )
         context = f"{context}.coords"
-        return _evaluator(_compile_exprs(coords, context, names, compiled), names, context), chart
+        table = _compile_exprs(coords, context, names, compiled)
+        return _evaluator(table, (chart.dim,), names, context), chart
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
         d = group.embed_dim
@@ -482,11 +475,10 @@ def _map_eval(entries, group: MatrixGroup, names, context, compiled):
             and all(isinstance(r, list) and len(r) == d for r in rows),
             f"{context}.matrix must be a list of {d} rows of {d} entries",
         )
-        context = f"{context}.matrix"
-        return _evaluator([
-            _compile_exprs(row, f"{context}[{i}]", names, compiled, numbers=True)
-            for i, row in enumerate(rows)
-        ], names, context), None
+        context, table = f"{context}.matrix", expressions.Table()
+        for i, row in enumerate(rows):
+            _compile_exprs(row, f"{context}[{i}]", names, compiled, table, numbers=True)
+        return _evaluator(table, (d, d), names, context), None
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
@@ -627,8 +619,8 @@ def parse_document(text_or_dict) -> ProblemDocument:
         )
         chart = doc.group.chart
         names = [f"x{i + 1}" for i in range(chart.dim)] + [f"y{i + 1}" for i in range(chart.dim)]
-        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names, compiled), names,
-                            "cochain_expr")
+        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names, compiled),
+                            (len(exprs),), names, "cochain_expr")
 
         def f_eval(g, h):
             return values(*np.moveaxis(chart.to_coords(g), -1, 0),

@@ -6,22 +6,25 @@ sin, cos, exp.  No user-defined functions, no powers, no attribute access.
 
 Parsing is one operator-precedence loop (shunting-yard) over the tokens of
 one compiled regex, with a stack of operands and one of pending operators
-and open groups; a reduction builds a numpy closure and its depth
-together.  + - and * / are left-associative and unary minus binds tighter
-than * /, as in Python.  A parse error carries the position of its token,
-and a lexical error (a character outside the grammar, a malformed or
+and open groups.  + - and * / are left-associative and unary minus binds
+tighter than * /, as in Python.  A parse error carries the position of its
+token, and a lexical error (a character outside the grammar, a malformed or
 out-of-range number) comes before any syntax error.  The expression is at
 most MAX_DEPTH levels deep (an operation, unary minus or call is a level, a
-parenthesis none), which bounds the recursion of evaluation.  The closures
-run with numpy's divide, overflow and invalid errors raised, on scalars or
-arrays, and any of those errors (t/0, exp(1000), sin(inf)) is an
-ExpressionError.
+parenthesis none).
+
+Each reduction is a node of a Table, and a node met again is the same node
+(hash-consing, Ershov 1958): a map's entries share one table, evaluated
+once per call.  Evaluation runs with numpy's divide, overflow and invalid
+errors raised, on scalars or arrays, and any of those errors (t/0,
+exp(1000), sin(inf)) is an ExpressionError.
 """
+import bisect
 import math
 import operator
 import re
-from dataclasses import InitVar, dataclass
-from typing import Callable, Dict, NoReturn
+from dataclasses import dataclass
+from typing import Callable, Dict, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +41,8 @@ CONSTANTS = {"pi": math.pi}
 MAX_DEPTH = 500
 
 # A pending operator as (level, numpy function).  Level 0, an open
-# parenthesis or call, stops every reduction but that of its ')'.
+# parenthesis or call, stops every reduction but that of its ')'; level 3,
+# unary minus, takes one operand.
 _PENDING = {
     "+": (1, operator.add),
     "-": (1, operator.sub),
@@ -46,7 +50,7 @@ _PENDING = {
     "/": (2, operator.truediv),
     **{name: (0, fn) for name, fn in FUNCTIONS.items()},
 }
-_PREFIX = {"-": [(3, None)], "(": [(0, None)], "+": []}  # unary plus is no operation
+_PREFIX = {"-": [(3, operator.neg)], "(": [(0, None)], "+": []}  # unary plus is no operation
 # A token that may follow an operand, with the lowest level it reduces; None
 # is the end of the text.
 _CLOSING = {"+": 1, "-": 1, "*": 2, "/": 2, ")": 1, None: 1}
@@ -62,26 +66,127 @@ class Expression:
 
     source: str
     variables: frozenset
-    fn: InitVar[Callable]  # the expression compiled, env -> value
-
-    def __post_init__(self, fn):
-        object.__setattr__(self, "_fn", fn)
+    table: "Table"  # the table it was parsed into
+    root: int  # its node there
 
     def __call__(self, env: Dict[str, object]):
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                return self._fn(env)
-        except (ArithmeticError, ValueError, TypeError, RecursionError) as exc:  # t/0, exp(1e3)
-            raise ExpressionError(f"cannot evaluate {self.source!r}: {exc}") from None
+        table = Table()
+        table.enter(self)
+        names = [node for node in table.index if type(node) is str]  # in the text's order
+        for name in names:
+            if name not in env:
+                raise ExpressionError(f"unknown variable {name!r} in {self.source!r}")
+        return table.compile(names, lambda e: "")(*map(env.get, names))[..., 0][()]
 
 
-def _variable(name, source):
-    def variable(env):
-        try:
-            return np.asarray(env[name], dtype=float)
-        except KeyError:
-            raise ExpressionError(f"unknown variable {name!r} in {source!r}") from None
-    return variable
+def _postorder(nodes, root) -> list:
+    """The ids of root's nodes in post-order, operands left to right, each
+    once: the order its parse added them in."""
+    order, seen, todo = [], set(), [root]
+    while todo:
+        i = todo.pop()
+        if i < 0:  # ~i, whose operands are done
+            order.append(~i)
+        elif i not in seen:
+            seen.add(i)
+            todo.append(~i)
+            if type(nodes[i]) is tuple:
+                todo += nodes[i][:0:-1]
+    return order
+
+
+class Table:
+    """The node table of one map, and its entries, Expressions.  index maps
+    each node (a constant, a variable name, or (fn, *operand ids)) to its
+    id, the order it was added in."""
+
+    def __init__(self):
+        self.index, self.entries, self.roots, self.ends = {}, [], [], []  # ends: len(index) after each
+
+    def enter(self, entry: Expression) -> None:
+        """Append entry; an Expression of another table is copied in."""
+        root, index = entry.root, self.index
+        if entry.table is not self:
+            nodes, ids = list(entry.table.index), {}
+            for i in _postorder(nodes, entry.root):
+                node = nodes[i]
+                if type(node) is tuple:
+                    node = (node[0], *map(ids.__getitem__, node[1:]))
+                ids[i] = root = index.setdefault(node, len(index))
+        self.entries.append(entry)
+        self.roots.append(root)
+        self.ends.append(len(index))
+
+    def compile(self, names: Sequence[str], where: Callable[[int], str]) -> Callable:
+        """The entries as one map: one array per name in, an array of shape
+        shape + (entries,) out, shape being the broadcast shape of the arrays.
+        Each node is evaluated once per call, in table order.  An error names
+        where(e) and the text of the first entry e that needs the failing
+        node, the entry it was added with.  The plan is made on the first
+        call (two first calls at once make the same plan)."""
+        entries, plans = self.entries, []
+
+        def evaluate(*args):
+            template, inputs, plan = plans[0] if plans else self._plan(names, plans)
+            values = template.copy()
+            for r, k in inputs:
+                values[r] = np.asarray(args[k], dtype=float)
+            out = np.empty(np.broadcast_shapes(*map(np.shape, args)) + (len(entries),))
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    for steps, root, ats, e in plan:
+                        for r, fn, a, b in steps:
+                            values[r] = fn(values[a]) if b is None else fn(values[a], values[b])
+                        for at in ats:
+                            out[at] = values[root]
+            except (ArithmeticError, ValueError, TypeError) as exc:  # t/0, exp(1e3)
+                raise ExpressionError(
+                    f"{where(e)}cannot evaluate {entries[e].source!r}: {exc}") from None
+            return out
+        return evaluate
+
+    def _plan(self, names, plans) -> tuple:
+        """(register values with the constants, (register, argument) per
+        variable, segments of steps (register, fn, operand registers) each
+        ending at a root: (steps, its register, its positions, its entry)),
+        appended to plans.  A leaf keeps
+        its own register; an operation takes one that its operands' last read
+        freed, or a root that no node reads, once written."""
+        nodes = list(self.index)
+        last = list(range(len(nodes)))  # each node's last reader
+        for i, node in enumerate(nodes):
+            if type(node) is tuple:
+                last[node[1]] = last[node[-1]] = i
+        writes = {}  # each root's positions
+        for e, root in enumerate(self.roots):
+            writes.setdefault(root, []).append((..., e))
+        reg, free, template, inputs, plan, steps = [], [], [], [], [], []
+        for i, node in enumerate(nodes):
+            if type(node) is tuple:
+                a, b = node[1], node[-1]  # b is a for a function or unary minus
+                if last[a] == i:
+                    free.append(reg[a])
+                if last[b] == i and b != a:
+                    free.append(reg[b])
+                if free:
+                    r = free.pop()
+                else:
+                    r = len(template)
+                    template.append(None)
+                steps.append((r, node[0], reg[a], reg[b] if len(node) > 2 else None))
+                if last[i] == i:  # a root no node reads: free once written
+                    free.append(r)
+            else:
+                r, last[i] = len(template), -1  # a leaf keeps its register
+                if type(node) is str:
+                    inputs.append((r, names.index(node)))
+                template.append(None if type(node) is str else node)
+            reg.append(r)
+            if i in writes:
+                plan.append((steps, r, writes[i], bisect.bisect_right(self.ends, i)))
+                steps = []
+        plans.append((template, inputs, plan))
+        return plans[0]
 
 
 def _fail(text, at, message=None) -> NoReturn:
@@ -105,14 +210,19 @@ def _fail(text, at, message=None) -> NoReturn:
     raise ExpressionError(message or f"unexpected {value!r}", position=matches[at].start())
 
 
-def parse_expression(text: str) -> Expression:
-    """Compile text, or raise an ExpressionError with the position of the
-    offending token."""
+
+def parse_expression(text: str, table: Optional[Table] = None) -> Expression:
+    """Compile text into table, a new one by default, or raise an
+    ExpressionError with the position of the offending token (table then
+    holds stray nodes)."""
     if not isinstance(text, str):
         raise ExpressionError(f"expression must be a string, got {type(text).__name__}")
     tokens = _TOKEN.findall(text)
     tokens.append(None)
-    operands, pending, variables = [], [], {}  # (fn, depth); _PENDING values; name -> fn
+    table = Table() if table is None else table
+    index, variables = table.index, set()
+    add = index.setdefault  # add(node, len(index)) is the id of node, added if new
+    operands, pending = [], []  # (node id, depth); _PENDING values
     operand = True  # the next token must begin an operand
     steps = enumerate(tokens)
     for at, token in steps:
@@ -133,15 +243,13 @@ def parse_expression(text: str) -> Expression:
                     _fail(text, at)
                 if not math.isfinite(value):
                     _fail(text, at)
-                operands.append((lambda env, v=np.float64(value): v, 1))
+                operands.append((add(np.float64(value), len(index)), 1))
                 operand = False
             else:
-                fn = variables.get(token)
-                if fn is None:
-                    if not (token[0].isalpha() or token[0] == "_"):
-                        _fail(text, at)
-                    fn = variables[token] = _variable(token, text)
-                operands.append((fn, 1))
+                if not (token[0].isalpha() or token[0] == "_"):
+                    _fail(text, at)
+                variables.add(token)
+                operands.append((add(token, len(index)), 1))
                 operand = False
             continue
         level = _CLOSING.get(token)
@@ -149,17 +257,16 @@ def parse_expression(text: str) -> Expression:
             _fail(text, at, "expected ')'" if any(not p[0] for p in pending) else None)
         while pending and pending[-1][0] >= level:
             top, f = pending.pop()
-            fn, depth = operands.pop()
-            if top == 3:
-                fn = lambda env, a=fn: -a(env)
-            else:
-                lhs_fn, lhs_depth = operands.pop()
-                fn = lambda env, f=f, a=lhs_fn, b=fn: f(a(env), b(env))
+            rhs, depth = operands.pop()
+            node = (f, rhs)
+            if top < 3:
+                lhs, lhs_depth = operands.pop()
+                node = (f, lhs, rhs)
                 if lhs_depth > depth:
                     depth = lhs_depth
             if depth >= MAX_DEPTH:
                 _fail(text, at, "expression is nested too deeply")
-            operands.append((fn, depth + 1))
+            operands.append((add(node, len(index)), depth + 1))
         if token in _PENDING:
             pending.append(_PENDING[token])
             operand = True
@@ -171,9 +278,9 @@ def parse_expression(text: str) -> Expression:
         else:
             _, f = pending.pop()
             if f:
-                fn, depth = operands.pop()
+                node, depth = operands.pop()
                 if depth >= MAX_DEPTH:
                     _fail(text, at, "expression is nested too deeply")
-                operands.append((lambda env, f=f, a=fn: f(a(env)), depth + 1))
-    (fn, _), = operands
-    return Expression(text, frozenset(variables), fn)
+                operands.append((add((f, node), len(index)), depth + 1))
+    (root, _), = operands
+    return Expression(text, frozenset(variables), table, root)

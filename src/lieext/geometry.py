@@ -499,7 +499,8 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
     start to end (_along evaluates it).
 
     Each patch is evaluated once, on all of its edges at the same 33
-    parameters.  An edge joins the first class whose samples it matches
+    parameters; chart coordinates are mapped in one call when all patches
+    share the chart.  An edge joins the first class whose samples it matches
     within tol, forward before reversed, else opens a class; degenerate
     (constant) edges drop out.  Candidate pairs come first, from the four
     entries of the edges' end samples that vary most over the chain,
@@ -507,17 +508,21 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
     the 33 samples are compared only for candidates.  A full match implies a
     match of those entries, so the classes are the same.
     """
-    segments, weights, samples = [], [], []
+    segments, weights, samples, charts = [], [], [], []
     for p in chain.patches:
         if p.coefficient == 0:
             continue
         ts, ss, starts, ends, signs = _EDGE_RULES[p.domain]
-        samples.append(p(ts, ss))  # (edges, 33, d, d)
+        samples.append(np.asarray(p.eval(ts, ss), dtype=float))  # (edges, 33) + (k,) or (d, d)
+        charts.append(p.chart)
         segments += [(p, a, b) for a, b in zip(starts, ends)]
         weights += [int(sign) * p.coefficient for sign in signs]
     if not samples:
         return []
-    samples = np.concatenate(samples)
+    if charts[0] is not None and all(c is charts[0] for c in charts):
+        samples = charts[0].from_coords(np.concatenate(samples))
+    else:
+        samples = np.concatenate([x if c is None else c.from_coords(x) for x, c in zip(samples, charts)])
     keep = np.flatnonzero(~(np.max(np.abs(samples - samples[:, :1]), axis=(1, 2, 3)) <= tol))
     if not keep.size:  # a constant edge carries no boundary
         return []
@@ -551,7 +556,8 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
 
 
 def _spanning_integral(
-    form: EquivariantForm, a: np.ndarray, b: np.ndarray, order: int, names: Tuple[str, str]
+    form: EquivariantForm, a: np.ndarray, b: np.ndarray, order: int, names: Tuple[str, str],
+    guards: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """surface_integral(form, spanning_chain(group, g1, g2), order) from the
     values a, b of g1, g2 at _path_rule(n)'s 3n parameters, then _GUARD, on
@@ -562,11 +568,14 @@ def _spanning_integral(
     x_a + sigma(s) l(t), l = to_coords(from_coords(x_b - x_a)) the
     coefficients of L, and a matrix only for a group action; else it takes
     3n^2 exponentials where the chain takes 5n^2.  The node step checks H and
-    takes both tangents, naming the surface by its paths."""
+    takes both tangents, naming the surface by its paths.  guards, if given,
+    are the paths' matrices at _GUARD."""
     group, n = form.group, order
     chart = group.chart if a.ndim == 2 else None
     params, _, weights = _path_rule(n)
-    _spanning_guard(group, *(v[3 * n :] if chart is None else chart.from_coords(v[3 * n :]) for v in (a, b)))
+    if guards is None:
+        guards = [v[3 * n :] if chart is None else chart.from_coords(v[3 * n :]) for v in (a, b)]
+    _spanning_guard(group, *guards)
     a, b = (v[: 3 * n].reshape((3, n) + v.shape[1:]) for v in (a, b))
     u, (sigma, up, down) = params[0], smooth_step(params)
     dsigma = (up - down) / (2.0 * DEFAULT_FD_STEP)  # sigma'(s), as the chain's s-difference takes it
@@ -643,11 +652,14 @@ def representative_independence_residuals(
     a, ap, b, bp = (_path_nodes(group, name, path, n) for name, path in paths.items())
     for p, q in (("g1", "g2"), ("g1p", "g2"), ("g1", "g2p"), ("g1p", "g2p")):
         values[f"{p} {q}"] = values[p] @ values[q] if chart is None else values[p] + values[q]
-    span = lambda p, q: _spanning_integral(form, values[p], values[q], n, (p, q))
+    guard = {name: v[3 * n :] if chart is None else chart.from_coords(v[3 * n :])  # mapped once
+             for name, v in values.items()}
+    span = lambda p, q: _spanning_integral(form, values[p], values[q], n, (p, q),
+                                           guards=(guard[p], guard[q]))
     gamma = partial(_triangle_integral, form)
     base = gamma(a, b)
     flux1 = span("g1", "g1p")
-    end = values["g1"][-1] if chart is None else chart.from_coords(values["g1"][-1])
+    end = guard["g1"][-1]
     flux2 = form.module.act(end, span("g2", "g2p"))
 
     first = span("g1 g2", "g1p g2") - flux1 - gamma(ap, b) + base

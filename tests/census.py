@@ -29,6 +29,13 @@ Families:
   0 and the answer integrable.  They are drawn after the t2-step
   documents, from the same generator, so those draws are the ones made
   without this family.
+* `su2-narrow`: the great 2-sphere of SU(2) spelled as a `matrix` patch, as
+  in the fixture `su2_sphere_period.json`, with `pi*t` replaced by
+  `pi*(θ(t))`, θ(t) the same kind of logistic step `t + h/(1 + exp(-(t -
+  c)/w))`, h, w, c and the order drawn as for t2-step, cocycle values in
+  {0.25, 0.5, 1} on (0, 1), (0, 2) and (1, 2), and lattice Z.  H_2(SU(2))
+  = 0, so the period is 0 and the answer integrable.  They are drawn after
+  the heis-narrow documents.
 This script is not collected by pytest.
 """
 
@@ -38,6 +45,7 @@ import io
 import json
 import tempfile
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +127,28 @@ def heis_narrow_family(rng, count):
         }, True
 
 
+def su2_narrow_family(rng, count):
+    sphere = json.loads((resources.files("lieext") / "fixtures" / "su2_sphere_period.json").read_text())
+    matrix = sphere["cycles"][0]["patches"][0]["matrix"]
+    for _ in range(count):
+        h = int(rng.choice([-1, 1, 2]))
+        w = float(10.0 ** rng.uniform(-3.0, np.log10(0.012)))
+        c = float(rng.uniform(0.3, 0.7))
+        values = [float(v) for v in rng.choice([0.25, 0.5, 1.0], size=3)]
+        order = int(rng.choice(ORDERS))
+        theta = f"pi*({STEP.format(u='t', h=h, c=c, w=w)})"
+        yield order, {
+            "task": "check-integrability",
+            "group": {"kind": "su2"},
+            "cocycle": {"degree": 2, "components": [{"indices": list(ij), "value": [v]}
+                                                    for ij, v in zip(((0, 1), (0, 2), (1, 2)), values)]},
+            "lattice": {"generators": [[1.0]]},
+            "cycles": [{"name": "great-sphere", "patches": [
+                {"domain": "square", "matrix": [[e.replace("pi*t", theta) for e in row] for row in matrix]}]}],
+            "options": {"quad_order": order},
+        }, True
+
+
 def run(path, doc):
     path.write_text(json.dumps(doc))
     out = io.StringIO()
@@ -134,7 +164,7 @@ def census(seed, count):
     rng = np.random.default_rng(seed)
     counts = Counter()
     families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()),
-                ("heis-narrow", heis_narrow_family(rng, count)))
+                ("heis-narrow", heis_narrow_family(rng, count)), ("su2-narrow", su2_narrow_family(rng, count)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         for family, docs in families:
@@ -163,6 +193,7 @@ def report(counts) -> str:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=20261020)
-    parser.add_argument("--count", type=int, default=400, help="t2-step and heis-narrow documents each")
+    parser.add_argument("--count", type=int, default=400,
+                        help="t2-step, heis-narrow and su2-narrow documents each")
     args = parser.parse_args()
     print(report(census(args.seed, args.count)))

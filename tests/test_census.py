@@ -8,15 +8,16 @@ import census
 OUTCOMES = ("right", "wrong", "exit 4", "other")
 
 
-def test_a_small_census_counts_every_document_of_its_three_families():
+def test_a_small_census_counts_every_document_of_every_family():
     counts = census.census(20261020, 2)
     per_family = Counter()
     for (family, order, outcome), n in counts.items():
         assert order in census.ORDERS and outcome in OUTCOMES
         per_family[family] += n
-    # two step squares, the two incomplete cycle sets and two block boundaries
-    assert per_family == {"t2-step": 2, "h2-incomplete": 2, "heis-narrow": 2}
+    # two step squares, the two incomplete cycle sets, two block boundaries
+    # and two great spheres
+    assert per_family == {"t2-step": 2, "h2-incomplete": 2, "heis-narrow": 2, "su2-narrow": 2}
     header, *rows, total = census.report(counts).splitlines()
     assert header.split()[2:] == ["right", "wrong", "exit", "4", "other"]
     assert {row.split()[0] for row in rows} == set(per_family)
-    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 6
+    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 8

@@ -5,13 +5,15 @@ document, and for two faults in one section the entry that is named.  A
 property test checks that valid sections read bit for bit as the entry by
 entry definition: c[i, j, k] = v and c[j, i, k] = -v, and each component at
 its lexicographic row.  The expression sections are compiled per document,
-each distinct text once, and no two parses share a compiled expression;
-each distinct entry of a map is evaluated once per call.
+each distinct text once, and no two parses share a compiled expression or
+a node table; each distinct subexpression of a map is evaluated once per
+call.
 """
 
 import itertools
 import json
 import threading
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -19,7 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieext import expressions
-from lieext.expressions import Expression
 from lieext.cli import main
 from lieext.documents import parse_document
 
@@ -249,33 +250,35 @@ def _su2_sphere():
 
 
 def test_each_distinct_text_is_compiled_and_evaluated_once(monkeypatch):
-    # the sphere's 4 x 4 matrix has 16 entries but only 7 distinct texts
-    parse, compiled, evaluated = expressions.parse_expression, [], []
+    # the sphere's 4 x 4 matrix has 16 entries but only 7 distinct texts, and
+    # their 10 sin and cos calls take only 4 distinct arguments
+    parse, compiled, calls = expressions.parse_expression, [], []
 
-    def counted_parse(text):
+    def counted_parse(text, table=None):
         compiled.append(text)
-        return parse(text)
+        return parse(text, table)
 
-    def counted_call(self, env, call=Expression.__call__):
-        evaluated.append(self.source)
-        return call(self, env)
+    def counted(fn):
+        return lambda x: calls.append(fn.__name__) or fn(x)
 
     monkeypatch.setattr(expressions, "parse_expression", counted_parse)
+    for name in ("sin", "cos"):
+        monkeypatch.setitem(expressions._PENDING, name, (0, counted(expressions.FUNCTIONS[name])))
     raw = _su2_sphere()
     matrix = raw["cycles"][0]["patches"][0]["matrix"]
     doc = parse_document(raw)
     assert sorted(compiled) == sorted({text for row in matrix for text in row})
     assert len(compiled) == 7
     [patch] = doc.cycles[0][1].patches
-    monkeypatch.setattr(Expression, "__call__", counted_call)
     t, s = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)
+    alone = {text: parse(text)({"t": t, "s": s}) for text in compiled}
+    assert len(calls) == 10  # each text evaluated on its own
+    calls.clear()
     mats = patch(t, s)
-    assert evaluated == compiled  # in row-major order of first occurrence
+    assert sorted(calls) == ["cos", "cos", "sin", "sin"]  # each distinct call once
     # every position holds its own entry's value, bit for bit
-    monkeypatch.undo()
     for (i, j), text in np.ndenumerate(np.array(matrix)):
-        value = np.broadcast_to(parse(text)({"t": t, "s": s}), t.shape)
-        assert mats[:, i, j].tobytes() == value.tobytes()
+        assert mats[:, i, j].tobytes() == np.broadcast_to(alone[text], t.shape).tobytes()
 
 
 def test_documents_share_no_compiled_expression(monkeypatch):
@@ -283,8 +286,8 @@ def test_documents_share_no_compiled_expression(monkeypatch):
     # threads at once: each compiles every distinct text of the document itself
     parse, made = expressions.parse_expression, []
 
-    def recorded(text):
-        expr = parse(text)
+    def recorded(text, table=None):
+        expr = parse(text, table)
         made.append((threading.get_ident(), expr))
         return expr
 
@@ -316,3 +319,58 @@ def test_documents_share_no_compiled_expression(monkeypatch):
     for first, second in (parses[:2], parses[2:]):
         assert {e.source for e in first} == {e.source for e in second} == texts
         assert not set(map(id, first)) & set(map(id, second))
+        assert not {id(e.table) for e in first} & {id(e.table) for e in second}
+
+
+@pytest.mark.parametrize("upper, lower", [
+    ("1/(t - 0.5)", "s*(1/(t - 0.5))"),
+    ("s*(1/(t - 0.5))", "1/(t - 0.5)"),  # [1][0] is the failing node itself
+])
+def test_a_shared_failing_node_names_the_first_entry_that_needs_it(upper, lower, tmp_path, capsys):
+    # [0][1] and [1][0] share one node 1/(t - 0.5), which fails at t = 0.5 on
+    # the closure check's edge samples; the error names [0][1], and its text
+    raw = {"task": "check-integrability", "group": {"kind": "sl2"},
+           "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [1.0]}]},
+           "lattice": {"generators": [[1.0]]},
+           "cycles": [{"name": "c", "patches": [
+               {"domain": "square", "matrix": [["1", upper], [lower, "1"]]}]}]}
+    _exits_2_with(raw, f"cycles['c'].patches[0].matrix[0][1]: cannot evaluate {upper!r}: "
+                  "divide by zero encountered in divide", tmp_path, capsys)
+
+
+def test_a_map_drops_each_value_after_its_last_reader():
+    # a great sphere as left multiplication by a unit quaternion, as the
+    # benchmark spells it: 16 entries over 7 texts, whose four components
+    # share sin and cos of pi*t and 2*pi*s.  At 20480 points the output and
+    # at most 7 arrays of the points' size live at once: a value is dropped
+    # after its last reader, and a root no node reads once it is written.
+    frame = [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5]]
+    w, x, y, z = (f"({e3}*cos(pi*t) + sin(pi*t)*({e1}*cos(2*pi*s) + {e2}*sin(2*pi*s)))"
+                  for e1, e2, e3 in zip(*frame))
+    raw = _su2_sphere()
+    raw["cycles"][0]["patches"][0]["matrix"] = [
+        [w, f"-{x}", f"-{y}", f"-{z}"], [x, w, f"-{z}", y], [y, z, w, f"-{x}"], [z, f"-{y}", x, w]]
+    [patch] = parse_document(raw).cycles[0][1].patches
+    t, s = np.linspace(0.0, 1.0, 20480), np.linspace(1.0, 0.0, 20480)
+    patch.eval(t, s)
+    tracemalloc.start()
+    try:
+        out = patch.eval(t, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 7.5 * t.nbytes
+
+
+def test_a_json_number_in_a_matrix_keeps_its_bits():
+    # a number entry is compiled from its float's repr: -0.0 keeps its sign,
+    # and the smallest subnormal and the largest float come back exactly
+    raw = _su2_sphere()
+    matrix = raw["cycles"][0]["patches"][0]["matrix"]
+    numbers = {(0, 0): -0.0, (1, 1): 0, (2, 2): 5e-324, (3, 3): -1.7976931348623157e308}
+    for (i, j), value in numbers.items():
+        matrix[i][j] = value
+    [patch] = parse_document(raw).cycles[0][1].patches
+    mats = patch.eval(np.linspace(0.0, 1.0, 3), np.linspace(1.0, 0.0, 3))
+    for (i, j), value in numbers.items():
+        assert mats[:, i, j].tobytes() == np.full(3, float(value)).tobytes()

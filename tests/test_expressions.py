@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieext.errors import ExpressionError
-from lieext.expressions import MAX_DEPTH, parse_expression
+from lieext.expressions import MAX_DEPTH, Table, parse_expression
 
 
 class TestParsing:
@@ -208,3 +208,71 @@ class TestAgainstPython:
         namespace = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": math.pi}
         want = np.float64(eval(text, {"__builtins__": {}}, {**namespace, **env}))
         assert got.tobytes() == want.tobytes(), (text, got, want)
+
+
+class TestNodeTable:
+    """A map's entries, drawn from a shared pool of subexpressions, are one
+    node table; each position keeps the bits its entry gives evaluated alone
+    and Python's eval gives, and an error names the first entry that fails
+    alone, with its message.  Some texts are parsed into another table and
+    copied in."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_each_position_keeps_its_entry_bits(self, data):
+        pool = data.draw(st.lists(st.recursive(_leaves, _grow, max_leaves=6), min_size=1, max_size=4))
+        shared = st.sampled_from(pool).map("({})".format)
+        texts = data.draw(st.lists(st.recursive(shared | _leaves, _grow, max_leaves=4),
+                                   min_size=1, max_size=8))
+        values = data.draw(st.lists(st.floats(-2, 2), min_size=len(_NAMES), max_size=len(_NAMES)))
+        env = dict(zip(_NAMES, values))
+        table, other, compiled = Table(), Table(), {}
+        for text in texts:
+            if text not in compiled:
+                compiled[text] = parse_expression(text, data.draw(st.sampled_from([table, other])))
+            table.enter(compiled[text])
+        run = table.compile(_NAMES, "entry {}: ".format)
+        alone = []
+        for text in texts:
+            try:
+                alone.append(np.float64(parse_expression(text)(env)))
+            except ExpressionError as exc:
+                alone.append(exc)
+        failed = [k for k, value in enumerate(alone) if isinstance(value, ExpressionError)]
+        if failed:
+            with pytest.raises(ExpressionError) as err:
+                run(*values)
+            assert str(err.value) == f"entry {failed[0]}: {alone[failed[0]]}"
+            return
+        out = run(*values)
+        assert out.shape == (len(texts),)
+        namespace = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "pi": math.pi}
+        for k, text in enumerate(texts):
+            want = np.float64(eval(text, {"__builtins__": {}}, {**namespace, **env}))
+            assert out[k].tobytes() == alone[k].tobytes() == want.tobytes(), text
+
+    def test_an_error_names_the_entry_that_adds_the_failing_node(self):
+        # the division is the only node the second entry adds: 1 and t - 0.5
+        # come with the first, which does not fail
+        table = Table()
+        for text in ("1 + (t - 0.5)", "1/(t - 0.5)"):
+            table.enter(parse_expression(text, table))
+        with pytest.raises(ExpressionError) as err:
+            table.compile(["t"], "entry {}: ".format)(0.5)
+        assert str(err.value) == ("entry 1: cannot evaluate '1/(t - 0.5)': "
+                                  "divide by zero encountered in scalar divide")
+
+    def test_a_copied_entry_keeps_its_own_order(self):
+        # in the table it was parsed into, 1/s comes before exp(800*t); copied
+        # into another, the entry still fails first where it fails alone
+        other = Table()
+        parse_expression("1/s", other)
+        text = "exp(800*t) + 1/s"
+        table = Table()
+        table.enter(parse_expression(text, other))
+        with pytest.raises(ExpressionError) as alone:
+            parse_expression(text)({"t": 1.0, "s": 0.0})
+        assert "overflow" in str(alone.value)
+        with pytest.raises(ExpressionError) as err:
+            table.compile(["t", "s"], "".format)(1.0, 0.0)
+        assert str(err.value) == str(alone.value)
