@@ -13,9 +13,9 @@ with their defaults, and how it runs.  No task has a text form of its own:
 the text report names the results fields as the machine report does.
 Numbers are read by two readers only: _integer and _reals.  Every
 expression-valued section (path and patch coords or matrix, the module's
-group action, the d2 cochain) is compiled into one node table, and its
-variables checked, by _compile_exprs, and evaluated on arrays by one
-_evaluator.
+group action, the d2 cochain) has its texts parsed into one node table,
+each distinct text once, and its variables checked, by _compile_exprs, and
+is evaluated on arrays by one _evaluator.
 """
 
 import bisect
@@ -274,32 +274,31 @@ def serialize_extension(total: LieAlgebra, base_dim: int) -> dict:
     }
 
 
-def _compile_exprs(strings, context, names, compiled, table=None, numbers=False):
+def _compile_exprs(strings, context, names, table=None, numbers=False):
     """table, a new one by default, with each expression string of strings
-    compiled, and each JSON number, where numbers allows them (matrix
-    entries), compiled from its float's repr, entered in order; a
+    parsed into it, and each JSON number, where numbers allows them (matrix
+    entries), parsed from its float's repr, entered in order; a
     DocumentError names the entry, context[i], that does not parse or reads
-    a variable outside names.  compiled maps each text compiled so far to
-    its Expression: a text met again is entered, and copied when another
-    map's table holds it, not parsed again."""
+    a variable outside names.  A text met again in table is entered again,
+    not parsed again."""
     table = expressions.Table() if table is None else table
     for idx, text in enumerate(strings):
         where = f"{context}[{idx}]"
         if numbers and isinstance(text, (int, float)):
             text = repr(float(_reals(text, where, ())))  # parses to the same bits
-        expr = compiled.get(text) if isinstance(text, str) else None
+        expr = table.parsed.get(text) if isinstance(text, str) else None
         if expr is None:
             try:
-                expr = compiled[text] = expressions.parse_expression(text, table)
+                expr = table.parsed[text] = expressions.parse_expression(text, table)
             except ExpressionError as exc:
                 pos = f" at position {exc.position}" if exc.position is not None else ""
                 raise DocumentError(f"{where}: {exc}{pos}") from None
-        unknown = sorted(expr.variables - set(names))
-        if unknown:
-            raise DocumentError(
-                f"{where}: unknown variable {unknown[0]!r}; the variables here "
-                f"are {', '.join(names)}"
-            )
+            unknown = sorted(expr.variables - set(names))
+            if unknown:
+                raise DocumentError(
+                    f"{where}: unknown variable {unknown[0]!r}; the variables here "
+                    f"are {', '.join(names)}"
+                )
         table.enter(expr)
     return table
 
@@ -321,8 +320,8 @@ def _evaluator(table, shape, names, context) -> Callable:
     return evaluate
 
 
-def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGroup],
-                  compiled) -> ModuleAction:
+def _parse_module(section, alg: Optional[LieAlgebra],
+                  group: Optional[MatrixGroup]) -> ModuleAction:
     _require(isinstance(section, dict), "module section must be an object")
     m = _integer(section.get("coeff_dim"), "module coeff_dim", 0, MAX_DIM)
     _require(alg is not None, "module section needs an algebra or group to attach to")
@@ -341,7 +340,7 @@ def _parse_module(section, alg: Optional[LieAlgebra], group: Optional[MatrixGrou
         context = "module.group_action.exprs"
         chart = group.chart
         names = [f"g{i + 1}" for i in range(chart.dim)] + [f"a{j + 1}" for j in range(m)]
-        table = _compile_exprs(_list(ga["exprs"], context), context, names, compiled)
+        table = _compile_exprs(_list(ga["exprs"], context), context, names)
         _require(len(table.entries) == m, f"module.group_action needs {m} expressions")
         values = _evaluator(table, (m,), names, context)
 
@@ -448,7 +447,7 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
     return Cochain(degree, alg_dim, coeff_dim, rows)
 
 
-def _map_eval(entries, group: MatrixGroup, names, context, compiled):
+def _map_eval(entries, group: MatrixGroup, names, context):
     """A path's or patch's coords vector or matrix of expressions in the
     parameters names, as (values, chart): a vectorized map from parameter
     arrays to the stack of chart coordinates, and the group's chart; or to
@@ -465,7 +464,7 @@ def _map_eval(entries, group: MatrixGroup, names, context, compiled):
             f"{context}.coords must be a list of {chart.dim} expressions",
         )
         context = f"{context}.coords"
-        table = _compile_exprs(coords, context, names, compiled)
+        table = _compile_exprs(coords, context, names)
         return _evaluator(table, (chart.dim,), names, context), chart
     if isinstance(entries, dict) and "matrix" in entries:
         rows = entries["matrix"]
@@ -477,21 +476,21 @@ def _map_eval(entries, group: MatrixGroup, names, context, compiled):
         )
         context, table = f"{context}.matrix", expressions.Table()
         for i, row in enumerate(rows):
-            _compile_exprs(row, f"{context}[{i}]", names, compiled, table, numbers=True)
+            _compile_exprs(row, f"{context}[{i}]", names, table, numbers=True)
         return _evaluator(table, (d, d), names, context), None
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
-def _parse_path(entries, group: MatrixGroup, context, compiled) -> GroupPath:
-    values, chart = _map_eval(entries, group, ("t",), context, compiled)
+def _parse_path(entries, group: MatrixGroup, context) -> GroupPath:
+    values, chart = _map_eval(entries, group, ("t",), context)
     return GroupPath(eval=values, chart=chart)
 
 
-def _parse_patch(entry, group: MatrixGroup, context, compiled) -> SurfacePatch:
+def _parse_patch(entry, group: MatrixGroup, context) -> SurfacePatch:
     _require(isinstance(entry, dict), f"{context} must be an object")
     domain = entry.get("domain", "square")
     coeff = _integer(entry.get("coefficient", 1), f"{context}: coefficient", -2**53, 2**53)
-    values, chart = _map_eval(entry, group, ("t", "s"), context, compiled)
+    values, chart = _map_eval(entry, group, ("t", "s"), context)
     try:
         return SurfacePatch(eval=values, domain=domain, coefficient=coeff, chart=chart)
     except MalformedInputError as exc:
@@ -520,7 +519,6 @@ def parse_document(text_or_dict) -> ProblemDocument:
     )
     options = _parse_options(raw.get("options", {}))
     doc = ProblemDocument(task=task, raw=raw, options=options)
-    compiled = {}  # each expression text of this document -> its Expression
 
     if "group" in raw:  # a group document's algebra is the group's
         _require("algebra" not in raw, "give an algebra section or a group section, not both; "
@@ -531,7 +529,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         doc.algebra = _parse_algebra(raw["algebra"])
 
     if "module" in raw:
-        doc.module = _parse_module(raw["module"], doc.algebra, doc.group, compiled)
+        doc.module = _parse_module(raw["module"], doc.algebra, doc.group)
     elif doc.algebra is not None:
         doc.module = trivial_module(doc.algebra.dim, 1)
 
@@ -550,7 +548,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         _require(doc.group is not None, "paths need a group section")
         _require(isinstance(raw["paths"], dict), "paths section must map names to paths")
         for name, entry in raw["paths"].items():
-            doc.paths[name] = _parse_path(entry, doc.group, f"paths[{name!r}]", compiled)
+            doc.paths[name] = _parse_path(entry, doc.group, f"paths[{name!r}]")
 
     if "loops" in raw:
         _require(doc.group is not None, "loops need a group section")
@@ -571,7 +569,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
                 )
                 doc.loops.append((name, torus_winding_loop(doc.group, winding)))
             else:
-                doc.loops.append((name, _parse_path(entry, doc.group, f"loops[{name!r}]", compiled)))
+                doc.loops.append((name, _parse_path(entry, doc.group, f"loops[{name!r}]")))
 
     if "cycles" in raw:
         _require(doc.group is not None, "cycles need a group section")
@@ -585,7 +583,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
                 f"cycles[{name!r}] needs a non-empty 'patches' list",
             )
             built = tuple(
-                _parse_patch(p, doc.group, f"cycles[{name!r}].patches[{k}]", compiled)
+                _parse_patch(p, doc.group, f"cycles[{name!r}].patches[{k}]")
                 for k, p in enumerate(patches)
             )
             _require(
@@ -619,7 +617,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         )
         chart = doc.group.chart
         names = [f"x{i + 1}" for i in range(chart.dim)] + [f"y{i + 1}" for i in range(chart.dim)]
-        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names, compiled),
+        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names),
                             (len(exprs),), names, "cochain_expr")
 
         def f_eval(g, h):

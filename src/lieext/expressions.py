@@ -14,10 +14,10 @@ most MAX_DEPTH levels deep (an operation, unary minus or call is a level, a
 parenthesis none).
 
 Each reduction is a node of a Table, and a node met again is the same node
-(hash-consing, Ershov 1958): a map's entries share one table, evaluated
-once per call.  Evaluation runs with numpy's divide, overflow and invalid
-errors raised, on scalars or arrays, and any of those errors (t/0,
-exp(1000), sin(inf)) is an ExpressionError.
+(hash-consing, Ershov 1958): each text of a map is parsed into the map's
+one table, evaluated once per call.  Evaluation runs with numpy's divide,
+overflow and invalid errors raised, on scalars or arrays, and any of those
+errors (t/0, exp(1000), sin(inf)) is an ExpressionError.
 """
 import bisect
 import math
@@ -70,29 +70,13 @@ class Expression:
     root: int  # its node there
 
     def __call__(self, env: Dict[str, object]):
-        table = Table()
-        table.enter(self)
+        table = Table()  # of its own, so its nodes run in its text's order
+        table.enter(parse_expression(self.source, table))
         names = [node for node in table.index if type(node) is str]  # in the text's order
         for name in names:
             if name not in env:
                 raise ExpressionError(f"unknown variable {name!r} in {self.source!r}")
         return table.compile(names, lambda e: "")(*map(env.get, names))[..., 0][()]
-
-
-def _postorder(nodes, root) -> list:
-    """The ids of root's nodes in post-order, operands left to right, each
-    once: the order its parse added them in."""
-    order, seen, todo = [], set(), [root]
-    while todo:
-        i = todo.pop()
-        if i < 0:  # ~i, whose operands are done
-            order.append(~i)
-        elif i not in seen:
-            seen.add(i)
-            todo.append(~i)
-            if type(nodes[i]) is tuple:
-                todo += nodes[i][:0:-1]
-    return order
 
 
 class Table:
@@ -102,20 +86,15 @@ class Table:
 
     def __init__(self):
         self.index, self.entries, self.roots, self.ends = {}, [], [], []  # ends: len(index) after each
+        self.parsed = {}  # text -> its Expression here, for a caller that meets a text again
 
     def enter(self, entry: Expression) -> None:
-        """Append entry; an Expression of another table is copied in."""
-        root, index = entry.root, self.index
+        """Append entry, an Expression parsed into this table."""
         if entry.table is not self:
-            nodes, ids = list(entry.table.index), {}
-            for i in _postorder(nodes, entry.root):
-                node = nodes[i]
-                if type(node) is tuple:
-                    node = (node[0], *map(ids.__getitem__, node[1:]))
-                ids[i] = root = index.setdefault(node, len(index))
+            raise ValueError(f"{entry.source!r} was parsed into another table")
         self.entries.append(entry)
-        self.roots.append(root)
-        self.ends.append(len(index))
+        self.roots.append(entry.root)
+        self.ends.append(len(self.index))
 
     def compile(self, names: Sequence[str], where: Callable[[int], str]) -> Callable:
         """The entries as one map: one array per name in, an array of shape

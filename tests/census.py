@@ -1,12 +1,13 @@
-"""Soundness census: how often `check-integrability` answers confidently wrong
-on documents whose answer is known.
+"""Soundness census: how often `check-integrability` and `cohomology` answer
+confidently wrong on documents whose answer is known.
 
     PYTHONPATH=src python tests/census.py [--seed 20261020] [--count 400]
 
 Each document runs through `lieext.cli.main` in this process.  An answer is
-right when it exits 0 with the known verdict, confidently wrong when it
-exits 0 with the other one, and honest when it exits 4; any other exit is
-counted apart.  The counts are printed per family and quadrature order.
+right when it exits 0 with the known verdict (or Betti numbers), confidently
+wrong when it exits 0 with another one, and honest when it exits 4; any
+other exit is counted apart.  The counts are printed per family and
+quadrature order ('-' for a family without one).
 
 Families:
 * `t2-step`: one square on T^2 whose first coordinate climbs a logistic
@@ -36,6 +37,12 @@ Families:
   {0.25, 0.5, 1} on (0, 1), (0, 2) and (1, 2), and lattice Z.  H_2(SU(2))
   = 0, so the period is 0 and the answer integrable.  They are drawn after
   the heis-narrow documents.
+* `sl2h-scaled`: `cohomology` over degrees 0-6 of sl2 + heis3 with the
+  trivial module, with one summand's structure constants (sl2 or heis3,
+  drawn) multiplied by 10^e, e an integer in [-16, 16].  That is the change
+  of basis e_i -> 10^e e_i on the summand, so the Betti numbers are the
+  Kunneth product of sl2's 1, 0, 0, 1 (Whitehead) and heis3's 1, 2, 2, 1:
+  1, 2, 2, 2, 2, 2, 1.  They are drawn after the su2-narrow documents.
 This script is not collected by pytest.
 """
 
@@ -54,6 +61,8 @@ from lieext.cli import main
 
 ORDERS = (8, 16, 24, 32)
 STEP = "{u} + {h}/(1 + exp(-({u} - {c!r})/{w!r}))"
+SL2_HEIS3 = ((0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0), (3, 4, 5, 1.0))  # [i, j, k, c_ij^k]
+KUNNETH = [int(b) for b in np.convolve((1, 0, 0, 1), (1, 2, 2, 1))]  # sl2's Betti numbers times heis3's
 
 
 def torus_document(k, cocycle, patches, order):
@@ -84,16 +93,17 @@ def step_family(rng, count):
         order = int(rng.choice(ORDERS))
         period = value * step_degree(h, c, w)
         patch = {"domain": "square", "coords": [STEP.format(u="t", h=h, c=c, w=w), "s"]}
-        yield order, torus_document(2, [((0, 1), value)], [patch], order), period == round(period)
+        answer = "integrable" if period == round(period) else "not_integrable"
+        yield order, torus_document(2, [((0, 1), value)], [patch], order), answer
 
 
 def incomplete_family():
     """Each 2-torus of T^k has the cocycle's value as its period, so the
     extension needs every value in Z: 0.5 is not."""
     square = {"domain": "square", "coords": ["t", "s"], "coefficient": 2}
-    yield 16, torus_document(2, [((0, 1), 0.5)], [square], 16), False
+    yield 16, torus_document(2, [((0, 1), 0.5)], [square], 16), "not_integrable"
     torus01 = {"domain": "square", "coords": ["t", "s", "0"]}
-    yield 16, torus_document(3, [((0, 1), 1.0), ((1, 2), 0.5)], [torus01], 16), False
+    yield 16, torus_document(3, [((0, 1), 1.0), ((1, 2), 0.5)], [torus01], 16), "not_integrable"
 
 
 def heis_narrow_family(rng, count):
@@ -124,7 +134,7 @@ def heis_narrow_family(rng, count):
             "lattice": {"generators": [[1.0]]},
             "cycles": [{"name": "block-boundary", "patches": patches}],
             "options": {"quad_order": order},
-        }, True
+        }, "integrable"
 
 
 def su2_narrow_family(rng, count):
@@ -146,7 +156,20 @@ def su2_narrow_family(rng, count):
             "cycles": [{"name": "great-sphere", "patches": [
                 {"domain": "square", "matrix": [[e.replace("pi*t", theta) for e in row] for row in matrix]}]}],
             "options": {"quad_order": order},
-        }, True
+        }, "integrable"
+
+
+def sl2h_scaled_family(rng, count):
+    for _ in range(count):
+        heis = bool(rng.integers(2))  # the summand scaled: heis3, else sl2
+        scale = 10.0 ** int(rng.integers(-16, 17))
+        rows = [[i, j, k, v * scale if (i >= 3) == heis else v] for i, j, k, v in SL2_HEIS3]
+        yield None, {
+            "task": "cohomology",
+            "algebra": {"dim": 6, "structure_constants": rows},
+            "module": {"coeff_dim": 1},
+            "options": {"degrees": list(range(7))},
+        }, KUNNETH
 
 
 def run(path, doc):
@@ -154,8 +177,10 @@ def run(path, doc):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([str(path), "--output", "machine"])
-    overall = json.loads(out.getvalue())["results"]["overall"] if code in (0, 4) else None
-    return code, overall
+    if code not in (0, 4):
+        return code, None
+    results = json.loads(out.getvalue())["results"]
+    return code, results["overall"] if "overall" in results else [row["betti"] for row in results["slices"]]
 
 
 def census(seed, count):
@@ -164,15 +189,15 @@ def census(seed, count):
     rng = np.random.default_rng(seed)
     counts = Counter()
     families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()),
-                ("heis-narrow", heis_narrow_family(rng, count)), ("su2-narrow", su2_narrow_family(rng, count)))
+                ("heis-narrow", heis_narrow_family(rng, count)), ("su2-narrow", su2_narrow_family(rng, count)),
+                ("sl2h-scaled", sl2h_scaled_family(rng, count)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         for family, docs in families:
-            for order, doc, integrable in docs:
-                code, overall = run(path, doc)
+            for order, doc, answer in docs:
+                code, got = run(path, doc)
                 if code == 0:
-                    right = overall == ("integrable" if integrable else "not_integrable")
-                    outcome = "right" if right else "wrong"
+                    outcome = "right" if got == answer else "wrong"
                 else:
                     outcome = "exit 4" if code == 4 else "other"
                 counts[family, order, outcome] += 1
@@ -181,6 +206,7 @@ def census(seed, count):
 
 def report(counts) -> str:
     outcomes = ("right", "wrong", "exit 4", "other")
+    counts = Counter({(f, "-" if q is None else q, o): n for (f, q, o), n in counts.items()})
     rows = sorted({(family, order) for family, order, _ in counts})
     lines = [f"{'family':<14} {'order':>5} " + " ".join(f"{o:>7}" for o in outcomes)]
     for family, order in rows + [("total", "")]:
@@ -194,6 +220,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=20261020)
     parser.add_argument("--count", type=int, default=400,
-                        help="t2-step, heis-narrow and su2-narrow documents each")
+                        help="t2-step, heis-narrow, su2-narrow and sl2h-scaled documents each")
     args = parser.parse_args()
     print(report(census(args.seed, args.count)))

@@ -4,10 +4,10 @@ Each fault is pinned to its exact message and exit code 2, one fault per
 document, and for two faults in one section the entry that is named.  A
 property test checks that valid sections read bit for bit as the entry by
 entry definition: c[i, j, k] = v and c[j, i, k] = -v, and each component at
-its lexicographic row.  The expression sections are compiled per document,
-each distinct text once, and no two parses share a compiled expression or
-a node table; each distinct subexpression of a map is evaluated once per
-call.
+its lexicographic row.  Each expression map parses its texts into its own
+node table, each distinct text once, and no two parses share a compiled
+expression or a node table; each distinct subexpression of a map is
+evaluated once per call.
 """
 
 import itertools
@@ -271,7 +271,7 @@ def test_each_distinct_text_is_compiled_and_evaluated_once(monkeypatch):
     assert len(compiled) == 7
     [patch] = doc.cycles[0][1].patches
     t, s = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)
-    alone = {text: parse(text)({"t": t, "s": s}) for text in compiled}
+    alone = {text: parse(text)({"t": t, "s": s}) for text in list(compiled)}
     assert len(calls) == 10  # each text evaluated on its own
     calls.clear()
     mats = patch(t, s)
@@ -279,6 +279,38 @@ def test_each_distinct_text_is_compiled_and_evaluated_once(monkeypatch):
     # every position holds its own entry's value, bit for bit
     for (i, j), text in np.ndenumerate(np.array(matrix)):
         assert mats[:, i, j].tobytes() == np.broadcast_to(alone[text], t.shape).tobytes()
+
+
+def test_each_map_parses_the_texts_it_shares_into_its_own_table(monkeypatch):
+    # two patches of one cycle share two texts, in other orders and with
+    # other neighbours: each patch parses its distinct texts once, into its
+    # own table, and every position keeps the bits its text gives alone
+    parse, made = expressions.parse_expression, []
+
+    def recorded(text, table=None):
+        expr = parse(text, table)
+        made.append(expr)
+        return expr
+
+    monkeypatch.setattr(expressions, "parse_expression", recorded)
+    coords = [["sin(pi*t) + s", "t*s", "sin(pi*t) + s"], ["exp(-t)*s", "sin(pi*t) + s", "t*s"]]
+    raw = {"task": "check-integrability", "group": {"kind": "torus", "dim": 3},
+           "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [1.0]}]},
+           "lattice": {"generators": [[1.0]]},
+           "cycles": [{"name": "c", "patches": [{"domain": "square", "coords": c} for c in coords]}]}
+    patches = parse_document(raw).cycles[0][1].patches
+    first, second = made[:2], made[2:]
+    assert [e.source for e in first] == ["sin(pi*t) + s", "t*s"]
+    assert [e.source for e in second] == ["exp(-t)*s", "sin(pi*t) + s", "t*s"]
+    assert len({id(e.table) for e in first}) == len({id(e.table) for e in second}) == 1
+    assert first[0].table is not second[0].table
+    assert [e.source for e in first[0].table.entries] == coords[0]
+    t, s = np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)
+    for patch, texts in zip(patches, coords):
+        values = patch.eval(t, s)
+        for k, text in enumerate(texts):
+            alone = np.broadcast_to(parse(text)({"t": t, "s": s}), t.shape)
+            assert values[:, k].tobytes() == alone.tobytes(), text
 
 
 def test_documents_share_no_compiled_expression(monkeypatch):

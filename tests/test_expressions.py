@@ -214,8 +214,8 @@ class TestNodeTable:
     """A map's entries, drawn from a shared pool of subexpressions, are one
     node table; each position keeps the bits its entry gives evaluated alone
     and Python's eval gives, and an error names the first entry that fails
-    alone, with its message.  Some texts are parsed into another table and
-    copied in."""
+    alone, with its message.  A text met again is entered again, not parsed
+    again, and an Expression of another table is refused."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -226,11 +226,11 @@ class TestNodeTable:
                                    min_size=1, max_size=8))
         values = data.draw(st.lists(st.floats(-2, 2), min_size=len(_NAMES), max_size=len(_NAMES)))
         env = dict(zip(_NAMES, values))
-        table, other, compiled = Table(), Table(), {}
+        table = Table()
         for text in texts:
-            if text not in compiled:
-                compiled[text] = parse_expression(text, data.draw(st.sampled_from([table, other])))
-            table.enter(compiled[text])
+            if text not in table.parsed:
+                table.parsed[text] = parse_expression(text, table)
+            table.enter(table.parsed[text])
         run = table.compile(_NAMES, "entry {}: ".format)
         alone = []
         for text in texts:
@@ -262,17 +262,26 @@ class TestNodeTable:
         assert str(err.value) == ("entry 1: cannot evaluate '1/(t - 0.5)': "
                                   "divide by zero encountered in scalar divide")
 
-    def test_a_copied_entry_keeps_its_own_order(self):
-        # in the table it was parsed into, 1/s comes before exp(800*t); copied
-        # into another, the entry still fails first where it fails alone
-        other = Table()
-        parse_expression("1/s", other)
-        text = "exp(800*t) + 1/s"
+    def test_an_expression_called_alone_keeps_its_own_order(self):
+        # in the table it was parsed into, 1/s comes before exp(800*t); called
+        # alone, the expression parses its own text afresh and fails first
+        # where its text fails: at the overflow
         table = Table()
-        table.enter(parse_expression(text, other))
-        with pytest.raises(ExpressionError) as alone:
-            parse_expression(text)({"t": 1.0, "s": 0.0})
-        assert "overflow" in str(alone.value)
-        with pytest.raises(ExpressionError) as err:
+        parse_expression("1/s", table)
+        expr = parse_expression("exp(800*t) + 1/s", table)
+        table.enter(expr)
+        with pytest.raises(ExpressionError) as shared:
             table.compile(["t", "s"], "".format)(1.0, 0.0)
-        assert str(err.value) == str(alone.value)
+        assert str(shared.value) == ("cannot evaluate 'exp(800*t) + 1/s': "
+                                     "divide by zero encountered in divide")
+        with pytest.raises(ExpressionError) as alone:
+            expr({"t": 1.0, "s": 0.0})
+        assert str(alone.value) == ("cannot evaluate 'exp(800*t) + 1/s': "
+                                    "overflow encountered in exp")
+
+    def test_enter_refuses_an_expression_of_another_table(self):
+        table, other = Table(), Table()
+        expr = parse_expression("sin(t)", other)
+        with pytest.raises(ValueError, match="parsed into another table"):
+            table.enter(expr)
+        assert table.entries == [] and table.roots == [] and table.ends == []
