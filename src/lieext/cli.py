@@ -43,11 +43,6 @@ from .documents import (
 from .errors import EXIT_INPUT, EXIT_OK, DocumentError, LieExtError
 
 
-def _digest(raw: dict) -> str:
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def _non_finite(value, where="results"):
     """Where the first NaN or infinity in a report value sits, else None."""
     if isinstance(value, float) and not math.isfinite(value):
@@ -59,7 +54,7 @@ def _non_finite(value, where="results"):
 
 
 def run(doc: ProblemDocument) -> tuple:
-    """Run a parsed document's task; return (report dict, exit code)."""
+    """Run a parsed document's task; return (report dict, exit code); main adds the digest and timing."""
     # overflow shows up as a non-finite result, rejected by _encode, not as a warning
     task = TASKS[doc.task]
     warnings = [
@@ -74,7 +69,6 @@ def run(doc: ProblemDocument) -> tuple:
         {
             "schema_version": SCHEMA_VERSION,
             "task": doc.task,
-            "inputs_digest": _digest(doc.raw),
             "results": results,
             "warnings": warnings + task_warnings,
         },
@@ -184,14 +178,14 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         if args.document == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
             try:
-                with open(args.document, "r", encoding="utf-8") as handle:
-                    text = handle.read()
+                with open(args.document, "rb") as handle:
+                    data = handle.read()
             except OSError as exc:
                 raise DocumentError(f"cannot read {args.document}: {exc}") from None
-        raw = load_json(text)
+        raw = load_json(data)
         flags = {
             name: getattr(args, name)
             for name in ("quad_order", "tol", "fd_step")
@@ -205,6 +199,10 @@ def main(argv=None) -> int:
             if flags and isinstance(raw.setdefault("options", {}), dict):
                 raw["options"].update(flags)
         report, code = run(parse_document(raw))
+        # the digest names the bytes read, then any override as canonical JSON
+        overrides = {**flags, "task": args.task} if args.task else flags
+        tail = json.dumps(overrides, sort_keys=True, separators=(",", ":")).encode() if overrides else b""
+        report["inputs_digest"] = "sha256:" + hashlib.sha256(data + tail).hexdigest()
         report["timing_seconds"] = time.perf_counter() - started
         output = _encode(report, args.output == "machine")
     except LieExtError as exc:

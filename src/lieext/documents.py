@@ -106,7 +106,6 @@ class ProblemDocument:
     """Parsed and cross-checked problem statement."""
 
     task: str
-    raw: dict
     algebra: Optional[LieAlgebra] = None
     module: Optional[ModuleAction] = None
     lattice: Optional[Lattice] = None
@@ -289,7 +288,7 @@ def _compile_exprs(strings, context, names, table=None, numbers=False):
         expr = table.parsed.get(text) if isinstance(text, str) else None
         if expr is None:
             try:
-                expr = table.parsed[text] = expressions.parse_expression(text, table)
+                expr = expressions.parse_expression(text, table)
             except ExpressionError as exc:
                 pos = f" at position {exc.position}" if exc.position is not None else ""
                 raise DocumentError(f"{where}: {exc}{pos}") from None
@@ -497,15 +496,17 @@ def _parse_patch(entry, group: MatrixGroup, context) -> SurfacePatch:
         raise DocumentError(f"{context}: {exc}") from None
 
 
-def load_json(text: str):
-    """The JSON value in text; DocumentError with the position when invalid."""
+def load_json(text):
+    """The JSON value in text, a str or UTF-8 bytes; DocumentError with the position when invalid."""
     try:
-        return json.loads(text)
+        return json.loads(text.decode() if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"document is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"document is not valid JSON: {exc.msg} at line {exc.lineno} "
-            f"column {exc.colno}"
-        ) from None
+        raise DocumentError(f"document is not valid JSON: {exc.msg} at line {exc.lineno} "
+                            f"column {exc.colno}") from None
+    except RecursionError:
+        raise DocumentError("document is not valid JSON: nested too deeply") from None
 
 
 def parse_document(text_or_dict) -> ProblemDocument:
@@ -518,7 +519,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
         f"task must be one of {', '.join(TASKS)}; got {task!r}",
     )
     options = _parse_options(raw.get("options", {}))
-    doc = ProblemDocument(task=task, raw=raw, options=options)
+    doc = ProblemDocument(task=task, options=options)
 
     if "group" in raw:  # a group document's algebra is the group's
         _require("algebra" not in raw, "give an algebra section or a group section, not both; "

@@ -24,7 +24,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, NoReturn, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,7 @@ _CLOSING = {"+": 1, "-": 1, "*": 2, "/": 2, ")": 1, None: 1}
 
 _NUMBER = re.compile(r"[\d.]+(?:[eE][+-]?\d+)?")
 _TOKEN = re.compile(rf"[-+*/()]|{_NUMBER.pattern}|(?!\d)\w+|\S")  # whitespace is skipped
+Entry = NamedTuple("Entry", [("source", str), ("variables", frozenset), ("root", int)])
 
 
 @dataclass(frozen=True)
@@ -80,20 +81,20 @@ class Expression:
 
 
 class Table:
-    """The node table of one map, and its entries, Expressions.  index maps
-    each node (a constant, a variable name, or (fn, *operand ids)) to its
-    id, the order it was added in."""
+    """The node table of one map and its entries, Entry records (no Expression,
+    so a dropped map is freed by reference counting).  index maps each node (a
+    constant, a variable name, or (fn, *operand ids)) to its id, the order it was added in."""
 
     def __init__(self):
-        self.index, self.entries, self.roots, self.ends = {}, [], [], []  # ends: len(index) after each
-        self.parsed = {}  # text -> its Expression here, for a caller that meets a text again
+        self.index, self.entries, self.ends = {}, [], []  # ends: len(index) after each entry
+        self.parsed = {}  # text -> its Entry here, for a caller that meets a text again
 
-    def enter(self, entry: Expression) -> None:
-        """Append entry, an Expression parsed into this table."""
-        if entry.table is not self:
+    def enter(self, entry) -> None:
+        """Append entry, an Expression parsed into this table or its parsed Entry."""
+        if getattr(entry, "table", self) is not self:
             raise ValueError(f"{entry.source!r} was parsed into another table")
-        self.entries.append(entry)
-        self.roots.append(entry.root)
+        self.entries.append(Entry(entry.source, entry.variables, entry.root))
+        self.parsed.setdefault(entry.source, self.entries[-1])
         self.ends.append(len(self.index))
 
     def compile(self, names: Sequence[str], where: Callable[[int], str]) -> Callable:
@@ -137,8 +138,8 @@ class Table:
             if type(node) is tuple:
                 last[node[1]] = last[node[-1]] = i
         writes = {}  # each root's positions
-        for e, root in enumerate(self.roots):
-            writes.setdefault(root, []).append((..., e))
+        for e, entry in enumerate(self.entries):
+            writes.setdefault(entry.root, []).append((..., e))
         reg, free, template, inputs, plan, steps = [], [], [], [], [], []
         for i, node in enumerate(nodes):
             if type(node) is tuple:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -1141,12 +1142,80 @@ def test_unread_option_warns(fixture, flag, warning, capsys):
 
 
 def test_flags_are_part_of_the_inputs_digest(capsys):
-    fixture = str(FIXTURES / "torus_integrable.json")
+    # each override, even of a value the document already holds, is appended
+    # to the document's bytes as canonical JSON before they are hashed
+    fixture = FIXTURES / "torus_integrable.json"
     digests = []
-    for flags in ([], ["--quad-order", "16"]):
-        assert main([fixture, "--output", "machine", *flags]) == 0
+    for flags in ([], ["--quad-order", "16"], ["--tol", "1e-6"], ["--fd-step", "0.001"],
+                  ["--task", "check-integrability"], ["--quad-order", "16", "--task", "validate"]):
+        assert main([str(fixture), "--output", "machine", *flags]) == 0
         digests.append(json.loads(capsys.readouterr().out)["inputs_digest"])
-    assert digests[0] != digests[1]
+    assert len(set(digests)) == len(digests)
+    data = fixture.read_bytes()
+    tails = [b"", b'{"quad_order":16}', b'{"tol":1e-06}', b'{"fd_step":0.001}',
+             b'{"task":"check-integrability"}', b'{"quad_order":16,"task":"validate"}']
+    assert digests == ["sha256:" + hashlib.sha256(data + tail).hexdigest() for tail in tails]
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in json.loads((FIXTURES / "index.json").read_text()) if e["expected_exit"] in (0, 4)],
+    ids=lambda e: e["file"],
+)
+def test_inputs_digest_is_the_sha256_of_the_document_bytes(entry):
+    # what `sha256sum problem.json` prints, so anyone can reproduce it
+    data = (FIXTURES / entry["file"]).read_bytes()
+    report = fixture_report(entry["file"])["report"]
+    assert report["inputs_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_a_crlf_document_is_digested_as_its_own_bytes(tmp_path, capsys):
+    # the bytes as read, not the newline-translated text: reformatting a
+    # document changes its digest and nothing else
+    fixture = FIXTURES / "sl2_cohomology.json"
+    data = fixture.read_bytes().replace(b"\n", b"\r\n")
+    assert data != fixture.read_bytes()
+    path = tmp_path / "crlf.json"
+    path.write_bytes(data)
+    lf, crlf = (machine_report([str(p)], capsys) for p in (fixture, path))
+    assert crlf.pop("inputs_digest") == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert lf.pop("inputs_digest") == "sha256:" + hashlib.sha256(fixture.read_bytes()).hexdigest()
+    lf.pop("timing_seconds"), crlf.pop("timing_seconds")
+    assert crlf == lf
+
+
+def _bytes_stdin(data):
+    """A stdin whose buffer holds data, as a process's stdin does."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
+def test_stdin_and_a_file_of_the_same_bytes_get_the_same_digest(monkeypatch, capsys):
+    fixture = FIXTURES / "torus_gamma.json"
+    from_file = machine_report([str(fixture), "--tol", "1e-7"], capsys)
+    monkeypatch.setattr(sys, "stdin", _bytes_stdin(fixture.read_bytes()))
+    from_stdin = machine_report(["-", "--tol", "1e-7"], capsys)
+    assert from_stdin["inputs_digest"] == from_file["inputs_digest"]
+
+
+NOT_UTF8 = b'{"task": "validate", "algebra": {"dim": 1}, "note": "caf\xe9"}'
+
+
+@pytest.mark.parametrize("data, message", [
+    (NOT_UTF8, f"document is not UTF-8: invalid continuation byte at byte {NOT_UTF8.index(0xE9)}"),
+    (b"\xff" + load_fixture("heis3_validate.json").encode(),
+     "document is not UTF-8: invalid start byte at byte 0"),
+    (b"[" * 200_000 + b"]" * 200_000, "document is not valid JSON: nested too deeply"),
+    (b'{"task": "validate", "algebra": {"dim": 1}, "unread": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+     "document is not valid JSON: nested too deeply"),
+], ids=["latin1_byte", "leading_ff", "deep_array", "deep_unread_key"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_undecodable_document_exits_2_with_a_message(data, message, source, tmp_path,
+                                                     monkeypatch, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", _bytes_stdin(data))
+    assert main([str(path) if source == "file" else "-", "--output", "machine"]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def test_lattice_error_has_one_prefix(tmp_path, capsys):
@@ -1353,7 +1422,7 @@ class TestCliBehavior:
         assert report["results"]["valid"] is True
 
     def test_stdin_input_in_process(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(load_fixture("heis3_validate.json")))
+        monkeypatch.setattr(sys, "stdin", _bytes_stdin((FIXTURES / "heis3_validate.json").read_bytes()))
         assert machine_report(["-"], capsys)["results"]["valid"] is True
 
     def test_fixture_listing_in_process(self, capsys):

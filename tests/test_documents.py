@@ -10,10 +10,12 @@ expression or a node table; each distinct subexpression of a map is
 evaluated once per call.
 """
 
+import gc
 import itertools
 import json
 import threading
 import tracemalloc
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -352,6 +354,32 @@ def test_documents_share_no_compiled_expression(monkeypatch):
         assert {e.source for e in first} == {e.source for e in second} == texts
         assert not set(map(id, first)) & set(map(id, second))
         assert not {id(e.table) for e in first} & {id(e.table) for e in second}
+
+
+def test_a_dropped_document_frees_its_tables_without_the_cycle_collector(monkeypatch):
+    # a table keeps its entries' texts, variables and roots, not the
+    # Expressions that point at it, so reference counting alone frees it
+    parse, tables = expressions.parse_expression, []
+
+    def recorded(text, table=None):
+        expr = parse(text, table)
+        tables.append(weakref.ref(expr.table))
+        return expr
+
+    monkeypatch.setattr(expressions, "parse_expression", recorded)
+    index = json.loads((resources.files("lieext") / "fixtures" / "index.json").read_text())
+    raws = [json.loads((resources.files("lieext") / "fixtures" / e["file"]).read_text())
+            for e in index if e["expected_exit"] != 2]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        docs = [parse_document(raw) for raw in raws]
+        assert tables and all(ref() is not None for ref in tables)
+        del docs
+        assert [ref() for ref in tables] == [None] * len(tables)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("upper, lower", [

@@ -284,4 +284,4 @@ class TestNodeTable:
         expr = parse_expression("sin(t)", other)
         with pytest.raises(ValueError, match="parsed into another table"):
             table.enter(expr)
-        assert table.entries == [] and table.roots == [] and table.ends == []
+        assert table.entries == [] and table.parsed == {} and table.ends == []
