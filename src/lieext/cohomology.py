@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .algebra import DEFAULT_TOL_ALG, LieAlgebra, ModuleAction
-from .errors import LieExtError, MalformedInputError, NotACocycleError, UserFunctionError
+from .errors import LieExtError, MalformedInputError, NotACocycleError, UserFunctionError, _quoted
 
 RANK_TOL_FACTOR = 1e-10
 # d_n is assembled dense and its SVD takes a few copies of it; a d_n with
@@ -149,9 +149,9 @@ def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
         except ValueError:  # a ragged list
             row = None
         if row is None or row.dtype.kind not in "iuf" or row.size != coeff_dim:
-            raise MalformedInputError(f"value for {key} must be {count}, got {val!r}")
+            raise MalformedInputError(f"value for {key} must be {count}, got {_quoted(val)}")
         if not np.all(np.isfinite(row)):
-            raise MalformedInputError(f"value for {key} must be finite, got {val!r}")
+            raise MalformedInputError(f"value for {key} must be finite, got {_quoted(val)}")
         rows[position[key]] = row.reshape(coeff_dim)
     return Cochain(degree, alg_dim, coeff_dim, rows)
 

@@ -7,20 +7,23 @@ built-in or an explicit matrix realization), cocycles, and parametric
 paths/loops/cycles written in the small expression grammar.  A document
 gives an algebra or a group, not both: a group document's algebra is the
 group's.  Indices are 0-based throughout.  parse_document builds and
-cross-checks the in-memory objects and reads the options against OPTIONS;
-TASKS holds, for each task, the sections it needs, the options it reads
-with their defaults, and how it runs.  No task has a text form of its own:
-the text report names the results fields as the machine report does.
-Numbers are read by two readers only: _integer and _reals.  Every
-expression-valued section (path and patch coords or matrix, the module's
-group action, the d2 cochain) has its texts parsed into one node table,
-each distinct text once, and its variables checked, by _compile_exprs, and
-is evaluated on arrays by one _evaluator.
+cross-checks the in-memory objects: the group or algebra, the module, then
+each section of SECTIONS, in its order, by its reader; it reads the
+options against OPTIONS.  TASKS holds, for each task, the sections it
+needs, the options it reads with their defaults, and how it runs.  No task
+has a text form of its own: the text report names the results fields as
+the machine report does.  Numbers are read by two readers only: _integer
+and _reals.  Every expression-valued section (path and patch coords or
+matrix, the module's group action, the d2 cochain) becomes one vectorized
+map by _expression_map: its texts parsed into one node table, each
+distinct text once, and its variables checked.  A message quotes a value
+from the document through errors._quoted, which bounds its length.
 """
 
 import bisect
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional
@@ -56,6 +59,7 @@ from .errors import (
     LieExtError,
     MalformedInputError,
     UnresolvedReferenceError,
+    _quoted,
 )
 from .extensions import (
     DEFAULT_EQUIV_TOL,
@@ -134,7 +138,7 @@ def _integer(value, context, low=None, high=None) -> int:
         "" if low is None else f" >= {low}" if high is None
         else f" equal to {low}" if low == high else f" in [{low}, {high}]"
     )
-    raise DocumentError(f"{context} must be an integer{bounds}, got {value!r}")
+    raise DocumentError(f"{context} must be an integer{bounds}, got {_quoted(value)}")
 
 
 def _reals(value, context, shape=None) -> np.ndarray:
@@ -161,19 +165,19 @@ def _reals(value, context, shape=None) -> np.ndarray:
 def _positive(value, context) -> float:
     """value as one finite JSON number above zero."""
     number = float(_reals(value, context, ()))
-    _require(number > 0, f"{context} must be positive, got {value!r}")
+    _require(number > 0, f"{context} must be positive, got {_quoted(value)}")
     return number
 
 
 def _list(value, context) -> list:
     if not isinstance(value, list):
-        raise DocumentError(f"{context} must be a list, got {value!r}")
+        raise DocumentError(f"{context} must be a list, got {_quoted(value)}")
     return value
 
 
 def _name(value, context) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"{context} must be a string, got {value!r}")
+        raise DocumentError(f"{context} must be a string, got {_quoted(value)}")
     return value
 
 
@@ -181,7 +185,7 @@ def _degrees(value, context) -> list:
     """value as a non-empty list of distinct integers >= 0."""
     degrees = [_integer(n, context, low=0) for n in _list(value, context)]
     _require(degrees and len(set(degrees)) == len(degrees),
-             f"{context} must list distinct degrees, at least one, got {value!r}")
+             f"{context} must list distinct degrees, at least one, got {_quoted(value)}")
     return degrees
 
 
@@ -199,7 +203,7 @@ def _parse_options(options) -> dict:
     _require(isinstance(options, dict), "options must be an object")
     read = {}
     for name, value in options.items():
-        _require(name in OPTIONS, f"unknown option {name!r}; options are {', '.join(OPTIONS)}")
+        _require(name in OPTIONS, f"unknown option {_quoted(name)}; options are {', '.join(OPTIONS)}")
         read[name] = OPTIONS[name](value, f"option {name!r}")
     return read
 
@@ -273,44 +277,34 @@ def serialize_extension(total: LieAlgebra, base_dim: int) -> dict:
     }
 
 
-def _compile_exprs(strings, context, names, table=None, numbers=False):
-    """table, a new one by default, with each expression string of strings
-    parsed into it, and each JSON number, where numbers allows them (matrix
-    entries), parsed from its float's repr, entered in order; a
-    DocumentError names the entry, context[i], that does not parse or reads
-    a variable outside names.  A text met again in table is entered again,
-    not parsed again."""
-    table = expressions.Table() if table is None else table
-    for idx, text in enumerate(strings):
-        where = f"{context}[{idx}]"
+def _expression_map(texts, shape, names, context, numbers=False) -> Callable:
+    """texts, a vector's or a matrix's entries in row-major order (and JSON
+    numbers, parsed from their float's repr, where numbers allows them), as
+    one vectorized map: an array per name in, shape' + shape out, shape'
+    their broadcast shape.  Each distinct text is parsed once into one node
+    table and each distinct subexpression evaluated once per call.  An error
+    names its entry, context[i] or context[i][j]: one that does not parse,
+    reads a variable outside names, or is the first to need a failing node."""
+    table = expressions.Table()
+    where = lambda e: context + "".join(f"[{k}]" for k in np.unravel_index(e, shape))
+    for e, text in enumerate(texts):
         if numbers and isinstance(text, (int, float)):
-            text = repr(float(_reals(text, where, ())))  # parses to the same bits
+            text = repr(float(_reals(text, where(e), ())))  # parses to the same bits
         expr = table.parsed.get(text) if isinstance(text, str) else None
         if expr is None:
             try:
                 expr = expressions.parse_expression(text, table)
             except ExpressionError as exc:
                 pos = f" at position {exc.position}" if exc.position is not None else ""
-                raise DocumentError(f"{where}: {exc}{pos}") from None
+                raise DocumentError(f"{where(e)}: {exc}{pos}") from None
             unknown = sorted(expr.variables - set(names))
             if unknown:
                 raise DocumentError(
-                    f"{where}: unknown variable {unknown[0]!r}; the variables here "
+                    f"{where(e)}: unknown variable {unknown[0]!r}; the variables here "
                     f"are {', '.join(names)}"
                 )
         table.enter(expr)
-    return table
-
-
-def _evaluator(table, shape, names, context) -> Callable:
-    """The entries of table, a vector or a matrix of the given shape, as one
-    vectorized map: one array per name in, an array of shape shape' + shape
-    out, shape' being the broadcast shape of the arrays.  Each distinct
-    subexpression is evaluated once per call (expressions.Table.compile), and
-    an evaluation error names the first entry in row-major order that needs
-    the failing node (context[i] or context[i][j])."""
-    run = table.compile(names, lambda e: context + "".join(
-        f"[{k}]" for k in np.unravel_index(e, shape)) + ": ")
+    run = table.compile(names, lambda e: where(e) + ": ")
 
     @vectorized
     def evaluate(*args):
@@ -339,9 +333,9 @@ def _parse_module(section, alg: Optional[LieAlgebra],
         context = "module.group_action.exprs"
         chart = group.chart
         names = [f"g{i + 1}" for i in range(chart.dim)] + [f"a{j + 1}" for j in range(m)]
-        table = _compile_exprs(_list(ga["exprs"], context), context, names)
-        _require(len(table.entries) == m, f"module.group_action needs {m} expressions")
-        values = _evaluator(table, (m,), names, context)
+        exprs = _list(ga["exprs"], context)
+        values = _expression_map(exprs, (len(exprs),), names, context)
+        _require(len(exprs) == m, f"module.group_action needs {m} expressions")
 
         @vectorized
         def action(g, v):
@@ -350,8 +344,9 @@ def _parse_module(section, alg: Optional[LieAlgebra],
     return ModuleAction(rho=rho, group_action=action)
 
 
-def _parse_lattice(section, coeff_dim: Optional[int]) -> Lattice:
+def _parse_lattice(section, module: Optional[ModuleAction]) -> Lattice:
     _require(isinstance(section, dict), "lattice section must be an object")
+    coeff_dim = None if module is None else module.coeff_dim
     gens = _reals(section.get("generators", []), "lattice: generators")
     if gens.size == 0:
         m = 1 if coeff_dim is None else coeff_dim
@@ -392,7 +387,7 @@ def _parse_group(section) -> MatrixGroup:
         except MalformedInputError as exc:
             raise DocumentError(f"group: {exc}") from None
     raise DocumentError(
-        f"unknown group kind {kind!r} (expected torus, translation, su2, sl2, "
+        f"unknown group kind {_quoted(kind)} (expected torus, translation, su2, sl2, "
         "heisenberg, or matrix)"
     )
 
@@ -452,31 +447,18 @@ def _map_eval(entries, group: MatrixGroup, names, context):
     arrays to the stack of chart coordinates, and the group's chart; or to
     the stack of group matrices, and None."""
     if isinstance(entries, dict) and "coords" in entries:
-        _require(
-            group.chart is not None,
-            f"{context}: coordinates need a group with a chart",
-        )
-        chart = group.chart
-        coords = entries["coords"]
-        _require(
-            isinstance(coords, list) and len(coords) == chart.dim,
-            f"{context}.coords must be a list of {chart.dim} expressions",
-        )
-        context = f"{context}.coords"
-        table = _compile_exprs(coords, context, names)
-        return _evaluator(table, (chart.dim,), names, context), chart
+        chart, coords = group.chart, entries["coords"]
+        _require(chart is not None, f"{context}: coordinates need a group with a chart")
+        _require(isinstance(coords, list) and len(coords) == chart.dim,
+                 f"{context}.coords must be a list of {chart.dim} expressions")
+        return _expression_map(coords, (chart.dim,), names, f"{context}.coords"), chart
     if isinstance(entries, dict) and "matrix" in entries:
-        rows = entries["matrix"]
-        d = group.embed_dim
-        _require(
-            isinstance(rows, list) and len(rows) == d
-            and all(isinstance(r, list) and len(r) == d for r in rows),
-            f"{context}.matrix must be a list of {d} rows of {d} entries",
-        )
-        context, table = f"{context}.matrix", expressions.Table()
-        for i, row in enumerate(rows):
-            _compile_exprs(row, f"{context}[{i}]", names, table, numbers=True)
-        return _evaluator(table, (d, d), names, context), None
+        rows, d = entries["matrix"], group.embed_dim
+        _require(isinstance(rows, list) and len(rows) == d
+                 and all(isinstance(r, list) and len(r) == d for r in rows),
+                 f"{context}.matrix must be a list of {d} rows of {d} entries")
+        flat = list(chain.from_iterable(rows))
+        return _expression_map(flat, (d, d), names, f"{context}.matrix", numbers=True), None
     raise DocumentError(f"{context} needs either 'coords' or 'matrix'")
 
 
@@ -509,6 +491,92 @@ def load_json(text):
         raise DocumentError("document is not valid JSON: nested too deeply") from None
 
 
+def _read_cocycle(context, section, doc) -> Cochain:
+    _require(doc.algebra is not None, f"{context} needs an algebra or group section")
+    return _parse_cocycle(section, doc.algebra.dim, doc.module.coeff_dim, context)
+
+
+def _read_paths(section, doc) -> dict:
+    _require(doc.group is not None, "paths need a group section")
+    _require(isinstance(section, dict), "paths section must map names to paths")
+    return {name: _parse_path(entry, doc.group, f"paths[{_quoted(name)}]")
+            for name, entry in section.items()}
+
+
+def _read_named(kind, read_entry, section, doc) -> list:
+    """A list of kind (loop or cycle) objects as (name, value) pairs: each named
+    by its 'name' or kind{position}, once, and read by read_entry(entry, group, context)."""
+    _require(doc.group is not None, f"{kind}s need a group section")
+    named = {}
+    for pos, entry in enumerate(_list(section, f"{kind}s")):
+        _require(isinstance(entry, dict), f"{kind}s entries must be objects")
+        name = _name(entry.get("name", f"{kind}{pos}"), f"{kind} name")
+        _require(name not in named, f"{kind}s: name {_quoted(name)} given twice")
+        named[name] = read_entry(entry, doc.group, f"{kind}s[{_quoted(name)}]")
+    return list(named.items())
+
+
+def _read_loop(entry, group: MatrixGroup, context) -> GroupPath:
+    """A path, or a straight loop of integer windings on a torus: of the
+    document groups, the one with an additive chart and a skew basis."""
+    if "winding" not in entry:
+        return _parse_path(entry, group, context)
+    where, chart = f"{context}: winding", group.chart
+    winding = [_integer(w, where, -2**53, 2**53) for w in _list(entry["winding"], where)]
+    _require(chart is not None and chart.additive
+             and not (group.basis + group.basis.transpose(0, 2, 1)).any(),
+             f"{where} needs a torus group, not {group.name}")
+    _require(len(winding) == chart.dim,
+             f"{context}: winding length must match the group's coordinate dimension")
+    return torus_winding_loop(group, winding)
+
+
+def _read_cycle(entry, group: MatrixGroup, context) -> Surface2Chain:
+    patches = entry.get("patches")
+    _require(isinstance(patches, list) and patches, f"{context} needs a non-empty 'patches' list")
+    built = tuple(_parse_patch(p, group, f"{context}.patches[{k}]") for k, p in enumerate(patches))
+    _require(any(p.coefficient for p in built), f"{context} has no patch with a non-zero coefficient")
+    return Surface2Chain(patches=built)
+
+
+def _read_pair(pair, doc) -> tuple:
+    _require(isinstance(pair, list) and len(pair) == 2, "pair must be a list of two path names")
+    for name in pair:
+        if _name(name, "pair entry") not in doc.paths:
+            raise UnresolvedReferenceError(f"pair references unknown path {_quoted(name)}")
+    return tuple(pair)
+
+
+def _read_cochain_expr(exprs, doc) -> GroupCochain:
+    _require(isinstance(exprs, list) and exprs,
+             "cochain_expr must be a non-empty list of expression strings")
+    _require(doc.group is not None and doc.group.chart is not None,
+             "cochain_expr needs a group with a coordinate chart")
+    chart = doc.group.chart
+    names = [f"x{i + 1}" for i in range(chart.dim)] + [f"y{i + 1}" for i in range(chart.dim)]
+    values = _expression_map(exprs, (len(exprs),), names, "cochain_expr")
+
+    def f_eval(g, h):
+        return values(*np.moveaxis(chart.to_coords(g), -1, 0),
+                      *np.moveaxis(chart.to_coords(h), -1, 0))
+    return GroupCochain(degree=2, eval=f_eval, coeff_dim=len(exprs))
+
+
+# The sections after the group or algebra and the module, read in this order
+# by their readers (section, doc) -> the field of that name.  A reader checks
+# the sections it needs; of two broken sections, the one listed first is reported.
+SECTIONS = {
+    "lattice": lambda section, doc: _parse_lattice(section, doc.module),
+    "cocycle": partial(_read_cocycle, "cocycle"),
+    "cocycle2": partial(_read_cocycle, "cocycle2"),
+    "paths": _read_paths,
+    "loops": partial(_read_named, "loop", _read_loop),
+    "cycles": partial(_read_named, "cycle", _read_cycle),
+    "pair": _read_pair,
+    "cochain_expr": _read_cochain_expr,
+}
+
+
 def parse_document(text_or_dict) -> ProblemDocument:
     """Parse, build, and cross-check a problem document."""
     raw = load_json(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
@@ -516,7 +584,7 @@ def parse_document(text_or_dict) -> ProblemDocument:
     task = raw.get("task")
     _require(
         isinstance(task, str) and task in TASKS,
-        f"task must be one of {', '.join(TASKS)}; got {task!r}",
+        f"task must be one of {', '.join(TASKS)}; got {_quoted(task)}",
     )
     options = _parse_options(raw.get("options", {}))
     doc = ProblemDocument(task=task, options=options)
@@ -534,97 +602,9 @@ def parse_document(text_or_dict) -> ProblemDocument:
     elif doc.algebra is not None:
         doc.module = trivial_module(doc.algebra.dim, 1)
 
-    coeff_dim = doc.module.coeff_dim if doc.module is not None else None
-    if "lattice" in raw:
-        doc.lattice = _parse_lattice(raw["lattice"], coeff_dim)
-
-    if "cocycle" in raw:
-        _require(doc.algebra is not None, "cocycle needs an algebra or group section")
-        doc.cocycle = _parse_cocycle(raw["cocycle"], doc.algebra.dim, coeff_dim)
-    if "cocycle2" in raw:
-        _require(doc.algebra is not None, "cocycle2 needs an algebra or group section")
-        doc.cocycle2 = _parse_cocycle(raw["cocycle2"], doc.algebra.dim, coeff_dim, "cocycle2")
-
-    if "paths" in raw:
-        _require(doc.group is not None, "paths need a group section")
-        _require(isinstance(raw["paths"], dict), "paths section must map names to paths")
-        for name, entry in raw["paths"].items():
-            doc.paths[name] = _parse_path(entry, doc.group, f"paths[{name!r}]")
-
-    if "loops" in raw:
-        _require(doc.group is not None, "loops need a group section")
-        for pos, entry in enumerate(_list(raw["loops"], "loops")):
-            _require(isinstance(entry, dict), "loops entries must be objects")
-            name = _name(entry.get("name", f"loop{pos}"), "loop name")
-            _require(name not in dict(doc.loops), f"loops: name {name!r} given twice")
-            if "winding" in entry:
-                context = f"loops[{name!r}]: winding"
-                winding = [_integer(w, context, -2**53, 2**53)
-                           for w in _list(entry["winding"], context)]
-                _require(raw["group"]["kind"] == "torus",
-                         f"{context} needs a torus group, not {doc.group.name}")
-                _require(
-                    len(winding) == doc.group.chart.dim,
-                    f"loops[{name!r}]: winding length must match the group's "
-                    "coordinate dimension",
-                )
-                doc.loops.append((name, torus_winding_loop(doc.group, winding)))
-            else:
-                doc.loops.append((name, _parse_path(entry, doc.group, f"loops[{name!r}]")))
-
-    if "cycles" in raw:
-        _require(doc.group is not None, "cycles need a group section")
-        for pos, entry in enumerate(_list(raw["cycles"], "cycles")):
-            _require(isinstance(entry, dict), "cycles entries must be objects")
-            name = _name(entry.get("name", f"cycle{pos}"), "cycle name")
-            _require(name not in dict(doc.cycles), f"cycles: name {name!r} given twice")
-            patches = entry.get("patches")
-            _require(
-                isinstance(patches, list) and patches,
-                f"cycles[{name!r}] needs a non-empty 'patches' list",
-            )
-            built = tuple(
-                _parse_patch(p, doc.group, f"cycles[{name!r}].patches[{k}]")
-                for k, p in enumerate(patches)
-            )
-            _require(
-                any(p.coefficient for p in built),
-                f"cycles[{name!r}] has no patch with a non-zero coefficient",
-            )
-            doc.cycles.append((name, Surface2Chain(patches=built)))
-
-    if "pair" in raw:
-        pair = raw["pair"]
-        _require(
-            isinstance(pair, list) and len(pair) == 2,
-            "pair must be a list of two path names",
-        )
-        for name in pair:
-            if _name(name, "pair entry") not in doc.paths:
-                raise UnresolvedReferenceError(
-                    f"pair references unknown path {name!r}"
-                )
-        doc.pair = (pair[0], pair[1])
-
-    if "cochain_expr" in raw:
-        exprs = raw["cochain_expr"]
-        _require(
-            isinstance(exprs, list) and exprs,
-            "cochain_expr must be a non-empty list of expression strings",
-        )
-        _require(
-            doc.group is not None and doc.group.chart is not None,
-            "cochain_expr needs a group with a coordinate chart",
-        )
-        chart = doc.group.chart
-        names = [f"x{i + 1}" for i in range(chart.dim)] + [f"y{i + 1}" for i in range(chart.dim)]
-        values = _evaluator(_compile_exprs(exprs, "cochain_expr", names),
-                            (len(exprs),), names, "cochain_expr")
-
-        def f_eval(g, h):
-            return values(*np.moveaxis(chart.to_coords(g), -1, 0),
-                          *np.moveaxis(chart.to_coords(h), -1, 0))
-        doc.cochain_expr = GroupCochain(degree=2, eval=f_eval, coeff_dim=len(exprs))
+    for section, read in SECTIONS.items():
+        if section in raw:
+            setattr(doc, section, read(raw[section], doc))
 
     for section in TASKS[task].needs:
         value = getattr(doc, section)

@@ -1,9 +1,18 @@
-"""Exception classes shared across the package, with the CLI's exit codes."""
+"""Exception classes shared across the package, with the CLI's exit codes,
+and _quoted, the one way a message quotes a value taken from its input."""
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_REJECTED = 3
 EXIT_INDETERMINATE = 4
+_QUOTED_CHARS = 512  # above the 401 digits of 10**400, the longest value a test pins
+
+
+def _quoted(value) -> str:
+    """repr(value), cut to _QUOTED_CHARS characters and marked with '…'
+    where cut, so that no input makes a message long."""
+    text = repr(value)
+    return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS] + "…"
 
 
 class LieExtError(Exception):

@@ -43,6 +43,14 @@ Families:
   of basis e_i -> 10^e e_i on the summand, so the Betti numbers are the
   Kunneth product of sl2's 1, 0, 0, 1 (Whitehead) and heis3's 1, 2, 2, 1:
   1, 2, 2, 2, 2, 2, 1.  They are drawn after the su2-narrow documents.
+* `t2-tiling`: the t2-step square cut into a 2 x 2 tiling, h, w, c, the
+  cocycle and the order drawn as for t2-step.  Tile (a, b) maps (t, s) to
+  the step of u = 0.5 t + a and to 0.5 s + b, so every tile reads the same
+  global step and shared edges cancel.  The oracle is the cycle's degree
+  from its edges' end-points: edges that are one edge of the torus pair
+  up, and a pair whose lifts differ by the integer vector N adds -e N_0
+  times the change of the second coordinate along the edge (e the edge's
+  signed weight).  They are drawn after the sl2h-scaled documents.
 This script is not collected by pytest.
 """
 
@@ -84,17 +92,60 @@ def step_degree(h, c, w):
     return round(x(1.0) - x(0.0))
 
 
+def step_draw(rng):
+    """h, w, c, the cocycle value and the order of a step document."""
+    h = int(rng.choice([-1, 1, 2]))
+    w = float(10.0 ** rng.uniform(-3.0, np.log10(0.012)))
+    c = float(rng.uniform(0.3, 0.7))
+    return h, w, c, float(rng.choice([0.5, 0.25])), int(rng.choice(ORDERS))
+
+
+def answer_for(period):
+    return "integrable" if period == round(period) else "not_integrable"
+
+
 def step_family(rng, count):
     for _ in range(count):
-        h = int(rng.choice([-1, 1, 2]))
-        w = float(10.0 ** rng.uniform(-3.0, np.log10(0.012)))
-        c = float(rng.uniform(0.3, 0.7))
-        value = float(rng.choice([0.5, 0.25]))
-        order = int(rng.choice(ORDERS))
-        period = value * step_degree(h, c, w)
+        h, w, c, value, order = step_draw(rng)
         patch = {"domain": "square", "coords": [STEP.format(u="t", h=h, c=c, w=w), "s"]}
-        answer = "integrable" if period == round(period) else "not_integrable"
+        answer = answer_for(value * step_degree(h, c, w))
         yield order, torus_document(2, [((0, 1), value)], [patch], order), answer
+
+
+def paired_degree(edges):
+    """The degree of a closed chain on T^2 from its edges, (start, end,
+    weight) with start and end the lifted coordinates of the edge's ends.
+    Two edges whose ends differ by one integer vector N, traversed the same
+    way with opposite weights or the other way with equal ones, are one
+    edge of the torus, and the pair adds -weight * N_0 * (end - start)_1."""
+    unpaired, degree = [(np.asarray(a), np.asarray(b), e) for a, b, e in edges], 0.0
+    while unpaired:
+        a, b, e = unpaired.pop()
+        for k, (a2, b2, e2) in enumerate(unpaired):
+            if e2 == e:  # the other way round
+                a2, b2 = b2, a2
+            n = np.round(a2 - a)
+            if abs(e2) == abs(e) and np.allclose([a2 - a, b2 - b], n, rtol=0, atol=1e-9):
+                degree -= e * n[0] * (b - a)[1]
+                del unpaired[k]
+                break
+        else:
+            raise ValueError(f"the edge {a} -> {b} has no partner: the chain is not closed")
+    return round(degree)
+
+
+def tiling_family(rng, count):
+    for _ in range(count):
+        h, w, c, value, order = step_draw(rng)
+        patches, edges = [], []
+        for a, b in ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)):
+            u = f"0.5*t + {a!r}"
+            patches.append({"domain": "square", "coords": [STEP.format(u=u, h=h, c=c, w=w), f"0.5*s + {b!r}"]})
+            corners = [(p + h / (1.0 + np.exp(-(p - c) / w)), b + 0.5 * s)  # the step at p = u(t)
+                       for p, s in ((a, 0), (a + 0.5, 0), (a + 0.5, 1), (a, 1))]
+            edges += [(p, q, 1) for p, q in zip(corners, corners[1:] + corners[:1])]
+        answer = answer_for(value * paired_degree(edges))
+        yield order, torus_document(2, [((0, 1), value)], patches, order), answer
 
 
 def incomplete_family():
@@ -190,7 +241,7 @@ def census(seed, count):
     counts = Counter()
     families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()),
                 ("heis-narrow", heis_narrow_family(rng, count)), ("su2-narrow", su2_narrow_family(rng, count)),
-                ("sl2h-scaled", sl2h_scaled_family(rng, count)))
+                ("sl2h-scaled", sl2h_scaled_family(rng, count)), ("t2-tiling", tiling_family(rng, count)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         for family, docs in families:
@@ -220,6 +271,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=20261020)
     parser.add_argument("--count", type=int, default=400,
-                        help="t2-step, heis-narrow, su2-narrow and sl2h-scaled documents each")
+                        help="t2-step, heis-narrow, su2-narrow, sl2h-scaled and t2-tiling documents each")
     args = parser.parse_args()
     print(report(census(args.seed, args.count)))

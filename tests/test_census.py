@@ -3,6 +3,8 @@ draws, per family, and its report totals them."""
 
 from collections import Counter
 
+import numpy as np
+
 import census
 
 OUTCOMES = ("right", "wrong", "exit 4", "other")
@@ -16,10 +18,24 @@ def test_a_small_census_counts_every_document_of_every_family():
         assert order in census.ORDERS or (family, order) == ("sl2h-scaled", None)
         per_family[family] += n
     # two step squares, the two incomplete cycle sets, two block boundaries,
-    # two great spheres and two rescaled algebras, which have no order
+    # two great spheres, two rescaled algebras, which have no order, and two
+    # tiled step squares
     assert per_family == {"t2-step": 2, "h2-incomplete": 2, "heis-narrow": 2, "su2-narrow": 2,
-                          "sl2h-scaled": 2}
+                          "sl2h-scaled": 2, "t2-tiling": 2}
     header, *rows, total = census.report(counts).splitlines()
     assert header.split()[2:] == ["right", "wrong", "exit", "4", "other"]
     assert {row.split()[0] for row in rows} == set(per_family)
-    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 10
+    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 12
+
+
+def test_the_edge_pairing_reads_the_degree_of_a_square_and_of_its_flip():
+    # the step square's degree is its edge translations' determinant, 1 + h;
+    # the square read at (s, t), with coefficient -1, is the same 2-chain
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        h, w, c, _, _ = census.step_draw(rng)
+        patch = lambda t, s: (t + h / (1.0 + np.exp(-(t - c) / w)), s)
+        for square, weight in ((patch, 1), (lambda t, s: patch(s, t), -1)):
+            corners = [square(t, s) for t, s in ((0, 0), (1, 0), (1, 1), (0, 1))]
+            edges = [(a, b, weight) for a, b in zip(corners, corners[1:] + corners[:1])]
+            assert census.paired_degree(edges) == census.step_degree(h, c, w) == 1 + h

@@ -284,6 +284,20 @@ MALFORMED = {
         _each(_set("group", value={"kind": "heisenberg"}),
               _set("loops", value=[{"name": "l0", "winding": [1, 0, 0]}])),
     ),
+    # the torus is the built-in one: not R^2, whose chart is additive too, nor a
+    # matrix group with its name and basis
+    "winding_on_translation": (
+        "pi1_torus.json",
+        _each(_set("group", value={"kind": "translation", "dim": 2}),
+              _set("loops", value=[{"name": "l0", "winding": [1, 0]}])),
+    ),
+    "winding_on_matrix_group_named_torus": (
+        "pi1_torus.json",
+        _each(_set("group", value={"kind": "matrix", "name": "T^1", "algebra": {"dim": 1},
+                                   "basis": [[[0.0, -TWO_PI], [TWO_PI, 0.0]]]}),
+              _set("cocycle", "components", value=[]),
+              _set("loops", value=[{"name": "l0", "winding": [1]}])),
+    ),
     "cocycle_value_for_coeff_dim_0": ("extend_heis3.json", _set("module", "coeff_dim", value=0)),
     **{
         f"coefficient_{name}": (
@@ -485,6 +499,8 @@ MALFORMED_MESSAGES = {
     "cycles_empty": "task 'check-integrability' requires a 'cycles' section",
     "cycle_zero_chain": "cycles['fundamental'] has no patch with a non-zero coefficient",
     "winding_on_heisenberg": "loops['l0']: winding needs a torus group, not Heisenberg(3)",
+    "winding_on_matrix_group_named_torus": "loops['l0']: winding needs a torus group, not T^1\n",
+    "winding_on_translation": "loops['l0']: winding needs a torus group, not R^2\n",
     "lattice_more_generators_than_dimensions": (
         "input error: lattice: 2 generators in R^1 cannot be independent\n"
     ),
@@ -532,6 +548,19 @@ def test_malformed_document_exits_2(case, tmp_path, capsys):
     assert captured.err.startswith("input error: ")
     assert MALFORMED_MESSAGES.get(case, "") in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("degrees, quoted", [
+    ("x" * 2**20, "option 'degrees' must be a list, got 'xxx"),
+    (json.loads("[" * 900 + "0" + "]" * 900), "option 'degrees' must be an integer >= 0, got [[[["),
+], ids=["1MB_string", "900_deep_list"])
+def test_a_quoted_value_is_cut_short(degrees, quoted, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("sl2_cohomology.json", _set("options", "degrees", value=degrees))))
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: " + quoted) and captured.err.endswith("…\n")
+    assert len(captured.err.encode()) < 1024 and captured.out == ""
 
 
 @pytest.mark.parametrize(

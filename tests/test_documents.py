@@ -7,7 +7,9 @@ entry definition: c[i, j, k] = v and c[j, i, k] = -v, and each component at
 its lexicographic row.  Each expression map parses its texts into its own
 node table, each distinct text once, and no two parses share a compiled
 expression or a node table; each distinct subexpression of a map is
-evaluated once per call.
+evaluated once per call.  The sections after the group or algebra and the
+module are the keys of SECTIONS, read in its order: of two broken sections
+the one it lists first is reported.
 """
 
 import gc
@@ -16,6 +18,7 @@ import json
 import threading
 import tracemalloc
 import weakref
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -24,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 
 from lieext import expressions
 from lieext.cli import main
-from lieext.documents import parse_document
+from lieext.documents import SECTIONS, TASKS, ProblemDocument, parse_document
+from lieext.errors import DocumentError
 
 INF = float("inf")
 HUGE = 10**30
@@ -434,3 +438,50 @@ def test_a_json_number_in_a_matrix_keeps_its_bits():
     mats = patch.eval(np.linspace(0.0, 1.0, 3), np.linspace(1.0, 0.0, 3))
     for (i, j), value in numbers.items():
         assert mats[:, i, j].tobytes() == np.full(3, float(value)).tobytes()
+
+
+# A document with every section, each valid, on T^2; and each section broken,
+# with the message it is reported by
+EVERY_SECTION = {
+    "task": "validate",
+    "group": {"kind": "torus", "dim": 2},
+    "lattice": {"generators": [[1.0]]},
+    "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [1.0]}]},
+    "cocycle2": {"degree": 2, "components": []},
+    "paths": {"p1": {"coords": ["t", "0"]}, "p2": {"coords": ["0", "t"]}},
+    "loops": [{"name": "m", "winding": [1, 0]}, {"name": "n", "coords": ["0", "t"]}],
+    "cycles": [{"name": "fundamental", "patches": [{"domain": "square", "coords": ["t", "s"]}]}],
+    "pair": ["p1", "p2"],
+    "cochain_expr": ["x1*y2"],
+}
+BROKEN = {
+    "lattice": "lattice section must be an object",
+    "cocycle": "cocycle section must be an object",
+    "cocycle2": "cocycle2 section must be an object",
+    "paths": "paths section must map names to paths",
+    "loops": "loops must be a list, got 'x'",
+    "cycles": "cycles must be a list, got 'x'",
+    "pair": "pair must be a list of two path names",
+    "cochain_expr": "cochain_expr must be a non-empty list of expression strings",
+}
+
+
+def test_the_sections_are_the_document_fields_in_their_reading_order():
+    assert list(SECTIONS) == ["lattice", "cocycle", "cocycle2", "paths", "loops", "cycles", "pair",
+                              "cochain_expr"]
+    read = {"group", "algebra", "module", *SECTIONS}
+    assert read == {f.name for f in fields(ProblemDocument)} - {"task", "options"}
+    assert {section for task in TASKS.values() for section in task.needs} <= read
+    assert set(BROKEN) == set(SECTIONS) and set(EVERY_SECTION) == {"task", "group", *SECTIONS}
+    doc = parse_document(EVERY_SECTION)
+    assert all(getattr(doc, section) for section in SECTIONS)
+
+
+@pytest.mark.parametrize("first, second", list(itertools.combinations(SECTIONS, 2)))
+def test_of_two_broken_sections_the_first_in_sections_is_reported(first, second):
+    # the later section comes first in the document: the table's order decides
+    raw = {"task": "validate", "group": EVERY_SECTION["group"], second: "x", first: "x"}
+    raw.update((k, v) for k, v in EVERY_SECTION.items() if k not in raw)
+    with pytest.raises(DocumentError) as exc:
+        parse_document(raw)
+    assert str(exc.value) == BROKEN[first]
