@@ -5,10 +5,9 @@ document patches and paths, translated and product surfaces) broadcasts
 over leading axes: a stack of N points in, a stack of N values out, and a
 single point is the case without leading axes.  Such maps carry the
 `vectorized` mark.  A callable written by the user carries no mark and is
-evaluated point by point through `per_point`, once per distinct point.
+evaluated through `per_point`, called once per point, in row-major order.
 """
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -26,10 +25,9 @@ def per_point(fn: Callable, point_ndim: int = 0) -> Callable:
     point_ndim is the number of trailing axes of one point of the first
     argument (0 for curve and surface parameters, which are broadcast
     together; 1 for a coordinate vector; 2 for a matrix).  A call without
-    leading axes passes its arguments to fn unchanged.  fn is called once
-    per distinct point: the points are found by one unique over rows of all
-    arguments, or, for one argument of one number such as a curve f(t), by
-    one 1-D unique whose np.float64 values fn gets in turn.
+    leading axes passes its arguments to fn unchanged.  Otherwise fn is
+    called once per point, in row-major order over the leading axes, with
+    np.float64 parameters or arrays of one point's shape.
     """
     if getattr(fn, "vectorized", False):
         return fn
@@ -42,18 +40,8 @@ def per_point(fn: Callable, point_ndim: int = 0) -> Callable:
         lead = arrays[0].shape[: arrays[0].ndim - point_ndim]
         if not lead:
             return np.asarray(fn(*args), dtype=float)
-        shapes = [a.shape[len(lead):] for a in arrays]
-        sizes = [math.prod(shape) for shape in shapes]
-        # one array per argument, its first axis running over the distinct points
-        if sizes == [1]:  # one argument of one number, as a curve f(t): a 1-D unique
-            points, where = np.unique(arrays[0], return_inverse=True)
-            parts = [points.reshape((-1,) + shapes[0])]
-        else:
-            rows = np.concatenate([a.reshape(-1, n) for a, n in zip(arrays, sizes)], axis=1)
-            points, where = np.unique(rows, axis=0, return_inverse=True)
-            columns = np.split(points, np.cumsum(sizes)[:-1], axis=1)
-            parts = [c.reshape((-1,) + shape) for c, shape in zip(columns, shapes)]
-        values = np.array([fn(*point) for point in zip(*parts)], dtype=float)
-        return values[where.reshape(-1)].reshape(lead + values.shape[1:])
+        points = [a.reshape((-1,) + a.shape[len(lead):]) for a in arrays]
+        values = np.array([fn(*point) for point in zip(*points)], dtype=float)
+        return values.reshape(lead + values.shape[1:])
 
     return stacked

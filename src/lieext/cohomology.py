@@ -138,7 +138,7 @@ def cochain_from_pairs(alg_dim, coeff_dim, pairs, degree=2) -> Cochain:
     unknown = [key for key in pairs if key not in position]
     if unknown:
         raise MalformedInputError(
-            f"component indices {unknown} are not strictly "
+            f"component indices {_quoted(unknown)} are not strictly "
             f"increasing degree-{degree} tuples in range({alg_dim})"
         )
     rows = np.zeros((len(position), coeff_dim))

@@ -22,6 +22,7 @@ from the document through errors._quoted, which bounds its length.
 
 import bisect
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -59,6 +60,7 @@ from .errors import (
     LieExtError,
     MalformedInputError,
     UnresolvedReferenceError,
+    _cut,
     _quoted,
 )
 from .extensions import (
@@ -248,7 +250,7 @@ def _parse_algebra(section) -> LieAlgebra:
                 range(len(rows)), True, key=lambda e: _index_rows(flat[:3 * e + 3], 3, n) is None)]
             i, j, k = (_integer(x, "algebra: sparse index", low=0) for x in row[:3])
             _require(i < j < n and k < n,
-                     f"algebra: sparse row {row} needs i < j < dim and k < dim")
+                     f"algebra: sparse row {_quoted(row)} needs i < j < dim and k < dim")
             raise DocumentError(f"algebra: sparse entry ({i}, {j}, {k}) given twice")
         i, j, k = ijk.T
         c[i, j, k] = values
@@ -300,7 +302,7 @@ def _expression_map(texts, shape, names, context, numbers=False) -> Callable:
             unknown = sorted(expr.variables - set(names))
             if unknown:
                 raise DocumentError(
-                    f"{where(e)}: unknown variable {unknown[0]!r}; the variables here "
+                    f"{where(e)}: unknown variable {_quoted(unknown[0])}; the variables here "
                     f"are {', '.join(names)}"
                 )
         table.enter(expr)
@@ -381,7 +383,7 @@ def _parse_group(section) -> MatrixGroup:
         basis = _reals(section["basis"], "group.basis")
         _require("algebra" in section, "matrix group needs structure constants (via 'algebra')")
         alg = _parse_algebra(section["algebra"])
-        name = _name(section.get("name", "matrix-group"), "group.name")
+        name = _cut(_name(section.get("name", "matrix-group"), "group.name"))
         try:
             return MatrixGroup(algebra=alg, basis=basis, name=name)
         except MalformedInputError as exc:
@@ -426,14 +428,14 @@ def _parse_cocycle(section, alg_dim: int, coeff_dim: int, context="cocycle") -> 
             _integer(i, f"{context}: index", low=0)
             for i in _list(entry["indices"], f"{context}: indices")
         )
-        _require(len(idx) == degree, f"{context}: indices {idx} must be {degree} integers")
-        _require(idx[0] < idx[1], f"{context}: indices {idx} must be strictly increasing")
-        _require(idx not in seen, f"{context}: indices {list(idx)} given twice")
+        _require(len(idx) == degree, f"{context}: indices {_quoted(idx)} must be {degree} integers")
+        _require(idx[0] < idx[1], f"{context}: indices {_quoted(idx)} must be strictly increasing")
+        _require(idx not in seen, f"{context}: indices {_quoted(list(idx))} given twice")
         value = entry["value"] if isinstance(entry["value"], list) else [entry["value"]]
-        _reals(value, f"{context}: value for {idx}", (coeff_dim,))
+        _reals(value, f"{context}: value for {_quoted(idx)}", (coeff_dim,))
     pairs, values = arrays
     out = sorted(map(tuple, pairs[pairs[:, 1] >= alg_dim].tolist()))
-    _require(not out, f"{context}: component indices {out} are not strictly increasing "
+    _require(not out, f"{context}: component indices {_quoted(out)} are not strictly increasing "
              f"degree-{degree} tuples in range({alg_dim})")
     keys = index_table(alg_dim, degree)  # (i, j) -> i * alg_dim + j keeps the lex order
     rows = np.zeros((len(keys), coeff_dim))
@@ -487,6 +489,9 @@ def load_json(text):
     except json.JSONDecodeError as exc:
         raise DocumentError(f"document is not valid JSON: {exc.msg} at line {exc.lineno} "
                             f"column {exc.colno}") from None
+    except ValueError:  # an integer longer than Python converts
+        raise DocumentError("document is not valid JSON: an integer has more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise DocumentError("document is not valid JSON: nested too deeply") from None
 
@@ -684,9 +689,9 @@ def _run_gamma(doc, quad_order):
     for name in doc.pair:
         issues = validate_path(doc.group, doc.paths[name])
         if issues and issues[0]["identity"] == "in_group":  # name the first sample outside
-            path_samples(doc.group, f"paths[{name!r}]", doc.paths[name], PATH_SAMPLES)
+            path_samples(doc.group, f"paths[{_quoted(name)}]", doc.paths[name], PATH_SAMPLES)
         if issues:
-            warnings.append(f"path {name!r}: " + "; ".join(i["identity"] for i in issues))
+            warnings.append(f"path {_quoted(name)}: " + "; ".join(i["identity"] for i in issues))
     value = path_cocycle(form, g1, g2, quad_order)
     results = {"value": [float(v) for v in value]}
     if doc.lattice is not None:

@@ -1,5 +1,5 @@
 """Exception classes shared across the package, with the CLI's exit codes,
-and _quoted, the one way a message quotes a value taken from its input."""
+and _quoted and _cut, the one bound on what a message prints of its input."""
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -8,11 +8,14 @@ EXIT_INDETERMINATE = 4
 _QUOTED_CHARS = 512  # above the 401 digits of 10**400, the longest value a test pins
 
 
-def _quoted(value) -> str:
-    """repr(value), cut to _QUOTED_CHARS characters and marked with '…'
-    where cut, so that no input makes a message long."""
-    text = repr(value)
+def _cut(text: str) -> str:
+    """text cut to _QUOTED_CHARS characters and marked with '…' where cut."""
     return text if len(text) <= _QUOTED_CHARS else text[:_QUOTED_CHARS] + "…"
+
+
+def _quoted(value) -> str:
+    """repr(value), cut as _cut cuts it."""
+    return _cut(repr(value))
 
 
 class LieExtError(Exception):

@@ -28,7 +28,7 @@ from typing import Callable, Dict, NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import ExpressionError, _quoted
 
 FUNCTIONS = {
     "sin": np.sin,
@@ -76,7 +76,7 @@ class Expression:
         names = [node for node in table.index if type(node) is str]  # in the text's order
         for name in names:
             if name not in env:
-                raise ExpressionError(f"unknown variable {name!r} in {self.source!r}")
+                raise ExpressionError(f"unknown variable {_quoted(name)} in {_quoted(self.source)}")
         return table.compile(names, lambda e: "")(*map(env.get, names))[..., 0][()]
 
 
@@ -92,7 +92,7 @@ class Table:
     def enter(self, entry) -> None:
         """Append entry, an Expression parsed into this table or its parsed Entry."""
         if getattr(entry, "table", self) is not self:
-            raise ValueError(f"{entry.source!r} was parsed into another table")
+            raise ValueError(f"{_quoted(entry.source)} was parsed into another table")
         self.entries.append(Entry(entry.source, entry.variables, entry.root))
         self.parsed.setdefault(entry.source, self.entries[-1])
         self.ends.append(len(self.index))
@@ -121,7 +121,7 @@ class Table:
                             out[at] = values[root]
             except (ArithmeticError, ValueError, TypeError) as exc:  # t/0, exp(1e3)
                 raise ExpressionError(
-                    f"{where(e)}cannot evaluate {entries[e].source!r}: {exc}") from None
+                    f"{where(e)}cannot evaluate {_quoted(entries[e].source)}: {exc}") from None
             return out
         return evaluate
 
@@ -178,16 +178,16 @@ def _fail(text, at, message=None) -> NoReturn:
         if _NUMBER.fullmatch(token):
             try:
                 if not math.isfinite(float(token)):
-                    raise ExpressionError(f"number {token!r} is out of range", position=start)
+                    raise ExpressionError(f"number {_quoted(token)} is out of range", position=start)
             except ValueError:
-                raise ExpressionError(f"bad number {token!r}", position=start) from None
+                raise ExpressionError(f"bad number {_quoted(token)}", position=start) from None
         elif not (token[0].isalpha() or token[0] == "_" or token in "+-*/()"):
             raise ExpressionError(f"unexpected character {token[0]!r}", position=start)
     if at == len(matches):
         raise ExpressionError(message or "unexpected None", position=len(text))
     token = matches[at].group()
     value = float(token) if _NUMBER.fullmatch(token) else token
-    raise ExpressionError(message or f"unexpected {value!r}", position=matches[at].start())
+    raise ExpressionError(message or f"unexpected {_quoted(value)}", position=matches[at].start())
 
 
 

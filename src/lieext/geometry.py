@@ -46,6 +46,7 @@ from .errors import (
     MembershipError,
     NotALoopError,
     TangentDecompositionError,
+    _quoted,
 )
 from .extensions import build_algebra_extension
 from .groups import (
@@ -134,7 +135,7 @@ class SurfacePatch:
 
     def __post_init__(self):
         if self.domain not in ("square", "simplex"):
-            raise MalformedInputError(f"unknown patch domain {self.domain!r}")
+            raise MalformedInputError(f"unknown patch domain {_quoted(self.domain)}")
         object.__setattr__(self, "eval", per_point(self.eval))
 
     def __call__(self, t, s) -> np.ndarray:

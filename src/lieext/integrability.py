@@ -24,6 +24,7 @@ from .errors import (
     NotALoopError,
     OpenChainError,
     TangentDecompositionError,
+    _quoted,
 )
 from .geometry import (
     DEFAULT_QUAD_ORDER,
@@ -43,7 +44,7 @@ def assert_cycle_closed(chain: Surface2Chain, name: str = "cycle"):
     leftovers = cancel_boundary_edges(chain, 1e4 * MEMBERSHIP_TOL)
     if leftovers:
         raise OpenChainError(
-            f"{name!r} has {len(leftovers)} uncancelled boundary edge(s); "
+            f"{_quoted(name)} has {len(leftovers)} uncancelled boundary edge(s); "
             "it is not a 2-cycle"
         )
 
@@ -103,7 +104,7 @@ def check_integrability(
         try:
             value, coarse = surface_integrals(form, chain, rules)
         except (MembershipError, TangentDecompositionError) as exc:
-            raise type(exc)(f"cycles[{name!r}].{exc}") from None
+            raise type(exc)(f"cycles[{_quoted(name)}].{exc}") from None
         err = float(np.max(np.abs(value - coarse), initial=0.0))
         tol = tol_lat + err
         gen = {"generator": name, "period": [float(v) for v in value],
@@ -112,12 +113,12 @@ def check_integrability(
         if tol >= half and gen["verdict"] == "indeterminate":
             what, size, fix = (("quadrature error estimate", err, "higher quad_order") if err >= half
                                else ("tolerance", tol, "lower tol"))
-            notes.append(f"generator {name!r}: {what} {size:.2e} reaches half the shortest lattice "
+            notes.append(f"generator {_quoted(name)}: {what} {size:.2e} reaches half the shortest lattice "
                          f"vector ({half:.2e}), so the lattice test cannot decide; try a {fix}")
         else:
             band = band or gen["verdict"] == "indeterminate"
             if err > tol_lat:
-                notes.append(f"generator {name!r}: quadrature error estimate {err:.2e} "
+                notes.append(f"generator {_quoted(name)}: quadrature error estimate {err:.2e} "
                              "inflated the tolerance")
     verdicts = [gen["verdict"] for gen in generators]
     overall = ("not_integrable" if "not_member" in verdicts
@@ -176,12 +177,12 @@ def pi1_cocycle_table(
     names = [name for name, _ in loops]
     samples = np.linspace(0.0, 1.0, 33)
     for name, loop in loops:
-        g = path_samples(group, f"loops[{name!r}]", loop, samples)
+        g = path_samples(group, f"loops[{_quoted(name)}]", loop, samples)
         gap = float(np.max(np.abs(g[-1] - g[0])))
         base = float(np.max(np.abs(g[0] - group.identity)))
         if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
-            raise NotALoopError(f"loop {name!r} does not close at the identity")
-    nodes = [_path_nodes(group, f"loops[{name!r}]", loop, int(quad_order)) for name, loop in loops]
+            raise NotALoopError(f"loop {_quoted(name)} does not close at the identity")
+    nodes = [_path_nodes(group, f"loops[{_quoted(name)}]", loop, int(quad_order)) for name, loop in loops]
     values = np.array([_triangle_integral(form, p, q) for p in nodes for q in nodes])
     values = values.reshape(len(nodes), len(nodes), form.cochain.coeff_dim)
     commutators = values - np.swapaxes(values, 0, 1)
@@ -194,7 +195,7 @@ def pi1_cocycle_table(
         why = (f": tolerance {tol_lat:.2e} reaches half the shortest lattice vector ({lattice.half_spacing:.2e}), "
                "so the lattice test cannot decide; try a lower tol" if tol_lat >= lattice.half_spacing
                else " sits in the ambiguity band of the lattice test")
-        notes = [f"commutator of loops {a!r} and {b!r}{why}" for a, row in zip(names, verdicts)
+        notes = [f"commutator of loops {_quoted(a)} and {_quoted(b)}{why}" for a, row in zip(names, verdicts)
                  for b, verdict in zip(names, row) if verdict == "indeterminate"]
     table["warnings"] = notes
     return table

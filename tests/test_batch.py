@@ -44,26 +44,27 @@ class TestPerPoint:
         assert np.array_equal(per_point(fn)(0.5), [0.5, 1.0])
         assert calls == [(0.5,)] and type(calls[0][0]) is float
 
-    def test_one_call_per_distinct_parameter(self):
+    def test_one_call_per_point_in_row_major_order(self):
+        # repeated points, 0.0 and -0.0 included, are called again
         fn, calls = recording(lambda t: np.eye(2) * t)
-        ts = np.array([[0.25, 0.5, 0.25], [0.5, 0.75, 0.25]])
+        ts = np.array([[0.25, 0.5, 0.25], [0.0, -0.0, 0.25]])
         values = per_point(fn)(ts)
-        assert sorted(args[0] for args in calls) == [0.25, 0.5, 0.75]
+        assert [t for (t,) in calls] == list(ts.ravel())
+        assert [np.signbit(t) for (t,) in calls] == list(np.signbit(ts.ravel()))
         assert all(type(t) is np.float64 for (t,) in calls)
         assert values.shape == (2, 3, 2, 2)
         assert np.array_equal(values, ts[..., None, None] * np.eye(2))
-
-    def test_one_call_per_distinct_pair(self):
+        # parameters are broadcast together, then read in row-major order
         fn, calls = recording(lambda t, s: [t - s, t + s])
-        # (0.1, 0.2) repeats; (0.2, 0.1) shares both values with it but is another point
-        per_point(fn)(np.array([0.1, 0.2, 0.1, 0.1]), np.array([0.2, 0.1, 0.2, 0.3]))
-        assert sorted(calls) == [(0.1, 0.2), (0.1, 0.3), (0.2, 0.1)]
-
-    def test_one_call_per_distinct_matrix(self):
+        per_point(fn)(np.array([[0.1], [0.2]]), np.array([0.2, 0.1]))
+        assert calls == [(0.1, 0.2), (0.1, 0.1), (0.2, 0.2), (0.2, 0.1)]
+        assert all(type(a) is np.float64 for args in calls for a in args)
+        # a point of several axes arrives as an array of its own shape
         fn, calls = recording(lambda g: g @ g)
         mats = np.array([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
         per_point(fn, 2)(mats)
-        assert len(calls) == 2
+        assert len(calls) == 3
+        assert all(g.shape == (2, 2) and np.array_equal(g, m) for (g,), m in zip(calls, mats))
 
     @pytest.mark.parametrize(
         "fn, point_ndim, args",

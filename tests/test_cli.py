@@ -195,6 +195,7 @@ MALFORMED = {
     "torus_dim_negative": ("torus_integrable.json", _set("group", "dim", value=-1)),
     "torus_dim_zero": ("torus_integrable.json", _set("group", "dim", value=0)),
     "translation_dim_string": ("r2_d2.json", _set("group", "dim", value="x")),
+    "unknown_group_kind": ("torus_integrable.json", _set("group", "kind", value="sphere")),
     "patch_divide_by_zero": (
         "torus_integrable.json",
         _set("cycles", 0, "patches", 0, "coords", 0, value="t/0"),
@@ -453,6 +454,9 @@ MALFORMED = {
 # The entry an error names, where it matters which one it is.
 MALFORMED_MESSAGES = {
     "matrix_group_name_list": "group.name must be a string, got [1, 2]",
+    "unknown_group_kind": (
+        "unknown group kind 'sphere' (expected torus, translation, su2, sl2, heisenberg, or matrix)\n"
+    ),
     "unknown_variable_unpaired_path": (
         "paths['extra'].coords[0]: unknown variable 'q'; the variables here are t"
     ),
@@ -561,6 +565,37 @@ def test_a_quoted_value_is_cut_short(degrees, quoted, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: " + quoted) and captured.err.endswith("…\n")
     assert len(captured.err.encode()) < 1024 and captured.out == ""
+
+
+MEGABYTE = "x" * 2**20
+
+
+@pytest.mark.parametrize("fixture, edit, code, quoted", [
+    ("pi1_torus.json", _each(
+        _set("group", value={"kind": "matrix", "name": MEGABYTE, "algebra": {"dim": 1},
+                             "basis": [[[0.0, -TWO_PI], [TWO_PI, 0.0]]]}),
+        _set("cocycle", "components", value=[]),
+        _set("loops", value=[{"name": "l0", "winding": [1]}])), 2, "needs a torus group, not xxx"),
+    ("pi1_torus.json", _set("loops", value=[{"name": MEGABYTE, "coords": ["0.5*t", "0"]}]), 3,
+     "loop 'xxx"),
+    ("torus_integrable.json", _set("cycles", value=[
+        {"name": MEGABYTE, "patches": [{"coords": ["t", "0.5*s"]}]}]), 3, "'xxx"),
+    ("torus_gamma.json", _set("paths", "p1", "coords", 0, value=MEGABYTE), 2, "unknown variable 'xxx"),
+    ("extend_heis3.json", _set("cocycle", "components", value=[
+        {"indices": [0, 2 + k], "value": [1.0]} for k in range(60_000)]), 2, "component indices [(0, 2)"),
+    ("extend_heis3.json", _set("cocycle", "components", 0, "indices", value=list(range(200_000))), 2,
+     "indices (0, 1, 2"),
+    ("torus_integrable.json", _set("cycles", 0, "patches", 0, "domain", value=MEGABYTE), 2,
+     "unknown patch domain 'xxx"),
+], ids=["matrix_group_name", "loop_name", "cycle_name", "unknown_variable", "cocycle_indices",
+        "one_component_indices", "patch_domain"])
+def test_a_long_name_or_text_is_cut_short(fixture, edit, code, quoted, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited(fixture, edit)))
+    assert main([str(path)]) == code
+    captured = capsys.readouterr()
+    assert quoted in captured.err and "…" in captured.err
+    assert len(captured.err.encode()) < 1024
 
 
 @pytest.mark.parametrize(
@@ -1235,7 +1270,9 @@ NOT_UTF8 = b'{"task": "validate", "algebra": {"dim": 1}, "note": "caf\xe9"}'
     (b"[" * 200_000 + b"]" * 200_000, "document is not valid JSON: nested too deeply"),
     (b'{"task": "validate", "algebra": {"dim": 1}, "unread": ' + b"[" * 5000 + b"]" * 5000 + b"}",
      "document is not valid JSON: nested too deeply"),
-], ids=["latin1_byte", "leading_ff", "deep_array", "deep_unread_key"])
+    (b'{"task": "validate", "algebra": {"dim": 1}, "x": 1' + b"0" * 5000 + b"}",
+     f"document is not valid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"),
+], ids=["latin1_byte", "leading_ff", "deep_array", "deep_unread_key", "5001_digit_integer"])
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_undecodable_document_exits_2_with_a_message(data, message, source, tmp_path,
                                                      monkeypatch, capsys):
@@ -1577,6 +1614,23 @@ class TestCliBehavior:
         report = machine_report([str(FIXTURES / "equivalence_r2.json")], capsys)
         assert report["results"]["equivalent"] is False
         assert report["results"]["residual"] == pytest.approx(1.0)
+
+    def test_equivalence_report_witness(self, tmp_path, capsys):
+        # on heis3, [e0, e1] = e2, the cocycles differ by 1.75 e0^e1, which is d_1 of a multiple of e2*
+        tol = 1e-9
+        raw = {"task": "equivalence", "algebra": {"dim": 3, "structure_constants": [[0, 1, 2, 1.0]]},
+               "cocycle": {"components": [{"indices": [0, 1], "value": 1.5}, {"indices": [0, 2], "value": 0.5}]},
+               "cocycle2": {"components": [{"indices": [0, 1], "value": -0.25},
+                                           {"indices": [0, 2], "value": 0.5}]},
+               "options": {"tol": tol}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(raw))
+        results = machine_report([str(path)], capsys)["results"]
+        assert results["equivalent"] is True
+        doc = parse_document(raw)
+        witness = lx.cochain_from_pairs(3, 1, {tuple(c["indices"]): c["value"] for c in results["witness"]}, 1)
+        image = lx.apply_d(doc.algebra, doc.module, witness).to_vector()
+        assert np.max(np.abs(image - (doc.cocycle.to_vector() - doc.cocycle2.to_vector()))) <= tol
 
     def test_pi1_report(self, capsys):
         report = machine_report([str(FIXTURES / "pi1_torus.json")], capsys)

@@ -110,7 +110,9 @@ KEEP_PRIVATE = {
     "_issues_above": "the issue format of every validator, which groups' validators share with algebra's",
     **dict.fromkeys(["_path_nodes", "_triangle_integral"],
                     "pi1 takes the per-path step once per loop and the pair step on k² pairs"),
-    "_quoted": "the one bound on a value quoted in a message, shared by documents and cochain_from_pairs",
+    "_quoted": "the one bound on a value quoted in a message, shared by documents, expressions, "
+               "geometry, integrability and cochain_from_pairs",
+    "_cut": "the same bound on a matrix group's name, which documents prints without quotes",
 }
 
 
