@@ -44,7 +44,7 @@ class TestPerPoint:
         assert np.array_equal(per_point(fn)(0.5), [0.5, 1.0])
         assert calls == [(0.5,)] and type(calls[0][0]) is float
 
-    def test_one_call_per_point_in_row_major_order(self):
+    def test_one_call_per_parameter_in_row_major_order(self):
         # repeated points, 0.0 and -0.0 included, are called again
         fn, calls = recording(lambda t: np.eye(2) * t)
         ts = np.array([[0.25, 0.5, 0.25], [0.0, -0.0, 0.25]])
@@ -54,11 +54,15 @@ class TestPerPoint:
         assert all(type(t) is np.float64 for (t,) in calls)
         assert values.shape == (2, 3, 2, 2)
         assert np.array_equal(values, ts[..., None, None] * np.eye(2))
+
+    def test_one_call_per_pair_in_row_major_order(self):
         # parameters are broadcast together, then read in row-major order
         fn, calls = recording(lambda t, s: [t - s, t + s])
         per_point(fn)(np.array([[0.1], [0.2]]), np.array([0.2, 0.1]))
         assert calls == [(0.1, 0.2), (0.1, 0.1), (0.2, 0.2), (0.2, 0.1)]
         assert all(type(a) is np.float64 for args in calls for a in args)
+
+    def test_one_call_per_matrix_in_row_major_order(self):
         # a point of several axes arrives as an array of its own shape
         fn, calls = recording(lambda g: g @ g)
         mats = np.array([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
