@@ -115,12 +115,26 @@ def _lll_reduce(basis: np.ndarray) -> np.ndarray:
     return b
 
 
+def _require_independent(basis: np.ndarray, rel_tol: float):
+    """Raise InvalidLatticeError unless the smallest singular value of the
+    rows exceeds rel_tol times the largest."""
+    svals = np.linalg.svd(basis, compute_uv=False)
+    if svals.size and svals.min() <= rel_tol * svals.max():
+        raise InvalidLatticeError(
+            f"generators are rank deficient (smallest singular value "
+            f"{svals.min():.3e}, largest {svals.max():.3e})"
+        )
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Discrete subgroup of R^m spanned over Z by independent generators
     (membership coefficients refer to them), plus an LLL-reduced basis.
-    Independence is relative to scale: the smallest singular value of the
-    generators must exceed DEFAULT_TOL_LAT times the largest."""
+    Independence is relative to scale and read on the reduced basis: its
+    smallest singular value must exceed DEFAULT_TOL_LAT times the largest,
+    so a unimodular change of generators changes nothing.  Generators whose
+    own ratio is at most 1e-14 are refused before the reduction, which
+    needs a numerically non-singular basis."""
 
     generators: np.ndarray
 
@@ -139,14 +153,9 @@ class Lattice:
             raise InvalidLatticeError(
                 f"{self.rank} generators in R^{self.ambient_dim} cannot be independent"
             )
-        if self.rank > 0:
-            svals = np.linalg.svd(gens, compute_uv=False)
-            if svals.min() <= DEFAULT_TOL_LAT * svals.max():
-                raise InvalidLatticeError(
-                    f"generators are rank deficient (smallest singular value "
-                    f"{svals.min():.3e}, largest {svals.max():.3e})"
-                )
+        _require_independent(gens, 1e-14)
         object.__setattr__(self, "_reduced", _lll_reduce(gens))
+        _require_independent(self._reduced, DEFAULT_TOL_LAT)
 
     @property
     def rank(self) -> int:
@@ -228,14 +237,14 @@ def trivial_module(alg_dim: int, coeff_dim: int) -> ModuleAction:
     return ModuleAction(rho=np.zeros((alg_dim, coeff_dim, coeff_dim)))
 
 
-def lattice_member(lat: Lattice, v: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT) -> dict:
-    """Decide whether v lies in the lattice, within tol_lat.
+def lattice_member(lat: Lattice, v: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT, err: float = 0.0) -> dict:
+    """Decide whether v, with error estimate err, lies in the lattice.
 
     The verdict (lattice_verdict) rests on the distance from v to the
     nearest lattice point (reduce_mod_lattice), in the units of v.  Returns
-    {"verdict", "coefficients", "residual"}: the verdict, the coefficients
-    of the nearest point in the basis of the generators, and the distance
-    to it.
+    {"verdict", "coefficients", "residual", "reason"}: the verdict, the
+    coefficients of the nearest point in the basis of the generators, the
+    distance to it, and why an "indeterminate" verdict is undecided.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (lat.ambient_dim,):
@@ -243,23 +252,25 @@ def lattice_member(lat: Lattice, v: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT
             f"vector length {v.shape} does not match lattice ambient dimension "
             f"{lat.ambient_dim}"
         )
-    return lattice_verdict(lat, v, reduce_mod_lattice(lat, v), tol_lat)
+    return lattice_verdict(lat, v, reduce_mod_lattice(lat, v), tol_lat, err)
 
 
 def lattice_verdict(
-    lat: Lattice, v: np.ndarray, offset: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT
+    lat: Lattice, v: np.ndarray, offset: np.ndarray, tol_lat: float = DEFAULT_TOL_LAT, err: float = 0.0
 ) -> dict:
     """lattice_member's verdict on v, given its representative offset =
     reduce_mod_lattice(lat, v), so a stack reduced in one call needs no
     second reduction; on a stack (..., m) each field is the nested list
     over the stack.
 
-    This is the one rule that maps a tolerance to a verdict: "member" for a
-    residual below tol_lat, "indeterminate" in the ambiguity band [tol_lat,
-    LATTICE_BAND_FACTOR * tol_lat), "not_member" beyond it.  Once tol_lat
-    reaches lat.half_spacing, "member" turns "indeterminate" too, since a
-    ball that wide can hold the next lattice point; "not_member" stands, as
-    the residual is the distance to the nearest lattice point."""
+    This is the one rule that maps a tolerance tol = tol_lat + err to a
+    verdict: "member" for a residual below tol, "indeterminate" in the band
+    [tol, LATTICE_BAND_FACTOR * tol), "not_member" beyond it.  Once tol
+    reaches lat.half_spacing, "member" turns "indeterminate" too, as a ball
+    that wide can hold the next lattice point; "not_member" stands, as the
+    residual is the distance to the nearest lattice point.  The reason of
+    an "indeterminate" verdict is "band" below half the spacing, else
+    "estimate" if err alone reaches it, else "tolerance"."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise LieExtError(f"cannot test {v.tolist()} for lattice membership: not finite")
@@ -273,10 +284,12 @@ def lattice_verdict(
             "resolution of double precision"
         )
     residual = np.reshape([np.linalg.norm(o) for o in np.reshape(offset, flat)], stack)
-    verdict = np.where((residual < tol_lat) & (tol_lat < lat.half_spacing), "member", np.where(
-        residual < LATTICE_BAND_FACTOR * tol_lat, "indeterminate", "not_member"))
+    tol, half = tol_lat + err, lat.half_spacing
+    verdict = np.where((residual < tol) & (tol < half), "member", np.where(
+        residual < LATTICE_BAND_FACTOR * tol, "indeterminate", "not_member"))
+    reason = "band" if tol < half else "estimate" if err >= half else "tolerance"
     return {"verdict": verdict.tolist(), "coefficients": np.round(nearest).astype(int).tolist(),
-            "residual": residual.tolist()}
+            "residual": residual.tolist(), "reason": np.where(verdict == "indeterminate", reason, None).tolist()}
 
 
 def reduce_mod_lattice(lat: Optional[Lattice], v: np.ndarray) -> np.ndarray:

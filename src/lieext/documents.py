@@ -724,8 +724,8 @@ def _run_check_integrability(doc, quad_order, tol):
 
 def _run_pi1(doc, quad_order, tol):
     table = pi1_cocycle_table(_form(doc), doc.loops, doc.lattice, quad_order, tol)
-    warnings = table.pop("warnings")
-    return table, warnings, EXIT_INDETERMINATE if warnings else EXIT_OK
+    undecided = any("indeterminate" in row for row in table.get("commutator_in_lattice", ()))
+    return table, table.pop("warnings"), EXIT_INDETERMINATE if undecided else EXIT_OK
 
 
 @dataclass(frozen=True)

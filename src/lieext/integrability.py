@@ -3,9 +3,8 @@
 The extension built from a 2-cocycle exists at the group level exactly when
 every period of the equivariant form over the user-supplied generators of
 second homology lands in the lattice.  Periods are quadrature values, so
-the lattice test runs with its tolerance inflated by an error estimate,
-and a verdict too close to the decision boundary is reported as
-indeterminate rather than forced.
+the lattice test (lattice_verdict, which holds the rule and says why a
+vector is undecided) runs with its tolerance inflated by an error estimate.
 
 The fiber over a non-simply-connected group is described by the restriction
 of the path cocycle to loops: pairwise cocycle values, their antisymmetrized
@@ -59,6 +58,16 @@ def period(
     return surface_integral(form, cycle, quad_order)
 
 
+def _undecided(reason: str, lattice: Lattice, tol_lat: float, err: float = 0.0) -> str:
+    """The end of the warning on a vector that lattice_verdict left "indeterminate" for reason."""
+    if reason == "band":
+        return " sits in the ambiguity band of the lattice test"
+    what, size, fix = (("quadrature error estimate", err, "higher quad_order") if reason == "estimate"
+                       else ("tolerance", tol_lat + err, "lower tol"))
+    return (f": {what} {size:.2e} reaches half the shortest lattice vector ({lattice.half_spacing:.2e}), "
+            f"so the lattice test cannot decide; try a {fix}")
+
+
 def check_integrability(
     form: EquivariantForm,
     cycles: Sequence[Tuple[str, Surface2Chain]],
@@ -82,14 +91,12 @@ def check_integrability(
     covers both the quadrature error and the finite-difference floor.  After
     the generator's closure check, both values come from one
     surface_integrals pass, which evaluates each patch once on the stencils
-    of both rules.  The verdict is lattice_member's at the inflated
-    tolerance, so a tolerance that reaches half the shortest lattice vector
-    leaves no generator "member".  The warnings explain the verdicts: when
-    overall is "indeterminate" because a period sits in the ambiguity band,
-    that comes first; then one note per generator left "indeterminate" by an
-    estimate or tolerance that reaches half the spacing, or whose estimate
-    inflated the tolerance.  An empty generator set (simply connected group
-    with trivial H_2) is integrable for every cocycle.
+    of both rules.  The verdict is lattice_verdict's at the inflated
+    tolerance.  The warnings explain the verdicts: the ambiguity band first,
+    when it leaves overall "indeterminate"; then one note per generator left
+    "indeterminate" for another reason, or whose estimate inflated the
+    tolerance.  An empty generator set (simply connected group with trivial
+    H_2) is integrable for every cocycle.
     """
     if quad_order < 2:
         raise MalformedInputError(
@@ -97,8 +104,7 @@ def check_integrability(
             "period with one at half the order, which would be the same rule"
         )
     rules = ((quad_order, DEFAULT_FD_STEP), (quad_order // 2, 2 * DEFAULT_FD_STEP))
-    half = lattice.half_spacing
-    generators, notes, band = [], [], False
+    generators, notes, reasons = [], [], []
     for name, chain in cycles:
         assert_cycle_closed(chain, name)
         try:
@@ -106,25 +112,19 @@ def check_integrability(
         except (MembershipError, TangentDecompositionError) as exc:
             raise type(exc)(f"cycles[{_quoted(name)}].{exc}") from None
         err = float(np.max(np.abs(value - coarse), initial=0.0))
-        tol = tol_lat + err
-        gen = {"generator": name, "period": [float(v) for v in value],
-               **lattice_member(lattice, value, tol), "error_estimate": err, "tolerance_used": tol}
-        generators.append(gen)
-        if tol >= half and gen["verdict"] == "indeterminate":
-            what, size, fix = (("quadrature error estimate", err, "higher quad_order") if err >= half
-                               else ("tolerance", tol, "lower tol"))
-            notes.append(f"generator {_quoted(name)}: {what} {size:.2e} reaches half the shortest lattice "
-                         f"vector ({half:.2e}), so the lattice test cannot decide; try a {fix}")
-        else:
-            band = band or gen["verdict"] == "indeterminate"
-            if err > tol_lat:
-                notes.append(f"generator {_quoted(name)}: quadrature error estimate {err:.2e} "
-                             "inflated the tolerance")
+        member = lattice_member(lattice, value, tol_lat, err)
+        reasons.append(member.pop("reason"))
+        generators.append({"generator": name, "period": [float(v) for v in value], **member,
+                           "error_estimate": err, "tolerance_used": tol_lat + err})
+        if reasons[-1] in ("tolerance", "estimate"):
+            notes.append(f"generator {_quoted(name)}" + _undecided(reasons[-1], lattice, tol_lat, err))
+        elif err > tol_lat:
+            notes.append(f"generator {_quoted(name)}: quadrature error estimate {err:.2e} inflated the tolerance")
     verdicts = [gen["verdict"] for gen in generators]
     overall = ("not_integrable" if "not_member" in verdicts
                else "indeterminate" if "indeterminate" in verdicts else "integrable")
-    if overall == "indeterminate" and band:
-        notes.insert(0, "some period sits in the ambiguity band of the lattice test")
+    if overall == "indeterminate" and "band" in reasons:
+        notes.insert(0, "some period" + _undecided("band", lattice, tol_lat))
     return {
         "overall": overall,
         "quad_order": quad_order,
@@ -160,10 +160,9 @@ def pi1_cocycle_table(
     cocycle value of each ordered pair of loops) and commutators
     (values[i][j] - values[j][i]); with a lattice it adds
     commutators_mod_lattice (the commutators reduced mod Gamma) and
-    commutator_in_lattice (the lattice verdict of each commutator).  Last
-    come its warnings: one per "indeterminate" commutator, naming its loops
-    and why, a tolerance that reaches half the shortest lattice vector or
-    the ambiguity band.
+    commutator_in_lattice (lattice_verdict's verdict on each commutator).
+    Last come its warnings: one per "indeterminate" commutator, naming its
+    loops and lattice_verdict's reason.
 
     Every loop must stay in the group, checked on 33 samples of [0, 1]
     (path_samples), which names the first sample outside, and close at the
@@ -190,12 +189,9 @@ def pi1_cocycle_table(
     if lattice is not None:
         reduced = reduce_mod_lattice(lattice, commutators)
         table["commutators_mod_lattice"] = reduced.tolist()
-        verdicts = table["commutator_in_lattice"] = lattice_verdict(
-            lattice, commutators, reduced, tol_lat)["verdict"]
-        why = (f": tolerance {tol_lat:.2e} reaches half the shortest lattice vector ({lattice.half_spacing:.2e}), "
-               "so the lattice test cannot decide; try a lower tol" if tol_lat >= lattice.half_spacing
-               else " sits in the ambiguity band of the lattice test")
-        notes = [f"commutator of loops {_quoted(a)} and {_quoted(b)}{why}" for a, row in zip(names, verdicts)
-                 for b, verdict in zip(names, row) if verdict == "indeterminate"]
+        decided = lattice_verdict(lattice, commutators, reduced, tol_lat)
+        table["commutator_in_lattice"] = decided["verdict"]
+        notes = [f"commutator of loops {_quoted(a)} and {_quoted(b)}" + _undecided(reason, lattice, tol_lat)
+                 for a, row in zip(names, decided["reason"]) for b, reason in zip(names, row) if reason]
     table["warnings"] = notes
     return table

@@ -51,6 +51,14 @@ Families:
   up, and a pair whose lifts differ by the integer vector N adds -e N_0
   times the change of the second coordinate along the edge (e the edge's
   signed weight).  They are drawn after the sl2h-scaled documents.
+* `lattice-basis`: the fundamental square of T^2 with values in R^2,
+  order 16, against the lattice spanned by the rows of U B: B a drawn
+  basis of condition number at most 10, U unimodular with one off-diagonal
+  entry +-10^e, e an integer in [0, 8].  The cocycle value is B^T n, n
+  integers in [-3, 3], or that plus half a row of B, and the oracle is
+  whether its coefficients n in B are integers.  U B spans the lattice B
+  does, so the answer does not depend on e.  They are drawn after the
+  t2-tiling documents.
 This script is not collected by pytest.
 """
 
@@ -148,6 +156,22 @@ def tiling_family(rng, count):
         yield order, torus_document(2, [((0, 1), value)], patches, order), answer
 
 
+def lattice_basis_family(rng, count):
+    square = {"domain": "square", "coords": ["t", "s"]}
+    for _ in range(count):
+        basis = rng.normal(size=(2, 2))
+        while np.linalg.cond(basis) > 10.0:
+            basis = rng.normal(size=(2, 2))
+        unimodular = np.eye(2)
+        unimodular[tuple(rng.permutation(2))] = rng.choice([-1.0, 1.0]) * 10.0 ** int(rng.integers(0, 9))
+        n = rng.integers(-3, 4, size=2) + (0.5 * np.eye(2)[rng.integers(2)] if rng.integers(2) else 0.0)
+        doc = torus_document(2, [((0, 1), 0.0)], [square], 16)
+        doc["cocycle"]["components"][0]["value"] = (basis.T @ n).tolist()  # coefficients n in B
+        doc["lattice"]["generators"] = (unimodular @ basis).tolist()
+        doc["module"] = {"coeff_dim": 2}
+        yield 16, doc, "integrable" if np.all(n == np.round(n)) else "not_integrable"
+
+
 def incomplete_family():
     """Each 2-torus of T^k has the cocycle's value as its period, so the
     extension needs every value in Z: 0.5 is not."""
@@ -241,7 +265,8 @@ def census(seed, count):
     counts = Counter()
     families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()),
                 ("heis-narrow", heis_narrow_family(rng, count)), ("su2-narrow", su2_narrow_family(rng, count)),
-                ("sl2h-scaled", sl2h_scaled_family(rng, count)), ("t2-tiling", tiling_family(rng, count)))
+                ("sl2h-scaled", sl2h_scaled_family(rng, count)), ("t2-tiling", tiling_family(rng, count)),
+                ("lattice-basis", lattice_basis_family(rng, count)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         for family, docs in families:
@@ -271,6 +296,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=20261020)
     parser.add_argument("--count", type=int, default=400,
-                        help="t2-step, heis-narrow, su2-narrow, sl2h-scaled and t2-tiling documents each")
+                        help="t2-step, heis-narrow, su2-narrow, sl2h-scaled, t2-tiling and lattice-basis "
+                             "documents each")
     args = parser.parse_args()
     print(report(census(args.seed, args.count)))

@@ -157,7 +157,7 @@ class TestLattice:
     def test_integer_point(self):
         lat = lx.Lattice(generators=[[1.0]])
         res = lx.lattice_member(lat, np.array([3.0]))
-        assert res["verdict"] == "member"
+        assert (res["verdict"], res["reason"]) == ("member", None)
         assert list(res["coefficients"]) == [3]
 
     def test_half_integer_rejected(self):
@@ -174,20 +174,27 @@ class TestLattice:
 
     def test_ambiguity_band_is_indeterminate(self):
         lat = lx.Lattice(generators=[[1.0]])
-        assert lx.lattice_member(lat, np.array([1.0 + 5e-6]), 1e-6)["verdict"] == (
-            "indeterminate"
-        )
+        for tol_lat, err in ((1e-6, 0.0), (1e-7, 9e-7)):  # the band of tol_lat + err
+            res = lx.lattice_member(lat, np.array([1.0 + 5e-6]), tol_lat, err)
+            assert (res["verdict"], res["reason"]) == ("indeterminate", "band")
 
     def test_a_tolerance_reaching_half_the_spacing_decides_nothing(self):
         # a ball of radius 0.5 around 0.49 holds 0 and 1: no verdict is vacuous
         lat = lx.Lattice(generators=[[1.0]])
         for tol in (0.5, 0.6):
-            assert lx.lattice_member(lat, np.array([0.49]), tol)["verdict"] == "indeterminate"
-            assert lx.lattice_member(lat, np.array([3.0]), tol)["verdict"] == "indeterminate"
+            for v in (0.49, 3.0):
+                res = lx.lattice_member(lat, np.array([v]), tol)
+                assert (res["verdict"], res["reason"]) == ("indeterminate", "tolerance")
         stack = np.array([[0.0], [0.25]])
-        assert lx.algebra.lattice_verdict(lat, stack, lx.reduce_mod_lattice(lat, stack), 0.5)[
-            "verdict"] == ["indeterminate", "indeterminate"]
+        res = lx.algebra.lattice_verdict(lat, stack, lx.reduce_mod_lattice(lat, stack), 0.5)
+        assert (res["verdict"], res["reason"]) == (["indeterminate"] * 2, ["tolerance"] * 2)
         assert lx.lattice_member(lat, np.array([0.49]), 0.499)["verdict"] == "member"
+        # tol_lat + err is what reaches half the spacing; the reason is the
+        # estimate when err alone reaches it
+        for tol_lat, err, expected in ((0.249, 0.25, ("member", None)), (0.25, 0.25, ("indeterminate", "tolerance")),
+                                       (1e-6, 0.5, ("indeterminate", "estimate"))):
+            res = lx.lattice_member(lat, np.array([0.49]), tol_lat, err)
+            assert (res["verdict"], res["reason"]) == expected
 
     def test_a_tolerance_reaching_half_the_spacing_keeps_not_member(self):
         # the residual is the distance to the nearest lattice point, so 50 is

@@ -18,14 +18,25 @@ def test_a_small_census_counts_every_document_of_every_family():
         assert order in census.ORDERS or (family, order) == ("sl2h-scaled", None)
         per_family[family] += n
     # two step squares, the two incomplete cycle sets, two block boundaries,
-    # two great spheres, two rescaled algebras, which have no order, and two
-    # tiled step squares
+    # two great spheres, two rescaled algebras, which have no order, two
+    # tiled step squares and two lattices in a changed basis
     assert per_family == {"t2-step": 2, "h2-incomplete": 2, "heis-narrow": 2, "su2-narrow": 2,
-                          "sl2h-scaled": 2, "t2-tiling": 2}
+                          "sl2h-scaled": 2, "t2-tiling": 2, "lattice-basis": 2}
     header, *rows, total = census.report(counts).splitlines()
     assert header.split()[2:] == ["right", "wrong", "exit", "4", "other"]
     assert {row.split()[0] for row in rows} == set(per_family)
-    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 12
+    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 14
+
+
+def test_no_lattice_basis_document_is_answered_wrong(tmp_path):
+    # the family's count of confident wrong answers is 0; below the guard
+    # before the reduction (condition number 1e14) every document is answered
+    for _, doc, answer in census.lattice_basis_family(np.random.default_rng(20261020), 30):
+        code, got = census.run(tmp_path / "doc.json", doc)
+        if np.linalg.cond(doc["lattice"]["generators"]) < 1e13:
+            assert (code, got) == (0, answer)
+        else:
+            assert code != 0 or got == answer
 
 
 def test_the_edge_pairing_reads_the_degree_of_a_square_and_of_its_flip():

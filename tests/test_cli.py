@@ -702,6 +702,19 @@ def test_a_period_half_a_step_off_a_small_lattice_is_indeterminate(tmp_path, cap
         "vector (5.00e-08), so the lattice test cannot decide; try a lower tol"]
 
 
+@pytest.mark.parametrize("shear", [0, 1000])
+def test_a_sheared_lattice_basis_gives_the_same_verdict(shear, tmp_path, capsys):
+    # (0.5, 0.3) is the first generator less `shear` times the second, whatever
+    # the shear; generators with a ratio of singular values about 5e-7 (shear
+    # 1000) are independent on their reduced basis
+    raw = _edited("torus_integrable.json", _each(
+        _set("module", value={"coeff_dim": 2}), _set("lattice", "generators", value=[[0.5, 0.3 + shear], [0, 1]]),
+        _set("cocycle", "components", value=[{"indices": [0, 1], "value": [0.5, 0.3]}])))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    assert machine_report([str(path)], capsys)["results"]["overall"] == "integrable"
+
+
 def test_pi1_commutators_at_a_tolerance_of_half_the_spacing_are_indeterminate(capsys):
     report = machine_report([str(FIXTURES / "pi1_torus.json"), "--tol", "0.6"], capsys)
     assert report["results"]["commutator_in_lattice"] == [["indeterminate"] * 2] * 2
