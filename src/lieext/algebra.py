@@ -186,33 +186,48 @@ def _issues_above(identity: str, residuals, tol: float, indices=None) -> list:
     ]
 
 
-def validate_algebra(alg: LieAlgebra, tol_alg: float = DEFAULT_TOL_ALG):
-    """Check antisymmetry and Jacobi; return the list of violations."""
-    c = alg.structure_constants
+def scale_of(*arrays) -> float:
+    """The power of two at the largest |entry| of the arrays (0.5 if all are 0), the algebra side's
+    one tolerance scale: dividing by it is exact, so in its units a power of two changes nothing."""
+    top = max([abs(a).max(initial=0.0) for a in arrays])
+    return math.ldexp(1.0, math.frexp(top)[1] - 1)
+
+
+def algebra_residuals(alg: LieAlgebra) -> tuple:
+    """(antisymmetry, jacobi) residuals of c / scale_of(c), zero outside i <= j and i < j < k."""
+    c = alg.structure_constants / scale_of(alg.structure_constants)
     n = alg.dim
     i, j, k = np.ogrid[:n, :n, :n]
     anti = np.abs(c + np.transpose(c, (1, 0, 2)))
     # jac[i,j,k,l] = sum_m c[i,j,m] c[m,k,l] + cyclic in (i,j,k)
     comp = np.einsum("ijm,mkl->ijkl", c, c)
     jac = np.abs(comp + np.transpose(comp, (1, 2, 0, 3)) + np.transpose(comp, (2, 0, 1, 3)))
-    return _issues_above("antisymmetry", np.where(i <= j, anti, 0.0), tol_alg) + _issues_above(
-        "jacobi", np.where(((i < j) & (j < k))[..., None], jac, 0.0), tol_alg
-    )
+    return np.where(i <= j, anti, 0.0), np.where(((i < j) & (j < k))[..., None], jac, 0.0)
+
+
+def validate_algebra(alg: LieAlgebra, tol_alg: float = DEFAULT_TOL_ALG):
+    """Check antisymmetry and Jacobi (algebra_residuals); return the list of violations."""
+    anti, jac = algebra_residuals(alg)
+    return _issues_above("antisymmetry", anti, tol_alg) + _issues_above("jacobi", jac, tol_alg)
+
+
+def homomorphism_issues(identity: str, c: np.ndarray, rho: np.ndarray, tol: float) -> list:
+    """The pairs i < j where max |rho([e_i, e_j]) - [rho_i, rho_j]| exceeds tol in units of
+    scale_of(c, rho) scale_of(rho), each factor divided before any product."""
+    i, j = np.triu_indices(len(c), 1)
+    s, r = scale_of(c, rho), rho / scale_of(rho)
+    diff = np.einsum("pk,kab->pab", c[i, j] / s, r) - (rho[i] / s @ r[j] - rho[j] / s @ r[i])
+    return _issues_above(identity, np.max(np.abs(diff), axis=(1, 2), initial=0.0), tol, (i, j))
 
 
 def validate_module(alg: LieAlgebra, mod: ModuleAction, tol_alg: float = DEFAULT_TOL_ALG):
-    """Check rho([e_i, e_j]) = [rho_i, rho_j]; return the list of violations."""
+    """Check rho([e_i, e_j]) = [rho_i, rho_j] (homomorphism_issues); return the list of violations."""
     if mod.alg_dim != alg.dim:
         raise MalformedInputError(
             f"module has {mod.alg_dim} representation matrices for algebra "
             f"dimension {alg.dim}"
         )
-    rho = mod.rho
-    i, j = np.triu_indices(alg.dim, 1)
-    lhs = np.einsum("pk,kab->pab", alg.structure_constants[i, j], rho)
-    rhs = rho[i] @ rho[j] - rho[j] @ rho[i]
-    res = np.max(np.abs(lhs - rhs), axis=(1, 2), initial=0.0)
-    return _issues_above("homomorphism", res, tol_alg, (i, j))
+    return homomorphism_issues("homomorphism", alg.structure_constants, mod.rho, tol_alg)
 
 
 def bracket(alg: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:

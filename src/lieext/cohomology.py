@@ -22,10 +22,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL_ALG, LieAlgebra, ModuleAction
+from .algebra import DEFAULT_TOL_ALG, LieAlgebra, ModuleAction, scale_of
 from .errors import LieExtError, MalformedInputError, NotACocycleError, UserFunctionError, _quoted
 
 RANK_TOL_FACTOR = 1e-10
+# cohomology_table balances a basis whose non-zero constants spread over more
+# binary orders than this (about 1e-8 of the largest): a part of the algebra at
+# that scale comes within a factor 100 of the rank cutoff (see _balanced).
+BALANCE_SPREAD = 26
 # d_n is assembled dense and its SVD takes a few copies of it; a d_n with
 # more entries than this (128 MiB of doubles) is refused.
 MAX_D_ENTRIES = 2**24
@@ -286,22 +290,17 @@ def apply_d(alg: LieAlgebra, mod: ModuleAction, omega: Cochain) -> Cochain:
 def _svd_rank(mat: np.ndarray, compute_uv: bool = False) -> tuple:
     """(rank, margin, u, vt) of mat, with u and vt only when compute_uv.
 
-    The one rank cutoff of the package: relative to the largest singular
-    value, with an absolute floor so that a matrix of round-off noise counts
-    as zero.  margin = min(s_r / cut, cut / s_{r+1}) over the terms that
-    exist (a zero s_{r+1} bounds nothing) says how far the rank is from
-    changing.  An empty or all-zero matrix has rank 0, margin None and
-    identity factors.
+    The one rank cutoff of the package, on mat in units of scale_of(mat)
+    above 1, so singular values stay finite: relative to the largest singular
+    value, with an absolute floor so that round-off noise counts as zero.
+    margin = min(s_r / cut, cut / s_{r+1}) over the terms that exist (a zero
+    s_{r+1} bounds nothing) says how far the rank is from changing.  An empty
+    or all-zero matrix has rank 0, margin None and identity factors.
     """
     rows, cols = mat.shape
-    top = float(np.max(np.abs(mat), initial=0.0))
-    if top == 0.0:
+    if not np.any(mat):
         return 0, None, *((np.eye(rows), np.eye(cols)) if compute_uv else (None, None))
-    # Work on mat divided by the power of two at its largest entry, with the
-    # cutoff in the same units, so that the singular values of a matrix near
-    # the top of the double range stay finite; dividing by a power of two is
-    # exact.  Entries below 1 are left as they are: their cutoff is the floor.
-    scale = max(1.0, float(np.ldexp(1.0, np.frexp(top)[1] - 1)))
+    scale = max(1.0, scale_of(mat))
     if scale != 1.0:
         mat = mat / scale
     # rank and margin always come from the values-only SVD: the one with
@@ -343,18 +342,16 @@ def _complex(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]):
 
     Ranks mean nothing unless d_k d_{k-1} = 0 (a failed Jacobi or
     representation identity breaks it), so each d_k that follows d_{k-1} is
-    checked on the probe r_i = cos(i), both factors divided by the power of
-    two s at the largest entry of c and rho, so nothing overflows; zero c
-    and rho make every d_k zero.
+    checked on the probe r_i = cos(i), both factors divided by s =
+    scale_of(c, rho), so nothing overflows.
     """
-    top = max(np.abs(alg.structure_constants).max(initial=0.0), np.abs(mod.rho).max(initial=0.0))
-    s = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    s = scale_of(alg.structure_constants, mod.rho)
     for k in degrees:
         _check_size(alg, mod, k)
     prev = {}
     for k in degrees:
         d_k = coboundary_matrix(alg, mod, k)
-        if k - 1 in prev and top:
+        if k - 1 in prev:
             probe = np.cos(np.arange(prev[k - 1].shape[1])) / s
             residual = float(np.abs(d_k @ (prev[k - 1] @ probe / s)).max(initial=0.0))
             if residual > RANK_TOL_FACTOR:
@@ -386,9 +383,34 @@ def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> dict:
             "d_matrix": d_n, "z_basis": vt[rank:].T, "b_basis": u[:, :rank_prev]}
 
 
+def _balanced(alg: LieAlgebra, mod: ModuleAction) -> tuple:
+    """alg and mod divided by scale_of(c, rho), so their largest |entry| is in [1, 2), then, if
+    another non-zero one is below 2^-BALANCE_SPREAD, in the basis e_i -> 2^x_i e_i, f_a -> 2^y_a
+    f_a: exact changes of basis, which keep every Betti number.  c and rho are the structure
+    constants t of g (+) a with [e_i, f_b] = rho_i f_b; the basis maps t_uv^w to 2^(z_u + z_v -
+    z_w) t_uv^w, z = (x, y), and z rounds the least-squares solution that brings the frexp
+    exponent of each non-zero t_uv^w, u < v, to 0 (matrix balancing, Parlett and Reinsch 1969, of
+    the whole complex); the result is divided by its own scale_of.  A narrower spread keeps its
+    basis: the small constants of a float basis carry rounding at the scale of its largest one,
+    which balancing would amplify up to the rank floor."""
+    s, n, size = scale_of(alg.structure_constants, mod.rho), alg.dim, alg.dim + mod.coeff_dim
+    t = np.zeros((size, size, size))
+    t[:n, :n, :n] = alg.structure_constants / s
+    t[:n, n:, n:] = mod.rho.transpose(0, 2, 1) / s
+    if np.abs(t).min(where=t != 0, initial=np.inf) < 2.0**-BALANCE_SPREAD:
+        u, v, w = np.nonzero(t * (np.arange(size)[:, None, None] < np.arange(size)[:, None]))
+        unit = np.eye(size)
+        rows = unit[u] + unit[v] - unit[w]
+        z = np.round(np.linalg.lstsq(rows.T @ rows, rows.T @ -np.frexp(t[u, v, w])[1], rcond=None)[0])
+        t = np.ldexp(t, (z[:, None, None] + z[:, None] - z).astype(int))
+        t = t / scale_of(t)
+    return LieAlgebra(t[:n, :n, :n]), ModuleAction(t[:n, n:, n:].transpose(0, 2, 1))
+
+
 def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]) -> list:
     """One row per degree n: dim C^n, dim Z^n, dim B^n, betti and the rank
-    margin of d_n.
+    margin of d_n, computed on _balanced(alg, mod): a power of two times c and
+    rho changes no bit of it, and a badly scaled basis is balanced first.
 
     Only ranks are needed, b_n = dim C^n - rank d_n - rank d_{n-1}, so each
     d_n the degrees need is assembled once and only its singular values
@@ -397,7 +419,7 @@ def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int])
     for n in degrees:
         _check_degree(alg, n)
     needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
-    ranks = {k: _svd_rank(d_k)[:2] for k, d_k in _complex(alg, mod, needed)}
+    ranks = {k: _svd_rank(d_k)[:2] for k, d_k in _complex(*_balanced(alg, mod), needed)}
     return [_row(n, math.comb(alg.dim, n) * mod.coeff_dim, ranks[n][0],
                  ranks.get(n - 1, (0,))[0], ranks[n][1]) for n in degrees]
 
@@ -421,15 +443,21 @@ def cohomology_representatives(alg: LieAlgebra, mod: ModuleAction, n: int) -> li
     return [Cochain(n, alg.dim, mod.coeff_dim, u[:, i]) for i in range(rank)]
 
 
-def is_cocycle(
-    alg: LieAlgebra, mod: ModuleAction, omega: Cochain, tol: float = DEFAULT_TOL_ALG
-) -> bool:
-    """True when d(omega) vanishes within tol in the max norm: _require_cocycles as a predicate."""
-    return apply_d(alg, mod, omega).max_norm() < tol
+def _cocycle_residual(alg: LieAlgebra, mod: ModuleAction, omega: Cochain, d_n=None) -> float:
+    """max |d omega| in units of scale_of(c, rho) scale_of(omega), by d_n or apply_d: the one residual
+    of the cocycle test, is_cocycle's and _require_cocycles's."""
+    unit = omega.to_vector() / scale_of(omega.values)
+    image = d_n @ unit if d_n is not None else apply_d(alg, mod, replace(omega, values=unit)).values
+    return float(abs(image).max(initial=0.0)) / scale_of(alg.structure_constants, mod.rho)
+
+
+def is_cocycle(alg: LieAlgebra, mod: ModuleAction, omega: Cochain, tol: float = DEFAULT_TOL_ALG) -> bool:
+    """True when omega, of any degree, has _cocycle_residual below tol."""
+    return _cocycle_residual(alg, mod, omega) < tol
 
 
 def _require_cocycles(alg: LieAlgebra, mod: ModuleAction, omegas: dict, tol=DEFAULT_TOL_ALG):
-    """d_1, once each named 2-cochain of omegas has max |d_2 omega| below tol: the package's one
+    """d_1, once each named 2-cochain of omegas has _cocycle_residual below tol: the package's one
     refusal of a non-cocycle, NotACocycleError with the residual of the first that has not (NaN
     included).  d_1 and d_2 come from _complex, which refuses a d_2 d_1 that is not zero."""
     shapes = {(w.degree, w.alg_dim, w.coeff_dim) for w in omegas.values()}
@@ -437,10 +465,10 @@ def _require_cocycles(alg: LieAlgebra, mod: ModuleAction, omegas: dict, tol=DEFA
         raise MalformedInputError("cocycles must be 2-cochains on the algebra/module")
     (_, d1), (_, d2) = _complex(alg, mod, (1, 2))
     for name, omega in omegas.items():
-        residual = float(np.max(np.abs(d2 @ omega.to_vector()), initial=0.0))
+        residual = _cocycle_residual(alg, mod, omega, d2)
         if not residual < tol:
-            raise NotACocycleError(f"{name} is not a cocycle: max |d({name})| = {residual:.3e}, "
-                                   f"not below tol {tol:.3e}", residual=residual)
+            raise NotACocycleError(f"{name} is not a cocycle: relative residual max |d({name})| = "
+                                   f"{residual:.3e}, not below tol {tol:.3e}", residual=residual)
     return d1
 
 

@@ -39,6 +39,7 @@ from .algebra import (
     Lattice,
     LieAlgebra,
     ModuleAction,
+    algebra_residuals,
     reduce_mod_lattice,
     trivial_module,
     validate_algebra,
@@ -667,7 +668,7 @@ def _run_cohomology(doc, degrees):
 
 def _run_extend(doc, tol):
     total = build_algebra_extension(doc.algebra, doc.module, doc.cocycle, tol)
-    residual = max((i["residual"] for i in validate_algebra(total, tol)), default=0.0)
+    residual = max(float(np.max(r, initial=0.0)) for r in algebra_residuals(total))
     extension = serialize_extension(total, doc.algebra.dim)
     return {"extension": extension, "jacobi_residual": residual}, [], EXIT_OK
 

@@ -23,6 +23,7 @@ from .algebra import (
     LieAlgebra,
     ModuleAction,
     reduce_mod_lattice,
+    scale_of,
     trivial_module,
 )
 from .cohomology import Cochain, GroupCochain, _require_cocycles, index_table
@@ -67,24 +68,18 @@ def are_equivalent(
 ) -> Tuple[bool, Optional[Cochain], float]:
     """Coboundary test: do the two cocycles differ by d(lambda)?
 
-    Returns (verdict, witness 1-cochain or None, least-squares residual).
-    The witness is the minimum-norm solution of d_1 lambda = omega1 - omega2.
-    A residual beyond the double range is returned as inf.  Both cochains
-    must pass _require_cocycles, whose refusal names omega1 or omega2."""
+    Returns (verdict, witness 1-cochain or None, least-squares residual in omega's units, inf
+    beyond the double range).  The verdict compares equiv_tol with the residual in units of
+    scale_of(omega1, omega2); the witness is the minimum-norm solution of d_1 lambda = omega1 -
+    omega2.  Both cochains must pass _require_cocycles, whose refusal names omega1 or omega2."""
     d1 = _require_cocycles(alg, mod, {"omega1": omega1, "omega2": omega2})
-    # Solve for omega1 - omega2 divided by a power of two near the largest
-    # input entry, so that neither the difference nor the squares in the
-    # norm overflow; dividing by a power of two is exact, so other values
-    # keep every bit.
-    big = max(omega1.max_norm(), omega2.max_norm())
-    scale = float(np.ldexp(1.0, np.frexp(big)[1] - 1))
+    scale = scale_of(omega1.values, omega2.values)
     unit = omega1.to_vector() / scale - omega2.to_vector() / scale
     sol, *_ = np.linalg.lstsq(d1, unit, rcond=None)
-    residual = scale * float(np.linalg.norm(d1 @ sol - unit))
+    residual = float(np.linalg.norm(d1 @ sol - unit))
     if residual < equiv_tol:
-        witness = Cochain(1, alg.dim, mod.coeff_dim, scale * sol)
-        return True, witness, residual
-    return False, None, residual
+        return True, Cochain(1, alg.dim, mod.coeff_dim, scale * sol), scale * residual
+    return False, None, scale * residual
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .algebra import (
     ModuleAction,
     abelian_algebra,
     heisenberg3_algebra,
+    homomorphism_issues,
     validate_algebra,
     _issues_above,
 )
@@ -203,17 +204,11 @@ def validate_group(group: MatrixGroup, tol_alg: float = 1e-9):
 
 
 def _group_identities(group: MatrixGroup, tol_alg: float):
-    """Basis commutators must reproduce the structure constants; exp/log must
-    round-trip near the identity."""
-    basis = group.basis
-    i, j = np.triu_indices(group.algebra.dim, 1)
-    comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-    expected = np.einsum("pk,kab->pab", group.algebra.structure_constants[i, j], basis)
-    res = np.max(np.abs(comm - expected), axis=(1, 2), initial=0.0)
-    bound = tol_alg * max(1.0, float(np.max(np.abs(basis), initial=0.0)) ** 2)
-    issues = _issues_above("basis_commutator", res, bound, (i, j))
+    """Basis commutators must reproduce the structure constants (homomorphism_issues, the basis
+    as rho); exp/log must round-trip near the identity."""
+    issues = homomorphism_issues("basis_commutator", group.algebra.structure_constants, group.basis, tol_alg)
     x = 0.05 * np.random.default_rng(7).normal(size=(3, group.algebra.dim))
-    g = group.exp(np.einsum("ti,ijk->tjk", x, basis))
+    g = group.exp(np.einsum("ti,ijk->tjk", x, group.basis))
     res = np.max(np.abs(group.exp(group.log(g)) - g), axis=(1, 2))
     return issues + _issues_above("exp_log_roundtrip", res, 1e-8)
 

@@ -1,13 +1,17 @@
-"""Soundness census: how often `check-integrability` and `cohomology` answer
-confidently wrong on documents whose answer is known.
+"""Soundness census: how often `check-integrability`, `cohomology`,
+`validate`, `extend` and `equivalence` answer confidently wrong on documents
+whose answer is known.
 
     PYTHONPATH=src python tests/census.py [--seed 20261020] [--count 400]
 
 Each document runs through `lieext.cli.main` in this process.  An answer is
 right when it exits 0 with the known verdict (or Betti numbers), confidently
 wrong when it exits 0 with another one, and honest when it exits 4; any
-other exit is counted apart.  The counts are printed per family and
-quadrature order ('-' for a family without one).
+other exit is counted apart.  `extend` answers "accepts" by exit 0 and
+"refuses" by exit 3 (not a cocycle), and `cohomology` answers "refuses" by
+exit 3 (not a cochain complex), so those refusals are answers too.  The
+counts are printed per family and quadrature order ('-' for a family
+without one).
 
 Families:
 * `t2-step`: one square on T^2 whose first coordinate climbs a logistic
@@ -59,6 +63,18 @@ Families:
   whether its coefficients n in B are integers.  U B spans the lattice B
   does, so the answer does not depend on e.  They are drawn after the
   t2-tiling documents.
+* `cocycle-scale`: a cocycle times 10^e, e an integer in [-30, 30], which
+  changes no class: `equivalence` on heis3 of e^0 ^ e^2 (a class that is
+  not 0: not equivalent) or of e^0 ^ e^1 (= d(-e^2): equivalent) against 0,
+  or `extend` on heis5 ([e0, e2] = [e1, e3] = e4) of e^2 ^ e^4 (not a
+  cocycle: refused) or of e^0 ^ e^1 (a cocycle: accepted), the case drawn.
+  They are drawn after the lattice-basis documents.
+* `algebra-scale`: `validate` and `cohomology` over degrees 0-dim of one
+  document, whose structure constants are sl2 + heis3's or those of the
+  bracket [e0, e1] = e1, [e1, e2] = e0, which breaks Jacobi, the algebra
+  drawn, all times 10^e, e an integer in [-30, 30].  The answer is valid
+  with the Kunneth Betti numbers of sl2h-scaled, or not valid with the
+  cohomology refused.  They are drawn after the cocycle-scale documents.
 This script is not collected by pytest.
 """
 
@@ -78,6 +94,9 @@ from lieext.cli import main
 ORDERS = (8, 16, 24, 32)
 STEP = "{u} + {h}/(1 + exp(-({u} - {c!r})/{w!r}))"
 SL2_HEIS3 = ((0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0), (3, 4, 5, 1.0))  # [i, j, k, c_ij^k]
+NOT_LIE = ((0, 1, 1, 1.0), (1, 2, 0, 1.0))
+HEIS3 = {"dim": 3, "structure_constants": [[0, 1, 2, 1.0]]}
+HEIS5 = {"dim": 5, "structure_constants": [[0, 2, 4, 1.0], [1, 3, 4, 1.0]]}
 KUNNETH = [int(b) for b in np.convolve((1, 0, 0, 1), (1, 2, 2, 1))]  # sl2's Betti numbers times heis3's
 
 
@@ -247,15 +266,55 @@ def sl2h_scaled_family(rng, count):
         }, KUNNETH
 
 
+def cocycle_scale_family(rng, count):
+    cases = ((HEIS3, (0, 2), "equivalence", False), (HEIS3, (0, 1), "equivalence", True),
+             (HEIS5, (2, 4), "extend", "refuses"), (HEIS5, (0, 1), "extend", "accepts"))
+    for _ in range(count):
+        algebra, indices, task, answer = cases[rng.integers(len(cases))]
+        value = 10.0 ** int(rng.integers(-30, 31))
+        doc = {"task": task, "algebra": algebra,
+               "cocycle": {"components": [{"indices": list(indices), "value": value}]}}
+        if task == "equivalence":
+            doc["cocycle2"] = {"components": []}
+        yield None, doc, answer
+
+
+def algebra_scale_family(rng, count):
+    for _ in range(count):
+        lie = bool(rng.integers(2))
+        scale = 10.0 ** int(rng.integers(-30, 31))
+        rows = [[i, j, k, v * scale] for i, j, k, v in (SL2_HEIS3 if lie else NOT_LIE)]
+        dim = 6 if lie else 3
+        yield None, {
+            "task": ["validate", "cohomology"],
+            "algebra": {"dim": dim, "structure_constants": rows},
+            "options": {"degrees": list(range(dim + 1))},
+        }, [True, KUNNETH] if lie else [False, "refuses"]
+
+
 def run(path, doc):
+    """(exit code, answer) of doc through the CLI, the answer None when the
+    exit answers nothing.  A doc whose task is a list runs once per task: its
+    code is the largest, its answer the list of answers, None if one is None."""
+    if isinstance(doc["task"], list):
+        runs = [run(path, {**doc, "task": task}) for task in doc["task"]]
+        answers = [got for _, got in runs]
+        return max(code for code, _ in runs), None if None in answers else answers
     path.write_text(json.dumps(doc))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main([str(path), "--output", "machine"])
+    if code == 3 and doc["task"] in ("extend", "cohomology"):
+        return code, "refuses"
     if code not in (0, 4):
         return code, None
     results = json.loads(out.getvalue())["results"]
-    return code, results["overall"] if "overall" in results else [row["betti"] for row in results["slices"]]
+    if doc["task"] == "extend":
+        return code, "accepts"
+    for key in ("overall", "valid", "equivalent"):
+        if key in results:
+            return code, results[key]
+    return code, [row["betti"] for row in results["slices"]]
 
 
 def census(seed, count):
@@ -266,16 +325,17 @@ def census(seed, count):
     families = (("t2-step", step_family(rng, count)), ("h2-incomplete", incomplete_family()),
                 ("heis-narrow", heis_narrow_family(rng, count)), ("su2-narrow", su2_narrow_family(rng, count)),
                 ("sl2h-scaled", sl2h_scaled_family(rng, count)), ("t2-tiling", tiling_family(rng, count)),
-                ("lattice-basis", lattice_basis_family(rng, count)))
+                ("lattice-basis", lattice_basis_family(rng, count)),
+                ("cocycle-scale", cocycle_scale_family(rng, count)), ("algebra-scale", algebra_scale_family(rng, count)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         for family, docs in families:
             for order, doc, answer in docs:
                 code, got = run(path, doc)
-                if code == 0:
-                    outcome = "right" if got == answer else "wrong"
-                else:
+                if code == 4 or got is None:
                     outcome = "exit 4" if code == 4 else "other"
+                else:
+                    outcome = "right" if got == answer else "wrong"
                 counts[family, order, outcome] += 1
     return counts
 
@@ -296,7 +356,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=20261020)
     parser.add_argument("--count", type=int, default=400,
-                        help="t2-step, heis-narrow, su2-narrow, sl2h-scaled, t2-tiling and lattice-basis "
-                             "documents each")
+                        help="t2-step, heis-narrow, su2-narrow, sl2h-scaled, t2-tiling, lattice-basis, "
+                             "cocycle-scale and algebra-scale documents each")
     args = parser.parse_args()
     print(report(census(args.seed, args.count)))

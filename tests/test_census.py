@@ -4,10 +4,12 @@ draws, per family, and its report totals them."""
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import census
 
 OUTCOMES = ("right", "wrong", "exit 4", "other")
+ORDERLESS = ("sl2h-scaled", "cocycle-scale", "algebra-scale")
 
 
 def test_a_small_census_counts_every_document_of_every_family():
@@ -15,17 +17,29 @@ def test_a_small_census_counts_every_document_of_every_family():
     per_family = Counter()
     for (family, order, outcome), n in counts.items():
         assert outcome in OUTCOMES
-        assert order in census.ORDERS or (family, order) == ("sl2h-scaled", None)
+        assert order in census.ORDERS or (family in ORDERLESS and order is None)
         per_family[family] += n
     # two step squares, the two incomplete cycle sets, two block boundaries,
     # two great spheres, two rescaled algebras, which have no order, two
-    # tiled step squares and two lattices in a changed basis
+    # tiled step squares, two lattices in a changed basis, and two rescaled
+    # cocycles and two rescaled algebras, which have no order either
     assert per_family == {"t2-step": 2, "h2-incomplete": 2, "heis-narrow": 2, "su2-narrow": 2,
-                          "sl2h-scaled": 2, "t2-tiling": 2, "lattice-basis": 2}
+                          "sl2h-scaled": 2, "t2-tiling": 2, "lattice-basis": 2,
+                          "cocycle-scale": 2, "algebra-scale": 2}
     header, *rows, total = census.report(counts).splitlines()
     assert header.split()[2:] == ["right", "wrong", "exit", "4", "other"]
     assert {row.split()[0] for row in rows} == set(per_family)
-    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 14
+    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 18
+
+
+@pytest.mark.parametrize("family", [census.sl2h_scaled_family, census.cocycle_scale_family,
+                                    census.algebra_scale_family],
+                         ids=ORDERLESS)
+def test_no_rescaled_algebra_or_cocycle_is_answered_wrong(family, tmp_path):
+    # each family's count of confident wrong answers is 0, and every document
+    # is answered: a rescaling of a basis or of a cocycle changes no answer
+    for _, doc, answer in family(np.random.default_rng(20261020), 20):
+        assert census.run(tmp_path / "doc.json", doc)[1] == answer
 
 
 def test_no_lattice_basis_document_is_answered_wrong(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -18,6 +19,8 @@ import lieext as lx
 from lieext.cli import _LABELS, main, run
 from lieext.documents import parse_document, serialize_algebra
 from lieext.errors import DocumentError, UnresolvedReferenceError
+
+from conftest import change_of_basis
 
 FIXTURES = resources.files("lieext") / "fixtures"
 # the environment of a subprocess, which imports the lieext imported here
@@ -1027,8 +1030,8 @@ def test_integrating_a_non_cocycle_is_rejected(task, tmp_path, capsys):
     assert main([str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
-        "computation rejected: omega is not a cocycle: max |d(omega)| = 1.000e+00, "
-        "not below tol 1.000e-09\n"
+        "computation rejected: omega is not a cocycle: relative residual max |d(omega)| = "
+        "1.000e+00, not below tol 1.000e-09\n"
     )
 
 
@@ -1074,8 +1077,8 @@ def test_every_task_refuses_a_non_cocycle_in_one_shape(task, edit, name, tmp_pat
     assert main([str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
-        f"computation rejected: {name} is not a cocycle: max |d({name})| = 1.000e+00, "
-        "not below tol 1.000e-09\n"
+        f"computation rejected: {name} is not a cocycle: relative residual max |d({name})| = "
+        "1.000e+00, not below tol 1.000e-09\n"
     )
 
 
@@ -1085,8 +1088,123 @@ def test_extend_tests_its_cocycle_at_its_tol(tol, code, tmp_path, capsys):
     path.write_text(json.dumps({**HEIS_R_NOT_A_COCYCLE, "task": "extend", "options": {"tol": tol}}))
     assert main([str(path)]) == code
     assert capsys.readouterr().err == ("" if code == 0 else (
-        "computation rejected: omega is not a cocycle: max |d(omega)| = 1.000e+00, "
-        f"not below tol {tol:.3e}\n"))
+        "computation rejected: omega is not a cocycle: relative residual max |d(omega)| = "
+        f"1.000e+00, not below tol {tol:.3e}\n"))
+
+
+# The algebra side's tolerances are relative: an answer does not depend on the
+# scale of the algebra or of the cocycle, shown at two scales each.
+HEIS3 = {"dim": 3, "structure_constants": [[0, 1, 2, 1.0]]}
+HEIS5 = {"dim": 5, "structure_constants": [[0, 2, 4, 1.0], [1, 3, 4, 1.0]]}
+
+
+def _not_lie(eps):
+    """[e0, e1] = eps e1 and [e1, e2] = eps e0, which break Jacobi at any eps."""
+    return {"dim": 3, "structure_constants": [[0, 1, 1, eps], [1, 2, 0, eps]]}
+
+
+def _cocycle(indices, value):
+    return {"components": [{"indices": indices, "value": value}]}
+
+
+def machine_outcome(raw, tmp_path, capsys):
+    """The exit code, the results (None without a report) and stderr of the
+    CLI on the document raw, with machine output."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    code = main([str(path), "--output", "machine"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out)["results"] if captured.out else None, captured.err
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-12])
+def test_a_class_that_is_not_zero_is_not_equivalent_to_zero_at_any_scale(eps, tmp_path, capsys):
+    # e^0 ^ e^2 is a cocycle of heis3 outside the image of d_1, which e^0 ^ e^1 spans
+    raw = {"task": "equivalence", "algebra": HEIS3, "cocycle": _cocycle([0, 2], eps),
+           "cocycle2": {"components": []}}
+    code, results, _ = machine_outcome(raw, tmp_path, capsys)
+    assert (code, results["equivalent"]) == (0, False)
+    assert results["residual"] == pytest.approx(eps, rel=1e-12)  # in omega's units
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_extend_refuses_a_non_cocycle_at_any_scale(eps, tmp_path, capsys):
+    # on heis5, |d(e^2 ^ e^4)(e1, e2, e3)| = |(e^2 ^ e^4)([e1, e3], e2)| = eps, the largest
+    # entry, which is eps / 2^(floor(log2 eps)) in units of the power of two at eps
+    raw = {"task": "extend", "algebra": HEIS5, "cocycle": _cocycle([2, 4], eps)}
+    code, results, err = machine_outcome(raw, tmp_path, capsys)
+    relative = eps / 2.0 ** (np.frexp(eps)[1] - 1)
+    assert (code, results) == (3, None) and err == (
+        "computation rejected: omega is not a cocycle: relative residual max |d(omega)| = "
+        f"{relative:.3e}, not below tol 1.000e-09\n")
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5])
+def test_a_bracket_that_breaks_jacobi_is_refused_at_any_scale(eps, tmp_path, capsys):
+    code, results, _ = machine_outcome({"task": "validate", "algebra": _not_lie(eps)}, tmp_path, capsys)
+    assert code == 0 and results["valid"] is False
+    assert [v["identity"] for v in results["violations"]] == ["jacobi"]
+    raw = {"task": "cohomology", "algebra": _not_lie(eps), "options": {"degrees": [0, 1, 2, 3]}}
+    code, results, err = machine_outcome(raw, tmp_path, capsys)
+    assert (code, results) == (3, None) and err.startswith("computation rejected: d_2 d_1 is not zero")
+
+
+def _scaled(raw, factor):
+    """raw with c, rho and each cocycle times factor: the change of basis
+    e_i -> factor e_i with the coefficients' basis f_a -> factor f_a, under
+    which every cocycle takes the factor too."""
+    out = json.loads(json.dumps(raw))
+    out["algebra"]["structure_constants"] = [[i, j, k, v * factor]
+                                             for i, j, k, v in raw["algebra"]["structure_constants"]]
+    if "rho" in raw.get("module", {}):
+        out["module"]["rho"] = (np.array(raw["module"]["rho"]) * factor).tolist()
+    for name in ("cocycle", "cocycle2"):
+        for component in out.get(name, {}).get("components", []):
+            component["value"] = (np.array(component["value"]) * factor).tolist()
+    return out
+
+
+def _random_basis_sl2(rng):
+    """sl2's structure constants in a random basis, as document rows: Jacobi holds up to rounding."""
+    c = change_of_basis(lx.sl2_algebra(), rng.normal(size=(3, 3)) + 2 * np.eye(3)).structure_constants
+    return {"dim": 3, "structure_constants": [[i, j, k, float(c[i, j, k])]
+                                              for i in range(3) for j in range(i + 1, 3) for k in range(3)]}
+
+
+def _scale_documents():
+    rng = np.random.default_rng(52)
+    sl2 = _random_basis_sl2(rng)
+    values = lambda n, m: [{"indices": list(ij), "value": rng.normal(size=m).tolist()}
+                           for ij in itertools.combinations(range(n), 2)]
+    bad_rho = rng.normal(size=(3, 2, 2)).tolist()  # no representation of sl2
+    return {
+        "validate": {"task": "validate", "algebra": _not_lie(1.3), "module": {"coeff_dim": 2, "rho": bad_rho}},
+        "validate-module": {"task": "validate", "algebra": sl2, "module": {"coeff_dim": 2, "rho": bad_rho}},
+        "extend": {"task": "extend", "algebra": sl2, "module": {"coeff_dim": 2},
+                   "cocycle": {"components": values(3, 2)}},
+        "extend-refused": {"task": "extend", "algebra": HEIS5, "cocycle": _cocycle([2, 4], 0.3)},
+        "equivalent": {"task": "equivalence", "algebra": sl2, "cocycle": {"components": values(3, 1)},
+                       "cocycle2": {"components": values(3, 1)}},
+        "not-equivalent": {"task": "equivalence", "algebra": HEIS3, "cocycle": {"components": values(3, 1)},
+                           "cocycle2": {"components": values(3, 1)}},
+    }
+
+
+@pytest.mark.parametrize("power", [37, -37, 600, -600])
+@pytest.mark.parametrize("name", list(_scale_documents()))
+def test_validate_extend_and_equivalence_do_not_see_a_power_of_two(name, power, tmp_path, capsys):
+    # every verdict, refusal and relative residual keeps each bit; what is in the
+    # input's units, the extension and the equivalence residual, takes the factor
+    raw = _scale_documents()[name]
+    code, results, err = machine_outcome(raw, tmp_path, capsys)
+    assert code == (3 if name == "extend-refused" else 0)
+    scaled = machine_outcome(_scaled(raw, 2.0**power), tmp_path, capsys)
+    if scaled[1] is not None and "extension" in scaled[1]:
+        for row in scaled[1]["extension"]["algebra"]["structure_constants"]:
+            row[3] /= 2.0**power
+    if scaled[1] is not None and "residual" in scaled[1]:
+        scaled[1]["residual"] /= 2.0**power
+    assert scaled == (code, results, err)
 
 
 def test_gamma_tests_omega_on_the_group_algebra_not_the_section(tmp_path, capsys):

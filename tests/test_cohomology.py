@@ -462,20 +462,27 @@ class TestCohomologyTable:
             lx.build_complex_slice(alg, mod, 3)
 
     def test_matches_complex_slices(self, rng):
+        # the table's margins are those of c and rho over their largest power of two, the
+        # slices' those of the input basis
         for alg, mod in self._cases(rng):
             table = lx.cohomology_table(alg, mod, range(alg.dim + 1))
             for n, row in enumerate(table):
                 sl = lx.build_complex_slice(alg, mod, n)
                 assert row["degree"] == n
                 for key, value in row.items():
-                    assert sl[key] == value, key
+                    assert sl[key] == value or key == "rank_margin", key
+                assert (sl["rank_margin"] is None) == (row["rank_margin"] is None)
 
     @pytest.mark.parametrize("eps, rank", [(1e-13, 1), (1e-15, 0)])
     def test_rank_margin_near_the_cutoff(self, eps, rank):
+        # a slice keeps the input basis, where d_0 = (eps) meets the absolute floor; the
+        # table first divides rho by the power of two at eps, and d_0 has rank 1 far from its cutoff
         mod = lx.ModuleAction(rho=np.array([[[eps]]]))
-        (row,) = lx.cohomology_table(lx.abelian_algebra(1), mod, [0])
+        row = lx.build_complex_slice(lx.abelian_algebra(1), mod, 0)
         assert row["cocycle_dim"] == 1 - rank
         assert 1.0 < row["rank_margin"] < 100.0
+        (row,) = lx.cohomology_table(lx.abelian_algebra(1), mod, [0])
+        assert row["cocycle_dim"] == 0 and row["rank_margin"] == 1e10
 
     def test_rank_margin_of_sl2_adjoint(self, sl2):
         table = lx.cohomology_table(sl2, lx.adjoint_module(sl2), range(4))
@@ -503,6 +510,19 @@ class TestCohomologyTable:
             assert lx.cohomology_table(
                 scaled, lx.adjoint_module(scaled), range(alg.dim + 1)
             ) == table
+
+    @pytest.mark.parametrize("scale", [2.0**37, 2.0**-37, 1e11, 1e-11, 2.0**20, 2.0**-20])
+    @pytest.mark.parametrize("module", ["trivial", "adjoint"])
+    def test_a_rescaled_summand_keeps_the_betti_numbers(self, scale, module):
+        # e_i -> scale e_i on the heis3 summand of sl2 + heis3 is a change of basis; 2^20 is
+        # within BALANCE_SPREAD, taken in the input basis, and the others are balanced first
+        sl2, heis3 = lx.sl2_algebra(), lx.heisenberg3_algebra()
+        scaled = direct_sum(sl2, lx.LieAlgebra(heis3.structure_constants * scale))
+        betti = {}
+        for alg in (direct_sum(sl2, heis3), scaled):
+            mod = lx.adjoint_module(alg) if module == "adjoint" else lx.trivial_module(6, 1)
+            betti[alg is scaled] = [row["betti"] for row in lx.cohomology_table(alg, mod, range(7))]
+        assert betti[True] == betti[False]
 
 
 class TestBetti:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lieext as lx
+from lieext.algebra import scale_of
 from lieext.errors import MalformedInputError, NotACocycleError, UserFunctionError
 
 from conftest import area_cochain, random_cochain
@@ -76,8 +77,9 @@ class TestBuildAlgebraExtension:
         omega = random_cochain(2, 3, 3, rng)
         with pytest.raises(NotACocycleError) as err:
             lx.build_algebra_extension(sl2, adj, omega)
+        # relative to sl2's structure constants and omega
         assert err.value.residual == pytest.approx(
-            lx.apply_d(sl2, adj, omega).max_norm()
+            lx.apply_d(sl2, adj, omega).max_norm() / (scale_of(adj.rho) * scale_of(omega.values))
         )
 
     def test_force_builds_broken_object(self, sl2, rng):
@@ -209,7 +211,8 @@ class TestAreEquivalent:
         omega = random_cochain(2, 3, 3, rng)
         with pytest.raises(NotACocycleError, match="^omega2 is not a cocycle") as err:
             lx.are_equivalent(sl2, adj, lx.Cochain(2, 3, 3), omega)
-        assert err.value.residual == lx.apply_d(sl2, adj, omega).max_norm()
+        relative = lx.apply_d(sl2, adj, omega).max_norm() / (scale_of(adj.rho) * scale_of(omega.values))
+        assert err.value.residual == relative
 
 
 R1 = lx.translation_group(1)

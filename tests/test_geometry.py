@@ -69,12 +69,14 @@ class TestGroups:
     def test_bad_basis_matches_the_per_pair_reference(self, su2):
         group = replace(su2, basis=su2.basis * np.array([1.0, 1.0, 1.1])[:, None, None])
         c, basis = group.algebra.structure_constants, group.basis
+        # in units of the powers of two at max(|c|, |basis|) = 2 and at max |basis| = 1.1
+        unit = 2.0 * 1.0
         reference = []
         for i in range(3):
             for j in range(i + 1, 3):
                 comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-                res = float(np.max(np.abs(comm - np.einsum("k,kab->ab", c[i, j], basis))))
-                if res > 1e-9 * max(1.0, float(np.max(np.abs(basis))) ** 2):
+                res = float(np.max(np.abs(comm - np.einsum("k,kab->ab", c[i, j], basis)))) / unit
+                if res > 1e-9:
                     reference.append(("basis_commutator", (i, j), res))
         rng = np.random.default_rng(7)
         for trial in range(3):
