@@ -330,12 +330,6 @@ def _check_size(alg: LieAlgebra, mod: ModuleAction, n: int):
         )
 
 
-def _check_degree(alg: LieAlgebra, n: int):
-    """Refuse a degree outside 0..dim."""
-    if n < 0 or n > alg.dim:
-        raise MalformedInputError(f"degree {n} outside 0..{alg.dim}")
-
-
 def _complex(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]):
     """Yield (k, d_k) for the ascending degrees, each d_k assembled once and
     none before the size of every d_k is checked.
@@ -370,33 +364,21 @@ def _row(n: int, dim_c: int, rank: int, rank_prev: int, margin) -> dict:
                 betti=dim_c - rank - rank_prev, rank_margin=margin)
 
 
-def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> dict:
-    """The cohomology_table row of degree n plus d_matrix (d_n), z_basis (its
-    columns span ker d_n) and b_basis (its columns span im d_{n-1}); d_n and
-    d_{n-1} are checked to compose to zero."""
-    _check_degree(alg, n)
-    d = dict(_complex(alg, mod, range(max(n - 1, 0), n + 1)))
-    d_n, d_prev = d[n], d[n - 1] if n else np.zeros((d[n].shape[1], 0))
-    rank, margin, _, vt = _svd_rank(d_n, compute_uv=True)
-    rank_prev, _, u, _ = _svd_rank(d_prev, compute_uv=True)
-    return {**_row(n, d_n.shape[1], rank, rank_prev, margin),
-            "d_matrix": d_n, "z_basis": vt[rank:].T, "b_basis": u[:, :rank_prev]}
-
-
 def _balanced(alg: LieAlgebra, mod: ModuleAction) -> tuple:
-    """alg and mod divided by scale_of(c, rho), so their largest |entry| is in [1, 2), then, if
-    another non-zero one is below 2^-BALANCE_SPREAD, in the basis e_i -> 2^x_i e_i, f_a -> 2^y_a
-    f_a: exact changes of basis, which keep every Betti number.  c and rho are the structure
-    constants t of g (+) a with [e_i, f_b] = rho_i f_b; the basis maps t_uv^w to 2^(z_u + z_v -
-    z_w) t_uv^w, z = (x, y), and z rounds the least-squares solution that brings the frexp
-    exponent of each non-zero t_uv^w, u < v, to 0 (matrix balancing, Parlett and Reinsch 1969, of
-    the whole complex); the result is divided by its own scale_of.  A narrower spread keeps its
-    basis: the small constants of a float basis carry rounding at the scale of its largest one,
-    which balancing would amplify up to the rank floor."""
+    """(alg, mod, z): alg and mod divided by scale_of(c, rho), so their largest |entry| is in [1, 2),
+    then, if another non-zero one is below 2^-BALANCE_SPREAD, in the basis e_i -> 2^x_i e_i, f_a ->
+    2^y_a f_a, z = (x, y) integers (all 0 when nothing was balanced): exact changes of basis, which
+    keep every Betti number.  c and rho are the structure constants t of g (+) a with [e_i, f_b] =
+    rho_i f_b; the basis maps t_uv^w to 2^(z_u + z_v - z_w) t_uv^w, and z rounds the least-squares
+    solution that brings the frexp exponent of each non-zero t_uv^w, u < v, to 0 (matrix balancing,
+    Parlett and Reinsch 1969, of the whole complex); the result is divided by its own scale_of.  A
+    narrower spread keeps its basis: the small constants of a float basis carry rounding at the
+    scale of its largest one, which balancing would amplify up to the rank floor."""
     s, n, size = scale_of(alg.structure_constants, mod.rho), alg.dim, alg.dim + mod.coeff_dim
     t = np.zeros((size, size, size))
     t[:n, :n, :n] = alg.structure_constants / s
     t[:n, n:, n:] = mod.rho.transpose(0, 2, 1) / s
+    z = np.zeros(size)
     if np.abs(t).min(where=t != 0, initial=np.inf) < 2.0**-BALANCE_SPREAD:
         u, v, w = np.nonzero(t * (np.arange(size)[:, None, None] < np.arange(size)[:, None]))
         unit = np.eye(size)
@@ -404,7 +386,39 @@ def _balanced(alg: LieAlgebra, mod: ModuleAction) -> tuple:
         z = np.round(np.linalg.lstsq(rows.T @ rows, rows.T @ -np.frexp(t[u, v, w])[1], rcond=None)[0])
         t = np.ldexp(t, (z[:, None, None] + z[:, None] - z).astype(int))
         t = t / scale_of(t)
-    return LieAlgebra(t[:n, :n, :n]), ModuleAction(t[:n, n:, n:].transpose(0, 2, 1))
+    return LieAlgebra(t[:n, :n, :n]), ModuleAction(t[:n, n:, n:].transpose(0, 2, 1)), z.astype(int)
+
+
+def _ranks(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int], compute_uv=False) -> tuple:
+    """({k: _svd_rank(d_k, compute_uv)} for d_n and d_{n-1} of each degree n, z): the cohomology
+    side's one rank decision, on _balanced(alg, mod), each d_k assembled once.  A degree outside
+    0..dim is refused before anything is built."""
+    for n in degrees:
+        if n < 0 or n > alg.dim:
+            raise MalformedInputError(f"degree {n} outside 0..{alg.dim}")
+    needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
+    *balanced, z = _balanced(alg, mod)
+    return {k: _svd_rank(d_k, compute_uv) for k, d_k in _complex(*balanced, needed)}, z
+
+
+def _bases(alg: LieAlgebra, mod: ModuleAction, n: int) -> tuple:
+    """(row, z, b, p) of degree n from _ranks: the cohomology_table row, orthonormal columns z
+    spanning ker d_n and b spanning im d_{n-1} in _balanced's basis, and the exponents p that map
+    such columns into the input basis exactly, np.ldexp(z, p): p_(I, a) = y_a - sum_{i in I} x_i."""
+    ranks, z = _ranks(alg, mod, [n], compute_uv=True)
+    rank, margin, _, vt = ranks[n]
+    rank_prev, _, u, _ = ranks.get(n - 1, (0, None, vt, None))  # d_{-1} = 0 into C^0
+    p = (z[alg.dim:] - z[index_table(alg.dim, n)].sum(axis=1)[:, None]).reshape(-1, 1)
+    return _row(n, len(vt), rank, rank_prev, margin), vt[rank:].T, u[:, :rank_prev], p
+
+
+def build_complex_slice(alg: LieAlgebra, mod: ModuleAction, n: int) -> dict:
+    """The cohomology_table row of degree n plus d_matrix (d_n), z_basis (its columns span ker d_n)
+    and b_basis (its columns span im d_{n-1}), all in the input basis: the bases are the table's,
+    orthonormal in _balanced's basis, mapped back exactly, so not orthonormal once it balanced."""
+    row, z, b, p = _bases(alg, mod, n)
+    return {**row, "d_matrix": coboundary_matrix(alg, mod, n),
+            "z_basis": np.ldexp(z, p), "b_basis": np.ldexp(b, p)}
 
 
 def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int]) -> list:
@@ -416,10 +430,7 @@ def cohomology_table(alg: LieAlgebra, mod: ModuleAction, degrees: Sequence[int])
     d_n the degrees need is assembled once and only its singular values
     are taken.
     """
-    for n in degrees:
-        _check_degree(alg, n)
-    needed = sorted({k for n in degrees for k in (n - 1, n) if k >= 0})
-    ranks = {k: _svd_rank(d_k)[:2] for k, d_k in _complex(*_balanced(alg, mod), needed)}
+    ranks, _ = _ranks(alg, mod, degrees)
     return [_row(n, math.comb(alg.dim, n) * mod.coeff_dim, ranks[n][0],
                  ranks.get(n - 1, (0,))[0], ranks[n][1]) for n in degrees]
 
@@ -430,17 +441,11 @@ def betti(alg: LieAlgebra, mod: ModuleAction, n: int) -> int:
 
 
 def cohomology_representatives(alg: LieAlgebra, mod: ModuleAction, n: int) -> list:
-    """Degree-n cocycle representatives spanning a complement of the coboundaries.
-
-    Each kernel basis vector of build_complex_slice(alg, mod, n) is projected
-    against the coboundary space by least squares; an independent subset of
-    the projections is returned as Cochain objects (betti of them).
-    """
-    slice_ = build_complex_slice(alg, mod, n)
-    z, b = slice_["z_basis"], slice_["b_basis"]
-    coeffs, *_ = np.linalg.lstsq(b, z, rcond=None)
-    rank, _, u, _ = _svd_rank(z - b @ coeffs, compute_uv=True)
-    return [Cochain(n, alg.dim, mod.coeff_dim, u[:, i]) for i in range(rank)]
+    """Degree-n cocycle representatives spanning a complement of the coboundaries, betti of them:
+    the first betti left singular vectors of z - b b^T z for _bases' z and b, mapped back."""
+    row, z, b, p = _bases(alg, mod, n)
+    u = np.linalg.svd(z - b @ (b.T @ z), full_matrices=False)[0][:, :row["betti"]]
+    return [Cochain(n, alg.dim, mod.coeff_dim, col) for col in np.ldexp(u, p).T]
 
 
 def _cocycle_residual(alg: LieAlgebra, mod: ModuleAction, omega: Cochain, d_n=None) -> float:

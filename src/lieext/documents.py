@@ -635,8 +635,8 @@ def _form(doc):
     cochain must be a cocycle of the document's algebra, the group's."""
     for issue in validate_lattice_fixed(doc.module, doc.lattice) if doc.lattice else ():
         (i, j), residual = issue["indices"], issue["residual"]
-        raise MalformedInputError(f"lattice generator {j} is not fixed by the group: "
-                                  f"|module.rho[{i}] gamma_{j}| / |gamma_{j}| = {residual:.3e}")
+        raise MalformedInputError(f"lattice generator {j} is not fixed by the group: |module.rho[{i}] gamma_{j}| "
+                                  f"/ |gamma_{j}| = {residual:.3e} in units of max|module.rho[{i}]|")
     form = EquivariantForm(doc.cocycle, doc.group, doc.module)
     _require_cocycles(doc.algebra, doc.module, {"omega": doc.cocycle})
     return form

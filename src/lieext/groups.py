@@ -37,6 +37,7 @@ from .algebra import (
     abelian_algebra,
     heisenberg3_algebra,
     homomorphism_issues,
+    scale_of,
     validate_algebra,
     _issues_above,
 )
@@ -242,16 +243,19 @@ def validate_action_compatibility(group: MatrixGroup, mod: ModuleAction):
 
 
 def validate_lattice_fixed(mod: ModuleAction, lattice: Lattice, tol_alg: float = DEFAULT_TOL_ALG):
-    """Check that rho(x_i) gamma_j = 0 within tol_alg |gamma_j| for every basis
-    vector x_i and lattice generator gamma_j; the residual is the ratio of the
-    norms.  R^m / lattice is a G-module only if G preserves the lattice, and a
-    connected G preserving a discrete subgroup fixes it pointwise."""
+    """Check that rho(x_i) gamma_j = 0 within tol_alg |gamma_j| in units of scale_of(rho_i) for
+    every basis vector x_i and lattice generator gamma_j; the residual is |rho_i gamma_j| / |gamma_j|
+    in those units, each rho_i and gamma_j divided by its own scale_of before any product, since
+    rho_i alone sets the rounding of rho_i gamma_j.  R^m / lattice is a G-module only if G preserves
+    the lattice, and a connected G preserving a discrete subgroup fixes it pointwise."""
     gens = lattice.generators
     if not gens.size or not np.any(mod.rho):  # rho = 0 fixes every vector
         return []
     if gens.shape[1] != mod.coeff_dim:
         raise MalformedInputError(f"lattice lives in R^{gens.shape[1]}, the module in R^{mod.coeff_dim}")
-    moved = np.linalg.norm(np.einsum("iab,jb->ija", mod.rho, gens), axis=2)
+    gens = np.array([g / scale_of(g) for g in gens])
+    rho = np.array([r / scale_of(r) for r in mod.rho])
+    moved = np.linalg.norm(np.einsum("iab,jb->ija", rho, gens), axis=2)
     return _issues_above("lattice_fixed", moved / np.linalg.norm(gens, axis=1), tol_alg)
 
 

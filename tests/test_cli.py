@@ -529,7 +529,7 @@ MALFORMED_MESSAGES = {
     },
     **{
         f"lattice_rotated_{task}": "lattice generator 0 is not fixed by the group: "
-        "|module.rho[0] gamma_0| / |gamma_0| = 6.283e+00"
+        "|module.rho[0] gamma_0| / |gamma_0| = 1.571e+00 in units of max|module.rho[0]|"
         for task in ("gamma", "pi1", "integrability")
     },
 }
@@ -541,6 +541,70 @@ def test_validate_lists_a_lattice_the_group_moves():
     assert code == 0 and report["results"]["valid"] is False
     assert [(v["identity"], v["indices"]) for v in report["results"]["violations"]] == [
         ("lattice_fixed", [0, 0]), ("lattice_fixed", [0, 1])
+    ]
+
+
+def _shear(eps):
+    """R^2 moved by eps E_01 along the first coordinate of T^2, with the lattice Z (0, 1): the
+    shear moves (0, 1) by eps, so R^2 / Z (0, 1) is no module of the group at any eps != 0."""
+    return _each(
+        _set("module", value={
+            "coeff_dim": 2,
+            "rho": [[[0.0, eps], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            "group_action": {"exprs": [f"a1 + {eps!r}*g1*a2", "a2"]},
+        }),
+        _set("cocycle", "components", value=[{"indices": [0, 1], "value": [1.0, 0.0]}]),
+        _set("lattice", value={"generators": [[0.0, 1.0]]}),
+    )
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+def test_validate_reads_a_lattice_moved_at_any_scale_of_rho(eps):
+    raw = _edited("torus_integrable.json", _each(_shear(eps), _set("task", value="validate")))
+    report, code = run(parse_document(raw))
+    violations = report["results"]["violations"]
+    assert code == 0 and [(v["identity"], v["indices"]) for v in violations] == [("lattice_fixed", [0, 0])]
+    assert 1.0 <= violations[0]["residual"] < 2.0  # eps in units of its own power of two
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-12])
+def test_check_integrability_refuses_a_lattice_moved_at_any_scale_of_rho(eps, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_edited("torus_integrable.json", _shear(eps))))
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.fullmatch(
+        r"input error: lattice generator 0 is not fixed by the group: \|module\.rho\[0\] gamma_0\| "
+        r"/ \|gamma_0\| = 1\.\d{3}e\+00 in units of max\|module\.rho\[0\]\|\n", captured.err)
+
+
+def test_validate_accepts_a_fast_rotation_about_a_lattice_vector(tmp_path, capsys):
+    # rho = 2 pi 10^8 J (+) 0 in a random orthonormal frame q fixes gamma = q_3 up to the rounding
+    # of rho, about 1e-16 in units of max|rho_0|
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    rho = 2.0 * np.pi * 1e8 * q @ np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]) @ q.T
+    doc = {"task": "validate", "algebra": {"dim": 1}, "module": {"coeff_dim": 3, "rho": [rho.tolist()]},
+           "lattice": {"generators": [q[:, 2].tolist()]}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--output", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {"valid": True, "violations": []}
+
+
+def test_validate_reads_a_small_rho_i_beside_a_large_one(tmp_path, capsys):
+    # rho_0 = 2 pi 10^8 E_00 fixes gamma = e_2 and rho_1 = 1e-3 E_12 moves it by 1e-3: each rho_i
+    # is read in its own units, so rho_0's size cannot hide rho_1's move
+    rho = np.zeros((2, 3, 3))
+    rho[0, 0, 0], rho[1, 1, 2] = 2.0 * np.pi * 1e8, 1e-3
+    doc = {"task": "validate", "algebra": {"dim": 2}, "module": {"coeff_dim": 3, "rho": rho.tolist()},
+           "lattice": {"generators": [[0.0, 0.0, 1.0]]}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--output", "machine"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["valid"] is False
+    assert [(v["identity"], v["indices"], v["residual"]) for v in results["violations"]] == [
+        ("lattice_fixed", [1, 0], 1e-3 * 2**10)
     ]
 
 

@@ -462,27 +462,30 @@ class TestCohomologyTable:
             lx.build_complex_slice(alg, mod, 3)
 
     def test_matches_complex_slices(self, rng):
-        # the table's margins are those of c and rho over their largest power of two, the
-        # slices' those of the input basis
+        # one rank decision: a slice's row is the table's in every key, rank_margin included
         for alg, mod in self._cases(rng):
             table = lx.cohomology_table(alg, mod, range(alg.dim + 1))
             for n, row in enumerate(table):
                 sl = lx.build_complex_slice(alg, mod, n)
                 assert row["degree"] == n
-                for key, value in row.items():
-                    assert sl[key] == value or key == "rank_margin", key
-                assert (sl["rank_margin"] is None) == (row["rank_margin"] is None)
+                assert {key: sl[key] for key in row} == row
+                assert len(lx.cohomology_representatives(alg, mod, n)) == row["betti"]
 
-    @pytest.mark.parametrize("eps, rank", [(1e-13, 1), (1e-15, 0)])
-    def test_rank_margin_near_the_cutoff(self, eps, rank):
-        # a slice keeps the input basis, where d_0 = (eps) meets the absolute floor; the
-        # table first divides rho by the power of two at eps, and d_0 has rank 1 far from its cutoff
-        mod = lx.ModuleAction(rho=np.array([[[eps]]]))
+    @pytest.mark.parametrize("rho, margin", [
+        # d_0 = (eps): rho is divided by the power of two at eps, so d_0 has rank 1 far from its cutoff
+        pytest.param([[[1e-13]]], 1e10, id="1e-13"),
+        pytest.param([[[1e-15]]], 1e10, id="1e-15"),
+        # d_0 = diag(1, 1.5e-10) on R^2: e_0 -> 2^x e_0 scales both entries alike, so no
+        # power-of-two basis separates them, and sigma_2 = 1.5e-10 sits 1.5 times above the cut 1e-10
+        pytest.param([np.diag([1.0, 1.5e-10])], pytest.approx(1.5), id="diag-1.5e-10"),
+    ])
+    def test_rank_margin_near_the_cutoff(self, rho, margin):
+        mod = lx.ModuleAction(rho=np.array(rho))
         row = lx.build_complex_slice(lx.abelian_algebra(1), mod, 0)
-        assert row["cocycle_dim"] == 1 - rank
-        assert 1.0 < row["rank_margin"] < 100.0
-        (row,) = lx.cohomology_table(lx.abelian_algebra(1), mod, [0])
-        assert row["cocycle_dim"] == 0 and row["rank_margin"] == 1e10
+        (table_row,) = lx.cohomology_table(lx.abelian_algebra(1), mod, [0])
+        assert row["cocycle_dim"] == table_row["cocycle_dim"] == 0
+        assert row["rank_margin"] == table_row["rank_margin"] == margin
+        assert row["z_basis"].shape == (mod.coeff_dim, 0)
 
     def test_rank_margin_of_sl2_adjoint(self, sl2):
         table = lx.cohomology_table(sl2, lx.adjoint_module(sl2), range(4))
@@ -521,8 +524,50 @@ class TestCohomologyTable:
         betti = {}
         for alg in (direct_sum(sl2, heis3), scaled):
             mod = lx.adjoint_module(alg) if module == "adjoint" else lx.trivial_module(6, 1)
-            betti[alg is scaled] = [row["betti"] for row in lx.cohomology_table(alg, mod, range(7))]
+            table = lx.cohomology_table(alg, mod, range(7))
+            betti[alg is scaled] = [row["betti"] for row in table]
+            for n, row in enumerate(table):
+                sl = lx.build_complex_slice(alg, mod, n)
+                assert {key: sl[key] for key in row} == row
+                assert len(lx.cohomology_representatives(alg, mod, n)) == row["betti"]
         assert betti[True] == betti[False]
+
+    @pytest.mark.parametrize("power, module", [
+        (37, "trivial"), (-37, "trivial"), (37, "adjoint"),
+        pytest.param(-37, "adjoint", marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "the balanced basis differs from the unscaled one by automorphism scalings of up to "
+            "2^52 on heis3, which amplify the rounding of its small components"))),
+    ])
+    def test_representatives_map_to_the_unscaled_basis(self, power, module):
+        # the coordinates of a cochain of sl2 + 2^power heis3 in the basis of sl2 + heis3 are
+        # its own times 2^(power (k_a - |I ∩ heis3|)), k_a = 1 on a heis3 coefficient of the
+        # adjoint module: exact, so there the representatives are cocycles independent of B^n
+        sl2, heis3 = lx.sl2_algebra(), lx.heisenberg3_algebra()
+        plain = direct_sum(sl2, heis3)
+        scaled = direct_sum(sl2, lx.LieAlgebra(heis3.structure_constants * 2.0**power))
+        plain_mod, scaled_mod = (lx.adjoint_module(alg) if module == "adjoint"
+                                 else lx.trivial_module(6, 1) for alg in (plain, scaled))
+        in_heis = np.arange(6) >= 3 if module == "adjoint" else np.zeros(1)
+        for n in range(7):
+            reps = lx.cohomology_representatives(scaled, scaled_mod, n)
+            shift = power * (in_heis - (lx.index_table(6, n) >= 3).sum(axis=1)[:, None])
+            moved = [lx.Cochain(n, 6, len(in_heis), np.ldexp(r.values, shift.astype(int)))
+                     for r in reps]
+            assert all(lx.is_cocycle(plain, plain_mod, w) for w in moved), n
+            cols = [w.to_vector() / np.linalg.norm(w.to_vector()) for w in moved]
+            b = lx.build_complex_slice(plain, plain_mod, n)["b_basis"]
+            assert np.linalg.matrix_rank(np.column_stack([b, *cols])) == b.shape[1] + len(reps)
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-15, 2.0**60, 2.0**-60])
+    def test_invariants_of_a_rotation_module(self, factor):
+        # T^2 on R^3 by rho(e_0) = 2 pi J (+) 0: the invariants a^g = ker d_0 are the e_3 axis at
+        # every scale of rho, in the slice as in the table
+        rho = np.zeros((2, 3, 3))
+        rho[0, 1, 0], rho[0, 0, 1] = 2.0 * np.pi * factor, -2.0 * np.pi * factor
+        alg, mod = lx.abelian_algebra(2), lx.ModuleAction(rho=rho)
+        sl = lx.build_complex_slice(alg, mod, 0)
+        assert sl["cocycle_dim"] == lx.cohomology_table(alg, mod, [0])[0]["cocycle_dim"] == 1
+        assert np.array_equal(np.abs(sl["z_basis"]), [[0.0], [0.0], [1.0]])
 
 
 class TestBetti:

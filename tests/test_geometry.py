@@ -522,11 +522,12 @@ class TestActionCompatibility:
             lx.EquivariantForm(lx.cochain_from_pairs(2, 2, {(0, 1): [1.0, 0.0]}), trans2, mod)
 
     def test_lattice_fixed_is_relative_to_each_generator(self):
-        # rho[1] kills gamma_0 = (2, 0) and moves gamma_1 = (0, 1e-3) by 1e-6
+        # rho[1] kills gamma_0 = (2, 0) and moves gamma_1 = (0, 1e-3) by 1e-6, 1e-3 |gamma_1|,
+        # and the residual is in units of scale_of(rho_1) = 2^-10
         mod = lx.ModuleAction(rho=np.stack([np.zeros((2, 2)), [[0.0, 1e-3], [0.0, 0.0]]]))
         issues = lx.validate_lattice_fixed(mod, lx.Lattice(np.array([[2.0, 0.0], [0.0, 1e-3]])))
         assert [(i["identity"], tuple(i["indices"])) for i in issues] == [("lattice_fixed", (1, 1))]
-        assert issues[0]["residual"] == pytest.approx(1e-3, rel=1e-12)
+        assert issues[0]["residual"] == pytest.approx(1e-3 * 2**10, rel=1e-12)
         with pytest.raises(MalformedInputError, match="lattice lives in R\\^1, the module in R\\^2"):
             lx.validate_lattice_fixed(mod, lx.Lattice(np.array([[1.0]])))
 
