@@ -688,9 +688,8 @@ def _run_gamma(doc, quad_order):
     g1, g2 = (doc.paths[name] for name in doc.pair)
     warnings = []
     for name in doc.pair:
+        path_samples(doc.group, f"paths[{_quoted(name)}]", doc.paths[name], PATH_SAMPLES)  # names a sample outside
         issues = validate_path(doc.group, doc.paths[name])
-        if issues and issues[0]["identity"] == "in_group":  # name the first sample outside
-            path_samples(doc.group, f"paths[{_quoted(name)}]", doc.paths[name], PATH_SAMPLES)
         if issues:
             warnings.append(f"path {_quoted(name)}: " + "; ".join(i["identity"] for i in issues))
     value = path_cocycle(form, g1, g2, quad_order)

@@ -51,12 +51,12 @@ from .errors import (
 from .extensions import build_algebra_extension
 from .groups import (
     DEFAULT_FD_STEP,
-    MEMBERSHIP_TOL,
     CoordinateChart,
     GroupPath,
     MatrixGroup,
     exp_path,
     validate_action_compatibility,
+    _coincidence_tol,
 )
 
 DEFAULT_QUAD_ORDER = 16
@@ -408,8 +408,7 @@ def _spanning_guard(group: MatrixGroup, a: np.ndarray, b: np.ndarray):
     a common endpoint, read at the last sample, a fiberwise logarithm at every
     sample (a group log may refuse one), and no jump of it between samples."""
     end_gap = float(np.max(np.abs(a[-1] - b[-1])))
-    scale = max(1.0, float(np.max(np.abs(a[-1]))))
-    if end_gap > 100 * MEMBERSHIP_TOL * scale:
+    if end_gap > _coincidence_tol(a[-1], b[-1]):
         raise NotALoopError(f"paths end {end_gap:.3e} apart; a spanning surface needs a common endpoint")
     try:
         logs = group.log(group.inverse(a) @ b)
@@ -494,20 +493,20 @@ def _edge_rule(domain: str) -> tuple:
 _EDGE_RULES = {domain: _edge_rule(domain) for domain in _EDGES}
 
 
-def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
+def cancel_boundary_edges(chain: Surface2Chain) -> List[tuple]:
     """Pairwise-cancel matching boundary edges; return the net leftovers as
     segments (patch, start, end, weight), the patch's edge from parameter
     start to end (_along evaluates it).
 
     Each patch is evaluated once, on all of its edges at the same 33
     parameters; chart coordinates are mapped in one call when all patches
-    share the chart.  An edge joins the first class whose samples it matches
-    within tol, forward before reversed, else opens a class; degenerate
-    (constant) edges drop out.  Candidate pairs come first, from the four
-    entries of the edges' end samples that vary most over the chain,
-    compared forward and reversed for all pairs in a few array operations;
-    the 33 samples are compared only for candidates.  A full match implies a
-    match of those entries, so the classes are the same.
+    share the chart.  An edge joins the first class it coincides with
+    (groups._coincidence_tol, one unit for the whole chain), forward before
+    reversed, else opens a class; constant edges drop out.  Candidate pairs
+    come first, from the four entries of the edges' end samples that vary
+    most over the chain, compared forward and reversed for all pairs in a
+    few array operations; the 33 samples are compared only for candidates.
+    A full match implies a match of those entries, so the classes are the same.
     """
     segments, weights, samples, charts = [], [], [], []
     for p in chain.patches:
@@ -524,6 +523,7 @@ def cancel_boundary_edges(chain: Surface2Chain, tol: float) -> List[tuple]:
         samples = charts[0].from_coords(np.concatenate(samples))
     else:
         samples = np.concatenate([x if c is None else c.from_coords(x) for x, c in zip(samples, charts)])
+    tol = _coincidence_tol(samples)
     keep = np.flatnonzero(~(np.max(np.abs(samples - samples[:, :1]), axis=(1, 2, 3)) <= tol))
     if not keep.size:  # a constant edge carries no boundary
         return []

@@ -199,6 +199,11 @@ class MatrixGroup:
             raise MembershipError(f"matrix is not in {self.name} (residual {bad[0]:.3e})")
 
 
+def _coincidence_tol(*stacks) -> float:
+    """The closeness rule, in outside's units: a and b coincide when max|a - b| <= _coincidence_tol(a, b)."""
+    return MEMBERSHIP_TOL * max(1.0, *(float(np.abs(s).max()) for s in stacks))
+
+
 def validate_group(group: MatrixGroup, tol_alg: float = 1e-9):
     """validate_algebra's issues, then basis commutators and exp/log round trips."""
     return validate_algebra(group.algebra, tol_alg) + _group_identities(group, tol_alg)
@@ -324,7 +329,7 @@ def validate_path(group: MatrixGroup, path: GroupPath):
         return [{"identity": "in_group", "indices": [], "residual": float(np.max(outside))}]
     issues = []
     base_res = float(np.max(np.abs(g[0] - group.identity)))
-    if base_res > 10 * MEMBERSHIP_TOL:
+    if base_res > _coincidence_tol(g[0], group.identity):
         issues.append({"identity": "based_at_identity", "indices": [0], "residual": base_res})
     # the left log-derivative g^-1 g' at t = 0 and 1
     d0, d1 = group.decompose(group.inverse(g[[0, 32]]) @ ((g[33:35] - g[35:]) / (2.0 * DEFAULT_FD_STEP)))

@@ -29,6 +29,7 @@ from .geometry import (
     DEFAULT_QUAD_ORDER,
     EquivariantForm,
     Surface2Chain,
+    _along,
     _path_nodes,
     _triangle_integral,
     cancel_boundary_edges,
@@ -36,14 +37,23 @@ from .geometry import (
     surface_integral,
     surface_integrals,
 )
-from .groups import DEFAULT_FD_STEP, MEMBERSHIP_TOL, GroupPath, MatrixGroup, coordinate_path
+from .groups import DEFAULT_FD_STEP, GroupPath, MatrixGroup, coordinate_path, _coincidence_tol
 
 def assert_cycle_closed(chain: Surface2Chain, name: str = "cycle"):
-    """Raise OpenChainError unless the chain's boundary edges cancel."""
-    leftovers = cancel_boundary_edges(chain, 1e4 * MEMBERSHIP_TOL)
+    """Raise OpenChainError unless the chain's boundary edges cancel; with two
+    or more left, it names how far apart the closest two are, forward or
+    reversed on 33 samples, next to the tolerance at their scale."""
+    leftovers = cancel_boundary_edges(chain)
     if leftovers:
+        margin = ""
+        if len(leftovers) > 1:
+            edges = np.array([_along(p, a, b, np.linspace(0.0, 1.0, 33)) for p, a, b, _ in leftovers])
+            both = np.stack([edges, edges[:, ::-1]], axis=1)  # forward, reversed
+            gap = min(float(np.min(np.max(np.abs(both[i + 1 :] - e), axis=(-3, -2, -1))))
+                      for i, e in enumerate(edges[:-1]))
+            margin = f", the closest two {gap:.3e} apart (tolerance {_coincidence_tol(edges):.3e})"
         raise OpenChainError(
-            f"{_quoted(name)} has {len(leftovers)} uncancelled boundary edge(s); "
+            f"{_quoted(name)} has {len(leftovers)} uncancelled boundary edge(s){margin}; "
             "it is not a 2-cycle"
         )
 
@@ -177,10 +187,11 @@ def pi1_cocycle_table(
     samples = np.linspace(0.0, 1.0, 33)
     for name, loop in loops:
         g = path_samples(group, f"loops[{_quoted(name)}]", loop, samples)
-        gap = float(np.max(np.abs(g[-1] - g[0])))
-        base = float(np.max(np.abs(g[0] - group.identity)))
-        if gap > 1e4 * MEMBERSHIP_TOL or base > 1e4 * MEMBERSHIP_TOL:
-            raise NotALoopError(f"loop {_quoted(name)} does not close at the identity")
+        gap, base = float(np.max(np.abs(g[-1] - g[0]))), float(np.max(np.abs(g[0] - group.identity)))
+        tol = _coincidence_tol(g[[0, -1]], group.identity)
+        if max(gap, base) > tol:
+            raise NotALoopError(f"loop {_quoted(name)} does not close at the identity: its ends are "
+                                f"{gap:.3e} apart and its start {base:.3e} away (tolerance {tol:.3e})")
     nodes = [_path_nodes(group, f"loops[{_quoted(name)}]", loop, int(quad_order)) for name, loop in loops]
     values = np.array([_triangle_integral(form, p, q) for p in nodes for q in nodes])
     values = values.reshape(len(nodes), len(nodes), form.cochain.coeff_dim)

@@ -1,4 +1,4 @@
-"""Soundness census: how often `check-integrability`, `cohomology`,
+"""Soundness census: how often `check-integrability`, `pi1`, `cohomology`,
 `validate`, `extend` and `equivalence` answer confidently wrong on documents
 whose answer is known.
 
@@ -9,7 +9,8 @@ right when it exits 0 with the known verdict (or Betti numbers), confidently
 wrong when it exits 0 with another one, and honest when it exits 4; any
 other exit is counted apart.  `extend` answers "accepts" by exit 0 and
 "refuses" by exit 3 (not a cocycle), and `cohomology` answers "refuses" by
-exit 3 (not a cochain complex), so those refusals are answers too.  The
+exit 3 (not a cochain complex), so those refusals are answers too, as is
+exit 3 on a family whose known answer is a refusal (open-gap).  The
 counts are printed per family and quadrature order ('-' for a family
 without one).
 
@@ -75,6 +76,13 @@ Families:
   drawn, all times 10^e, e an integer in [-30, 30].  The answer is valid
   with the Kunneth Betti numbers of sl2h-scaled, or not valid with the
   cohomology refused.  They are drawn after the cocycle-scale documents.
+* `open-gap`: chains and loops that miss closing by g turns, g =
+  10^U(-8, -4), the cocycle and the order drawn as for t2-step: every
+  other document is the 2 x 2 tiling of the fundamental square of T^2
+  with one tile, drawn, shifted by g in its first coordinate
+  (`check-integrability`), the others the `pi1` loop `[(1 - g) t, 0]`.
+  Neither is closed, so the answer is a refusal, exit 3, and an exit 0 is
+  confidently wrong.  They are drawn after the algebra-scale documents.
 This script is not collected by pytest.
 """
 
@@ -292,6 +300,22 @@ def algebra_scale_family(rng, count):
         }, [True, KUNNETH] if lie else [False, "refuses"]
 
 
+def open_gap_family(rng, count):
+    for n in range(count):
+        gap = float(10.0 ** rng.uniform(-8.0, -4.0))
+        value, order = float(rng.choice([0.5, 0.25])), int(rng.choice(ORDERS))
+        doc = torus_document(2, [((0, 1), value)], [], order)
+        if n % 2 == 0:
+            shifted = int(rng.integers(4))
+            doc["cycles"][0]["patches"] = [
+                {"domain": "square", "coords": [f"0.5*t + {a + (gap if k == shifted else 0.0)!r}", f"0.5*s + {b!r}"]}
+                for k, (a, b) in enumerate(((0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)))]
+        else:
+            del doc["cycles"]
+            doc.update(task="pi1", loops=[{"name": "loop", "coords": [f"{1.0 - gap!r}*t", "0"]}])
+        yield order, doc, "refuses"
+
+
 def run(path, doc):
     """(exit code, answer) of doc through the CLI, the answer None when the
     exit answers nothing.  A doc whose task is a list runs once per task: its
@@ -311,7 +335,7 @@ def run(path, doc):
     results = json.loads(out.getvalue())["results"]
     if doc["task"] == "extend":
         return code, "accepts"
-    for key in ("overall", "valid", "equivalent"):
+    for key in ("overall", "valid", "equivalent", "commutator_in_lattice"):
         if key in results:
             return code, results[key]
     return code, [row["betti"] for row in results["slices"]]
@@ -326,12 +350,15 @@ def census(seed, count):
                 ("heis-narrow", heis_narrow_family(rng, count)), ("su2-narrow", su2_narrow_family(rng, count)),
                 ("sl2h-scaled", sl2h_scaled_family(rng, count)), ("t2-tiling", tiling_family(rng, count)),
                 ("lattice-basis", lattice_basis_family(rng, count)),
-                ("cocycle-scale", cocycle_scale_family(rng, count)), ("algebra-scale", algebra_scale_family(rng, count)))
+                ("cocycle-scale", cocycle_scale_family(rng, count)), ("algebra-scale", algebra_scale_family(rng, count)),
+                ("open-gap", open_gap_family(rng, count)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         for family, docs in families:
             for order, doc, answer in docs:
                 code, got = run(path, doc)
+                if code == 3 and answer == "refuses":  # an open chain or loop: the refusal is the answer
+                    got = "refuses"
                 if code == 4 or got is None:
                     outcome = "exit 4" if code == 4 else "other"
                 else:
@@ -357,6 +384,6 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=20261020)
     parser.add_argument("--count", type=int, default=400,
                         help="t2-step, heis-narrow, su2-narrow, sl2h-scaled, t2-tiling, lattice-basis, "
-                             "cocycle-scale and algebra-scale documents each")
+                             "cocycle-scale, algebra-scale and open-gap documents each")
     args = parser.parse_args()
     print(report(census(args.seed, args.count)))

@@ -201,7 +201,7 @@ def holonomy(form, loop, bounding, lattice=None, quad_order=DEFAULT_QUAD_ORDER):
     tol = 100 * MEMBERSHIP_TOL * scale
     if float(np.max(np.abs(points[-1] - points[0]))) > tol:
         raise lx.NotALoopError("loop endpoints do not match")
-    curves = [partial(_along, patch, start, end) for patch, start, end, _ in cancel_boundary_edges(bounding, tol)]
+    curves = [partial(_along, patch, start, end) for patch, start, end, _ in cancel_boundary_edges(bounding)]
     if float(np.max(np.abs(points - points[0]))) <= tol:  # constant loop
         if curves:
             raise BoundaryMismatchError("bounding chain has net boundary but the loop is constant")

@@ -22,14 +22,15 @@ def test_a_small_census_counts_every_document_of_every_family():
     # two step squares, the two incomplete cycle sets, two block boundaries,
     # two great spheres, two rescaled algebras, which have no order, two
     # tiled step squares, two lattices in a changed basis, and two rescaled
-    # cocycles and two rescaled algebras, which have no order either
+    # cocycles and two rescaled algebras, which have no order either, and a
+    # shifted tiling and an open loop
     assert per_family == {"t2-step": 2, "h2-incomplete": 2, "heis-narrow": 2, "su2-narrow": 2,
                           "sl2h-scaled": 2, "t2-tiling": 2, "lattice-basis": 2,
-                          "cocycle-scale": 2, "algebra-scale": 2}
+                          "cocycle-scale": 2, "algebra-scale": 2, "open-gap": 2}
     header, *rows, total = census.report(counts).splitlines()
     assert header.split()[2:] == ["right", "wrong", "exit", "4", "other"]
     assert {row.split()[0] for row in rows} == set(per_family)
-    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 18
+    assert total.split()[0] == "total" and sum(map(int, total.split()[1:])) == 20
 
 
 @pytest.mark.parametrize("family", [census.sl2h_scaled_family, census.cocycle_scale_family,
@@ -51,6 +52,15 @@ def test_no_lattice_basis_document_is_answered_wrong(tmp_path):
             assert (code, got) == (0, answer)
         else:
             assert code != 0 or got == answer
+
+
+def test_no_open_chain_or_loop_is_answered(tmp_path):
+    # a tiling with one tile shifted, or a loop short of a turn, by 1e-8 to
+    # 1e-4 turns is refused (exit 3) as not closed: none is answered
+    docs = list(census.open_gap_family(np.random.default_rng(20261020), 30))
+    assert {doc["task"] for _, doc, _ in docs} == {"check-integrability", "pi1"}
+    for _, doc, answer in docs:
+        assert census.run(tmp_path / "doc.json", doc) == (3, None) and answer == "refuses"
 
 
 def test_the_edge_pairing_reads_the_degree_of_a_square_and_of_its_flip():

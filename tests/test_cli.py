@@ -1040,6 +1040,38 @@ def test_pi1_names_the_loop_that_leaves_the_group(tmp_path, capsys):
     )
 
 
+T2_HALF = {"group": {"kind": "torus", "dim": 2}, "lattice": {"generators": [[1.0]]},
+           "cocycle": {"degree": 2, "components": [{"indices": [0, 1], "value": [0.5]}]}}
+
+
+@pytest.mark.parametrize("section, message", [
+    # two tiles of T^2 with a gap of 1e-6 turns between them: on T^2 that is
+    # 2 pi 1e-6 in a rotation's entries
+    ({"task": "check-integrability", "cycles": [{"name": "tiles", "patches": [
+        {"domain": "square", "coords": ["0.5*t", "s"]},
+        {"domain": "square", "coords": ["0.500001 + 0.499999*t", "s"]}]}]},
+     r"'tiles' has 2 uncancelled boundary edge\(s\), the closest two 6\.283e-06 apart "
+     r"\(tolerance 1\.000e-09\); it is not a 2-cycle"),
+    # a square 1e-6 turns wide, whose edges are not constant
+    ({"task": "check-integrability", "cycles": [{"name": "square", "patches": [
+        {"domain": "square", "coords": ["0.000001*t", "0.000001*s"]}]}]},
+     r"'square' has 4 uncancelled boundary edge\(s\), the closest two 6\.283e-06 apart "
+     r"\(tolerance 1\.000e-09\); it is not a 2-cycle"),
+    # a loop that ends 1e-6 turns past a turn
+    ({"task": "pi1", "loops": [{"name": "l", "coords": ["t + 0.000001*t", "0"]}]},
+     r"loop 'l' does not close at the identity: its ends are 6\.283e-06 apart and its start "
+     r"0\.000e\+00 away \(tolerance 1\.000e-09\)"),
+    # 10^7 turns: 2 pi 10^7 rounds by more than the tolerance
+    ({"task": "pi1", "loops": [{"name": "w", "winding": [10000000, 0]}, {"name": "u", "winding": [0, 1]}]},
+     r"loop 'w' does not close at the identity: its ends are \d\.\d{3}e-09 apart and its start "
+     r"0\.000e\+00 away \(tolerance 1\.000e-09\)"),
+], ids=["tiles-apart", "small-square", "loop-past-a-turn", "winding-1e7"])
+def test_an_open_chain_or_loop_is_refused_with_its_gap(section, message, tmp_path, capsys):
+    # the edges and the loop's ends miss by more than 1e-9 x max(1, |entry|)
+    code, out, err = cli_outcome({**T2_HALF, **section}, tmp_path, capsys)
+    assert (code, out) == (3, "") and re.fullmatch(f"computation rejected: {message}\n", err)
+
+
 @pytest.mark.parametrize("raw, message", [
     # [e0, e1] = e1 and [e1, e2] = e0 break Jacobi
     ({"task": "cohomology", "algebra": {"dim": 3, "structure_constants": [[0, 1, 1, 1.0],

@@ -113,6 +113,11 @@ KEEP_PRIVATE = {
     "_quoted": "the one bound on a value quoted in a message, shared by documents, expressions, "
                "geometry, integrability and cochain_from_pairs",
     "_cut": "the same bound on a matrix group's name, which documents prints without quotes",
+    "_coincidence_tol": "the one closeness rule for group elements, which the closure check and the "
+                        "spanning guard (geometry) and the pi1 loop check (integrability) share with "
+                        "validate_path",
+    "_along": "an open chain's refusal re-reads the closure check's uncancelled segments to give "
+              "the closest two's distance",
 }
 
 

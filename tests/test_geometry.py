@@ -414,6 +414,20 @@ class TestPaths:
         issues = lx.validate_path(torus2, path)
         assert any(i["identity"] == "based_at_identity" for i in issues)
 
+    @pytest.mark.parametrize("start, based", [(1e-10, True), (1e-9, False)])
+    def test_the_base_is_read_at_the_closeness_rule(self, torus2, start, based):
+        # a start `start` turns off the identity is 2 pi start away in the
+        # rotation's entries, against 1e-9 x max(1, |entry|) = 1e-9
+        path = lx.coordinate_path(torus2, lambda t: np.array([t + start, 0.0]))
+        issues = lx.validate_path(torus2, path)
+        assert [i["identity"] for i in issues] == ([] if based else ["based_at_identity"])
+
+    def test_spanning_paths_must_end_within_the_closeness_rule(self, torus2):
+        g1 = lx.coordinate_path(torus2, lambda t: np.array([t, 0.0]))
+        g2 = lx.coordinate_path(torus2, lambda t: np.array([(1.0 + 1e-9) * t, 0.0]))
+        with pytest.raises(NotALoopError, match=r"^paths end 6\.283e-09 apart; a spanning surface needs"):
+            lx.spanning_chain(torus2, g1, g2)
+
     def test_path_leaving_the_group_is_reported_alone(self, torus2):
         # based and in the torus at both ends, but not in between
         def off(t):
@@ -1172,7 +1186,7 @@ class TestHolonomy:
         points = self.square_loop(torus2, side=0.4)(np.linspace(0.0, 1.0, 8))
         patch = vectorized(lambda t, s: torus2.chart.from_coords(np.stack([t, s], -1) / 2))
         bound = lx.Surface2Chain(patches=(lx.SurfacePatch(eval=patch),))
-        for patch, start, end, _ in cancel_boundary_edges(bound, 1e-9):
+        for patch, start, end, _ in cancel_boundary_edges(bound):
             curve = partial(_along, patch, start, end)
             got = distances_to_curve(points, curve)
             want = [reference(point, curve) for point in points]
@@ -1204,12 +1218,12 @@ class TestBoundaryBookkeeping:
         upper = lx.SurfacePatch(
             eval=lambda t, s: chart.from_coords([s, t]), domain="simplex", coefficient=-1
         )
-        assert cancel_boundary_edges(lx.Surface2Chain(patches=(lower, upper)), 1e-9) == []
+        assert cancel_boundary_edges(lx.Surface2Chain(patches=(lower, upper))) == []
 
     def test_one_triangle_leaves_three_edges(self, torus2):
         chart = torus2.chart
         patch = lx.SurfacePatch(eval=lambda t, s: chart.from_coords([t, s]), domain="simplex")
-        leftovers = cancel_boundary_edges(lx.Surface2Chain(patches=(patch,)), 1e-9)
+        leftovers = cancel_boundary_edges(lx.Surface2Chain(patches=(patch,)))
         assert [w for *_, w in leftovers] == [1, 1, -1]
         u = np.array([0.2, 0.7])
         for (patch, start, end, _), coords in zip(leftovers, ([u, 0 * u], [1 + 0 * u, u], [u, u])):
@@ -1234,11 +1248,11 @@ class TestBoundaryBookkeeping:
 
     def test_fundamental_square_cancels(self, torus2):
         chain = square_patch_chain(torus2, lambda t, s: np.array([t, s]))
-        assert cancel_boundary_edges(chain, 1e-9) == []
+        assert cancel_boundary_edges(chain) == []
 
     def test_half_square_leaves_boundary(self, torus2):
         chain = square_patch_chain(torus2, lambda t, s: np.array([t / 2, s]))
-        leftovers = cancel_boundary_edges(chain, 1e-9)
+        leftovers = cancel_boundary_edges(chain)
         assert leftovers  # vertical seams at coordinates 0 and 1/2 do not match
 
     def test_quarter_patches_cancel_internal_seams(self, torus2):
@@ -1256,32 +1270,36 @@ class TestBoundaryBookkeeping:
                     )
                 )
         chain = lx.Surface2Chain(patches=tuple(patches))
-        assert cancel_boundary_edges(chain, 1e-9) == []
+        assert cancel_boundary_edges(chain) == []
 
 
-def closure_reference(chain, tol):
+def closure_reference(chain):
     """cancel_boundary_edges by brute force: each edge against every class
-    opener on all 33 samples, forward then reversed; the leftovers as
-    (patch, start, end, net weight)."""
+    opener on all 33 samples, forward then reversed, within MEMBERSHIP_TOL
+    times max(1, the largest |entry| over every edge of the chain); the
+    leftovers as (patch, start, end, net weight)."""
     u = np.linspace(0.0, 1.0, 33)
-    classes = []  # [opener's samples, net weight, opener's segment]
+    edges = []  # [samples, weight, segment]
     for p in chain.patches:
         if p.coefficient == 0:
             continue
         starts, ends, signs = (np.array(x) for x in zip(*lx.geometry._EDGES[p.domain]))
         for start, end, sign, arr in zip(starts, ends, signs, _along(p, starts[:, None], ends[:, None], u)):
-            if np.max(np.abs(arr - arr[0])) <= tol:
-                continue
-            w = int(sign) * p.coefficient
-            for c in classes:
-                if np.max(np.abs(arr - c[0])) <= tol:
-                    c[1] += w
-                    break
-                if np.max(np.abs(arr[::-1] - c[0])) <= tol:
-                    c[1] -= w
-                    break
-            else:
-                classes.append([arr, w, (p, start, end)])
+            edges.append((arr, int(sign) * p.coefficient, (p, start, end)))
+    tol = MEMBERSHIP_TOL * max([1.0] + [float(np.max(np.abs(arr))) for arr, _, _ in edges])
+    classes = []  # [opener's samples, net weight, opener's segment]
+    for arr, w, segment in edges:
+        if np.max(np.abs(arr - arr[0])) <= tol:
+            continue
+        for c in classes:
+            if np.max(np.abs(arr - c[0])) <= tol:
+                c[1] += w
+                break
+            if np.max(np.abs(arr[::-1] - c[0])) <= tol:
+                c[1] -= w
+                break
+        else:
+            classes.append([arr, w, segment])
     return [(*segment, w) for _, w, segment in classes if w != 0]
 
 
@@ -1290,8 +1308,8 @@ class TestClosureAgainstBruteForce:
     its classes and net weights are those of comparing every pair."""
 
     @staticmethod
-    def assert_same(chain, tol=1e4 * MEMBERSHIP_TOL):
-        got, want = cancel_boundary_edges(chain, tol), closure_reference(chain, tol)
+    def assert_same(chain):
+        got, want = cancel_boundary_edges(chain), closure_reference(chain)
         assert len(got) == len(want)
         for (p, a, b, w), (q, c, d, v) in zip(got, want):
             assert p is q and np.array_equal(a, c) and np.array_equal(b, d) and w == v
@@ -1352,8 +1370,10 @@ class TestClosureAgainstBruteForce:
     def test_edges_apart_by_exactly_tol_cancel(self, reverse, entry):
         # A's edge at t = 1 against B's at t = 0, apart by delta at one entry,
         # 0 on A's edge: (2, 0) varies least over the tips and is not among
-        # the four candidate entries, (0, 1) is
-        tol = 1e-5
+        # the four candidate entries, (0, 1) is.  The chain's largest |entry|
+        # is 3 (t + s on B's edge at t = 1, s = 1), so the rule's tolerance is
+        # 3 MEMBERSHIP_TOL, and edges that far apart still cancel
+        tol = 3.0 * MEMBERSHIP_TOL
 
         def a_map(t, s):
             t, s = np.broadcast_arrays(t, s)
@@ -1370,8 +1390,8 @@ class TestClosureAgainstBruteForce:
                 lx.SurfacePatch(eval=vectorized(a_map)),
                 lx.SurfacePatch(eval=vectorized(b_map), coefficient=-1 if reverse else 1)))
 
-        assert len(self.assert_same(chain(tol), tol)) == 6
-        assert len(self.assert_same(chain(np.nextafter(tol, np.inf)), tol)) == 8
+        assert len(self.assert_same(chain(tol))) == 6
+        assert len(self.assert_same(chain(np.nextafter(tol, np.inf)))) == 8
 
     def test_ends_that_match_with_middles_that_do_not(self, torus2):
         # B's edge at t = 0 matches A's at t = 1 at both ends but not between

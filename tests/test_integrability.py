@@ -100,6 +100,20 @@ class TestPeriod:
         with pytest.raises(OpenChainError):
             lx.period(form, lx.Surface2Chain(patches=(patch,)), 8)
 
+    @pytest.mark.parametrize("domain, coords, message", [
+        # the seams at x = 0 and 1/2 are rotations by 0 and pi: 2 apart
+        ("square", lambda t, s: [t / 2, s], "2 uncancelled boundary edge(s), the closest two 2.000e+00 apart "
+                                            "(tolerance 1.000e-09)"),
+        # the edges on s = 0 and s = t coincide and cancel; one is left, so no pair to measure
+        ("simplex", lambda t, s: [t, s * (t - s)], "1 uncancelled boundary edge(s)"),
+    ], ids=["two-left", "one-left"])
+    def test_open_chain_names_its_closest_edges(self, torus2, domain, coords, message):
+        patch = lx.SurfacePatch(eval=vectorized(lambda t, s: torus2.chart.from_coords(np.stack(coords(t, s), -1))),
+                                domain=domain)
+        with pytest.raises(OpenChainError) as caught:
+            lx.assert_cycle_closed(lx.Surface2Chain(patches=(patch,)), "c")
+        assert str(caught.value) == f"'c' has {message}; it is not a 2-cycle"
+
     def test_homology_invariance(self, torus2):
         form = lx.EquivariantForm(area_cochain(0.7), torus2)
         whole = lx.period(form, fundamental_cycle(torus2), 16)
